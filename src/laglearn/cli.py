@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 
 from . import experiments
+from .environment import StreamExhausted
 from .experiments import ConfigFileError
 
 
@@ -73,7 +74,7 @@ def _cmd_run(args) -> int:
         Path(cfg.out_dir) if cfg.out_dir else _default_out_dir(path))
     try:
         manifest = experiments.run_experiment(cfg, out_dir, threads=max(args.threads, 1))
-    except ConfigFileError as exc:
+    except (ValueError, StreamExhausted) as exc:  # ConfigFileError and ConfigError included
         _report_errors(exc)
         return 2
     except OSError as exc:

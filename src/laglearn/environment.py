@@ -247,9 +247,10 @@ def run_game(learner: BaseLearner, stream: ContextStream, delays: DelaySchedule,
     """Play `horizon` rounds and record everything regret needs.
 
     Per round: draw the context, let the learner post its estimate, anchor
-    a loss at the true hidden context, queue it with the round's delay,
-    and hand whatever the buffer releases to the learner together with the
-    next round's known context (the update at the horizon boundary sees no
+    a loss at the true hidden context, record both, queue the round with
+    its delay, and hand whatever the buffer releases to the learner as
+    (loss, decision) pairs read from those records, together with the next
+    round's known context (the update at the horizon boundary sees no
     known context and uses a zero pull).  `seed` drives only the
     adversary's per-round loss coefficients.
     """
@@ -264,12 +265,12 @@ def run_game(learner: BaseLearner, stream: ContextStream, delays: DelaySchedule,
         raise ConfigError("scoring weights do not match the stream dimensions")
 
     delay_values = delays.realize(horizon)
+    if learner.lag is not None and np.any(delay_values != learner.lag + 1):
+        raise ConfigError(f"fixed-lag learner needs every delay to be tau + 1 = {learner.lag + 1}")
     known, hidden = stream.take(horizon)
     rng = np.random.default_rng(seed)
     buffer = FeedbackBuffer()
-    learner.state.buffer = buffer
 
-    pending: dict[int, Loss] = {}
     losses: list[Loss] = []
     estimates = np.empty((horizon, dim))
     loss_values = np.empty(horizon)
@@ -280,28 +281,24 @@ def run_game(learner: BaseLearner, stream: ContextStream, delays: DelaySchedule,
 
     for i in range(horizon):
         t = i + 1
-        estimate = learner.play(t)
+        estimate = estimates[i] = learner.play(t)
         loss = loss_factory(hidden[i], rng)
         if loss.dim != dim:
             raise ConfigError("loss factory produced the wrong dimension")
+        losses.append(loss)
         buffer.push(t, int(delay_values[i]))
-        pending[t] = loss
 
         loss_values[i] = loss.value(estimate)
         err = abs(scoring.score(known[i], estimate) - scoring.score(known[i], hidden[i]))
         score_errors[i] = err
         score_error_losses[i] = loss.radial(err)
-        if score_error_losses[i] > loss_values[i] + 1e-9:
+        if score_error_losses[i] > loss_values[i] + 1e-9 * max(1.0, abs(loss_values[i])):
             env_flags.append(f"score_chain_violated_at_{t}")
 
         ready = buffer.ready_at(t)
         delivered_sets.append(ready)
-        handed = [(s, pending[s]) for s in ready]
         next_known = known[i + 1] if t < horizon else None
-        learner.observe(handed, next_known)
-
-        estimates[i] = estimate
-        losses.append(loss)
+        learner.observe([(losses[s - 1], estimates[s - 1]) for s in ready], next_known)
 
     return Trajectory(
         horizon=horizon,

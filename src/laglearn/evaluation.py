@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .geometry import Array, ConvexBody
 from .losses import ExpLoss, Loss, NormLoss, PowerLoss, QuadraticLoss
@@ -28,7 +27,7 @@ class Trajectory:
 
     horizon: int
     dim: int
-    estimates: Array                 # (T, dim) decisions actually played
+    estimates: Array                 # (T, dim) estimates actually played
     loss_values: Array               # (T,) f_t evaluated at the decision
     score_errors: Array              # (T,) |score with estimate - true score|
     score_error_losses: Array        # (T,) radial profile applied to the score error
@@ -304,6 +303,7 @@ def fit_scaling(points) -> ScalingFit:
     confidence half-width.  Nonpositive regrets are dropped; fewer than 3
     surviving points is an error.
     """
+    from scipy import stats  # deferred: loading it dominates the time of `import laglearn`
     kept = [(float(v), float(r)) for v, r in points if r > 0.0]
     for v, _ in kept:
         if v <= 0.0:

@@ -227,7 +227,9 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         elif cfg.schedule == "constant":
             if not isinstance(cfg.eta, float) or cfg.eta <= 0:
                 errors.append("learner.eta: constant schedule needs a numeric eta > 0")
-        if cfg.delay_kind != "fixed" and cfg.kind != "single-run":
+        # A single run may read a delay file; run_game checks that it is all tau + 1.
+        if cfg.delay_kind == "adversarial" or (cfg.delay_kind != "fixed"
+                                               and cfg.kind != "single-run"):
             errors.append("delays.kind: fixed-lag learners need fixed delays")
     if cfg.learner == "omd":
         if cfg.mirror not in ("euclidean", "negentropy"):

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .feedback import FeedbackBuffer
 from .geometry import Array, ConvexBody, MirrorMap, as_vector
 from .losses import Loss
 
@@ -193,17 +192,14 @@ class Influence:
 
 @dataclass
 class LearnerState:
-    """Current estimate plus the bookkeeping the update rules rely on.
+    """Current estimate, last round played and numerical flags; no history.
 
-    `decisions` keeps every past estimate so delivered losses can be
-    differentiated at the decision actually played at their source round.
+    The game loop hands each delivered loss over with its source round's estimate.
     """
 
     estimate: Array
     body: ConvexBody
     t: int = 0
-    decisions: dict[int, Array] = field(default_factory=dict)
-    buffer: FeedbackBuffer | None = None
     flags: list[str] = field(default_factory=list)
 
 
@@ -217,9 +213,6 @@ def step_ogd(state: LearnerState, schedule: StepSchedule, influence: Influence,
     t = state.t
     if t <= schedule.tau:
         raise RuntimeError(f"update at round {t} before the warm-up ({schedule.tau}) finished")
-    source = t - schedule.tau
-    if source not in state.decisions:
-        raise RuntimeError(f"no stored decision for delivered round {source}")
     g = as_vector(grad, state.estimate.size)
     move = _combined_step(state, schedule.eta(t), schedule.beta(t), influence, g, next_known)
     state.estimate = state.body.project(state.estimate + move)
@@ -237,9 +230,6 @@ def step_omd(state: LearnerState, mirror: MirrorMap, schedule: StepSchedule,
     t = state.t
     if t <= schedule.tau:
         raise RuntimeError(f"update at round {t} before the warm-up ({schedule.tau}) finished")
-    source = t - schedule.tau
-    if source not in state.decisions:
-        raise RuntimeError(f"no stored decision for delivered round {source}")
     g = as_vector(grad, state.estimate.size)
     move = _combined_step(state, schedule.eta(t), schedule.beta(t), influence, g, next_known)
     out = mirror.update(state.estimate, move, flags=state.flags)
@@ -250,25 +240,17 @@ def step_omd(state: LearnerState, mirror: MirrorMap, schedule: StepSchedule,
 
 
 def step_adversarial(state: LearnerState, eta: float, beta: float,
-                     influence: Influence, grads: dict[int, Array],
+                     influence: Influence, grads: list[Array],
                      next_known) -> Array:
     """Constant-step update over a whole delivery set (possibly empty).
 
-    `grads` maps source rounds to gradients evaluated at the decisions of
-    those rounds; an empty set leaves only the correlation pull.
+    `grads` holds the gradients of the delivered losses, each evaluated at
+    the decision of its source round, in delivery (source-round) order; they
+    are summed in that order.  An empty set leaves only the correlation pull.
     """
-    t = state.t
-    for s in grads:
-        if s not in state.decisions:
-            raise RuntimeError(f"gradient supplied for round {s} with no stored decision")
-    if state.buffer is not None:
-        ready = set(state.buffer.ready_at(t))
-        extra = set(grads) - ready
-        if extra:
-            raise RuntimeError(f"gradients supplied for undelivered rounds {sorted(extra)}")
     total = np.zeros(state.estimate.size)
-    for s in sorted(grads):
-        total = total + as_vector(grads[s], state.estimate.size)
+    for g in grads:
+        total = total + as_vector(g, state.estimate.size)
     move = _combined_step(state, eta, beta, influence, total, next_known)
     state.estimate = state.body.project(state.estimate + move)
     return state.estimate
@@ -331,21 +313,23 @@ def eta_for_arbitrary_delay(L: float, R: float, lam: float, horizon: int,
 class BaseLearner:
     """Shared play/observe protocol used by the game loop.
 
-    `play(t)` records and returns the round-t decision; `observe` consumes
-    the losses delivered at the end of round t (as (source, loss) pairs)
-    together with the next round's known context.
+    `play(t)` returns the round-t decision; `observe` consumes the losses
+    delivered at the end of round t, as (loss, decision played at the loss's
+    round) pairs in source-round order, together with the next round's
+    known context.  `lag` is the fixed lag a learner needs (every delay
+    lag + 1, checked by the game loop before round 1) or None for any delays.
     """
 
     state: LearnerState
+    lag: int | None = None
 
     def play(self, t: int) -> Array:
         if t != self.state.t + 1:
             raise RuntimeError(f"rounds must be played in order; expected {self.state.t + 1}")
         self.state.t = t
-        self.state.decisions[t] = self.state.estimate.copy()
         return self.state.estimate.copy()
 
-    def observe(self, delivered: list[tuple[int, Loss]], next_known) -> None:
+    def observe(self, delivered: list[tuple[Loss, Array]], next_known) -> None:
         raise NotImplementedError
 
     @property
@@ -361,22 +345,14 @@ class OgdLearner(BaseLearner):
 
     def __init__(self, body: ConvexBody, schedule: StepSchedule, influence: Influence | None = None):
         self.schedule = schedule
+        self.lag = schedule.tau
         self.influence = influence if influence is not None else Influence.disabled(body.dim)
         self.state = LearnerState(estimate=np.zeros(body.dim), body=body)
 
     def observe(self, delivered, next_known) -> None:
-        t = self.state.t
-        if t <= self.schedule.tau:
-            if delivered:
-                raise RuntimeError("feedback delivered during the warm-up rounds")
-            return
-        if len(delivered) != 1:
-            raise RuntimeError("fixed-lag learner expects exactly one delivery per round")
-        (source, loss), = delivered
-        if source != t - self.schedule.tau:
-            raise RuntimeError(f"expected round {t - self.schedule.tau}, got {source}")
-        g = loss.grad(self.state.decisions[source], flags=self.state.flags)
-        step_ogd(self.state, self.schedule, self.influence, g, next_known)
+        for loss, decision in delivered:
+            g = loss.grad(decision, flags=self.state.flags)
+            step_ogd(self.state, self.schedule, self.influence, g, next_known)
 
     def describe(self) -> str:
         return f"ogd({self.schedule.describe()}, {self.influence.describe()})"
@@ -389,22 +365,14 @@ class OmdLearner(BaseLearner):
                  influence: Influence | None = None):
         self.mirror = mirror
         self.schedule = schedule
+        self.lag = schedule.tau
         self.influence = influence if influence is not None else Influence.disabled(body.dim)
         self.state = LearnerState(estimate=mirror.initial_point(body.dim), body=body)
 
     def observe(self, delivered, next_known) -> None:
-        t = self.state.t
-        if t <= self.schedule.tau:
-            if delivered:
-                raise RuntimeError("feedback delivered during the warm-up rounds")
-            return
-        if len(delivered) != 1:
-            raise RuntimeError("fixed-lag learner expects exactly one delivery per round")
-        (source, loss), = delivered
-        if source != t - self.schedule.tau:
-            raise RuntimeError(f"expected round {t - self.schedule.tau}, got {source}")
-        g = loss.grad(self.state.decisions[source], flags=self.state.flags)
-        step_omd(self.state, self.mirror, self.schedule, self.influence, g, next_known)
+        for loss, decision in delivered:
+            g = loss.grad(decision, flags=self.state.flags)
+            step_omd(self.state, self.mirror, self.schedule, self.influence, g, next_known)
 
     def describe(self) -> str:
         return (f"omd({self.mirror.describe()}, {self.schedule.describe()}, "
@@ -424,10 +392,7 @@ class AdversarialLearner(BaseLearner):
         self.state = LearnerState(estimate=np.zeros(body.dim), body=body)
 
     def observe(self, delivered, next_known) -> None:
-        grads = {
-            s: loss.grad(self.state.decisions[s], flags=self.state.flags)
-            for s, loss in delivered
-        }
+        grads = [loss.grad(decision, flags=self.state.flags) for loss, decision in delivered]
         step_adversarial(self.state, self.eta, self.beta, self.influence, grads, next_known)
 
     def describe(self) -> str:
@@ -442,7 +407,7 @@ class NaiveLearner(BaseLearner):
         self.state = LearnerState(estimate=np.zeros(body.dim), body=body)
 
     def observe(self, delivered, next_known) -> None:
-        for _, loss in delivered:
+        for loss, _ in delivered:
             self.revealed.append(loss.anchor.copy())
         if delivered:
             # Mean of points of a convex set stays inside it; no projection.

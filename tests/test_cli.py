@@ -216,6 +216,54 @@ path = {delay_file}
     assert float(rows[2]["loss"]) == math.sqrt((x3 - 3.0) ** 2) ** 2
 
 
+def _single_ogd_csv_config(tmp_path, rows, delays):
+    contexts = tmp_path / "contexts.csv"
+    contexts.write_text("".join(f"1.0,{i}.0\n" for i in range(rows)), encoding="utf-8")
+    return write_config(tmp_path, f"""
+[experiment]
+kind = single-run
+horizon = 4
+trials = 1
+
+[learner]
+kind = ogd
+schedule = constant
+eta = 0.5
+lam = 0.0
+tau = 1
+
+[stream]
+kind = csv
+path = {contexts}
+d1 = 1
+d2 = 1
+
+{delays}
+""")
+
+
+def test_cli_validate_rejects_adversarial_delays_for_fixed_lag_learners(tmp_path, capsys):
+    config = _single_ogd_csv_config(tmp_path, 4, "[delays]\nkind = adversarial\n")
+    assert cli.main(["validate", str(config)]) == 2
+    assert "delays.kind" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows, delays", [
+    (4, "3\n2\n2\n2\n"),   # not every delay is tau + 1 = 2
+    (3, "2\n2\n2\n2\n"),   # the csv stream is shorter than the horizon
+])
+def test_cli_run_reports_domain_errors_with_exit_2(tmp_path, capsys, rows, delays):
+    delay_file = tmp_path / "delays.txt"
+    delay_file.write_text(delays, encoding="utf-8")
+    config = _single_ogd_csv_config(tmp_path, rows,
+                                    f"[delays]\nkind = file\npath = {delay_file}\n")
+    assert cli.main(["validate", str(config)]) == 0
+    capsys.readouterr()
+    assert cli.main(["run", str(config), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_cli_run_is_reproducible_across_threads(tmp_path):
     config = write_config(tmp_path, TINY_SWEEP)
     outs = []

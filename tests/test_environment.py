@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from laglearn import experiments
 from laglearn.environment import (
     ConfigError,
     ContextPair,
@@ -215,6 +216,41 @@ def test_score_error_chain_holds_every_round():
                     LinearScoring.default(1, 1), horizon=400, seed=8)
     assert np.all(traj.score_error_losses <= traj.loss_values + 1e-9)
     assert not any(flag.startswith("score_chain") for flag in traj.flags)
+
+
+def test_score_chain_tolerance_is_relative_to_the_loss():
+    # Exp losses reach 1.6e110 here; the 1-d chain holds up to rounding only.
+    cfg = experiments.ExperimentConfig(kind="single-run", learner="ogd", schedule="sqrt",
+                                       sigma=0.5, family="exp", a=1.0, sigma1=0.5, m=2,
+                                       horizon=200, seed=0)
+    traj, _ = experiments.run_single(cfg, experiments.trial_seed(0, 0))
+    assert traj.loss_values.max() > 1e100
+    assert not any(flag.startswith("score_chain") for flag in traj.flags)
+
+
+def test_score_chain_flags_a_hidden_weight_above_one():
+    class DoubledScoring:
+        w_known = np.ones(1)
+        w_hidden = np.ones(1)
+
+        def score(self, known, hidden):
+            return float(known[0]) + 2.0 * float(hidden[0])
+
+    learner = OgdLearner(Ball([0.0], 10.0), ConstantStep(value=0.5))
+    traj = run_game(learner, _three_round_stream(), FixedDelay(0),
+                    fixed_loss(QuadraticLoss, a=1.0, b=0.0), DoubledScoring(),
+                    horizon=3, seed=0)
+    assert [f for f in traj.flags if f.startswith("score_chain")] == [
+        "score_chain_violated_at_1", "score_chain_violated_at_2", "score_chain_violated_at_3"]
+
+
+def test_fixed_lag_learner_rejects_mismatched_delays_before_round_1():
+    learner = OgdLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=3))
+    stream = ExplicitStream([[1.0]] * 5, [[0.5]] * 5)
+    with pytest.raises(ConfigError, match="tau \\+ 1 = 4"):
+        run_game(learner, stream, ExplicitDelay((4, 4, 1, 4, 4)), uniform_quadratic(),
+                 LinearScoring.default(1, 1), horizon=5, seed=0)
+    assert learner.state.t == 0
 
 
 def test_run_game_configuration_errors():

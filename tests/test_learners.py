@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from laglearn.environment import ExplicitStream, GaussianStream, LinearScoring, run_game, fixed_loss
-from laglearn.feedback import ExplicitDelay, FeedbackBuffer, FixedDelay
+from laglearn.feedback import ExplicitDelay, FixedDelay
 from laglearn.geometry import Ball, EuclideanMap, NegativeEntropyMap, Simplex
 from laglearn.learners import (
     AdversarialLearner,
@@ -27,11 +27,8 @@ from laglearn.learners import (
 from laglearn.losses import NormLoss, QuadraticLoss
 
 
-def make_state(estimate, body, t, decisions=None):
-    state = LearnerState(estimate=np.asarray(estimate, dtype=float), body=body, t=t)
-    for s, x in (decisions or {}).items():
-        state.decisions[s] = np.asarray(x, dtype=float)
-    return state
+def make_state(estimate, body, t):
+    return LearnerState(estimate=np.asarray(estimate, dtype=float), body=body, t=t)
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +71,7 @@ def test_beta_override():
 def test_ogd_plain_gradient_step():
     # no influence, eta = 1: 0 - 1 * grad, projected
     body = Ball([0.0], 10.0)
-    state = make_state([0.0], body, t=1, decisions={1: [0.0]})
+    state = make_state([0.0], body, t=1)
     out = step_ogd(state, ConstantStep(value=1.0), Influence.disabled(1), [1.0], None)
     assert np.allclose(out, [-1.0])
 
@@ -82,7 +79,7 @@ def test_ogd_plain_gradient_step():
 def test_ogd_hand_update_with_influence():
     # x - eta g + beta * lam * x_known = [0,0] - [0.1,0] + 0.1*[1,1] = [0, 0.1]
     body = Ball([0.0, 0.0], 10.0)
-    state = make_state([0.0, 0.0], body, t=1, decisions={1: [0.0, 0.0]})
+    state = make_state([0.0, 0.0], body, t=1)
     out = step_ogd(state, ConstantStep(value=0.1), Influence.constant(1.0, 2),
                    [1.0, 0.0], [1.0, 1.0])
     assert np.allclose(out, [0.0, 0.1])
@@ -90,30 +87,23 @@ def test_ogd_hand_update_with_influence():
 
 def test_ogd_projects_back_into_body():
     body = Ball([0.0], 1.0)
-    state = make_state([0.0], body, t=1, decisions={1: [0.0]})
+    state = make_state([0.0], body, t=1)
     out = step_ogd(state, ConstantStep(value=5.0), Influence.disabled(1), [1.0], None)
     assert np.allclose(out, [-1.0])
     assert body.contains(state.estimate)
 
 
-def test_ogd_requires_stored_decision():
-    body = Ball([0.0], 1.0)
-    state = make_state([0.0], body, t=5)  # nothing stored
-    with pytest.raises(RuntimeError, match="stored decision"):
-        step_ogd(state, ConstantStep(value=0.5), Influence.disabled(1), [1.0], None)
-
-
 def test_ogd_rejects_update_during_warmup():
     body = Ball([0.0], 1.0)
-    state = make_state([0.0], body, t=3, decisions={1: [0.0]})
+    state = make_state([0.0], body, t=3)
     with pytest.raises(RuntimeError, match="warm-up"):
         step_ogd(state, ConstantStep(value=0.5, tau=5), Influence.disabled(1), [1.0], None)
 
 
 def test_omd_euclidean_equals_ogd_step():
     body = Ball([0.0, 0.0], 10.0)
-    s1 = make_state([0.3, -0.2], body, t=4, decisions={4: [0.3, -0.2]})
-    s2 = make_state([0.3, -0.2], body, t=4, decisions={4: [0.3, -0.2]})
+    s1 = make_state([0.3, -0.2], body, t=4)
+    s2 = make_state([0.3, -0.2], body, t=4)
     sched = InverseSqrtStep(sigma=0.5, tau=0)
     infl = Influence.constant(0.7, 2)
     g = [0.4, -1.1]
@@ -125,7 +115,7 @@ def test_omd_euclidean_equals_ogd_step():
 
 def test_omd_negentropy_exponentiated_update():
     body = Simplex(2)
-    state = make_state([0.5, 0.5], body, t=1, decisions={1: [0.5, 0.5]})
+    state = make_state([0.5, 0.5], body, t=1)
     # choose eta = 1, gradient = -[ln 2, 0] so the combined move is [ln 2, 0]
     out = step_omd(state, NegativeEntropyMap(), ConstantStep(value=1.0),
                    Influence.disabled(2), [-np.log(2.0), 0.0], None)
@@ -135,7 +125,7 @@ def test_omd_negentropy_exponentiated_update():
 def test_omd_zero_move_is_identity():
     body = Simplex(3)
     x = [0.2, 0.3, 0.5]
-    state = make_state(x, body, t=1, decisions={1: x})
+    state = make_state(x, body, t=1)
     out = step_omd(state, NegativeEntropyMap(), ConstantStep(value=1.0),
                    Influence.disabled(3), [0.0, 0.0, 0.0], None)
     assert np.linalg.norm(out - np.array(x)) <= 1e-9
@@ -143,36 +133,18 @@ def test_omd_zero_move_is_identity():
 
 def test_adversarial_empty_set_no_influence_is_identity():
     body = Ball([0.0, 0.0], 10.0)
-    state = make_state([0.4, -0.1], body, t=2, decisions={1: [0.0, 0.0], 2: [0.4, -0.1]})
-    out = step_adversarial(state, 0.1, 0.1, Influence.disabled(2), {}, [1.0, 1.0])
+    state = make_state([0.4, -0.1], body, t=2)
+    out = step_adversarial(state, 0.1, 0.1, Influence.disabled(2), [], [1.0, 1.0])
     assert np.array_equal(out, [0.4, -0.1])
 
 
 def test_adversarial_summed_update():
     # F = {1, 3}: x - eta (g1 + g3) = [0,0] - 0.1*[1,1] = [-0.1, -0.1]
     body = Ball([0.0, 0.0], 10.0)
-    state = make_state([0.0, 0.0], body, t=3,
-                       decisions={1: [0.0, 0.0], 2: [0.0, 0.0], 3: [0.0, 0.0]})
+    state = make_state([0.0, 0.0], body, t=3)
     out = step_adversarial(state, 0.1, 0.1, Influence.disabled(2),
-                           {1: [1.0, 0.0], 3: [0.0, 1.0]}, None)
+                           [[1.0, 0.0], [0.0, 1.0]], None)
     assert np.allclose(out, [-0.1, -0.1])
-
-
-def test_adversarial_rejects_undelivered_round():
-    body = Ball([0.0], 10.0)
-    buf = FeedbackBuffer()
-    buf.push(1, 3)  # delivers at round 3, not 2
-    state = make_state([0.0], body, t=2, decisions={1: [0.0], 2: [0.0]})
-    state.buffer = buf
-    with pytest.raises(RuntimeError, match="undelivered"):
-        step_adversarial(state, 0.1, 0.1, Influence.disabled(1), {1: [1.0]}, None)
-
-
-def test_adversarial_rejects_unknown_decision():
-    body = Ball([0.0], 10.0)
-    state = make_state([0.0], body, t=2, decisions={2: [0.0]})
-    with pytest.raises(RuntimeError, match="no stored decision"):
-        step_adversarial(state, 0.1, 0.1, Influence.disabled(1), {1: [1.0]}, None)
 
 
 def test_influence_linearity_and_reduction():
