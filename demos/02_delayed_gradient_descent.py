@@ -29,8 +29,8 @@ body = Ball([0.0], 4.0)
 stream = GaussianStream(rho=0.5, body_hidden=body, seed=7)
 learner = OgdLearner(body, InverseSqrtStep(sigma=0.5, tau=TAU), Influence.coupled(1))
 
-traj = run_game(learner, stream, FixedDelay(TAU), uniform_quadratic(),
-                LinearScoring.default(1, 1), HORIZON, seed=11)
+traj = run_game(learner, [stream], [FixedDelay(TAU)], uniform_quadratic(),
+                LinearScoring.default(1, 1), HORIZON, seeds=[11])[0]
 report = regret(traj, body)
 
 print(f"lag tau={TAU}, horizon T={HORIZON}, quadratic losses with random coefficients")

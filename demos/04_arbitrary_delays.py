@@ -31,8 +31,8 @@ for horizon in (500, 1000, 2000):
                                   horizon=horizon, delay_sum=delay_sum)
     stream = GaussianStream(mean=0.25, body_hidden=body, seed=5)
     learner = AdversarialLearner(body, eta=eta)
-    traj = run_game(learner, stream, delays, fixed_loss(NormLoss),
-                    LinearScoring.default(1, 1), horizon, seed=8)
+    traj = run_game(learner, [stream], [delays], fixed_loss(NormLoss),
+                    LinearScoring.default(1, 1), horizon, seeds=[8])[0]
     report = regret(traj, body)
     r = report.regret[-1]
     print(f"{horizon:7d}   {delay_sum:11d}   {eta:.6f}  {r:7.2f}   {r / np.sqrt(delay_sum):8.4f}")
@@ -41,7 +41,7 @@ print("\nbatched deliveries around one mid-game round:")
 delays = RandomDelay(d_max=20, seed=33)
 stream = GaussianStream(mean=0.25, body_hidden=body, seed=5)
 learner = AdversarialLearner(body, eta=0.01)
-traj = run_game(learner, stream, delays, fixed_loss(NormLoss),
-                LinearScoring.default(1, 1), 60, seed=8)
+traj = run_game(learner, [stream], [delays], fixed_loss(NormLoss),
+                LinearScoring.default(1, 1), 60, seeds=[8])[0]
 for t in range(20, 31):
     print(f"  round {t}: delivered {list(traj.delivered[t - 1]) or 'nothing'}")

@@ -28,8 +28,8 @@ pentagon = regular_polygon(5, center=(1.0, 1.0), circumradius=1.0)
 
 def play(learner):
     stream = PolygonStream(pentagon, seed=3)
-    traj = run_game(learner, stream, FixedDelay(TAU), uniform_quadratic(),
-                    LinearScoring.default(2, 2), HORIZON, seed=4)
+    traj = run_game(learner, [stream], [FixedDelay(TAU)], uniform_quadratic(),
+                    LinearScoring.default(2, 2), HORIZON, seeds=[4])[0]
     return traj, regret(traj, pentagon)
 
 

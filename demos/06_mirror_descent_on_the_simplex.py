@@ -35,8 +35,8 @@ known = hidden + 0.05 * rng.standard_normal((HORIZON, 3))
 
 stream = ExplicitStream(known, hidden, body_hidden=simplex)
 learner = OmdLearner(simplex, NegativeEntropyMap(), InverseSqrtStep(sigma=0.3, tau=TAU))
-traj = run_game(learner, stream, FixedDelay(TAU), fixed_loss(QuadraticLoss, a=1.0),
-                LinearScoring.default(3, 3), HORIZON, seed=1)
+traj = run_game(learner, [stream], [FixedDelay(TAU)], fixed_loss(QuadraticLoss, a=1.0),
+                LinearScoring.default(3, 3), HORIZON, seeds=[1])[0]
 
 print("entropic mirror descent toward a Dirichlet(6,3,1) mixture:")
 for t in (1, 5, 20, 100, 400):
@@ -52,9 +52,9 @@ def euclidean_pair():
     out = []
     for learner in (omd, ogd):
         stream = ExplicitStream(known, hidden, body_hidden=simplex)
-        out.append(run_game(learner, stream, FixedDelay(TAU),
+        out.append(run_game(learner, [stream], [FixedDelay(TAU)],
                             fixed_loss(QuadraticLoss, a=1.0),
-                            LinearScoring.default(3, 3), HORIZON, seed=1))
+                            LinearScoring.default(3, 3), HORIZON, seeds=[1])[0])
     return out
 
 

@@ -17,6 +17,7 @@ from .evaluation import (
     OfflineSolution,
     RegretReport,
     ScalingFit,
+    Trajectories,
     Trajectory,
     aggregate,
     fit_scaling,
@@ -53,6 +54,7 @@ from .learners import (
     InverseTimeStep,
     LearnerState,
     NaiveLearner,
+    NonFiniteGradient,
     OgdLearner,
     OmdLearner,
     StepSchedule,

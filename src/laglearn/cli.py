@@ -34,7 +34,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=None, help="override the base seed")
     run.add_argument("--trials", type=int, default=None, help="override the trial count")
     run.add_argument("--out-dir", default=None, help="override the output directory")
-    run.add_argument("--threads", type=int, default=1, help="trial-level parallelism")
+    run.add_argument("--threads", type=int, default=1,
+                     help="split each arm's trials into this many lockstep batches, "
+                          "one per thread; outputs do not depend on it")
 
     val = sub.add_parser("validate", help="validate a config without running it")
     val.add_argument("config", help="config file path or preset name")

@@ -3,9 +3,11 @@
 Each round an agent arrives with a context split into a known part
 (revealed immediately) and a hidden part (revealed only after a delay).
 The learner posts an estimate of the hidden part, the adversary anchors a
-loss at the true hidden part, and the loss enters the feedback buffer to
-be delivered after its delay.  The learner sees hidden information only
-through delivered losses, never directly.
+loss at the true hidden part, and the loss's feedback (its gradient at the
+estimate, or its anchor for the sample-mean baseline) enters the feedback
+buffer to be delivered after its delay.  The learner sees hidden
+information only through delivered feedback, never directly.  The independent trials of one configuration are played in
+lockstep, as one game on (trials, dim) arrays.
 
 Scores are separable, score(known, hidden) = known_part + hidden_part,
 with the hidden component 1-Lipschitz, so the per-round score error is
@@ -20,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluation import Trajectory
+from .evaluation import Trajectories, Trajectory
 from .feedback import DelaySchedule, FeedbackBuffer
 from .geometry import Array, Ball, ConvexBody, Polygon, as_vector
 from .learners import BaseLearner
-from .losses import Loss, QuadraticLoss
+from .losses import ZERO_SUBGRADIENT_FLAG, Loss, QuadraticLoss
 
 DEFAULT_RADIUS = 4.0  # wide enough that projecting unit-variance draws barely matters
 
@@ -144,6 +146,8 @@ class ExplicitStream(ContextStream):
     def __init__(self, known_rows, hidden_rows, body_hidden: ConvexBody | None = None):
         known = np.asarray(known_rows, dtype=float)
         hidden = np.asarray(hidden_rows, dtype=float)
+        if not (np.all(np.isfinite(known)) and np.all(np.isfinite(hidden))):
+            raise ValueError("contexts have NaN or infinite entries")
         if known.ndim == 1:
             known = known[:, None]
         if hidden.ndim == 1:
@@ -185,7 +189,10 @@ class ExplicitStream(ContextStream):
 
 @dataclass(frozen=True)
 class LinearScoring:
-    """Separable linear score; the hidden component must be 1-Lipschitz."""
+    """Separable linear score; the hidden component must be 1-Lipschitz.
+
+    Scores are taken row-wise over the last axis of the contexts.
+    """
 
     w_known: Array
     w_hidden: Array
@@ -205,33 +212,37 @@ class LinearScoring:
             w_hidden=np.full(d2, 1.0 / np.sqrt(d2)),
         )
 
-    def known_part(self, known) -> float:
-        return self.c_known * float(np.dot(self.w_known, known))
+    def known_part(self, known) -> Array:
+        return self.c_known * np.vecdot(self.w_known, known)
 
-    def hidden_part(self, hidden) -> float:
-        return self.c_hidden * float(np.dot(self.w_hidden, hidden))
+    def hidden_part(self, hidden) -> Array:
+        return self.c_hidden * np.vecdot(self.w_hidden, hidden)
 
-    def score(self, known, hidden) -> float:
+    def score(self, known, hidden) -> Array:
         return self.known_part(known) + self.hidden_part(hidden)
 
 
 # ---------------------------------------------------------------------------
-# Per-round loss construction (the adversary)
+# Loss construction (the adversary)
 # ---------------------------------------------------------------------------
+#
+# A loss factory takes one trial's anchors, one row per round, and that
+# trial's generator, and returns the trial's losses as one Loss.
 
 def uniform_quadratic():
-    """Quadratic loss with coefficients drawn uniformly from [0, 1] each round."""
-    def make(anchor, rng: np.random.Generator) -> Loss:
-        a, b = rng.uniform(size=2)
-        return QuadraticLoss(anchor, a=max(a, 1e-12), b=b)
+    """Quadratic losses with coefficients drawn uniformly from [0, 1] each round."""
+    def make(anchors, rng: np.random.Generator) -> Loss:
+        # One (rounds, 2) draw gives the numbers of one size-2 draw per round.
+        coeffs = rng.uniform(size=np.shape(anchors)[:-1] + (2,))
+        return QuadraticLoss(anchors, a=np.maximum(coeffs[..., 0], 1e-12), b=coeffs[..., 1])
     make.description = "quadratic(a~U[0,1], b~U[0,1])"
     return make
 
 
 def fixed_loss(prototype: type, **params):
     """The same loss family and coefficients every round."""
-    def make(anchor, rng: np.random.Generator) -> Loss:
-        return prototype(anchor, **params)
+    def make(anchors, rng: np.random.Generator) -> Loss:
+        return prototype(anchors, **params)
     joined = ", ".join(f"{k}={v}" for k, v in sorted(params.items()))
     make.description = f"{prototype.__name__}({joined})"
     return make
@@ -241,77 +252,100 @@ def fixed_loss(prototype: type, **params):
 # Game loop
 # ---------------------------------------------------------------------------
 
-def run_game(learner: BaseLearner, stream: ContextStream, delays: DelaySchedule,
-             loss_factory, scoring: LinearScoring, horizon: int,
-             seed: int = 0, fingerprint: str = "") -> Trajectory:
-    """Play `horizon` rounds and record everything regret needs.
+def run_game(learner: BaseLearner, streams: list[ContextStream],
+             delays: list[DelaySchedule], loss_factory, scoring: LinearScoring,
+             horizon: int, seeds: list[int], fingerprint: str = "") -> Trajectories:
+    """Play `horizon` rounds of one trial per stream, in lockstep.
 
-    Per round: draw the context, let the learner post its estimate, anchor
-    a loss at the true hidden context, record both, queue the round with
-    its delay, and hand whatever the buffer releases to the learner as
-    (loss, decision) pairs read from those records, together with the next
-    round's known context (the update at the horizon boundary sees no
-    known context and uses a zero pull).  `seed` drives only the
-    adversary's per-round loss coefficients.
+    Trial k reads `streams[k]`, realizes `delays[k]` and draws its loss
+    coefficients from `seeds[k]`; the learner holds one iterate row per
+    trial.  Per round: every trial's learner row posts its estimate, the
+    feedback of the round (see `BaseLearner`) is taken and queued with its
+    delay, and whatever the buffer releases goes to the learner
+    together with the next round's known context (the update at the
+    horizon boundary sees no known context and uses a zero pull).  Loss
+    values, score errors and flags are computed from the recorded arrays
+    after the last round.
     """
+    trials = len(streams)
+    if trials < 1 or len(delays) != trials or len(seeds) != trials:
+        raise ConfigError("need one stream, delay schedule and seed per trial")
     if horizon < 1:
         raise ConfigError("horizon must be >= 1")
-    dim = stream.d2
+    dim = streams[0].d2
+    if any((stream.d1, stream.d2) != (streams[0].d1, dim) for stream in streams):
+        raise ConfigError("the trials' streams disagree on their dimensions")
     if learner.state.body.dim != dim:
         raise ConfigError(
             f"learner body dimension {learner.state.body.dim} does not match "
             f"the hidden context dimension {dim}")
-    if scoring.w_known.size != stream.d1 or scoring.w_hidden.size != dim:
+    if scoring.w_known.size != streams[0].d1 or scoring.w_hidden.size != dim:
         raise ConfigError("scoring weights do not match the stream dimensions")
 
-    delay_values = delays.realize(horizon)
+    delay_values = np.stack([schedule.realize(horizon) for schedule in delays])
     if learner.lag is not None and np.any(delay_values != learner.lag + 1):
         raise ConfigError(f"fixed-lag learner needs every delay to be tau + 1 = {learner.lag + 1}")
-    known, hidden = stream.take(horizon)
-    rng = np.random.default_rng(seed)
-    buffer = FeedbackBuffer()
+    drawn = [stream.take(horizon) for stream in streams]
+    trial_losses = [loss_factory(hidden, np.random.default_rng(seed))
+                    for (_, hidden), seed in zip(drawn, seeds)]
+    if any(loss.anchor.shape != (horizon, dim) for loss in trial_losses):
+        raise ConfigError("loss factory produced the wrong dimension")
+    # Round-major (horizon, trials, ...) arrays: row i holds round i of every trial.
+    known = np.stack([k for k, _ in drawn], axis=1)
+    hidden = np.stack([h for _, h in drawn], axis=1)
+    loss = Loss.stack(trial_losses, axis=1)
+    buffer = FeedbackBuffer(trials)
+    buffer.push(np.arange(1, horizon + 1), delay_values)
 
-    losses: list[Loss] = []
-    estimates = np.empty((horizon, dim))
-    loss_values = np.empty(horizon)
-    score_errors = np.empty(horizon)
-    score_error_losses = np.empty(horizon)
-    delivered_sets: list[tuple[int, ...]] = []
-    env_flags: list[str] = []
-
+    estimates = np.empty((horizon, trials, dim))
+    feedback = np.empty((horizon, trials, dim)) if learner.uses_gradients else loss.anchor
+    learner.start(trials, horizon)
     for i in range(horizon):
         t = i + 1
-        estimate = estimates[i] = learner.play(t)
-        loss = loss_factory(hidden[i], rng)
-        if loss.dim != dim:
-            raise ConfigError("loss factory produced the wrong dimension")
-        losses.append(loss)
-        buffer.push(t, int(delay_values[i]))
+        x = estimates[i] = learner.play(t)
+        if learner.uses_gradients:
+            feedback[i] = loss.grad(x, at=i)
+        rows, sources = buffer.ready_at(t)
+        learner.observe(rows, feedback[sources - 1, rows], known[i + 1] if t < horizon else None)
 
-        loss_values[i] = loss.value(estimate)
-        err = abs(scoring.score(known[i], estimate) - scoring.score(known[i], hidden[i]))
-        score_errors[i] = err
-        score_error_losses[i] = loss.radial(err)
-        if score_error_losses[i] > loss_values[i] + 1e-9 * max(1.0, abs(loss_values[i])):
-            env_flags.append(f"score_chain_violated_at_{t}")
+    loss_values = loss.value(estimates)
+    score_errors = np.abs(scoring.score(known, estimates) - scoring.score(known, hidden))
+    score_error_losses = loss.radial(score_errors)
+    violated = score_error_losses > loss_values + 1e-9 * np.maximum(1.0, np.abs(loss_values))
+    due = np.arange(1, horizon + 1)[:, None] + delay_values.T - 1
+    # Only a gradient learner meets zero subgradients, and only those delivered in time.
+    kinked = loss.kinks(estimates) & (due <= horizon) & learner.uses_gradients
+    learner_flags = _learner_flags(kinked, due, learner.state.flags, trials)
 
-        ready = buffer.ready_at(t)
-        delivered_sets.append(ready)
-        next_known = known[i + 1] if t < horizon else None
-        learner.observe([(losses[s - 1], estimates[s - 1]) for s in ready], next_known)
+    return Trajectories(
+        Trajectory(
+            horizon=horizon,
+            dim=dim,
+            estimates=np.ascontiguousarray(estimates[:, k]),
+            loss_values=np.ascontiguousarray(loss_values[:, k]),
+            score_errors=np.ascontiguousarray(score_errors[:, k]),
+            score_error_losses=np.ascontiguousarray(score_error_losses[:, k]),
+            loss=trial_losses[k],
+            delays=delay_values[k],
+            delay_sum=int(delay_values[k].sum()),
+            seed=seeds[k],
+            fingerprint=fingerprint,
+            flags=learner_flags[k] + tuple(
+                f"score_chain_violated_at_{i + 1}" for i in np.flatnonzero(violated[:, k])),
+        )
+        for k in range(trials))
 
-    return Trajectory(
-        horizon=horizon,
-        dim=dim,
-        estimates=estimates,
-        loss_values=loss_values,
-        score_errors=score_errors,
-        score_error_losses=score_error_losses,
-        delivered=tuple(delivered_sets),
-        losses=losses,
-        delays=delay_values,
-        delay_sum=buffer.delay_sum,
-        seed=seed,
-        fingerprint=fingerprint,
-        flags=tuple(learner.state.flags) + tuple(env_flags),
-    )
+
+def _learner_flags(kinked: Array, due: Array, events, trials: int) -> list[tuple[str, ...]]:
+    """Each trial's learner flags in the order the learner met them.
+
+    At a round, the zero subgradients among the gradients delivered then
+    come first, in source order, and the learner's own (round, row, flag)
+    events after them.  `kinked` and `due` are (source round, trial) arrays.
+    """
+    met: list[list] = [[] for _ in range(trials)]
+    for i, k in zip(*np.nonzero(kinked)):
+        met[k].append((int(due[i, k]), 0, int(i), ZERO_SUBGRADIENT_FLAG))
+    for t, k, flag in events:
+        met[k].append((t, 1, 0, flag))
+    return [tuple(flag for *_, flag in sorted(items)) for items in met]

@@ -14,16 +14,18 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .geometry import Array, ConvexBody
+from .feedback import FeedbackBuffer
+from .geometry import Array, ConvexBody, norms
 from .losses import ExpLoss, Loss, NormLoss, PowerLoss, QuadraticLoss
 
 
 @dataclass
 class Trajectory:
-    """Per-round record of one play-through, replayable from stored losses."""
+    """Per-round record of one trial, replayable from its stored losses."""
 
     horizon: int
     dim: int
@@ -31,20 +33,36 @@ class Trajectory:
     loss_values: Array               # (T,) f_t evaluated at the decision
     score_errors: Array              # (T,) |score with estimate - true score|
     score_error_losses: Array        # (T,) radial profile applied to the score error
-    delivered: tuple[tuple[int, ...], ...]   # delivery sets per round
-    losses: list[Loss]
+    loss: Loss                       # the T losses, one row per round
     delays: Array                    # (T,) per-round delays d_t
     delay_sum: int
     seed: int
     fingerprint: str = ""
     flags: tuple[str, ...] = ()
 
+    @cached_property
+    def delivered(self) -> tuple[tuple[int, ...], ...]:
+        """The source rounds delivered at each round, from the delays."""
+        buffer = FeedbackBuffer()
+        buffer.push(np.arange(1, self.horizon + 1), self.delays)
+        return tuple(tuple(buffer.ready_at(t)[1].tolist()) for t in range(1, self.horizon + 1))
+
     def replay_gap(self) -> float:
         """Max |stored loss value - loss re-evaluated at the stored estimate|."""
-        worst = 0.0
-        for i, loss in enumerate(self.losses):
-            worst = max(worst, abs(loss.value(self.estimates[i]) - self.loss_values[i]))
-        return worst
+        gaps = np.abs(self.loss.value(self.estimates) - self.loss_values)
+        return float(np.max(gaps, initial=0.0, where=~np.isnan(gaps)))
+
+
+class Trajectories(tuple):
+    """The trajectories of one lockstep game, in trial order."""
+
+    @property
+    def horizon(self) -> int:
+        return self[0].horizon
+
+    @property
+    def flags(self) -> tuple[str, ...]:
+        return tuple(flag for traj in self for flag in traj.flags)
 
 
 @dataclass
@@ -98,7 +116,7 @@ def harmonic(n: int) -> float:
 # Offline comparator
 # ---------------------------------------------------------------------------
 
-def offline_optimum(losses: list[Loss], body: ConvexBody,
+def offline_optimum(losses: Loss | list[Loss], body: ConvexBody,
                     max_iters: int = 100_000, restarts: int = 5,
                     seed: int = 0, method: str = "auto") -> OfflineSolution:
     """Best fixed decision: argmin over the body of the summed losses.
@@ -110,35 +128,35 @@ def offline_optimum(losses: list[Loss], body: ConvexBody,
     the displacement drops below 1e-8, restarted from `restarts` random
     points with the best kept.  `method="iterative"` forces the gradient
     path even where a closed form exists (used to cross-check the two).
+    `losses` is one loss with a row per round, or a list of single losses
+    of one family.
     """
     if method not in ("auto", "iterative"):
         raise ValueError("method must be 'auto' or 'iterative'")
-    if not losses:
-        raise ValueError("need at least one loss")
-    dim = losses[0].dim
-    for loss in losses:
-        if loss.dim != dim:
-            raise ValueError("loss anchors disagree on dimension")
+    if not isinstance(losses, Loss):
+        losses = Loss.stack(losses)
+    if losses.anchor.ndim != 2 or len(losses.anchor) == 0:
+        raise ValueError("need a nonempty list of losses")
+    dim = losses.dim
     if body.dim != dim:
         raise ValueError("body dimension does not match the losses")
 
     objective, gradient = _sum_oracles(losses)
 
-    if method == "auto" and all(isinstance(l, QuadraticLoss) for l in losses):
-        weights = np.array([l.a for l in losses])
-        anchors = np.stack([l.anchor for l in losses])
-        center = (weights[:, None] * anchors).sum(axis=0) / weights.sum()
+    if method == "auto" and isinstance(losses, QuadraticLoss):
+        weights = losses.a
+        center = (weights[:, None] * losses.anchor).sum(axis=0) / weights.sum()
         point = body.project(center)
         return OfflineSolution(point=point, total=objective(point), converged=True)
 
-    if method == "auto" and all(isinstance(l, NormLoss) for l in losses) and dim == 1:
-        median = float(np.median(np.stack([l.anchor for l in losses])[:, 0]))
+    if method == "auto" and isinstance(losses, NormLoss) and dim == 1:
+        median = float(np.median(losses.anchor[:, 0]))
         point = body.project(np.array([median]))
         return OfflineSolution(point=point, total=objective(point), converged=True)
 
-    radius = body.radius_bound + max(float(np.linalg.norm(l.anchor)) for l in losses)
-    lipschitz = max(l.lipschitz_bound(radius) for l in losses)
-    step = 1.0 / (lipschitz * len(losses))
+    radius = body.radius_bound + float(np.max(norms(losses.anchor)))
+    lipschitz = losses.lipschitz_bound(radius)
+    step = 1.0 / (lipschitz * len(losses.anchor))
     rng = np.random.default_rng(seed)
 
     best_point = None
@@ -164,15 +182,13 @@ def offline_optimum(losses: list[Loss], body: ConvexBody,
     return OfflineSolution(point=best_point, total=best_value, converged=any_converged)
 
 
-def _sum_oracles(losses):
+def _sum_oracles(losses: Loss):
     """Value and gradient of the summed objective, vectorized per family."""
-    first = type(losses[0])
-    homogeneous = all(type(l) is first for l in losses)
-    anchors = np.stack([l.anchor for l in losses])
+    anchors = losses.anchor
 
-    if homogeneous and first is QuadraticLoss:
-        a = np.array([l.a for l in losses])
-        b_total = float(sum(l.b for l in losses))
+    if isinstance(losses, QuadraticLoss):
+        a = losses.a
+        b_total = float(sum(losses.b.tolist()))
 
         def value(x):
             r2 = np.sum((x - anchors) ** 2, axis=1)
@@ -183,7 +199,7 @@ def _sum_oracles(losses):
 
         return value, grad
 
-    if homogeneous and first is NormLoss:
+    if isinstance(losses, NormLoss):
         def value(x):
             return float(np.sum(np.linalg.norm(x - anchors, axis=1)))
 
@@ -195,8 +211,8 @@ def _sum_oracles(losses):
 
         return value, grad
 
-    if homogeneous and first is PowerLoss and len({l.m for l in losses}) == 1:
-        m = losses[0].m
+    if isinstance(losses, PowerLoss) and np.all(losses.m == losses.m[0]):
+        m = int(losses.m[0])
 
         def value(x):
             r = np.linalg.norm(x - anchors, axis=1)
@@ -212,8 +228,9 @@ def _sum_oracles(losses):
 
         return value, grad
 
-    if homogeneous and first is ExpLoss and len({(l.a, l.s, l.m) for l in losses}) == 1:
-        a, s, m = losses[0].a, losses[0].s, losses[0].m
+    coefficients = (losses.a, losses.s, losses.m) if isinstance(losses, ExpLoss) else ()
+    if coefficients and all(np.all(c == c[0]) for c in coefficients):
+        a, s, m = float(losses.a[0]), float(losses.s[0]), int(losses.m[0])
 
         def value(x):
             r = np.linalg.norm(x - anchors, axis=1)
@@ -232,19 +249,12 @@ def _sum_oracles(losses):
         return value, grad
 
     def value(x):
-        return float(sum(l.value(x) for l in losses))
+        return float(np.sum(losses.value(x)))
 
     def grad(x):
-        total = np.zeros_like(anchors[0])
-        for l in losses:
-            total = total + l.grad(x)
-        return total
+        return np.sum(losses.grad(x), axis=0)
 
     return value, grad
-
-
-def _per_loss_values(losses, x) -> Array:
-    return np.array([l.value(x) for l in losses])
 
 
 # ---------------------------------------------------------------------------
@@ -259,14 +269,14 @@ def regret(traj: Trajectory, body: ConvexBody, refit_prefixes: bool = False,
     (and from the comparator's objective): the dummy-candidate warm-up.
     The cumulative-loss curve always covers every round.
     """
-    if len(traj.losses) != traj.horizon:
+    if traj.loss.anchor.shape[0] != traj.horizon:
         raise ValueError("trajectory is incomplete")
     if not 0 <= skip_rounds < traj.horizon:
         raise ValueError("skip_rounds must lie in [0, horizon)")
-    scored = traj.losses[skip_rounds:]
+    scored = traj.loss[skip_rounds:]
     solution = offline_optimum(scored, body)
     comparator_values = np.zeros(traj.horizon)
-    comparator_values[skip_rounds:] = _per_loss_values(scored, solution.point)
+    comparator_values[skip_rounds:] = scored.value(solution.point)
     scored_loss = traj.loss_values.copy()
     scored_loss[:skip_rounds] = 0.0
     cum_loss = np.cumsum(traj.loss_values)
@@ -280,7 +290,7 @@ def regret(traj: Trajectory, body: ConvexBody, refit_prefixes: bool = False,
             if t <= skip_rounds:
                 refit[t - 1] = 0.0
                 continue
-            sol_t = offline_optimum(traj.losses[skip_rounds:t], body)
+            sol_t = offline_optimum(traj.loss[skip_rounds:t], body)
             refit[t - 1] = cum_scored[t - 1] - sol_t.total
 
     return RegretReport(

@@ -7,8 +7,9 @@ pair, a horizon scaling check, or a single run); every arm runs the same
 trials with the same derived per-trial seeds, so arms are compared under
 common random numbers.  Outputs are one CSV of aggregated curves per arm
 plus a manifest recording the fully resolved configuration, the seeds,
-and headline metrics; rerunning the manifest's config reproduces every
-byte regardless of thread count.
+and headline metrics.  An arm's trials are played in lockstep; threads
+split them into contiguous batches, and rerunning the manifest's config
+reproduces every byte regardless of thread count.
 """
 
 from __future__ import annotations
@@ -375,7 +376,7 @@ def _build_schedule(cfg: ExperimentConfig, body: ConvexBody, smoothness: float =
     return learners.ConstantStep(value=float(cfg.eta), tau=cfg.tau, beta_override=cfg.beta)
 
 
-def _build_learner(cfg: ExperimentConfig, body: ConvexBody, delays, horizon: int):
+def _build_learner(cfg: ExperimentConfig, body: ConvexBody, delays: list, horizon: int):
     if cfg.learner == "naive":
         return learners.NaiveLearner(body)
     if cfg.learner == "ogd":
@@ -384,12 +385,12 @@ def _build_learner(cfg: ExperimentConfig, body: ConvexBody, delays, horizon: int
         mirror = EuclideanMap() if cfg.mirror == "euclidean" else NegativeEntropyMap()
         schedule = _build_schedule(cfg, body, smoothness=mirror.smoothness)
         return learners.OmdLearner(body, mirror, schedule, _influence(cfg))
-    # adversarial: a constant step, tuned to the realized delay sum when "auto"
+    # adversarial: a constant step, tuned to each trial's realized delay sum when "auto"
     if cfg.eta == "auto":
-        delay_sum = int(delays.realize(horizon).sum())
         L = _auto_lipschitz(cfg, body)
-        eta = learners.eta_for_arbitrary_delay(L, body.radius_bound, float(cfg.lam),
-                                               horizon, delay_sum)
+        eta = [learners.eta_for_arbitrary_delay(L, body.radius_bound, float(cfg.lam),
+                                                horizon, int(schedule.realize(horizon).sum()))
+               for schedule in delays]
     else:
         eta = float(cfg.eta)
     return learners.AdversarialLearner(body, eta=eta, beta=cfg.beta, influence=_influence(cfg))
@@ -420,22 +421,19 @@ def resolve_arm(cfg: ExperimentConfig) -> dict:
     return resolved
 
 
-def run_single(cfg: ExperimentConfig, seed: int, fingerprint: str = ""
-               ) -> tuple[Trajectory, RegretReport]:
-    """One seeded trial: build the pieces, play the game, measure regret."""
-    stream_seed = _sub_seed(seed, 0)
-    coeff_seed = _sub_seed(seed, 1)
-    delay_seed = _sub_seed(seed, 2)
-
+def run_single(cfg: ExperimentConfig, seeds: list[int], fingerprint: str = ""
+               ) -> list[tuple[Trajectory, RegretReport]]:
+    """One arm's seeded trials: build the pieces, play them in lockstep, measure regret."""
     body = _hidden_body(cfg)
-    delays = _build_delays(cfg, delay_seed)
-    stream = _build_stream(cfg, stream_seed, body)
+    delays = [_build_delays(cfg, _sub_seed(seed, 2)) for seed in seeds]
+    streams = [_build_stream(cfg, _sub_seed(seed, 0), body) for seed in seeds]
     learner = _build_learner(cfg, body, delays, cfg.horizon)
     scoring = environment.LinearScoring.default(cfg.d1, cfg.d2)
-    traj = environment.run_game(learner, stream, delays, _loss_factory(cfg), scoring,
-                                cfg.horizon, seed=coeff_seed, fingerprint=fingerprint)
-    report = evaluation.regret(traj, body, skip_rounds=cfg.warmup * cfg.tau)
-    return traj, report
+    trajectories = environment.run_game(
+        learner, streams, delays, _loss_factory(cfg), scoring, cfg.horizon,
+        seeds=[_sub_seed(seed, 1) for seed in seeds], fingerprint=fingerprint)
+    return [(traj, evaluation.regret(traj, body, skip_rounds=cfg.warmup * cfg.tau))
+            for traj in trajectories]
 
 
 # ---------------------------------------------------------------------------
@@ -485,14 +483,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
         fingerprint = json.dumps(resolve_arm(arm), sort_keys=True)
         manifest["resolved"][label] = resolve_arm(arm)
 
-        def one_trial(s, arm=arm, fingerprint=fingerprint):
-            return run_single(arm, s, fingerprint=fingerprint)
+        def one_batch(batch, arm=arm, fingerprint=fingerprint):
+            return run_single(arm, batch, fingerprint=fingerprint)
 
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(one_trial, seeds))
+        batches = _contiguous_batches(seeds, threads)
+        if len(batches) > 1:
+            with ThreadPoolExecutor(max_workers=len(batches)) as pool:
+                results = [r for batch in pool.map(one_batch, batches) for r in batch]
         else:
-            results = [one_trial(s) for s in seeds]
+            results = one_batch(seeds)
 
         reports = [rep for _, rep in results]
 
@@ -542,6 +541,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     manifest["outputs"].append(manifest_path.name)
     return manifest
+
+
+def _contiguous_batches(seeds: list[int], count: int) -> list[list[int]]:
+    """`seeds` split into at most `count` contiguous batches whose sizes differ by at most one."""
+    count = max(1, min(count, len(seeds)))
+    return [seeds[k * len(seeds) // count:(k + 1) * len(seeds) // count] for k in range(count)]
 
 
 def _write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -97,42 +97,57 @@ def delays_from_file(path) -> ExplicitDelay:
 
 
 class FeedbackBuffer:
-    """Per-round delivery bookkeeping.
+    """Per-round delivery bookkeeping for a batch of trials (the rows).
 
-    `push(s, d)` schedules round s for delivery at round s + d - 1;
-    `ready_at(t)` is the set of source rounds delivered at round t (possibly
-    empty, possibly several under arbitrary delays).  Querying rounds past
-    the horizon is allowed: late feedback lands in post-horizon delivery
-    sets that only evaluation ever looks at.
+    `push(s, d)` schedules source round s of every row for delivery at
+    round s + d - 1; `s` may be one round or a 1-d array of them, and `d`
+    is one delay or a (rows, len(s)) array of them.  `ready_at(t)` returns the (rows,
+    sources) pairs delivered at round t as two int arrays, ordered by row
+    and then by source: possibly empty, possibly several per row under
+    arbitrary delays.  Querying rounds past the horizon is allowed: late
+    feedback lands in post-horizon delivery sets that only evaluation ever
+    looks at.
     """
 
-    def __init__(self):
-        self._deliveries: dict[int, list[int]] = {}
-        self._delivery_round: dict[int, int] = {}
-        self._delay_sum = 0
+    def __init__(self, rows: int = 1):
+        self.rows = int(rows)
+        self._pushed: set[int] = set()
+        self._entries: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._delay_sum = np.zeros(self.rows, dtype=np.int64)
+        self._sorted: tuple[np.ndarray, np.ndarray, dict[int, tuple[int, int]]] | None = None
 
-    def push(self, source: int, delay: int) -> None:
-        if delay < 1:
+    def push(self, source, delay) -> None:
+        sources = np.atleast_1d(np.asarray(source, dtype=np.int64))
+        delays = np.broadcast_to(np.asarray(delay, dtype=np.int64), (self.rows, sources.size))
+        if np.any(delays < 1):
             raise ValueError("delay must be >= 1")
-        if source in self._delivery_round:
-            raise RuntimeError(f"round {source} was already pushed")
-        due = source + delay - 1
-        self._delivery_round[source] = due
-        self._deliveries.setdefault(due, []).append(source)
-        self._delay_sum += int(delay)
+        fresh = set(sources.tolist())
+        if len(fresh) != sources.size or not fresh.isdisjoint(self._pushed):
+            raise RuntimeError("a round was already pushed")
+        self._pushed |= fresh
+        self._entries.append((np.repeat(np.arange(self.rows), sources.size),
+                              np.tile(sources, self.rows), (sources + delays - 1).ravel()))
+        self._delay_sum += delays.sum(axis=1)
+        self._sorted = None
 
-    def ready_at(self, t: int) -> tuple[int, ...]:
+    def ready_at(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         if t < 1:
             raise ValueError("rounds are numbered from 1")
-        return tuple(sorted(self._deliveries.get(t, ())))
+        if not self._entries:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        if self._sorted is None:
+            rows, sources, due = (np.concatenate(parts) for parts in zip(*self._entries))
+            order = np.lexsort((sources, rows, due))
+            rounds, first = np.unique(due[order], return_index=True)
+            # Each due round's slice of the sorted pairs, kept only for rounds
+            # that deliver something, so a huge delay costs no memory.
+            spans = zip(first.tolist(), first[1:].tolist() + [len(order)])
+            self._sorted = (rows[order], sources[order], dict(zip(rounds.tolist(), spans)))
+        rows, sources, spans = self._sorted
+        lo, hi = spans.get(t, (0, 0))
+        return rows[lo:hi], sources[lo:hi]
 
     @property
-    def delay_sum(self) -> int:
+    def delay_sum(self) -> np.ndarray:
+        """Total delay pushed so far, per row."""
         return self._delay_sum
-
-    @property
-    def pushed(self) -> int:
-        return len(self._delivery_round)
-
-    def delivery_round(self, source: int) -> int:
-        return self._delivery_round[source]

@@ -12,12 +12,14 @@ which for the Euclidean map M(x) = 0.5 ||x||^2 reduces to the squared
 half-distance 0.5 ||x - y||^2.
 
 Every operation here is a pure function of its inputs; nothing keeps
-shared mutable state.
+shared mutable state.  Projections, membership tests and mirror-map
+updates act row-wise: a point is the last axis of an array, so one call
+handles one point or the (trials, dim) iterate of a whole batch of
+trials.  Their inputs are checked for their dimension only; finiteness
+is checked where data enters the program (constructors, streams).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -41,6 +43,19 @@ def as_vector(x, dim: int | None = None) -> Array:
     return v
 
 
+def as_points(x, dim: int) -> Array:
+    """Coerce to a float array whose last axis has `dim` coordinates."""
+    v = np.asarray(x, dtype=float)
+    if v.shape[-1:] != (dim,):
+        raise ValueError(f"dimension mismatch: expected {dim}, got shape {v.shape}")
+    return v
+
+
+def norms(v: Array) -> Array:
+    """Euclidean norm of each row; bit for bit `np.linalg.norm` of that row."""
+    return np.sqrt(np.vecdot(v, v))
+
+
 # ---------------------------------------------------------------------------
 # Convex bodies
 # ---------------------------------------------------------------------------
@@ -48,8 +63,9 @@ def as_vector(x, dim: int | None = None) -> Array:
 class ConvexBody:
     """A closed convex set with a Euclidean nearest-point (projection) oracle.
 
-    Subclasses provide `project`, `contains`, and `sample`, plus a
-    `radius_bound` R with ||x|| <= R for every member x.
+    Subclasses provide row-wise `project` and `contains`, and
+    `sample_many`, plus a `radius_bound` R with ||x|| <= R for every
+    member x.
     """
 
     dim: int
@@ -68,8 +84,8 @@ class ConvexBody:
         raise NotImplementedError
 
     def project_many(self, points: Array) -> Array:
-        """Project each row of `points`; subclasses override when vectorizable."""
-        return np.stack([self.project(row) for row in np.asarray(points, dtype=float)])
+        """Project each row of `points` (the streams' projection of their draws)."""
+        return self.project(points)
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -87,16 +103,17 @@ class Ball(ConvexBody):
         self.radius_bound = float(np.linalg.norm(self.center)) + self.radius
 
     def project(self, x) -> Array:
-        v = as_vector(x, self.dim)
+        v = as_points(x, self.dim)
         offset = v - self.center
-        dist = float(np.linalg.norm(offset))
-        if dist <= self.radius:
-            return v.copy()
-        return self.center + offset * (self.radius / dist)
+        dist = norms(offset)
+        out = v.copy()
+        outside = dist > self.radius
+        if outside.any():
+            out[outside] = self.center + offset[outside] * (self.radius / dist[outside])[..., None]
+        return out
 
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        v = as_vector(x, self.dim)
-        return float(np.linalg.norm(v - self.center)) <= self.radius + tol
+    def contains(self, x, tol: float = MEMBERSHIP_TOL):
+        return norms(as_points(x, self.dim) - self.center) <= self.radius + tol
 
     def sample_many(self, n: int, rng: np.random.Generator) -> Array:
         # Uniform in the ball: random direction times radius * U^(1/d).
@@ -107,6 +124,8 @@ class Ball(ConvexBody):
         return self.center + raw / norms * radii
 
     def project_many(self, points: Array) -> Array:
+        # Norms by `np.linalg.norm(axis=1)`, which rounds differently from
+        # `project` in 2-d and up: the streams' draws are fixed by this form.
         pts = np.asarray(points, dtype=float)
         offset = pts - self.center
         dist = np.linalg.norm(offset, axis=1)
@@ -131,18 +150,14 @@ class Box(ConvexBody):
         self.radius_bound = float(np.linalg.norm(np.maximum(np.abs(self.lo), np.abs(self.hi))))
 
     def project(self, x) -> Array:
-        v = as_vector(x, self.dim)
-        return np.clip(v, self.lo, self.hi)
+        return np.clip(as_points(x, self.dim), self.lo, self.hi)
 
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        v = as_vector(x, self.dim)
-        return bool(np.all(v >= self.lo - tol) and np.all(v <= self.hi + tol))
+    def contains(self, x, tol: float = MEMBERSHIP_TOL):
+        v = as_points(x, self.dim)
+        return np.all((v >= self.lo - tol) & (v <= self.hi + tol), axis=-1)
 
     def sample_many(self, n: int, rng: np.random.Generator) -> Array:
         return rng.uniform(self.lo, self.hi, size=(n, self.dim))
-
-    def project_many(self, points: Array) -> Array:
-        return np.clip(np.asarray(points, dtype=float), self.lo, self.hi)
 
     def describe(self) -> str:
         return f"box(lo={self.lo.tolist()}, hi={self.hi.tolist()})"
@@ -171,28 +186,26 @@ class Polygon(ConvexBody):
         self.dim = 2
         self.radius_bound = float(np.max(np.linalg.norm(verts, axis=1)))
         self._edges = np.roll(verts, -1, axis=0) - verts
+        self._lengths = np.linalg.norm(self._edges, axis=1)
 
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        v = as_vector(x, 2)
-        rel = v - self.vertices
-        cross = self._edges[:, 0] * rel[:, 1] - self._edges[:, 1] * rel[:, 0]
-        # cross / |edge| is the signed distance to each edge line.
-        lengths = np.linalg.norm(self._edges, axis=1)
-        return bool(np.all(cross >= -tol * lengths))
+    def contains(self, x, tol: float = MEMBERSHIP_TOL):
+        return self._inside(as_points(x, 2)[..., None, :] - self.vertices, tol)
+
+    def _inside(self, rel: Array, tol: float) -> Array:
+        # rel[..., i, :] is the point relative to vertex i; cross / |edge|
+        # is the signed distance to each edge line.
+        cross = self._edges[:, 0] * rel[..., 1] - self._edges[:, 1] * rel[..., 0]
+        return np.all(cross >= -tol * self._lengths, axis=-1)
 
     def project(self, x) -> Array:
-        v = as_vector(x, 2)
-        if self.contains(v):
-            return v.copy()
-        best = None
-        best_dist = math.inf
-        for a, e in zip(self.vertices, self._edges):
-            t = float(np.dot(v - a, e) / np.dot(e, e))
-            candidate = a + min(max(t, 0.0), 1.0) * e
-            dist = float(np.linalg.norm(v - candidate))
-            if dist < best_dist:
-                best, best_dist = candidate, dist
-        return best
+        v = as_points(x, 2)
+        rel = v[..., None, :] - self.vertices
+        # Nearest point of each edge segment, then the first nearest edge.
+        t = np.vecdot(rel, self._edges) / np.vecdot(self._edges, self._edges)
+        candidates = self.vertices + np.minimum(np.maximum(t, 0.0), 1.0)[..., None] * self._edges
+        best = np.argmin(norms(v[..., None, :] - candidates), axis=-1)
+        nearest = np.take_along_axis(candidates, best[..., None, None], axis=-2)[..., 0, :]
+        return np.where(self._inside(rel, MEMBERSHIP_TOL)[..., None], v, nearest)
 
     def sample_many(self, n: int, rng: np.random.Generator) -> Array:
         # Fan triangulation from vertex 0, area-weighted triangle choice,
@@ -223,17 +236,18 @@ class Simplex(ConvexBody):
         self.radius_bound = 1.0  # max norm attained at a vertex
 
     def project(self, x) -> Array:
-        # Sorting-based Euclidean projection.
-        v = as_vector(x, self.dim)
-        u = np.sort(v)[::-1]
-        css = np.cumsum(u)
-        idx = np.nonzero(u * np.arange(1, self.dim + 1) > css - 1.0)[0][-1]
-        theta = (css[idx] - 1.0) / (idx + 1)
+        # Sorting-based Euclidean projection, row by row.
+        v = as_points(x, self.dim)
+        u = np.sort(v, axis=-1)[..., ::-1]
+        css = np.cumsum(u, axis=-1)
+        active = u * np.arange(1, self.dim + 1) > css - 1.0
+        idx = self.dim - 1 - np.argmax(active[..., ::-1], axis=-1)
+        theta = (np.take_along_axis(css, idx[..., None], axis=-1) - 1.0) / (idx[..., None] + 1)
         return np.maximum(v - theta, 0.0)
 
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        v = as_vector(x, self.dim)
-        return bool(np.all(v >= -tol) and abs(float(v.sum()) - 1.0) <= tol)
+    def contains(self, x, tol: float = MEMBERSHIP_TOL):
+        v = as_points(x, self.dim)
+        return np.all(v >= -tol, axis=-1) & (np.abs(v.sum(axis=-1) - 1.0) <= tol)
 
     def sample_many(self, n: int, rng: np.random.Generator) -> Array:
         return rng.dirichlet(np.ones(self.dim), size=n)
@@ -265,9 +279,11 @@ def regular_polygon(sides: int, center=(0.0, 0.0), circumradius: float = 1.0) ->
 class MirrorMap:
     """Potential M with gradient / dual-gradient pair and Bregman divergence.
 
-    `update(x, step)` computes grad M*(grad M(x) + step), the dual-space move
-    used by mirror-descent updates.  `smoothness` is a constant L with
-    ||update(x, -y) - x|| <= L ||y|| on the map's domain.
+    `update(x, step)` computes grad M*(grad M(x) + step) row by row, the
+    dual-space move used by mirror-descent updates; a row that overflows is
+    clamped to finite values and its index (0 for a single point) goes to
+    `clamped`.  `smoothness` is a constant L with ||update(x, -y) - x|| <= L ||y||
+    on the map's domain.
     """
 
     smoothness: float
@@ -282,7 +298,7 @@ class MirrorMap:
     def grad_dual(self, y) -> Array:
         raise NotImplementedError
 
-    def update(self, x, step, flags: list[str] | None = None) -> Array:
+    def update(self, x, step, clamped: list[int] | None = None) -> Array:
         raise NotImplementedError
 
     def bregman(self, x, y) -> float:
@@ -311,14 +327,14 @@ class EuclideanMap(MirrorMap):
     def grad_dual(self, y) -> Array:
         return as_vector(y).copy()
 
-    def update(self, x, step, flags: list[str] | None = None) -> Array:
-        v = as_vector(x)
-        s = as_vector(step, v.size)
-        out = v + s
-        if not np.all(np.isfinite(out)):
+    def update(self, x, step, clamped: list[int] | None = None) -> Array:
+        v = np.asarray(x, dtype=float)
+        out = v + as_points(step, v.shape[-1])
+        bad = ~np.all(np.isfinite(out), axis=-1)
+        if np.any(bad):
             out = np.nan_to_num(out, posinf=1e30, neginf=-1e30)
-            if flags is not None:
-                flags.append("mirror_update_clamped")
+            if clamped is not None:
+                clamped.extend(np.flatnonzero(bad).tolist())
         return out
 
     def bregman(self, x, y) -> float:
@@ -363,19 +379,19 @@ class NegativeEntropyMap(MirrorMap):
         w = np.exp(z)
         return w / w.sum()
 
-    def update(self, x, step, flags: list[str] | None = None) -> Array:
-        v = as_vector(x)
-        s = as_vector(step, v.size)
-        z = np.log(np.maximum(v, ENTROPY_FLOOR)) + s
-        z -= z.max()  # shift-invariant after renormalization
+    def update(self, x, step, clamped: list[int] | None = None) -> Array:
+        v = np.asarray(x, dtype=float)
+        z = np.log(np.maximum(v, ENTROPY_FLOOR)) + as_points(step, v.shape[-1])
+        z = z - z.max(axis=-1, keepdims=True)  # shift-invariant after renormalization
         w = np.exp(z)
-        total = float(w.sum())
-        if not np.isfinite(total) or total <= 0.0:
-            w = np.nan_to_num(w, posinf=1e30, neginf=0.0)
-            w = np.maximum(w, ENTROPY_FLOOR)
-            total = float(w.sum())
-            if flags is not None:
-                flags.append("mirror_update_clamped")
+        total = w.sum(axis=-1, keepdims=True)
+        bad = ~np.isfinite(total[..., 0]) | (total[..., 0] <= 0.0)
+        if np.any(bad):
+            fixed = np.maximum(np.nan_to_num(w, posinf=1e30, neginf=0.0), ENTROPY_FLOOR)
+            w = np.where(bad[..., None], fixed, w)
+            total = w.sum(axis=-1, keepdims=True)
+            if clamped is not None:
+                clamped.extend(np.flatnonzero(bad).tolist())
         return w / total
 
     def bregman(self, x, y) -> float:

@@ -17,6 +17,9 @@ arbitrary-delay variant consumes whole delivery sets with a constant step:
 
 The sample-mean baseline ignores gradients entirely and plays the average
 of all hidden contexts revealed so far.
+
+A learner plays a batch of independent trials in lockstep: its iterate
+holds one row per trial, and every step acts on all rows at once.
 """
 
 from __future__ import annotations
@@ -26,8 +29,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Array, ConvexBody, MirrorMap, as_vector
-from .losses import Loss
+from .geometry import Array, ConvexBody, MirrorMap
+
+MIRROR_CLAMP_FLAG = "mirror_update_clamped"
+
+
+class NonFiniteGradient(ValueError):
+    """Raised when a delivered gradient has NaN or infinite entries."""
 
 
 # ---------------------------------------------------------------------------
@@ -163,20 +171,21 @@ class Influence:
         return self.sign * eta_t
 
     def reduce(self, known) -> Array:
-        v = as_vector(known)
+        """Map each row of known context into the estimate space."""
+        v = np.asarray(known, dtype=float)
         if self.matrix is not None:
-            out = self.matrix @ v
-            if out.size != self.dim_out:
+            out = v @ np.asarray(self.matrix).T
+            if out.shape[-1] != self.dim_out:
                 raise ValueError("reduction matrix output dimension mismatch")
             return out
-        if v.size < self.dim_out:
+        if v.shape[-1] < self.dim_out:
             raise ValueError("known context smaller than the estimate dimension")
-        return v[: self.dim_out]
+        return v[..., : self.dim_out]
 
-    def pull(self, known, eta_t: float) -> Array:
+    def pull(self, known, eta_t) -> Array:
         """weight * reduce(known); zero vector when the stream has ended."""
-        w = self.weight(eta_t)
-        if known is None or w == 0.0:
+        w = np.asarray(self.weight(eta_t))
+        if known is None or not w.any():
             return np.zeros(self.dim_out)
         return w * self.reduce(known)
 
@@ -194,17 +203,22 @@ class Influence:
 class LearnerState:
     """Current estimate, last round played and numerical flags; no history.
 
-    The game loop hands each delivered loss over with its source round's estimate.
+    `estimate` has one row per trial (or is a single point).  `flags`
+    holds (round, row, flag) events; the game loop hands each delivered
+    gradient over once its due round comes.
     """
 
     estimate: Array
     body: ConvexBody
     t: int = 0
-    flags: list[str] = field(default_factory=list)
+    flags: list[tuple[int, int, str]] = field(default_factory=list)
 
 
 def _combined_step(state, eta, beta, influence, grad, next_known) -> Array:
-    return beta * influence.pull(next_known, eta) - eta * grad
+    g = np.asarray(grad, dtype=float)
+    if not np.isfinite(g).all():
+        raise NonFiniteGradient(f"gradient has NaN or infinite entries at round {state.t}")
+    return beta * influence.pull(next_known, eta) - eta * g
 
 
 def step_ogd(state: LearnerState, schedule: StepSchedule, influence: Influence,
@@ -213,8 +227,7 @@ def step_ogd(state: LearnerState, schedule: StepSchedule, influence: Influence,
     t = state.t
     if t <= schedule.tau:
         raise RuntimeError(f"update at round {t} before the warm-up ({schedule.tau}) finished")
-    g = as_vector(grad, state.estimate.size)
-    move = _combined_step(state, schedule.eta(t), schedule.beta(t), influence, g, next_known)
+    move = _combined_step(state, schedule.eta(t), schedule.beta(t), influence, grad, next_known)
     state.estimate = state.body.project(state.estimate + move)
     return state.estimate
 
@@ -230,27 +243,24 @@ def step_omd(state: LearnerState, mirror: MirrorMap, schedule: StepSchedule,
     t = state.t
     if t <= schedule.tau:
         raise RuntimeError(f"update at round {t} before the warm-up ({schedule.tau}) finished")
-    g = as_vector(grad, state.estimate.size)
-    move = _combined_step(state, schedule.eta(t), schedule.beta(t), influence, g, next_known)
-    out = mirror.update(state.estimate, move, flags=state.flags)
+    move = _combined_step(state, schedule.eta(t), schedule.beta(t), influence, grad, next_known)
+    clamped: list[int] = []
+    out = mirror.update(state.estimate, move, clamped=clamped)
+    state.flags.extend((t, row, MIRROR_CLAMP_FLAG) for row in clamped)
     if mirror.needs_projection:
         out = state.body.project(out)
     state.estimate = out
     return state.estimate
 
 
-def step_adversarial(state: LearnerState, eta: float, beta: float,
-                     influence: Influence, grads: list[Array],
-                     next_known) -> Array:
+def step_adversarial(state: LearnerState, eta, beta, influence: Influence,
+                     total, next_known) -> Array:
     """Constant-step update over a whole delivery set (possibly empty).
 
-    `grads` holds the gradients of the delivered losses, each evaluated at
-    the decision of its source round, in delivery (source-round) order; they
-    are summed in that order.  An empty set leaves only the correlation pull.
+    `total` is the sum of the delivered gradients of each row, each taken
+    at the decision of its source round and added in source-round order;
+    an empty set sums to zero and leaves only the correlation pull.
     """
-    total = np.zeros(state.estimate.size)
-    for g in grads:
-        total = total + as_vector(g, state.estimate.size)
     move = _combined_step(state, eta, beta, influence, total, next_known)
     state.estimate = state.body.project(state.estimate + move)
     return state.estimate
@@ -313,15 +323,25 @@ def eta_for_arbitrary_delay(L: float, R: float, lam: float, horizon: int,
 class BaseLearner:
     """Shared play/observe protocol used by the game loop.
 
-    `play(t)` returns the round-t decision; `observe` consumes the losses
-    delivered at the end of round t, as (loss, decision played at the loss's
-    round) pairs in source-round order, together with the next round's
-    known context.  `lag` is the fixed lag a learner needs (every delay
-    lag + 1, checked by the game loop before round 1) or None for any delays.
+    `start(trials, horizon)` gives the iterate one row per trial, and
+    `play(t)` returns the round-t decisions, one row per trial.  The
+    feedback of a round is the gradient of each trial's loss at its
+    decision (or, when `uses_gradients` is False, the loss's anchor), taken when
+    the round is played and held by the game until its due round; `observe`
+    then gets the (rows, feedback) pairs delivered at the end of round t,
+    ordered by row and then by source round, with the next round's known
+    context (None after the last round).  `lag` is the fixed lag a learner
+    needs (every delay lag + 1, checked by the game loop before round 1) or
+    None for any delays.
     """
 
     state: LearnerState
     lag: int | None = None
+    uses_gradients = True
+
+    def start(self, trials: int, horizon: int) -> None:
+        self.state.estimate = np.broadcast_to(
+            self.state.estimate, (trials, self.state.body.dim)).copy()
 
     def play(self, t: int) -> Array:
         if t != self.state.t + 1:
@@ -329,7 +349,7 @@ class BaseLearner:
         self.state.t = t
         return self.state.estimate.copy()
 
-    def observe(self, delivered: list[tuple[Loss, Array]], next_known) -> None:
+    def observe(self, rows: Array, feedback: Array, next_known) -> None:
         raise NotImplementedError
 
     @property
@@ -349,10 +369,10 @@ class OgdLearner(BaseLearner):
         self.influence = influence if influence is not None else Influence.disabled(body.dim)
         self.state = LearnerState(estimate=np.zeros(body.dim), body=body)
 
-    def observe(self, delivered, next_known) -> None:
-        for loss, decision in delivered:
-            g = loss.grad(decision, flags=self.state.flags)
-            step_ogd(self.state, self.schedule, self.influence, g, next_known)
+    def observe(self, rows, feedback, next_known) -> None:
+        # The lag check leaves one gradient per row from round lag + 1 on.
+        if len(rows):
+            step_ogd(self.state, self.schedule, self.influence, feedback, next_known)
 
     def describe(self) -> str:
         return f"ogd({self.schedule.describe()}, {self.influence.describe()})"
@@ -369,10 +389,10 @@ class OmdLearner(BaseLearner):
         self.influence = influence if influence is not None else Influence.disabled(body.dim)
         self.state = LearnerState(estimate=mirror.initial_point(body.dim), body=body)
 
-    def observe(self, delivered, next_known) -> None:
-        for loss, decision in delivered:
-            g = loss.grad(decision, flags=self.state.flags)
-            step_omd(self.state, self.mirror, self.schedule, self.influence, g, next_known)
+    def observe(self, rows, feedback, next_known) -> None:
+        if len(rows):
+            step_omd(self.state, self.mirror, self.schedule, self.influence, feedback,
+                     next_known)
 
     def describe(self) -> str:
         return (f"omd({self.mirror.describe()}, {self.schedule.describe()}, "
@@ -382,36 +402,61 @@ class OmdLearner(BaseLearner):
 class AdversarialLearner(BaseLearner):
     """Constant-step gradient descent that absorbs whole delivery sets."""
 
-    def __init__(self, body: ConvexBody, eta: float, beta: float | None = None,
+    def __init__(self, body: ConvexBody, eta, beta: float | None = None,
                  influence: Influence | None = None):
-        if eta <= 0:
+        """`eta` is one step for every trial or one per trial."""
+        eta = np.asarray(eta, dtype=float)
+        if np.any(eta <= 0):
             raise ValueError("eta must be positive")
-        self.eta = float(eta)
-        self.beta = float(beta) if beta is not None else float(eta)
+        self.eta = eta[:, None] if eta.ndim else float(eta)
+        self.beta = float(beta) if beta is not None else self.eta
         self.influence = influence if influence is not None else Influence.disabled(body.dim)
         self.state = LearnerState(estimate=np.zeros(body.dim), body=body)
 
-    def observe(self, delivered, next_known) -> None:
-        grads = [loss.grad(decision, flags=self.state.flags) for loss, decision in delivered]
-        step_adversarial(self.state, self.eta, self.beta, self.influence, grads, next_known)
+    def start(self, trials: int, horizon: int) -> None:
+        if np.ndim(self.eta) and len(self.eta) != trials:
+            raise ValueError(f"{len(self.eta)} step sizes for {trials} trials")
+        super().start(trials, horizon)
+
+    def observe(self, rows, feedback, next_known) -> None:
+        total = np.zeros(self.state.estimate.shape)
+        np.add.at(total, rows, feedback)  # row by row in source order
+        step_adversarial(self.state, self.eta, self.beta, self.influence, total, next_known)
 
     def describe(self) -> str:
         return f"adversarial(eta={self.eta}, beta={self.beta}, {self.influence.describe()})"
 
 
 class NaiveLearner(BaseLearner):
-    """Sample-mean baseline: plays the average of the revealed hidden contexts."""
+    """Sample-mean baseline: plays the average of the revealed hidden contexts.
+
+    Its feedback is each round's anchor, the hidden context itself; the
+    revealed anchors of each trial are kept in delivery order as a prefix
+    of one (horizon, dim) block.
+    """
+
+    uses_gradients = False
 
     def __init__(self, body: ConvexBody):
-        self.revealed: list[Array] = []
         self.state = LearnerState(estimate=np.zeros(body.dim), body=body)
 
-    def observe(self, delivered, next_known) -> None:
-        for loss, _ in delivered:
-            self.revealed.append(loss.anchor.copy())
-        if delivered:
-            # Mean of points of a convex set stays inside it; no projection.
-            self.state.estimate = naive_estimate(self.revealed, self.state.body.dim)
+    def start(self, trials: int, horizon: int) -> None:
+        super().start(trials, horizon)
+        self.revealed = np.empty((trials, horizon, self.state.body.dim))
+        self.count = np.zeros(trials, dtype=np.int64)
+
+    def observe(self, rows, feedback, next_known) -> None:
+        if not len(rows):
+            return
+        # rows is sorted, so each row's deliveries are one run in source order.
+        slots = self.count[rows] + np.arange(len(rows)) - np.searchsorted(rows, rows)
+        self.revealed[rows, slots] = feedback
+        updated, arrived = np.unique(rows, return_counts=True)
+        self.count[updated] += arrived
+        # Mean of points of a convex set stays inside it; no projection.
+        for k in updated.tolist():
+            self.state.estimate[k] = naive_estimate(self.revealed[k, :self.count[k]],
+                                                    self.state.body.dim)
 
     def describe(self) -> str:
         return "naive-mean"

@@ -1,4 +1,4 @@
-"""Distance-anchored convex losses with gradient oracles.
+"""Distance-anchored convex losses with gradient oracles, many rows at once.
 
 Every loss here scores an estimate x against a hidden anchor u through a
 radial profile: value(x) = radial(||x - u||), with radial nondecreasing
@@ -9,68 +9,133 @@ and convex.  Shipped profiles:
     power       radial(r) = r^m, integer m >= 1
     exp         radial(r) = a exp(r^m / s^2)
 
+One loss object holds many losses of one family: `anchor` has shape
+(..., d), one row per loss, and each coefficient is a column of shape
+(...).  `value`, `grad` and `radial` broadcast their argument over the
+rows; `at` indexes the rows, so the game loop can evaluate the losses of
+one round of every trial without building an object per round.
+
 `grad` returns the gradient radial'(r) * (x - u) / r.  Profiles with a
 kink at the anchor (norm, and power/exp with m = 1) return the zero
-vector there, which is a valid subgradient; callers may pass a `flags`
-list to be notified when that happens.
+vector there, which is a valid subgradient; `kinks` says where that
+happens, and callers may pass a `flags` list to `grad` to be notified.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .geometry import Array, as_vector
+from .geometry import Array
 
 ZERO_SUBGRADIENT_FLAG = "zero_subgradient_at_anchor"
 
 
 class Loss:
-    """Base class: value depends on x only through r = ||x - anchor||."""
+    """Base class: value depends on x only through r = ||x - anchor||.
+
+    Arithmetic follows the scalar formulas term by term (`np.float_power`
+    for powers, `sqrt(vecdot)` for norms), so each row gives the same bits
+    as evaluating that one loss on its own.
+    """
 
     family = "base"
-    gamma = 0.0  # strong-convexity modulus; positive only for quadratic
+    coefficients: tuple[str, ...] = ()
 
     def __init__(self, anchor):
-        self.anchor = as_vector(anchor)
+        anchor = np.asarray(anchor, dtype=float)
+        if anchor.ndim < 1 or anchor.shape[-1] < 1:
+            raise ValueError(f"anchors need a last axis of coordinates, got shape {anchor.shape}")
+        if not np.all(np.isfinite(anchor)):
+            raise ValueError("anchors have NaN or infinite entries")
+        self.anchor = anchor
 
     @property
     def dim(self) -> int:
-        return self.anchor.size
+        return self.anchor.shape[-1]
 
     @property
-    def offset(self) -> float:
+    def gamma(self):
+        """Strong-convexity modulus per row; positive only for quadratic."""
+        return np.zeros(self.anchor.shape[:-1])
+
+    @property
+    def offset(self):
         """Additive constant radial(0); the profile minus it vanishes at 0."""
-        return self.radial(0.0)
+        return self.radial(np.zeros(self.anchor.shape[:-1]))
 
-    def value(self, x) -> float:
-        return self.radial(self._dist(x))
+    @classmethod
+    def stack(cls, losses, axis: int = 0) -> "Loss":
+        """One loss holding the rows of several losses of one family, stacked along `axis`."""
+        losses = list(losses)
+        if not losses:
+            raise ValueError("need at least one loss")
+        kind = type(losses[0])
+        if any(type(loss) is not kind for loss in losses):
+            raise ValueError("can only stack losses of one family")
+        columns = {name: np.stack([getattr(loss, name) for loss in losses], axis=axis)
+                   for name in kind.coefficients}
+        return kind(np.stack([loss.anchor for loss in losses], axis=axis), **columns)
 
-    def radial(self, r: float) -> float:
+    def __getitem__(self, index) -> "Loss":
+        """The losses at `index` of the rows, as a loss of the same family."""
+        columns = {name: getattr(self, name)[index] for name in self.coefficients}
+        return type(self)(self.anchor[index], **columns)
+
+    def _column(self, value, dtype=float) -> Array:
+        return np.array(np.broadcast_to(np.asarray(value, dtype=dtype), self.anchor.shape[:-1]))
+
+    def _exponent(self, m) -> Array:
+        m = np.asarray(m)
+        if np.any(m != np.floor(m)) or np.any(m < 1):
+            raise ValueError("exponent m must be an integer >= 1")
+        return self._column(m, dtype=np.int64)
+
+    def distance(self, x, at=...) -> Array:
+        """||x - anchor|| for the rows `at`."""
+        d = self._offset(x, at)
+        return np.sqrt(np.vecdot(d, d))
+
+    def value(self, x, at=...) -> Array:
+        return self.radial(self.distance(x, at), at)
+
+    def radial(self, r, at=...) -> Array:
         raise NotImplementedError
 
-    def grad(self, x, flags: list[str] | None = None) -> Array:
-        raise NotImplementedError
+    def grad(self, x, flags: list[str] | None = None, at=...) -> Array:
+        """Gradient at x of the rows `at`; one flag per row at a kink goes to `flags`."""
+        d = self._offset(x, at)
+        r = np.sqrt(np.vecdot(d, d))
+        g = self._grad(d, r, at)
+        if flags is not None:
+            flags.extend([ZERO_SUBGRADIENT_FLAG] * int(np.count_nonzero(self._kinked(r, at))))
+        return g
+
+    def kinks(self, x, at=...) -> Array:
+        """Rows where `grad` returns the zero subgradient at a kink."""
+        return self._kinked(self.distance(x, at), at)
 
     def lipschitz_bound(self, radius: float) -> float:
-        """Bound on ||grad|| over ||x - anchor|| <= radius."""
+        """Bound on ||grad|| over ||x - anchor|| <= radius, for every row."""
         raise NotImplementedError
 
-    def _dist(self, x) -> float:
-        v = as_vector(x, self.dim)
-        return float(np.linalg.norm(v - self.anchor))
-
-    def _offset_from(self, x) -> tuple[Array, float]:
-        v = as_vector(x, self.dim)
-        d = v - self.anchor
-        return d, float(np.linalg.norm(d))
-
-    def _zero_subgradient(self, flags: list[str] | None) -> Array:
-        if flags is not None:
-            flags.append(ZERO_SUBGRADIENT_FLAG)
-        return np.zeros(self.dim)
-
-    def describe(self) -> str:
+    def _grad(self, d: Array, r: Array, at) -> Array:
         raise NotImplementedError
+
+    def _kinked(self, r: Array, at) -> Array:
+        return np.zeros(np.shape(r), dtype=bool)
+
+    def _offset(self, x, at) -> Array:
+        v = np.asarray(x, dtype=float)
+        if v.shape[-1:] != (self.dim,):
+            raise ValueError(f"dimension mismatch: expected {self.dim}, got shape {v.shape}")
+        return v - self.anchor[at]
+
+
+def _radial_direction(d: Array, slope: Array, zero: Array) -> Array:
+    """slope * d, with the rows where `zero` holds set to the zero vector."""
+    g = slope[..., None] * d
+    g[zero] = 0.0
+    return g
 
 
 class NormLoss(Loss):
@@ -78,116 +143,111 @@ class NormLoss(Loss):
 
     family = "norm"
 
-    def radial(self, r: float) -> float:
-        return float(r)
+    def radial(self, r, at=...) -> Array:
+        return np.asarray(r, dtype=float)
 
-    def grad(self, x, flags: list[str] | None = None) -> Array:
-        d, r = self._offset_from(x)
-        if r == 0.0:
-            return self._zero_subgradient(flags)
-        return d / r
+    def _grad(self, d, r, at) -> Array:
+        zero = r == 0.0
+        g = d / np.where(zero, 1.0, r)[..., None]
+        g[zero] = 0.0
+        return g
+
+    def _kinked(self, r, at) -> Array:
+        return r == 0.0
 
     def lipschitz_bound(self, radius: float) -> float:
         return 1.0
-
-    def describe(self) -> str:
-        return "norm"
 
 
 class QuadraticLoss(Loss):
     """radial(r) = a r^2 + b with a > 0, b >= 0; gradient 2a (x - anchor)."""
 
     family = "quadratic"
+    coefficients = ("a", "b")
 
-    def __init__(self, anchor, a: float, b: float = 0.0):
+    def __init__(self, anchor, a, b=0.0):
         super().__init__(anchor)
-        if a <= 0:
+        self.a = self._column(a)
+        self.b = self._column(b)
+        if np.any(self.a <= 0):
             raise ValueError("quadratic coefficient a must be positive")
-        if b < 0:
+        if np.any(self.b < 0):
             raise ValueError("offset b must be nonnegative")
-        self.a = float(a)
-        self.b = float(b)
-        self.gamma = 2.0 * self.a
 
-    def radial(self, r: float) -> float:
-        return self.a * float(r) ** 2 + self.b
+    @property
+    def gamma(self):
+        return 2.0 * self.a
 
-    def grad(self, x, flags: list[str] | None = None) -> Array:
-        d, _ = self._offset_from(x)
-        return 2.0 * self.a * d
+    def radial(self, r, at=...) -> Array:
+        return self.a[at] * np.float_power(r, 2) + self.b[at]
+
+    def _grad(self, d, r, at) -> Array:
+        return (2.0 * self.a[at])[..., None] * d
 
     def lipschitz_bound(self, radius: float) -> float:
-        return 2.0 * self.a * float(radius)
-
-    def describe(self) -> str:
-        return f"quadratic(a={self.a}, b={self.b})"
+        return 2.0 * float(np.max(self.a)) * float(radius)
 
 
 class PowerLoss(Loss):
     """radial(r) = r^m for integer m >= 1 (m = 1 coincides with the norm loss)."""
 
     family = "power"
+    coefficients = ("m",)
 
-    def __init__(self, anchor, m: int):
+    def __init__(self, anchor, m):
         super().__init__(anchor)
-        if int(m) != m or m < 1:
-            raise ValueError("exponent m must be an integer >= 1")
-        self.m = int(m)
+        self.m = self._exponent(m)
 
-    def radial(self, r: float) -> float:
-        return float(r) ** self.m
+    def radial(self, r, at=...) -> Array:
+        return np.float_power(r, self.m[at])
 
-    def grad(self, x, flags: list[str] | None = None) -> Array:
-        d, r = self._offset_from(x)
-        if r == 0.0:
-            if self.m == 1:
-                return self._zero_subgradient(flags)
-            return np.zeros(self.dim)
-        return self.m * r ** (self.m - 2) * d
+    def _grad(self, d, r, at) -> Array:
+        m = self.m[at]
+        zero = r == 0.0
+        return _radial_direction(d, m * np.float_power(np.where(zero, 1.0, r), m - 2), zero)
+
+    def _kinked(self, r, at) -> Array:
+        return (r == 0.0) & (self.m[at] == 1)
 
     def lipschitz_bound(self, radius: float) -> float:
-        return self.m * float(radius) ** (self.m - 1)
-
-    def describe(self) -> str:
-        return f"power(m={self.m})"
+        return max(m * float(radius) ** (m - 1) for m in np.unique(self.m).tolist())
 
 
 class ExpLoss(Loss):
     """radial(r) = a exp(r^m / s^2); value a (not 0) at the anchor."""
 
     family = "exp"
+    coefficients = ("a", "s", "m")
 
-    def __init__(self, anchor, a: float, s: float, m: int = 1):
+    def __init__(self, anchor, a, s, m=1):
         super().__init__(anchor)
-        if a <= 0 or s <= 0:
+        self.a = self._column(a)
+        self.s = self._column(s)
+        if np.any(self.a <= 0) or np.any(self.s <= 0):
             raise ValueError("coefficients a and s must be positive")
-        if int(m) != m or m < 1:
-            raise ValueError("exponent m must be an integer >= 1")
-        self.a = float(a)
-        self.s = float(s)
-        self.m = int(m)
+        self.m = self._exponent(m)
 
-    def radial(self, r: float) -> float:
-        return self.a * float(np.exp(float(r) ** self.m / self.s**2))
+    def radial(self, r, at=...) -> Array:
+        m, s2 = self.m[at], np.float_power(self.s[at], 2)
+        return self.a[at] * np.exp(np.float_power(r, m) / s2)
 
-    def _slope(self, r):
-        # d radial / d r, nondecreasing in r for m >= 1.
-        r = np.asarray(r, dtype=float)
-        return self.a * self.m * r ** (self.m - 1) * np.exp(r**self.m / self.s**2) / self.s**2
+    def _grad(self, d, r, at) -> Array:
+        a, m, s2 = self.a[at], self.m[at], np.float_power(self.s[at], 2)
+        zero = r == 0.0
+        safe = np.where(zero, 1.0, r)
+        slope = a * m * np.float_power(safe, m - 2) * np.exp(np.float_power(safe, m) / s2) / s2
+        return _radial_direction(d, slope, zero)
 
-    def grad(self, x, flags: list[str] | None = None) -> Array:
-        d, r = self._offset_from(x)
-        if r == 0.0:
-            if self.m == 1:
-                return self._zero_subgradient(flags)
-            return np.zeros(self.dim)
-        factor = self.a * self.m * r ** (self.m - 2) * np.exp(r**self.m / self.s**2) / self.s**2
-        return factor * d
+    def _kinked(self, r, at) -> Array:
+        return (r == 0.0) & (self.m[at] == 1)
 
     def lipschitz_bound(self, radius: float) -> float:
         # One numeric path for every m: maximize the radial slope on a grid.
         grid = np.linspace(float(radius) / 4096, float(radius), 4096)
-        return float(np.max(self._slope(grid)))
+        rows = np.unique(np.stack([c.ravel() for c in (self.a, self.s, self.m)], axis=1), axis=0)
+        return max(float(np.max(_exp_slope(a, s, int(m), grid))) for a, s, m in rows.tolist())
 
-    def describe(self) -> str:
-        return f"exp(a={self.a}, s={self.s}, m={self.m})"
+
+def _exp_slope(a: float, s: float, m: int, r: Array) -> Array:
+    # d radial / d r of a exp(r^m / s^2), nondecreasing in r for m >= 1.
+    return a * m * r ** (m - 1) * np.exp(r**m / s**2) / s**2

@@ -174,8 +174,8 @@ def test_criterion_4_omd_ogd_equivalence():
         body = Ball([0.0], 4.0)
         learner = learner_cls(body=body, schedule=InverseSqrtStep(sigma=0.5, tau=5),
                               influence=Influence.coupled(1), **kw)
-        return run_game(learner, stream, FixedDelay(5), uniform_quadratic(),
-                        LinearScoring.default(1, 1), horizon, seed=99)
+        return run_game(learner, [stream], [FixedDelay(5)], uniform_quadratic(),
+                        LinearScoring.default(1, 1), horizon, seeds=[99])[0]
 
     ogd = play(OgdLearner)
     omd = play(OmdLearner, mirror=EuclideanMap())
@@ -296,7 +296,7 @@ def test_criterion_8_feedback_exactly_once():
             buf.push(s, int(d))
         seen = []
         for t in range(1, horizon + d_max + 1):
-            seen.extend(buf.ready_at(t))
+            seen.extend(buf.ready_at(t)[1].tolist())
         ok &= sorted(seen) == list(range(1, horizon + 1))
         ok &= buf.delay_sum == int(delays.sum())
     _check(8, "exactly-once delivery over 100 random schedules", ok)
@@ -319,8 +319,8 @@ def test_criterion_8_score_error_chain_on_runs():
         stream = GaussianStream(rho=0.5, seed=seed)
         learner = OgdLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=seed + 1),
                              Influence.coupled(1))
-        traj = run_game(learner, stream, FixedDelay(seed + 1), uniform_quadratic(),
-                        LinearScoring.default(1, 1), horizon=400, seed=seed + 10)
+        traj = run_game(learner, [stream], [FixedDelay(seed + 1)], uniform_quadratic(),
+                        LinearScoring.default(1, 1), horizon=400, seeds=[seed + 10])[0]
         report = regret(traj, Ball([0.0], 4.0))
         margin = float(traj.score_error_losses.sum()
                        - report.comparator_loss - report.regret[-1])
@@ -337,8 +337,8 @@ def test_criterion_8_score_error_chain_on_runs():
 def test_criterion_9_exact_hand_oracles():
     stream = ExplicitStream([[1.0], [1.0], [1.0]], [[1.0], [2.0], [3.0]])
     learner = OgdLearner(Ball([0.0], 10.0), ConstantStep(value=0.5))
-    traj = run_game(learner, stream, FixedDelay(0), fixed_loss(QuadraticLoss, a=1.0, b=0.0),
-                    LinearScoring.default(1, 1), horizon=3, seed=0)
+    traj = run_game(learner, [stream], [FixedDelay(0)], fixed_loss(QuadraticLoss, a=1.0, b=0.0),
+                    LinearScoring.default(1, 1), horizon=3, seeds=[0])[0]
     no_delay_ok = (np.array_equal(traj.estimates, [[0.0], [1.0], [2.0]])
                    and np.array_equal(traj.loss_values, [1.0, 1.0, 1.0])
                    and traj.delivered == ((1,), (2,), (3,)))
@@ -347,9 +347,9 @@ def test_criterion_9_exact_hand_oracles():
 
     stream = ExplicitStream([[1.0], [1.0], [1.0]], [[1.0], [2.0], [3.0]])
     learner = AdversarialLearner(Ball([0.0], 10.0), eta=0.1)
-    traj = run_game(learner, stream, ExplicitDelay((3, 1, 1)),
+    traj = run_game(learner, [stream], [ExplicitDelay((3, 1, 1))],
                     fixed_loss(QuadraticLoss, a=1.0, b=0.0),
-                    LinearScoring.default(1, 1), horizon=3, seed=0)
+                    LinearScoring.default(1, 1), horizon=3, seeds=[0])[0]
     x2 = 0.0
     x3 = x2 - 0.1 * (2.0 * (x2 - 2.0))
     multi_ok = (traj.delivered == ((), (2,), (1, 3))

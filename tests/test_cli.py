@@ -264,19 +264,85 @@ def test_cli_run_reports_domain_errors_with_exit_2(tmp_path, capsys, rows, delay
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_cli_run_reports_a_non_finite_gradient_with_exit_2(tmp_path, capsys):
+    # exp(r^3 / 0.09) overflows within a few rounds; the learner must refuse
+    # the infinite gradient instead of writing a run that looks successful.
+    config = write_config(tmp_path, """
+[experiment]
+kind = single-run
+horizon = 200
+trials = 1
+seed = 0
+
+[learner]
+kind = ogd
+schedule = sqrt
+sigma = 0.5
+lam = coupled
+
+[stream]
+kind = gaussian
+rho = 0.5
+
+[loss]
+family = exp
+a = 1.0
+sigma1 = 0.3
+m = 3
+
+[delays]
+kind = fixed
+""")
+    assert cli.main(["validate", str(config)]) == 0
+    capsys.readouterr()
+    assert cli.main(["run", str(config), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "NaN or infinite" in err and "Traceback" not in err
+
+
+ADVERSARIAL_VS_NAIVE = """
+[experiment]
+kind = baseline-compare
+horizon = 60
+trials = 3
+seed = 505
+
+[learner]
+kind = adversarial
+eta = auto
+lam = 0.2
+
+[stream]
+kind = pentagon
+d1 = 3
+d2 = 2
+
+[loss]
+family = quadratic
+coefficients = uniform
+
+[delays]
+kind = adversarial
+d_max = 6
+"""
+
+
 def test_cli_run_is_reproducible_across_threads(tmp_path):
-    config = write_config(tmp_path, TINY_SWEEP)
-    outs = []
-    for label, threads in (("a", "1"), ("b", "4"), ("c", "1")):
-        out_dir = tmp_path / label
-        assert cli.main(["run", str(config), "--out-dir", str(out_dir),
-                         "--threads", threads]) == 0
-        outs.append(out_dir)
-    names = ["tau1.csv", "tau2.csv", "manifest.json"]
-    for name in names:
-        reference = (outs[0] / name).read_bytes()
-        assert (outs[1] / name).read_bytes() == reference
-        assert (outs[2] / name).read_bytes() == reference
+    # Threads split an arm's trials into contiguous lockstep batches; 5 trials
+    # on 2 or 4 threads give uneven batches, on 5 threads batches of one.
+    for text, names in ((TINY_SWEEP, ["tau1.csv", "tau2.csv", "manifest.json"]),
+                        (ADVERSARIAL_VS_NAIVE, ["adversarial.csv", "naive.csv", "manifest.json"])):
+        config = write_config(tmp_path, text)
+        outs = []
+        for threads in ("1", "2", "4", "5", "1"):
+            out_dir = tmp_path / f"{names[0]}-{threads}-{len(outs)}"
+            assert cli.main(["run", str(config), "--out-dir", str(out_dir), "--trials", "5",
+                             "--threads", threads]) == 0
+            outs.append(out_dir)
+        for name in names:
+            reference = (outs[0] / name).read_bytes()
+            for out in outs[1:]:
+                assert (out / name).read_bytes() == reference
 
 
 def test_cli_seed_and_trials_overrides_change_outputs(tmp_path):

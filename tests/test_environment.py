@@ -145,9 +145,9 @@ def test_three_round_game_matches_hand_simulation():
     # By hand: x1 = 0, g1 = 2(0-1) = -2, x2 = 0 + 1 = 1;
     #          g2 = 2(1-2) = -2, x3 = 2; losses are 1 each round.
     learner = OgdLearner(Ball([0.0], 10.0), ConstantStep(value=0.5))
-    traj = run_game(learner, _three_round_stream(), FixedDelay(0),
+    traj = run_game(learner, [_three_round_stream()], [FixedDelay(0)],
                     fixed_loss(QuadraticLoss, a=1.0, b=0.0),
-                    LinearScoring.default(1, 1), horizon=3, seed=0)
+                    LinearScoring.default(1, 1), horizon=3, seeds=[0])[0]
     assert np.array_equal(traj.estimates, [[0.0], [1.0], [2.0]])
     assert np.array_equal(traj.loss_values, [1.0, 1.0, 1.0])
     assert np.array_equal(traj.score_errors, [1.0, 1.0, 1.0])
@@ -159,9 +159,9 @@ def test_three_round_game_matches_hand_simulation():
 def test_three_round_adversarial_game_multi_delivery():
     # Delays (3, 1, 1) make rounds 1 and 3 land together at round 3.
     learner = AdversarialLearner(Ball([0.0], 10.0), eta=0.1)
-    traj = run_game(learner, _three_round_stream(), ExplicitDelay((3, 1, 1)),
+    traj = run_game(learner, [_three_round_stream()], [ExplicitDelay((3, 1, 1))],
                     fixed_loss(QuadraticLoss, a=1.0, b=0.0),
-                    LinearScoring.default(1, 1), horizon=3, seed=0)
+                    LinearScoring.default(1, 1), horizon=3, seeds=[0])[0]
 
     # Hand simulation with the same float operations:
     x1 = 0.0
@@ -188,8 +188,8 @@ def test_horizon_equal_to_lag_keeps_all_estimates_zero():
     stream = GaussianStream(rho=0.4, seed=9)
     learner = OgdLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=tau),
                          Influence.coupled(1))
-    traj = run_game(learner, stream, FixedDelay(tau), uniform_quadratic(),
-                    LinearScoring.default(1, 1), horizon=tau, seed=2)
+    traj = run_game(learner, [stream], [FixedDelay(tau)], uniform_quadratic(),
+                    LinearScoring.default(1, 1), horizon=tau, seeds=[2])[0]
     assert np.array_equal(traj.estimates, np.zeros((tau, 1)))
 
 
@@ -198,8 +198,8 @@ def test_identical_seeds_reproduce_bit_for_bit():
         stream = GaussianStream(rho=0.5, seed=77)
         learner = OgdLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=4),
                              Influence.coupled(1))
-        return run_game(learner, stream, FixedDelay(4), uniform_quadratic(),
-                        LinearScoring.default(1, 1), horizon=200, seed=13)
+        return run_game(learner, [stream], [FixedDelay(4)], uniform_quadratic(),
+                        LinearScoring.default(1, 1), horizon=200, seeds=[13])[0]
 
     a, b = play(), play()
     assert np.array_equal(a.estimates, b.estimates)
@@ -212,8 +212,8 @@ def test_score_error_chain_holds_every_round():
     stream = GaussianStream(rho=0.5, seed=21)
     learner = OgdLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=5),
                          Influence.coupled(1))
-    traj = run_game(learner, stream, FixedDelay(5), uniform_quadratic(),
-                    LinearScoring.default(1, 1), horizon=400, seed=8)
+    traj = run_game(learner, [stream], [FixedDelay(5)], uniform_quadratic(),
+                    LinearScoring.default(1, 1), horizon=400, seeds=[8])[0]
     assert np.all(traj.score_error_losses <= traj.loss_values + 1e-9)
     assert not any(flag.startswith("score_chain") for flag in traj.flags)
 
@@ -223,7 +223,7 @@ def test_score_chain_tolerance_is_relative_to_the_loss():
     cfg = experiments.ExperimentConfig(kind="single-run", learner="ogd", schedule="sqrt",
                                        sigma=0.5, family="exp", a=1.0, sigma1=0.5, m=2,
                                        horizon=200, seed=0)
-    traj, _ = experiments.run_single(cfg, experiments.trial_seed(0, 0))
+    [(traj, _)] = experiments.run_single(cfg, [experiments.trial_seed(0, 0)])
     assert traj.loss_values.max() > 1e100
     assert not any(flag.startswith("score_chain") for flag in traj.flags)
 
@@ -234,12 +234,12 @@ def test_score_chain_flags_a_hidden_weight_above_one():
         w_hidden = np.ones(1)
 
         def score(self, known, hidden):
-            return float(known[0]) + 2.0 * float(hidden[0])
+            return known[..., 0] + 2.0 * hidden[..., 0]
 
     learner = OgdLearner(Ball([0.0], 10.0), ConstantStep(value=0.5))
-    traj = run_game(learner, _three_round_stream(), FixedDelay(0),
+    traj = run_game(learner, [_three_round_stream()], [FixedDelay(0)],
                     fixed_loss(QuadraticLoss, a=1.0, b=0.0), DoubledScoring(),
-                    horizon=3, seed=0)
+                    horizon=3, seeds=[0])[0]
     assert [f for f in traj.flags if f.startswith("score_chain")] == [
         "score_chain_violated_at_1", "score_chain_violated_at_2", "score_chain_violated_at_3"]
 
@@ -248,8 +248,8 @@ def test_fixed_lag_learner_rejects_mismatched_delays_before_round_1():
     learner = OgdLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=3))
     stream = ExplicitStream([[1.0]] * 5, [[0.5]] * 5)
     with pytest.raises(ConfigError, match="tau \\+ 1 = 4"):
-        run_game(learner, stream, ExplicitDelay((4, 4, 1, 4, 4)), uniform_quadratic(),
-                 LinearScoring.default(1, 1), horizon=5, seed=0)
+        run_game(learner, [stream], [ExplicitDelay((4, 4, 1, 4, 4))], uniform_quadratic(),
+                 LinearScoring.default(1, 1), horizon=5, seeds=[0])[0]
     assert learner.state.t == 0
 
 
@@ -257,12 +257,12 @@ def test_run_game_configuration_errors():
     stream = GaussianStream(rho=0.0, seed=1)
     learner = OgdLearner(Ball([0.0, 0.0], 4.0), ConstantStep(value=0.1))  # wrong dim
     with pytest.raises(ConfigError):
-        run_game(learner, stream, FixedDelay(0), uniform_quadratic(),
-                 LinearScoring.default(1, 1), horizon=5, seed=0)
+        run_game(learner, [stream], [FixedDelay(0)], uniform_quadratic(),
+                 LinearScoring.default(1, 1), horizon=5, seeds=[0])[0]
     good = OgdLearner(Ball([0.0], 4.0), ConstantStep(value=0.1))
     with pytest.raises(ConfigError):
-        run_game(good, stream, FixedDelay(0), uniform_quadratic(),
-                 LinearScoring.default(1, 1), horizon=0, seed=0)
+        run_game(good, [stream], [FixedDelay(0)], uniform_quadratic(),
+                 LinearScoring.default(1, 1), horizon=0, seeds=[0])[0]
 
 
 def test_uniform_quadratic_draws_are_seed_stable():

@@ -21,7 +21,7 @@ from laglearn.evaluation import (
 from laglearn.feedback import FixedDelay
 from laglearn.geometry import Ball, Box
 from laglearn.learners import Influence, InverseSqrtStep, InverseTimeStep, OgdLearner
-from laglearn.losses import NormLoss, QuadraticLoss
+from laglearn.losses import Loss, NormLoss, QuadraticLoss
 
 
 def interval(lo, hi):
@@ -125,9 +125,8 @@ def _toy_trajectory(estimates, losses, fingerprint="toy"):
     return Trajectory(
         horizon=horizon, dim=est.shape[1], estimates=est, loss_values=values,
         score_errors=np.zeros(horizon), score_error_losses=np.zeros(horizon),
-        delivered=tuple(() for _ in range(horizon)), losses=list(losses),
-        delays=np.ones(horizon, dtype=np.int64), delay_sum=horizon, seed=0,
-        fingerprint=fingerprint)
+        loss=Loss.stack(losses), delays=np.ones(horizon, dtype=np.int64),
+        delay_sum=horizon, seed=0, fingerprint=fingerprint)
 
 
 def test_regret_hand_computed_two_round_instance():
@@ -187,8 +186,8 @@ def test_trajectory_replay_consistency():
     stream = GaussianStream(rho=0.5, seed=31)
     learner = OgdLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=3),
                          Influence.coupled(1))
-    traj = run_game(learner, stream, FixedDelay(3), uniform_quadratic(),
-                    LinearScoring.default(1, 1), horizon=250, seed=17)
+    traj = run_game(learner, [stream], [FixedDelay(3)], uniform_quadratic(),
+                    LinearScoring.default(1, 1), horizon=250, seeds=[17])[0]
     assert traj.replay_gap() <= 1e-9
 
 
@@ -196,8 +195,8 @@ def test_cumulative_score_error_bounded_by_comparator_plus_regret():
     stream = GaussianStream(rho=0.5, seed=37)
     learner = OgdLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=4),
                          Influence.coupled(1))
-    traj = run_game(learner, stream, FixedDelay(4), uniform_quadratic(),
-                    LinearScoring.default(1, 1), horizon=300, seed=5)
+    traj = run_game(learner, [stream], [FixedDelay(4)], uniform_quadratic(),
+                    LinearScoring.default(1, 1), horizon=300, seeds=[5])[0]
     report = regret(traj, Ball([0.0], 4.0))
     chain_total = float(traj.score_error_losses.sum())
     assert chain_total <= report.comparator_loss + report.regret[-1] + 1e-6
@@ -298,8 +297,8 @@ def test_strongly_convex_regret_under_harmonic_ceiling():
     gamma = 2.0 * a
     stream = GaussianStream(rho=0.5, seed=41)
     learner = OgdLearner(body, InverseTimeStep(gamma=gamma, tau=tau), Influence.coupled(1))
-    traj = run_game(learner, stream, FixedDelay(tau), fixed_loss(QuadraticLoss, a=a, b=0.0),
-                    LinearScoring.default(1, 1), horizon=horizon, seed=43)
+    traj = run_game(learner, [stream], [FixedDelay(tau)], fixed_loss(QuadraticLoss, a=a, b=0.0),
+                    LinearScoring.default(1, 1), horizon=horizon, seeds=[43])[0]
     report = regret(traj, body)
 
     R = body.radius_bound

@@ -13,14 +13,14 @@ from laglearn.feedback import (
 def test_push_delivery_round():
     buf = FeedbackBuffer()
     buf.push(5, 3)
-    assert buf.ready_at(7) == (5,)  # 5 + 3 - 1 = 7
-    assert buf.ready_at(6) == ()
+    assert tuple(buf.ready_at(7)[1]) == (5,)  # 5 + 3 - 1 = 7
+    assert tuple(buf.ready_at(6)[1]) == ()
 
 
 def test_no_delay_delivers_same_round():
     buf = FeedbackBuffer()
     buf.push(1, 1)
-    assert buf.ready_at(1) == (1,)
+    assert tuple(buf.ready_at(1)[1]) == (1,)
 
 
 def test_fixed_lag_pattern():
@@ -28,10 +28,10 @@ def test_fixed_lag_pattern():
     buf = FeedbackBuffer()
     for s in range(1, 11):
         buf.push(s, 3)
-    assert buf.ready_at(1) == ()
-    assert buf.ready_at(2) == ()
+    assert tuple(buf.ready_at(1)[1]) == ()
+    assert tuple(buf.ready_at(2)[1]) == ()
     for t in range(3, 11):
-        assert buf.ready_at(t) == (t - 2,)
+        assert tuple(buf.ready_at(t)[1]) == (t - 2,)
 
 
 def test_multiple_deliveries_one_round():
@@ -39,9 +39,9 @@ def test_multiple_deliveries_one_round():
     buf = FeedbackBuffer()
     for s, d in enumerate((3, 1, 1), start=1):
         buf.push(s, d)
-    assert buf.ready_at(1) == ()
-    assert buf.ready_at(2) == (2,)
-    assert buf.ready_at(3) == (1, 3)
+    assert tuple(buf.ready_at(1)[1]) == ()
+    assert tuple(buf.ready_at(2)[1]) == (2,)
+    assert tuple(buf.ready_at(3)[1]) == (1, 3)
 
 
 def test_delay_sum():
@@ -92,7 +92,7 @@ def test_exactly_once_over_random_schedules():
             buf.push(s, int(d))
         seen = []
         for t in range(1, horizon + d_max + 1):
-            ready = buf.ready_at(t)
+            ready = buf.ready_at(t)[1].tolist()
             assert len(set(ready)) == len(ready)
             seen.extend(ready)
         assert sorted(seen) == list(range(1, horizon + 1))
@@ -120,3 +120,12 @@ def test_delays_from_file(tmp_path):
     bad.write_text("3\nx\n", encoding="utf-8")
     with pytest.raises(ValueError, match="bad.txt:2"):
         delays_from_file(bad)
+
+
+def test_a_huge_delay_is_delivered_once_without_a_table_up_to_it():
+    buf = FeedbackBuffer()
+    buf.push(1, 10**12)
+    buf.push(2, 1)
+    assert tuple(buf.ready_at(2)[1]) == (2,)
+    assert tuple(buf.ready_at(10**12)[1]) == (1,)
+    assert tuple(buf.ready_at(3)[1]) == ()

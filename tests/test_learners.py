@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from laglearn.environment import ExplicitStream, GaussianStream, LinearScoring, run_game, fixed_loss
-from laglearn.feedback import ExplicitDelay, FixedDelay
+from laglearn.feedback import ExplicitDelay, FixedDelay, RandomDelay
 from laglearn.geometry import Ball, EuclideanMap, NegativeEntropyMap, Simplex
 from laglearn.learners import (
     AdversarialLearner,
@@ -24,7 +24,7 @@ from laglearn.learners import (
     step_ogd,
     step_omd,
 )
-from laglearn.losses import NormLoss, QuadraticLoss
+from laglearn.losses import ZERO_SUBGRADIENT_FLAG, NormLoss, QuadraticLoss
 
 
 def make_state(estimate, body, t):
@@ -134,7 +134,7 @@ def test_omd_zero_move_is_identity():
 def test_adversarial_empty_set_no_influence_is_identity():
     body = Ball([0.0, 0.0], 10.0)
     state = make_state([0.4, -0.1], body, t=2)
-    out = step_adversarial(state, 0.1, 0.1, Influence.disabled(2), [], [1.0, 1.0])
+    out = step_adversarial(state, 0.1, 0.1, Influence.disabled(2), np.zeros(2), [1.0, 1.0])
     assert np.array_equal(out, [0.4, -0.1])
 
 
@@ -143,7 +143,7 @@ def test_adversarial_summed_update():
     body = Ball([0.0, 0.0], 10.0)
     state = make_state([0.0, 0.0], body, t=3)
     out = step_adversarial(state, 0.1, 0.1, Influence.disabled(2),
-                           [[1.0, 0.0], [0.0, 1.0]], None)
+                           np.add([1.0, 0.0], [0.0, 1.0]), None)
     assert np.allclose(out, [-0.1, -0.1])
 
 
@@ -231,8 +231,8 @@ def _explicit_game(learner, horizon=12, delays=None, d=1):
     known = np.linspace(0.5, 1.5, horizon)[:, None]
     stream = ExplicitStream(known, hidden)
     schedule = delays if delays is not None else ExplicitDelay(tuple([d] * horizon))
-    return run_game(learner, stream, schedule, fixed_loss(QuadraticLoss, a=1.0, b=0.0),
-                    LinearScoring.default(1, 1), horizon, seed=5)
+    return run_game(learner, [stream], [schedule], fixed_loss(QuadraticLoss, a=1.0, b=0.0),
+                    LinearScoring.default(1, 1), horizon, seeds=[5])[0]
 
 
 def test_no_delay_reduction_matches_plain_ogd():
@@ -272,8 +272,8 @@ def test_feasibility_every_round():
     body = Ball([0.5], 1.5)
     stream = GaussianStream(rho=0.3, body_hidden=body, seed=42)
     learner = OgdLearner(body, InverseSqrtStep(sigma=2.0, tau=3), Influence.coupled(1))
-    traj = run_game(learner, stream, FixedDelay(3), fixed_loss(QuadraticLoss, a=1.0),
-                    LinearScoring.default(1, 1), 300, seed=1)
+    traj = run_game(learner, [stream], [FixedDelay(3)], fixed_loss(QuadraticLoss, a=1.0),
+                    LinearScoring.default(1, 1), 300, seeds=[1])[0]
     for est in traj.estimates:
         assert body.contains(est, tol=1e-9)
 
@@ -288,7 +288,7 @@ def test_gradients_use_the_decision_of_the_source_round():
     traj = _explicit_game(learner, horizon=horizon, d=tau + 1)
     est = traj.estimates[:, 0]
     for t in range(tau + 1, horizon):  # update applied at round t produces round t+1
-        g = traj.losses[t - tau - 1].grad(np.array([est[t - tau - 1]]))[0]
+        g = traj.loss[t - tau - 1].grad(np.array([est[t - tau - 1]]))[0]
         predicted = est[t - 1] - sched.eta(t) * g
         assert est[t] == pytest.approx(predicted, abs=1e-12)
 
@@ -303,3 +303,34 @@ def test_naive_learner_plays_running_mean_of_revealed():
         revealed = hidden[: max(t - 1 - tau, 0)]  # delivered by the end of round t-1
         expected = revealed.mean() if revealed.size else 0.0
         assert traj.estimates[t - 1, 0] == pytest.approx(expected, abs=1e-12)
+
+
+def test_naive_estimate_is_the_mean_of_the_delivered_anchors_bit_for_bit():
+    # Three trials in lockstep with their own random delays: rounds deliver
+    # several anchors of a trial, or none, and the trials' sets differ.
+    horizon = 80
+    streams = [GaussianStream(d1=3, d2=2, rho=0.4, seed=seed) for seed in (1, 2, 3)]
+    learner = NaiveLearner(Ball([0.0, 0.0], 4.0))
+    trajs = run_game(learner, streams, [RandomDelay(d_max=7, seed=s) for s in (4, 5, 6)],
+                     fixed_loss(NormLoss), LinearScoring.default(3, 2), horizon,
+                     seeds=[0, 0, 0])
+    for traj in trajs:
+        revealed = []
+        for t in range(1, horizon):
+            revealed.extend(traj.delivered[t - 1])
+            anchors = traj.loss.anchor[np.array(revealed, dtype=int) - 1]
+            expected = np.mean(anchors, axis=0) if revealed else np.zeros(2)
+            assert np.array_equal(traj.estimates[t], expected)
+
+
+def test_zero_subgradient_flags_only_for_deliveries_within_the_horizon():
+    # Trial 0 plays its anchor every round, so every gradient is the zero
+    # subgradient of the norm loss; with lag 1 the last one is never delivered.
+    # Trial 1's anchors sit elsewhere and raise no flag.
+    streams = [ExplicitStream([[0.0]] * 4, [[0.0]] * 4),
+               ExplicitStream([[0.0]] * 4, [[1.0]] * 4)]
+    learner = OgdLearner(Ball([0.0], 10.0), ConstantStep(value=0.5, tau=1))
+    first, second = run_game(learner, streams, [FixedDelay(1)] * 2, fixed_loss(NormLoss),
+                             LinearScoring.default(1, 1), 4, seeds=[0, 0])
+    assert first.flags == (ZERO_SUBGRADIENT_FLAG,) * 3
+    assert second.flags == ()
