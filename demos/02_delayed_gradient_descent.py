@@ -13,10 +13,10 @@ from laglearn import (
     Ball,
     FixedDelay,
     GaussianStream,
+    GradientLearner,
     Influence,
     InverseSqrtStep,
     LinearScoring,
-    OgdLearner,
     regret,
     run_game,
     uniform_quadratic,
@@ -27,7 +27,7 @@ HORIZON = 1000
 
 body = Ball([0.0], 4.0)
 stream = GaussianStream(rho=0.5, body_hidden=body, seed=7)
-learner = OgdLearner(body, InverseSqrtStep(sigma=0.5, tau=TAU), Influence.coupled(1))
+learner = GradientLearner(body, InverseSqrtStep(sigma=0.5, tau=TAU), Influence.coupled(1))
 
 traj = run_game(learner, [stream], [FixedDelay(TAU)], uniform_quadratic(),
                 LinearScoring.default(1, 1), HORIZON, seeds=[11])[0]

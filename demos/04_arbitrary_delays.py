@@ -2,17 +2,19 @@
 """Feedback with arbitrary (adversary-chosen) delays.
 
 Each round's loss lands after its own random delay, so a single round
-may deliver several losses at once or none at all.  The constant-step
-learner folds whole delivery batches into one update; its regret tracks
-the square root of the total delay sum D rather than the horizon alone.
+may deliver several losses at once or none at all.  The gradient
+learner, told to accept any delays, takes a constant step against the
+sum of each round's delivery batch; its regret tracks the square root
+of the total delay sum D rather than the horizon alone.
 """
 
 import numpy as np
 
 from laglearn import (
-    AdversarialLearner,
     Ball,
+    ConstantStep,
     GaussianStream,
+    GradientLearner,
     LinearScoring,
     RandomDelay,
     eta_for_arbitrary_delay,
@@ -30,7 +32,7 @@ for horizon in (500, 1000, 2000):
     eta = eta_for_arbitrary_delay(L=1.0, R=body.radius_bound, lam=0.0,
                                   horizon=horizon, delay_sum=delay_sum)
     stream = GaussianStream(mean=0.25, body_hidden=body, seed=5)
-    learner = AdversarialLearner(body, eta=eta)
+    learner = GradientLearner(body, ConstantStep(value=eta), any_delays=True)
     traj = run_game(learner, [stream], [delays], fixed_loss(NormLoss),
                     LinearScoring.default(1, 1), horizon, seeds=[8])[0]
     report = regret(traj, body)
@@ -40,7 +42,7 @@ for horizon in (500, 1000, 2000):
 print("\nbatched deliveries around one mid-game round:")
 delays = RandomDelay(d_max=20, seed=33)
 stream = GaussianStream(mean=0.25, body_hidden=body, seed=5)
-learner = AdversarialLearner(body, eta=0.01)
+learner = GradientLearner(body, ConstantStep(value=0.01), any_delays=True)
 traj = run_game(learner, [stream], [delays], fixed_loss(NormLoss),
                 LinearScoring.default(1, 1), 60, seeds=[8])[0]
 for t in range(20, 31):

@@ -10,10 +10,10 @@ import numpy as np
 
 from laglearn import (
     FixedDelay,
+    GradientLearner,
     InverseSqrtStep,
     LinearScoring,
     NaiveLearner,
-    OgdLearner,
     PolygonStream,
     regret,
     regular_polygon,
@@ -33,7 +33,7 @@ def play(learner):
     return traj, regret(traj, pentagon)
 
 
-grad_traj, grad_report = play(OgdLearner(pentagon, InverseSqrtStep(sigma=0.5, tau=TAU)))
+grad_traj, grad_report = play(GradientLearner(pentagon, InverseSqrtStep(sigma=0.5, tau=TAU)))
 mean_traj, mean_report = play(NaiveLearner(pentagon))
 
 print(f"pentagon centered (1,1), lag tau={TAU}, T={HORIZON}, one seeded trial")

@@ -3,22 +3,19 @@
 
 Hidden contexts are probability vectors; the entropic mirror map turns
 each delayed-gradient step into a multiplicative update that never
-leaves the simplex, so no Euclidean projection is needed.  With the
-Euclidean map instead, the same learner reduces exactly to projected
-gradient descent.
+leaves the simplex, so no Euclidean projection is needed.  With the Euclidean
+map, the default, the same learner is projected gradient descent.
 """
 
 import numpy as np
 
 from laglearn import (
-    EuclideanMap,
     ExplicitStream,
     FixedDelay,
+    GradientLearner,
     InverseSqrtStep,
     LinearScoring,
     NegativeEntropyMap,
-    OgdLearner,
-    OmdLearner,
     QuadraticLoss,
     Simplex,
     fixed_loss,
@@ -34,7 +31,8 @@ hidden = rng.dirichlet((6.0, 3.0, 1.0), size=HORIZON)   # skewed target mixture
 known = hidden + 0.05 * rng.standard_normal((HORIZON, 3))
 
 stream = ExplicitStream(known, hidden, body_hidden=simplex)
-learner = OmdLearner(simplex, NegativeEntropyMap(), InverseSqrtStep(sigma=0.3, tau=TAU))
+learner = GradientLearner(simplex, InverseSqrtStep(sigma=0.3, tau=TAU),
+                          mirror=NegativeEntropyMap())
 traj = run_game(learner, [stream], [FixedDelay(TAU)], fixed_loss(QuadraticLoss, a=1.0),
                 LinearScoring.default(3, 3), HORIZON, seeds=[1])[0]
 
@@ -44,20 +42,3 @@ for t in (1, 5, 20, 100, 400):
     print(f"  t={t:3d}  estimate={np.round(est, 3)}  sum={est.sum():.6f}")
 print("  mean hidden    ", np.round(hidden.mean(axis=0), 3))
 
-# Euclidean map sanity check: identical to plain projected gradient descent.
-def euclidean_pair():
-    schedule = InverseSqrtStep(sigma=0.3, tau=TAU)
-    omd = OmdLearner(simplex, EuclideanMap(), schedule)
-    ogd = OgdLearner(simplex, schedule)
-    out = []
-    for learner in (omd, ogd):
-        stream = ExplicitStream(known, hidden, body_hidden=simplex)
-        out.append(run_game(learner, [stream], [FixedDelay(TAU)],
-                            fixed_loss(QuadraticLoss, a=1.0),
-                            LinearScoring.default(3, 3), HORIZON, seeds=[1])[0])
-    return out
-
-
-a, b = euclidean_pair()
-print("\nEuclidean-map mirror descent vs projected gradient descent:")
-print("  max trajectory gap =", float(np.max(np.abs(a.estimates - b.estimates))))

@@ -47,24 +47,19 @@ from .geometry import (
     regular_polygon,
 )
 from .learners import (
-    AdversarialLearner,
     ConstantStep,
+    GradientLearner,
     Influence,
     InverseSqrtStep,
     InverseTimeStep,
     LearnerState,
     NaiveLearner,
     NonFiniteGradient,
-    OgdLearner,
-    OmdLearner,
     StepSchedule,
     eta_for_arbitrary_delay,
     naive_estimate,
     sigma_for_fixed_delay,
     sigma_for_mirror,
-    step_adversarial,
-    step_ogd,
-    step_omd,
 )
 from .losses import ExpLoss, Loss, NormLoss, PowerLoss, QuadraticLoss
 

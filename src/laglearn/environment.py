@@ -315,7 +315,7 @@ def run_game(learner: BaseLearner, streams: list[ContextStream],
     due = np.arange(1, horizon + 1)[:, None] + delay_values.T - 1
     # Only a gradient learner meets zero subgradients, and only those delivered in time.
     kinked = loss.kinks(estimates) & (due <= horizon) & learner.uses_gradients
-    learner_flags = _learner_flags(kinked, due, learner.state.flags, trials)
+    kink_counts = kinked.sum(axis=0).tolist()
 
     return Trajectories(
         Trajectory(
@@ -330,22 +330,8 @@ def run_game(learner: BaseLearner, streams: list[ContextStream],
             delay_sum=int(delay_values[k].sum()),
             seed=seeds[k],
             fingerprint=fingerprint,
-            flags=learner_flags[k] + tuple(
+            flags=(ZERO_SUBGRADIENT_FLAG,) * kink_counts[k] + tuple(
                 f"score_chain_violated_at_{i + 1}" for i in np.flatnonzero(violated[:, k])),
         )
         for k in range(trials))
 
-
-def _learner_flags(kinked: Array, due: Array, events, trials: int) -> list[tuple[str, ...]]:
-    """Each trial's learner flags in the order the learner met them.
-
-    At a round, the zero subgradients among the gradients delivered then
-    come first, in source order, and the learner's own (round, row, flag)
-    events after them.  `kinked` and `due` are (source round, trial) arrays.
-    """
-    met: list[list] = [[] for _ in range(trials)]
-    for i, k in zip(*np.nonzero(kinked)):
-        met[k].append((int(due[i, k]), 0, int(i), ZERO_SUBGRADIENT_FLAG))
-    for t, k, flag in events:
-        met[k].append((t, 1, 0, flag))
-    return [tuple(flag for *_, flag in sorted(items)) for items in met]

@@ -5,9 +5,8 @@ the single best fixed decision in hindsight:
 
     regret(T) = sum_t f_t(x_t)  -  min_{y in body} sum_t f_t(y)
 
-The prefix series regret(t) reuses the horizon-T comparator (the fixed
-benchmark the guarantees are stated against); per-prefix comparators are
-available behind a flag for diagnostics.
+The prefix series regret(t) reuses the horizon-T comparator, the fixed
+benchmark the guarantees are stated against.
 """
 
 from __future__ import annotations
@@ -84,7 +83,6 @@ class RegretReport:
     converged: bool = True
     exponent: float | None = None
     exponent_halfwidth: float | None = None
-    regret_refit: Array | None = None   # diagnostics: per-prefix comparators
 
 
 @dataclass
@@ -261,8 +259,7 @@ def _sum_oracles(losses: Loss):
 # Regret
 # ---------------------------------------------------------------------------
 
-def regret(traj: Trajectory, body: ConvexBody, refit_prefixes: bool = False,
-           skip_rounds: int = 0) -> RegretReport:
+def regret(traj: Trajectory, body: ConvexBody, skip_rounds: int = 0) -> RegretReport:
     """Regret curve of a finished trajectory against the hindsight optimum.
 
     `skip_rounds` drops that many initial rounds from the reported regret
@@ -282,17 +279,6 @@ def regret(traj: Trajectory, body: ConvexBody, refit_prefixes: bool = False,
     cum_loss = np.cumsum(traj.loss_values)
     series = np.cumsum(scored_loss) - np.cumsum(comparator_values)
 
-    refit = None
-    if refit_prefixes:
-        refit = np.empty(traj.horizon)
-        cum_scored = np.cumsum(scored_loss)
-        for t in range(1, traj.horizon + 1):
-            if t <= skip_rounds:
-                refit[t - 1] = 0.0
-                continue
-            sol_t = offline_optimum(traj.loss[skip_rounds:t], body)
-            refit[t - 1] = cum_scored[t - 1] - sol_t.total
-
     return RegretReport(
         horizon=traj.horizon,
         regret=series,
@@ -302,7 +288,6 @@ def regret(traj: Trajectory, body: ConvexBody, refit_prefixes: bool = False,
         delay_sum=traj.delay_sum,
         fingerprint=traj.fingerprint,
         converged=solution.converged,
-        regret_refit=refit,
     )
 
 

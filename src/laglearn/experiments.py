@@ -26,7 +26,7 @@ import numpy as np
 
 from . import environment, evaluation, feedback, geometry, learners
 from .evaluation import RegretReport, Trajectory
-from .geometry import Ball, ConvexBody, EuclideanMap, NegativeEntropyMap, Simplex
+from .geometry import Ball, ConvexBody, EuclideanMap, MirrorMap, NegativeEntropyMap, Simplex
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -299,10 +299,17 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
 # Building game pieces from a config
 # ---------------------------------------------------------------------------
 
+def _mirror_map(cfg: ExperimentConfig) -> MirrorMap:
+    """The gradient learners' mirror map: entropic only for omd with mirror = negentropy."""
+    if cfg.learner == "omd" and cfg.mirror == "negentropy":
+        return NegativeEntropyMap()
+    return EuclideanMap()
+
+
 def _hidden_body(cfg: ExperimentConfig) -> ConvexBody:
     if cfg.stream == "pentagon":
         return geometry.regular_polygon(5, center=(1.0, 1.0), circumradius=1.0)
-    if cfg.learner == "omd" and cfg.mirror == "negentropy":
+    if isinstance(_mirror_map(cfg), NegativeEntropyMap):
         return Simplex(cfg.d2)
     return Ball(np.zeros(cfg.d2), cfg.radius)
 
@@ -356,17 +363,25 @@ def _influence(cfg: ExperimentConfig) -> learners.Influence:
     return learners.Influence.constant(float(cfg.lam), cfg.d2)
 
 
-def _resolve_sigma(cfg: ExperimentConfig, body: ConvexBody, smoothness: float = 1.0):
+def _resolve_sigma(cfg: ExperimentConfig, body: ConvexBody, smoothness: float):
     if cfg.sigma == "auto":
-        L = _auto_lipschitz(cfg, body)
-        tau = max(cfg.tau, 1)
-        if smoothness == 1.0:
-            return learners.sigma_for_fixed_delay(L, body.radius_bound, tau)
-        return learners.sigma_for_mirror(L, body.radius_bound, tau, smoothness)
+        return learners.sigma_for_mirror(_auto_lipschitz(cfg, body), body.radius_bound,
+                                         max(cfg.tau, 1), smoothness)
     return float(cfg.sigma)
 
 
-def _build_schedule(cfg: ExperimentConfig, body: ConvexBody, smoothness: float = 1.0):
+def _build_schedule(cfg: ExperimentConfig, body: ConvexBody, smoothness: float,
+                    delays: list, horizon: int):
+    if cfg.learner == "adversarial":
+        # A constant step, tuned to each trial's realized delay sum when "auto".
+        if cfg.eta == "auto":
+            L = _auto_lipschitz(cfg, body)
+            eta = [learners.eta_for_arbitrary_delay(L, body.radius_bound, float(cfg.lam), horizon,
+                                                    int(schedule.realize(horizon).sum()))
+                   for schedule in delays]
+        else:
+            eta = float(cfg.eta)
+        return learners.ConstantStep(value=eta, beta_override=cfg.beta)
     if cfg.schedule == "sqrt":
         return learners.InverseSqrtStep(sigma=_resolve_sigma(cfg, body, smoothness),
                                         tau=cfg.tau, beta_override=cfg.beta)
@@ -379,21 +394,10 @@ def _build_schedule(cfg: ExperimentConfig, body: ConvexBody, smoothness: float =
 def _build_learner(cfg: ExperimentConfig, body: ConvexBody, delays: list, horizon: int):
     if cfg.learner == "naive":
         return learners.NaiveLearner(body)
-    if cfg.learner == "ogd":
-        return learners.OgdLearner(body, _build_schedule(cfg, body), _influence(cfg))
-    if cfg.learner == "omd":
-        mirror = EuclideanMap() if cfg.mirror == "euclidean" else NegativeEntropyMap()
-        schedule = _build_schedule(cfg, body, smoothness=mirror.smoothness)
-        return learners.OmdLearner(body, mirror, schedule, _influence(cfg))
-    # adversarial: a constant step, tuned to each trial's realized delay sum when "auto"
-    if cfg.eta == "auto":
-        L = _auto_lipschitz(cfg, body)
-        eta = [learners.eta_for_arbitrary_delay(L, body.radius_bound, float(cfg.lam),
-                                                horizon, int(schedule.realize(horizon).sum()))
-               for schedule in delays]
-    else:
-        eta = float(cfg.eta)
-    return learners.AdversarialLearner(body, eta=eta, beta=cfg.beta, influence=_influence(cfg))
+    mirror = _mirror_map(cfg)
+    schedule = _build_schedule(cfg, body, mirror.smoothness, delays, horizon)
+    return learners.GradientLearner(body, schedule, _influence(cfg), mirror,
+                                    any_delays=cfg.learner == "adversarial")
 
 
 def _build_delays(cfg: ExperimentConfig, seed: int):
@@ -413,9 +417,7 @@ def resolve_arm(cfg: ExperimentConfig) -> dict:
     resolved.pop("trials")
     resolved["body"] = body.describe()
     if cfg.learner in ("ogd", "omd") and cfg.schedule == "sqrt":
-        resolved["sigma_resolved"] = _resolve_sigma(
-            cfg, body,
-            smoothness=NegativeEntropyMap.smoothness if cfg.mirror == "negentropy" else 1.0)
+        resolved["sigma_resolved"] = _resolve_sigma(cfg, body, _mirror_map(cfg).smoothness)
     if cfg.learner == "adversarial" and cfg.eta == "auto":
         resolved["eta_resolved"] = "auto(per-trial delay sum)"
     return resolved

@@ -280,10 +280,9 @@ class MirrorMap:
     """Potential M with gradient / dual-gradient pair and Bregman divergence.
 
     `update(x, step)` computes grad M*(grad M(x) + step) row by row, the
-    dual-space move used by mirror-descent updates; a row that overflows is
-    clamped to finite values and its index (0 for a single point) goes to
-    `clamped`.  `smoothness` is a constant L with ||update(x, -y) - x|| <= L ||y||
-    on the map's domain.
+    dual-space move used by mirror-descent updates; for a finite step it
+    is finite.  `smoothness` is a constant L with
+    ||update(x, -y) - x|| <= L ||y|| on the map's domain.
     """
 
     smoothness: float
@@ -298,7 +297,7 @@ class MirrorMap:
     def grad_dual(self, y) -> Array:
         raise NotImplementedError
 
-    def update(self, x, step, clamped: list[int] | None = None) -> Array:
+    def update(self, x, step) -> Array:
         raise NotImplementedError
 
     def bregman(self, x, y) -> float:
@@ -327,15 +326,8 @@ class EuclideanMap(MirrorMap):
     def grad_dual(self, y) -> Array:
         return as_vector(y).copy()
 
-    def update(self, x, step, clamped: list[int] | None = None) -> Array:
-        v = np.asarray(x, dtype=float)
-        out = v + as_points(step, v.shape[-1])
-        bad = ~np.all(np.isfinite(out), axis=-1)
-        if np.any(bad):
-            out = np.nan_to_num(out, posinf=1e30, neginf=-1e30)
-            if clamped is not None:
-                clamped.extend(np.flatnonzero(bad).tolist())
-        return out
+    def update(self, x, step) -> Array:
+        return np.add(x, step)
 
     def bregman(self, x, y) -> float:
         v = as_vector(x)
@@ -379,20 +371,14 @@ class NegativeEntropyMap(MirrorMap):
         w = np.exp(z)
         return w / w.sum()
 
-    def update(self, x, step, clamped: list[int] | None = None) -> Array:
+    def update(self, x, step) -> Array:
         v = np.asarray(x, dtype=float)
         z = np.log(np.maximum(v, ENTROPY_FLOOR)) + as_points(step, v.shape[-1])
-        z = z - z.max(axis=-1, keepdims=True)  # shift-invariant after renormalization
+        # Shift-invariant after renormalization; the largest coordinate
+        # becomes exp(0) = 1, so the total lies in [1, dim].
+        z = z - z.max(axis=-1, keepdims=True)
         w = np.exp(z)
-        total = w.sum(axis=-1, keepdims=True)
-        bad = ~np.isfinite(total[..., 0]) | (total[..., 0] <= 0.0)
-        if np.any(bad):
-            fixed = np.maximum(np.nan_to_num(w, posinf=1e30, neginf=0.0), ENTROPY_FLOOR)
-            w = np.where(bad[..., None], fixed, w)
-            total = w.sum(axis=-1, keepdims=True)
-            if clamped is not None:
-                clamped.extend(np.flatnonzero(bad).tolist())
-        return w / total
+        return w / w.sum(axis=-1, keepdims=True)
 
     def bregman(self, x, y) -> float:
         v = self._checked(x)

@@ -4,16 +4,17 @@ All learners play an estimate each round and, once the loss of an earlier
 round is finally delivered, move against its gradient evaluated at the
 decision that was actually played back then.  A correlation pull nudges
 the next estimate toward (or away from) the freshly observed part of the
-next context.  Update for the fixed-lag gradient learner:
+next context.  One gradient learner covers every delay setting: at the
+end of round t it moves against the sum of the gradients delivered then,
+the delivery set F_t,
 
-    x_{t+1} = proj( x_t - eta_t g_{t-tau} + beta_t * pull_{t+1} )
+    x_{t+1} = proj( x_t - eta_t sum_{s in F_t} g_s + beta_t * pull_{t+1} )
 
-where g_{t-tau} is the gradient of the most recent completely known loss
-and pull is the (signed, possibly dimension-reduced) known context.  The
-mirror-descent variant routes the same step through a mirror map, and the
-arbitrary-delay variant consumes whole delivery sets with a constant step:
-
-    x_{t+1} = proj( x_t - eta * sum_{s in F_t} g_s + beta * pull_{t+1} )
+where pull is the (signed, possibly dimension-reduced) known context of
+the next round.  A fixed lag tau is the case F_t = {t - tau}; with any
+delays a set may hold several gradients or none.  A mirror map routes the
+same move through its dual space (the Euclidean map is the plain step
+above), and maps with a built-in domain skip the projection.
 
 The sample-mean baseline ignores gradients entirely and plays the average
 of all hidden contexts revealed so far.
@@ -25,17 +26,15 @@ holds one row per trial, and every step acts on all rows at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Array, ConvexBody, MirrorMap
-
-MIRROR_CLAMP_FLAG = "mirror_update_clamped"
+from .geometry import Array, ConvexBody, EuclideanMap, MirrorMap
 
 
 class NonFiniteGradient(ValueError):
-    """Raised when a delivered gradient has NaN or infinite entries."""
+    """Raised when a delivered gradient, or the step built from it, has NaN or infinite entries."""
 
 
 # ---------------------------------------------------------------------------
@@ -112,15 +111,22 @@ class InverseTimeStep(StepSchedule):
 
 @dataclass(frozen=True)
 class ConstantStep(StepSchedule):
-    """eta(t) = value for t > tau, else 0."""
+    """eta(t) = value for t > tau, else 0.
 
-    value: float
+    `value` is one step for every trial or one per trial; a per-trial
+    value is kept as a column, one row per trial.
+    """
+
+    value: float | Array
     tau: int = 0
     beta_override: float | None = None
 
     def __post_init__(self):
-        if self.value <= 0:
+        value = np.asarray(self.value, dtype=float)
+        if np.any(value <= 0):
             raise ValueError("step size must be positive")
+        if value.ndim:
+            object.__setattr__(self, "value", value.reshape(-1, 1))
         if self.tau < 0:
             raise ValueError("tau must be >= 0")
 
@@ -128,7 +134,8 @@ class ConstantStep(StepSchedule):
         return self.value if t > self.tau else 0.0
 
     def describe(self) -> str:
-        return f"constant(eta={self.value}, tau={self.tau})"
+        value = np.ravel(self.value).tolist() if np.ndim(self.value) else self.value
+        return f"constant(eta={value}, tau={self.tau})"
 
 
 # ---------------------------------------------------------------------------
@@ -196,74 +203,20 @@ class Influence:
 
 
 # ---------------------------------------------------------------------------
-# Learner state and update steps
+# Learner state
 # ---------------------------------------------------------------------------
 
 @dataclass
 class LearnerState:
-    """Current estimate, last round played and numerical flags; no history.
+    """Current estimate and last round played; no history.
 
-    `estimate` has one row per trial (or is a single point).  `flags`
-    holds (round, row, flag) events; the game loop hands each delivered
-    gradient over once its due round comes.
+    `estimate` has one row per trial (or is a single point); the game
+    loop hands each delivered gradient over once its due round comes.
     """
 
     estimate: Array
     body: ConvexBody
     t: int = 0
-    flags: list[tuple[int, int, str]] = field(default_factory=list)
-
-
-def _combined_step(state, eta, beta, influence, grad, next_known) -> Array:
-    g = np.asarray(grad, dtype=float)
-    if not np.isfinite(g).all():
-        raise NonFiniteGradient(f"gradient has NaN or infinite entries at round {state.t}")
-    return beta * influence.pull(next_known, eta) - eta * g
-
-
-def step_ogd(state: LearnerState, schedule: StepSchedule, influence: Influence,
-             grad, next_known) -> Array:
-    """Projected gradient step on the freshest completely known loss."""
-    t = state.t
-    if t <= schedule.tau:
-        raise RuntimeError(f"update at round {t} before the warm-up ({schedule.tau}) finished")
-    move = _combined_step(state, schedule.eta(t), schedule.beta(t), influence, grad, next_known)
-    state.estimate = state.body.project(state.estimate + move)
-    return state.estimate
-
-
-def step_omd(state: LearnerState, mirror: MirrorMap, schedule: StepSchedule,
-             influence: Influence, grad, next_known) -> Array:
-    """Mirror-descent step: the same move routed through the mirror map.
-
-    With the Euclidean map this reproduces `step_ogd` exactly.  Maps with a
-    built-in domain (the entropic map normalizes onto the simplex) skip the
-    Euclidean projection.
-    """
-    t = state.t
-    if t <= schedule.tau:
-        raise RuntimeError(f"update at round {t} before the warm-up ({schedule.tau}) finished")
-    move = _combined_step(state, schedule.eta(t), schedule.beta(t), influence, grad, next_known)
-    clamped: list[int] = []
-    out = mirror.update(state.estimate, move, clamped=clamped)
-    state.flags.extend((t, row, MIRROR_CLAMP_FLAG) for row in clamped)
-    if mirror.needs_projection:
-        out = state.body.project(out)
-    state.estimate = out
-    return state.estimate
-
-
-def step_adversarial(state: LearnerState, eta, beta, influence: Influence,
-                     total, next_known) -> Array:
-    """Constant-step update over a whole delivery set (possibly empty).
-
-    `total` is the sum of the delivered gradients of each row, each taken
-    at the decision of its source round and added in source-round order;
-    an empty set sums to zero and leaves only the correlation pull.
-    """
-    move = _combined_step(state, eta, beta, influence, total, next_known)
-    state.estimate = state.body.project(state.estimate + move)
-    return state.estimate
 
 
 def naive_estimate(revealed, dim: int) -> Array:
@@ -282,11 +235,10 @@ def sigma_for_fixed_delay(L: float, R: float, tau: int) -> float:
 
     The scale should equal R / (L' sqrt(tau)) where L' = L + sigma R already
     contains the scale, so we solve the quadratic
-    sqrt(tau) R sigma^2 + sqrt(tau) L sigma - R = 0 for its positive root.
+    sqrt(tau) R sigma^2 + sqrt(tau) L sigma - R = 0 for its positive root:
+    the mirror-descent scale with map smoothness 1.
     """
-    if L <= 0 or R < 0 or tau < 1:
-        raise ValueError("need L > 0, R >= 0, tau >= 1")
-    return _tuning_root(L, R, math.sqrt(tau))
+    return sigma_for_mirror(L, R, tau, 1.0)
 
 
 def sigma_for_mirror(L: float, R: float, tau: int, smoothness: float) -> float:
@@ -360,71 +312,54 @@ class BaseLearner:
         raise NotImplementedError
 
 
-class OgdLearner(BaseLearner):
-    """Fixed-lag projected gradient descent with a correlation pull."""
+class GradientLearner(BaseLearner):
+    """Delayed (mirror) gradient descent with a correlation pull.
 
-    def __init__(self, body: ConvexBody, schedule: StepSchedule, influence: Influence | None = None):
+    With `any_delays` False the learner needs a fixed lag, the schedule's
+    tau, so each row's delivery set is the one gradient of round t - tau;
+    with `any_delays` True it sums whatever each round delivers, in source
+    order.  Nothing moves through the warm-up rounds t <= tau, before the
+    first delivery of a fixed lag.
+    """
+
+    def __init__(self, body: ConvexBody, schedule: StepSchedule,
+                 influence: Influence | None = None, mirror: MirrorMap = EuclideanMap(),
+                 any_delays: bool = False):
+        if any_delays and schedule.tau:
+            raise ValueError("a learner for any delays takes a schedule with tau = 0")
         self.schedule = schedule
-        self.lag = schedule.tau
-        self.influence = influence if influence is not None else Influence.disabled(body.dim)
-        self.state = LearnerState(estimate=np.zeros(body.dim), body=body)
-
-    def observe(self, rows, feedback, next_known) -> None:
-        # The lag check leaves one gradient per row from round lag + 1 on.
-        if len(rows):
-            step_ogd(self.state, self.schedule, self.influence, feedback, next_known)
-
-    def describe(self) -> str:
-        return f"ogd({self.schedule.describe()}, {self.influence.describe()})"
-
-
-class OmdLearner(BaseLearner):
-    """Fixed-lag mirror descent; Euclidean map reproduces OgdLearner exactly."""
-
-    def __init__(self, body: ConvexBody, mirror: MirrorMap, schedule: StepSchedule,
-                 influence: Influence | None = None):
         self.mirror = mirror
-        self.schedule = schedule
-        self.lag = schedule.tau
+        self.lag = None if any_delays else schedule.tau
         self.influence = influence if influence is not None else Influence.disabled(body.dim)
         self.state = LearnerState(estimate=mirror.initial_point(body.dim), body=body)
 
-    def observe(self, rows, feedback, next_known) -> None:
-        if len(rows):
-            step_omd(self.state, self.mirror, self.schedule, self.influence, feedback,
-                     next_known)
-
-    def describe(self) -> str:
-        return (f"omd({self.mirror.describe()}, {self.schedule.describe()}, "
-                f"{self.influence.describe()})")
-
-
-class AdversarialLearner(BaseLearner):
-    """Constant-step gradient descent that absorbs whole delivery sets."""
-
-    def __init__(self, body: ConvexBody, eta, beta: float | None = None,
-                 influence: Influence | None = None):
-        """`eta` is one step for every trial or one per trial."""
-        eta = np.asarray(eta, dtype=float)
-        if np.any(eta <= 0):
-            raise ValueError("eta must be positive")
-        self.eta = eta[:, None] if eta.ndim else float(eta)
-        self.beta = float(beta) if beta is not None else self.eta
-        self.influence = influence if influence is not None else Influence.disabled(body.dim)
-        self.state = LearnerState(estimate=np.zeros(body.dim), body=body)
-
     def start(self, trials: int, horizon: int) -> None:
-        if np.ndim(self.eta) and len(self.eta) != trials:
-            raise ValueError(f"{len(self.eta)} step sizes for {trials} trials")
+        steps = np.shape(self.schedule.eta(self.schedule.tau + 1))
+        if steps and steps[0] != trials:
+            raise ValueError(f"{steps[0]} step sizes for {trials} trials")
         super().start(trials, horizon)
 
     def observe(self, rows, feedback, next_known) -> None:
-        total = np.zeros(self.state.estimate.shape)
-        np.add.at(total, rows, feedback)  # row by row in source order
-        step_adversarial(self.state, self.eta, self.beta, self.influence, total, next_known)
+        state, t = self.state, self.state.t
+        if t <= self.schedule.tau:
+            return
+        if self.lag is None:
+            total = np.zeros(state.estimate.shape)
+            np.add.at(total, rows, feedback)  # row by row in source order
+        else:
+            total = feedback  # the lag check leaves one gradient per row
+        eta = self.schedule.eta(t)
+        move = self.schedule.beta(t) * self.influence.pull(next_known, eta) - eta * total
+        if not np.isfinite(move).all():
+            what = "gradient" if not np.isfinite(total).all() else "step"
+            raise NonFiniteGradient(f"{what} has NaN or infinite entries at round {t}")
+        out = self.mirror.update(state.estimate, move)
+        state.estimate = state.body.project(out) if self.mirror.needs_projection else out
 
     def describe(self) -> str:
-        return f"adversarial(eta={self.eta}, beta={self.beta}, {self.influence.describe()})"
+        delays = "any delays" if self.lag is None else f"lag {self.lag}"
+        return (f"gradient({self.mirror.describe()}, {self.schedule.describe()}, "
+                f"{self.influence.describe()}, {delays})")
 
 
 class NaiveLearner(BaseLearner):

@@ -32,12 +32,10 @@ from laglearn.geometry import (
     regular_polygon,
 )
 from laglearn.learners import (
-    AdversarialLearner,
     ConstantStep,
+    GradientLearner,
     Influence,
     InverseSqrtStep,
-    OgdLearner,
-    OmdLearner,
 )
 from laglearn.losses import ExpLoss, NormLoss, PowerLoss, QuadraticLoss
 
@@ -169,16 +167,16 @@ def test_criterion_3_strongly_convex_lag_ratio(thm2):
 def test_criterion_4_omd_ogd_equivalence():
     horizon = 500
 
-    def play(learner_cls, **kw):
+    def play(**kw):
         stream = GaussianStream(rho=0.5, seed=2024)
         body = Ball([0.0], 4.0)
-        learner = learner_cls(body=body, schedule=InverseSqrtStep(sigma=0.5, tau=5),
-                              influence=Influence.coupled(1), **kw)
+        learner = GradientLearner(body=body, schedule=InverseSqrtStep(sigma=0.5, tau=5),
+                                  influence=Influence.coupled(1), **kw)
         return run_game(learner, [stream], [FixedDelay(5)], uniform_quadratic(),
                         LinearScoring.default(1, 1), horizon, seeds=[99])[0]
 
-    ogd = play(OgdLearner)
-    omd = play(OmdLearner, mirror=EuclideanMap())
+    ogd = play()
+    omd = play(mirror=EuclideanMap())
     gap = float(np.max(np.abs(ogd.estimates - omd.estimates)))
     _check(4, "Euclidean mirror trajectory equals gradient trajectory",
            gap <= 1e-9, f"max pointwise gap={gap:g} over T={horizon}")
@@ -317,8 +315,8 @@ def test_criterion_8_score_error_chain_on_runs():
     ok, worst = True, -np.inf
     for seed in range(5):
         stream = GaussianStream(rho=0.5, seed=seed)
-        learner = OgdLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=seed + 1),
-                             Influence.coupled(1))
+        learner = GradientLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=seed + 1),
+                                  Influence.coupled(1))
         traj = run_game(learner, [stream], [FixedDelay(seed + 1)], uniform_quadratic(),
                         LinearScoring.default(1, 1), horizon=400, seeds=[seed + 10])[0]
         report = regret(traj, Ball([0.0], 4.0))
@@ -336,7 +334,7 @@ def test_criterion_8_score_error_chain_on_runs():
 
 def test_criterion_9_exact_hand_oracles():
     stream = ExplicitStream([[1.0], [1.0], [1.0]], [[1.0], [2.0], [3.0]])
-    learner = OgdLearner(Ball([0.0], 10.0), ConstantStep(value=0.5))
+    learner = GradientLearner(Ball([0.0], 10.0), ConstantStep(value=0.5))
     traj = run_game(learner, [stream], [FixedDelay(0)], fixed_loss(QuadraticLoss, a=1.0, b=0.0),
                     LinearScoring.default(1, 1), horizon=3, seeds=[0])[0]
     no_delay_ok = (np.array_equal(traj.estimates, [[0.0], [1.0], [2.0]])
@@ -346,7 +344,7 @@ def test_criterion_9_exact_hand_oracles():
            f"estimates={traj.estimates.ravel().tolist()}")
 
     stream = ExplicitStream([[1.0], [1.0], [1.0]], [[1.0], [2.0], [3.0]])
-    learner = AdversarialLearner(Ball([0.0], 10.0), eta=0.1)
+    learner = GradientLearner(Ball([0.0], 10.0), ConstantStep(value=0.1), any_delays=True)
     traj = run_game(learner, [stream], [ExplicitDelay((3, 1, 1))],
                     fixed_loss(QuadraticLoss, a=1.0, b=0.0),
                     LinearScoring.default(1, 1), horizon=3, seeds=[0])[0]

@@ -300,6 +300,44 @@ kind = fixed
     assert err.startswith("error: ") and "NaN or infinite" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("learner", [
+    "kind = ogd\nschedule = constant",
+    "kind = omd\nmirror = euclidean\nschedule = constant",
+    "kind = adversarial",
+], ids=["ogd", "omd-euclidean", "adversarial"])
+def test_cli_run_reports_an_overflowing_step_with_exit_2(tmp_path, capsys, learner):
+    # eta * g overflows at the first update; every gradient learner must
+    # stop there, as one learner, instead of writing a run that looks successful.
+    config = write_config(tmp_path, f"""
+[experiment]
+kind = single-run
+horizon = 50
+trials = 1
+seed = 0
+
+[learner]
+{learner}
+eta = 1e308
+lam = 0.0
+
+[stream]
+kind = gaussian
+
+[loss]
+family = quadratic
+coefficients = fixed
+a = 1.0
+
+[delays]
+kind = fixed
+""")
+    assert cli.main(["validate", str(config)]) == 0
+    capsys.readouterr()
+    assert cli.main(["run", str(config), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "NaN or infinite" in err and "Traceback" not in err
+
+
 ADVERSARIAL_VS_NAIVE = """
 [experiment]
 kind = baseline-compare

@@ -19,11 +19,10 @@ from laglearn.environment import (
 from laglearn.feedback import ExplicitDelay, FixedDelay
 from laglearn.geometry import Ball, regular_polygon
 from laglearn.learners import (
-    AdversarialLearner,
     ConstantStep,
+    GradientLearner,
     Influence,
     InverseSqrtStep,
-    OgdLearner,
 )
 from laglearn.losses import QuadraticLoss
 
@@ -144,7 +143,7 @@ def test_three_round_game_matches_hand_simulation():
     # No delay (d = 1), quadratic a=1 b=0, constant eta = 0.5, no influence.
     # By hand: x1 = 0, g1 = 2(0-1) = -2, x2 = 0 + 1 = 1;
     #          g2 = 2(1-2) = -2, x3 = 2; losses are 1 each round.
-    learner = OgdLearner(Ball([0.0], 10.0), ConstantStep(value=0.5))
+    learner = GradientLearner(Ball([0.0], 10.0), ConstantStep(value=0.5))
     traj = run_game(learner, [_three_round_stream()], [FixedDelay(0)],
                     fixed_loss(QuadraticLoss, a=1.0, b=0.0),
                     LinearScoring.default(1, 1), horizon=3, seeds=[0])[0]
@@ -158,7 +157,7 @@ def test_three_round_game_matches_hand_simulation():
 
 def test_three_round_adversarial_game_multi_delivery():
     # Delays (3, 1, 1) make rounds 1 and 3 land together at round 3.
-    learner = AdversarialLearner(Ball([0.0], 10.0), eta=0.1)
+    learner = GradientLearner(Ball([0.0], 10.0), ConstantStep(value=0.1), any_delays=True)
     traj = run_game(learner, [_three_round_stream()], [ExplicitDelay((3, 1, 1))],
                     fixed_loss(QuadraticLoss, a=1.0, b=0.0),
                     LinearScoring.default(1, 1), horizon=3, seeds=[0])[0]
@@ -186,8 +185,8 @@ def test_three_round_adversarial_game_multi_delivery():
 def test_horizon_equal_to_lag_keeps_all_estimates_zero():
     tau = 6
     stream = GaussianStream(rho=0.4, seed=9)
-    learner = OgdLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=tau),
-                         Influence.coupled(1))
+    learner = GradientLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=tau),
+                              Influence.coupled(1))
     traj = run_game(learner, [stream], [FixedDelay(tau)], uniform_quadratic(),
                     LinearScoring.default(1, 1), horizon=tau, seeds=[2])[0]
     assert np.array_equal(traj.estimates, np.zeros((tau, 1)))
@@ -196,8 +195,8 @@ def test_horizon_equal_to_lag_keeps_all_estimates_zero():
 def test_identical_seeds_reproduce_bit_for_bit():
     def play():
         stream = GaussianStream(rho=0.5, seed=77)
-        learner = OgdLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=4),
-                             Influence.coupled(1))
+        learner = GradientLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=4),
+                                  Influence.coupled(1))
         return run_game(learner, [stream], [FixedDelay(4)], uniform_quadratic(),
                         LinearScoring.default(1, 1), horizon=200, seeds=[13])[0]
 
@@ -210,8 +209,8 @@ def test_identical_seeds_reproduce_bit_for_bit():
 
 def test_score_error_chain_holds_every_round():
     stream = GaussianStream(rho=0.5, seed=21)
-    learner = OgdLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=5),
-                         Influence.coupled(1))
+    learner = GradientLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=5),
+                              Influence.coupled(1))
     traj = run_game(learner, [stream], [FixedDelay(5)], uniform_quadratic(),
                     LinearScoring.default(1, 1), horizon=400, seeds=[8])[0]
     assert np.all(traj.score_error_losses <= traj.loss_values + 1e-9)
@@ -236,7 +235,7 @@ def test_score_chain_flags_a_hidden_weight_above_one():
         def score(self, known, hidden):
             return known[..., 0] + 2.0 * hidden[..., 0]
 
-    learner = OgdLearner(Ball([0.0], 10.0), ConstantStep(value=0.5))
+    learner = GradientLearner(Ball([0.0], 10.0), ConstantStep(value=0.5))
     traj = run_game(learner, [_three_round_stream()], [FixedDelay(0)],
                     fixed_loss(QuadraticLoss, a=1.0, b=0.0), DoubledScoring(),
                     horizon=3, seeds=[0])[0]
@@ -245,7 +244,7 @@ def test_score_chain_flags_a_hidden_weight_above_one():
 
 
 def test_fixed_lag_learner_rejects_mismatched_delays_before_round_1():
-    learner = OgdLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=3))
+    learner = GradientLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=3))
     stream = ExplicitStream([[1.0]] * 5, [[0.5]] * 5)
     with pytest.raises(ConfigError, match="tau \\+ 1 = 4"):
         run_game(learner, [stream], [ExplicitDelay((4, 4, 1, 4, 4))], uniform_quadratic(),
@@ -255,11 +254,11 @@ def test_fixed_lag_learner_rejects_mismatched_delays_before_round_1():
 
 def test_run_game_configuration_errors():
     stream = GaussianStream(rho=0.0, seed=1)
-    learner = OgdLearner(Ball([0.0, 0.0], 4.0), ConstantStep(value=0.1))  # wrong dim
+    learner = GradientLearner(Ball([0.0, 0.0], 4.0), ConstantStep(value=0.1))  # wrong dim
     with pytest.raises(ConfigError):
         run_game(learner, [stream], [FixedDelay(0)], uniform_quadratic(),
                  LinearScoring.default(1, 1), horizon=5, seeds=[0])[0]
-    good = OgdLearner(Ball([0.0], 4.0), ConstantStep(value=0.1))
+    good = GradientLearner(Ball([0.0], 4.0), ConstantStep(value=0.1))
     with pytest.raises(ConfigError):
         run_game(good, [stream], [FixedDelay(0)], uniform_quadratic(),
                  LinearScoring.default(1, 1), horizon=0, seeds=[0])[0]

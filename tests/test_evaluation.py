@@ -20,7 +20,7 @@ from laglearn.evaluation import (
 )
 from laglearn.feedback import FixedDelay
 from laglearn.geometry import Ball, Box
-from laglearn.learners import Influence, InverseSqrtStep, InverseTimeStep, OgdLearner
+from laglearn.learners import GradientLearner, Influence, InverseSqrtStep, InverseTimeStep
 from laglearn.losses import Loss, NormLoss, QuadraticLoss
 
 
@@ -158,15 +158,6 @@ def test_regret_scales_linearly_with_quadratic_weight():
     assert doubled.regret[-1] == pytest.approx(2.0 * base.regret[-1])
 
 
-def test_regret_prefix_refit_diagnostics():
-    losses = [QuadraticLoss([0.0], a=1.0), QuadraticLoss([2.0], a=1.0)]
-    traj = _toy_trajectory([[0.0], [0.0]], losses)
-    report = regret(traj, interval(-10.0, 10.0), refit_prefixes=True)
-    # prefix 1: comparator is the first anchor, so refit regret is 0 there
-    assert report.regret_refit[0] == pytest.approx(0.0, abs=1e-12)
-    assert report.regret_refit[-1] == pytest.approx(2.0)
-
-
 def test_regret_warmup_rounds_excluded():
     # Skipping round 1 scores only the second loss: play 0 against the anchor
     # at 2 (loss 4), comparator sits on the anchor (loss 0), regret 4.
@@ -184,8 +175,8 @@ def test_regret_warmup_rounds_excluded():
 
 def test_trajectory_replay_consistency():
     stream = GaussianStream(rho=0.5, seed=31)
-    learner = OgdLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=3),
-                         Influence.coupled(1))
+    learner = GradientLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=3),
+                              Influence.coupled(1))
     traj = run_game(learner, [stream], [FixedDelay(3)], uniform_quadratic(),
                     LinearScoring.default(1, 1), horizon=250, seeds=[17])[0]
     assert traj.replay_gap() <= 1e-9
@@ -193,8 +184,8 @@ def test_trajectory_replay_consistency():
 
 def test_cumulative_score_error_bounded_by_comparator_plus_regret():
     stream = GaussianStream(rho=0.5, seed=37)
-    learner = OgdLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=4),
-                         Influence.coupled(1))
+    learner = GradientLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=4),
+                              Influence.coupled(1))
     traj = run_game(learner, [stream], [FixedDelay(4)], uniform_quadratic(),
                     LinearScoring.default(1, 1), horizon=300, seeds=[5])[0]
     report = regret(traj, Ball([0.0], 4.0))
@@ -296,7 +287,7 @@ def test_strongly_convex_regret_under_harmonic_ceiling():
     body = Ball([0.0], 4.0)
     gamma = 2.0 * a
     stream = GaussianStream(rho=0.5, seed=41)
-    learner = OgdLearner(body, InverseTimeStep(gamma=gamma, tau=tau), Influence.coupled(1))
+    learner = GradientLearner(body, InverseTimeStep(gamma=gamma, tau=tau), Influence.coupled(1))
     traj = run_game(learner, [stream], [FixedDelay(tau)], fixed_loss(QuadraticLoss, a=a, b=0.0),
                     LinearScoring.default(1, 1), horizon=horizon, seeds=[43])[0]
     report = regret(traj, body)

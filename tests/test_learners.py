@@ -1,34 +1,41 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from laglearn import experiments
 from laglearn.environment import ExplicitStream, GaussianStream, LinearScoring, run_game, fixed_loss
 from laglearn.feedback import ExplicitDelay, FixedDelay, RandomDelay
 from laglearn.geometry import Ball, EuclideanMap, NegativeEntropyMap, Simplex
 from laglearn.learners import (
-    AdversarialLearner,
     ConstantStep,
+    GradientLearner,
     Influence,
     InverseSqrtStep,
     InverseTimeStep,
-    LearnerState,
     NaiveLearner,
-    OgdLearner,
-    OmdLearner,
     eta_for_arbitrary_delay,
     naive_estimate,
     sigma_for_fixed_delay,
     sigma_for_mirror,
-    step_adversarial,
-    step_ogd,
-    step_omd,
 )
 from laglearn.losses import ZERO_SUBGRADIENT_FLAG, NormLoss, QuadraticLoss
 
 
-def make_state(estimate, body, t):
-    return LearnerState(estimate=np.asarray(estimate, dtype=float), body=body, t=t)
+def step_once(learner, estimate, t, grads, next_known=None, rows=(0,)):
+    """One trial's observe at the end of round t, from `estimate`.
+
+    `grads` are the delivered gradients, one per entry of `rows`; the
+    learner's new iterate is returned.
+    """
+    learner.start(1, t)
+    learner.state.estimate = np.asarray([estimate], dtype=float)
+    learner.state.t = t
+    feedback = np.asarray(grads, dtype=float).reshape(len(rows), len(estimate))
+    known = None if next_known is None else np.asarray([next_known], dtype=float)
+    learner.observe(np.asarray(rows, dtype=np.int64), feedback, known)
+    return learner.estimate[0]
 
 
 # ---------------------------------------------------------------------------
@@ -71,80 +78,87 @@ def test_beta_override():
 def test_ogd_plain_gradient_step():
     # no influence, eta = 1: 0 - 1 * grad, projected
     body = Ball([0.0], 10.0)
-    state = make_state([0.0], body, t=1)
-    out = step_ogd(state, ConstantStep(value=1.0), Influence.disabled(1), [1.0], None)
+    out = step_once(GradientLearner(body, ConstantStep(value=1.0)), [0.0], 1, [1.0])
     assert np.allclose(out, [-1.0])
 
 
 def test_ogd_hand_update_with_influence():
     # x - eta g + beta * lam * x_known = [0,0] - [0.1,0] + 0.1*[1,1] = [0, 0.1]
     body = Ball([0.0, 0.0], 10.0)
-    state = make_state([0.0, 0.0], body, t=1)
-    out = step_ogd(state, ConstantStep(value=0.1), Influence.constant(1.0, 2),
-                   [1.0, 0.0], [1.0, 1.0])
+    learner = GradientLearner(body, ConstantStep(value=0.1), Influence.constant(1.0, 2))
+    out = step_once(learner, [0.0, 0.0], 1, [1.0, 0.0], [1.0, 1.0])
     assert np.allclose(out, [0.0, 0.1])
 
 
 def test_ogd_projects_back_into_body():
     body = Ball([0.0], 1.0)
-    state = make_state([0.0], body, t=1)
-    out = step_ogd(state, ConstantStep(value=5.0), Influence.disabled(1), [1.0], None)
+    learner = GradientLearner(body, ConstantStep(value=5.0))
+    out = step_once(learner, [0.0], 1, [1.0])
     assert np.allclose(out, [-1.0])
-    assert body.contains(state.estimate)
+    assert body.contains(learner.state.estimate)
 
 
-def test_ogd_rejects_update_during_warmup():
+def test_no_update_through_the_warmup():
+    # Rounds t <= tau deliver nothing under a fixed lag; observe leaves the iterate alone.
     body = Ball([0.0], 1.0)
-    state = make_state([0.0], body, t=3)
-    with pytest.raises(RuntimeError, match="warm-up"):
-        step_ogd(state, ConstantStep(value=0.5, tau=5), Influence.disabled(1), [1.0], None)
+    learner = GradientLearner(body, ConstantStep(value=0.5, tau=5))
+    assert np.array_equal(step_once(learner, [0.3], 5, [1.0]), [0.3])
+    assert np.allclose(step_once(learner, [0.3], 6, [1.0]), [-0.2])
 
 
 def test_omd_euclidean_equals_ogd_step():
+    # The Euclidean map's step is the projected gradient step, bit for bit.
     body = Ball([0.0, 0.0], 10.0)
-    s1 = make_state([0.3, -0.2], body, t=4)
-    s2 = make_state([0.3, -0.2], body, t=4)
     sched = InverseSqrtStep(sigma=0.5, tau=0)
     infl = Influence.constant(0.7, 2)
-    g = [0.4, -1.1]
-    nk = [0.2, 0.9]
-    a = step_ogd(s1, sched, infl, g, nk)
-    b = step_omd(s2, EuclideanMap(), sched, infl, g, nk)
-    assert np.array_equal(a, b)
+    x, g, nk = np.array([0.3, -0.2]), np.array([0.4, -1.1]), np.array([0.2, 0.9])
+    out = step_once(GradientLearner(body, sched, infl, EuclideanMap()), x, 4, g, nk)
+    by_hand = body.project(x + (sched.beta(4) * infl.pull(nk, sched.eta(4)) - sched.eta(4) * g))
+    assert np.array_equal(out, by_hand)
 
 
 def test_omd_negentropy_exponentiated_update():
-    body = Simplex(2)
-    state = make_state([0.5, 0.5], body, t=1)
     # choose eta = 1, gradient = -[ln 2, 0] so the combined move is [ln 2, 0]
-    out = step_omd(state, NegativeEntropyMap(), ConstantStep(value=1.0),
-                   Influence.disabled(2), [-np.log(2.0), 0.0], None)
+    learner = GradientLearner(Simplex(2), ConstantStep(value=1.0), mirror=NegativeEntropyMap())
+    out = step_once(learner, [0.5, 0.5], 1, [-np.log(2.0), 0.0])
     assert np.allclose(out, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
 
 
 def test_omd_zero_move_is_identity():
-    body = Simplex(3)
     x = [0.2, 0.3, 0.5]
-    state = make_state(x, body, t=1)
-    out = step_omd(state, NegativeEntropyMap(), ConstantStep(value=1.0),
-                   Influence.disabled(3), [0.0, 0.0, 0.0], None)
+    learner = GradientLearner(Simplex(3), ConstantStep(value=1.0), mirror=NegativeEntropyMap())
+    out = step_once(learner, x, 1, [0.0, 0.0, 0.0])
     assert np.linalg.norm(out - np.array(x)) <= 1e-9
 
 
 def test_adversarial_empty_set_no_influence_is_identity():
     body = Ball([0.0, 0.0], 10.0)
-    state = make_state([0.4, -0.1], body, t=2)
-    out = step_adversarial(state, 0.1, 0.1, Influence.disabled(2), np.zeros(2), [1.0, 1.0])
+    learner = GradientLearner(body, ConstantStep(value=0.1), any_delays=True)
+    out = step_once(learner, [0.4, -0.1], 2, np.empty((0, 2)), [1.0, 1.0], rows=())
     assert np.array_equal(out, [0.4, -0.1])
 
 
 def test_adversarial_summed_update():
     # F = {1, 3}: x - eta (g1 + g3) = [0,0] - 0.1*[1,1] = [-0.1, -0.1]
     body = Ball([0.0, 0.0], 10.0)
-    state = make_state([0.0, 0.0], body, t=3)
-    out = step_adversarial(state, 0.1, 0.1, Influence.disabled(2),
-                           np.add([1.0, 0.0], [0.0, 1.0]), None)
+    learner = GradientLearner(body, ConstantStep(value=0.1), any_delays=True)
+    out = step_once(learner, [0.0, 0.0], 3, [[1.0, 0.0], [0.0, 1.0]], rows=(0, 0))
     assert np.allclose(out, [-0.1, -0.1])
+
+
+def test_per_trial_steps_must_match_the_trial_count():
+    learner = GradientLearner(Ball([0.0], 10.0), ConstantStep(value=[0.1, 0.2, 0.3]),
+                              any_delays=True)
+    streams = [GaussianStream(seed=seed) for seed in (1, 2)]
+    with pytest.raises(ValueError, match="3 step sizes for 2 trials"):
+        run_game(learner, streams, [FixedDelay(0)] * 2, fixed_loss(NormLoss),
+                 LinearScoring.default(1, 1), 5, seeds=[0, 0])
+    assert learner.state.t == 0
+
+
+def test_a_learner_for_any_delays_has_no_warmup():
+    with pytest.raises(ValueError, match="tau = 0"):
+        GradientLearner(Ball([0.0], 1.0), ConstantStep(value=0.1, tau=2), any_delays=True)
 
 
 def test_influence_linearity_and_reduction():
@@ -240,8 +254,8 @@ def test_no_delay_reduction_matches_plain_ogd():
     # equals undelayed projected gradient descent computed by hand.
     body = Ball([0.0], 10.0)
     eta = 0.2
-    t_adv = _explicit_game(AdversarialLearner(body, eta=eta))
-    t_ogd = _explicit_game(OgdLearner(Ball([0.0], 10.0), ConstantStep(value=eta)))
+    t_adv = _explicit_game(GradientLearner(body, ConstantStep(value=eta), any_delays=True))
+    t_ogd = _explicit_game(GradientLearner(Ball([0.0], 10.0), ConstantStep(value=eta)))
     assert np.array_equal(t_adv.estimates, t_ogd.estimates)
 
     hidden = np.linspace(-1.0, 2.0, 12)
@@ -252,26 +266,28 @@ def test_no_delay_reduction_matches_plain_ogd():
 
 
 def test_zero_influence_never_changes_the_trajectory():
-    base = _explicit_game(OgdLearner(Ball([0.0], 10.0), InverseSqrtStep(sigma=0.5, tau=2), None),
-                          d=3)
+    base = _explicit_game(
+        GradientLearner(Ball([0.0], 10.0), InverseSqrtStep(sigma=0.5, tau=2), None), d=3)
     with_zero = _explicit_game(
-        OgdLearner(Ball([0.0], 10.0), InverseSqrtStep(sigma=0.5, tau=2),
-                   Influence.constant(0.0, 1)), d=3)
+        GradientLearner(Ball([0.0], 10.0), InverseSqrtStep(sigma=0.5, tau=2),
+                        Influence.constant(0.0, 1)), d=3)
     assert np.array_equal(base.estimates, with_zero.estimates)
 
 
 def test_omd_euclidean_trajectory_equals_ogd():
-    sched = InverseSqrtStep(sigma=0.5, tau=2)
-    infl = Influence.coupled(1)
-    a = _explicit_game(OgdLearner(Ball([0.0], 10.0), sched, infl), d=3)
-    b = _explicit_game(OmdLearner(Ball([0.0], 10.0), EuclideanMap(), sched, infl), d=3)
+    # The config kinds ogd and omd with mirror = euclidean build the same learner.
+    cfg = experiments.ExperimentConfig(kind="single-run", horizon=60, learner="ogd",
+                                       sigma="auto", tau=2, rho=0.5)
+    omd = dataclasses.replace(cfg, learner="omd", mirror="euclidean")
+    (a, _), = experiments.run_single(cfg, [11])
+    (b, _), = experiments.run_single(omd, [11])
     assert np.array_equal(a.estimates, b.estimates)
 
 
 def test_feasibility_every_round():
     body = Ball([0.5], 1.5)
     stream = GaussianStream(rho=0.3, body_hidden=body, seed=42)
-    learner = OgdLearner(body, InverseSqrtStep(sigma=2.0, tau=3), Influence.coupled(1))
+    learner = GradientLearner(body, InverseSqrtStep(sigma=2.0, tau=3), Influence.coupled(1))
     traj = run_game(learner, [stream], [FixedDelay(3)], fixed_loss(QuadraticLoss, a=1.0),
                     LinearScoring.default(1, 1), 300, seeds=[1])[0]
     for est in traj.estimates:
@@ -284,7 +300,7 @@ def test_gradients_use_the_decision_of_the_source_round():
     tau, horizon = 2, 30
     body = Ball([0.0], 50.0)
     sched = InverseSqrtStep(sigma=0.4, tau=tau)
-    learner = OgdLearner(body, sched, None)
+    learner = GradientLearner(body, sched, None)
     traj = _explicit_game(learner, horizon=horizon, d=tau + 1)
     est = traj.estimates[:, 0]
     for t in range(tau + 1, horizon):  # update applied at round t produces round t+1
@@ -329,7 +345,7 @@ def test_zero_subgradient_flags_only_for_deliveries_within_the_horizon():
     # Trial 1's anchors sit elsewhere and raise no flag.
     streams = [ExplicitStream([[0.0]] * 4, [[0.0]] * 4),
                ExplicitStream([[0.0]] * 4, [[1.0]] * 4)]
-    learner = OgdLearner(Ball([0.0], 10.0), ConstantStep(value=0.5, tau=1))
+    learner = GradientLearner(Ball([0.0], 10.0), ConstantStep(value=0.5, tau=1))
     first, second = run_game(learner, streams, [FixedDelay(1)] * 2, fixed_loss(NormLoss),
                              LinearScoring.default(1, 1), 4, seeds=[0, 0])
     assert first.flags == (ZERO_SUBGRADIENT_FLAG,) * 3
