@@ -2,7 +2,6 @@
 
 from .environment import (
     ConfigError,
-    ContextPair,
     ExplicitStream,
     GaussianStream,
     LinearScoring,

@@ -26,9 +26,12 @@ from .evaluation import Trajectories, Trajectory
 from .feedback import DelaySchedule, FeedbackBuffer
 from .geometry import Array, Ball, ConvexBody, Polygon, as_vector
 from .learners import BaseLearner
-from .losses import ZERO_SUBGRADIENT_FLAG, Loss, QuadraticLoss
+from .losses import Loss, QuadraticLoss
 
 DEFAULT_RADIUS = 4.0  # wide enough that projecting unit-variance draws barely matters
+
+# One per gradient delivered in time that is the zero subgradient at a kink (`Loss.kinks`).
+ZERO_SUBGRADIENT_FLAG = "zero_subgradient_at_anchor"
 
 
 class StreamExhausted(RuntimeError):
@@ -39,22 +42,6 @@ class ConfigError(ValueError):
     """Raised before round 1 when the game pieces do not fit together."""
 
 
-@dataclass(frozen=True)
-class ContextPair:
-    """One agent's context: the immediately known part and the delayed part."""
-
-    known: Array
-    hidden: Array
-
-    def __post_init__(self):
-        known = as_vector(self.known)
-        hidden = as_vector(self.hidden)
-        if known.size < hidden.size:
-            raise ValueError("known part must have at least the hidden part's dimension")
-        object.__setattr__(self, "known", known)
-        object.__setattr__(self, "hidden", hidden)
-
-
 class ContextStream:
     """Source of context pairs; `take(n)` returns (known, hidden) row arrays."""
 
@@ -63,13 +50,6 @@ class ContextStream:
     body_hidden: ConvexBody | None
 
     def take(self, n: int) -> tuple[Array, Array]:
-        raise NotImplementedError
-
-    def draw(self) -> ContextPair:
-        known, hidden = self.take(1)
-        return ContextPair(known[0], hidden[0])
-
-    def describe(self) -> str:
         raise NotImplementedError
 
 
@@ -109,10 +89,6 @@ class GaussianStream(ContextStream):
         hidden = self.mean + self.sd * mix
         return self.body_known.project_many(known), self.body_hidden.project_many(hidden)
 
-    def describe(self) -> str:
-        return (f"gaussian(d1={self.d1}, d2={self.d2}, mean={self.mean}, "
-                f"sd={self.sd}, rho={self.rho})")
-
 
 class PolygonStream(ContextStream):
     """Hidden contexts uniform over a convex polygon; known part Gaussian."""
@@ -135,9 +111,6 @@ class PolygonStream(ContextStream):
         known = self.mean + self.sd * self._rng.standard_normal((n, self.d1))
         hidden = self.polygon.sample_many(n, self._rng)
         return self.body_known.project_many(known), hidden
-
-    def describe(self) -> str:
-        return f"polygon-uniform({self.polygon.describe()}, d1={self.d1})"
 
 
 class ExplicitStream(ContextStream):
@@ -178,9 +151,6 @@ class ExplicitStream(ContextStream):
         lo = self._cursor
         self._cursor += n
         return self._known[lo:self._cursor].copy(), self._hidden[lo:self._cursor].copy()
-
-    def describe(self) -> str:
-        return f"explicit(rows={self._known.shape[0]}, d1={self.d1}, d2={self.d2})"
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +205,6 @@ def uniform_quadratic():
         # One (rounds, 2) draw gives the numbers of one size-2 draw per round.
         coeffs = rng.uniform(size=np.shape(anchors)[:-1] + (2,))
         return QuadraticLoss(anchors, a=np.maximum(coeffs[..., 0], 1e-12), b=coeffs[..., 1])
-    make.description = "quadratic(a~U[0,1], b~U[0,1])"
     return make
 
 
@@ -243,8 +212,6 @@ def fixed_loss(prototype: type, **params):
     """The same loss family and coefficients every round."""
     def make(anchors, rng: np.random.Generator) -> Loss:
         return prototype(anchors, **params)
-    joined = ", ".join(f"{k}={v}" for k, v in sorted(params.items()))
-    make.description = f"{prototype.__name__}({joined})"
     return make
 
 
@@ -294,8 +261,7 @@ def run_game(learner: BaseLearner, streams: list[ContextStream],
     known = np.stack([k for k, _ in drawn], axis=1)
     hidden = np.stack([h for _, h in drawn], axis=1)
     loss = Loss.stack(trial_losses, axis=1)
-    buffer = FeedbackBuffer(trials)
-    buffer.push(np.arange(1, horizon + 1), delay_values)
+    buffer = FeedbackBuffer(delay_values)
 
     estimates = np.empty((horizon, trials, dim))
     feedback = np.empty((horizon, trials, dim)) if learner.uses_gradients else loss.anchor

@@ -42,8 +42,7 @@ class Trajectory:
     @cached_property
     def delivered(self) -> tuple[tuple[int, ...], ...]:
         """The source rounds delivered at each round, from the delays."""
-        buffer = FeedbackBuffer()
-        buffer.push(np.arange(1, self.horizon + 1), self.delays)
+        buffer = FeedbackBuffer(self.delays)
         return tuple(tuple(buffer.ready_at(t)[1].tolist()) for t in range(1, self.horizon + 1))
 
     def replay_gap(self) -> float:
@@ -81,8 +80,6 @@ class RegretReport:
     delay_sum: int
     fingerprint: str = ""
     converged: bool = True
-    exponent: float | None = None
-    exponent_halfwidth: float | None = None
 
 
 @dataclass

@@ -482,8 +482,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     finals = {}
 
     for label, arm in expand_arms(cfg):
-        fingerprint = json.dumps(resolve_arm(arm), sort_keys=True)
-        manifest["resolved"][label] = resolve_arm(arm)
+        resolved = manifest["resolved"][label] = resolve_arm(arm)
+        fingerprint = json.dumps(resolved, sort_keys=True)
 
         def one_batch(batch, arm=arm, fingerprint=fingerprint):
             return run_single(arm, batch, fingerprint=fingerprint)

@@ -56,6 +56,18 @@ def norms(v: Array) -> Array:
     return np.sqrt(np.vecdot(v, v))
 
 
+def _unscale_overflow(offset: Array, dist: Array) -> None:
+    """Where a row's squared norm overflowed (dist is inf), divide that row
+    of `offset` by its largest |coordinate| and put its norm in `dist`, in
+    place: the direction, all a projection onto a sphere needs, survives."""
+    huge = np.isinf(dist)
+    if huge.any():
+        rows = offset[huge]
+        rows /= np.max(np.abs(rows), axis=-1, keepdims=True)
+        offset[huge] = rows
+        dist[huge] = norms(rows)
+
+
 # ---------------------------------------------------------------------------
 # Convex bodies
 # ---------------------------------------------------------------------------
@@ -109,7 +121,9 @@ class Ball(ConvexBody):
         out = v.copy()
         outside = dist > self.radius
         if outside.any():
-            out[outside] = self.center + offset[outside] * (self.radius / dist[outside])[..., None]
+            far, dist = offset[outside], dist[outside]
+            _unscale_overflow(far, dist)
+            out[outside] = self.center + far * (self.radius / dist)[..., None]
         return out
 
     def contains(self, x, tol: float = MEMBERSHIP_TOL):
@@ -131,6 +145,7 @@ class Ball(ConvexBody):
         dist = np.linalg.norm(offset, axis=1)
         scale = np.ones_like(dist)
         outside = dist > self.radius
+        _unscale_overflow(offset, dist)
         scale[outside] = self.radius / dist[outside]
         return self.center + offset * scale[:, None]
 
@@ -306,9 +321,6 @@ class MirrorMap:
     def initial_point(self, dim: int) -> Array:
         raise NotImplementedError
 
-    def describe(self) -> str:
-        raise NotImplementedError
-
 
 class EuclideanMap(MirrorMap):
     """M(x) = 0.5 ||x||^2: grad and dual grad are both the identity."""
@@ -337,9 +349,6 @@ class EuclideanMap(MirrorMap):
 
     def initial_point(self, dim: int) -> Array:
         return np.zeros(dim)
-
-    def describe(self) -> str:
-        return "euclidean"
 
 
 class NegativeEntropyMap(MirrorMap):
@@ -388,9 +397,6 @@ class NegativeEntropyMap(MirrorMap):
 
     def initial_point(self, dim: int) -> Array:
         return np.full(dim, 1.0 / dim)
-
-    def describe(self) -> str:
-        return "negative-entropy"
 
     @staticmethod
     def _checked(x, dim: int | None = None) -> Array:

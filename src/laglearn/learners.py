@@ -59,9 +59,6 @@ class StepSchedule:
             return self.beta_override if t > self.tau else 0.0
         return self.eta(t)
 
-    def describe(self) -> str:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class InverseSqrtStep(StepSchedule):
@@ -82,9 +79,6 @@ class InverseSqrtStep(StepSchedule):
             return 0.0
         return self.sigma / math.sqrt(t - self.tau)
 
-    def describe(self) -> str:
-        return f"sqrt(sigma={self.sigma}, tau={self.tau})"
-
 
 @dataclass(frozen=True)
 class InverseTimeStep(StepSchedule):
@@ -104,9 +98,6 @@ class InverseTimeStep(StepSchedule):
         if t <= self.tau:
             return 0.0
         return 1.0 / (self.gamma * (t - self.tau))
-
-    def describe(self) -> str:
-        return f"inverse-time(gamma={self.gamma}, tau={self.tau})"
 
 
 @dataclass(frozen=True)
@@ -133,10 +124,6 @@ class ConstantStep(StepSchedule):
     def eta(self, t: int) -> float:
         return self.value if t > self.tau else 0.0
 
-    def describe(self) -> str:
-        value = np.ravel(self.value).tolist() if np.ndim(self.value) else self.value
-        return f"constant(eta={value}, tau={self.tau})"
-
 
 # ---------------------------------------------------------------------------
 # Correlation pull
@@ -146,27 +133,25 @@ class ConstantStep(StepSchedule):
 class Influence:
     """Linear pull from the known context into the hidden-context space.
 
-    pull(x) = weight * reduce(x), where reduce maps the d1-dimensional known
-    context to the d2-dimensional estimate space (truncation by default, or
-    a configured linear map) and weight is either a fixed signed value or
-    tracks the running step size with a chosen sign (positive when the two
-    context parts are believed positively correlated).
+    pull(x) = weight * reduce(x), where reduce truncates the d1-dimensional
+    known context to the d2-dimensional estimate space and weight is either
+    a fixed signed value or tracks the running step size with a chosen sign
+    (positive when the two context parts are believed positively correlated).
     """
 
     dim_out: int
     lam: float | None = None        # fixed signed weight; None = track step size
     sign: float = 1.0               # sign used when tracking the step size
-    matrix: np.ndarray | None = None
 
     @staticmethod
-    def constant(lam: float, dim_out: int, matrix=None) -> "Influence":
-        return Influence(dim_out=dim_out, lam=float(lam), matrix=matrix)
+    def constant(lam: float, dim_out: int) -> "Influence":
+        return Influence(dim_out=dim_out, lam=float(lam))
 
     @staticmethod
-    def coupled(dim_out: int, sign: float = 1.0, matrix=None) -> "Influence":
+    def coupled(dim_out: int, sign: float = 1.0) -> "Influence":
         if sign not in (-1.0, 1.0):
             sign = 1.0 if sign >= 0 else -1.0
-        return Influence(dim_out=dim_out, lam=None, sign=sign, matrix=matrix)
+        return Influence(dim_out=dim_out, lam=None, sign=sign)
 
     @staticmethod
     def disabled(dim_out: int) -> "Influence":
@@ -180,11 +165,6 @@ class Influence:
     def reduce(self, known) -> Array:
         """Map each row of known context into the estimate space."""
         v = np.asarray(known, dtype=float)
-        if self.matrix is not None:
-            out = v @ np.asarray(self.matrix).T
-            if out.shape[-1] != self.dim_out:
-                raise ValueError("reduction matrix output dimension mismatch")
-            return out
         if v.shape[-1] < self.dim_out:
             raise ValueError("known context smaller than the estimate dimension")
         return v[..., : self.dim_out]
@@ -195,11 +175,6 @@ class Influence:
         if known is None or not w.any():
             return np.zeros(self.dim_out)
         return w * self.reduce(known)
-
-    def describe(self) -> str:
-        if self.lam is not None:
-            return f"influence(lam={self.lam})"
-        return f"influence(coupled, sign={int(self.sign)})"
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +283,6 @@ class BaseLearner:
     def estimate(self) -> Array:
         return self.state.estimate.copy()
 
-    def describe(self) -> str:
-        raise NotImplementedError
-
 
 class GradientLearner(BaseLearner):
     """Delayed (mirror) gradient descent with a correlation pull.
@@ -356,11 +328,6 @@ class GradientLearner(BaseLearner):
         out = self.mirror.update(state.estimate, move)
         state.estimate = state.body.project(out) if self.mirror.needs_projection else out
 
-    def describe(self) -> str:
-        delays = "any delays" if self.lag is None else f"lag {self.lag}"
-        return (f"gradient({self.mirror.describe()}, {self.schedule.describe()}, "
-                f"{self.influence.describe()}, {delays})")
-
 
 class NaiveLearner(BaseLearner):
     """Sample-mean baseline: plays the average of the revealed hidden contexts.
@@ -392,6 +359,3 @@ class NaiveLearner(BaseLearner):
         for k in updated.tolist():
             self.state.estimate[k] = naive_estimate(self.revealed[k, :self.count[k]],
                                                     self.state.body.dim)
-
-    def describe(self) -> str:
-        return "naive-mean"

@@ -18,7 +18,7 @@ one round of every trial without building an object per round.
 `grad` returns the gradient radial'(r) * (x - u) / r.  Profiles with a
 kink at the anchor (norm, and power/exp with m = 1) return the zero
 vector there, which is a valid subgradient; `kinks` says where that
-happens, and callers may pass a `flags` list to `grad` to be notified.
+happens.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import Array
-
-ZERO_SUBGRADIENT_FLAG = "zero_subgradient_at_anchor"
 
 
 class Loss:
@@ -101,14 +99,10 @@ class Loss:
     def radial(self, r, at=...) -> Array:
         raise NotImplementedError
 
-    def grad(self, x, flags: list[str] | None = None, at=...) -> Array:
-        """Gradient at x of the rows `at`; one flag per row at a kink goes to `flags`."""
+    def grad(self, x, at=...) -> Array:
+        """Gradient at x of the rows `at`."""
         d = self._offset(x, at)
-        r = np.sqrt(np.vecdot(d, d))
-        g = self._grad(d, r, at)
-        if flags is not None:
-            flags.extend([ZERO_SUBGRADIENT_FLAG] * int(np.count_nonzero(self._kinked(r, at))))
-        return g
+        return self._grad(d, np.sqrt(np.vecdot(d, d)), at)
 
     def kinks(self, x, at=...) -> Array:
         """Rows where `grad` returns the zero subgradient at a kink."""

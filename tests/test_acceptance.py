@@ -289,14 +289,11 @@ def test_criterion_8_feedback_exactly_once():
         horizon = int(rng.integers(20, 80))
         d_max = int(rng.integers(1, 12))
         delays = rng.integers(1, d_max + 1, size=horizon)
-        buf = FeedbackBuffer()
-        for s, d in enumerate(delays, start=1):
-            buf.push(s, int(d))
+        buf = FeedbackBuffer(delays)
         seen = []
         for t in range(1, horizon + d_max + 1):
             seen.extend(buf.ready_at(t)[1].tolist())
         ok &= sorted(seen) == list(range(1, horizon + 1))
-        ok &= buf.delay_sum == int(delays.sum())
     _check(8, "exactly-once delivery over 100 random schedules", ok)
 
 

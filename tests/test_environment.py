@@ -6,7 +6,6 @@ import pytest
 from laglearn import experiments
 from laglearn.environment import (
     ConfigError,
-    ContextPair,
     ExplicitStream,
     GaussianStream,
     LinearScoring,
@@ -30,12 +29,6 @@ from laglearn.losses import QuadraticLoss
 # ---------------------------------------------------------------------------
 # Context pairs and streams
 # ---------------------------------------------------------------------------
-
-def test_context_pair_requires_known_at_least_hidden():
-    ContextPair([1.0, 2.0], [0.5])
-    with pytest.raises(ValueError):
-        ContextPair([1.0], [0.5, 0.5])
-
 
 def test_gaussian_perfect_correlation_ties_the_parts():
     stream = GaussianStream(rho=1.0, seed=11)
@@ -93,16 +86,11 @@ def test_explicit_stream_exhaustion_and_csv(tmp_path):
         stream.take(1)
     with pytest.raises(ValueError):
         ExplicitStream.from_csv(path, d1=1, d2=1)
-
-
-def test_single_draws_yield_context_pairs_in_order():
-    stream = ExplicitStream([[1.0], [2.0]], [[0.5], [0.7]])
-    first = stream.draw()
-    assert isinstance(first, ContextPair)
-    assert first.known[0] == 1.0 and first.hidden[0] == 0.5
-    assert stream.draw().hidden[0] == 0.7
-    with pytest.raises(StreamExhausted):
-        stream.draw()
+    # the known part has at least the hidden part's dimension
+    with pytest.raises(ValueError):
+        ExplicitStream([[1.0]], [[0.5, 0.5]])
+    with pytest.raises(ValueError):
+        GaussianStream(d1=1, d2=2)
 
 
 # ---------------------------------------------------------------------------

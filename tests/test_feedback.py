@@ -11,23 +11,19 @@ from laglearn.feedback import (
 
 
 def test_push_delivery_round():
-    buf = FeedbackBuffer()
-    buf.push(5, 3)
+    buf = FeedbackBuffer([1, 1, 1, 1, 3])
     assert tuple(buf.ready_at(7)[1]) == (5,)  # 5 + 3 - 1 = 7
     assert tuple(buf.ready_at(6)[1]) == ()
 
 
 def test_no_delay_delivers_same_round():
-    buf = FeedbackBuffer()
-    buf.push(1, 1)
+    buf = FeedbackBuffer([1])
     assert tuple(buf.ready_at(1)[1]) == (1,)
 
 
 def test_fixed_lag_pattern():
     # tau = 2 over rounds 1..10: nothing before round 3, then {t-2}.
-    buf = FeedbackBuffer()
-    for s in range(1, 11):
-        buf.push(s, 3)
+    buf = FeedbackBuffer(FixedDelay(2).realize(10))
     assert tuple(buf.ready_at(1)[1]) == ()
     assert tuple(buf.ready_at(2)[1]) == ()
     for t in range(3, 11):
@@ -36,46 +32,33 @@ def test_fixed_lag_pattern():
 
 def test_multiple_deliveries_one_round():
     # delays (3, 1, 1): rounds 1 and 3 both deliver at t = 3.
-    buf = FeedbackBuffer()
-    for s, d in enumerate((3, 1, 1), start=1):
-        buf.push(s, d)
+    buf = FeedbackBuffer([3, 1, 1])
     assert tuple(buf.ready_at(1)[1]) == ()
     assert tuple(buf.ready_at(2)[1]) == (2,)
     assert tuple(buf.ready_at(3)[1]) == (1, 3)
 
 
-def test_delay_sum():
-    buf = FeedbackBuffer()
-    for s in range(1, 101):
-        buf.push(s, 1)
-    assert buf.delay_sum == 100
-
-    buf = FeedbackBuffer()
-    for s, d in enumerate((2, 5, 1), start=1):
-        buf.push(s, d)
-    assert buf.delay_sum == 8
+def test_two_rows_are_split_exactly_once_in_row_then_source_order():
+    # Row 0 delays (3, 1, 2, 1), row 1 delays (1, 4, 1, 2): due rounds
+    # (3, 2, 4, 4) and (1, 5, 3, 5).
+    buf = FeedbackBuffer([[3, 1, 2, 1], [1, 4, 1, 2]])
+    pairs = {t: list(zip(*(a.tolist() for a in buf.ready_at(t)))) for t in range(1, 7)}
+    assert pairs == {1: [(1, 1)], 2: [(0, 2)], 3: [(0, 1), (1, 3)], 4: [(0, 3), (0, 4)],
+                     5: [(1, 2), (1, 4)], 6: []}
+    for row in (0, 1):
+        sources = [s for ready in pairs.values() for r, s in ready if r == row]
+        assert sorted(sources) == [1, 2, 3, 4]
 
 
 def test_fixed_delay_sum_is_horizon_times_lag_plus_one():
     # sum of tau+1 over T rounds (the definition, applied to a fixed lag)
     tau, horizon = 4, 57
-    buf = FeedbackBuffer()
-    for s, d in enumerate(FixedDelay(tau).realize(horizon), start=1):
-        buf.push(s, int(d))
-    assert buf.delay_sum == horizon * (tau + 1)
-
-
-def test_duplicate_push_is_an_error():
-    buf = FeedbackBuffer()
-    buf.push(1, 2)
-    with pytest.raises(RuntimeError):
-        buf.push(1, 5)
+    assert int(FixedDelay(tau).realize(horizon).sum()) == horizon * (tau + 1)
 
 
 def test_delay_below_one_rejected():
-    buf = FeedbackBuffer()
     with pytest.raises(ValueError):
-        buf.push(1, 0)
+        FeedbackBuffer([1, 0])
     with pytest.raises(ValueError):
         ExplicitDelay((1, 0, 2))
 
@@ -87,16 +70,13 @@ def test_exactly_once_over_random_schedules():
     for _ in range(100):
         d_max = int(rng.integers(1, 15))
         delays = rng.integers(1, d_max + 1, size=horizon)
-        buf = FeedbackBuffer()
-        for s, d in enumerate(delays, start=1):
-            buf.push(s, int(d))
+        buf = FeedbackBuffer(delays)
         seen = []
         for t in range(1, horizon + d_max + 1):
             ready = buf.ready_at(t)[1].tolist()
             assert len(set(ready)) == len(ready)
             seen.extend(ready)
         assert sorted(seen) == list(range(1, horizon + 1))
-        assert buf.delay_sum == int(delays.sum())
 
 
 def test_schedules_realize():
@@ -123,9 +103,7 @@ def test_delays_from_file(tmp_path):
 
 
 def test_a_huge_delay_is_delivered_once_without_a_table_up_to_it():
-    buf = FeedbackBuffer()
-    buf.push(1, 10**12)
-    buf.push(2, 1)
+    buf = FeedbackBuffer([10**12, 1])
     assert tuple(buf.ready_at(2)[1]) == (2,)
     assert tuple(buf.ready_at(10**12)[1]) == (1,)
     assert tuple(buf.ready_at(3)[1]) == ()

@@ -52,6 +52,20 @@ def test_ball_projection_radial_scaling():
     assert np.allclose(ball.project([3.0, 4.0]), [0.6, 0.8])
 
 
+@pytest.mark.parametrize("method", ["project", "project_many"])
+def test_ball_projection_of_a_point_whose_squared_norm_overflows(method):
+    # ||x||^2 is inf for these points; they still land on the boundary,
+    # and the finite rows next to them keep their bits.
+    with np.errstate(over="ignore"):
+        line = getattr(Ball([0.0], 4.0), method)([[1e200], [-1e200], [1e150], [2.0]])
+        plane = getattr(Ball([0.0, 0.0], 4.0), method)([[1e300, 0.0], [3e300, -4e300],
+                                                         [3.0, 4.0], [0.5, 0.5]])
+    assert np.array_equal(line, [[4.0], [-4.0], [4.0], [2.0]])
+    assert np.allclose(plane[:2], [[4.0, 0.0], [2.4, -3.2]], rtol=1e-15, atol=0)
+    assert np.array_equal(plane[2:], getattr(Ball([0.0, 0.0], 4.0), method)([[3.0, 4.0],
+                                                                              [0.5, 0.5]]))
+
+
 def test_box_interior_point_is_fixed():
     box = Box([-1.0, -1.0], [1.0, 1.0])
     assert np.array_equal(box.project([0.5, -0.3]), [0.5, -0.3])

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from laglearn import experiments
-from laglearn.environment import ExplicitStream, GaussianStream, LinearScoring, run_game, fixed_loss
+from laglearn.environment import (ZERO_SUBGRADIENT_FLAG, ExplicitStream, GaussianStream,
+                                  LinearScoring, run_game, fixed_loss)
 from laglearn.feedback import ExplicitDelay, FixedDelay, RandomDelay
 from laglearn.geometry import Ball, EuclideanMap, NegativeEntropyMap, Simplex
 from laglearn.learners import (
@@ -20,7 +21,7 @@ from laglearn.learners import (
     sigma_for_fixed_delay,
     sigma_for_mirror,
 )
-from laglearn.losses import ZERO_SUBGRADIENT_FLAG, NormLoss, QuadraticLoss
+from laglearn.losses import NormLoss, QuadraticLoss
 
 
 def step_once(learner, estimate, t, grads, next_known=None, rows=(0,)):
@@ -168,9 +169,6 @@ def test_influence_linearity_and_reduction():
     coupled = Influence.coupled(2, sign=-1.0)
     assert np.allclose(coupled.pull(known, 0.25), -0.25 * known[:2])
     assert np.array_equal(coupled.pull(None, 0.25), [0.0, 0.0])
-    matrix = np.array([[1.0, 1.0, 0.0]])
-    proj = Influence(dim_out=1, lam=2.0, matrix=matrix)
-    assert np.allclose(proj.pull(known, 0.0), [6.0])
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from laglearn.losses import (
-    ZERO_SUBGRADIENT_FLAG,
     ExpLoss,
     NormLoss,
     PowerLoss,
@@ -84,18 +83,16 @@ def test_exp_gradient_matches_finite_difference():
 
 
 def test_zero_subgradient_at_kinked_anchor():
-    flags = []
-    g = NormLoss([1.0, 1.0]).grad([1.0, 1.0], flags=flags)
-    assert np.array_equal(g, [0.0, 0.0])
-    assert flags == [ZERO_SUBGRADIENT_FLAG]
-    flags = []
-    g = ExpLoss([0.5], a=1.0, s=1.0, m=1).grad([0.5], flags=flags)
-    assert np.array_equal(g, [0.0])
-    assert flags == [ZERO_SUBGRADIENT_FLAG]
-    # smooth families give a plain zero gradient without the flag
-    flags = []
-    assert np.array_equal(QuadraticLoss([0.5], a=1.0).grad([0.5], flags=flags), [0.0])
-    assert flags == []
+    loss = NormLoss([1.0, 1.0])
+    assert np.array_equal(loss.grad([1.0, 1.0]), [0.0, 0.0])
+    assert loss.kinks([1.0, 1.0])
+    loss = ExpLoss([0.5], a=1.0, s=1.0, m=1)
+    assert np.array_equal(loss.grad([0.5]), [0.0])
+    assert loss.kinks([0.5])
+    # smooth families give a plain zero gradient without a kink
+    loss = QuadraticLoss([0.5], a=1.0)
+    assert np.array_equal(loss.grad([0.5]), [0.0])
+    assert not loss.kinks([0.5])
 
 
 def test_gradients_match_central_differences():
