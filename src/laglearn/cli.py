@@ -1,6 +1,6 @@
 """Command-line entry point: run and validate experiment configs.
 
-    laglearn run <config-or-preset> [--seed N] [--trials N] [--out-dir DIR] [--threads N]
+    laglearn run <config-or-preset> [--seed N] [--trials N] [--out-dir DIR]
     laglearn validate <config-or-preset>
     laglearn list-presets
     laglearn plot-script <results-dir>
@@ -34,9 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=None, help="override the base seed")
     run.add_argument("--trials", type=int, default=None, help="override the trial count")
     run.add_argument("--out-dir", default=None, help="override the output directory")
-    run.add_argument("--threads", type=int, default=1,
-                     help="split each arm's trials into this many lockstep batches, "
-                          "one per thread; outputs do not depend on it")
 
     val = sub.add_parser("validate", help="validate a config without running it")
     val.add_argument("config", help="config file path or preset name")
@@ -75,7 +72,7 @@ def _cmd_run(args) -> int:
     out_dir = Path(args.out_dir) if args.out_dir else (
         Path(cfg.out_dir) if cfg.out_dir else _default_out_dir(path))
     try:
-        manifest = experiments.run_experiment(cfg, out_dir, threads=max(args.threads, 1))
+        manifest = experiments.run_experiment(cfg, out_dir)
     except (ValueError, StreamExhausted) as exc:  # ConfigFileError and ConfigError included
         _report_errors(exc)
         return 2
@@ -97,9 +94,14 @@ def _cmd_validate(args) -> int:
         for err in errors:
             print(f"error: {err}", file=sys.stderr)
         return 2
+    try:
+        arms = [(label, experiments.resolve_arm(arm))
+                for label, arm in experiments.expand_arms(cfg)]
+    except ValueError as exc:
+        _report_errors(exc)
+        return 2
     print("OK")
-    for label, resolved in ((label, experiments.resolve_arm(arm))
-                            for label, arm in experiments.expand_arms(cfg)):
+    for label, resolved in arms:
         print(f"[{label}]")
         for key in sorted(resolved):
             print(f"  {key} = {resolved[key]}")

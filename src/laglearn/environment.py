@@ -221,7 +221,7 @@ def fixed_loss(prototype: type, **params):
 
 def run_game(learner: BaseLearner, streams: list[ContextStream],
              delays: list[DelaySchedule], loss_factory, scoring: LinearScoring,
-             horizon: int, seeds: list[int], fingerprint: str = "") -> Trajectories:
+             horizon: int, seeds: list[int]) -> Trajectories:
     """Play `horizon` rounds of one trial per stream, in lockstep.
 
     Trial k reads `streams[k]`, realizes `delays[k]` and draws its loss
@@ -295,7 +295,6 @@ def run_game(learner: BaseLearner, streams: list[ContextStream],
             delays=delay_values[k],
             delay_sum=int(delay_values[k].sum()),
             seed=seeds[k],
-            fingerprint=fingerprint,
             flags=(ZERO_SUBGRADIENT_FLAG,) * kink_counts[k] + tuple(
                 f"score_chain_violated_at_{i + 1}" for i in np.flatnonzero(violated[:, k])),
         )

@@ -36,7 +36,6 @@ class Trajectory:
     delays: Array                    # (T,) per-round delays d_t
     delay_sum: int
     seed: int
-    fingerprint: str = ""
     flags: tuple[str, ...] = ()
 
     @cached_property
@@ -78,7 +77,6 @@ class RegretReport:
     comparator: Array
     comparator_loss: float
     delay_sum: int
-    fingerprint: str = ""
     converged: bool = True
 
 
@@ -90,7 +88,6 @@ class AggregateCurves:
     cum_loss_stderr: Array
     regret_mean: Array
     regret_stderr: Array
-    fingerprint: str = ""
 
 
 @dataclass
@@ -283,7 +280,6 @@ def regret(traj: Trajectory, body: ConvexBody, skip_rounds: int = 0) -> RegretRe
         comparator=solution.point,
         comparator_loss=solution.total,
         delay_sum=traj.delay_sum,
-        fingerprint=traj.fingerprint,
         converged=solution.converged,
     )
 
@@ -316,13 +312,6 @@ def aggregate(reports: list[RegretReport]) -> AggregateCurves:
     """Pointwise mean and standard error over trials of one configuration."""
     if not reports:
         raise ValueError("nothing to aggregate")
-    fingerprint = reports[0].fingerprint
-    horizon = reports[0].horizon
-    for r in reports:
-        if r.fingerprint != fingerprint:
-            raise ValueError("trials come from different configurations")
-        if r.horizon != horizon:
-            raise ValueError("trials disagree on the horizon")
     cum = np.stack([r.cum_loss for r in reports])
     reg = np.stack([r.regret for r in reports])
     n = len(reports)
@@ -333,13 +322,12 @@ def aggregate(reports: list[RegretReport]) -> AggregateCurves:
         return np.std(stack, axis=0, ddof=1) / np.sqrt(n)
 
     return AggregateCurves(
-        horizon=horizon,
+        horizon=reports[0].horizon,
         trials=n,
         cum_loss_mean=cum.mean(axis=0),
         cum_loss_stderr=stderr(cum),
         regret_mean=reg.mean(axis=0),
         regret_stderr=stderr(reg),
-        fingerprint=fingerprint,
     )
 
 

@@ -7,9 +7,8 @@ pair, a horizon scaling check, or a single run); every arm runs the same
 trials with the same derived per-trial seeds, so arms are compared under
 common random numbers.  Outputs are one CSV of aggregated curves per arm
 plus a manifest recording the fully resolved configuration, the seeds,
-and headline metrics.  An arm's trials are played in lockstep; threads
-split them into contiguous batches, and rerunning the manifest's config
-reproduces every byte regardless of thread count.
+and headline metrics.  An arm's trials are played as one lockstep batch,
+and rerunning the manifest's config reproduces every byte.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -213,8 +211,6 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         errors.append("learner.tau: must be >= 0")
     if cfg.warmup < 0:
         errors.append("learner.warmup: must be >= 0")
-    if cfg.warmup * cfg.tau >= cfg.horizon:
-        errors.append("learner.warmup: warm-up rounds must not cover the horizon")
 
     if cfg.learner in ("ogd", "omd"):
         if cfg.schedule not in SCHEDULES:
@@ -292,6 +288,10 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
     if cfg.delay_kind == "file" and not cfg.delay_path:
         errors.append("delays.path: file delays need a file path")
 
+    covered = [label for label, arm in expand_arms(cfg) if arm.warmup * arm.tau >= arm.horizon]
+    if covered:
+        errors.append("learner.warmup: warm-up rounds (warmup * tau) cover the horizon of arm "
+                      + ", ".join(covered))
     return errors
 
 
@@ -409,7 +409,7 @@ def _build_delays(cfg: ExperimentConfig, seed: int):
 
 
 def resolve_arm(cfg: ExperimentConfig) -> dict:
-    """Trial-independent resolved parameters (also the arm fingerprint)."""
+    """Trial-independent resolved parameters of one arm, as the manifest records them."""
     body = _hidden_body(cfg)
     resolved = dataclasses.asdict(cfg)
     resolved.pop("out_dir")
@@ -423,8 +423,7 @@ def resolve_arm(cfg: ExperimentConfig) -> dict:
     return resolved
 
 
-def run_single(cfg: ExperimentConfig, seeds: list[int], fingerprint: str = ""
-               ) -> list[tuple[Trajectory, RegretReport]]:
+def run_single(cfg: ExperimentConfig, seeds: list[int]) -> list[tuple[Trajectory, RegretReport]]:
     """One arm's seeded trials: build the pieces, play them in lockstep, measure regret."""
     body = _hidden_body(cfg)
     delays = [_build_delays(cfg, _sub_seed(seed, 2)) for seed in seeds]
@@ -433,7 +432,7 @@ def run_single(cfg: ExperimentConfig, seeds: list[int], fingerprint: str = ""
     scoring = environment.LinearScoring.default(cfg.d1, cfg.d2)
     trajectories = environment.run_game(
         learner, streams, delays, _loss_factory(cfg), scoring, cfg.horizon,
-        seeds=[_sub_seed(seed, 1) for seed in seeds], fingerprint=fingerprint)
+        seeds=[_sub_seed(seed, 1) for seed in seeds])
     return [(traj, evaluation.regret(traj, body, skip_rounds=cfg.warmup * cfg.tau))
             for traj in trajectories]
 
@@ -444,11 +443,11 @@ def run_single(cfg: ExperimentConfig, seeds: list[int], fingerprint: str = ""
 
 def expand_arms(cfg: ExperimentConfig) -> list[tuple[str, ExperimentConfig]]:
     if cfg.kind == "delay-sweep":
-        return [(f"tau{t}", dataclasses.replace(cfg, tau=t)) for t in cfg.sweep_taus]
+        return [(f"tau{t}", dataclasses.replace(cfg, tau=t)) for t in cfg.sweep_taus or ()]
     if cfg.kind == "correlation-sweep":
-        return [(f"rho{r:g}", dataclasses.replace(cfg, rho=r)) for r in cfg.sweep_rhos]
+        return [(f"rho{r:g}", dataclasses.replace(cfg, rho=r)) for r in cfg.sweep_rhos or ()]
     if cfg.kind == "scaling-check":
-        return [(f"T{h}", dataclasses.replace(cfg, horizon=h)) for h in cfg.sweep_horizons]
+        return [(f"T{h}", dataclasses.replace(cfg, horizon=h)) for h in cfg.sweep_horizons or ()]
     if cfg.kind == "baseline-compare":
         return [(cfg.learner, cfg), ("naive", dataclasses.replace(cfg, learner="naive"))]
     return [("run", cfg)]
@@ -457,8 +456,12 @@ def expand_arms(cfg: ExperimentConfig) -> list[tuple[str, ExperimentConfig]]:
 def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     """Run all arms and trials; write per-arm CSVs and a manifest.
 
-    Returns the manifest dictionary (also written to manifest.json).
+    Returns the manifest dictionary (also written to manifest.json).  Each
+    arm plays all its trials as one lockstep batch; `threads` accepts only
+    1 and stays for the benchmark harness, which passes it.
     """
+    if threads != 1:
+        raise ValueError(f"threads must be 1, got {threads}")
     errors = validate_config(cfg)
     if errors:
         raise ConfigFileError(errors)
@@ -482,19 +485,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     finals = {}
 
     for label, arm in expand_arms(cfg):
-        resolved = manifest["resolved"][label] = resolve_arm(arm)
-        fingerprint = json.dumps(resolved, sort_keys=True)
-
-        def one_batch(batch, arm=arm, fingerprint=fingerprint):
-            return run_single(arm, batch, fingerprint=fingerprint)
-
-        batches = _contiguous_batches(seeds, threads)
-        if len(batches) > 1:
-            with ThreadPoolExecutor(max_workers=len(batches)) as pool:
-                results = [r for batch in pool.map(one_batch, batches) for r in batch]
-        else:
-            results = one_batch(seeds)
-
+        manifest["resolved"][label] = resolve_arm(arm)
+        results = run_single(arm, seeds)
         reports = [rep for _, rep in results]
 
         if cfg.kind == "single-run":
@@ -543,12 +535,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     manifest["outputs"].append(manifest_path.name)
     return manifest
-
-
-def _contiguous_batches(seeds: list[int], count: int) -> list[list[int]]:
-    """`seeds` split into at most `count` contiguous batches whose sizes differ by at most one."""
-    count = max(1, min(count, len(seeds)))
-    return [seeds[k * len(seeds) // count:(k + 1) * len(seeds) // count] for k in range(count)]
 
 
 def _write_trajectory_csv(traj: Trajectory, path) -> None:

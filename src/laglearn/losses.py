@@ -109,7 +109,22 @@ class Loss:
         return self._kinked(self.distance(x, at), at)
 
     def lipschitz_bound(self, radius: float) -> float:
-        """Bound on ||grad|| over ||x - anchor|| <= radius, for every row."""
+        """Bound on ||grad|| over ||x - anchor|| <= radius, for every row.
+
+        A bound that is not a finite float is a `ValueError` naming the
+        family and its largest m: no step size can be tuned from it.
+        """
+        try:
+            bound = self._lipschitz(radius)
+        except OverflowError:
+            bound = float("inf")
+        if not np.isfinite(bound):
+            m = f" with m = {np.max(self.m)}" if "m" in self.coefficients else ""
+            raise ValueError(f"{self.family} loss{m} has no finite gradient bound "
+                             f"within radius {radius:g}")
+        return bound
+
+    def _lipschitz(self, radius: float) -> float:
         raise NotImplementedError
 
     def _grad(self, d: Array, r: Array, at) -> Array:
@@ -149,7 +164,7 @@ class NormLoss(Loss):
     def _kinked(self, r, at) -> Array:
         return r == 0.0
 
-    def lipschitz_bound(self, radius: float) -> float:
+    def _lipschitz(self, radius: float) -> float:
         return 1.0
 
 
@@ -178,7 +193,7 @@ class QuadraticLoss(Loss):
     def _grad(self, d, r, at) -> Array:
         return (2.0 * self.a[at])[..., None] * d
 
-    def lipschitz_bound(self, radius: float) -> float:
+    def _lipschitz(self, radius: float) -> float:
         return 2.0 * float(np.max(self.a)) * float(radius)
 
 
@@ -203,7 +218,7 @@ class PowerLoss(Loss):
     def _kinked(self, r, at) -> Array:
         return (r == 0.0) & (self.m[at] == 1)
 
-    def lipschitz_bound(self, radius: float) -> float:
+    def _lipschitz(self, radius: float) -> float:
         return max(m * float(radius) ** (m - 1) for m in np.unique(self.m).tolist())
 
 
@@ -235,7 +250,7 @@ class ExpLoss(Loss):
     def _kinked(self, r, at) -> Array:
         return (r == 0.0) & (self.m[at] == 1)
 
-    def lipschitz_bound(self, radius: float) -> float:
+    def _lipschitz(self, radius: float) -> float:
         # One numeric path for every m: maximize the radial slope on a grid.
         grid = np.linspace(float(radius) / 4096, float(radius), 4096)
         rows = np.unique(np.stack([c.ravel() for c in (self.a, self.s, self.m)], axis=1), axis=0)

@@ -338,6 +338,82 @@ kind = fixed
     assert err.startswith("error: ") and "NaN or infinite" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind, sweep, arm", [
+    ("delay-sweep", "tau = 10, 50", "tau50"),
+    ("scaling-check", "horizon = 100, 20", "T20"),
+])
+def test_warmup_covering_a_swept_horizon_is_rejected(tmp_path, capsys, kind, sweep, arm):
+    # Two warm-up windows of tau rounds cover the horizon of one swept arm only.
+    config = write_config(tmp_path, f"""
+[experiment]
+kind = {kind}
+horizon = 100
+trials = 2
+
+[learner]
+kind = ogd
+schedule = sqrt
+sigma = 0.5
+tau = 10
+warmup = 2
+
+[sweep]
+{sweep}
+""")
+    assert cli.main(["validate", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: learner.warmup") and arm in err
+    assert cli.main(["run", str(config), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: learner.warmup")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("learner", [
+    "kind = naive",
+    "kind = ogd\nschedule = sqrt\nsigma = auto",
+    "kind = ogd\nschedule = sqrt\nsigma = 0.5",
+    "kind = adversarial\neta = auto\nlam = 0.2",
+], ids=["naive", "ogd-auto", "ogd", "adversarial-auto"])
+@pytest.mark.parametrize("experiment", [
+    "kind = single-run",
+    "kind = baseline-compare",
+    "kind = scaling-check\n\n[sweep]\nhorizon = 10, 20, 30",
+], ids=["single-run", "baseline-compare", "scaling-check"])
+def test_a_power_loss_with_no_finite_gradient_bound_exits_2(tmp_path, capsys, learner,
+                                                            experiment):
+    # 400 * 8.0 ** 399 overflows a float: no step can be tuned, and the
+    # comparator's step 1 / (L n) has no L either.
+    config = write_config(tmp_path, f"""
+[experiment]
+horizon = 30
+trials = 2
+{experiment}
+
+[learner]
+{learner}
+
+[stream]
+kind = gaussian
+
+[loss]
+family = power
+coefficients = fixed
+m = 400
+
+[delays]
+kind = fixed
+""")
+    accepted = cli.main(["validate", str(config)]) == 0
+    err = capsys.readouterr().err
+    if "sigma = auto" in learner:
+        assert not accepted and err == "error: power loss with m = 400 has no finite gradient " \
+                                       "bound within radius 8\n"
+    assert accepted or err.startswith("error: ")
+    assert cli.main(["run", str(config), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("error: ") and "Traceback" not in err
+
+
 ADVERSARIAL_VS_NAIVE = """
 [experiment]
 kind = baseline-compare
@@ -365,22 +441,43 @@ d_max = 6
 """
 
 
-def test_cli_run_is_reproducible_across_threads(tmp_path):
-    # Threads split an arm's trials into contiguous lockstep batches; 5 trials
-    # on 2 or 4 threads give uneven batches, on 5 threads batches of one.
-    for text, names in ((TINY_SWEEP, ["tau1.csv", "tau2.csv", "manifest.json"]),
-                        (ADVERSARIAL_VS_NAIVE, ["adversarial.csv", "naive.csv", "manifest.json"])):
-        config = write_config(tmp_path, text)
-        outs = []
-        for threads in ("1", "2", "4", "5", "1"):
-            out_dir = tmp_path / f"{names[0]}-{threads}-{len(outs)}"
-            assert cli.main(["run", str(config), "--out-dir", str(out_dir), "--trials", "5",
-                             "--threads", threads]) == 0
-            outs.append(out_dir)
-        for name in names:
-            reference = (outs[0] / name).read_bytes()
-            for out in outs[1:]:
-                assert (out / name).read_bytes() == reference
+def test_run_single_is_reproducible_across_batch_splits(tmp_path):
+    # An arm's trials play as one lockstep batch; splitting its seeds into
+    # contiguous batches, even uneven ones or batches of one, must not move a bit.
+    splits = ([5], [2, 3], [1, 2, 1, 1], [1] * 5)
+    for text in (TINY_SWEEP, ADVERSARIAL_VS_NAIVE):
+        cfg = parse_config(write_config(tmp_path, text))
+        seeds = [experiments.trial_seed(cfg.seed, i) for i in range(5)]
+        for _, arm in experiments.expand_arms(cfg):
+            runs = []
+            for sizes in splits:
+                starts = [sum(sizes[:k]) for k in range(len(sizes))]
+                runs.append([result for start, size in zip(starts, sizes)
+                             for result in experiments.run_single(arm, seeds[start:start + size])])
+            for run in runs[1:]:
+                for (traj, rep), (ref_traj, ref_rep) in zip(run, runs[0], strict=True):
+                    for name in ("estimates", "loss_values", "score_errors", "delays"):
+                        assert getattr(traj, name).tobytes() == getattr(ref_traj, name).tobytes()
+                    assert traj.flags == ref_traj.flags
+                    for name in ("regret", "cum_loss", "comparator"):
+                        assert getattr(rep, name).tobytes() == getattr(ref_rep, name).tobytes()
+                    assert rep.comparator_loss == ref_rep.comparator_loss
+
+
+def test_run_experiment_accepts_only_one_thread(tmp_path):
+    cfg = parse_config(write_config(tmp_path, TINY_SWEEP))
+    with pytest.raises(ValueError, match="threads"):
+        experiments.run_experiment(cfg, tmp_path / "out", threads=2)
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_has_no_threads_flag(tmp_path, capsys):
+    config = write_config(tmp_path, TINY_SWEEP)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", str(config), "--out-dir", str(tmp_path / "out"), "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_seed_and_trials_overrides_change_outputs(tmp_path):

@@ -117,7 +117,7 @@ def test_offline_optimum_warns_when_budget_exhausted():
 # Regret
 # ---------------------------------------------------------------------------
 
-def _toy_trajectory(estimates, losses, fingerprint="toy"):
+def _toy_trajectory(estimates, losses):
     est = np.asarray(estimates, dtype=float)
     values = np.array([l.value(e) for l, e in zip(losses, est)])
     horizon = len(losses)
@@ -126,7 +126,7 @@ def _toy_trajectory(estimates, losses, fingerprint="toy"):
         horizon=horizon, dim=est.shape[1], estimates=est, loss_values=values,
         score_errors=np.zeros(horizon), score_error_losses=np.zeros(horizon),
         loss=Loss.stack(losses), delays=np.ones(horizon, dtype=np.int64),
-        delay_sum=horizon, seed=0, fingerprint=fingerprint)
+        delay_sum=horizon, seed=0)
 
 
 def test_regret_hand_computed_two_round_instance():
@@ -232,11 +232,10 @@ def test_fit_scaling_drops_nonpositive_and_errors_when_starved():
 # Aggregation
 # ---------------------------------------------------------------------------
 
-def _report_with_final(final, fingerprint="cfg"):
+def _report_with_final(final):
     # losses total 2 + final while the best fixed point still costs 2
     losses = [QuadraticLoss([0.0], a=1.0), QuadraticLoss([2.0], a=1.0)]
-    traj = _toy_trajectory([[np.sqrt(2.0 + final)], [2.0]], losses,
-                           fingerprint=fingerprint)
+    traj = _toy_trajectory([[np.sqrt(2.0 + final)], [2.0]], losses)
     return regret(traj, interval(-10.0, 10.0))
 
 
@@ -251,11 +250,6 @@ def test_aggregate_two_trials_mean_and_stderr():
     agg = aggregate([_report_with_final(4.0), _report_with_final(6.0)])
     assert agg.regret_mean[-1] == pytest.approx(5.0)
     assert agg.regret_stderr[-1] == pytest.approx(1.0)
-
-
-def test_aggregate_rejects_mismatched_configs():
-    with pytest.raises(ValueError, match="configurations"):
-        aggregate([_report_with_final(4.0, "a"), _report_with_final(4.0, "b")])
 
 
 def test_write_csv_round_trips(tmp_path):

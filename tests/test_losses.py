@@ -174,6 +174,17 @@ def test_quadratic_lipschitz():
     assert QuadraticLoss([0.0], a=1.0).lipschitz_bound(2.0) == 4.0
 
 
+@pytest.mark.parametrize("loss", [
+    PowerLoss([0.0], m=400),
+    ExpLoss([0.0], a=1.0, s=1.0, m=400),
+], ids=["power", "exp"])
+def test_a_bound_that_is_not_finite_is_a_value_error(loss):
+    # 400 * 8.0 ** 399 overflows a float; so does exp(8.0 ** 400).
+    message = f"{loss.family} loss with m = 400"
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):
+        loss.lipschitz_bound(8.0)
+
+
 def test_exp_lipschitz_matches_grid_maximization():
     # Independent oracle: maximize ||grad|| over a dense radial grid.
     loss = ExpLoss([0.0, 0.0], a=1.0, s=1.0, m=2)

@@ -85,7 +85,7 @@ def configs(draw):
             "coefficients": draw(st.sampled_from(("uniform", "fixed"))),
             "a": draw(mostly(positive, nonpositive)),
             "b": draw(mostly(positive, nonpositive)),
-            "m": draw(mostly(st.integers(1, 3), st.just(0))),
+            "m": draw(mostly(st.one_of(st.integers(1, 3), st.just(400)), st.just(0))),
             "sigma1": draw(mostly(positive, nonpositive)),
         },
         "delays": {
