@@ -33,10 +33,9 @@ for horizon in (500, 1000, 2000):
                                   horizon=horizon, delay_sum=delay_sum)
     stream = GaussianStream(mean=0.25, body_hidden=body, seed=5)
     learner = GradientLearner(body, ConstantStep(value=eta), any_delays=True)
-    traj = run_game(learner, [stream], [delays], fixed_loss(NormLoss),
-                    LinearScoring.default(1, 1), horizon, seeds=[8])[0]
-    report = regret(traj, body)
-    r = report.regret[-1]
+    trajs = run_game(learner, [stream], [delays], fixed_loss(NormLoss),
+                     LinearScoring.default(1, 1), horizon, seeds=[8])
+    r = regret(trajs, body)[0].regret[-1]
     print(f"{horizon:7d}   {delay_sum:11d}   {eta:.6f}  {r:7.2f}   {r / np.sqrt(delay_sum):8.4f}")
 
 print("\nbatched deliveries around one mid-game round:")

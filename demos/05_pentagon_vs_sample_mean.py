@@ -28,9 +28,9 @@ pentagon = regular_polygon(5, center=(1.0, 1.0), circumradius=1.0)
 
 def play(learner):
     stream = PolygonStream(pentagon, seed=3)
-    traj = run_game(learner, [stream], [FixedDelay(TAU)], uniform_quadratic(),
-                    LinearScoring.default(2, 2), HORIZON, seeds=[4])[0]
-    return traj, regret(traj, pentagon)
+    trajs = run_game(learner, [stream], [FixedDelay(TAU)], uniform_quadratic(),
+                     LinearScoring.default(2, 2), HORIZON, seeds=[4])
+    return trajs[0], regret(trajs, pentagon)[0]
 
 
 grad_traj, grad_report = play(GradientLearner(pentagon, InverseSqrtStep(sigma=0.5, tau=TAU)))

@@ -144,10 +144,14 @@ class ExplicitStream(ContextStream):
             raise ValueError(f"expected {d1 + d2} columns, file has {rows.shape[1]}")
         return cls(rows[:, :d1], rows[:, d1:], body_hidden=body_hidden)
 
+    @property
+    def remaining(self) -> int:
+        """Context pairs not taken yet."""
+        return self._known.shape[0] - self._cursor
+
     def take(self, n: int) -> tuple[Array, Array]:
-        remaining = self._known.shape[0] - self._cursor
-        if n > remaining:
-            raise StreamExhausted(f"requested {n} rounds, only {remaining} remain")
+        if n > self.remaining:
+            raise StreamExhausted(f"requested {n} rounds, only {self.remaining} remain")
         lo = self._cursor
         self._cursor += n
         return self._known[lo:self._cursor].copy(), self._hidden[lo:self._cursor].copy()

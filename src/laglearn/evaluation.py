@@ -7,6 +7,12 @@ the single best fixed decision in hindsight:
 
 The prefix series regret(t) reuses the horizon-T comparator, the fixed
 benchmark the guarantees are stated against.
+
+`regret` measures all the trials of one game at once: a single
+`offline_optimum` call solves every trial's comparator as one batch, whose
+rows are the trials for the closed forms and trials x restarts for
+projected gradient descent.  Each row rounds exactly as solving its trial
+alone does, so a trial's comparator does not depend on the batch it is in.
 """
 
 from __future__ import annotations
@@ -69,6 +75,15 @@ class OfflineSolution:
     converged: bool = True
 
 
+class OfflineSolutions(tuple):
+    """The comparators of one batched solve, one `OfflineSolution` per trial."""
+
+    @property
+    def converged(self) -> bool:
+        """Whether every trial's search converged."""
+        return all(solution.converged for solution in self)
+
+
 @dataclass
 class RegretReport:
     horizon: int
@@ -110,141 +125,226 @@ def harmonic(n: int) -> float:
 
 def offline_optimum(losses: Loss | list[Loss], body: ConvexBody,
                     max_iters: int = 100_000, restarts: int = 5,
-                    seed: int = 0, method: str = "auto") -> OfflineSolution:
-    """Best fixed decision: argmin over the body of the summed losses.
+                    seed: int = 0, method: str = "auto") -> OfflineSolutions:
+    """Best fixed decision of each trial: argmin over the body of its summed losses.
+
+    `losses` is one loss whose anchors have shape (trials, T, d), one
+    problem per trial.  Anchors of shape (T, d), or a list of single losses
+    of one family, are a batch of one.  Returns one solution per trial.
 
     Quadratic families admit a closed form (the summed quadratic is a
     single isotropic quadratic, so projecting its weighted-mean center is
     exact); one-dimensional norm losses reduce to the median.  Everything
-    else runs projected gradient descent with step 1/(L n), stopping when
-    the displacement drops below 1e-8, restarted from `restarts` random
-    points with the best kept.  `method="iterative"` forces the gradient
-    path even where a closed form exists (used to cross-check the two).
-    `losses` is one loss with a row per round, or a list of single losses
-    of one family.
+    else runs projected gradient descent on trials x restarts rows at once:
+    every trial starts from the same `restarts` random points, each row
+    steps by its trial's 1/(L n) and freezes once its displacement drops
+    below 1e-8, and each trial keeps its restart of lowest objective (the
+    first, on ties).  A row's arithmetic is that of solving its trial
+    alone, so batching does not change a bit.  `method="iterative"` forces
+    the gradient path even where a closed form exists (used to cross-check
+    the two).
     """
     if method not in ("auto", "iterative"):
         raise ValueError("method must be 'auto' or 'iterative'")
     if not isinstance(losses, Loss):
         losses = Loss.stack(losses)
-    if losses.anchor.ndim != 2 or len(losses.anchor) == 0:
+    if losses.anchor.ndim == 2:
+        losses = losses[None]
+    if losses.anchor.ndim != 3 or 0 in losses.anchor.shape:
         raise ValueError("need a nonempty list of losses")
-    dim = losses.dim
+    trials, horizon, dim = losses.anchor.shape
     if body.dim != dim:
         raise ValueError("body dimension does not match the losses")
 
     objective, gradient = _sum_oracles(losses)
+    solved = np.ones((trials, 1), dtype=bool)
 
     if method == "auto" and isinstance(losses, QuadraticLoss):
         weights = losses.a
-        center = (weights[:, None] * losses.anchor).sum(axis=0) / weights.sum()
-        point = body.project(center)
-        return OfflineSolution(point=point, total=objective(point), converged=True)
+        center = (weights[..., None] * losses.anchor).sum(axis=1) / weights.sum(axis=1)[:, None]
+        return _best_restarts(body.project(center)[:, None], objective, solved)
 
     if method == "auto" and isinstance(losses, NormLoss) and dim == 1:
-        median = float(np.median(losses.anchor[:, 0]))
-        point = body.project(np.array([median]))
-        return OfflineSolution(point=point, total=objective(point), converged=True)
+        median = np.median(losses.anchor[..., 0], axis=1)
+        return _best_restarts(body.project(median[:, None])[:, None], objective, solved)
 
-    radius = body.radius_bound + float(np.max(norms(losses.anchor)))
-    lipschitz = losses.lipschitz_bound(radius)
-    step = 1.0 / (lipschitz * len(losses.anchor))
+    radius = body.radius_bound + np.max(norms(losses.anchor), axis=1)
+    lipschitz = np.array([losses[k].lipschitz_bound(r) for k, r in enumerate(radius.tolist())])
+    step = (1.0 / (lipschitz * horizon))[:, None, None]
     rng = np.random.default_rng(seed)
+    starts = np.stack([body.sample(rng) for _ in range(restarts)])
+    x = np.broadcast_to(starts, (trials, restarts, dim)).copy()
+    frozen = np.zeros((trials, restarts), dtype=bool)
+    for _ in range(max_iters):
+        x_next = body.project(x - step * gradient(x))
+        settled = norms(x_next - x) <= 1e-8
+        x = np.where(frozen[..., None], x, x_next)
+        frozen |= settled
+        if frozen.all():
+            break
+    return _best_restarts(x, objective, frozen)
 
-    best_point = None
-    best_value = np.inf
-    any_converged = False
-    for _ in range(restarts):
-        x = body.sample(rng)
-        converged = False
-        for _ in range(max_iters):
-            x_next = body.project(x - step * gradient(x))
-            if float(np.linalg.norm(x_next - x)) <= 1e-8:
-                x = x_next
-                converged = True
-                break
-            x = x_next
-        value = objective(x)
-        if value < best_value:
-            best_point, best_value = x, value
-        any_converged = any_converged or converged
 
-    if not any_converged:
+def _best_restarts(x: Array, objective, converged: Array) -> OfflineSolutions:
+    """Each trial's restart row of lowest objective, the first on ties.
+
+    `x` holds the final points (trials, restarts, d) and `converged` which
+    rows converged; a trial converged if any of its restarts did.
+    """
+    values = objective(x)
+    values = np.where(np.isnan(values), np.inf, values)
+    best = np.argmin(values, axis=1)
+    rows = np.arange(len(x))
+    converged = converged.any(axis=1)
+    if not converged.all():
         warnings.warn("offline comparator search hit the iteration budget", RuntimeWarning)
-    return OfflineSolution(point=best_point, total=best_value, converged=any_converged)
+    return OfflineSolutions(
+        OfflineSolution(point=point, total=total, converged=ok)
+        for point, total, ok in zip(x[rows, best], values[rows, best].tolist(),
+                                    converged.tolist()))
+
+
+# np.linalg.norm sums a row of fewer than this many squares in order, and
+# a longer one pairwise.
+_PAIRWISE_FROM = 8
+
+
+def _squared_norms(diff: Array, out: Array | None = None, spare: Array | None = None) -> Array:
+    """Sum of squares over the leading coordinate axis of `diff`.
+
+    Rounded as `np.linalg.norm(axis=-1)` rounds the same numbers laid out
+    coordinate-last: in order below `_PAIRWISE_FROM` coordinates, by numpy's
+    own pairwise sum from there up.  `out` and `spare`, when given, are
+    arrays of the result's shape to work in.
+    """
+    if len(diff) >= _PAIRWISE_FROM:
+        return np.add.reduce(np.moveaxis(diff * diff, 0, -1).copy(), axis=-1, out=out)
+    total = np.multiply(diff[0], diff[0], out=out)
+    for coordinate in diff[1:]:
+        total += np.multiply(coordinate, coordinate, out=spare)
+    return total
+
+
+def _sum_rounds(terms: Array, kinks: Array | None = None) -> Array:
+    """Sum over the trailing rounds axis of `terms` (d, trials, rows, T),
+    returned coordinate-last as (trials, rows, d).
+
+    Rounded as `np.sum(axis=0)` rounds one row's (T, d) array: numpy adds
+    the rounds pairwise when d == 1, where they are contiguous, and in
+    order when d >= 2.  Overwrites `terms`.  A row with rounds in `kinks`
+    (trials, rows, T) is summed again on its own, over its other rounds
+    only, as the single solve leaves a kink's zero subgradient out.
+    """
+    if len(terms) == 1:
+        total = np.add.reduce(terms, axis=-1)
+    else:
+        sums = np.add.accumulate(terms, axis=-1, out=terms if kinks is None else None)
+        total = sums[..., -1].copy()
+    if kinks is not None:
+        for k, row in zip(*np.nonzero(kinks.any(axis=-1))):
+            total[:, k, row] = np.sum(terms[:, k, row].T[~kinks[k, row]], axis=0)
+    return np.moveaxis(total, 0, -1)
+
+
+def _sum_directions(numerator: Array, r: Array) -> Array:
+    """Sum over the rounds of numerator / r, skipping the kinks where r == 0."""
+    kinks = r == 0
+    terms = np.divide(numerator, r, out=numerator, where=~kinks)
+    return _sum_rounds(terms, kinks if kinks.any() else None)
 
 
 def _sum_oracles(losses: Loss):
-    """Value and gradient of the summed objective, vectorized per family."""
-    anchors = losses.anchor
+    """Value and gradient of each trial's summed objective, per family.
+
+    `losses` holds anchors (trials, T, d).  The oracles take points
+    (trials, rows, d) and return values (trials, rows) and gradients
+    (trials, rows, d).  Offsets from the anchors are laid out
+    coordinate-major, (d, trials, rows, T), so that every step runs along
+    contiguous rounds, in arrays the gradient reuses from one call to the
+    next.  Each family keeps the formula of a single solve term by term
+    (sums of squares as `np.linalg.norm` takes them, not `sqrt(vecdot)`),
+    and `_squared_norms` and `_sum_rounds` add in the order numpy adds one
+    trial's (T, d) arrays.
+    """
+    anchors = np.ascontiguousarray(losses.anchor.transpose(2, 0, 1))[:, :, None]
+    arrays: dict[str, Array] = {}
+
+    def reused(name, shape):
+        if name not in arrays or arrays[name].shape != shape:
+            arrays[name] = np.empty(shape)
+        return arrays[name]
+
+    def offsets(x):
+        """Offsets (d, trials, rows, T) from the anchors and their squared norms."""
+        shape = (len(anchors), len(x), x.shape[1], anchors.shape[-1])
+        diff = np.subtract(x.transpose(2, 0, 1)[..., None], anchors, out=reused("diff", shape))
+        return diff, _squared_norms(diff, reused("squares", shape[1:]), reused("spare", shape[1:]))
+
+    def distances(x):
+        diff, squares = offsets(x)
+        return diff, np.sqrt(squares, out=squares)
 
     if isinstance(losses, QuadraticLoss):
-        a = losses.a
-        b_total = float(sum(losses.b.tolist()))
+        a = losses.a[:, None, :]
+        b_total = np.array([float(sum(row)) for row in losses.b.tolist()])[:, None]
 
         def value(x):
-            r2 = np.sum((x - anchors) ** 2, axis=1)
-            return float(np.dot(a, r2)) + b_total
+            return np.vecdot(a, offsets(x)[1]) + b_total
 
         def grad(x):
-            return 2.0 * np.sum(a[:, None] * (x - anchors), axis=0)
+            diff = offsets(x)[0]
+            return 2.0 * _sum_rounds(np.multiply(a, diff, out=diff))
 
         return value, grad
 
     if isinstance(losses, NormLoss):
         def value(x):
-            return float(np.sum(np.linalg.norm(x - anchors, axis=1)))
+            return np.add.reduce(distances(x)[1], axis=-1)
 
         def grad(x):
-            diff = x - anchors
-            r = np.linalg.norm(diff, axis=1)
-            keep = r > 0
-            return np.sum(diff[keep] / r[keep, None], axis=0)
+            return _sum_directions(*distances(x))
 
         return value, grad
 
-    if isinstance(losses, PowerLoss) and np.all(losses.m == losses.m[0]):
-        m = int(losses.m[0])
+    if isinstance(losses, PowerLoss) and np.all(losses.m == losses.m.flat[0]):
+        m = int(losses.m.flat[0])
 
         def value(x):
-            r = np.linalg.norm(x - anchors, axis=1)
-            return float(np.sum(r**m))
+            return np.add.reduce(distances(x)[1] ** m, axis=-1)
 
         def grad(x):
-            diff = x - anchors
-            r = np.linalg.norm(diff, axis=1)
+            diff, r = distances(x)
             if m == 1:
-                keep = r > 0
-                return np.sum(diff[keep] / r[keep, None], axis=0)
-            return m * np.sum(r[:, None] ** (m - 2) * diff, axis=0)
+                return _sum_directions(diff, r)
+            return m * _sum_rounds(np.multiply(r ** (m - 2), diff, out=diff))
 
         return value, grad
 
     coefficients = (losses.a, losses.s, losses.m) if isinstance(losses, ExpLoss) else ()
-    if coefficients and all(np.all(c == c[0]) for c in coefficients):
-        a, s, m = float(losses.a[0]), float(losses.s[0]), int(losses.m[0])
+    if coefficients and all(np.all(c == c.flat[0]) for c in coefficients):
+        a, s, m = float(losses.a.flat[0]), float(losses.s.flat[0]), int(losses.m.flat[0])
 
         def value(x):
-            r = np.linalg.norm(x - anchors, axis=1)
-            return float(a * np.sum(np.exp(r**m / s**2)))
+            return a * np.add.reduce(np.exp(distances(x)[1] ** m / s**2), axis=-1)
 
         def grad(x):
-            diff = x - anchors
-            r = np.linalg.norm(diff, axis=1)
+            diff, r = distances(x)
             if m == 1:
-                keep = r > 0
-                w = a / s**2 * np.exp(r[keep] / s**2)
-                return np.sum(w[:, None] * diff[keep] / r[keep, None], axis=0)
+                w = a / s**2 * np.exp(r / s**2)
+                return _sum_directions(np.multiply(w, diff, out=diff), r)
             w = a * m / s**2 * r ** (m - 2) * np.exp(r**m / s**2)
-            return np.sum(w[:, None] * diff, axis=0)
+            return _sum_rounds(np.multiply(w, diff, out=diff))
 
         return value, grad
 
+    # Mixed coefficients: the family's own row-wise oracles, coordinate-last.
+    rows = losses[:, None]
+
     def value(x):
-        return float(np.sum(losses.value(x)))
+        return np.add.reduce(rows.value(x[:, :, None]), axis=-1)
 
     def grad(x):
-        return np.sum(losses.grad(x), axis=0)
+        return np.sum(rows.grad(x[:, :, None]), axis=2)
 
     return value, grad
 
@@ -253,35 +353,43 @@ def _sum_oracles(losses: Loss):
 # Regret
 # ---------------------------------------------------------------------------
 
-def regret(traj: Trajectory, body: ConvexBody, skip_rounds: int = 0) -> RegretReport:
-    """Regret curve of a finished trajectory against the hindsight optimum.
+def regret(trajectories: Trajectories, body: ConvexBody,
+           skip_rounds: int = 0) -> list[RegretReport]:
+    """Regret curves of an arm's finished trajectories, one report per trial.
 
+    Each trial is measured against its own hindsight optimum; one
+    `offline_optimum` call solves the comparators of every trial.
     `skip_rounds` drops that many initial rounds from the reported regret
     (and from the comparator's objective): the dummy-candidate warm-up.
     The cumulative-loss curve always covers every round.
     """
-    if traj.loss.anchor.shape[0] != traj.horizon:
+    horizon = trajectories.horizon
+    if any(traj.loss.anchor.shape[0] != traj.horizon for traj in trajectories):
         raise ValueError("trajectory is incomplete")
-    if not 0 <= skip_rounds < traj.horizon:
+    if not 0 <= skip_rounds < horizon:
         raise ValueError("skip_rounds must lie in [0, horizon)")
-    scored = traj.loss[skip_rounds:]
-    solution = offline_optimum(scored, body)
-    comparator_values = np.zeros(traj.horizon)
-    comparator_values[skip_rounds:] = scored.value(solution.point)
-    scored_loss = traj.loss_values.copy()
-    scored_loss[:skip_rounds] = 0.0
-    cum_loss = np.cumsum(traj.loss_values)
-    series = np.cumsum(scored_loss) - np.cumsum(comparator_values)
+    scored = Loss.stack([traj.loss[skip_rounds:] for traj in trajectories])
+    solutions = offline_optimum(scored, body)
+    comparator_values = np.zeros((len(trajectories), horizon))
+    comparator_values[:, skip_rounds:] = scored.value(
+        np.stack([solution.point for solution in solutions])[:, None])
+    loss_values = np.stack([traj.loss_values for traj in trajectories])
+    scored_loss = loss_values.copy()
+    scored_loss[:, :skip_rounds] = 0.0
+    cum_loss = np.cumsum(loss_values, axis=1)
+    series = np.cumsum(scored_loss, axis=1) - np.cumsum(comparator_values, axis=1)
 
-    return RegretReport(
-        horizon=traj.horizon,
-        regret=series,
-        cum_loss=cum_loss,
-        comparator=solution.point,
-        comparator_loss=solution.total,
-        delay_sum=traj.delay_sum,
-        converged=solution.converged,
-    )
+    return [
+        RegretReport(
+            horizon=horizon,
+            regret=series[k],
+            cum_loss=cum_loss[k],
+            comparator=solution.point,
+            comparator_loss=solution.total,
+            delay_sum=traj.delay_sum,
+            converged=solution.converged,
+        )
+        for k, (traj, solution) in enumerate(zip(trajectories, solutions))]
 
 
 def fit_scaling(points) -> ScalingFit:

@@ -14,6 +14,7 @@ and rerunning the manifest's config reproduces every byte.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import dataclasses
 import json
 from dataclasses import dataclass
@@ -266,6 +267,12 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         errors.append("stream.path: csv stream needs a file path")
     if cfg.stream == "pentagon" and (cfg.d1 < 2 or cfg.d2 != 2):
         errors.append("stream.d1/d2: pentagon stream needs d2 = 2 and d1 >= 2")
+    if cfg.stream == "csv" and cfg.context_path:
+        rows = _csv_rows(cfg)
+        longest = max((arm.horizon for _, arm in expand_arms(cfg)), default=cfg.horizon)
+        if rows is not None and rows < longest:
+            errors.append(f"stream.path: csv stream has {rows} rows, fewer than the horizon "
+                          f"{longest}")
 
     if cfg.family not in FAMILIES:
         errors.append(f"loss.family: must be one of {', '.join(FAMILIES)}")
@@ -293,6 +300,14 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         errors.append("learner.warmup: warm-up rounds (warmup * tau) cover the horizon of arm "
                       + ", ".join(covered))
     return errors
+
+
+def _csv_rows(cfg: ExperimentConfig) -> int | None:
+    """Rounds in the csv stream; None when the file does not load, which `run` reports."""
+    try:
+        return environment.ExplicitStream.from_csv(cfg.context_path, cfg.d1, cfg.d2).remaining
+    except (OSError, ValueError):
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +448,8 @@ def run_single(cfg: ExperimentConfig, seeds: list[int]) -> list[tuple[Trajectory
     trajectories = environment.run_game(
         learner, streams, delays, _loss_factory(cfg), scoring, cfg.horizon,
         seeds=[_sub_seed(seed, 1) for seed in seeds])
-    return [(traj, evaluation.regret(traj, body, skip_rounds=cfg.warmup * cfg.tau))
-            for traj in trajectories]
+    reports = evaluation.regret(trajectories, body, skip_rounds=cfg.warmup * cfg.tau)
+    return list(zip(trajectories, reports))
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +473,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
 
     Returns the manifest dictionary (also written to manifest.json).  Each
     arm plays all its trials as one lockstep batch; `threads` accepts only
-    1 and stays for the benchmark harness, which passes it.
+    1 and stays for the benchmark harness, which passes it.  When an arm
+    fails, the files and directories this call wrote are removed before
+    the error propagates, so a failed run leaves no partial outputs.
     """
     if threads != 1:
         raise ValueError(f"threads must be 1, got {threads}")
@@ -467,7 +484,22 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
         raise ConfigFileError(errors)
 
     out = Path(out_dir)
+    created = [path for path in (out, *out.parents) if not path.exists()]
     out.mkdir(parents=True, exist_ok=True)
+    written: list[Path] = []
+    try:
+        return _write_experiment(cfg, out, written)
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        for directory in created:
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        raise
+
+
+def _write_experiment(cfg: ExperimentConfig, out: Path, written: list[Path]) -> dict:
+    """`run_experiment` after validation, adding each output to `written` before writing it."""
     seeds = [trial_seed(cfg.seed, i) for i in range(cfg.trials)]
 
     manifest: dict = {
@@ -492,6 +524,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
         if cfg.kind == "single-run":
             traj = results[0][0]
             traj_file = out / "trajectory.csv"
+            written.append(traj_file)
             _write_trajectory_csv(traj, traj_file)
             manifest["outputs"].append(traj_file.name)
             manifest["metrics"]["replay_gap"] = float(traj.replay_gap())
@@ -499,6 +532,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
 
         curves = evaluation.aggregate(reports)
         csv_path = out / f"{label}.csv"
+        written.append(csv_path)
         evaluation.write_csv(curves, csv_path)
         manifest["outputs"].append(csv_path.name)
 
@@ -531,6 +565,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
         manifest["metrics"]["naive_to_learner_cum_loss_ratio"] = ratio
 
     manifest_path = out / "manifest.json"
+    written.append(manifest_path)
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     manifest["outputs"].append(manifest_path.name)

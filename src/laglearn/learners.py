@@ -356,6 +356,8 @@ class NaiveLearner(BaseLearner):
         updated, arrived = np.unique(rows, return_counts=True)
         self.count[updated] += arrived
         # Mean of points of a convex set stays inside it; no projection.
-        for k in updated.tolist():
-            self.state.estimate[k] = naive_estimate(self.revealed[k, :self.count[k]],
-                                                    self.state.body.dim)
+        # One mean per group of rows that have revealed the same count.
+        counts = self.count[updated]
+        for n in np.unique(counts).tolist():
+            group = updated[counts == n]
+            self.state.estimate[group] = np.mean(self.revealed[group, :n], axis=1)

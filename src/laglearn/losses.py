@@ -80,7 +80,10 @@ class Loss:
         return type(self)(self.anchor[index], **columns)
 
     def _column(self, value, dtype=float) -> Array:
-        return np.array(np.broadcast_to(np.asarray(value, dtype=dtype), self.anchor.shape[:-1]))
+        # C order: a copied broadcast keeps the broadcast axis innermost, and
+        # reductions and dot products round strided rows differently.
+        return np.array(np.broadcast_to(np.asarray(value, dtype=dtype), self.anchor.shape[:-1]),
+                        order="C")
 
     def _exponent(self, m) -> Array:
         m = np.asarray(m)

@@ -302,8 +302,8 @@ def test_criterion_8_offline_solver_agreement():
     losses = [QuadraticLoss(rng.normal(size=2), a=float(rng.uniform(0.2, 1.0)))
               for _ in range(30)]
     body = Ball([0.0, 0.0], 3.0)
-    closed = offline_optimum(losses, body)
-    iterative = offline_optimum(losses, body, method="iterative")
+    (closed,) = offline_optimum(losses, body)
+    (iterative,) = offline_optimum(losses, body, method="iterative")
     gap = float(np.linalg.norm(closed.point - iterative.point))
     _check(8, "closed-form vs iterative comparator", gap <= 1e-6, f"gap={gap:g}")
 
@@ -314,9 +314,9 @@ def test_criterion_8_score_error_chain_on_runs():
         stream = GaussianStream(rho=0.5, seed=seed)
         learner = GradientLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=seed + 1),
                                   Influence.coupled(1))
-        traj = run_game(learner, [stream], [FixedDelay(seed + 1)], uniform_quadratic(),
-                        LinearScoring.default(1, 1), horizon=400, seeds=[seed + 10])[0]
-        report = regret(traj, Ball([0.0], 4.0))
+        trajs = run_game(learner, [stream], [FixedDelay(seed + 1)], uniform_quadratic(),
+                         LinearScoring.default(1, 1), horizon=400, seeds=[seed + 10])
+        traj, report = trajs[0], regret(trajs, Ball([0.0], 4.0))[0]
         margin = float(traj.score_error_losses.sum()
                        - report.comparator_loss - report.regret[-1])
         worst = max(worst, margin)

@@ -250,7 +250,6 @@ def test_cli_validate_rejects_adversarial_delays_for_fixed_lag_learners(tmp_path
 
 @pytest.mark.parametrize("rows, delays", [
     (4, "3\n2\n2\n2\n"),   # not every delay is tau + 1 = 2
-    (3, "2\n2\n2\n2\n"),   # the csv stream is shorter than the horizon
 ])
 def test_cli_run_reports_domain_errors_with_exit_2(tmp_path, capsys, rows, delays):
     delay_file = tmp_path / "delays.txt"
@@ -262,6 +261,69 @@ def test_cli_run_reports_domain_errors_with_exit_2(tmp_path, capsys, rows, delay
     assert cli.main(["run", str(config), "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _scaling_check_config(tmp_path, stream, learner, delays):
+    return write_config(tmp_path, f"""
+[experiment]
+kind = scaling-check
+trials = 2
+
+[learner]
+{learner}
+
+[sweep]
+horizon = 3, 50
+
+[stream]
+{stream}
+
+[loss]
+family = norm
+
+[delays]
+{delays}
+""")
+
+
+@pytest.mark.parametrize("kind", ["single-run", "scaling-check"])
+def test_cli_validate_and_run_reject_a_csv_stream_shorter_than_the_horizon(tmp_path, capsys,
+                                                                         kind):
+    if kind == "single-run":   # horizon 4, three rows
+        config = _single_ogd_csv_config(tmp_path, 3, "[delays]\nkind = fixed\n")
+    else:                      # arms T3 and T50, four rows
+        contexts = tmp_path / "contexts.csv"
+        contexts.write_text("1.0,0.5\n" * 4, encoding="utf-8")
+        config = _scaling_check_config(
+            tmp_path, f"kind = csv\npath = {contexts}\nd1 = 1\nd2 = 1",
+            "kind = ogd\nschedule = sqrt\nsigma = 0.5", "kind = fixed")
+    assert cli.main(["validate", str(config)]) == 2
+    assert "stream.path: csv stream has" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert cli.main(["run", str(config), "--out-dir", str(out)]) == 2
+    assert "stream.path" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_run_removes_its_outputs_when_a_later_arm_fails(tmp_path, capsys):
+    # Arm T3 runs and writes T3.csv; arm T50 runs out of file delays.
+    delay_file = tmp_path / "delays.txt"
+    delay_file.write_text("1\n2\n1\n3\n", encoding="utf-8")
+    config = _scaling_check_config(
+        tmp_path, "kind = gaussian",
+        "kind = adversarial\neta = 0.1\nlam = 0.0", f"kind = file\npath = {delay_file}")
+    assert cli.main(["validate", str(config)]) == 0
+    fresh = tmp_path / "fresh" / "out"
+    assert cli.main(["run", str(config), "--out-dir", str(fresh)]) == 2
+    assert "schedule has 4 delays" in capsys.readouterr().err
+    assert not (tmp_path / "fresh").exists()
+
+    # Files the run did not write stay where they were.
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    (existing / "notes.txt").write_text("kept", encoding="utf-8")
+    assert cli.main(["run", str(config), "--out-dir", str(existing)]) == 2
+    assert [p.name for p in existing.iterdir()] == ["notes.txt"]
 
 
 def test_cli_run_reports_a_non_finite_gradient_with_exit_2(tmp_path, capsys):

@@ -34,7 +34,7 @@ def interval(lo, hi):
 
 def test_offline_quadratic_equal_weights_mean():
     losses = [QuadraticLoss([0.0], a=1.0), QuadraticLoss([2.0], a=1.0)]
-    sol = offline_optimum(losses, interval(-10.0, 10.0))
+    (sol,) = offline_optimum(losses, interval(-10.0, 10.0))
     assert sol.point[0] == pytest.approx(1.0)
     assert sol.total == pytest.approx(2.0)
     assert sol.converged
@@ -42,13 +42,13 @@ def test_offline_quadratic_equal_weights_mean():
 
 def test_offline_quadratic_clamped_by_the_body():
     losses = [QuadraticLoss([0.0], a=1.0), QuadraticLoss([2.0], a=1.0)]
-    sol = offline_optimum(losses, interval(-1.0, 0.5))
+    (sol,) = offline_optimum(losses, interval(-1.0, 0.5))
     assert sol.point[0] == pytest.approx(0.5)
 
 
 def test_offline_norm_median_one_dimensional():
     losses = [NormLoss([v]) for v in (0.0, 1.0, 10.0)]
-    sol = offline_optimum(losses, interval(-20.0, 20.0))
+    (sol,) = offline_optimum(losses, interval(-20.0, 20.0))
     assert sol.point[0] == pytest.approx(1.0)
     assert sol.total == pytest.approx(10.0)
 
@@ -58,7 +58,7 @@ def test_offline_geometric_median_matches_grid_search():
     anchors = [np.array([0.1, 0.2]), np.array([0.8, 0.3]), np.array([0.4, 0.9])]
     losses = [NormLoss(a) for a in anchors]
     body = Box([0.0, 0.0], [1.0, 1.0])
-    sol = offline_optimum(losses, body)
+    (sol,) = offline_optimum(losses, body)
 
     xs = np.linspace(0.0, 1.0, 1000)
     ys = np.linspace(0.0, 1.0, 1000)
@@ -79,8 +79,8 @@ def test_offline_iterative_agrees_with_closed_form():
                             b=float(rng.uniform()))
               for _ in range(40)]
     body = Ball([0.0, 0.0], 3.0)
-    closed = offline_optimum(losses, body)
-    iterative = offline_optimum(losses, body, method="iterative")
+    (closed,) = offline_optimum(losses, body)
+    (iterative,) = offline_optimum(losses, body, method="iterative")
     assert np.linalg.norm(closed.point - iterative.point) <= 1e-6
     assert abs(closed.total - iterative.total) <= 1e-6
 
@@ -89,7 +89,7 @@ def test_offline_comparator_beats_random_candidates():
     rng = np.random.default_rng(23)
     losses = [NormLoss(rng.normal(size=2)) for _ in range(25)]
     body = Ball([0.0, 0.0], 4.0)
-    sol = offline_optimum(losses, body)
+    (sol,) = offline_optimum(losses, body)
     for _ in range(100):
         y = body.sample(rng)
         assert sol.total <= sum(l.value(y) for l in losses) + 1e-6
@@ -107,7 +107,7 @@ def test_offline_optimum_input_validation():
 def test_offline_optimum_warns_when_budget_exhausted():
     losses = [QuadraticLoss([3.0], a=1.0)]
     with pytest.warns(RuntimeWarning, match="iteration budget"):
-        sol = offline_optimum(losses, Ball([0.0], 4.0), method="iterative",
+        (sol,) = offline_optimum(losses, Ball([0.0], 4.0), method="iterative",
                               max_iters=2, restarts=1)
     assert not sol.converged
     assert sol.point is not None
@@ -121,12 +121,12 @@ def _toy_trajectory(estimates, losses):
     est = np.asarray(estimates, dtype=float)
     values = np.array([l.value(e) for l, e in zip(losses, est)])
     horizon = len(losses)
-    from laglearn.evaluation import Trajectory
-    return Trajectory(
+    from laglearn.evaluation import Trajectories, Trajectory
+    return Trajectories([Trajectory(
         horizon=horizon, dim=est.shape[1], estimates=est, loss_values=values,
         score_errors=np.zeros(horizon), score_error_losses=np.zeros(horizon),
         loss=Loss.stack(losses), delays=np.ones(horizon, dtype=np.int64),
-        delay_sum=horizon, seed=0)
+        delay_sum=horizon, seed=0)])
 
 
 def test_regret_hand_computed_two_round_instance():
@@ -134,7 +134,7 @@ def test_regret_hand_computed_two_round_instance():
     # point 1 with loss 2, regret 2.
     losses = [QuadraticLoss([0.0], a=1.0), QuadraticLoss([2.0], a=1.0)]
     traj = _toy_trajectory([[0.0], [0.0]], losses)
-    report = regret(traj, interval(-10.0, 10.0))
+    (report,) = regret(traj, interval(-10.0, 10.0))
     assert report.comparator[0] == pytest.approx(1.0)
     assert report.comparator_loss == pytest.approx(2.0)
     assert report.regret[-1] == pytest.approx(2.0)
@@ -144,17 +144,17 @@ def test_regret_hand_computed_two_round_instance():
 def test_regret_zero_when_playing_the_comparator():
     losses = [QuadraticLoss([0.0], a=1.0), QuadraticLoss([2.0], a=1.0)]
     traj = _toy_trajectory([[1.0], [1.0]], losses)
-    report = regret(traj, interval(-10.0, 10.0))
+    (report,) = regret(traj, interval(-10.0, 10.0))
     assert report.regret[-1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_regret_scales_linearly_with_quadratic_weight():
     anchors = [[0.5], [1.5], [-0.3]]
     plays = [[0.0], [0.2], [1.0]]
-    base = regret(_toy_trajectory(plays, [QuadraticLoss(a_, a=1.0) for a_ in anchors]),
-                  interval(-10.0, 10.0))
-    doubled = regret(_toy_trajectory(plays, [QuadraticLoss(a_, a=2.0) for a_ in anchors]),
+    (base,) = regret(_toy_trajectory(plays, [QuadraticLoss(a_, a=1.0) for a_ in anchors]),
                      interval(-10.0, 10.0))
+    (doubled,) = regret(_toy_trajectory(plays, [QuadraticLoss(a_, a=2.0) for a_ in anchors]),
+                        interval(-10.0, 10.0))
     assert doubled.regret[-1] == pytest.approx(2.0 * base.regret[-1])
 
 
@@ -163,7 +163,7 @@ def test_regret_warmup_rounds_excluded():
     # at 2 (loss 4), comparator sits on the anchor (loss 0), regret 4.
     losses = [QuadraticLoss([0.0], a=1.0), QuadraticLoss([2.0], a=1.0)]
     traj = _toy_trajectory([[0.0], [0.0]], losses)
-    report = regret(traj, interval(-10.0, 10.0), skip_rounds=1)
+    (report,) = regret(traj, interval(-10.0, 10.0), skip_rounds=1)
     assert report.comparator[0] == pytest.approx(2.0)
     assert report.comparator_loss == pytest.approx(0.0)
     assert report.regret[0] == pytest.approx(0.0)
@@ -186,9 +186,9 @@ def test_cumulative_score_error_bounded_by_comparator_plus_regret():
     stream = GaussianStream(rho=0.5, seed=37)
     learner = GradientLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=4),
                               Influence.coupled(1))
-    traj = run_game(learner, [stream], [FixedDelay(4)], uniform_quadratic(),
-                    LinearScoring.default(1, 1), horizon=300, seeds=[5])[0]
-    report = regret(traj, Ball([0.0], 4.0))
+    trajs = run_game(learner, [stream], [FixedDelay(4)], uniform_quadratic(),
+                     LinearScoring.default(1, 1), horizon=300, seeds=[5])
+    traj, report = trajs[0], regret(trajs, Ball([0.0], 4.0))[0]
     chain_total = float(traj.score_error_losses.sum())
     assert chain_total <= report.comparator_loss + report.regret[-1] + 1e-6
 
@@ -236,7 +236,7 @@ def _report_with_final(final):
     # losses total 2 + final while the best fixed point still costs 2
     losses = [QuadraticLoss([0.0], a=1.0), QuadraticLoss([2.0], a=1.0)]
     traj = _toy_trajectory([[np.sqrt(2.0 + final)], [2.0]], losses)
-    return regret(traj, interval(-10.0, 10.0))
+    return regret(traj, interval(-10.0, 10.0))[0]
 
 
 def test_aggregate_identical_trials_have_zero_stderr():
@@ -282,9 +282,9 @@ def test_strongly_convex_regret_under_harmonic_ceiling():
     gamma = 2.0 * a
     stream = GaussianStream(rho=0.5, seed=41)
     learner = GradientLearner(body, InverseTimeStep(gamma=gamma, tau=tau), Influence.coupled(1))
-    traj = run_game(learner, [stream], [FixedDelay(tau)], fixed_loss(QuadraticLoss, a=a, b=0.0),
-                    LinearScoring.default(1, 1), horizon=horizon, seeds=[43])[0]
-    report = regret(traj, body)
+    trajs = run_game(learner, [stream], [FixedDelay(tau)], fixed_loss(QuadraticLoss, a=a, b=0.0),
+                     LinearScoring.default(1, 1), horizon=horizon, seeds=[43])
+    (report,) = regret(trajs, body)
 
     R = body.radius_bound
     L = 2.0 * a * (2.0 * R)

@@ -335,6 +335,11 @@ def test_naive_estimate_is_the_mean_of_the_delivered_anchors_bit_for_bit():
             anchors = traj.loss.anchor[np.array(revealed, dtype=int) - 1]
             expected = np.mean(anchors, axis=0) if revealed else np.zeros(2)
             assert np.array_equal(traj.estimates[t], expected)
+    # The learner groups the trials it updates by their revealed count; some
+    # rounds update trials that have revealed different counts.
+    counts = np.cumsum([[len(d) for d in traj.delivered] for traj in trajs], axis=1)
+    updated = np.array([[len(d) > 0 for d in traj.delivered] for traj in trajs])
+    assert any(len(set(counts[updated[:, i], i].tolist())) > 1 for i in range(horizon))
 
 
 def test_zero_subgradient_flags_only_for_deliveries_within_the_horizon():

@@ -21,8 +21,9 @@ from laglearn import cli, evaluation, experiments
 
 # Losses without a closed-form comparator send it into projected gradient
 # descent, which on a kinked or steep sum can take its whole budget of
-# 5 x 100 000 steps: seconds a trial.  The contract does not depend on the
-# budget, so the test cuts it.
+# 100 000 steps: seconds an arm.  The contract does not depend on the
+# budget, so the test cuts it; `regret` reaches the solver through the
+# module attribute, and every run that completes must have called it.
 SHORT_COMPARATOR = functools.partial(evaluation.offline_optimum, max_iters=1_000)
 
 def rounded(lo, hi):
@@ -137,12 +138,15 @@ def test_validate_and_run_agree(drawn):
         stderr = io.StringIO()
         with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()), \
                 warnings.catch_warnings(), \
-                mock.patch.object(evaluation, "offline_optimum", SHORT_COMPARATOR):
+                mock.patch.object(evaluation, "offline_optimum",
+                                  side_effect=SHORT_COMPARATOR) as solver:
             warnings.simplefilter("ignore")
             accepted = cli.main(["validate", str(config)]) == 0
             code = cli.main(["run", str(config), "--out-dir", str(out)])
         if accepted:
             assert code in (0, 2), stderr.getvalue()
+            if code == 0:
+                assert solver.called
             if code == 2:
                 assert stderr.getvalue().splitlines()[-1].startswith("error: ")
         else:
