@@ -33,9 +33,9 @@ for horizon in (500, 1000, 2000):
                                   horizon=horizon, delay_sum=delay_sum)
     stream = GaussianStream(mean=0.25, body_hidden=body, seed=5)
     learner = GradientLearner(body, ConstantStep(value=eta), any_delays=True)
-    trajs = run_game(learner, [stream], [delays], fixed_loss(NormLoss),
-                     LinearScoring.default(1, 1), horizon, seeds=[8])
-    r = regret(trajs, body)[0].regret[-1]
+    traj = run_game(learner, [stream], [delays], fixed_loss(NormLoss),
+                    LinearScoring.default(1, 1), horizon, seeds=[8])
+    r = regret(traj, body).regret[0, -1]
     print(f"{horizon:7d}   {delay_sum:11d}   {eta:.6f}  {r:7.2f}   {r / np.sqrt(delay_sum):8.4f}")
 
 print("\nbatched deliveries around one mid-game round:")
@@ -43,6 +43,7 @@ delays = RandomDelay(d_max=20, seed=33)
 stream = GaussianStream(mean=0.25, body_hidden=body, seed=5)
 learner = GradientLearner(body, ConstantStep(value=0.01), any_delays=True)
 traj = run_game(learner, [stream], [delays], fixed_loss(NormLoss),
-                LinearScoring.default(1, 1), 60, seeds=[8])[0]
+                LinearScoring.default(1, 1), 60, seeds=[8])
+delivered = traj.delivered(0)
 for t in range(20, 31):
-    print(f"  round {t}: delivered {list(traj.delivered[t - 1]) or 'nothing'}")
+    print(f"  round {t}: delivered {list(delivered[t - 1]) or 'nothing'}")

@@ -28,9 +28,9 @@ pentagon = regular_polygon(5, center=(1.0, 1.0), circumradius=1.0)
 
 def play(learner):
     stream = PolygonStream(pentagon, seed=3)
-    trajs = run_game(learner, [stream], [FixedDelay(TAU)], uniform_quadratic(),
-                     LinearScoring.default(2, 2), HORIZON, seeds=[4])
-    return trajs[0], regret(trajs, pentagon)[0]
+    traj = run_game(learner, [stream], [FixedDelay(TAU)], uniform_quadratic(),
+                    LinearScoring.default(2, 2), HORIZON, seeds=[4])
+    return traj, regret(traj, pentagon)
 
 
 grad_traj, grad_report = play(GradientLearner(pentagon, InverseSqrtStep(sigma=0.5, tau=TAU)))
@@ -40,9 +40,9 @@ print(f"pentagon centered (1,1), lag tau={TAU}, T={HORIZON}, one seeded trial")
 print(f"{'':18s}{'cum loss':>10s}{'regret':>10s}   final estimate")
 for name, traj, report in [("gradient learner", grad_traj, grad_report),
                            ("sample mean", mean_traj, mean_report)]:
-    print(f"{name:18s}{report.cum_loss[-1]:10.1f}{report.regret[-1]:10.2f}"
-          f"   {np.round(traj.estimates[-1], 3)}")
-print(f"best fixed point  {grad_report.comparator_loss:10.1f}{0.0:10.2f}"
-      f"   {np.round(grad_report.comparator, 3)}")
+    print(f"{name:18s}{report.cum_loss[0, -1]:10.1f}{report.regret[0, -1]:10.2f}"
+          f"   {np.round(traj.estimates[0, -1], 3)}")
+print(f"best fixed point  {grad_report.comparator_loss[0]:10.1f}{0.0:10.2f}"
+      f"   {np.round(grad_report.comparator[0], 3)}")
 print("\nboth estimates stay inside the pentagon every round; the averaged")
 print("runs live in the fig4 preset: laglearn run fig4")

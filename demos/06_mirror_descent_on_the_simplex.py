@@ -34,11 +34,11 @@ stream = ExplicitStream(known, hidden, body_hidden=simplex)
 learner = GradientLearner(simplex, InverseSqrtStep(sigma=0.3, tau=TAU),
                           mirror=NegativeEntropyMap())
 traj = run_game(learner, [stream], [FixedDelay(TAU)], fixed_loss(QuadraticLoss, a=1.0),
-                LinearScoring.default(3, 3), HORIZON, seeds=[1])[0]
+                LinearScoring.default(3, 3), HORIZON, seeds=[1])
 
 print("entropic mirror descent toward a Dirichlet(6,3,1) mixture:")
 for t in (1, 5, 20, 100, 400):
-    est = traj.estimates[t - 1]
+    est = traj.estimates[0, t - 1]
     print(f"  t={t:3d}  estimate={np.round(est, 3)}  sum={est.sum():.6f}")
 print("  mean hidden    ", np.round(hidden.mean(axis=0), 3))
 

@@ -16,7 +16,6 @@ from .evaluation import (
     OfflineSolution,
     RegretReport,
     ScalingFit,
-    Trajectories,
     Trajectory,
     aggregate,
     fit_scaling,
@@ -56,7 +55,6 @@ from .learners import (
     NonFiniteGradient,
     StepSchedule,
     eta_for_arbitrary_delay,
-    naive_estimate,
     sigma_for_fixed_delay,
     sigma_for_mirror,
 )

@@ -6,8 +6,10 @@ The learner posts an estimate of the hidden part, the adversary anchors a
 loss at the true hidden part, and the loss's feedback (its gradient at the
 estimate, or its anchor for the sample-mean baseline) enters the feedback
 buffer to be delivered after its delay.  The learner sees hidden
-information only through delivered feedback, never directly.  The independent trials of one configuration are played in
-lockstep, as one game on (trials, dim) arrays.
+information only through delivered feedback, never directly.  The
+independent trials of one configuration are played in lockstep, as one
+game on (trials, dim) arrays, and recorded as one `Trajectory` whose
+row k is trial k.
 
 Scores are separable, score(known, hidden) = known_part + hidden_part,
 with the hidden component 1-Lipschitz, so the per-round score error is
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluation import Trajectories, Trajectory
+from .evaluation import Trajectory
 from .feedback import DelaySchedule, FeedbackBuffer
 from .geometry import Array, Ball, ConvexBody, Polygon, as_vector
 from .learners import BaseLearner
@@ -225,8 +227,8 @@ def fixed_loss(prototype: type, **params):
 
 def run_game(learner: BaseLearner, streams: list[ContextStream],
              delays: list[DelaySchedule], loss_factory, scoring: LinearScoring,
-             horizon: int, seeds: list[int]) -> Trajectories:
-    """Play `horizon` rounds of one trial per stream, in lockstep.
+             horizon: int, seeds: list[int]) -> Trajectory:
+    """Play `horizon` rounds of one trial per stream, in lockstep, and record them.
 
     Trial k reads `streams[k]`, realizes `delays[k]` and draws its loss
     coefficients from `seeds[k]`; the learner holds one iterate row per
@@ -236,7 +238,9 @@ def run_game(learner: BaseLearner, streams: list[ContextStream],
     together with the next round's known context (the update at the
     horizon boundary sees no known context and uses a zero pull).  Loss
     values, score errors and flags are computed from the recorded arrays
-    after the last round.
+    after the last round.  The loop runs on round-major arrays; the
+    returned `Trajectory` is trial-major, with row k of every array (and
+    the flags tagged k) belonging to trial k.
     """
     trials = len(streams)
     if trials < 1 or len(delays) != trials or len(seeds) != trials:
@@ -265,6 +269,8 @@ def run_game(learner: BaseLearner, streams: list[ContextStream],
     known = np.stack([k for k, _ in drawn], axis=1)
     hidden = np.stack([h for _, h in drawn], axis=1)
     loss = Loss.stack(trial_losses, axis=1)
+    recorded_loss = Loss.stack(trial_losses)  # trial-major, for the record
+    del drawn, trial_losses  # the stacks hold all that the loop and the record read
     buffer = FeedbackBuffer(delay_values)
 
     estimates = np.empty((horizon, trials, dim))
@@ -286,21 +292,21 @@ def run_game(learner: BaseLearner, streams: list[ContextStream],
     # Only a gradient learner meets zero subgradients, and only those delivered in time.
     kinked = loss.kinks(estimates) & (due <= horizon) & learner.uses_gradients
     kink_counts = kinked.sum(axis=0).tolist()
+    flags = []
+    for k in range(trials):
+        flags += [(k, ZERO_SUBGRADIENT_FLAG)] * kink_counts[k]
+        flags += [(k, f"score_chain_violated_at_{i + 1}") for i in np.flatnonzero(violated[:, k])]
 
-    return Trajectories(
-        Trajectory(
-            horizon=horizon,
-            dim=dim,
-            estimates=np.ascontiguousarray(estimates[:, k]),
-            loss_values=np.ascontiguousarray(loss_values[:, k]),
-            score_errors=np.ascontiguousarray(score_errors[:, k]),
-            score_error_losses=np.ascontiguousarray(score_error_losses[:, k]),
-            loss=trial_losses[k],
-            delays=delay_values[k],
-            delay_sum=int(delay_values[k].sum()),
-            seed=seeds[k],
-            flags=(ZERO_SUBGRADIENT_FLAG,) * kink_counts[k] + tuple(
-                f"score_chain_violated_at_{i + 1}" for i in np.flatnonzero(violated[:, k])),
-        )
-        for k in range(trials))
+    # The record is trial-major: one transposed copy of each round-major array.
+    def trial_major(array):
+        return np.ascontiguousarray(np.swapaxes(array, 0, 1))
 
+    return Trajectory(
+        estimates=trial_major(estimates),
+        loss_values=trial_major(loss_values),
+        score_errors=trial_major(score_errors),
+        score_error_losses=trial_major(score_error_losses),
+        loss=recorded_loss,
+        delays=delay_values,
+        flags=tuple(flags),
+    )

@@ -8,18 +8,20 @@ the single best fixed decision in hindsight:
 The prefix series regret(t) reuses the horizon-T comparator, the fixed
 benchmark the guarantees are stated against.
 
-`regret` measures all the trials of one game at once: a single
-`offline_optimum` call solves every trial's comparator as one batch, whose
-rows are the trials for the closed forms and trials x restarts for
-projected gradient descent.  Each row rounds exactly as solving its trial
-alone does, so a trial's comparator does not depend on the batch it is in.
+One `Trajectory` records all the trials of one game and one
+`RegretReport` their regret; row k of every array is trial k.  `regret`
+measures the trials at once: a single `offline_optimum` call solves every
+trial's comparator as one batch, whose rows are the trials for the closed
+forms and trials x restarts for projected gradient descent.  Each row
+rounds exactly as solving its trial alone does, so a trial's comparator
+does not depend on the batch it is in.  `aggregate` reduces a report's
+rows to their mean and standard error.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -30,42 +32,32 @@ from .losses import ExpLoss, Loss, NormLoss, PowerLoss, QuadraticLoss
 
 @dataclass
 class Trajectory:
-    """Per-round record of one trial, replayable from its stored losses."""
+    """Per-round record of one lockstep game, replayable from its stored losses.
 
-    horizon: int
-    dim: int
-    estimates: Array                 # (T, dim) estimates actually played
-    loss_values: Array               # (T,) f_t evaluated at the decision
-    score_errors: Array              # (T,) |score with estimate - true score|
-    score_error_losses: Array        # (T,) radial profile applied to the score error
-    loss: Loss                       # the T losses, one row per round
-    delays: Array                    # (T,) per-round delays d_t
-    delay_sum: int
-    seed: int
-    flags: tuple[str, ...] = ()
+    Row k of every array is trial k, and trial k's flags are tagged k.
+    """
 
-    @cached_property
-    def delivered(self) -> tuple[tuple[int, ...], ...]:
-        """The source rounds delivered at each round, from the delays."""
-        buffer = FeedbackBuffer(self.delays)
-        return tuple(tuple(buffer.ready_at(t)[1].tolist()) for t in range(1, self.horizon + 1))
-
-    def replay_gap(self) -> float:
-        """Max |stored loss value - loss re-evaluated at the stored estimate|."""
-        gaps = np.abs(self.loss.value(self.estimates) - self.loss_values)
-        return float(np.max(gaps, initial=0.0, where=~np.isnan(gaps)))
-
-
-class Trajectories(tuple):
-    """The trajectories of one lockstep game, in trial order."""
+    estimates: Array                 # (trials, T, dim) estimates actually played
+    loss_values: Array               # (trials, T) f_t evaluated at the decision
+    score_errors: Array              # (trials, T) |score with estimate - true score|
+    score_error_losses: Array        # (trials, T) radial profile applied to the score error
+    loss: Loss                       # anchors (trials, T, dim): each trial's T losses
+    delays: Array                    # (trials, T) per-round delays d_t
+    flags: tuple[tuple[int, str], ...] = ()  # (trial, flag) pairs, in trial order
 
     @property
     def horizon(self) -> int:
-        return self[0].horizon
+        return self.delays.shape[1]
 
-    @property
-    def flags(self) -> tuple[str, ...]:
-        return tuple(flag for traj in self for flag in traj.flags)
+    def delivered(self, trial: int) -> tuple[tuple[int, ...], ...]:
+        """The source rounds delivered at each round of `trial`, from its delays."""
+        buffer = FeedbackBuffer(self.delays[trial])
+        return tuple(tuple(buffer.ready_at(t)[1].tolist()) for t in range(1, self.horizon + 1))
+
+    def replay_gap(self) -> Array:
+        """Per trial, max |stored loss value - loss re-evaluated at the stored estimate|."""
+        gaps = np.abs(self.loss.value(self.estimates) - self.loss_values)
+        return np.max(gaps, axis=1, initial=0.0, where=~np.isnan(gaps))
 
 
 @dataclass
@@ -86,13 +78,13 @@ class OfflineSolutions(tuple):
 
 @dataclass
 class RegretReport:
-    horizon: int
-    regret: Array                    # (T,) prefix regret with the fixed comparator
-    cum_loss: Array                  # (T,)
-    comparator: Array
-    comparator_loss: float
-    delay_sum: int
-    converged: bool = True
+    """Regret of one arm's trials: row k of every array is trial k."""
+
+    regret: Array                    # (trials, T) prefix regret with the fixed comparator
+    cum_loss: Array                  # (trials, T)
+    comparator: Array                # (trials, dim)
+    comparator_loss: Array           # (trials,)
+    converged: Array                 # (trials,) whether each comparator search converged
 
 
 @dataclass
@@ -353,9 +345,8 @@ def _sum_oracles(losses: Loss):
 # Regret
 # ---------------------------------------------------------------------------
 
-def regret(trajectories: Trajectories, body: ConvexBody,
-           skip_rounds: int = 0) -> list[RegretReport]:
-    """Regret curves of an arm's finished trajectories, one report per trial.
+def regret(trajectory: Trajectory, body: ConvexBody, skip_rounds: int = 0) -> RegretReport:
+    """Regret curves of an arm's finished trials.
 
     Each trial is measured against its own hindsight optimum; one
     `offline_optimum` call solves the comparators of every trial.
@@ -363,33 +354,25 @@ def regret(trajectories: Trajectories, body: ConvexBody,
     (and from the comparator's objective): the dummy-candidate warm-up.
     The cumulative-loss curve always covers every round.
     """
-    horizon = trajectories.horizon
-    if any(traj.loss.anchor.shape[0] != traj.horizon for traj in trajectories):
+    horizon = trajectory.horizon
+    if trajectory.loss.anchor.shape[1] != horizon:
         raise ValueError("trajectory is incomplete")
     if not 0 <= skip_rounds < horizon:
         raise ValueError("skip_rounds must lie in [0, horizon)")
-    scored = Loss.stack([traj.loss[skip_rounds:] for traj in trajectories])
+    scored = trajectory.loss[:, skip_rounds:]
     solutions = offline_optimum(scored, body)
-    comparator_values = np.zeros((len(trajectories), horizon))
-    comparator_values[:, skip_rounds:] = scored.value(
-        np.stack([solution.point for solution in solutions])[:, None])
-    loss_values = np.stack([traj.loss_values for traj in trajectories])
-    scored_loss = loss_values.copy()
+    comparator = np.stack([solution.point for solution in solutions])
+    comparator_values = np.zeros((len(comparator), horizon))
+    comparator_values[:, skip_rounds:] = scored.value(comparator[:, None])
+    scored_loss = trajectory.loss_values.copy()
     scored_loss[:, :skip_rounds] = 0.0
-    cum_loss = np.cumsum(loss_values, axis=1)
-    series = np.cumsum(scored_loss, axis=1) - np.cumsum(comparator_values, axis=1)
-
-    return [
-        RegretReport(
-            horizon=horizon,
-            regret=series[k],
-            cum_loss=cum_loss[k],
-            comparator=solution.point,
-            comparator_loss=solution.total,
-            delay_sum=traj.delay_sum,
-            converged=solution.converged,
-        )
-        for k, (traj, solution) in enumerate(zip(trajectories, solutions))]
+    return RegretReport(
+        regret=np.cumsum(scored_loss, axis=1) - np.cumsum(comparator_values, axis=1),
+        cum_loss=np.cumsum(trajectory.loss_values, axis=1),
+        comparator=comparator,
+        comparator_loss=np.array([solution.total for solution in solutions]),
+        converged=np.array([solution.converged for solution in solutions]),
+    )
 
 
 def fit_scaling(points) -> ScalingFit:
@@ -416,22 +399,21 @@ def fit_scaling(points) -> ScalingFit:
     return ScalingFit(exponent=float(fit.slope), halfwidth=halfwidth, points_used=len(kept))
 
 
-def aggregate(reports: list[RegretReport]) -> AggregateCurves:
-    """Pointwise mean and standard error over trials of one configuration."""
-    if not reports:
+def aggregate(report: RegretReport) -> AggregateCurves:
+    """Pointwise mean and standard error over the trials of one configuration."""
+    cum, reg = report.cum_loss, report.regret
+    trials, horizon = reg.shape
+    if trials == 0:
         raise ValueError("nothing to aggregate")
-    cum = np.stack([r.cum_loss for r in reports])
-    reg = np.stack([r.regret for r in reports])
-    n = len(reports)
 
     def stderr(stack):
-        if n < 2:
-            return np.zeros(stack.shape[1])
-        return np.std(stack, axis=0, ddof=1) / np.sqrt(n)
+        if trials < 2:
+            return np.zeros(horizon)
+        return np.std(stack, axis=0, ddof=1) / np.sqrt(trials)
 
     return AggregateCurves(
-        horizon=reports[0].horizon,
-        trials=n,
+        horizon=horizon,
+        trials=trials,
         cum_loss_mean=cum.mean(axis=0),
         cum_loss_stderr=stderr(cum),
         regret_mean=reg.mean(axis=0),

@@ -8,7 +8,10 @@ trials with the same derived per-trial seeds, so arms are compared under
 common random numbers.  Outputs are one CSV of aggregated curves per arm
 plus a manifest recording the fully resolved configuration, the seeds,
 and headline metrics.  An arm's trials are played as one lockstep batch,
-and rerunning the manifest's config reproduces every byte.
+recorded as one trajectory and one regret report whose row k is trial k,
+and rerunning the manifest's config reproduces every byte.  A single run
+also writes trajectory.csv and its replay gap and flags, all of the first
+trial.
 """
 
 from __future__ import annotations
@@ -267,9 +270,10 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         errors.append("stream.path: csv stream needs a file path")
     if cfg.stream == "pentagon" and (cfg.d1 < 2 or cfg.d2 != 2):
         errors.append("stream.d1/d2: pentagon stream needs d2 = 2 and d1 >= 2")
+    longest = max((arm.horizon for _, arm in expand_arms(cfg)), default=cfg.horizon)
     if cfg.stream == "csv" and cfg.context_path:
-        rows = _csv_rows(cfg)
-        longest = max((arm.horizon for _, arm in expand_arms(cfg)), default=cfg.horizon)
+        rows = _file_length(lambda: environment.ExplicitStream.from_csv(
+            cfg.context_path, cfg.d1, cfg.d2).remaining)
         if rows is not None and rows < longest:
             errors.append(f"stream.path: csv stream has {rows} rows, fewer than the horizon "
                           f"{longest}")
@@ -294,6 +298,11 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         errors.append("delays.d_max: must be >= 1")
     if cfg.delay_kind == "file" and not cfg.delay_path:
         errors.append("delays.path: file delays need a file path")
+    if cfg.delay_kind == "file" and cfg.delay_path:
+        count = _file_length(lambda: len(feedback.delays_from_file(cfg.delay_path).delays))
+        if count is not None and count < longest:
+            errors.append(f"delays.path: delay file has {count} delays, fewer than the horizon "
+                          f"{longest}")
 
     covered = [label for label, arm in expand_arms(cfg) if arm.warmup * arm.tau >= arm.horizon]
     if covered:
@@ -302,10 +311,10 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
     return errors
 
 
-def _csv_rows(cfg: ExperimentConfig) -> int | None:
-    """Rounds in the csv stream; None when the file does not load, which `run` reports."""
+def _file_length(load) -> int | None:
+    """Rows or delays that `load` reads; None if the file does not load, which `run` reports."""
     try:
-        return environment.ExplicitStream.from_csv(cfg.context_path, cfg.d1, cfg.d2).remaining
+        return load()
     except (OSError, ValueError):
         return None
 
@@ -438,18 +447,20 @@ def resolve_arm(cfg: ExperimentConfig) -> dict:
     return resolved
 
 
-def run_single(cfg: ExperimentConfig, seeds: list[int]) -> list[tuple[Trajectory, RegretReport]]:
-    """One arm's seeded trials: build the pieces, play them in lockstep, measure regret."""
+def run_single(cfg: ExperimentConfig, seeds: list[int]) -> tuple[Trajectory, RegretReport]:
+    """One arm's seeded trials: build the pieces, play them in lockstep, measure regret.
+
+    Row k of the trajectory and of the report is the trial of `seeds[k]`.
+    """
     body = _hidden_body(cfg)
     delays = [_build_delays(cfg, _sub_seed(seed, 2)) for seed in seeds]
     streams = [_build_stream(cfg, _sub_seed(seed, 0), body) for seed in seeds]
     learner = _build_learner(cfg, body, delays, cfg.horizon)
     scoring = environment.LinearScoring.default(cfg.d1, cfg.d2)
-    trajectories = environment.run_game(
+    trajectory = environment.run_game(
         learner, streams, delays, _loss_factory(cfg), scoring, cfg.horizon,
         seeds=[_sub_seed(seed, 1) for seed in seeds])
-    reports = evaluation.regret(trajectories, body, skip_rounds=cfg.warmup * cfg.tau)
-    return list(zip(trajectories, reports))
+    return trajectory, evaluation.regret(trajectory, body, skip_rounds=cfg.warmup * cfg.tau)
 
 
 # ---------------------------------------------------------------------------
@@ -518,19 +529,17 @@ def _write_experiment(cfg: ExperimentConfig, out: Path, written: list[Path]) -> 
 
     for label, arm in expand_arms(cfg):
         manifest["resolved"][label] = resolve_arm(arm)
-        results = run_single(arm, seeds)
-        reports = [rep for _, rep in results]
+        traj, report = run_single(arm, seeds)
 
-        if cfg.kind == "single-run":
-            traj = results[0][0]
+        if cfg.kind == "single-run":  # the single-run outputs describe the first trial
             traj_file = out / "trajectory.csv"
             written.append(traj_file)
             _write_trajectory_csv(traj, traj_file)
             manifest["outputs"].append(traj_file.name)
-            manifest["metrics"]["replay_gap"] = float(traj.replay_gap())
-            manifest["metrics"]["flags"] = list(traj.flags)
+            manifest["metrics"]["replay_gap"] = float(traj.replay_gap()[0])
+            manifest["metrics"]["flags"] = [flag for trial, flag in traj.flags if trial == 0]
 
-        curves = evaluation.aggregate(reports)
+        curves = evaluation.aggregate(report)
         csv_path = out / f"{label}.csv"
         written.append(csv_path)
         evaluation.write_csv(curves, csv_path)
@@ -542,7 +551,7 @@ def _write_experiment(cfg: ExperimentConfig, out: Path, written: list[Path]) -> 
             "final_cum_loss_stderr": float(curves.cum_loss_stderr[-1]),
             "final_regret_mean": float(curves.regret_mean[-1]),
             "final_regret_stderr": float(curves.regret_stderr[-1]),
-            "delay_sum_mean": float(np.mean([r.delay_sum for r in reports])),
+            "delay_sum_mean": float(np.mean(traj.delays.sum(axis=1))),
         }
         manifest["arms"][label] = final
         finals[label] = final
@@ -573,14 +582,16 @@ def _write_experiment(cfg: ExperimentConfig, out: Path, written: list[Path]) -> 
 
 
 def _write_trajectory_csv(traj: Trajectory, path) -> None:
-    coord_cols = ",".join(f"estimate_{j}" for j in range(traj.dim))
+    """The first trial's rounds: loss, score error, delivered sources and estimate."""
+    estimates, loss_values, errors = traj.estimates[0], traj.loss_values[0], traj.score_errors[0]
+    coord_cols = ",".join(f"estimate_{j}" for j in range(estimates.shape[1]))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"t,loss,score_error,delivered,{coord_cols}\n")
-        for i in range(traj.horizon):
-            delivered = ";".join(str(s) for s in traj.delivered[i])
-            coords = ",".join(repr(float(v)) for v in traj.estimates[i])
-            fh.write(f"{i + 1},{float(traj.loss_values[i])!r},"
-                     f"{float(traj.score_errors[i])!r},{delivered},{coords}\n")
+        for i, sources in enumerate(traj.delivered(0)):
+            delivered = ";".join(str(s) for s in sources)
+            coords = ",".join(repr(float(v)) for v in estimates[i])
+            fh.write(f"{i + 1},{float(loss_values[i])!r},"
+                     f"{float(errors[i])!r},{delivered},{coords}\n")
 
 
 # ---------------------------------------------------------------------------

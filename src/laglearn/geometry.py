@@ -2,9 +2,11 @@
 
 Estimates produced by the learners are kept inside a convex body via
 Euclidean projection.  Non-Euclidean geometries are handled by a mirror
-map: a strongly convex potential M whose gradient and dual gradient
-(the gradient of the Fenchel conjugate M*) transport points between the
-primal and dual spaces.  The Bregman divergence of a map is
+map: a strongly convex potential M.  A map offers the mirror-descent
+move `update`, which steps in the dual space through grad M and maps
+back through grad M* (the gradient of the Fenchel conjugate), its
+starting point, its smoothness, whether its iterates need projecting,
+and its Bregman divergence
 
     D_M(x || y) = M(x) - M(y) - <x - y, grad M(y)>
 
@@ -292,7 +294,7 @@ def regular_polygon(sides: int, center=(0.0, 0.0), circumradius: float = 1.0) ->
 # ---------------------------------------------------------------------------
 
 class MirrorMap:
-    """Potential M with gradient / dual-gradient pair and Bregman divergence.
+    """Potential M, known through its mirror-descent move and Bregman divergence.
 
     `update(x, step)` computes grad M*(grad M(x) + step) row by row, the
     dual-space move used by mirror-descent updates; for a finite step it
@@ -302,15 +304,6 @@ class MirrorMap:
 
     smoothness: float
     needs_projection: bool
-
-    def value(self, x) -> float:
-        raise NotImplementedError
-
-    def grad(self, x) -> Array:
-        raise NotImplementedError
-
-    def grad_dual(self, y) -> Array:
-        raise NotImplementedError
 
     def update(self, x, step) -> Array:
         raise NotImplementedError
@@ -323,20 +316,10 @@ class MirrorMap:
 
 
 class EuclideanMap(MirrorMap):
-    """M(x) = 0.5 ||x||^2: grad and dual grad are both the identity."""
+    """M(x) = 0.5 ||x||^2: grad M and grad M* are both the identity, so `update` adds."""
 
     smoothness = 1.0
     needs_projection = True
-
-    def value(self, x) -> float:
-        v = as_vector(x)
-        return 0.5 * float(np.dot(v, v))
-
-    def grad(self, x) -> Array:
-        return as_vector(x).copy()
-
-    def grad_dual(self, y) -> Array:
-        return as_vector(y).copy()
 
     def update(self, x, step) -> Array:
         return np.add(x, step)
@@ -365,20 +348,6 @@ class NegativeEntropyMap(MirrorMap):
 
     smoothness = 1.0  # w.r.t. the Euclidean norm on the simplex
     needs_projection = False
-
-    def value(self, x) -> float:
-        v = self._checked(x)
-        return float(np.sum(v * np.log(v)))
-
-    def grad(self, x) -> Array:
-        v = as_vector(x)
-        return 1.0 + np.log(np.maximum(v, ENTROPY_FLOOR))
-
-    def grad_dual(self, y) -> Array:
-        z = as_vector(y) - 1.0
-        z -= z.max()
-        w = np.exp(z)
-        return w / w.sum()
 
     def update(self, x, step) -> Array:
         v = np.asarray(x, dtype=float)

@@ -194,13 +194,6 @@ class LearnerState:
     t: int = 0
 
 
-def naive_estimate(revealed, dim: int) -> Array:
-    """Sample mean of all hidden contexts revealed so far (zeros when none)."""
-    if len(revealed) == 0:
-        return np.zeros(dim)
-    return np.mean(np.asarray(revealed, dtype=float).reshape(len(revealed), dim), axis=0)
-
-
 # ---------------------------------------------------------------------------
 # Step-size tuning
 # ---------------------------------------------------------------------------

@@ -173,7 +173,7 @@ def test_criterion_4_omd_ogd_equivalence():
         learner = GradientLearner(body=body, schedule=InverseSqrtStep(sigma=0.5, tau=5),
                                   influence=Influence.coupled(1), **kw)
         return run_game(learner, [stream], [FixedDelay(5)], uniform_quadratic(),
-                        LinearScoring.default(1, 1), horizon, seeds=[99])[0]
+                        LinearScoring.default(1, 1), horizon, seeds=[99])
 
     ogd = play()
     omd = play(mirror=EuclideanMap())
@@ -314,11 +314,11 @@ def test_criterion_8_score_error_chain_on_runs():
         stream = GaussianStream(rho=0.5, seed=seed)
         learner = GradientLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=seed + 1),
                                   Influence.coupled(1))
-        trajs = run_game(learner, [stream], [FixedDelay(seed + 1)], uniform_quadratic(),
-                         LinearScoring.default(1, 1), horizon=400, seeds=[seed + 10])
-        traj, report = trajs[0], regret(trajs, Ball([0.0], 4.0))[0]
-        margin = float(traj.score_error_losses.sum()
-                       - report.comparator_loss - report.regret[-1])
+        traj = run_game(learner, [stream], [FixedDelay(seed + 1)], uniform_quadratic(),
+                        LinearScoring.default(1, 1), horizon=400, seeds=[seed + 10])
+        report = regret(traj, Ball([0.0], 4.0))
+        margin = float(traj.score_error_losses[0].sum()
+                       - report.comparator_loss[0] - report.regret[0, -1])
         worst = max(worst, margin)
         ok &= margin <= 1e-6
     _check(8, "cumulative score error within comparator loss + regret", ok,
@@ -333,10 +333,10 @@ def test_criterion_9_exact_hand_oracles():
     stream = ExplicitStream([[1.0], [1.0], [1.0]], [[1.0], [2.0], [3.0]])
     learner = GradientLearner(Ball([0.0], 10.0), ConstantStep(value=0.5))
     traj = run_game(learner, [stream], [FixedDelay(0)], fixed_loss(QuadraticLoss, a=1.0, b=0.0),
-                    LinearScoring.default(1, 1), horizon=3, seeds=[0])[0]
-    no_delay_ok = (np.array_equal(traj.estimates, [[0.0], [1.0], [2.0]])
-                   and np.array_equal(traj.loss_values, [1.0, 1.0, 1.0])
-                   and traj.delivered == ((1,), (2,), (3,)))
+                    LinearScoring.default(1, 1), horizon=3, seeds=[0])
+    no_delay_ok = (np.array_equal(traj.estimates, [[[0.0], [1.0], [2.0]]])
+                   and np.array_equal(traj.loss_values, [[1.0, 1.0, 1.0]])
+                   and traj.delivered(0) == ((1,), (2,), (3,)))
     _check(9, "three-round no-delay trajectory exact", no_delay_ok,
            f"estimates={traj.estimates.ravel().tolist()}")
 
@@ -344,11 +344,11 @@ def test_criterion_9_exact_hand_oracles():
     learner = GradientLearner(Ball([0.0], 10.0), ConstantStep(value=0.1), any_delays=True)
     traj = run_game(learner, [stream], [ExplicitDelay((3, 1, 1))],
                     fixed_loss(QuadraticLoss, a=1.0, b=0.0),
-                    LinearScoring.default(1, 1), horizon=3, seeds=[0])[0]
+                    LinearScoring.default(1, 1), horizon=3, seeds=[0])
     x2 = 0.0
     x3 = x2 - 0.1 * (2.0 * (x2 - 2.0))
-    multi_ok = (traj.delivered == ((), (2,), (1, 3))
-                and np.array_equal(traj.estimates, [[0.0], [x2], [x3]])
-                and traj.loss_values[2] == math.sqrt((x3 - 3.0) ** 2) ** 2)
+    multi_ok = (traj.delivered(0) == ((), (2,), (1, 3))
+                and np.array_equal(traj.estimates, [[[0.0], [x2], [x3]]])
+                and traj.loss_values[0, 2] == math.sqrt((x3 - 3.0) ** 2) ** 2)
     _check(9, "multi-delivery trajectory exact (rounds 1 and 3 land together)",
            multi_ok, f"estimates={traj.estimates.ravel().tolist()}")

@@ -305,17 +305,45 @@ def test_cli_validate_and_run_reject_a_csv_stream_shorter_than_the_horizon(tmp_p
     assert not out.exists()
 
 
-def test_cli_run_removes_its_outputs_when_a_later_arm_fails(tmp_path, capsys):
-    # Arm T3 runs and writes T3.csv; arm T50 runs out of file delays.
+@pytest.mark.parametrize("kind", ["single-run", "scaling-check"])
+def test_cli_validate_and_run_reject_a_delay_file_shorter_than_the_horizon(tmp_path, capsys,
+                                                                           kind):
     delay_file = tmp_path / "delays.txt"
-    delay_file.write_text("1\n2\n1\n3\n", encoding="utf-8")
+    if kind == "single-run":   # horizon 4, three delays
+        delay_file.write_text("2\n2\n2\n", encoding="utf-8")
+        config = _single_ogd_csv_config(tmp_path, 4, f"[delays]\nkind = file\npath = {delay_file}")
+    else:                      # arms T3 and T50, four delays
+        delay_file.write_text("1\n2\n1\n3\n", encoding="utf-8")
+        config = _scaling_check_config(
+            tmp_path, "kind = gaussian",
+            "kind = adversarial\neta = 0.1\nlam = 0.0", f"kind = file\npath = {delay_file}")
+    assert cli.main(["validate", str(config)]) == 2
+    assert "delays.path: delay file has" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert cli.main(["run", str(config), "--out-dir", str(out)]) == 2
+    assert "delays.path" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_run_removes_its_outputs_when_a_later_arm_fails(tmp_path, capsys, monkeypatch):
+    # Arm T3 runs and writes T3.csv; arm T50 then fails.
+    run_single, horizons = experiments.run_single, []
+
+    def fail_at_t50(cfg, seeds):
+        horizons.append(cfg.horizon)
+        if cfg.horizon == 50:
+            raise ValueError("arm T50 failed")
+        return run_single(cfg, seeds)
+
+    monkeypatch.setattr(experiments, "run_single", fail_at_t50)
     config = _scaling_check_config(
         tmp_path, "kind = gaussian",
-        "kind = adversarial\neta = 0.1\nlam = 0.0", f"kind = file\npath = {delay_file}")
+        "kind = adversarial\neta = 0.1\nlam = 0.0", "kind = adversarial\nd_max = 4")
     assert cli.main(["validate", str(config)]) == 0
     fresh = tmp_path / "fresh" / "out"
     assert cli.main(["run", str(config), "--out-dir", str(fresh)]) == 2
-    assert "schedule has 4 delays" in capsys.readouterr().err
+    assert "arm T50 failed" in capsys.readouterr().err
+    assert horizons == [3, 50]
     assert not (tmp_path / "fresh").exists()
 
     # Files the run did not write stay where they were.
@@ -514,16 +542,25 @@ def test_run_single_is_reproducible_across_batch_splits(tmp_path):
             runs = []
             for sizes in splits:
                 starts = [sum(sizes[:k]) for k in range(len(sizes))]
-                runs.append([result for start, size in zip(starts, sizes)
-                             for result in experiments.run_single(arm, seeds[start:start + size])])
+                runs.append([experiments.run_single(arm, seeds[start:start + size])
+                             for start, size in zip(starts, sizes)])
             for run in runs[1:]:
-                for (traj, rep), (ref_traj, ref_rep) in zip(run, runs[0], strict=True):
-                    for name in ("estimates", "loss_values", "score_errors", "delays"):
-                        assert getattr(traj, name).tobytes() == getattr(ref_traj, name).tobytes()
-                    assert traj.flags == ref_traj.flags
-                    for name in ("regret", "cum_loss", "comparator"):
-                        assert getattr(rep, name).tobytes() == getattr(ref_rep, name).tobytes()
-                    assert rep.comparator_loss == ref_rep.comparator_loss
+                for name in ("estimates", "loss_values", "score_errors", "delays"):
+                    assert _trial_rows(run, 0, name) == _trial_rows(runs[0], 0, name)
+                assert _trial_flags(run) == _trial_flags(runs[0])
+                for name in ("regret", "cum_loss", "comparator", "comparator_loss", "converged"):
+                    assert _trial_rows(run, 1, name) == _trial_rows(runs[0], 1, name)
+
+
+def _trial_rows(batches, part, name):
+    """The bytes of each trial's row of one array, over `run_single` results in order."""
+    return [row.tobytes() for result in batches for row in getattr(result[part], name)]
+
+
+def _trial_flags(batches):
+    """Each trial's flags, over `run_single` results in order."""
+    return [[flag for k, flag in traj.flags if k == trial]
+            for traj, _ in batches for trial in range(len(traj.delays))]
 
 
 def test_run_experiment_accepts_only_one_thread(tmp_path):

@@ -1,12 +1,13 @@
-"""Every demo runs to completion and prints exactly what it printed when
-these digests were recorded.
+"""Every demo, and the README's library quick start, runs to completion
+and prints exactly what it printed when these digests were recorded.
 
 A digest is the SHA-256 of a demo's standard output.  Each demo runs in a
 fresh interpreter from an empty working directory (demo 03 writes its
 results under `results/` there).  Like the preset gate, the digests only
 apply under the numpy and scipy versions they were recorded with.  To
 record a new digest after an intended change of what a demo prints, run
-`python3 demos/<name>.py | sha256sum` and say why in CHANGES.md.
+`python3 demos/<name>.py | sha256sum` (for the quick start, the block
+`_quick_start()` returns) and say why in CHANGES.md.
 """
 
 import hashlib
@@ -38,13 +39,28 @@ DIGESTS = {
         "81ba51cc933462ff92282a8d5ee359b55225a44d1f200c8052c5a13250a6ac2a",
 }
 
+QUICK_START_DIGEST = "e649b01b81cbd20b19f8c701c98eb75495a734c7f6abe1a0e280ba16c6811953"
 
-def _run(path: Path, cwd: Path) -> subprocess.CompletedProcess:
+
+def _run(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, str(path)], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, timeout=120)
+
+
+def _quick_start() -> str:
+    """The first python block under the README's "Library quick start" heading."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Library quick start", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def _check_versions():
+    installed = {"numpy": numpy.__version__, "scipy": scipy.__version__}
+    if installed != RECORDED_WITH:
+        pytest.skip(f"digests recorded with {RECORDED_WITH}, running with {installed}")
 
 
 def test_digests_cover_every_demo():
@@ -53,9 +69,14 @@ def test_digests_cover_every_demo():
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_demo_prints_recorded_output(name, tmp_path):
-    installed = {"numpy": numpy.__version__, "scipy": scipy.__version__}
-    if installed != RECORDED_WITH:
-        pytest.skip(f"digests recorded with {RECORDED_WITH}, running with {installed}")
-    done = _run(ROOT / "demos" / name, tmp_path)
+    _check_versions()
+    done = _run([str(ROOT / "demos" / name)], tmp_path)
     assert done.returncode == 0, done.stderr.decode()
     assert hashlib.sha256(done.stdout).hexdigest() == DIGESTS[name]
+
+
+def test_readme_quick_start_prints_recorded_output(tmp_path):
+    _check_versions()
+    done = _run(["-c", _quick_start()], tmp_path)
+    assert done.returncode == 0, done.stderr.decode()
+    assert hashlib.sha256(done.stdout).hexdigest() == QUICK_START_DIGEST

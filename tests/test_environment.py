@@ -134,12 +134,12 @@ def test_three_round_game_matches_hand_simulation():
     learner = GradientLearner(Ball([0.0], 10.0), ConstantStep(value=0.5))
     traj = run_game(learner, [_three_round_stream()], [FixedDelay(0)],
                     fixed_loss(QuadraticLoss, a=1.0, b=0.0),
-                    LinearScoring.default(1, 1), horizon=3, seeds=[0])[0]
-    assert np.array_equal(traj.estimates, [[0.0], [1.0], [2.0]])
-    assert np.array_equal(traj.loss_values, [1.0, 1.0, 1.0])
-    assert np.array_equal(traj.score_errors, [1.0, 1.0, 1.0])
-    assert traj.delivered == ((1,), (2,), (3,))
-    assert traj.delay_sum == 3
+                    LinearScoring.default(1, 1), horizon=3, seeds=[0])
+    assert np.array_equal(traj.estimates, [[[0.0], [1.0], [2.0]]])
+    assert np.array_equal(traj.loss_values, [[1.0, 1.0, 1.0]])
+    assert np.array_equal(traj.score_errors, [[1.0, 1.0, 1.0]])
+    assert traj.delivered(0) == ((1,), (2,), (3,))
+    assert traj.delays.sum() == 3
     assert traj.flags == ()
 
 
@@ -148,7 +148,7 @@ def test_three_round_adversarial_game_multi_delivery():
     learner = GradientLearner(Ball([0.0], 10.0), ConstantStep(value=0.1), any_delays=True)
     traj = run_game(learner, [_three_round_stream()], [ExplicitDelay((3, 1, 1))],
                     fixed_loss(QuadraticLoss, a=1.0, b=0.0),
-                    LinearScoring.default(1, 1), horizon=3, seeds=[0])[0]
+                    LinearScoring.default(1, 1), horizon=3, seeds=[0])
 
     # Hand simulation with the same float operations:
     x1 = 0.0
@@ -157,12 +157,12 @@ def test_three_round_adversarial_game_multi_delivery():
     x3 = x2 - 0.1 * g2
     f3 = math.sqrt((x3 - 3.0) ** 2) ** 2      # distance then radial profile
 
-    assert traj.delivered == ((), (2,), (1, 3))
-    assert np.array_equal(traj.estimates, [[x1], [x2], [x3]])
-    assert traj.loss_values[0] == 1.0
-    assert traj.loss_values[1] == 4.0
-    assert traj.loss_values[2] == f3
-    assert traj.delay_sum == 5
+    assert traj.delivered(0) == ((), (2,), (1, 3))
+    assert np.array_equal(traj.estimates, [[[x1], [x2], [x3]]])
+    assert traj.loss_values[0, 0] == 1.0
+    assert traj.loss_values[0, 1] == 4.0
+    assert traj.loss_values[0, 2] == f3
+    assert traj.delays.sum() == 5
 
     # The post-horizon update consumed g1 evaluated at x1 and g3 at x3.
     g1 = 2.0 * (x1 - 1.0)
@@ -176,8 +176,8 @@ def test_horizon_equal_to_lag_keeps_all_estimates_zero():
     learner = GradientLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=tau),
                               Influence.coupled(1))
     traj = run_game(learner, [stream], [FixedDelay(tau)], uniform_quadratic(),
-                    LinearScoring.default(1, 1), horizon=tau, seeds=[2])[0]
-    assert np.array_equal(traj.estimates, np.zeros((tau, 1)))
+                    LinearScoring.default(1, 1), horizon=tau, seeds=[2])
+    assert np.array_equal(traj.estimates, np.zeros((1, tau, 1)))
 
 
 def test_identical_seeds_reproduce_bit_for_bit():
@@ -186,13 +186,13 @@ def test_identical_seeds_reproduce_bit_for_bit():
         learner = GradientLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=4),
                                   Influence.coupled(1))
         return run_game(learner, [stream], [FixedDelay(4)], uniform_quadratic(),
-                        LinearScoring.default(1, 1), horizon=200, seeds=[13])[0]
+                        LinearScoring.default(1, 1), horizon=200, seeds=[13])
 
     a, b = play(), play()
     assert np.array_equal(a.estimates, b.estimates)
     assert np.array_equal(a.loss_values, b.loss_values)
     assert np.array_equal(a.score_errors, b.score_errors)
-    assert a.delivered == b.delivered
+    assert a.delivered(0) == b.delivered(0)
 
 
 def test_score_error_chain_holds_every_round():
@@ -200,9 +200,9 @@ def test_score_error_chain_holds_every_round():
     learner = GradientLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=5),
                               Influence.coupled(1))
     traj = run_game(learner, [stream], [FixedDelay(5)], uniform_quadratic(),
-                    LinearScoring.default(1, 1), horizon=400, seeds=[8])[0]
+                    LinearScoring.default(1, 1), horizon=400, seeds=[8])
     assert np.all(traj.score_error_losses <= traj.loss_values + 1e-9)
-    assert not any(flag.startswith("score_chain") for flag in traj.flags)
+    assert not any(flag.startswith("score_chain") for _, flag in traj.flags)
 
 
 def test_score_chain_tolerance_is_relative_to_the_loss():
@@ -210,9 +210,9 @@ def test_score_chain_tolerance_is_relative_to_the_loss():
     cfg = experiments.ExperimentConfig(kind="single-run", learner="ogd", schedule="sqrt",
                                        sigma=0.5, family="exp", a=1.0, sigma1=0.5, m=2,
                                        horizon=200, seed=0)
-    [(traj, _)] = experiments.run_single(cfg, [experiments.trial_seed(0, 0)])
+    traj, _ = experiments.run_single(cfg, [experiments.trial_seed(0, 0)])
     assert traj.loss_values.max() > 1e100
-    assert not any(flag.startswith("score_chain") for flag in traj.flags)
+    assert not any(flag.startswith("score_chain") for _, flag in traj.flags)
 
 
 def test_score_chain_flags_a_hidden_weight_above_one():
@@ -226,8 +226,8 @@ def test_score_chain_flags_a_hidden_weight_above_one():
     learner = GradientLearner(Ball([0.0], 10.0), ConstantStep(value=0.5))
     traj = run_game(learner, [_three_round_stream()], [FixedDelay(0)],
                     fixed_loss(QuadraticLoss, a=1.0, b=0.0), DoubledScoring(),
-                    horizon=3, seeds=[0])[0]
-    assert [f for f in traj.flags if f.startswith("score_chain")] == [
+                    horizon=3, seeds=[0])
+    assert [f for _, f in traj.flags if f.startswith("score_chain")] == [
         "score_chain_violated_at_1", "score_chain_violated_at_2", "score_chain_violated_at_3"]
 
 
@@ -236,7 +236,7 @@ def test_fixed_lag_learner_rejects_mismatched_delays_before_round_1():
     stream = ExplicitStream([[1.0]] * 5, [[0.5]] * 5)
     with pytest.raises(ConfigError, match="tau \\+ 1 = 4"):
         run_game(learner, [stream], [ExplicitDelay((4, 4, 1, 4, 4))], uniform_quadratic(),
-                 LinearScoring.default(1, 1), horizon=5, seeds=[0])[0]
+                 LinearScoring.default(1, 1), horizon=5, seeds=[0])
     assert learner.state.t == 0
 
 
@@ -245,11 +245,11 @@ def test_run_game_configuration_errors():
     learner = GradientLearner(Ball([0.0, 0.0], 4.0), ConstantStep(value=0.1))  # wrong dim
     with pytest.raises(ConfigError):
         run_game(learner, [stream], [FixedDelay(0)], uniform_quadratic(),
-                 LinearScoring.default(1, 1), horizon=5, seeds=[0])[0]
+                 LinearScoring.default(1, 1), horizon=5, seeds=[0])
     good = GradientLearner(Ball([0.0], 4.0), ConstantStep(value=0.1))
     with pytest.raises(ConfigError):
         run_game(good, [stream], [FixedDelay(0)], uniform_quadratic(),
-                 LinearScoring.default(1, 1), horizon=0, seeds=[0])[0]
+                 LinearScoring.default(1, 1), horizon=0, seeds=[0])
 
 
 def test_uniform_quadratic_draws_are_seed_stable():

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -11,6 +9,7 @@ from laglearn.environment import (
     uniform_quadratic,
 )
 from laglearn.evaluation import (
+    Trajectory,
     aggregate,
     fit_scaling,
     harmonic,
@@ -117,58 +116,56 @@ def test_offline_optimum_warns_when_budget_exhausted():
 # Regret
 # ---------------------------------------------------------------------------
 
-def _toy_trajectory(estimates, losses):
-    est = np.asarray(estimates, dtype=float)
-    values = np.array([l.value(e) for l, e in zip(losses, est)])
-    horizon = len(losses)
-    from laglearn.evaluation import Trajectories, Trajectory
-    return Trajectories([Trajectory(
-        horizon=horizon, dim=est.shape[1], estimates=est, loss_values=values,
-        score_errors=np.zeros(horizon), score_error_losses=np.zeros(horizon),
-        loss=Loss.stack(losses), delays=np.ones(horizon, dtype=np.int64),
-        delay_sum=horizon, seed=0)])
+def _toy_trajectory(plays, losses):
+    """Trials that play `plays[k]`, one (T, d) list each, against the same T losses."""
+    est = np.asarray(plays, dtype=float)
+    loss = Loss.stack([Loss.stack(losses)] * len(est))
+    rounds = np.zeros(est.shape[:2])
+    return Trajectory(estimates=est, loss_values=loss.value(est), score_errors=rounds,
+                      score_error_losses=rounds, loss=loss,
+                      delays=np.ones(est.shape[:2], dtype=np.int64))
 
 
 def test_regret_hand_computed_two_round_instance():
     # Quadratics at anchors 0 and 2; playing 0 twice: total loss 4, best fixed
     # point 1 with loss 2, regret 2.
     losses = [QuadraticLoss([0.0], a=1.0), QuadraticLoss([2.0], a=1.0)]
-    traj = _toy_trajectory([[0.0], [0.0]], losses)
-    (report,) = regret(traj, interval(-10.0, 10.0))
-    assert report.comparator[0] == pytest.approx(1.0)
-    assert report.comparator_loss == pytest.approx(2.0)
-    assert report.regret[-1] == pytest.approx(2.0)
-    assert np.allclose(report.cum_loss, [0.0, 4.0])
+    traj = _toy_trajectory([[[0.0], [0.0]]], losses)
+    report = regret(traj, interval(-10.0, 10.0))
+    assert report.comparator[0, 0] == pytest.approx(1.0)
+    assert report.comparator_loss[0] == pytest.approx(2.0)
+    assert report.regret[0, -1] == pytest.approx(2.0)
+    assert np.allclose(report.cum_loss, [[0.0, 4.0]])
 
 
 def test_regret_zero_when_playing_the_comparator():
     losses = [QuadraticLoss([0.0], a=1.0), QuadraticLoss([2.0], a=1.0)]
-    traj = _toy_trajectory([[1.0], [1.0]], losses)
-    (report,) = regret(traj, interval(-10.0, 10.0))
-    assert report.regret[-1] == pytest.approx(0.0, abs=1e-12)
+    traj = _toy_trajectory([[[1.0], [1.0]]], losses)
+    report = regret(traj, interval(-10.0, 10.0))
+    assert report.regret[0, -1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_regret_scales_linearly_with_quadratic_weight():
     anchors = [[0.5], [1.5], [-0.3]]
-    plays = [[0.0], [0.2], [1.0]]
-    (base,) = regret(_toy_trajectory(plays, [QuadraticLoss(a_, a=1.0) for a_ in anchors]),
+    plays = [[[0.0], [0.2], [1.0]]]
+    base = regret(_toy_trajectory(plays, [QuadraticLoss(a_, a=1.0) for a_ in anchors]),
+                  interval(-10.0, 10.0))
+    doubled = regret(_toy_trajectory(plays, [QuadraticLoss(a_, a=2.0) for a_ in anchors]),
                      interval(-10.0, 10.0))
-    (doubled,) = regret(_toy_trajectory(plays, [QuadraticLoss(a_, a=2.0) for a_ in anchors]),
-                        interval(-10.0, 10.0))
-    assert doubled.regret[-1] == pytest.approx(2.0 * base.regret[-1])
+    assert doubled.regret[0, -1] == pytest.approx(2.0 * base.regret[0, -1])
 
 
 def test_regret_warmup_rounds_excluded():
     # Skipping round 1 scores only the second loss: play 0 against the anchor
     # at 2 (loss 4), comparator sits on the anchor (loss 0), regret 4.
     losses = [QuadraticLoss([0.0], a=1.0), QuadraticLoss([2.0], a=1.0)]
-    traj = _toy_trajectory([[0.0], [0.0]], losses)
-    (report,) = regret(traj, interval(-10.0, 10.0), skip_rounds=1)
-    assert report.comparator[0] == pytest.approx(2.0)
-    assert report.comparator_loss == pytest.approx(0.0)
-    assert report.regret[0] == pytest.approx(0.0)
-    assert report.regret[-1] == pytest.approx(4.0)
-    assert np.allclose(report.cum_loss, [0.0, 4.0])  # full-horizon curve
+    traj = _toy_trajectory([[[0.0], [0.0]]], losses)
+    report = regret(traj, interval(-10.0, 10.0), skip_rounds=1)
+    assert report.comparator[0, 0] == pytest.approx(2.0)
+    assert report.comparator_loss[0] == pytest.approx(0.0)
+    assert report.regret[0, 0] == pytest.approx(0.0)
+    assert report.regret[0, -1] == pytest.approx(4.0)
+    assert np.allclose(report.cum_loss, [[0.0, 4.0]])  # full-horizon curve
     with pytest.raises(ValueError):
         regret(traj, interval(-10.0, 10.0), skip_rounds=2)
 
@@ -178,19 +175,20 @@ def test_trajectory_replay_consistency():
     learner = GradientLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=3),
                               Influence.coupled(1))
     traj = run_game(learner, [stream], [FixedDelay(3)], uniform_quadratic(),
-                    LinearScoring.default(1, 1), horizon=250, seeds=[17])[0]
-    assert traj.replay_gap() <= 1e-9
+                    LinearScoring.default(1, 1), horizon=250, seeds=[17])
+    assert traj.replay_gap().shape == (1,)
+    assert traj.replay_gap()[0] <= 1e-9
 
 
 def test_cumulative_score_error_bounded_by_comparator_plus_regret():
     stream = GaussianStream(rho=0.5, seed=37)
     learner = GradientLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=4),
                               Influence.coupled(1))
-    trajs = run_game(learner, [stream], [FixedDelay(4)], uniform_quadratic(),
-                     LinearScoring.default(1, 1), horizon=300, seeds=[5])
-    traj, report = trajs[0], regret(trajs, Ball([0.0], 4.0))[0]
-    chain_total = float(traj.score_error_losses.sum())
-    assert chain_total <= report.comparator_loss + report.regret[-1] + 1e-6
+    traj = run_game(learner, [stream], [FixedDelay(4)], uniform_quadratic(),
+                    LinearScoring.default(1, 1), horizon=300, seeds=[5])
+    report = regret(traj, Ball([0.0], 4.0))
+    chain_total = float(traj.score_error_losses[0].sum())
+    assert chain_total <= report.comparator_loss[0] + report.regret[0, -1] + 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -232,28 +230,30 @@ def test_fit_scaling_drops_nonpositive_and_errors_when_starved():
 # Aggregation
 # ---------------------------------------------------------------------------
 
-def _report_with_final(final):
-    # losses total 2 + final while the best fixed point still costs 2
+def _report_with_finals(*finals):
+    # One trial per final regret: losses total 2 + final while the best
+    # fixed point still costs 2.
     losses = [QuadraticLoss([0.0], a=1.0), QuadraticLoss([2.0], a=1.0)]
-    traj = _toy_trajectory([[np.sqrt(2.0 + final)], [2.0]], losses)
-    return regret(traj, interval(-10.0, 10.0))[0]
+    traj = _toy_trajectory([[[np.sqrt(2.0 + final)], [2.0]] for final in finals], losses)
+    return regret(traj, interval(-10.0, 10.0))
 
 
 def test_aggregate_identical_trials_have_zero_stderr():
-    r = _report_with_final(4.0)
-    agg = aggregate([r, dataclasses.replace(r)])
-    assert np.allclose(agg.regret_mean, r.regret)
+    r = _report_with_finals(4.0, 4.0)
+    agg = aggregate(r)
+    assert agg.trials == 2
+    assert np.allclose(agg.regret_mean, r.regret[0])
     assert np.allclose(agg.regret_stderr, 0.0)
 
 
 def test_aggregate_two_trials_mean_and_stderr():
-    agg = aggregate([_report_with_final(4.0), _report_with_final(6.0)])
+    agg = aggregate(_report_with_finals(4.0, 6.0))
     assert agg.regret_mean[-1] == pytest.approx(5.0)
     assert agg.regret_stderr[-1] == pytest.approx(1.0)
 
 
 def test_write_csv_round_trips(tmp_path):
-    agg = aggregate([_report_with_final(4.0), _report_with_final(6.0)])
+    agg = aggregate(_report_with_finals(4.0, 6.0))
     path = tmp_path / "curves.csv"
     write_csv(agg, path)
     rows = path.read_text().strip().splitlines()
@@ -282,13 +282,13 @@ def test_strongly_convex_regret_under_harmonic_ceiling():
     gamma = 2.0 * a
     stream = GaussianStream(rho=0.5, seed=41)
     learner = GradientLearner(body, InverseTimeStep(gamma=gamma, tau=tau), Influence.coupled(1))
-    trajs = run_game(learner, [stream], [FixedDelay(tau)], fixed_loss(QuadraticLoss, a=a, b=0.0),
-                     LinearScoring.default(1, 1), horizon=horizon, seeds=[43])
-    (report,) = regret(trajs, body)
+    traj = run_game(learner, [stream], [FixedDelay(tau)], fixed_loss(QuadraticLoss, a=a, b=0.0),
+                    LinearScoring.default(1, 1), horizon=horizon, seeds=[43])
+    report = regret(traj, body)
 
     R = body.radius_bound
     L = 2.0 * a * (2.0 * R)
     L_eff = L + R / gamma  # pull weight is at most 1/gamma after warm-up
     ceiling = (2.0 * gamma * tau * R**2 + (2.0 * R**2 / gamma) * harmonic(horizon)
                + (0.5 + tau) * L_eff**2 * harmonic(horizon - tau) / gamma)
-    assert report.regret[-1] <= ceiling
+    assert report.regret[0, -1] <= ceiling

@@ -224,19 +224,6 @@ def test_zero_step_is_identity(mirror):
 
 @pytest.mark.parametrize("mirror", [EuclideanMap(), NegativeEntropyMap()],
                          ids=["euclidean", "negentropy"])
-def test_dual_gradient_inverts_gradient(mirror):
-    rng = np.random.default_rng(13)
-    for _ in range(200):
-        if mirror.needs_projection:
-            x = rng.normal(size=5)
-        else:
-            x = _interior_simplex_point(rng, 5)
-        back = mirror.grad_dual(mirror.grad(x))
-        assert np.linalg.norm(back - x) <= 1e-9
-
-
-@pytest.mark.parametrize("mirror", [EuclideanMap(), NegativeEntropyMap()],
-                         ids=["euclidean", "negentropy"])
 def test_mirror_map_smoothness(mirror):
     # ||update(x, -y) - x|| <= smoothness * ||y||
     rng = np.random.default_rng(17)

@@ -17,7 +17,6 @@ from laglearn.learners import (
     InverseTimeStep,
     NaiveLearner,
     eta_for_arbitrary_delay,
-    naive_estimate,
     sigma_for_fixed_delay,
     sigma_for_mirror,
 )
@@ -215,36 +214,17 @@ def test_arbitrary_delay_eta_formula():
 
 
 # ---------------------------------------------------------------------------
-# Naive baseline
-# ---------------------------------------------------------------------------
-
-def test_naive_estimate_arithmetic():
-    assert np.allclose(naive_estimate([[1.0], [2.0], [3.0]], 1), [2.0])
-    assert np.allclose(naive_estimate([[5.0]], 1), [5.0])
-    assert np.array_equal(naive_estimate([], 3), [0.0, 0.0, 0.0])
-
-
-def test_naive_estimate_concentrates():
-    # 1000 i.i.d. standard normal samples: within 0.1 of 0 for >= 98% of seeds.
-    hits = 0
-    for seed in range(200):
-        rng = np.random.default_rng(seed)
-        est = naive_estimate(rng.standard_normal((1000, 1)), 1)
-        hits += abs(est[0]) <= 0.1
-    assert hits >= 196
-
-
-# ---------------------------------------------------------------------------
 # Trajectory-level reductions and invariants
 # ---------------------------------------------------------------------------
 
 def _explicit_game(learner, horizon=12, delays=None, d=1):
+    """A one-trial game on an explicit stream."""
     hidden = np.linspace(-1.0, 2.0, horizon)[:, None]
     known = np.linspace(0.5, 1.5, horizon)[:, None]
     stream = ExplicitStream(known, hidden)
     schedule = delays if delays is not None else ExplicitDelay(tuple([d] * horizon))
     return run_game(learner, [stream], [schedule], fixed_loss(QuadraticLoss, a=1.0, b=0.0),
-                    LinearScoring.default(1, 1), horizon, seeds=[5])[0]
+                    LinearScoring.default(1, 1), horizon, seeds=[5])
 
 
 def test_no_delay_reduction_matches_plain_ogd():
@@ -259,7 +239,7 @@ def test_no_delay_reduction_matches_plain_ogd():
     hidden = np.linspace(-1.0, 2.0, 12)
     x = 0.0
     for i in range(12):
-        assert t_ogd.estimates[i, 0] == pytest.approx(x, abs=1e-15)
+        assert t_ogd.estimates[0, i, 0] == pytest.approx(x, abs=1e-15)
         x = x - eta * 2.0 * (x - hidden[i])  # interior, projection inactive
 
 
@@ -277,8 +257,8 @@ def test_omd_euclidean_trajectory_equals_ogd():
     cfg = experiments.ExperimentConfig(kind="single-run", horizon=60, learner="ogd",
                                        sigma="auto", tau=2, rho=0.5)
     omd = dataclasses.replace(cfg, learner="omd", mirror="euclidean")
-    (a, _), = experiments.run_single(cfg, [11])
-    (b, _), = experiments.run_single(omd, [11])
+    a, _ = experiments.run_single(cfg, [11])
+    b, _ = experiments.run_single(omd, [11])
     assert np.array_equal(a.estimates, b.estimates)
 
 
@@ -287,8 +267,8 @@ def test_feasibility_every_round():
     stream = GaussianStream(rho=0.3, body_hidden=body, seed=42)
     learner = GradientLearner(body, InverseSqrtStep(sigma=2.0, tau=3), Influence.coupled(1))
     traj = run_game(learner, [stream], [FixedDelay(3)], fixed_loss(QuadraticLoss, a=1.0),
-                    LinearScoring.default(1, 1), 300, seeds=[1])[0]
-    for est in traj.estimates:
+                    LinearScoring.default(1, 1), 300, seeds=[1])
+    for est in traj.estimates[0]:
         assert body.contains(est, tol=1e-9)
 
 
@@ -300,9 +280,9 @@ def test_gradients_use_the_decision_of_the_source_round():
     sched = InverseSqrtStep(sigma=0.4, tau=tau)
     learner = GradientLearner(body, sched, None)
     traj = _explicit_game(learner, horizon=horizon, d=tau + 1)
-    est = traj.estimates[:, 0]
+    est = traj.estimates[0, :, 0]
     for t in range(tau + 1, horizon):  # update applied at round t produces round t+1
-        g = traj.loss[t - tau - 1].grad(np.array([est[t - tau - 1]]))[0]
+        g = traj.loss[0, t - tau - 1].grad(np.array([est[t - tau - 1]]))[0]
         predicted = est[t - 1] - sched.eta(t) * g
         assert est[t] == pytest.approx(predicted, abs=1e-12)
 
@@ -316,7 +296,7 @@ def test_naive_learner_plays_running_mean_of_revealed():
     for t in range(1, horizon + 1):
         revealed = hidden[: max(t - 1 - tau, 0)]  # delivered by the end of round t-1
         expected = revealed.mean() if revealed.size else 0.0
-        assert traj.estimates[t - 1, 0] == pytest.approx(expected, abs=1e-12)
+        assert traj.estimates[0, t - 1, 0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_naive_estimate_is_the_mean_of_the_delivered_anchors_bit_for_bit():
@@ -325,20 +305,21 @@ def test_naive_estimate_is_the_mean_of_the_delivered_anchors_bit_for_bit():
     horizon = 80
     streams = [GaussianStream(d1=3, d2=2, rho=0.4, seed=seed) for seed in (1, 2, 3)]
     learner = NaiveLearner(Ball([0.0, 0.0], 4.0))
-    trajs = run_game(learner, streams, [RandomDelay(d_max=7, seed=s) for s in (4, 5, 6)],
-                     fixed_loss(NormLoss), LinearScoring.default(3, 2), horizon,
-                     seeds=[0, 0, 0])
-    for traj in trajs:
+    traj = run_game(learner, streams, [RandomDelay(d_max=7, seed=s) for s in (4, 5, 6)],
+                    fixed_loss(NormLoss), LinearScoring.default(3, 2), horizon,
+                    seeds=[0, 0, 0])
+    delivered = [traj.delivered(k) for k in range(3)]
+    for k in range(3):
         revealed = []
         for t in range(1, horizon):
-            revealed.extend(traj.delivered[t - 1])
-            anchors = traj.loss.anchor[np.array(revealed, dtype=int) - 1]
+            revealed.extend(delivered[k][t - 1])
+            anchors = traj.loss.anchor[k, np.array(revealed, dtype=int) - 1]
             expected = np.mean(anchors, axis=0) if revealed else np.zeros(2)
-            assert np.array_equal(traj.estimates[t], expected)
+            assert np.array_equal(traj.estimates[k, t], expected)
     # The learner groups the trials it updates by their revealed count; some
     # rounds update trials that have revealed different counts.
-    counts = np.cumsum([[len(d) for d in traj.delivered] for traj in trajs], axis=1)
-    updated = np.array([[len(d) > 0 for d in traj.delivered] for traj in trajs])
+    counts = np.cumsum([[len(d) for d in trial] for trial in delivered], axis=1)
+    updated = np.array([[len(d) > 0 for d in trial] for trial in delivered])
     assert any(len(set(counts[updated[:, i], i].tolist())) > 1 for i in range(horizon))
 
 
@@ -349,7 +330,6 @@ def test_zero_subgradient_flags_only_for_deliveries_within_the_horizon():
     streams = [ExplicitStream([[0.0]] * 4, [[0.0]] * 4),
                ExplicitStream([[0.0]] * 4, [[1.0]] * 4)]
     learner = GradientLearner(Ball([0.0], 10.0), ConstantStep(value=0.5, tau=1))
-    first, second = run_game(learner, streams, [FixedDelay(1)] * 2, fixed_loss(NormLoss),
-                             LinearScoring.default(1, 1), 4, seeds=[0, 0])
-    assert first.flags == (ZERO_SUBGRADIENT_FLAG,) * 3
-    assert second.flags == ()
+    traj = run_game(learner, streams, [FixedDelay(1)] * 2, fixed_loss(NormLoss),
+                    LinearScoring.default(1, 1), 4, seeds=[0, 0])
+    assert traj.flags == ((0, ZERO_SUBGRADIENT_FLAG),) * 3

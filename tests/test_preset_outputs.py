@@ -1,5 +1,6 @@
-"""Byte-identity gate: every shipped preset, run at two trials, must write
-exactly the files it wrote when these digests were recorded.
+"""Byte-identity gate: every shipped preset, run at two trials, and one
+three-trial single run must write exactly the files they wrote when these
+digests were recorded.
 
 A digest is SHA-256 over each output file's name and bytes, in name order.
 The outputs depend on numpy's random streams and float kernels (and scipy's
@@ -41,11 +42,61 @@ def test_digests_cover_every_preset():
     assert sorted(DIGESTS) == experiments.preset_names()
 
 
-@pytest.mark.parametrize("name", sorted(DIGESTS))
-def test_preset_outputs_match_recorded_digest(name, tmp_path):
+def _check_versions():
     installed = {"numpy": numpy.__version__, "scipy": scipy.__version__}
     if installed != RECORDED_WITH:
         pytest.skip(f"digests recorded with {RECORDED_WITH}, running with {installed}")
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_preset_outputs_match_recorded_digest(name, tmp_path):
+    _check_versions()
     out = tmp_path / name
     assert cli.main(["run", name, "--trials", "2", "--out-dir", str(out)]) == 0
     assert _digest(out) == DIGESTS[name]
+
+
+# A single run of three trials with random delays, on a csv stream whose
+# first ten hidden contexts sit at the learner's starting point: the norm
+# loss's zero subgradient flags a different number of rounds in each trial.
+# trajectory.csv, replay_gap and flags describe the first trial only.
+SINGLE_RUN = """
+[experiment]
+kind = single-run
+horizon = 24
+trials = 3
+seed = 5
+
+[learner]
+kind = adversarial
+eta = 0.3
+lam = 0.0
+
+[stream]
+kind = csv
+path = contexts.csv
+d1 = 1
+d2 = 1
+radius = 10.0
+
+[loss]
+family = norm
+
+[delays]
+kind = adversarial
+d_max = 8
+"""
+
+SINGLE_RUN_DIGEST = "a8e21f2177c2399ddd5e4303f5734733763fe7f234f6607985e9b86cdbcd9c73"
+
+
+def test_single_run_outputs_match_recorded_digest(tmp_path, monkeypatch):
+    _check_versions()
+    monkeypatch.chdir(tmp_path)  # the manifest records the relative csv path
+    rows = [(1.0 + 0.1 * i, 0.0) for i in range(10)]
+    rows += [(0.5 * i, 1.0 + 0.25 * (i % 3)) for i in range(14)]
+    (tmp_path / "contexts.csv").write_text("".join(f"{k!r},{h!r}\n" for k, h in rows),
+                                           encoding="utf-8")
+    (tmp_path / "single.ini").write_text(SINGLE_RUN, encoding="utf-8")
+    assert cli.main(["run", "single.ini", "--out-dir", "out"]) == 0
+    assert _digest(tmp_path / "out") == SINGLE_RUN_DIGEST
