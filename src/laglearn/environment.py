@@ -3,10 +3,11 @@
 Each round an agent arrives with a context split into a known part
 (revealed immediately) and a hidden part (revealed only after a delay).
 The learner posts an estimate of the hidden part, the adversary anchors a
-loss at the true hidden part, and the loss's feedback (its gradient at the
-estimate, or its anchor for the sample-mean baseline) enters the feedback
-buffer to be delivered after its delay.  The learner sees hidden
-information only through delivered feedback, never directly.  The
+loss at the true hidden part, and the game records both.  When the round's
+feedback is delivered, after its delay, the game takes it from those
+records: the loss's gradient at the recorded estimate, or its anchor for
+the sample-mean baseline.  The learner sees hidden information only
+through delivered feedback, never directly.  The
 independent trials of one configuration are played in lockstep, as one
 game on (trials, dim) arrays, and recorded as one `Trajectory` whose
 row k is trial k.
@@ -232,15 +233,18 @@ def run_game(learner: BaseLearner, streams: list[ContextStream],
 
     Trial k reads `streams[k]`, realizes `delays[k]` and draws its loss
     coefficients from `seeds[k]`; the learner holds one iterate row per
-    trial.  Per round: every trial's learner row posts its estimate, the
-    feedback of the round (see `BaseLearner`) is taken and queued with its
-    delay, and whatever the buffer releases goes to the learner
-    together with the next round's known context (the update at the
-    horizon boundary sees no known context and uses a zero pull).  Loss
-    values, score errors and flags are computed from the recorded arrays
-    after the last round.  The loop runs on round-major arrays; the
-    returned `Trajectory` is trial-major, with row k of every array (and
-    the flags tagged k) belonging to trial k.
+    trial.  Per round: every trial's learner row posts its estimate, which
+    the game records; the buffer names the (row, source round) pairs
+    delivered at the end of the round, and their feedback (see
+    `BaseLearner`) is taken then, in one `loss.grad` call at the recorded
+    decisions of those source rounds, and handed to the learner together
+    with the next round's known context (the update at the horizon
+    boundary sees no known context and uses a zero pull).  A round that
+    delivers nothing takes no gradient.  Loss values, score errors and
+    flags are computed from the recorded arrays after the last round.  The
+    loop runs on round-major arrays; the returned `Trajectory` is
+    trial-major, with row k of every array (and the flags tagged k)
+    belonging to trial k.
     """
     trials = len(streams)
     if trials < 1 or len(delays) != trials or len(seeds) != trials:
@@ -274,15 +278,23 @@ def run_game(learner: BaseLearner, streams: list[ContextStream],
     buffer = FeedbackBuffer(delay_values)
 
     estimates = np.empty((horizon, trials, dim))
-    feedback = np.empty((horizon, trials, dim)) if learner.uses_gradients else loss.anchor
+    nothing = np.empty((0, dim))
     learner.start(trials, horizon)
-    for i in range(horizon):
-        t = i + 1
-        x = estimates[i] = learner.play(t)
-        if learner.uses_gradients:
-            feedback[i] = loss.grad(x, at=i)
-        rows, sources = buffer.ready_at(t)
-        learner.observe(rows, feedback[sources - 1, rows], known[i + 1] if t < horizon else None)
+    # Every non-finite step raises NonFiniteGradient, and a projection
+    # rescales a row whose squared norm overflows: numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(horizon):
+            t = i + 1
+            estimates[i] = learner.play(t)
+            rows, sources = buffer.ready_at(t)
+            played = sources - 1
+            if not learner.uses_gradients:
+                feedback = loss.anchor[played, rows]
+            elif len(rows):
+                feedback = loss.grad(estimates[played, rows], at=(played, rows))
+            else:
+                feedback = nothing
+            learner.observe(rows, feedback, known[i + 1] if t < horizon else None)
 
     loss_values = loss.value(estimates)
     score_errors = np.abs(scoring.score(known, estimates) - scoring.score(known, hidden))

@@ -30,6 +30,11 @@ from .geometry import Array, ConvexBody, norms
 from .losses import ExpLoss, Loss, NormLoss, PowerLoss, QuadraticLoss
 
 
+# CSV rows are formatted from `tolist()` chunks of this many rounds, never
+# from a list of the whole horizon.
+CSV_CHUNK = 4096
+
+
 @dataclass
 class Trajectory:
     """Per-round record of one lockstep game, replayable from its stored losses.
@@ -52,7 +57,9 @@ class Trajectory:
     def delivered(self, trial: int) -> tuple[tuple[int, ...], ...]:
         """The source rounds delivered at each round of `trial`, from its delays."""
         buffer = FeedbackBuffer(self.delays[trial])
-        return tuple(tuple(buffer.ready_at(t)[1].tolist()) for t in range(1, self.horizon + 1))
+        sources = buffer.sources.tolist()
+        return tuple(tuple(sources[slice(*buffer.spans.get(t, (0, 0)))])
+                     for t in range(1, self.horizon + 1))
 
     def replay_gap(self) -> Array:
         """Per trial, max |stored loss value - loss re-evaluated at the stored estimate|."""
@@ -423,10 +430,11 @@ def aggregate(report: RegretReport) -> AggregateCurves:
 
 def write_csv(curves: AggregateCurves, path) -> None:
     """Serialize aggregated curves: t, cum_loss_mean/stderr, regret_mean/stderr."""
+    columns = (curves.cum_loss_mean, curves.cum_loss_stderr, curves.regret_mean,
+               curves.regret_stderr)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("t,cum_loss_mean,cum_loss_stderr,regret_mean,regret_stderr\n")
-        for i in range(curves.horizon):
-            fh.write(
-                f"{i + 1},{float(curves.cum_loss_mean[i])!r},{float(curves.cum_loss_stderr[i])!r},"
-                f"{float(curves.regret_mean[i])!r},{float(curves.regret_stderr[i])!r}\n"
-            )
+        for lo in range(0, curves.horizon, CSV_CHUNK):
+            rows = zip(*(column[lo:lo + CSV_CHUNK].tolist() for column in columns))
+            fh.write("".join(f"{t},{a!r},{b!r},{c!r},{d!r}\n"
+                             for t, (a, b, c, d) in enumerate(rows, start=lo + 1)))

@@ -584,14 +584,18 @@ def _write_experiment(cfg: ExperimentConfig, out: Path, written: list[Path]) -> 
 def _write_trajectory_csv(traj: Trajectory, path) -> None:
     """The first trial's rounds: loss, score error, delivered sources and estimate."""
     estimates, loss_values, errors = traj.estimates[0], traj.loss_values[0], traj.score_errors[0]
+    delivered = traj.delivered(0)
     coord_cols = ",".join(f"estimate_{j}" for j in range(estimates.shape[1]))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"t,loss,score_error,delivered,{coord_cols}\n")
-        for i, sources in enumerate(traj.delivered(0)):
-            delivered = ";".join(str(s) for s in sources)
-            coords = ",".join(repr(float(v)) for v in estimates[i])
-            fh.write(f"{i + 1},{float(loss_values[i])!r},"
-                     f"{float(errors[i])!r},{delivered},{coords}\n")
+        for lo in range(0, traj.horizon, evaluation.CSV_CHUNK):
+            hi = lo + evaluation.CSV_CHUNK
+            rows = zip(loss_values[lo:hi].tolist(), errors[lo:hi].tolist(), delivered[lo:hi],
+                       estimates[lo:hi].tolist())
+            fh.write("".join(
+                f"{t},{loss!r},{error!r},{';'.join(map(str, sources))},"
+                f"{','.join(map(repr, coords))}\n"
+                for t, (loss, error, sources, coords) in enumerate(rows, start=lo + 1)))
 
 
 # ---------------------------------------------------------------------------

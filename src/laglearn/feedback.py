@@ -93,6 +93,10 @@ class FeedbackBuffer:
     by source: possibly empty, possibly several per row under arbitrary
     delays.  Querying rounds past the horizon is allowed: late feedback
     lands in post-horizon delivery sets that only evaluation ever looks at.
+
+    The pairs of every round are kept in delivery order as `rows` and
+    `sources`; `spans` maps each round that delivers something to its
+    (lo, hi) slice of them.
     """
 
     def __init__(self, delays):
@@ -103,16 +107,16 @@ class FeedbackBuffer:
         due = (np.arange(horizon) + delays).ravel()  # s = i + 1 is due at s + d - 1
         # Stable, so pairs due together keep their row-major order: by row, then by source.
         order = np.argsort(due, kind="stable")
-        self._rows, self._sources = np.divmod(order, horizon)
-        self._sources += 1
+        self.rows, self.sources = np.divmod(order, horizon)
+        self.sources += 1
         rounds, first = np.unique(due[order], return_index=True)
         # Each due round's slice of the sorted pairs, kept only for rounds
         # that deliver something, so a huge delay costs no memory.
         spans = zip(first.tolist(), first[1:].tolist() + [order.size])
-        self._spans = dict(zip(rounds.tolist(), spans))
+        self.spans = dict(zip(rounds.tolist(), spans))
 
     def ready_at(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         if t < 1:
             raise ValueError("rounds are numbered from 1")
-        lo, hi = self._spans.get(t, (0, 0))
-        return self._rows[lo:hi], self._sources[lo:hi]
+        lo, hi = self.spans.get(t, (0, 0))
+        return self.rows[lo:hi], self.sources[lo:hi]

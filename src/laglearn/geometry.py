@@ -122,7 +122,7 @@ class Ball(ConvexBody):
         dist = norms(offset)
         out = v.copy()
         outside = dist > self.radius
-        if outside.any():
+        if np.count_nonzero(outside):
             far, dist = offset[outside], dist[outside]
             _unscale_overflow(far, dist)
             out[outside] = self.center + far * (self.radius / dist)[..., None]

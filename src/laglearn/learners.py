@@ -2,7 +2,8 @@
 
 All learners play an estimate each round and, once the loss of an earlier
 round is finally delivered, move against its gradient evaluated at the
-decision that was actually played back then.  A correlation pull nudges
+decision that was actually played back then: the game records every
+decision and takes the gradient at delivery.  A correlation pull nudges
 the next estimate toward (or away from) the freshly observed part of the
 next context.  One gradient learner covers every delay setting: at the
 end of round t it moves against the sum of the gradients delivered then,
@@ -44,20 +45,39 @@ class NonFiniteGradient(ValueError):
 class StepSchedule:
     """Per-round step size eta(t), zero through the warm-up rounds t <= tau.
 
-    The pull weight beta(t) equals eta(t) unless an explicit constant
-    override is supplied.
+    A schedule gives its step s = t - tau >= 1 rounds past the warm-up as
+    `rate(s)`, for one s or an array of them.  The pull weight beta(t)
+    equals eta(t) unless an explicit constant override is supplied.
     """
 
     tau: int
     beta_override: float | None
 
-    def eta(self, t: int) -> float:
+    def rate(self, s):
         raise NotImplementedError
 
-    def beta(self, t: int) -> float:
+    def eta(self, t: int):
+        return self.rate(t - self.tau) if t > self.tau else 0.0
+
+    def beta(self, t: int):
         if self.beta_override is not None:
             return self.beta_override if t > self.tau else 0.0
         return self.eta(t)
+
+    def table(self, horizon: int) -> tuple[Array, Array]:
+        """eta(t) and beta(t) for t = 0..horizon, as two arrays indexed by t.
+
+        An entry is a scalar, or a (trials, 1) column for a per-trial step.
+        """
+        column = np.shape(self.rate(1))
+        etas = np.zeros((horizon + 1,) + column)
+        past = np.arange(1, max(horizon - self.tau, 0) + 1)
+        etas[self.tau + 1:] = self.rate(past.reshape((-1,) + (1,) * len(column)))
+        if self.beta_override is None:
+            return etas, etas
+        betas = np.zeros_like(etas)
+        betas[self.tau + 1:] = self.beta_override
+        return etas, betas
 
 
 @dataclass(frozen=True)
@@ -74,10 +94,8 @@ class InverseSqrtStep(StepSchedule):
         if self.tau < 0:
             raise ValueError("tau must be >= 0")
 
-    def eta(self, t: int) -> float:
-        if t <= self.tau:
-            return 0.0
-        return self.sigma / math.sqrt(t - self.tau)
+    def rate(self, s):
+        return self.sigma / np.sqrt(s)
 
 
 @dataclass(frozen=True)
@@ -94,10 +112,8 @@ class InverseTimeStep(StepSchedule):
         if self.tau < 0:
             raise ValueError("tau must be >= 0")
 
-    def eta(self, t: int) -> float:
-        if t <= self.tau:
-            return 0.0
-        return 1.0 / (self.gamma * (t - self.tau))
+    def rate(self, s):
+        return 1.0 / (self.gamma * s)
 
 
 @dataclass(frozen=True)
@@ -121,8 +137,8 @@ class ConstantStep(StepSchedule):
         if self.tau < 0:
             raise ValueError("tau must be >= 0")
 
-    def eta(self, t: int) -> float:
-        return self.value if t > self.tau else 0.0
+    def rate(self, s):
+        return self.value
 
 
 # ---------------------------------------------------------------------------
@@ -244,15 +260,15 @@ class BaseLearner:
     """Shared play/observe protocol used by the game loop.
 
     `start(trials, horizon)` gives the iterate one row per trial, and
-    `play(t)` returns the round-t decisions, one row per trial.  The
-    feedback of a round is the gradient of each trial's loss at its
-    decision (or, when `uses_gradients` is False, the loss's anchor), taken when
-    the round is played and held by the game until its due round; `observe`
-    then gets the (rows, feedback) pairs delivered at the end of round t,
-    ordered by row and then by source round, with the next round's known
-    context (None after the last round).  `lag` is the fixed lag a learner
-    needs (every delay lag + 1, checked by the game loop before round 1) or
-    None for any delays.
+    `play(t)` returns the round-t decisions, one row per trial.  The game
+    records every decision; when a round's feedback is delivered it takes
+    that feedback at the recorded decision: the gradient of the source
+    round's loss there (or, when `uses_gradients` is False, the loss's
+    anchor).  `observe` then gets the (rows, feedback) pairs delivered at
+    the end of round t, ordered by row and then by source round, with the
+    next round's known context (None after the last round).  `lag` is the
+    fixed lag a learner needs (every delay lag + 1, checked by the game
+    loop before round 1) or None for any delays.
     """
 
     state: LearnerState
@@ -284,7 +300,16 @@ class GradientLearner(BaseLearner):
     tau, so each row's delivery set is the one gradient of round t - tau;
     with `any_delays` True it sums whatever each round delivers, in source
     order.  Nothing moves through the warm-up rounds t <= tau, before the
-    first delivery of a fixed lag.
+    first delivery of a fixed lag.  `start` tabulates the schedule's
+    eta(t) and beta(t) for every round.
+
+    A round that delivers nothing to a learner whose pull is disabled
+    (lam = 0) moves the iterate by +0.0 and projects it again.  That gives
+    the iterate back bit for bit when its last projection left it
+    unchanged (`settled`), and then the round returns at once; a point the
+    projection did move can move again by a rounding (on a ball of 2 or
+    more dimensions).  The move is formed as 0.0 - eta * total, which is
+    never -0.0, so no coordinate becomes -0.0 and x + 0 is x bit for bit.
     """
 
     def __init__(self, body: ConvexBody, schedule: StepSchedule,
@@ -297,29 +322,41 @@ class GradientLearner(BaseLearner):
         self.lag = None if any_delays else schedule.tau
         self.influence = influence if influence is not None else Influence.disabled(body.dim)
         self.state = LearnerState(estimate=mirror.initial_point(body.dim), body=body)
+        self.pulls = self.influence.lam != 0.0  # a disabled pull is zero every round
 
     def start(self, trials: int, horizon: int) -> None:
-        steps = np.shape(self.schedule.eta(self.schedule.tau + 1))
-        if steps and steps[0] != trials:
-            raise ValueError(f"{steps[0]} step sizes for {trials} trials")
+        self.etas, self.betas = self.schedule.table(horizon)
+        if self.etas.ndim > 1 and self.etas.shape[1] != trials:
+            raise ValueError(f"{self.etas.shape[1]} step sizes for {trials} trials")
         super().start(trials, horizon)
+        self.settled = False
 
     def observe(self, rows, feedback, next_known) -> None:
         state, t = self.state, self.state.t
-        if t <= self.schedule.tau:
+        if t <= self.schedule.tau or self.settled and not len(rows):
             return
-        if self.lag is None:
+        # A fixed lag delivers one gradient per row; so do as many sorted
+        # rows as trials with no repeats.
+        trials = len(state.estimate)
+        if self.lag is not None or len(rows) == trials and (trials == 1 or np.all(np.diff(rows))):
+            total = feedback  # one gradient per row, in row order
+        else:
             total = np.zeros(state.estimate.shape)
             np.add.at(total, rows, feedback)  # row by row in source order
+        eta = self.etas[t]
+        if self.pulls:
+            move = self.betas[t] * self.influence.pull(next_known, eta) - eta * total
         else:
-            total = feedback  # the lag check leaves one gradient per row
-        eta = self.schedule.eta(t)
-        move = self.schedule.beta(t) * self.influence.pull(next_known, eta) - eta * total
-        if not np.isfinite(move).all():
+            move = 0.0 - eta * total
+        if np.count_nonzero(np.isfinite(move)) < move.size:
             what = "gradient" if not np.isfinite(total).all() else "step"
             raise NonFiniteGradient(f"{what} has NaN or infinite entries at round {t}")
         out = self.mirror.update(state.estimate, move)
-        state.estimate = state.body.project(out) if self.mirror.needs_projection else out
+        if not self.mirror.needs_projection:
+            state.estimate = out
+            return
+        state.estimate = state.body.project(out)
+        self.settled = not self.pulls and state.estimate.tobytes() == out.tobytes()
 
 
 class NaiveLearner(BaseLearner):

@@ -159,10 +159,8 @@ class NormLoss(Loss):
         return np.asarray(r, dtype=float)
 
     def _grad(self, d, r, at) -> Array:
-        zero = r == 0.0
-        g = d / np.where(zero, 1.0, r)[..., None]
-        g[zero] = 0.0
-        return g
+        r = r[..., None]
+        return np.divide(d, r, out=np.zeros(d.shape), where=r != 0.0)
 
     def _kinked(self, r, at) -> Array:
         return r == 0.0
@@ -255,9 +253,11 @@ class ExpLoss(Loss):
 
     def _lipschitz(self, radius: float) -> float:
         # One numeric path for every m: maximize the radial slope on a grid.
+        # A slope that overflows is inf, which `lipschitz_bound` names as an error.
         grid = np.linspace(float(radius) / 4096, float(radius), 4096)
         rows = np.unique(np.stack([c.ravel() for c in (self.a, self.s, self.m)], axis=1), axis=0)
-        return max(float(np.max(_exp_slope(a, s, int(m), grid))) for a, s, m in rows.tolist())
+        with np.errstate(over="ignore", invalid="ignore"):
+            return max(float(np.max(_exp_slope(a, s, int(m), grid))) for a, s, m in rows.tolist())
 
 
 def _exp_slope(a: float, s: float, m: int, r: Array) -> Array:

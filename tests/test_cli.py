@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -502,6 +503,49 @@ kind = fixed
     assert cli.main(["run", str(config), "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.splitlines()[-1].startswith("error: ") and "Traceback" not in err
+
+
+
+@pytest.mark.parametrize("learner, loss, validate_exit, run_exit, error", [
+    ("kind = ogd\nschedule = constant\neta = 1e200\nlam = 0.0",
+     "family = quadratic\ncoefficients = fixed\na = 1.0", 0, 0, None),
+    ("kind = ogd\nschedule = sqrt\nsigma = 0.5",
+     "family = power\ncoefficients = fixed\nm = 400", 0, 2,
+     "error: gradient has NaN or infinite entries at round 7"),
+    ("kind = ogd\nschedule = sqrt\nsigma = auto",
+     "family = exp\na = 1.0\nsigma1 = 1.0\nm = 400", 2, 2,
+     "error: exp loss with m = 400 has no finite gradient bound within radius 8"),
+], ids=["ball-overflow", "power-m400", "exp-m400"])
+def test_overflowing_runs_raise_no_numpy_warning(tmp_path, capsys, learner, loss,
+                                                 validate_exit, run_exit, error):
+    # Squared norms, powers and exps that overflow are handled by the code
+    # (a projection rescales the row, a non-finite step or bound is a named
+    # error), so numpy must not warn: any warning here is an exception.
+    config = write_config(tmp_path, f"""
+[experiment]
+kind = single-run
+horizon = 50
+trials = 2
+seed = 0
+
+[learner]
+{learner}
+
+[stream]
+kind = gaussian
+
+[loss]
+{loss}
+
+[delays]
+kind = fixed
+""")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["validate", str(config)]) == validate_exit
+        assert capsys.readouterr().err.splitlines()[-1:] == ([error] if validate_exit else [])
+        assert cli.main(["run", str(config), "--out-dir", str(tmp_path / "out")]) == run_exit
+        assert capsys.readouterr().err.splitlines()[-1:] == ([error] if run_exit else [])
 
 
 ADVERSARIAL_VS_NAIVE = """

@@ -9,6 +9,8 @@ from laglearn.environment import (
     uniform_quadratic,
 )
 from laglearn.evaluation import (
+    CSV_CHUNK,
+    AggregateCurves,
     Trajectory,
     aggregate,
     fit_scaling,
@@ -17,7 +19,8 @@ from laglearn.evaluation import (
     regret,
     write_csv,
 )
-from laglearn.feedback import FixedDelay
+from laglearn.experiments import _write_trajectory_csv
+from laglearn.feedback import FeedbackBuffer, FixedDelay
 from laglearn.geometry import Ball, Box
 from laglearn.learners import GradientLearner, Influence, InverseSqrtStep, InverseTimeStep
 from laglearn.losses import Loss, NormLoss, QuadraticLoss
@@ -262,6 +265,52 @@ def test_write_csv_round_trips(tmp_path):
     last = rows[-1].split(",")
     assert int(last[0]) == agg.horizon
     assert float(last[3]) == pytest.approx(5.0)
+
+
+def _special_values(n):
+    """n values cycling through -0.0, the smallest subnormal, 1e308, 0.1 + 0.2 and a few others."""
+    specials = np.array([-0.0, 5e-324, 1e308, 0.1 + 0.2, 1.0, -2.5e-7, 123456.789])
+    return specials[np.arange(n) % len(specials)]
+
+
+def test_chunked_writers_match_the_row_by_row_formatter(tmp_path):
+    # One round past a chunk, so the last chunk holds one row; round 1
+    # delivers nothing (its source waits two rounds), and later rounds
+    # deliver one source or two.
+    horizon = CSV_CHUNK + 1
+    values = _special_values(horizon)
+    delays = np.where(np.arange(horizon) % 3 == 0, 2, 1)[None]
+    traj = Trajectory(
+        estimates=np.stack([values, values[::-1]], axis=-1)[None],
+        loss_values=values[None],
+        score_errors=np.roll(values, 1)[None],
+        score_error_losses=values[None],
+        loss=NormLoss(np.zeros((1, horizon, 2))),
+        delays=delays,
+    )
+    assert traj.delivered(0)[0] == ()
+    curves = AggregateCurves(horizon=horizon, trials=2, cum_loss_mean=values,
+                             cum_loss_stderr=np.roll(values, 2), regret_mean=np.roll(values, 3),
+                             regret_stderr=np.roll(values, 4))
+
+    # The formatters as they were, one row at a time.
+    buffer = FeedbackBuffer(traj.delays[0])
+    lines = ["t,loss,score_error,delivered,estimate_0,estimate_1\n"]
+    for i in range(horizon):
+        delivered = ";".join(str(s) for s in buffer.ready_at(i + 1)[1].tolist())
+        coords = ",".join(repr(float(v)) for v in traj.estimates[0, i])
+        lines.append(f"{i + 1},{float(traj.loss_values[0, i])!r},"
+                     f"{float(traj.score_errors[0, i])!r},{delivered},{coords}\n")
+    curve_lines = ["t,cum_loss_mean,cum_loss_stderr,regret_mean,regret_stderr\n"]
+    for i in range(horizon):
+        curve_lines.append(
+            f"{i + 1},{float(curves.cum_loss_mean[i])!r},{float(curves.cum_loss_stderr[i])!r},"
+            f"{float(curves.regret_mean[i])!r},{float(curves.regret_stderr[i])!r}\n")
+
+    _write_trajectory_csv(traj, tmp_path / "trajectory.csv")
+    write_csv(curves, tmp_path / "curves.csv")
+    assert (tmp_path / "trajectory.csv").read_bytes() == "".join(lines).encode()
+    assert (tmp_path / "curves.csv").read_bytes() == "".join(curve_lines).encode()
 
 
 # ---------------------------------------------------------------------------
