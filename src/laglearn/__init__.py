@@ -50,12 +50,10 @@ from .learners import (
     Influence,
     InverseSqrtStep,
     InverseTimeStep,
-    LearnerState,
     NaiveLearner,
     NonFiniteGradient,
     StepSchedule,
     eta_for_arbitrary_delay,
-    sigma_for_fixed_delay,
     sigma_for_mirror,
 )
 from .losses import ExpLoss, Loss, NormLoss, PowerLoss, QuadraticLoss

@@ -254,9 +254,9 @@ def run_game(learner: BaseLearner, streams: list[ContextStream],
     dim = streams[0].d2
     if any((stream.d1, stream.d2) != (streams[0].d1, dim) for stream in streams):
         raise ConfigError("the trials' streams disagree on their dimensions")
-    if learner.state.body.dim != dim:
+    if learner.body.dim != dim:
         raise ConfigError(
-            f"learner body dimension {learner.state.body.dim} does not match "
+            f"learner body dimension {learner.body.dim} does not match "
             f"the hidden context dimension {dim}")
     if scoring.w_known.size != streams[0].d1 or scoring.w_hidden.size != dim:
         raise ConfigError("scoring weights do not match the stream dimensions")

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import environment, evaluation, feedback, geometry, learners
+from . import environment, evaluation, feedback, geometry, learners, losses
 from .evaluation import RegretReport, Trajectory
 from .geometry import Ball, ConvexBody, EuclideanMap, MirrorMap, NegativeEntropyMap, Simplex
 
@@ -56,10 +56,6 @@ def mix64(z: int) -> int:
 
 def trial_seed(base_seed: int, index: int) -> int:
     return mix64((base_seed + (index + 1) * _GAMMA) & _MASK64)
-
-
-def _sub_seed(seed: int, slot: int) -> int:
-    return mix64((seed + (slot + 1) * _GAMMA) & _MASK64)
 
 
 # ---------------------------------------------------------------------------
@@ -350,40 +346,39 @@ def _build_stream(cfg: ExperimentConfig, seed: int, body: ConvexBody):
                                                body_hidden=body)
 
 
-def _loss_factory(cfg: ExperimentConfig):
-    from . import losses as loss_mod
+def _family(cfg: ExperimentConfig) -> tuple[type[losses.Loss], dict]:
+    """The loss class of `cfg.family` and its fixed coefficients.
+
+    Uniform quadratics draw a from [0, 1] each round, so a = 1 bounds them.
+    """
     if cfg.family == "quadratic":
         if cfg.coefficients == "uniform":
-            return environment.uniform_quadratic()
-        return environment.fixed_loss(loss_mod.QuadraticLoss, a=cfg.a, b=cfg.b)
+            return losses.QuadraticLoss, {"a": 1.0}
+        return losses.QuadraticLoss, {"a": cfg.a, "b": cfg.b}
     if cfg.family == "norm":
-        return environment.fixed_loss(loss_mod.NormLoss)
+        return losses.NormLoss, {}
     if cfg.family == "power":
-        return environment.fixed_loss(loss_mod.PowerLoss, m=cfg.m)
-    return environment.fixed_loss(loss_mod.ExpLoss, a=cfg.a, s=cfg.sigma1, m=cfg.m)
+        return losses.PowerLoss, {"m": cfg.m}
+    return losses.ExpLoss, {"a": cfg.a, "s": cfg.sigma1, "m": cfg.m}
+
+
+def _loss_factory(cfg: ExperimentConfig):
+    if cfg.family == "quadratic" and cfg.coefficients == "uniform":
+        return environment.uniform_quadratic()
+    loss, coefficients = _family(cfg)
+    return environment.fixed_loss(loss, **coefficients)
 
 
 def _auto_lipschitz(cfg: ExperimentConfig, body: ConvexBody) -> float:
     """Gradient-norm bound for tuning: worst case over the body's diameter."""
-    from . import losses as loss_mod
-    reach = 2.0 * body.radius_bound
-    anchor = np.zeros(cfg.d2)
-    if cfg.family == "norm":
-        return 1.0
-    if cfg.family == "quadratic":
-        a = 1.0 if cfg.coefficients == "uniform" else cfg.a
-        return loss_mod.QuadraticLoss(anchor, a=a).lipschitz_bound(reach)
-    if cfg.family == "power":
-        return loss_mod.PowerLoss(anchor, m=cfg.m).lipschitz_bound(reach)
-    return loss_mod.ExpLoss(anchor, a=cfg.a, s=cfg.sigma1, m=cfg.m).lipschitz_bound(reach)
+    loss, coefficients = _family(cfg)
+    return loss(np.zeros(cfg.d2), **coefficients).lipschitz_bound(2.0 * body.radius_bound)
 
 
 def _influence(cfg: ExperimentConfig) -> learners.Influence:
     if cfg.lam == "coupled":
         sign = 1.0 if cfg.rho >= 0 else -1.0
         return learners.Influence.coupled(cfg.d2, sign=sign)
-    if cfg.lam == 0.0:
-        return learners.Influence.disabled(cfg.d2)
     return learners.Influence.constant(float(cfg.lam), cfg.d2)
 
 
@@ -453,13 +448,13 @@ def run_single(cfg: ExperimentConfig, seeds: list[int]) -> tuple[Trajectory, Reg
     Row k of the trajectory and of the report is the trial of `seeds[k]`.
     """
     body = _hidden_body(cfg)
-    delays = [_build_delays(cfg, _sub_seed(seed, 2)) for seed in seeds]
-    streams = [_build_stream(cfg, _sub_seed(seed, 0), body) for seed in seeds]
+    delays = [_build_delays(cfg, trial_seed(seed, 2)) for seed in seeds]
+    streams = [_build_stream(cfg, trial_seed(seed, 0), body) for seed in seeds]
     learner = _build_learner(cfg, body, delays, cfg.horizon)
     scoring = environment.LinearScoring.default(cfg.d1, cfg.d2)
     trajectory = environment.run_game(
         learner, streams, delays, _loss_factory(cfg), scoring, cfg.horizon,
-        seeds=[_sub_seed(seed, 1) for seed in seeds])
+        seeds=[trial_seed(seed, 1) for seed in seeds])
     return trajectory, evaluation.regret(trajectory, body, skip_rounds=cfg.warmup * cfg.tau)
 
 
@@ -525,7 +520,6 @@ def _write_experiment(cfg: ExperimentConfig, out: Path, written: list[Path]) -> 
     }
 
     scaling_points = []
-    finals = {}
 
     for label, arm in expand_arms(cfg):
         manifest["resolved"][label] = resolve_arm(arm)
@@ -554,7 +548,6 @@ def _write_experiment(cfg: ExperimentConfig, out: Path, written: list[Path]) -> 
             "delay_sum_mean": float(np.mean(traj.delays.sum(axis=1))),
         }
         manifest["arms"][label] = final
-        finals[label] = final
 
         if cfg.kind == "scaling-check":
             scaling_points.append((arm.horizon, final["final_regret_mean"],
@@ -568,9 +561,8 @@ def _write_experiment(cfg: ExperimentConfig, out: Path, written: list[Path]) -> 
             f"T{v}": r / float(np.sqrt(d)) for v, r, d in scaling_points
         }
     if cfg.kind == "baseline-compare":
-        learner_label = cfg.learner
-        ratio = (finals["naive"]["final_cum_loss_mean"]
-                 / finals[learner_label]["final_cum_loss_mean"])
+        arms = manifest["arms"]
+        ratio = arms["naive"]["final_cum_loss_mean"] / arms[cfg.learner]["final_cum_loss_mean"]
         manifest["metrics"]["naive_to_learner_cum_loss_ratio"] = ratio
 
     manifest_path = out / "manifest.json"

@@ -42,27 +42,25 @@ class NonFiniteGradient(ValueError):
 # Step-size schedules
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, kw_only=True)
 class StepSchedule:
     """Per-round step size eta(t), zero through the warm-up rounds t <= tau.
 
     A schedule gives its step s = t - tau >= 1 rounds past the warm-up as
-    `rate(s)`, for one s or an array of them.  The pull weight beta(t)
-    equals eta(t) unless an explicit constant override is supplied.
+    `rate(s)`, for one s or an array of them, and `table` lays eta(t) and
+    the pull weight beta(t) out for a whole horizon.  beta(t) equals
+    eta(t) unless `beta_override` sets a constant past the warm-up.
     """
 
-    tau: int
-    beta_override: float | None
+    tau: int = 0
+    beta_override: float | None = None
+
+    def __post_init__(self):
+        if self.tau < 0:
+            raise ValueError("tau must be >= 0")
 
     def rate(self, s):
         raise NotImplementedError
-
-    def eta(self, t: int):
-        return self.rate(t - self.tau) if t > self.tau else 0.0
-
-    def beta(self, t: int):
-        if self.beta_override is not None:
-            return self.beta_override if t > self.tau else 0.0
-        return self.eta(t)
 
     def table(self, horizon: int) -> tuple[Array, Array]:
         """eta(t) and beta(t) for t = 0..horizon, as two arrays indexed by t.
@@ -85,14 +83,11 @@ class InverseSqrtStep(StepSchedule):
     """eta(t) = sigma / sqrt(t - tau) for t > tau, else 0."""
 
     sigma: float
-    tau: int = 0
-    beta_override: float | None = None
 
     def __post_init__(self):
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
-        if self.tau < 0:
-            raise ValueError("tau must be >= 0")
+        super().__post_init__()
 
     def rate(self, s):
         return self.sigma / np.sqrt(s)
@@ -103,14 +98,11 @@ class InverseTimeStep(StepSchedule):
     """eta(t) = 1 / (gamma (t - tau)) for t > tau; pairs with strongly convex losses."""
 
     gamma: float
-    tau: int = 0
-    beta_override: float | None = None
 
     def __post_init__(self):
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
-        if self.tau < 0:
-            raise ValueError("tau must be >= 0")
+        super().__post_init__()
 
     def rate(self, s):
         return 1.0 / (self.gamma * s)
@@ -125,8 +117,6 @@ class ConstantStep(StepSchedule):
     """
 
     value: float | Array
-    tau: int = 0
-    beta_override: float | None = None
 
     def __post_init__(self):
         value = np.asarray(self.value, dtype=float)
@@ -134,8 +124,7 @@ class ConstantStep(StepSchedule):
             raise ValueError("step size must be positive")
         if value.ndim:
             object.__setattr__(self, "value", value.reshape(-1, 1))
-        if self.tau < 0:
-            raise ValueError("tau must be >= 0")
+        super().__post_init__()
 
     def rate(self, s):
         return self.value
@@ -149,10 +138,11 @@ class ConstantStep(StepSchedule):
 class Influence:
     """Linear pull from the known context into the hidden-context space.
 
-    pull(x) = weight * reduce(x), where reduce truncates the d1-dimensional
-    known context to the d2-dimensional estimate space and weight is either
-    a fixed signed value or tracks the running step size with a chosen sign
-    (positive when the two context parts are believed positively correlated).
+    The pull is a weight times the d1-dimensional known context truncated
+    to the d2-dimensional estimate space.  The weight is either a fixed
+    signed value `lam` or tracks the running step size with a chosen sign
+    (positive when the two context parts are believed positively
+    correlated); lam = 0 disables the pull.
     """
 
     dim_out: int
@@ -169,75 +159,36 @@ class Influence:
             sign = 1.0 if sign >= 0 else -1.0
         return Influence(dim_out=dim_out, lam=None, sign=sign)
 
-    @staticmethod
-    def disabled(dim_out: int) -> "Influence":
-        return Influence(dim_out=dim_out, lam=0.0)
-
-    def weight(self, eta_t: float) -> float:
-        if self.lam is not None:
-            return self.lam
-        return self.sign * eta_t
-
-    def reduce(self, known) -> Array:
-        """Map each row of known context into the estimate space."""
+    def pull(self, known, eta_t) -> Array:
+        """The weight times each row of `known` cut to `dim_out`; zeros once the stream has ended."""
+        w = np.asarray(self.sign * eta_t if self.lam is None else self.lam)
+        if known is None or not w.any():
+            return np.zeros(self.dim_out)
         v = np.asarray(known, dtype=float)
         if v.shape[-1] < self.dim_out:
             raise ValueError("known context smaller than the estimate dimension")
-        return v[..., : self.dim_out]
-
-    def pull(self, known, eta_t) -> Array:
-        """weight * reduce(known); zero vector when the stream has ended."""
-        w = np.asarray(self.weight(eta_t))
-        if known is None or not w.any():
-            return np.zeros(self.dim_out)
-        return w * self.reduce(known)
-
-
-# ---------------------------------------------------------------------------
-# Learner state
-# ---------------------------------------------------------------------------
-
-@dataclass
-class LearnerState:
-    """Current estimate and last round played; no history.
-
-    `estimate` has one row per trial (or is a single point); the game
-    loop hands each delivered gradient over once its due round comes.
-    """
-
-    estimate: Array
-    body: ConvexBody
-    t: int = 0
+        return w * v[..., : self.dim_out]
 
 
 # ---------------------------------------------------------------------------
 # Step-size tuning
 # ---------------------------------------------------------------------------
 
-def sigma_for_fixed_delay(L: float, R: float, tau: int) -> float:
-    """Self-consistent sqrt-schedule scale for a fixed lag.
-
-    The scale should equal R / (L' sqrt(tau)) where L' = L + sigma R already
-    contains the scale, so we solve the quadratic
-    sqrt(tau) R sigma^2 + sqrt(tau) L sigma - R = 0 for its positive root:
-    the mirror-descent scale with map smoothness 1.
-    """
-    return sigma_for_mirror(L, R, tau, 1.0)
-
-
 def sigma_for_mirror(L: float, R: float, tau: int, smoothness: float) -> float:
-    """Sqrt-schedule scale for mirror descent; same fixed point with the
-    map smoothness folded in: sigma^2 = R^2 / (tau L_M L'^2)."""
+    """Self-consistent sqrt-schedule scale for a fixed lag tau.
+
+    The scale should equal R / (L' sqrt(tau L_M)), where L' = L + sigma R
+    already contains the scale and L_M is the map smoothness (1 for the
+    Euclidean map), so sigma^2 = R^2 / (tau L_M L'^2).  With c =
+    sqrt(tau L_M) that is the positive root of c R s^2 + c L s - R = 0,
+    taken in a form stable for small R (multiplied through by the
+    conjugate).
+    """
     if smoothness <= 0:
         raise ValueError("map smoothness must be positive")
     if L <= 0 or R < 0 or tau < 1:
         raise ValueError("need L > 0, R >= 0, tau >= 1")
-    return _tuning_root(L, R, math.sqrt(tau * smoothness))
-
-
-def _tuning_root(L: float, R: float, scale: float) -> float:
-    # Positive root of scale*R*s^2 + scale*L*s - R = 0, in a form stable
-    # for small R (multiply through by the conjugate).
+    scale = math.sqrt(tau * smoothness)
     b = scale * L
     if R == 0.0:
         return 0.0
@@ -259,6 +210,8 @@ def eta_for_arbitrary_delay(L: float, R: float, lam: float, horizon: int,
 class BaseLearner:
     """Shared play/observe protocol used by the game loop.
 
+    A learner holds its iterate `estimate` in its feasible `body` and the
+    last round `t` it played; nothing else of the game's history.
     `start(trials, horizon)` gives the iterate one row per trial, and
     `play(t)` returns the round-t decisions, one row per trial.  The game
     records every decision; when a round's feedback is delivered it takes
@@ -271,26 +224,25 @@ class BaseLearner:
     loop before round 1) or None for any delays.
     """
 
-    state: LearnerState
     lag: int | None = None
     uses_gradients = True
 
+    def __init__(self, body: ConvexBody, estimate: Array):
+        self.body = body
+        self.estimate = estimate
+        self.t = 0
+
     def start(self, trials: int, horizon: int) -> None:
-        self.state.estimate = np.broadcast_to(
-            self.state.estimate, (trials, self.state.body.dim)).copy()
+        self.estimate = np.broadcast_to(self.estimate, (trials, self.body.dim)).copy()
 
     def play(self, t: int) -> Array:
-        if t != self.state.t + 1:
-            raise RuntimeError(f"rounds must be played in order; expected {self.state.t + 1}")
-        self.state.t = t
-        return self.state.estimate.copy()
+        if t != self.t + 1:
+            raise RuntimeError(f"rounds must be played in order; expected {self.t + 1}")
+        self.t = t
+        return self.estimate.copy()
 
     def observe(self, rows: Array, feedback: Array, next_known) -> None:
         raise NotImplementedError
-
-    @property
-    def estimate(self) -> Array:
-        return self.state.estimate.copy()
 
 
 class GradientLearner(BaseLearner):
@@ -301,7 +253,8 @@ class GradientLearner(BaseLearner):
     with `any_delays` True it sums whatever each round delivers, in source
     order.  Nothing moves through the warm-up rounds t <= tau, before the
     first delivery of a fixed lag.  `start` tabulates the schedule's
-    eta(t) and beta(t) for every round.
+    eta(t) and beta(t) for every round, and each round reads them there;
+    without an influence the pull is `Influence.constant(0.0, dim)`.
 
     A round that delivers nothing to a learner whose pull is disabled
     (lam = 0) moves the iterate by +0.0 and projects it again.  That gives
@@ -317,11 +270,11 @@ class GradientLearner(BaseLearner):
                  any_delays: bool = False):
         if any_delays and schedule.tau:
             raise ValueError("a learner for any delays takes a schedule with tau = 0")
+        super().__init__(body, mirror.initial_point(body.dim))
         self.schedule = schedule
         self.mirror = mirror
         self.lag = None if any_delays else schedule.tau
-        self.influence = influence if influence is not None else Influence.disabled(body.dim)
-        self.state = LearnerState(estimate=mirror.initial_point(body.dim), body=body)
+        self.influence = influence if influence is not None else Influence.constant(0.0, body.dim)
         self.pulls = self.influence.lam != 0.0  # a disabled pull is zero every round
 
     def start(self, trials: int, horizon: int) -> None:
@@ -332,16 +285,16 @@ class GradientLearner(BaseLearner):
         self.settled = False
 
     def observe(self, rows, feedback, next_known) -> None:
-        state, t = self.state, self.state.t
+        t = self.t
         if t <= self.schedule.tau or self.settled and not len(rows):
             return
         # A fixed lag delivers one gradient per row; so do as many sorted
         # rows as trials with no repeats.
-        trials = len(state.estimate)
+        trials = len(self.estimate)
         if self.lag is not None or len(rows) == trials and (trials == 1 or np.all(np.diff(rows))):
             total = feedback  # one gradient per row, in row order
         else:
-            total = np.zeros(state.estimate.shape)
+            total = np.zeros(self.estimate.shape)
             np.add.at(total, rows, feedback)  # row by row in source order
         eta = self.etas[t]
         if self.pulls:
@@ -351,12 +304,12 @@ class GradientLearner(BaseLearner):
         if np.count_nonzero(np.isfinite(move)) < move.size:
             what = "gradient" if not np.isfinite(total).all() else "step"
             raise NonFiniteGradient(f"{what} has NaN or infinite entries at round {t}")
-        out = self.mirror.update(state.estimate, move)
+        out = self.mirror.update(self.estimate, move)
         if not self.mirror.needs_projection:
-            state.estimate = out
+            self.estimate = out
             return
-        state.estimate = state.body.project(out)
-        self.settled = not self.pulls and state.estimate.tobytes() == out.tobytes()
+        self.estimate = self.body.project(out)
+        self.settled = not self.pulls and self.estimate.tobytes() == out.tobytes()
 
 
 class NaiveLearner(BaseLearner):
@@ -370,11 +323,11 @@ class NaiveLearner(BaseLearner):
     uses_gradients = False
 
     def __init__(self, body: ConvexBody):
-        self.state = LearnerState(estimate=np.zeros(body.dim), body=body)
+        super().__init__(body, np.zeros(body.dim))
 
     def start(self, trials: int, horizon: int) -> None:
         super().start(trials, horizon)
-        self.revealed = np.empty((trials, horizon, self.state.body.dim))
+        self.revealed = np.empty((trials, horizon, self.body.dim))
         self.count = np.zeros(trials, dtype=np.int64)
 
     def observe(self, rows, feedback, next_known) -> None:
@@ -390,4 +343,4 @@ class NaiveLearner(BaseLearner):
         counts = self.count[updated]
         for n in np.unique(counts).tolist():
             group = updated[counts == n]
-            self.state.estimate[group] = np.mean(self.revealed[group, :n], axis=1)
+            self.estimate[group] = np.mean(self.revealed[group, :n], axis=1)

@@ -167,7 +167,7 @@ def test_three_round_adversarial_game_multi_delivery():
     # The post-horizon update consumed g1 evaluated at x1 and g3 at x3.
     g1 = 2.0 * (x1 - 1.0)
     g3 = 2.0 * (x3 - 3.0)
-    assert learner.state.estimate[0] == x3 - 0.1 * (g1 + g3)
+    assert learner.estimate[0] == x3 - 0.1 * (g1 + g3)
 
 
 def test_horizon_equal_to_lag_keeps_all_estimates_zero():
@@ -237,7 +237,7 @@ def test_fixed_lag_learner_rejects_mismatched_delays_before_round_1():
     with pytest.raises(ConfigError, match="tau \\+ 1 = 4"):
         run_game(learner, [stream], [ExplicitDelay((4, 4, 1, 4, 4))], uniform_quadratic(),
                  LinearScoring.default(1, 1), horizon=5, seeds=[0])
-    assert learner.state.t == 0
+    assert learner.t == 0
 
 
 def test_run_game_configuration_errors():

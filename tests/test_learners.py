@@ -17,7 +17,6 @@ from laglearn.learners import (
     InverseTimeStep,
     NaiveLearner,
     eta_for_arbitrary_delay,
-    sigma_for_fixed_delay,
     sigma_for_mirror,
 )
 from laglearn.losses import NormLoss, QuadraticLoss
@@ -30,8 +29,8 @@ def step_once(learner, estimate, t, grads, next_known=None, rows=(0,)):
     learner's new iterate is returned.
     """
     learner.start(1, t)
-    learner.state.estimate = np.asarray([estimate], dtype=float)
-    learner.state.t = t
+    learner.estimate = np.asarray([estimate], dtype=float)
+    learner.t = t
     feedback = np.asarray(grads, dtype=float).reshape(len(rows), len(estimate))
     known = None if next_known is None else np.asarray([next_known], dtype=float)
     learner.observe(np.asarray(rows, dtype=np.int64), feedback, known)
@@ -43,32 +42,32 @@ def step_once(learner, estimate, t, grads, next_known=None, rows=(0,)):
 # ---------------------------------------------------------------------------
 
 def test_sqrt_schedule_values():
-    sched = InverseSqrtStep(sigma=0.5, tau=10)
-    assert sched.eta(10) == 0.0
-    assert sched.eta(11) == pytest.approx(0.5)  # 0.5 / sqrt(1)
-    assert sched.eta(14) == pytest.approx(0.25)
-    assert sched.beta(11) == sched.eta(11)
+    etas, betas = InverseSqrtStep(sigma=0.5, tau=10).table(14)
+    assert etas[10] == 0.0
+    assert etas[11] == pytest.approx(0.5)  # 0.5 / sqrt(1)
+    assert etas[14] == pytest.approx(0.25)
+    assert np.array_equal(betas, etas)
 
 
 def test_inverse_time_schedule_values():
-    sched = InverseTimeStep(gamma=2.0, tau=3)
-    assert sched.eta(3) == 0.0
-    assert sched.eta(4) == pytest.approx(0.5)
-    assert sched.eta(13) == pytest.approx(1.0 / 20.0)
+    etas, _ = InverseTimeStep(gamma=2.0, tau=3).table(13)
+    assert etas[3] == 0.0
+    assert etas[4] == pytest.approx(0.5)
+    assert etas[13] == pytest.approx(1.0 / 20.0)
 
 
 def test_schedules_nonincreasing():
     for sched in (InverseSqrtStep(sigma=1.0, tau=2), InverseTimeStep(gamma=0.5, tau=2),
                   ConstantStep(value=0.1, tau=2)):
-        etas = [sched.eta(t) for t in range(3, 60)]
+        etas = sched.table(59)[0][3:].tolist()
         assert all(b <= a + 1e-15 for a, b in zip(etas, etas[1:]))
         assert all(e > 0 for e in etas)
 
 
 def test_beta_override():
-    sched = InverseSqrtStep(sigma=0.5, tau=0, beta_override=0.02)
-    assert sched.beta(4) == 0.02
-    assert sched.eta(4) == 0.25
+    etas, betas = InverseSqrtStep(sigma=0.5, tau=0, beta_override=0.02).table(4)
+    assert betas[4] == 0.02
+    assert etas[4] == 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +94,7 @@ def test_ogd_projects_back_into_body():
     learner = GradientLearner(body, ConstantStep(value=5.0))
     out = step_once(learner, [0.0], 1, [1.0])
     assert np.allclose(out, [-1.0])
-    assert body.contains(learner.state.estimate)
+    assert body.contains(learner.estimate)
 
 
 def test_no_update_through_the_warmup():
@@ -113,7 +112,8 @@ def test_omd_euclidean_equals_ogd_step():
     infl = Influence.constant(0.7, 2)
     x, g, nk = np.array([0.3, -0.2]), np.array([0.4, -1.1]), np.array([0.2, 0.9])
     out = step_once(GradientLearner(body, sched, infl, EuclideanMap()), x, 4, g, nk)
-    by_hand = body.project(x + (sched.beta(4) * infl.pull(nk, sched.eta(4)) - sched.eta(4) * g))
+    etas, betas = sched.table(4)
+    by_hand = body.project(x + (betas[4] * infl.pull(nk, etas[4]) - etas[4] * g))
     assert np.array_equal(out, by_hand)
 
 
@@ -153,7 +153,7 @@ def test_per_trial_steps_must_match_the_trial_count():
     with pytest.raises(ValueError, match="3 step sizes for 2 trials"):
         run_game(learner, streams, [FixedDelay(0)] * 2, fixed_loss(NormLoss),
                  LinearScoring.default(1, 1), 5, seeds=[0, 0])
-    assert learner.state.t == 0
+    assert learner.t == 0
 
 
 def test_a_learner_for_any_delays_has_no_warmup():
@@ -176,26 +176,26 @@ def test_influence_linearity_and_reduction():
 
 def test_fixed_delay_tuning_quadratic_root():
     # L = R = tau = 1: positive root of s^2 + s - 1 = (sqrt(5) - 1) / 2
-    sigma = sigma_for_fixed_delay(1.0, 1.0, 1)
+    sigma = sigma_for_mirror(1.0, 1.0, 1, 1.0)
     assert sigma == pytest.approx((math.sqrt(5.0) - 1.0) / 2.0, rel=1e-12)
 
 
 def test_fixed_delay_tuning_self_consistent():
     for L, R, tau in [(1.0, 4.0, 5), (2.5, 1.2, 17), (0.3, 9.0, 2)]:
-        sigma = sigma_for_fixed_delay(L, R, tau)
+        sigma = sigma_for_mirror(L, R, tau, 1.0)
         effective = L + sigma * R
         assert sigma == pytest.approx(R / (effective * math.sqrt(tau)), rel=1e-12)
 
 
 def test_fixed_delay_tuning_asymptotics():
     # For large tau the root approaches R / (L sqrt(tau)).
-    sigma = sigma_for_fixed_delay(1.0, 1.0, 10_000)
+    sigma = sigma_for_mirror(1.0, 1.0, 10_000, 1.0)
     assert sigma / (1.0 / math.sqrt(10_000)) == pytest.approx(1.0, abs=0.02)
 
 
 def test_fixed_delay_tuning_degenerate_radius():
-    assert sigma_for_fixed_delay(1.0, 1e-12, 4) <= 1e-12
-    assert sigma_for_fixed_delay(1.0, 0.0, 4) == 0.0
+    assert sigma_for_mirror(1.0, 1e-12, 4, 1.0) <= 1e-12
+    assert sigma_for_mirror(1.0, 0.0, 4, 1.0) == 0.0
 
 
 def test_mirror_tuning_self_consistent():
@@ -204,7 +204,6 @@ def test_mirror_tuning_self_consistent():
         sigma = sigma_for_mirror(1.0, 3.0, 7, smoothness)
         effective = 1.0 + sigma * 3.0
         assert sigma**2 * 7 * smoothness * effective**2 == pytest.approx(9.0, rel=1e-10)
-    assert sigma_for_mirror(1.0, 3.0, 7, 1.0) == sigma_for_fixed_delay(1.0, 3.0, 7)
 
 
 def test_arbitrary_delay_eta_formula():
@@ -281,9 +280,10 @@ def test_gradients_use_the_decision_of_the_source_round():
     learner = GradientLearner(body, sched, None)
     traj = _explicit_game(learner, horizon=horizon, d=tau + 1)
     est = traj.estimates[0, :, 0]
+    etas, _ = sched.table(horizon)
     for t in range(tau + 1, horizon):  # update applied at round t produces round t+1
         g = traj.loss[0, t - tau - 1].grad(np.array([est[t - tau - 1]]))[0]
-        predicted = est[t - 1] - sched.eta(t) * g
+        predicted = est[t - 1] - etas[t] * g
         assert est[t] == pytest.approx(predicted, abs=1e-12)
 
 
