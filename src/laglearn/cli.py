@@ -20,7 +20,6 @@ import sys
 from pathlib import Path
 
 from . import experiments
-from .environment import StreamExhausted
 from .experiments import ConfigFileError
 
 
@@ -57,11 +56,7 @@ def _default_out_dir(config_path: Path) -> Path:
 
 
 def _cmd_run(args) -> int:
-    try:
-        path, cfg = _load(args.config)
-    except (FileNotFoundError, ConfigFileError) as exc:
-        _report_errors(exc)
-        return 2
+    path, cfg = _load(args.config)
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -73,9 +68,6 @@ def _cmd_run(args) -> int:
         Path(cfg.out_dir) if cfg.out_dir else _default_out_dir(path))
     try:
         manifest = experiments.run_experiment(cfg, out_dir)
-    except (ValueError, StreamExhausted) as exc:  # ConfigFileError and ConfigError included
-        _report_errors(exc)
-        return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -84,24 +76,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        _, cfg = _load(args.config)
-    except (FileNotFoundError, ConfigFileError) as exc:
-        _report_errors(exc)
-        return 2
+    _, cfg = _load(args.config)
     errors = experiments.validate_config(cfg)
     if errors:
-        for err in errors:
-            print(f"error: {err}", file=sys.stderr)
-        return 2
-    try:
-        arms = [(label, experiments.resolve_arm(arm))
-                for label, arm in experiments.expand_arms(cfg)]
-    except ValueError as exc:
-        _report_errors(exc)
-        return 2
+        raise ConfigFileError(errors)
     print("OK")
-    for label, resolved in arms:
+    for label, arm in experiments.expand_arms(cfg):
+        resolved = experiments.resolve_arm(arm)
         print(f"[{label}]")
         for key in sorted(resolved):
             print(f"  {key} = {resolved[key]}")
@@ -137,14 +118,6 @@ def _cmd_plot_script(args) -> int:
     return 0
 
 
-def _report_errors(exc) -> None:
-    if isinstance(exc, ConfigFileError):
-        for err in exc.errors:
-            print(f"error: {err}", file=sys.stderr)
-    else:
-        print(f"error: {exc}", file=sys.stderr)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {
@@ -153,7 +126,12 @@ def main(argv=None) -> int:
         "list-presets": _cmd_list_presets,
         "plot-script": _cmd_plot_script,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (FileNotFoundError, ValueError) as exc:  # a missing input, a bad config or bad data
+        for err in exc.errors if isinstance(exc, ConfigFileError) else [exc]:
+            print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

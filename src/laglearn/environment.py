@@ -101,6 +101,8 @@ class PolygonStream(ContextStream):
                  seed: int = 0):
         if d1 < 2:
             raise ValueError("known part needs d1 >= 2 to cover the planar hidden part")
+        if variance <= 0:
+            raise ValueError("variance must be positive")
         self.polygon = polygon
         self.d1, self.d2 = int(d1), 2
         self.mean = float(mean)

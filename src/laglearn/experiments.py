@@ -195,7 +195,11 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def validate_config(cfg: ExperimentConfig) -> list[str]:
-    """Every violated field, named; empty list means the config is runnable."""
+    """Every problem that keeps `cfg` from running, named by INI field or section.
+
+    If the option checks pass, each arm is built as `run_single` builds it,
+    from the first trial's seeds, and reports its first failing piece.
+    """
     errors = []
 
     if cfg.kind not in KINDS:
@@ -216,13 +220,13 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         if cfg.schedule not in SCHEDULES:
             errors.append(f"learner.schedule: must be one of {', '.join(SCHEDULES)}")
         elif cfg.schedule == "sqrt":
-            if cfg.sigma is None or (isinstance(cfg.sigma, float) and cfg.sigma <= 0):
+            if cfg.sigma is None:
                 errors.append("learner.sigma: sqrt schedule needs sigma > 0 or 'auto'")
         elif cfg.schedule == "strongly-convex":
-            if cfg.gamma is None or cfg.gamma <= 0:
+            if cfg.gamma is None:
                 errors.append("learner.gamma: strongly-convex schedule needs gamma > 0")
         elif cfg.schedule == "constant":
-            if not isinstance(cfg.eta, float) or cfg.eta <= 0:
+            if not isinstance(cfg.eta, float):
                 errors.append("learner.eta: constant schedule needs a numeric eta > 0")
         # A single run may read a delay file; run_game checks that it is all tau + 1.
         if cfg.delay_kind == "adversarial" or (cfg.delay_kind != "fixed"
@@ -234,7 +238,7 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         elif cfg.mirror == "negentropy" and cfg.stream != "csv":
             errors.append("learner.mirror: negentropy needs simplex data from a csv stream")
     if cfg.learner == "adversarial":
-        if cfg.eta is None or (isinstance(cfg.eta, float) and cfg.eta <= 0):
+        if cfg.eta is None:
             errors.append("learner.eta: adversarial learner needs eta > 0 or 'auto'")
         if not isinstance(cfg.lam, float):
             errors.append("learner.lam: adversarial learner needs a numeric lam")
@@ -251,6 +255,10 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         errors.append("sweep.rho: entries must lie in [-1, 1]")
     if cfg.sweep_horizons and any(h < 1 for h in cfg.sweep_horizons):
         errors.append("sweep.horizon: entries must be >= 1")
+    for option, entries in (("tau", cfg.sweep_taus), ("rho", cfg.sweep_rhos),
+                            ("horizon", cfg.sweep_horizons)):
+        if entries and len(set(entries)) < len(entries):  # one arm, one label, one csv
+            errors.append(f"sweep.{option}: entries must be distinct")
 
     if cfg.stream not in STREAMS:
         errors.append(f"stream.kind: must be one of {', '.join(STREAMS)}")
@@ -266,58 +274,45 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         errors.append("stream.path: csv stream needs a file path")
     if cfg.stream == "pentagon" and (cfg.d1 < 2 or cfg.d2 != 2):
         errors.append("stream.d1/d2: pentagon stream needs d2 = 2 and d1 >= 2")
-    longest = max((arm.horizon for _, arm in expand_arms(cfg)), default=cfg.horizon)
-    if cfg.stream == "csv" and cfg.context_path:
-        rows = _file_length(lambda: environment.ExplicitStream.from_csv(
-            cfg.context_path, cfg.d1, cfg.d2).remaining)
-        if rows is not None and rows < longest:
-            errors.append(f"stream.path: csv stream has {rows} rows, fewer than the horizon "
-                          f"{longest}")
 
     if cfg.family not in FAMILIES:
         errors.append(f"loss.family: must be one of {', '.join(FAMILIES)}")
     if cfg.coefficients not in ("uniform", "fixed"):
         errors.append("loss.coefficients: must be uniform or fixed")
-    if cfg.family == "quadratic" and cfg.coefficients == "fixed":
-        if cfg.a <= 0:
-            errors.append("loss.a: must be positive")
-        if cfg.b < 0:
-            errors.append("loss.b: must be >= 0")
-    if cfg.family in ("power", "exp") and cfg.m < 1:
-        errors.append("loss.m: must be an integer >= 1")
-    if cfg.family == "exp" and (cfg.a <= 0 or cfg.sigma1 <= 0):
-        errors.append("loss.a/loss.sigma1: exp family needs positive coefficients")
 
     if cfg.delay_kind not in DELAY_KINDS:
         errors.append(f"delays.kind: must be one of {', '.join(DELAY_KINDS)}")
-    if cfg.delay_kind == "adversarial" and cfg.d_max < 1:
-        errors.append("delays.d_max: must be >= 1")
     if cfg.delay_kind == "file" and not cfg.delay_path:
         errors.append("delays.path: file delays need a file path")
-    if cfg.delay_kind == "file" and cfg.delay_path:
-        count = _file_length(lambda: len(feedback.delays_from_file(cfg.delay_path).delays))
-        if count is not None and count < longest:
-            errors.append(f"delays.path: delay file has {count} delays, fewer than the horizon "
-                          f"{longest}")
 
     covered = [label for label, arm in expand_arms(cfg) if arm.warmup * arm.tau >= arm.horizon]
     if covered:
         errors.append("learner.warmup: warm-up rounds (warmup * tau) cover the horizon of arm "
                       + ", ".join(covered))
-    return errors
+    if errors:
+        return errors
 
-
-def _file_length(load) -> int | None:
-    """Rows or delays that `load` reads; None if the file does not load, which `run` reports."""
-    try:
-        return load()
-    except (OSError, ValueError):
-        return None
+    seeds = [trial_seed(cfg.seed, 0)]
+    for _, arm in expand_arms(cfg):
+        try:
+            _build_arm(arm, seeds)
+        except ConfigFileError as exc:
+            errors.extend(exc.errors)
+    return list(dict.fromkeys(errors))  # arms that fail alike report it once
 
 
 # ---------------------------------------------------------------------------
 # Building game pieces from a config
 # ---------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def _section(name: str):
+    """Re-raise a ValueError or OSError as a ConfigFileError under INI section `name`."""
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        raise ConfigFileError([f"{name}: {exc}"]) from exc
+
 
 def _mirror_map(cfg: ExperimentConfig) -> MirrorMap:
     """The gradient learners' mirror map: entropic only for omd with mirror = negentropy."""
@@ -334,6 +329,7 @@ def _hidden_body(cfg: ExperimentConfig) -> ConvexBody:
     return Ball(np.zeros(cfg.d2), cfg.radius)
 
 
+@_section("stream")
 def _build_stream(cfg: ExperimentConfig, seed: int, body: ConvexBody):
     if cfg.stream == "gaussian":
         return environment.GaussianStream(
@@ -369,6 +365,7 @@ def _loss_factory(cfg: ExperimentConfig):
     return environment.fixed_loss(loss, **coefficients)
 
 
+@_section("loss")
 def _auto_lipschitz(cfg: ExperimentConfig, body: ConvexBody) -> float:
     """Gradient-norm bound for tuning: worst case over the body's diameter."""
     loss, coefficients = _family(cfg)
@@ -410,6 +407,7 @@ def _build_schedule(cfg: ExperimentConfig, body: ConvexBody, smoothness: float,
     return learners.ConstantStep(value=float(cfg.eta), tau=cfg.tau, beta_override=cfg.beta)
 
 
+@_section("learner")
 def _build_learner(cfg: ExperimentConfig, body: ConvexBody, delays: list, horizon: int):
     if cfg.learner == "naive":
         return learners.NaiveLearner(body)
@@ -419,6 +417,7 @@ def _build_learner(cfg: ExperimentConfig, body: ConvexBody, delays: list, horizo
                                     any_delays=cfg.learner == "adversarial")
 
 
+@_section("delays")
 def _build_delays(cfg: ExperimentConfig, seed: int):
     if cfg.delay_kind == "fixed":
         return feedback.FixedDelay(cfg.tau)
@@ -442,15 +441,31 @@ def resolve_arm(cfg: ExperimentConfig) -> dict:
     return resolved
 
 
+def _build_arm(cfg: ExperimentConfig, seeds: list[int]):
+    """The hidden body, streams, delay schedules and learner of the trials of `seeds`.
+
+    A piece that cannot be built raises ConfigFileError under its INI section.
+    """
+    body = _hidden_body(cfg)
+    streams = [_build_stream(cfg, trial_seed(seed, 0), body) for seed in seeds]
+    if cfg.stream == "csv" and streams[0].remaining < cfg.horizon:
+        raise ConfigFileError([f"stream.path: csv stream has {streams[0].remaining} rows, "
+                               f"fewer than the horizon {cfg.horizon}"])
+    delays = [_build_delays(cfg, trial_seed(seed, 2)) for seed in seeds]
+    if cfg.delay_kind == "file" and len(delays[0].delays) < cfg.horizon:
+        raise ConfigFileError([f"delays.path: delay file has {len(delays[0].delays)} delays, "
+                               f"fewer than the horizon {cfg.horizon}"])
+    _auto_lipschitz(cfg, body)  # the comparator needs it for every family without a closed form
+    learner = _build_learner(cfg, body, delays, cfg.horizon)
+    return body, streams, delays, learner
+
+
 def run_single(cfg: ExperimentConfig, seeds: list[int]) -> tuple[Trajectory, RegretReport]:
     """One arm's seeded trials: build the pieces, play them in lockstep, measure regret.
 
     Row k of the trajectory and of the report is the trial of `seeds[k]`.
     """
-    body = _hidden_body(cfg)
-    delays = [_build_delays(cfg, trial_seed(seed, 2)) for seed in seeds]
-    streams = [_build_stream(cfg, trial_seed(seed, 0), body) for seed in seeds]
-    learner = _build_learner(cfg, body, delays, cfg.horizon)
+    body, streams, delays, learner = _build_arm(cfg, seeds)
     scoring = environment.LinearScoring.default(cfg.d1, cfg.d2)
     trajectory = environment.run_game(
         learner, streams, delays, _loss_factory(cfg), scoring, cfg.horizon,

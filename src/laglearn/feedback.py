@@ -37,19 +37,18 @@ class FixedDelay(DelaySchedule):
 
 @dataclass(frozen=True)
 class RandomDelay(DelaySchedule):
-    """I.i.d. uniform integer delays on [low, d_max], drawn from `seed`."""
+    """I.i.d. uniform integer delays on [1, d_max], drawn from `seed`."""
 
     d_max: int
     seed: int
-    low: int = 1
 
     def __post_init__(self):
-        if self.low < 1 or self.d_max < self.low:
-            raise ValueError("need 1 <= low <= d_max")
+        if self.d_max < 1:
+            raise ValueError("d_max must be >= 1")
 
     def realize(self, horizon: int) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
-        return rng.integers(self.low, self.d_max + 1, size=horizon, dtype=np.int64)
+        return rng.integers(1, self.d_max + 1, size=horizon, dtype=np.int64)
 
 
 @dataclass(frozen=True)

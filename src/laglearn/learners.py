@@ -190,9 +190,10 @@ def sigma_for_mirror(L: float, R: float, tau: int, smoothness: float) -> float:
         raise ValueError("need L > 0, R >= 0, tau >= 1")
     scale = math.sqrt(tau * smoothness)
     b = scale * L
-    if R == 0.0:
-        return 0.0
-    return 2.0 * R / (b + math.sqrt(b * b + 4.0 * scale * R * R))
+    discriminant = b * b + 4.0 * scale * R * R
+    if not math.isfinite(discriminant):
+        raise ValueError(f"gradient bound L = {L:g} is too large to tune sigma: L^2 overflows")
+    return 2.0 * R / (b + math.sqrt(discriminant))
 
 
 def eta_for_arbitrary_delay(L: float, R: float, lam: float, horizon: int,
@@ -200,7 +201,10 @@ def eta_for_arbitrary_delay(L: float, R: float, lam: float, horizon: int,
     """Constant step for arbitrary delays: 1/eta^2 = T(L^2 + 2|lam| L R) + 4 L^2 D."""
     if L <= 0 or R < 0 or horizon < 1 or delay_sum < horizon:
         raise ValueError("need L > 0, R >= 0, horizon >= 1, delay_sum >= horizon")
-    return 1.0 / math.sqrt(horizon * (L * L + 2.0 * abs(lam) * L * R) + 4.0 * L * L * delay_sum)
+    squared = horizon * (L * L + 2.0 * abs(lam) * L * R) + 4.0 * L * L * delay_sum
+    if not math.isfinite(squared):
+        raise ValueError(f"gradient bound L = {L:g} is too large to tune eta: L^2 overflows")
+    return 1.0 / math.sqrt(squared)
 
 
 # ---------------------------------------------------------------------------

@@ -220,7 +220,7 @@ class PowerLoss(Loss):
         return (r == 0.0) & (self.m[at] == 1)
 
     def _lipschitz(self, radius: float) -> float:
-        return max(m * float(radius) ** (m - 1) for m in np.unique(self.m).tolist())
+        return max(m * float(radius) ** (m - 1) for m in set(self.m.ravel().tolist()))
 
 
 class ExpLoss(Loss):
@@ -255,9 +255,9 @@ class ExpLoss(Loss):
         # One numeric path for every m: maximize the radial slope on a grid.
         # A slope that overflows is inf, which `lipschitz_bound` names as an error.
         grid = np.linspace(float(radius) / 4096, float(radius), 4096)
-        rows = np.unique(np.stack([c.ravel() for c in (self.a, self.s, self.m)], axis=1), axis=0)
+        rows = set(zip(*(c.ravel().tolist() for c in (self.a, self.s, self.m))))
         with np.errstate(over="ignore", invalid="ignore"):
-            return max(float(np.max(_exp_slope(a, s, int(m), grid))) for a, s, m in rows.tolist())
+            return max(float(np.max(_exp_slope(a, s, m, grid))) for a, s, m in rows)
 
 
 def _exp_slope(a: float, s: float, m: int, r: Array) -> Array:

@@ -84,6 +84,40 @@ tau = 1, 2
     assert any("learner.warmup" in e for e in errors)
 
 
+ADVERSARIAL = "kind = adversarial\neta = 0.1\nlam = 0.0"
+
+
+@pytest.mark.parametrize("overrides, error", [
+    ({"learner": "kind = ogd\nschedule = sqrt\nsigma = -0.5"}, "learner: sigma must be positive"),
+    ({"learner": "kind = omd\nschedule = strongly-convex\ngamma = 0"},
+     "learner: gamma must be positive"),
+    ({"learner": "kind = ogd\nschedule = constant\neta = 0"},
+     "learner: step size must be positive"),
+    ({"learner": "kind = adversarial\neta = -1\nlam = 0.0"},
+     "learner: step size must be positive"),
+    ({"loss": "family = quadratic\ncoefficients = fixed\na = 0"},
+     "loss: quadratic coefficient a must be positive"),
+    ({"loss": "family = quadratic\ncoefficients = fixed\nb = -1"},
+     "loss: offset b must be nonnegative"),
+    ({"loss": "family = power\nm = 0"}, "loss: exponent m must be an integer >= 1"),
+    ({"loss": "family = exp\nsigma1 = 0"}, "loss: coefficients a and s must be positive"),
+    ({"learner": ADVERSARIAL, "delays": "kind = adversarial\nd_max = 0"},
+     "delays: d_max must be >= 1"),
+], ids=["sigma", "gamma", "constant-eta", "adversarial-eta", "quadratic-a", "quadratic-b",
+        "power-m", "exp-sigma1", "d_max"])
+def test_validate_reports_a_constructor_error_under_its_section(tmp_path, overrides, error):
+    # These rules live only in the constructors; validate meets them by
+    # building each arm, as run does.
+    sections = {"experiment": "kind = delay-sweep", "sweep": "tau = 0, 1",
+                "learner": "kind = ogd\nschedule = sqrt\nsigma = 0.5", "loss": "family = norm",
+                "delays": "kind = fixed"}
+    if "adversarial" in overrides.get("learner", ""):
+        sections["delays"] = "kind = adversarial"
+    sections.update(overrides)
+    text = "".join(f"[{name}]\n{body}\n\n" for name, body in sections.items())
+    assert validate_config(parse_config(write_config(tmp_path, text))) == [error]
+
+
 def test_validate_all_presets_are_clean():
     for name in experiments.preset_names():
         cfg = parse_config(experiments.preset_path(name))
@@ -287,22 +321,29 @@ family = norm
 """)
 
 
-@pytest.mark.parametrize("kind", ["single-run", "scaling-check"])
+@pytest.mark.parametrize("kind, error", [
+    ("single-run", "error: stream.path: csv stream has 3 rows"),
+    ("scaling-check", "error: stream.path: csv stream has 4 rows"),
+    ("missing-file", "error: stream: "),  # the OSError's text is numpy's
+], ids=["single-run", "scaling-check", "missing-file"])
 def test_cli_validate_and_run_reject_a_csv_stream_shorter_than_the_horizon(tmp_path, capsys,
-                                                                         kind):
+                                                                         kind, error):
     if kind == "single-run":   # horizon 4, three rows
         config = _single_ogd_csv_config(tmp_path, 3, "[delays]\nkind = fixed\n")
-    else:                      # arms T3 and T50, four rows
+    elif kind == "scaling-check":  # arms T3 and T50, four rows
         contexts = tmp_path / "contexts.csv"
         contexts.write_text("1.0,0.5\n" * 4, encoding="utf-8")
         config = _scaling_check_config(
             tmp_path, f"kind = csv\npath = {contexts}\nd1 = 1\nd2 = 1",
             "kind = ogd\nschedule = sqrt\nsigma = 0.5", "kind = fixed")
+    else:                      # the csv file is not there
+        config = _single_ogd_csv_config(tmp_path, 4, "[delays]\nkind = fixed\n")
+        (tmp_path / "contexts.csv").unlink()
     assert cli.main(["validate", str(config)]) == 2
-    assert "stream.path: csv stream has" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(error)
     out = tmp_path / "out"
     assert cli.main(["run", str(config), "--out-dir", str(out)]) == 2
-    assert "stream.path" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(error)
     assert not out.exists()
 
 
@@ -355,13 +396,22 @@ def test_cli_run_removes_its_outputs_when_a_later_arm_fails(tmp_path, capsys, mo
     assert [p.name for p in existing.iterdir()] == ["notes.txt"]
 
 
+def _far_csv(tmp_path, rows):
+    """A csv stream whose hidden contexts lie at 50, far outside the default ball of radius 4."""
+    contexts = tmp_path / "far.csv"
+    contexts.write_text("1.0,50.0\n" * rows, encoding="utf-8")
+    return f"kind = csv\npath = {contexts}\nd1 = 1\nd2 = 1"
+
+
 def test_cli_run_reports_a_non_finite_gradient_with_exit_2(tmp_path, capsys):
-    # exp(r^3 / 0.09) overflows within a few rounds; the learner must refuse
-    # the infinite gradient instead of writing a run that looks successful.
-    config = write_config(tmp_path, """
+    # The hidden contexts lie far outside the ball, so exp(r^2) overflows at the
+    # first gradient, though validate finds a finite bound within the ball; the
+    # learner must refuse the infinite gradient instead of writing a run that
+    # looks successful.
+    config = write_config(tmp_path, f"""
 [experiment]
 kind = single-run
-horizon = 200
+horizon = 20
 trials = 1
 seed = 0
 
@@ -369,26 +419,27 @@ seed = 0
 kind = ogd
 schedule = sqrt
 sigma = 0.5
-lam = coupled
+lam = 0.0
 
 [stream]
-kind = gaussian
-rho = 0.5
+{_far_csv(tmp_path, 20)}
 
 [loss]
 family = exp
 a = 1.0
-sigma1 = 0.3
-m = 3
+sigma1 = 1.0
+m = 2
 
 [delays]
 kind = fixed
 """)
     assert cli.main(["validate", str(config)]) == 0
     capsys.readouterr()
-    assert cli.main(["run", str(config), "--out-dir", str(tmp_path / "out")]) == 2
+    out = tmp_path / "out"
+    assert cli.main(["run", str(config), "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "NaN or infinite" in err and "Traceback" not in err
+    assert err == "error: gradient has NaN or infinite entries at round 1\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("learner", [
@@ -472,9 +523,14 @@ warmup = 2
 ], ids=["single-run", "baseline-compare", "scaling-check"])
 def test_a_power_loss_with_no_finite_gradient_bound_exits_2(tmp_path, capsys, learner,
                                                             experiment):
-    # 400 * 8.0 ** 399 overflows a float: no step can be tuned, and the
-    # comparator's step 1 / (L n) has no L either.
-    config = write_config(tmp_path, f"""
+    # 400 * 8.0 ** 399 overflows a float, and so does the slope of the exp
+    # losses at radius 8: no step can be tuned, and the comparator's step
+    # 1 / (L n) has no L either, whatever the learner.  Every arm fails alike
+    # and says so once.
+    for family, m, coefficients in [("power", 400, "coefficients = fixed"),
+                                    ("exp", 400, "a = 1.0\nsigma1 = 1.0"),
+                                    ("exp", 3, "a = 1.0\nsigma1 = 0.3")]:
+        config = write_config(tmp_path, f"""
 [experiment]
 horizon = 30
 trials = 2
@@ -487,40 +543,82 @@ trials = 2
 kind = gaussian
 
 [loss]
+family = {family}
+m = {m}
+{coefficients}
+
+[delays]
+kind = fixed
+""")
+        error = f"error: loss: {family} loss with m = {m} has no finite gradient bound " \
+                "within radius 8\n"
+        assert cli.main(["validate", str(config)]) == 2
+        assert capsys.readouterr().err == error
+        out = tmp_path / "out"
+        assert cli.main(["run", str(config), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == error
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("learner, error", [
+    ("kind = ogd\nschedule = sqrt\nsigma = auto",
+     "error: learner: gradient bound L = 4.78255e+246 is too large to tune sigma: L^2 overflows"),
+    ("kind = adversarial\neta = auto\nlam = 0.0",
+     "error: learner: gradient bound L = 4.78255e+246 is too large to tune eta: L^2 overflows"),
+], ids=["sigma-auto", "eta-auto"])
+def test_a_gradient_bound_whose_square_overflows_cannot_tune_a_step(tmp_path, capsys, learner,
+                                                                    error):
+    # Within radius 2.045 the power loss's bound 400 * 4.09 ** 399 is finite,
+    # but its square is not: the tuned step would be 0.
+    config = write_config(tmp_path, f"""
+[experiment]
+kind = single-run
+horizon = 30
+trials = 2
+
+[learner]
+{learner}
+
+[stream]
+kind = gaussian
+radius = 2.045
+
+[loss]
 family = power
 coefficients = fixed
 m = 400
 
 [delays]
-kind = fixed
+kind = {"fixed" if "ogd" in learner else "adversarial"}
 """)
-    accepted = cli.main(["validate", str(config)]) == 0
-    err = capsys.readouterr().err
-    if "sigma = auto" in learner:
-        assert not accepted and err == "error: power loss with m = 400 has no finite gradient " \
-                                       "bound within radius 8\n"
-    assert accepted or err.startswith("error: ")
-    assert cli.main(["run", str(config), "--out-dir", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert err.splitlines()[-1].startswith("error: ") and "Traceback" not in err
+    assert cli.main(["validate", str(config)]) == 2
+    assert capsys.readouterr().err.splitlines() == [error]
+    out = tmp_path / "out"
+    assert cli.main(["run", str(config), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [error]
+    assert not out.exists()
 
 
-
-@pytest.mark.parametrize("learner, loss, validate_exit, run_exit, error", [
-    ("kind = ogd\nschedule = constant\neta = 1e200\nlam = 0.0",
+@pytest.mark.parametrize("learner, stream, loss, validate_exit, run_exit, error", [
+    ("kind = ogd\nschedule = constant\neta = 1e200\nlam = 0.0", "kind = gaussian",
      "family = quadratic\ncoefficients = fixed\na = 1.0", 0, 0, None),
-    ("kind = ogd\nschedule = sqrt\nsigma = 0.5",
-     "family = power\ncoefficients = fixed\nm = 400", 0, 2,
-     "error: gradient has NaN or infinite entries at round 7"),
-    ("kind = ogd\nschedule = sqrt\nsigma = auto",
+    ("kind = ogd\nschedule = sqrt\nsigma = 0.5", "kind = gaussian",
+     "family = power\ncoefficients = fixed\nm = 400", 2, 2,
+     "error: loss: power loss with m = 400 has no finite gradient bound within radius 8"),
+    ("kind = ogd\nschedule = sqrt\nsigma = 0.5\nlam = 0.0", "far-csv",
+     "family = power\ncoefficients = fixed\nm = 200", 0, 2,
+     "error: gradient has NaN or infinite entries at round 1"),
+    ("kind = ogd\nschedule = sqrt\nsigma = auto", "kind = gaussian",
      "family = exp\na = 1.0\nsigma1 = 1.0\nm = 400", 2, 2,
-     "error: exp loss with m = 400 has no finite gradient bound within radius 8"),
-], ids=["ball-overflow", "power-m400", "exp-m400"])
-def test_overflowing_runs_raise_no_numpy_warning(tmp_path, capsys, learner, loss,
+     "error: loss: exp loss with m = 400 has no finite gradient bound within radius 8"),
+], ids=["ball-overflow", "power-m400", "power-far-csv", "exp-m400"])
+def test_overflowing_runs_raise_no_numpy_warning(tmp_path, capsys, learner, stream, loss,
                                                  validate_exit, run_exit, error):
     # Squared norms, powers and exps that overflow are handled by the code
     # (a projection rescales the row, a non-finite step or bound is a named
     # error), so numpy must not warn: any warning here is an exception.
+    if stream == "far-csv":
+        stream = _far_csv(tmp_path, 50)
     config = write_config(tmp_path, f"""
 [experiment]
 kind = single-run
@@ -532,7 +630,7 @@ seed = 0
 {learner}
 
 [stream]
-kind = gaussian
+{stream}
 
 [loss]
 {loss}

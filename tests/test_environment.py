@@ -75,6 +75,14 @@ def test_pentagon_stream_membership_and_centroid():
     assert np.linalg.norm(hidden.mean(axis=0) - centroid) <= 0.02
 
 
+@pytest.mark.parametrize("variance", [0.0, -1.0])
+def test_streams_reject_a_nonpositive_variance(variance):
+    with pytest.raises(ValueError, match="variance must be positive"):
+        GaussianStream(variance=variance)
+    with pytest.raises(ValueError, match="variance must be positive"):
+        PolygonStream(regular_polygon(5), variance=variance)
+
+
 def test_explicit_stream_exhaustion_and_csv(tmp_path):
     path = tmp_path / "contexts.csv"
     path.write_text("1.0,0.5,2.0\n1.5,0.25,2.5\n", encoding="utf-8")

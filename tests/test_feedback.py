@@ -61,6 +61,8 @@ def test_delay_below_one_rejected():
         FeedbackBuffer([1, 0])
     with pytest.raises(ValueError):
         ExplicitDelay((1, 0, 2))
+    with pytest.raises(ValueError, match="d_max must be >= 1"):
+        RandomDelay(d_max=0, seed=1)
 
 
 def test_exactly_once_over_random_schedules():

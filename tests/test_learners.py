@@ -191,6 +191,9 @@ def test_fixed_delay_tuning_asymptotics():
     # For large tau the root approaches R / (L sqrt(tau)).
     sigma = sigma_for_mirror(1.0, 1.0, 10_000, 1.0)
     assert sigma / (1.0 / math.sqrt(10_000)) == pytest.approx(1.0, abs=0.02)
+    # A bound whose square overflows would tune sigma to 0; it is an error naming L.
+    with pytest.raises(ValueError, match=r"L = 1e\+200"):
+        sigma_for_mirror(1e200, 1.0, 1, 1.0)
 
 
 def test_fixed_delay_tuning_degenerate_radius():
@@ -210,6 +213,8 @@ def test_arbitrary_delay_eta_formula():
     eta = eta_for_arbitrary_delay(2.0, 3.0, 0.5, 100, 250)
     expected = 1.0 / math.sqrt(100 * (4.0 + 2 * 0.5 * 2.0 * 3.0) + 4 * 4.0 * 250)
     assert eta == pytest.approx(expected, rel=1e-12)
+    with pytest.raises(ValueError, match=r"L = 1e\+200"):
+        eta_for_arbitrary_delay(1e200, 3.0, 0.5, 100, 250)
 
 
 # ---------------------------------------------------------------------------

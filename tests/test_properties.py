@@ -1,14 +1,16 @@
 """Property test of the contract between `validate` and `run`.
 
 Configs are drawn from the options of the INI schema at small sizes.  A
-config that `validate` accepts must run to exit 0 or end in exit 2 with an
-`error:` line; one that it rejects must make `run` exit 2 and write nothing.
-An exception escaping `cli.main` fails the test, as a traceback would.
+config that `validate` accepts must run to exit 0, or end in exit 2 with
+one of the errors that only its data can cause (`DATA_ERRORS`); one that it
+rejects must make `run` exit 2 and write nothing.  An exception escaping
+`cli.main` fails the test, as a traceback would.
 """
 
 import contextlib
 import functools
 import io
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -26,6 +28,20 @@ from laglearn import cli, evaluation, experiments
 # module attribute, and every run that completes must have called it.
 SHORT_COMPARATOR = functools.partial(evaluation.offline_optimum, max_iters=1_000)
 
+# The errors an accepted config may still end in, each with the streams or
+# delays whose data can cause it.
+DATA_ERRORS = [
+    # a gradient or step that overflows mid-run (NonFiniteGradient)
+    (re.compile(r"error: (gradient|step) has NaN or infinite entries at round \d+"), None),
+    # a single run's delay file that is not all tau + 1 for a fixed-lag learner
+    (re.compile(r"error: fixed-lag learner needs every delay to be tau \+ 1"), "file"),
+    # the comparator's gradient bound over csv anchors that lie outside the body
+    (re.compile(r"error: \w+ loss with m = \d+ has no finite gradient bound"), "csv"),
+    # a scaling-check arm whose final regret is not positive leaves no fit
+    (re.compile(r"error: need at least 3 positive points, have \d+"), None),
+]
+
+
 def rounded(lo, hi):
     return st.floats(lo, hi).map(lambda v: round(v, 3))
 
@@ -33,10 +49,39 @@ def rounded(lo, hi):
 positive = rounded(0.05, 2.0)
 nonpositive = rounded(-0.5, 0.0)
 
+# (section, option) -> a value that validate must reject.  One draw in four
+# breaks one of these or cuts the csv short; the rest draw every option from
+# its valid range, so that most configs get to run.
+BROKEN = {
+    ("experiment", "kind"): st.just("bogus"),
+    ("experiment", "horizon"): st.just(0),
+    ("experiment", "trials"): st.just(0),
+    ("learner", "sigma"): nonpositive,
+    ("learner", "gamma"): nonpositive,
+    ("learner", "eta"): nonpositive,
+    ("learner", "warmup"): st.just(-1),
+    ("learner", "mirror"): st.just("negentropy"),
+    ("stream", "rho"): st.sampled_from([-1.2, 1.2]),
+    ("stream", "variance"): nonpositive,
+    ("stream", "radius"): nonpositive,
+    ("loss", "a"): nonpositive,
+    ("loss", "b"): rounded(-0.5, -0.05),
+    ("loss", "m"): st.sampled_from([0, 400]),
+    ("loss", "sigma1"): nonpositive,
+    ("delays", "kind"): st.just("adversarial"),
+    ("delays", "d_max"): st.just(0),
+}
+SHORT_CSV = ("stream", "rows")  # a csv stream with fewer rows than any horizon
 
-def mostly(valid, invalid):
-    """Valid values nine draws in ten, so that many configs get to run."""
-    return st.sampled_from([True] * 9 + [False]).flatmap(lambda ok: valid if ok else invalid)
+# Options whose defaults suit every draw; a few are dropped so that the
+# defaults are drawn too.
+DEFAULTED = {
+    "experiment": ("trials", "seed"),
+    "learner": ("schedule", "tau", "warmup", "mirror"),
+    "stream": ("rho", "mean", "variance", "radius"),
+    "loss": ("family", "coefficients", "a", "b", "m", "sigma1"),
+    "delays": ("kind", "d_max"),
+}
 
 
 def _listed(values):
@@ -46,68 +91,81 @@ def _listed(values):
 @st.composite
 def configs(draw):
     """(options by section, csv rows or None, delay list or None) of one config."""
+    breakable = sorted(BROKEN) + [SHORT_CSV]
+    broken = draw(st.sampled_from([None] * 3 * len(breakable) + breakable))
     stream = draw(st.sampled_from(experiments.STREAMS))
+    learner = draw(st.sampled_from(experiments.LEARNERS))
+    kind = draw(st.sampled_from(experiments.KINDS))
     d2 = 2 if stream == "pentagon" else draw(st.integers(1, 2))
-    d1 = draw(st.integers(2, 3)) if stream == "pentagon" else draw(st.integers(1, 3))
+    d1 = draw(st.integers(2, 3)) if stream == "pentagon" else draw(st.integers(d2, 3))
+    fixed_lag = learner in ("ogd", "omd")
+    delay_kinds = ["fixed"] + (["file"] if kind == "single-run" else [])
     sections = {
         "experiment": {
-            "kind": draw(mostly(st.sampled_from(experiments.KINDS), st.just("bogus"))),
-            "horizon": draw(mostly(st.integers(1, 20), st.just(0))),
-            "trials": draw(mostly(st.integers(1, 3), st.just(0))),
+            "kind": kind,
+            "horizon": draw(st.integers(5, 20)),
+            "trials": draw(st.integers(1, 3)),
             "seed": draw(st.integers(0, 2**32)),
         },
         "learner": {
-            "kind": draw(st.sampled_from(experiments.LEARNERS)),
+            "kind": learner,
             "schedule": draw(st.sampled_from(experiments.SCHEDULES)),
-            "sigma": draw(mostly(st.one_of(st.just("auto"), positive), nonpositive)),
-            "gamma": draw(mostly(positive, nonpositive)),
-            "eta": draw(mostly(st.one_of(st.just("auto"), positive), nonpositive)),
-            "lam": draw(st.one_of(st.just("coupled"), rounded(-1.0, 1.0))),
+            "sigma": draw(st.one_of(st.just("auto"), positive)),
+            "gamma": draw(positive),
+            "eta": draw(st.one_of(st.just("auto"), positive) if learner == "adversarial"
+                        else positive),
+            "lam": draw(rounded(-1.0, 1.0) if learner == "adversarial"
+                        else st.one_of(st.just("coupled"), rounded(-1.0, 1.0))),
             "tau": draw(st.integers(0, 4)),
-            "warmup": draw(st.integers(0, 2)),
-            "mirror": draw(st.sampled_from(("euclidean", "negentropy"))),
+            "warmup": draw(st.integers(0, 1)),
+            "mirror": "negentropy" if stream == "csv" and draw(st.booleans()) else "euclidean",
         },
         "sweep": {
-            "tau": _listed(draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))),
-            "rho": _listed(draw(st.lists(rounded(-1.0, 1.0), min_size=1, max_size=3))),
-            "horizon": _listed(draw(st.lists(st.integers(1, 20), min_size=1, max_size=3))),
+            "tau": _listed(draw(st.lists(st.integers(0, 4), min_size=1, max_size=3, unique=True))),
+            "rho": _listed(draw(st.lists(rounded(-1.0, 1.0), min_size=1, max_size=3,
+                                         unique=True))),
+            "horizon": _listed(draw(st.lists(st.integers(5, 20), min_size=1, max_size=3,
+                                             unique=True))),
         },
         "stream": {
             "kind": stream,
-            "rho": draw(rounded(-1.2, 1.2)),
+            "rho": draw(rounded(-1.0, 1.0)),
             "mean": draw(rounded(-1.0, 2.0)),
-            "variance": draw(mostly(positive, nonpositive)),
+            "variance": draw(positive),
             "d1": d1,
             "d2": d2,
-            "radius": draw(mostly(rounded(0.5, 5.0), nonpositive)),
+            "radius": draw(rounded(0.5, 2.0)),
         },
         "loss": {
             "family": draw(st.sampled_from(experiments.FAMILIES)),
             "coefficients": draw(st.sampled_from(("uniform", "fixed"))),
-            "a": draw(mostly(positive, nonpositive)),
-            "b": draw(mostly(positive, nonpositive)),
-            "m": draw(mostly(st.one_of(st.integers(1, 3), st.just(400)), st.just(0))),
-            "sigma1": draw(mostly(positive, nonpositive)),
+            "a": draw(positive),
+            "b": draw(positive),
+            "m": draw(st.integers(1, 3)),
+            "sigma1": draw(rounded(1.0, 2.0)),
         },
         "delays": {
-            "kind": draw(st.sampled_from(experiments.DELAY_KINDS)),
-            "d_max": draw(st.integers(0, 5)),
+            "kind": draw(st.sampled_from(delay_kinds if fixed_lag else experiments.DELAY_KINDS)),
+            "d_max": draw(st.integers(1, 5)),
         },
     }
     if draw(st.booleans()):
         sections["learner"]["beta"] = draw(positive)
+    if broken in BROKEN:
+        section, option = broken
+        sections[section][option] = draw(BROKEN[broken])
+    for section, options in DEFAULTED.items():
+        for key in draw(st.lists(st.sampled_from(options), max_size=2, unique=True)):
+            if (section, key) != broken:
+                sections[section].pop(key)
     rows = None
     if stream == "csv":
+        short = broken == SHORT_CSV
         rows = draw(st.lists(st.lists(rounded(0.05, 1.0), min_size=d1 + d2, max_size=d1 + d2),
-                             min_size=1, max_size=22))
+                             min_size=1 if short else 20, max_size=4 if short else 22))
     delays = None
-    if sections["delays"]["kind"] == "file":
-        delays = draw(st.lists(st.integers(1, 4), min_size=1, max_size=22))
-    # Drop a few options so that their defaults are drawn too.
-    for section, options in sections.items():
-        for key in draw(st.lists(st.sampled_from(sorted(options)), max_size=2, unique=True)):
-            if (section, key) not in (("experiment", "kind"), ("stream", "d1"), ("stream", "d2")):
-                options.pop(key)
+    if sections["delays"].get("kind") == "file":
+        delays = draw(st.lists(st.integers(1, 4), min_size=20, max_size=22))
     return sections, rows, delays
 
 
@@ -148,7 +206,10 @@ def test_validate_and_run_agree(drawn):
             if code == 0:
                 assert solver.called
             if code == 2:
-                assert stderr.getvalue().splitlines()[-1].startswith("error: ")
+                last = stderr.getvalue().splitlines()[-1]
+                sources = (None, sections["stream"]["kind"], sections["delays"].get("kind"))
+                assert any(pattern.match(last) and source in sources
+                           for pattern, source in DATA_ERRORS), last
         else:
             assert code == 2
             assert not out.exists() or not any(out.iterdir())
