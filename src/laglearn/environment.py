@@ -3,14 +3,15 @@
 Each round an agent arrives with a context split into a known part
 (revealed immediately) and a hidden part (revealed only after a delay).
 The learner posts an estimate of the hidden part, the adversary anchors a
-loss at the true hidden part, and the game records both.  When the round's
-feedback is delivered, after its delay, the game takes it from those
-records: the loss's gradient at the recorded estimate, or its anchor for
-the sample-mean baseline.  The learner sees hidden information only
-through delivered feedback, never directly.  The
-independent trials of one configuration are played in lockstep, as one
-game on (trials, dim) arrays, and recorded as one `Trajectory` whose
-row k is trial k.
+loss at the true hidden part, and the game records both.  The round's
+feedback is the loss's gradient at the recorded estimate, or its anchor
+for the sample-mean baseline.  A decision is final once it is played, so
+the game takes the gradients of the rounds played since its last block in
+one call, once a round delivers one of them, and hands each over when it
+is delivered, after its delay.  The learner sees hidden information only
+through delivered feedback, never directly.  The independent trials of
+one configuration are played in lockstep, as one game on (trials, dim)
+arrays, and recorded as one `Trajectory` whose row k is trial k.
 
 Scores are separable, score(known, hidden) = known_part + hidden_part,
 with the hidden component 1-Lipschitz, so the per-round score error is
@@ -238,14 +239,19 @@ def run_game(learner: BaseLearner, streams: list[ContextStream],
     trial.  Per round: every trial's learner row posts its estimate, which
     the game records; the buffer names the (row, source round) pairs
     delivered at the end of the round, and their feedback (see
-    `BaseLearner`) is taken then, in one `loss.grad` call at the recorded
-    decisions of those source rounds, and handed to the learner together
-    with the next round's known context (the update at the horizon
-    boundary sees no known context and uses a zero pull).  A round that
-    delivers nothing takes no gradient.  Loss values, score errors and
-    flags are computed from the recorded arrays after the last round.  The
-    loop runs on round-major arrays; the returned `Trajectory` is
-    trial-major, with row k of every array (and the flags tagged k)
+    `BaseLearner`) is handed to the learner together with the next round's
+    known context (the update at the horizon boundary sees no known context
+    and uses a zero pull).  Gradients are taken in blocks: when a round
+    delivers a source round whose gradient is not taken yet, one
+    `loss.grad` call takes the gradients of every round played since the
+    last block, at their recorded decisions, so under a fixed lag tau there
+    is one call per tau + 1 rounds.  Losses are row-wise, so a block gives
+    each row the bits of taking it alone; a gradient that is never
+    delivered in time is taken or not, and never read.  A round that
+    delivers nothing hands the learner empty feedback.  Loss values, score
+    errors and flags are computed from the recorded arrays after the last
+    round.  The loop runs on round-major arrays; the returned `Trajectory`
+    is trial-major, with row k of every array (and the flags tagged k)
     belonging to trial k.
     """
     trials = len(streams)
@@ -278,22 +284,38 @@ def run_game(learner: BaseLearner, streams: list[ContextStream],
     recorded_loss = Loss.stack(trial_losses)  # trial-major, for the record
     del drawn, trial_losses  # the stacks hold all that the loop and the record read
     buffer = FeedbackBuffer(delay_values)
+    due = np.arange(1, horizon + 1)[:, None] + delay_values.T - 1  # round-major, like `known`
+    # newest[t]: the latest source round that round t delivers to any trial (0 for none).
+    newest = np.zeros(horizon + 1, dtype=np.int64)
+    in_time = due <= horizon
+    np.maximum.at(newest, due[in_time], np.nonzero(in_time)[0] + 1)
 
     estimates = np.empty((horizon, trials, dim))
+    # Row s of `taken` holds the feedback of source round s of every trial,
+    # for s <= ready; row 0 is never read.  The anchors are known up front;
+    # gradients are taken in blocks of the rounds played since the last one.
+    taken = np.empty((horizon + 1, trials, dim))
+    if learner.uses_gradients:
+        ready = 0
+    else:
+        taken[1:] = loss.anchor
+        ready = horizon
     nothing = np.empty((0, dim))
     learner.start(trials, horizon)
     # Every non-finite step raises NonFiniteGradient, and a projection
     # rescales a row whose squared norm overflows: numpy need not warn.
+    # A gradient of a round that is never delivered in time may overflow
+    # unread.
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(horizon):
             t = i + 1
             estimates[i] = learner.play(t)
             rows, sources = buffer.ready_at(t)
-            played = sources - 1
-            if not learner.uses_gradients:
-                feedback = loss.anchor[played, rows]
-            elif len(rows):
-                feedback = loss.grad(estimates[played, rows], at=(played, rows))
+            if len(rows):
+                if newest[t] > ready:
+                    taken[ready + 1:t + 1] = loss.grad(estimates[ready:t], at=slice(ready, t))
+                    ready = t
+                feedback = taken[sources, rows]
             else:
                 feedback = nothing
             learner.observe(rows, feedback, known[i + 1] if t < horizon else None)
@@ -302,9 +324,8 @@ def run_game(learner: BaseLearner, streams: list[ContextStream],
     score_errors = np.abs(scoring.score(known, estimates) - scoring.score(known, hidden))
     score_error_losses = loss.radial(score_errors)
     violated = score_error_losses > loss_values + 1e-9 * np.maximum(1.0, np.abs(loss_values))
-    due = np.arange(1, horizon + 1)[:, None] + delay_values.T - 1
     # Only a gradient learner meets zero subgradients, and only those delivered in time.
-    kinked = loss.kinks(estimates) & (due <= horizon) & learner.uses_gradients
+    kinked = loss.kinks(estimates) & in_time & learner.uses_gradients
     kink_counts = kinked.sum(axis=0).tolist()
     flags = []
     for k in range(trials):

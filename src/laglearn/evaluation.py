@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -57,9 +58,8 @@ class Trajectory:
     def delivered(self, trial: int) -> tuple[tuple[int, ...], ...]:
         """The source rounds delivered at each round of `trial`, from its delays."""
         buffer = FeedbackBuffer(self.delays[trial])
-        sources = buffer.sources.tolist()
-        return tuple(tuple(sources[slice(*buffer.spans.get(t, (0, 0)))])
-                     for t in range(1, self.horizon + 1))
+        sources = iter(buffer.sources.tolist())
+        return tuple(tuple(islice(sources, n)) for n in np.diff(buffer.starts[1:]).tolist())
 
     def replay_gap(self) -> Array:
         """Per trial, max |stored loss value - loss re-evaluated at the stored estimate|."""

@@ -211,6 +211,9 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
 
     if cfg.learner not in LEARNERS:
         errors.append(f"learner.kind: must be one of {', '.join(LEARNERS)}")
+    elif cfg.kind == "baseline-compare" and cfg.learner == "naive":
+        errors.append("learner.kind: baseline-compare plays naive as its baseline arm; "
+                      "compare another learner")
     if cfg.tau < 0:
         errors.append("learner.tau: must be >= 0")
     if cfg.warmup < 0:

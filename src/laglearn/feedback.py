@@ -94,28 +94,31 @@ class FeedbackBuffer:
     lands in post-horizon delivery sets that only evaluation ever looks at.
 
     The pairs of every round are kept in delivery order as `rows` and
-    `sources`; `spans` maps each round that delivers something to its
-    (lo, hi) slice of them.
+    `sources`, with the round each is due at in `due`.  `starts[t]` is the
+    first pair due at round t or later, for t = 0..horizon + 1, so round t
+    of the game delivers the pairs starts[t]:starts[t + 1]; a round past
+    the horizon is found in `due` by bisection.  Neither grows with the
+    largest delay, so a huge delay costs no memory.
     """
 
     def __init__(self, delays):
         delays = np.atleast_2d(np.asarray(delays, dtype=np.int64))
         if np.any(delays < 1):
             raise ValueError("delay must be >= 1")
-        horizon = delays.shape[1]
-        due = (np.arange(horizon) + delays).ravel()  # s = i + 1 is due at s + d - 1
+        self.horizon = delays.shape[1]
+        due = (np.arange(self.horizon) + delays).ravel()  # s = i + 1 is due at s + d - 1
         # Stable, so pairs due together keep their row-major order: by row, then by source.
         order = np.argsort(due, kind="stable")
-        self.rows, self.sources = np.divmod(order, horizon)
+        self.rows, self.sources = np.divmod(order, self.horizon)
         self.sources += 1
-        rounds, first = np.unique(due[order], return_index=True)
-        # Each due round's slice of the sorted pairs, kept only for rounds
-        # that deliver something, so a huge delay costs no memory.
-        spans = zip(first.tolist(), first[1:].tolist() + [order.size])
-        self.spans = dict(zip(rounds.tolist(), spans))
+        self.due = due[order]
+        self.starts = np.searchsorted(self.due, np.arange(self.horizon + 2))
 
     def ready_at(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         if t < 1:
             raise ValueError("rounds are numbered from 1")
-        lo, hi = self.spans.get(t, (0, 0))
+        if t <= self.horizon:
+            lo, hi = self.starts[t], self.starts[t + 1]
+        else:
+            lo, hi = np.searchsorted(self.due, (t, t + 1)).tolist()
         return self.rows[lo:hi], self.sources[lo:hi]

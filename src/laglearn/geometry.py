@@ -217,12 +217,15 @@ class Polygon(ConvexBody):
     def project(self, x) -> Array:
         v = as_points(x, 2)
         rel = v[..., None, :] - self.vertices
+        inside = self._inside(rel, MEMBERSHIP_TOL)
+        if inside.all():
+            return v.copy()  # what np.where below picks for inside rows
         # Nearest point of each edge segment, then the first nearest edge.
         t = np.vecdot(rel, self._edges) / np.vecdot(self._edges, self._edges)
         candidates = self.vertices + np.minimum(np.maximum(t, 0.0), 1.0)[..., None] * self._edges
         best = np.argmin(norms(v[..., None, :] - candidates), axis=-1)
         nearest = np.take_along_axis(candidates, best[..., None, None], axis=-2)[..., 0, :]
-        return np.where(self._inside(rel, MEMBERSHIP_TOL)[..., None], v, nearest)
+        return np.where(inside[..., None], v, nearest)
 
     def sample_many(self, n: int, rng: np.random.Generator) -> Array:
         # Fan triangulation from vertex 0, area-weighted triangle choice,

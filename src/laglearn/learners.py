@@ -3,11 +3,12 @@
 All learners play an estimate each round and, once the loss of an earlier
 round is finally delivered, move against its gradient evaluated at the
 decision that was actually played back then: the game records every
-decision and takes the gradient at delivery.  A correlation pull nudges
-the next estimate toward (or away from) the freshly observed part of the
-next context.  One gradient learner covers every delay setting: at the
-end of round t it moves against the sum of the gradients delivered then,
-the delivery set F_t,
+decision and takes the gradients there, in blocks of played rounds, before
+they are delivered.  A correlation pull nudges the next estimate toward
+(or away from) the freshly observed part of the next context.  One
+gradient learner covers every delay setting: at the end of round t it
+moves against the sum of the gradients delivered then, the delivery set
+F_t,
 
     x_{t+1} = proj( x_t - eta_t sum_{s in F_t} g_s + beta_t * pull_{t+1} )
 
@@ -218,14 +219,14 @@ class BaseLearner:
     last round `t` it played; nothing else of the game's history.
     `start(trials, horizon)` gives the iterate one row per trial, and
     `play(t)` returns the round-t decisions, one row per trial.  The game
-    records every decision; when a round's feedback is delivered it takes
-    that feedback at the recorded decision: the gradient of the source
-    round's loss there (or, when `uses_gradients` is False, the loss's
-    anchor).  `observe` then gets the (rows, feedback) pairs delivered at
-    the end of round t, ordered by row and then by source round, with the
-    next round's known context (None after the last round).  `lag` is the
-    fixed lag a learner needs (every delay lag + 1, checked by the game
-    loop before round 1) or None for any delays.
+    records every decision, and a round's feedback is taken at the recorded
+    decision: the gradient of the source round's loss there (or, when
+    `uses_gradients` is False, the loss's anchor).  `observe` gets the
+    (rows, feedback) pairs delivered at the end of round t, ordered by row
+    and then by source round, with the next round's known context (None
+    after the last round).  `lag` is the fixed lag a learner needs (every
+    delay lag + 1, checked by the game loop before round 1) or None for
+    any delays.
     """
 
     lag: int | None = None
@@ -319,9 +320,12 @@ class GradientLearner(BaseLearner):
 class NaiveLearner(BaseLearner):
     """Sample-mean baseline: plays the average of the revealed hidden contexts.
 
-    Its feedback is each round's anchor, the hidden context itself; the
-    revealed anchors of each trial are kept in delivery order as a prefix
-    of one (horizon, dim) block.
+    Its feedback is each round's anchor, the hidden context itself, and
+    each row plays `np.mean` of its revealed anchors in delivery order.  In
+    two or more dimensions numpy sums them one after another, starting
+    from 0.0, so a running sum per row gives the same bits; in one
+    dimension it sums pairwise, so there the revealed anchors of each trial
+    are kept in delivery order as a prefix of one (horizon, 1) block.
     """
 
     uses_gradients = False
@@ -331,18 +335,26 @@ class NaiveLearner(BaseLearner):
 
     def start(self, trials: int, horizon: int) -> None:
         super().start(trials, horizon)
-        self.revealed = np.empty((trials, horizon, self.body.dim))
         self.count = np.zeros(trials, dtype=np.int64)
+        if self.body.dim == 1:
+            self.revealed = np.empty((trials, horizon, 1))
+        else:
+            self.sums = np.zeros((trials, self.body.dim))
 
     def observe(self, rows, feedback, next_known) -> None:
         if not len(rows):
             return
+        # Mean of points of a convex set stays inside it; no projection.
+        updated, arrived = np.unique(rows, return_counts=True)
+        if self.body.dim > 1:
+            np.add.at(self.sums, rows, feedback)  # one anchor at a time, in delivery order
+            self.count[updated] += arrived
+            self.estimate[updated] = self.sums[updated] / self.count[updated][:, None]
+            return
         # rows is sorted, so each row's deliveries are one run in source order.
         slots = self.count[rows] + np.arange(len(rows)) - np.searchsorted(rows, rows)
         self.revealed[rows, slots] = feedback
-        updated, arrived = np.unique(rows, return_counts=True)
         self.count[updated] += arrived
-        # Mean of points of a convex set stays inside it; no projection.
         # One mean per group of rows that have revealed the same count.
         counts = self.count[updated]
         for n in np.unique(counts).tolist():

@@ -510,6 +510,39 @@ warmup = 2
     assert not (tmp_path / "out").exists()
 
 
+NAIVE_BASELINE_ERROR = ("error: learner.kind: baseline-compare plays naive as its baseline "
+                        "arm; compare another learner\n")
+
+
+def test_baseline_compare_of_the_naive_learner_is_rejected(tmp_path, capsys):
+    # Both arms would be labelled naive: one csv written twice and a ratio of 1.0.
+    config = write_config(tmp_path, """
+[experiment]
+kind = baseline-compare
+horizon = 20
+trials = 2
+
+[learner]
+kind = naive
+
+[stream]
+kind = gaussian
+
+[loss]
+family = quadratic
+coefficients = uniform
+""")
+    assert cli.main(["validate", str(config)]) == 2
+    assert capsys.readouterr().err == NAIVE_BASELINE_ERROR
+    out = tmp_path / "out"
+    assert cli.main(["run", str(config), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == NAIVE_BASELINE_ERROR
+    assert not out.exists()
+    config.write_text(config.read_text().replace("kind = naive", "kind = ogd\nsigma = 0.5"))
+    assert cli.main(["run", str(config), "--out-dir", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "naive.csv", "ogd.csv"]
+
+
 @pytest.mark.parametrize("learner", [
     "kind = naive",
     "kind = ogd\nschedule = sqrt\nsigma = auto",
@@ -552,6 +585,8 @@ kind = fixed
 """)
         error = f"error: loss: {family} loss with m = {m} has no finite gradient bound " \
                 "within radius 8\n"
+        if "naive" in learner and "baseline-compare" in experiment:
+            error = NAIVE_BASELINE_ERROR  # an option check, before any arm is built
         assert cli.main(["validate", str(config)]) == 2
         assert capsys.readouterr().err == error
         out = tmp_path / "out"

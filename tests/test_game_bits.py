@@ -1,7 +1,8 @@
 """The game loop against a reference loop that takes each gradient when its round is played.
 
-`run_game` takes a gradient when it is delivered, at the decision the game
-recorded, sums a row's one gradient without `np.add.at`, reads eta and beta
+`run_game` takes gradients in blocks of the rounds played since its last
+block, at the decisions the game recorded, hands each over when it is
+delivered, sums a row's one gradient without `np.add.at`, reads eta and beta
 from a table, skips a disabled pull, skips the warm-up rounds of a fixed
 lag and returns at once from a round that delivers nothing.  None of that
 may change a bit: every estimate must equal the reference's as a uint64
@@ -9,17 +10,18 @@ pattern, so even a flipped sign of zero fails.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from laglearn.environment import (GaussianStream, LinearScoring, fixed_loss, run_game,
-                                  uniform_quadratic)
-from laglearn.feedback import FeedbackBuffer, FixedDelay, RandomDelay
+from laglearn.environment import (ExplicitStream, GaussianStream, LinearScoring, fixed_loss,
+                                  run_game, uniform_quadratic)
+from laglearn.feedback import ExplicitDelay, FeedbackBuffer, FixedDelay, RandomDelay
 from laglearn.geometry import Ball
 from laglearn.learners import (ConstantStep, GradientLearner, Influence, InverseSqrtStep,
                                InverseTimeStep)
-from laglearn.losses import Loss, NormLoss, PowerLoss
+from laglearn.losses import ExpLoss, Loss, NormLoss, PowerLoss, QuadraticLoss
 
 HORIZON = 240
 
@@ -143,3 +145,93 @@ def test_fixed_lag_game_matches_the_play_time_reference_bit_for_bit(kind, tau, b
                                    FACTORIES[family], HORIZON, seeds)
     assert np.array_equal(played.view(np.uint64), np.swapaxes(expected, 0, 1).view(np.uint64))
 
+
+
+def _mixed_schedules(horizon, seed):
+    """Three trials' delays: every round delivers itself; random delays with
+    some past the horizon; random delays up to 20 with the last rounds late."""
+    rng = np.random.default_rng(seed)
+    late = rng.integers(1, 6, size=horizon)
+    late[rng.random(horizon) < 0.2] = horizon + 5
+    tail = rng.integers(1, 21, size=horizon)
+    tail[-15:] = 40
+    return [FixedDelay(0), ExplicitDelay(tuple(late.tolist())),
+            ExplicitDelay(tuple(tail.tolist()))]
+
+
+@pytest.mark.parametrize("lam", [0.0, "coupled"])
+@pytest.mark.parametrize("family", sorted(FACTORIES))
+@pytest.mark.parametrize("dim", [1, 2])
+def test_mixed_delay_schedules_match_the_play_time_reference_bit_for_bit(dim, family, lam):
+    # One trial's rounds deliver themselves while another's wait or never
+    # arrive: a block then holds gradients that are delivered later, or
+    # never, and rounds deliver to some trials and not others.
+    trials = 3
+    body = Ball(np.zeros(dim), 1.0)
+    schedule = ConstantStep(value=[0.2, 0.35, 0.5])
+    influence = Influence.coupled(dim) if lam == "coupled" else Influence.constant(lam, dim)
+    seed = 31 + dim
+    streams, _, seeds = _pieces(trials, dim, 1, seed)
+    learner = GradientLearner(body, schedule, influence, any_delays=True)
+    played = run_game(learner, streams, _mixed_schedules(HORIZON, seed), FACTORIES[family],
+                      LinearScoring.default(dim, dim), HORIZON, seeds).estimates
+
+    streams, _, seeds = _pieces(trials, dim, 1, seed)
+    expected = reference_estimates(body, schedule, influence, streams,
+                                   _mixed_schedules(HORIZON, seed), FACTORIES[family],
+                                   HORIZON, seeds)
+    assert np.array_equal(played.view(np.uint64), np.swapaxes(expected, 0, 1).view(np.uint64))
+
+
+def test_undelivered_rounds_whose_gradients_overflow_leave_the_game_as_it_was():
+    # Trial 1 plays 0.0 throughout: its delivered anchors are 0.0, where the
+    # exp loss has gradient 0.  Its anchors at 26.6 come in rounds whose
+    # delays run past the horizon: there exp(26.6^2) is finite, so every loss
+    # value is, but the gradient 2 * 26.6 * exp(26.6^2) overflows.  A block
+    # that covers those rounds takes that gradient and never reads it.
+    horizon, far = 40, 26.6
+    hidden = [np.random.default_rng(3).uniform(-0.5, 0.5, (horizon, 1)), np.zeros((horizon, 1))]
+    hidden[1][20:30] = far
+    delays = np.ones(horizon, dtype=np.int64)
+    delays[20:30] = horizon
+
+    def streams():
+        return [ExplicitStream(np.zeros((horizon, 1)), h) for h in hidden]
+
+    schedules = [RandomDelay(d_max=4, seed=9), ExplicitDelay(tuple(delays.tolist()))]
+    factory = fixed_loss(ExpLoss, a=1.0, s=1.0, m=2)
+    body, schedule = Ball([0.0], 1.0), ConstantStep(value=0.1)
+    influence = Influence.constant(0.0, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = run_game(GradientLearner(body, schedule, influence, any_delays=True), streams(),
+                        schedules, factory, LinearScoring.default(1, 1), horizon, [0, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(traj.loss[1].grad(traj.estimates[1])[20:30]).any()
+        expected = reference_estimates(body, schedule, influence, streams(), schedules, factory,
+                                       horizon, [0, 0])
+    assert np.isfinite(traj.loss_values).all() and traj.flags == ()
+    assert np.array_equal(traj.estimates[1], np.zeros((horizon, 1)))
+    assert np.array_equal(traj.estimates.view(np.uint64),
+                          np.swapaxes(expected, 0, 1).view(np.uint64))
+
+
+@pytest.mark.parametrize("tau", [0, 4, 9])
+@pytest.mark.parametrize("horizon", [100, 103])
+def test_a_fixed_lag_takes_one_gradient_call_per_tau_plus_one_rounds(monkeypatch, tau, horizon):
+    # Round t delivers round t - tau: the block of the tau + 1 rounds since
+    # the last one.  Rounds past the last full block are never delivered.
+    calls = []
+    grad = Loss.grad
+
+    def counted(self, x, at=...):
+        calls.append(at)
+        return grad(self, x, at)
+
+    monkeypatch.setattr(Loss, "grad", counted)
+    streams, _, seeds = _pieces(2, 1, 1, 5)
+    learner = GradientLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=tau))
+    run_game(learner, streams, [FixedDelay(tau)] * 2, uniform_quadratic(),
+             LinearScoring.default(1, 1), horizon, seeds)
+    assert len(calls) == horizon // (tau + 1)
+    assert calls == [slice(k, k + tau + 1) for k in range(0, horizon - tau, tau + 1)]

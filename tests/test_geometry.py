@@ -95,6 +95,30 @@ def test_pentagon_projection_matches_boundary_grid():
     assert np.linalg.norm(pentagon.project(x) - oracle) <= 1e-4
 
 
+@pytest.mark.parametrize("shape", [(2,), (40, 2), (3, 7, 2)])
+def test_polygon_projection_returns_inside_points_as_equal_bits_in_a_fresh_array(shape):
+    # A square around the origin: signed zeros and points on an edge are inside too.
+    square = Polygon([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+    rng = np.random.default_rng(5)
+    points = rng.uniform(-1.0, 1.0, size=shape)
+    points.reshape(-1, 2)[0] = (-0.0, 0.0)
+    points.reshape(-1, 2)[-1] = (1.0, -0.0)
+    assert square.contains(points).all()
+    projected = square.project(points)
+    assert projected.shape == points.shape
+    assert np.array_equal(projected.view(np.uint64), points.view(np.uint64))
+    assert not np.shares_memory(projected, points)
+    if len(shape) == 1:
+        return
+    # With one row outside, the inside rows still come back bit for bit.
+    points.reshape(-1, 2)[1] = (3.0, -0.0)
+    projected = square.project(points)
+    inside = square.contains(points)
+    assert not inside.all()
+    assert np.array_equal(projected[inside].view(np.uint64), points[inside].view(np.uint64))
+    assert np.array_equal(projected.reshape(-1, 2)[1], [1.0, 0.0])
+
+
 def test_polygon_rejects_bad_vertex_lists():
     square_cw = [[0, 0], [0, 1], [1, 1], [1, 0]]
     with pytest.raises(ValueError, match="counterclockwise"):

@@ -328,6 +328,55 @@ def test_naive_estimate_is_the_mean_of_the_delivered_anchors_bit_for_bit():
     assert any(len(set(counts[updated[:, i], i].tolist())) > 1 for i in range(horizon))
 
 
+def _mixed_points(rng, shape):
+    """Normal draws over ten orders of magnitude, with signed zeros mixed in."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 5, size=shape)
+    zeros = rng.random(shape) < 0.2
+    x[zeros] = np.where(rng.random(shape) < 0.5, -0.0, 0.0)[zeros]
+    return x
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_a_running_sum_from_zero_gives_np_mean_bit_for_bit(dim):
+    # What the naive learner relies on in two or more dimensions: np.mean
+    # over axis 1 of grouped (rows, n, dim) prefixes adds the n points one
+    # after another, starting from +0.0 (so all -0.0 points mean +0.0).
+    rng = np.random.default_rng(dim)
+    for rows in (1, 2, 5):
+        for n in (1, 2, 3, 7, 8, 9, 16, 17, 40, 129, 300):
+            x = _mixed_points(rng, (rows, n, dim))
+            for points in (x, np.full(x.shape, -0.0)):
+                total = np.zeros((rows, dim))
+                for k in range(n):
+                    total += points[:, k]
+                expected = np.mean(points, axis=1)
+                assert np.array_equal((total / n).view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_naive_estimate_is_np_mean_of_the_delivered_anchors_in_any_dimension(dim):
+    # Three trials with their own random delays; anchors of mixed magnitude
+    # and signed zeros, and one trial whose anchors are all -0.0.
+    horizon = 90
+    rng = np.random.default_rng(11 + dim)
+    hidden = [_mixed_points(rng, (horizon, dim)), _mixed_points(rng, (horizon, dim)),
+              np.full((horizon, dim), -0.0)]
+    streams = [ExplicitStream(np.zeros((horizon, dim)), h) for h in hidden]
+    big = float(np.max(np.abs(hidden[:2]))) * 2.0
+    learner = NaiveLearner(Ball(np.zeros(dim), big))
+    traj = run_game(learner, streams, [RandomDelay(d_max=6, seed=s) for s in (4, 5, 6)],
+                    fixed_loss(NormLoss), LinearScoring.default(dim, dim), horizon,
+                    seeds=[0, 0, 0])
+    for k in range(3):
+        revealed = []
+        for t in range(1, horizon):
+            revealed.extend(traj.delivered(k)[t - 1])
+            anchors = hidden[k][np.array(revealed, dtype=int) - 1]
+            expected = np.mean(anchors, axis=0) if revealed else np.zeros(dim)
+            assert np.array_equal(traj.estimates[k, t].view(np.uint64),
+                                  expected.view(np.uint64))
+
+
 def test_zero_subgradient_flags_only_for_deliveries_within_the_horizon():
     # Trial 0 plays its anchor every round, so every gradient is the zero
     # subgradient of the norm loss; with lag 1 the last one is never delivered.
