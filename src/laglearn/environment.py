@@ -8,10 +8,13 @@ feedback is the loss's gradient at the recorded estimate, or its anchor
 for the sample-mean baseline.  A decision is final once it is played, so
 the game takes the gradients of the rounds played since its last block in
 one call, once a round delivers one of them, and hands each over when it
-is delivered, after its delay.  The learner sees hidden information only
-through delivered feedback, never directly.  The independent trials of
-one configuration are played in lockstep, as one game on (trials, dim)
-arrays, and recorded as one `Trajectory` whose row k is trial k.
+is delivered, after its delay; after round 1, a round that delivers
+nothing to a learner with no pull leaves its decisions where they are.
+The learner sees hidden information only through delivered feedback,
+never directly.  The independent trials of one configuration are played
+in lockstep, as one game on (trials, dim) arrays; the game's one copy of
+its state is trial-major, (trials, horizon, ...), and is returned as one
+`Trajectory` whose row k is trial k.
 
 Scores are separable, score(known, hidden) = known_part + hidden_part,
 with the hidden component 1-Lipschitz, so the per-round score error is
@@ -250,9 +253,9 @@ def run_game(learner: BaseLearner, streams: list[ContextStream],
     delivered in time is taken or not, and never read.  A round that
     delivers nothing hands the learner empty feedback.  Loss values, score
     errors and flags are computed from the recorded arrays after the last
-    round.  The loop runs on round-major arrays; the returned `Trajectory`
-    is trial-major, with row k of every array (and the flags tagged k)
-    belonging to trial k.
+    round.  Every array is trial-major, (trials, horizon, ...), so round i
+    is column `[:, i]`; the loop's arrays and its one `Loss` are the
+    returned `Trajectory`, whose row k (and the flags tagged k) is trial k.
     """
     trials = len(streams)
     if trials < 1 or len(delays) != trials or len(seeds) != trials:
@@ -277,28 +280,26 @@ def run_game(learner: BaseLearner, streams: list[ContextStream],
                     for (_, hidden), seed in zip(drawn, seeds)]
     if any(loss.anchor.shape != (horizon, dim) for loss in trial_losses):
         raise ConfigError("loss factory produced the wrong dimension")
-    # Round-major (horizon, trials, ...) arrays: row i holds round i of every trial.
-    known = np.stack([k for k, _ in drawn], axis=1)
-    hidden = np.stack([h for _, h in drawn], axis=1)
-    loss = Loss.stack(trial_losses, axis=1)
-    recorded_loss = Loss.stack(trial_losses)  # trial-major, for the record
+    known = np.stack([k for k, _ in drawn])
+    hidden = np.stack([h for _, h in drawn])
+    loss = Loss.stack(trial_losses)
     del drawn, trial_losses  # the stacks hold all that the loop and the record read
     buffer = FeedbackBuffer(delay_values)
-    due = np.arange(1, horizon + 1)[:, None] + delay_values.T - 1  # round-major, like `known`
+    due = np.arange(horizon) + delay_values  # source round s = i + 1 is due at s + d - 1
     # newest[t]: the latest source round that round t delivers to any trial (0 for none).
     newest = np.zeros(horizon + 1, dtype=np.int64)
     in_time = due <= horizon
-    np.maximum.at(newest, due[in_time], np.nonzero(in_time)[0] + 1)
+    np.maximum.at(newest, due[in_time], np.nonzero(in_time)[1] + 1)
 
-    estimates = np.empty((horizon, trials, dim))
-    # Row s of `taken` holds the feedback of source round s of every trial,
-    # for s <= ready; row 0 is never read.  The anchors are known up front;
+    estimates = np.empty((trials, horizon, dim))
+    # Column s of `taken` holds the feedback of source round s of every trial,
+    # for s <= ready; column 0 is never read.  The anchors are known up front;
     # gradients are taken in blocks of the rounds played since the last one.
-    taken = np.empty((horizon + 1, trials, dim))
+    taken = np.empty((trials, horizon + 1, dim))
     if learner.uses_gradients:
         ready = 0
     else:
-        taken[1:] = loss.anchor
+        taken[:, 1:] = loss.anchor
         ready = horizon
     nothing = np.empty((0, dim))
     learner.start(trials, horizon)
@@ -309,16 +310,17 @@ def run_game(learner: BaseLearner, streams: list[ContextStream],
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(horizon):
             t = i + 1
-            estimates[i] = learner.play(t)
+            estimates[:, i] = learner.play(t)
             rows, sources = buffer.ready_at(t)
             if len(rows):
                 if newest[t] > ready:
-                    taken[ready + 1:t + 1] = loss.grad(estimates[ready:t], at=slice(ready, t))
+                    block = (slice(None), slice(ready, t))
+                    taken[:, ready + 1:t + 1] = loss.grad(estimates[block], at=block)
                     ready = t
-                feedback = taken[sources, rows]
+                feedback = taken[rows, sources]
             else:
                 feedback = nothing
-            learner.observe(rows, feedback, known[i + 1] if t < horizon else None)
+            learner.observe(rows, feedback, known[:, i + 1] if t < horizon else None)
 
     loss_values = loss.value(estimates)
     score_errors = np.abs(scoring.score(known, estimates) - scoring.score(known, hidden))
@@ -326,22 +328,12 @@ def run_game(learner: BaseLearner, streams: list[ContextStream],
     violated = score_error_losses > loss_values + 1e-9 * np.maximum(1.0, np.abs(loss_values))
     # Only a gradient learner meets zero subgradients, and only those delivered in time.
     kinked = loss.kinks(estimates) & in_time & learner.uses_gradients
-    kink_counts = kinked.sum(axis=0).tolist()
+    kink_counts = kinked.sum(axis=1).tolist()
     flags = []
     for k in range(trials):
         flags += [(k, ZERO_SUBGRADIENT_FLAG)] * kink_counts[k]
-        flags += [(k, f"score_chain_violated_at_{i + 1}") for i in np.flatnonzero(violated[:, k])]
+        flags += [(k, f"score_chain_violated_at_{i + 1}") for i in np.flatnonzero(violated[k])]
 
-    # The record is trial-major: one transposed copy of each round-major array.
-    def trial_major(array):
-        return np.ascontiguousarray(np.swapaxes(array, 0, 1))
-
-    return Trajectory(
-        estimates=trial_major(estimates),
-        loss_values=trial_major(loss_values),
-        score_errors=trial_major(score_errors),
-        score_error_losses=trial_major(score_error_losses),
-        loss=recorded_loss,
-        delays=delay_values,
-        flags=tuple(flags),
-    )
+    return Trajectory(estimates=estimates, loss_values=loss_values, score_errors=score_errors,
+                      score_error_losses=score_error_losses, loss=loss, delays=delay_values,
+                      flags=tuple(flags))

@@ -79,7 +79,8 @@ class ConvexBody:
 
     Subclasses provide row-wise `project` and `contains`, and
     `sample_many`, plus a `radius_bound` R with ||x|| <= R for every
-    member x.
+    member x.  Projecting a point that `project` returned gives it back
+    bit for bit, on every body but the simplex.
     """
 
     dim: int
@@ -125,7 +126,16 @@ class Ball(ConvexBody):
         if np.count_nonzero(outside):
             far, dist = offset[outside], dist[outside]
             _unscale_overflow(far, dist)
-            out[outside] = self.center + far * (self.radius / dist)[..., None]
+            scale = self.radius / dist
+            ulp = scale - np.nextafter(scale, 0.0)
+            landed = self.center + far * scale[..., None]
+            # A row that rounds to just outside steps its scale down (one ulp,
+            # then twice as far each time) until it lands inside: a fixed point.
+            while np.count_nonzero(over := norms(landed - self.center) > self.radius):
+                scale[over] = np.maximum(scale[over] - ulp[over], 0.0)
+                ulp[over] *= 2.0
+                landed = self.center + far * scale[..., None]
+            out[outside] = landed
         return out
 
     def contains(self, x, tol: float = MEMBERSHIP_TOL):

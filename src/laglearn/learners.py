@@ -261,13 +261,16 @@ class GradientLearner(BaseLearner):
     eta(t) and beta(t) for every round, and each round reads them there;
     without an influence the pull is `Influence.constant(0.0, dim)`.
 
-    A round that delivers nothing to a learner whose pull is disabled
-    (lam = 0) moves the iterate by +0.0 and projects it again.  That gives
-    the iterate back bit for bit when its last projection left it
-    unchanged (`settled`), and then the round returns at once; a point the
-    projection did move can move again by a rounding (on a ball of 2 or
-    more dimensions).  The move is formed as 0.0 - eta * total, which is
-    never -0.0, so no coordinate becomes -0.0 and x + 0 is x bit for bit.
+    After round 1, a round that delivers nothing to a learner whose pull
+    is disabled (lam = 0) leaves the iterate where it is and returns at
+    once.  Round 1 is never skipped for being idle, so a start point
+    outside the body (the origin, for the pentagon) is projected into it
+    once the warm-up ends.  Under a projecting map the skip changes no
+    bit: the step would be x + 0.0 (the move is formed as 0.0 - eta *
+    total, never -0.0) and every projection gives back a point it
+    returned.  Under a map that skips projection the step would only
+    renormalize the iterate; the one learner that uses such a map, omd,
+    has a fixed lag, whose rounds past the warm-up all deliver.
     """
 
     def __init__(self, body: ConvexBody, schedule: StepSchedule,
@@ -287,11 +290,10 @@ class GradientLearner(BaseLearner):
         if self.etas.ndim > 1 and self.etas.shape[1] != trials:
             raise ValueError(f"{self.etas.shape[1]} step sizes for {trials} trials")
         super().start(trials, horizon)
-        self.settled = False
 
     def observe(self, rows, feedback, next_known) -> None:
         t = self.t
-        if t <= self.schedule.tau or self.settled and not len(rows):
+        if t <= self.schedule.tau or t > 1 and not len(rows) and not self.pulls:
             return
         # A fixed lag delivers one gradient per row; so do as many sorted
         # rows as trials with no repeats.
@@ -310,11 +312,7 @@ class GradientLearner(BaseLearner):
             what = "gradient" if not np.isfinite(total).all() else "step"
             raise NonFiniteGradient(f"{what} has NaN or infinite entries at round {t}")
         out = self.mirror.update(self.estimate, move)
-        if not self.mirror.needs_projection:
-            self.estimate = out
-            return
-        self.estimate = self.body.project(out)
-        self.settled = not self.pulls and self.estimate.tobytes() == out.tobytes()
+        self.estimate = self.body.project(out) if self.mirror.needs_projection else out
 
 
 class NaiveLearner(BaseLearner):

@@ -18,7 +18,7 @@ import pytest
 from laglearn.environment import (ExplicitStream, GaussianStream, LinearScoring, fixed_loss,
                                   run_game, uniform_quadratic)
 from laglearn.feedback import ExplicitDelay, FeedbackBuffer, FixedDelay, RandomDelay
-from laglearn.geometry import Ball
+from laglearn.geometry import Ball, regular_polygon
 from laglearn.learners import (ConstantStep, GradientLearner, Influence, InverseSqrtStep,
                                InverseTimeStep)
 from laglearn.losses import ExpLoss, Loss, NormLoss, PowerLoss, QuadraticLoss
@@ -84,16 +84,26 @@ def _pieces(trials, dim, d_max, seed):
     return streams, delays, [seed + 200 + k for k in range(trials)]
 
 
+# Learner bodies, with anchors near (1, ..., 1): the iterate often sits on
+# the boundary.  The pentagon does not hold the start point, the origin, so
+# round 1 must step even when it delivers nothing.
+BODIES = {
+    "unit-ball-1d": Ball([0.0], 1.0),
+    "unit-ball-2d": Ball([0.0, 0.0], 1.0),
+    "off-center-ball-1d": Ball([0.3], 0.7),
+    "off-center-ball-2d": Ball([0.3, -0.2], 0.7),
+    "pentagon": regular_polygon(5, center=(1.0, 1.0), circumradius=1.0),
+}
+
+
 @pytest.mark.parametrize("lam", [0.0, 0.3, "coupled"])
 @pytest.mark.parametrize("family", sorted(FACTORIES))
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("body", sorted(BODIES))
 @pytest.mark.parametrize("trials", [1, 3])
 @pytest.mark.parametrize("d_max", [1, 3, 20])
-def test_game_matches_the_play_time_reference_bit_for_bit(d_max, trials, dim, family, lam):
-    # A unit ball around the origin with anchors near (1, ..., 1): the
-    # iterate often sits on the boundary, where a second projection of a
-    # projected point can move it by a rounding.
-    body = Ball(np.zeros(dim), 1.0)
+def test_game_matches_the_play_time_reference_bit_for_bit(d_max, trials, body, family, lam):
+    body = BODIES[body]
+    dim = body.dim
     schedule = ConstantStep(value=[0.2, 0.35, 0.5][:trials])
     influence = (Influence.coupled(dim) if lam == "coupled"
                  else Influence.constant(lam, dim))
@@ -234,4 +244,5 @@ def test_a_fixed_lag_takes_one_gradient_call_per_tau_plus_one_rounds(monkeypatch
     run_game(learner, streams, [FixedDelay(tau)] * 2, uniform_quadratic(),
              LinearScoring.default(1, 1), horizon, seeds)
     assert len(calls) == horizon // (tau + 1)
-    assert calls == [slice(k, k + tau + 1) for k in range(0, horizon - tau, tau + 1)]
+    assert calls == [(slice(None), slice(k, k + tau + 1))
+                     for k in range(0, horizon - tau, tau + 1)]
