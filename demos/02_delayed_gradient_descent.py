@@ -14,7 +14,6 @@ from laglearn import (
     FixedDelay,
     GaussianStream,
     GradientLearner,
-    Influence,
     InverseSqrtStep,
     LinearScoring,
     regret,
@@ -27,7 +26,7 @@ HORIZON = 1000
 
 body = Ball([0.0], 4.0)
 stream = GaussianStream(rho=0.5, body_hidden=body, seed=7)
-learner = GradientLearner(body, InverseSqrtStep(sigma=0.5, tau=TAU), Influence.coupled(1))
+learner = GradientLearner(body, InverseSqrtStep(sigma=0.5, tau=TAU), lam=1.0, coupled=True)
 
 # One trial: row 0 of every array in the trajectory and the report.
 traj = run_game(learner, [stream], [FixedDelay(TAU)], uniform_quadratic(),

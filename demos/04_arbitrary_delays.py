@@ -32,7 +32,7 @@ for horizon in (500, 1000, 2000):
     eta = eta_for_arbitrary_delay(L=1.0, R=body.radius_bound, lam=0.0,
                                   horizon=horizon, delay_sum=delay_sum)
     stream = GaussianStream(mean=0.25, body_hidden=body, seed=5)
-    learner = GradientLearner(body, ConstantStep(value=eta), any_delays=True)
+    learner = GradientLearner(body, ConstantStep(value=eta))
     traj = run_game(learner, [stream], [delays], fixed_loss(NormLoss),
                     LinearScoring.default(1, 1), horizon, seeds=[8])
     r = regret(traj, body).regret[0, -1]
@@ -41,7 +41,7 @@ for horizon in (500, 1000, 2000):
 print("\nbatched deliveries around one mid-game round:")
 delays = RandomDelay(d_max=20, seed=33)
 stream = GaussianStream(mean=0.25, body_hidden=body, seed=5)
-learner = GradientLearner(body, ConstantStep(value=0.01), any_delays=True)
+learner = GradientLearner(body, ConstantStep(value=0.01))
 traj = run_game(learner, [stream], [delays], fixed_loss(NormLoss),
                 LinearScoring.default(1, 1), 60, seeds=[8])
 delivered = traj.delivered(0)

@@ -30,7 +30,7 @@ simplex = Simplex(3)
 hidden = rng.dirichlet((6.0, 3.0, 1.0), size=HORIZON)   # skewed target mixture
 known = hidden + 0.05 * rng.standard_normal((HORIZON, 3))
 
-stream = ExplicitStream(known, hidden, body_hidden=simplex)
+stream = ExplicitStream(known, hidden)
 learner = GradientLearner(simplex, InverseSqrtStep(sigma=0.3, tau=TAU),
                           mirror=NegativeEntropyMap())
 traj = run_game(learner, [stream], [FixedDelay(TAU)], fixed_loss(QuadraticLoss, a=1.0),

@@ -47,7 +47,6 @@ from .geometry import (
 from .learners import (
     ConstantStep,
     GradientLearner,
-    Influence,
     InverseSqrtStep,
     InverseTimeStep,
     NaiveLearner,

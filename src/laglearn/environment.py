@@ -54,7 +54,6 @@ class ContextStream:
 
     d1: int
     d2: int
-    body_hidden: ConvexBody | None
 
     def take(self, n: int) -> tuple[Array, Array]:
         raise NotImplementedError
@@ -71,7 +70,6 @@ class GaussianStream(ContextStream):
 
     def __init__(self, d1: int = 1, d2: int = 1, mean: float = 1.0,
                  variance: float = 1.0, rho: float = 0.0,
-                 body_known: ConvexBody | None = None,
                  body_hidden: ConvexBody | None = None, seed: int = 0):
         if d2 < 1 or d1 < d2:
             raise ValueError("need d1 >= d2 >= 1")
@@ -83,7 +81,7 @@ class GaussianStream(ContextStream):
         self.mean = float(mean)
         self.sd = float(np.sqrt(variance))
         self.rho = float(rho)
-        self.body_known = body_known or Ball(np.zeros(self.d1), DEFAULT_RADIUS)
+        self.body_known = Ball(np.zeros(self.d1), DEFAULT_RADIUS)
         self.body_hidden = body_hidden or Ball(np.zeros(self.d2), DEFAULT_RADIUS)
         self.seed = int(seed)
         self._rng = np.random.default_rng(seed)
@@ -101,8 +99,7 @@ class PolygonStream(ContextStream):
     """Hidden contexts uniform over a convex polygon; known part Gaussian."""
 
     def __init__(self, polygon: Polygon, d1: int = 2, mean: float = 1.0,
-                 variance: float = 1.0, body_known: ConvexBody | None = None,
-                 seed: int = 0):
+                 variance: float = 1.0, seed: int = 0):
         if d1 < 2:
             raise ValueError("known part needs d1 >= 2 to cover the planar hidden part")
         if variance <= 0:
@@ -111,8 +108,7 @@ class PolygonStream(ContextStream):
         self.d1, self.d2 = int(d1), 2
         self.mean = float(mean)
         self.sd = float(np.sqrt(variance))
-        self.body_known = body_known or Ball(np.zeros(self.d1), DEFAULT_RADIUS)
-        self.body_hidden = polygon
+        self.body_known = Ball(np.zeros(self.d1), DEFAULT_RADIUS)
         self.seed = int(seed)
         self._rng = np.random.default_rng(seed)
 
@@ -125,7 +121,7 @@ class PolygonStream(ContextStream):
 class ExplicitStream(ContextStream):
     """A fixed list of context pairs, consumed in order."""
 
-    def __init__(self, known_rows, hidden_rows, body_hidden: ConvexBody | None = None):
+    def __init__(self, known_rows, hidden_rows):
         known = np.asarray(known_rows, dtype=float)
         hidden = np.asarray(hidden_rows, dtype=float)
         if not (np.all(np.isfinite(known)) and np.all(np.isfinite(hidden))):
@@ -143,15 +139,14 @@ class ExplicitStream(ContextStream):
         self._cursor = 0
         self.d1 = known.shape[1]
         self.d2 = hidden.shape[1]
-        self.body_hidden = body_hidden
 
     @classmethod
-    def from_csv(cls, path, d1: int, d2: int, body_hidden: ConvexBody | None = None):
+    def from_csv(cls, path, d1: int, d2: int):
         """One row per round: d1 known coordinates followed by d2 hidden ones."""
         rows = np.loadtxt(path, delimiter=",", ndmin=2)
         if rows.shape[1] != d1 + d2:
             raise ValueError(f"expected {d1 + d2} columns, file has {rows.shape[1]}")
-        return cls(rows[:, :d1], rows[:, d1:], body_hidden=body_hidden)
+        return cls(rows[:, :d1], rows[:, d1:])
 
     @property
     def remaining(self) -> int:
@@ -179,13 +174,11 @@ class LinearScoring:
 
     w_known: Array
     w_hidden: Array
-    c_known: float = 1.0
-    c_hidden: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "w_known", as_vector(self.w_known))
         object.__setattr__(self, "w_hidden", as_vector(self.w_hidden))
-        if abs(self.c_hidden) * float(np.linalg.norm(self.w_hidden)) > 1.0 + 1e-12:
+        if float(np.linalg.norm(self.w_hidden)) > 1.0 + 1e-12:
             raise ValueError("hidden score component exceeds the 1-Lipschitz bound")
 
     @staticmethod
@@ -196,10 +189,10 @@ class LinearScoring:
         )
 
     def known_part(self, known) -> Array:
-        return self.c_known * np.vecdot(self.w_known, known)
+        return np.vecdot(self.w_known, known)
 
     def hidden_part(self, hidden) -> Array:
-        return self.c_hidden * np.vecdot(self.w_hidden, hidden)
+        return np.vecdot(self.w_hidden, hidden)
 
     def score(self, known, hidden) -> Array:
         return self.known_part(known) + self.hidden_part(hidden)

@@ -231,7 +231,7 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         elif cfg.schedule == "constant":
             if not isinstance(cfg.eta, float):
                 errors.append("learner.eta: constant schedule needs a numeric eta > 0")
-        # A single run may read a delay file; run_game checks that it is all tau + 1.
+        # A single run may read a delay file; `_build_arm` checks that it is all tau + 1.
         if cfg.delay_kind == "adversarial" or (cfg.delay_kind != "fixed"
                                                and cfg.kind != "single-run"):
             errors.append("delays.kind: fixed-lag learners need fixed delays")
@@ -341,8 +341,7 @@ def _build_stream(cfg: ExperimentConfig, seed: int, body: ConvexBody):
     if cfg.stream == "pentagon":
         return environment.PolygonStream(
             body, d1=cfg.d1, mean=cfg.mean, variance=cfg.variance, seed=seed)
-    return environment.ExplicitStream.from_csv(cfg.context_path, cfg.d1, cfg.d2,
-                                               body_hidden=body)
+    return environment.ExplicitStream.from_csv(cfg.context_path, cfg.d1, cfg.d2)
 
 
 def _family(cfg: ExperimentConfig) -> tuple[type[losses.Loss], dict]:
@@ -375,11 +374,11 @@ def _auto_lipschitz(cfg: ExperimentConfig, body: ConvexBody) -> float:
     return loss(np.zeros(cfg.d2), **coefficients).lipschitz_bound(2.0 * body.radius_bound)
 
 
-def _influence(cfg: ExperimentConfig) -> learners.Influence:
+def _pull(cfg: ExperimentConfig) -> tuple[float, bool]:
+    """The learner's (lam, coupled): `lam = coupled` tracks eta(t), signed like rho."""
     if cfg.lam == "coupled":
-        sign = 1.0 if cfg.rho >= 0 else -1.0
-        return learners.Influence.coupled(cfg.d2, sign=sign)
-    return learners.Influence.constant(float(cfg.lam), cfg.d2)
+        return (1.0 if cfg.rho >= 0 else -1.0), True
+    return float(cfg.lam), False
 
 
 def _resolve_sigma(cfg: ExperimentConfig, body: ConvexBody, smoothness: float):
@@ -416,8 +415,7 @@ def _build_learner(cfg: ExperimentConfig, body: ConvexBody, delays: list, horizo
         return learners.NaiveLearner(body)
     mirror = _mirror_map(cfg)
     schedule = _build_schedule(cfg, body, mirror.smoothness, delays, horizon)
-    return learners.GradientLearner(body, schedule, _influence(cfg), mirror,
-                                    any_delays=cfg.learner == "adversarial")
+    return learners.GradientLearner(body, schedule, *_pull(cfg), mirror)
 
 
 @_section("delays")
@@ -458,6 +456,11 @@ def _build_arm(cfg: ExperimentConfig, seeds: list[int]):
     if cfg.delay_kind == "file" and len(delays[0].delays) < cfg.horizon:
         raise ConfigFileError([f"delays.path: delay file has {len(delays[0].delays)} delays, "
                                f"fewer than the horizon {cfg.horizon}"])
+    if cfg.delay_kind == "file" and cfg.learner in ("ogd", "omd"):
+        wrong = [d for d in delays[0].delays[:cfg.horizon] if d != cfg.tau + 1]
+        if wrong:
+            raise ConfigFileError([f"delays.path: delay file has delay {wrong[0]}; a fixed-lag "
+                                   f"learner needs every delay to be tau + 1 = {cfg.tau + 1}"])
     _auto_lipschitz(cfg, body)  # the comparator needs it for every family without a closed form
     learner = _build_learner(cfg, body, delays, cfg.horizon)
     return body, streams, delays, learner
@@ -572,9 +575,10 @@ def _write_experiment(cfg: ExperimentConfig, out: Path, written: list[Path]) -> 
                                    final["delay_sum_mean"]))
 
     if cfg.kind == "scaling-check" and len(scaling_points) >= 3:
-        fit = evaluation.fit_scaling([(v, r) for v, r, _ in scaling_points])
-        manifest["metrics"]["regret_exponent"] = fit.exponent
-        manifest["metrics"]["regret_exponent_halfwidth"] = fit.halfwidth
+        if sum(r > 0.0 for _, r, _ in scaling_points) >= 3:  # the fit keeps positive regrets
+            fit = evaluation.fit_scaling([(v, r) for v, r, _ in scaling_points])
+            manifest["metrics"]["regret_exponent"] = fit.exponent
+            manifest["metrics"]["regret_exponent_halfwidth"] = fit.halfwidth
         manifest["metrics"]["regret_over_sqrt_delay_sum"] = {
             f"T{v}": r / float(np.sqrt(d)) for v, r, d in scaling_points
         }

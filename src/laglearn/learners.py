@@ -10,13 +10,14 @@ gradient learner covers every delay setting: at the end of round t it
 moves against the sum of the gradients delivered then, the delivery set
 F_t,
 
-    x_{t+1} = proj( x_t - eta_t sum_{s in F_t} g_s + beta_t * pull_{t+1} )
+    x_{t+1} = proj( x_t - eta_t sum_{s in F_t} g_s + beta_t * w_t * k_{t+1} )
 
-where pull is the (signed, possibly dimension-reduced) known context of
-the next round.  A fixed lag tau is the case F_t = {t - tau}; with any
-delays a set may hold several gradients or none.  A mirror map routes the
-same move through its dual space (the Euclidean map is the plain step
-above), and maps with a built-in domain skip the projection.
+where k_{t+1} is the known context of the next round cut to the
+estimate's dimension, and the correlation weight w_t is a constant lam,
+or lam * eta_t when coupled.  A fixed lag tau is the case F_t = {t - tau};
+with any delays a set may hold several gradients or none.  A mirror map
+routes the same move through its dual space (the Euclidean map is the
+plain step above), and maps with a built-in domain skip the projection.
 
 The sample-mean baseline ignores gradients entirely and plays the average
 of all hidden contexts revealed so far.
@@ -132,46 +133,6 @@ class ConstantStep(StepSchedule):
 
 
 # ---------------------------------------------------------------------------
-# Correlation pull
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Influence:
-    """Linear pull from the known context into the hidden-context space.
-
-    The pull is a weight times the d1-dimensional known context truncated
-    to the d2-dimensional estimate space.  The weight is either a fixed
-    signed value `lam` or tracks the running step size with a chosen sign
-    (positive when the two context parts are believed positively
-    correlated); lam = 0 disables the pull.
-    """
-
-    dim_out: int
-    lam: float | None = None        # fixed signed weight; None = track step size
-    sign: float = 1.0               # sign used when tracking the step size
-
-    @staticmethod
-    def constant(lam: float, dim_out: int) -> "Influence":
-        return Influence(dim_out=dim_out, lam=float(lam))
-
-    @staticmethod
-    def coupled(dim_out: int, sign: float = 1.0) -> "Influence":
-        if sign not in (-1.0, 1.0):
-            sign = 1.0 if sign >= 0 else -1.0
-        return Influence(dim_out=dim_out, lam=None, sign=sign)
-
-    def pull(self, known, eta_t) -> Array:
-        """The weight times each row of `known` cut to `dim_out`; zeros once the stream has ended."""
-        w = np.asarray(self.sign * eta_t if self.lam is None else self.lam)
-        if known is None or not w.any():
-            return np.zeros(self.dim_out)
-        v = np.asarray(known, dtype=float)
-        if v.shape[-1] < self.dim_out:
-            raise ValueError("known context smaller than the estimate dimension")
-        return w * v[..., : self.dim_out]
-
-
-# ---------------------------------------------------------------------------
 # Step-size tuning
 # ---------------------------------------------------------------------------
 
@@ -225,8 +186,9 @@ class BaseLearner:
     (rows, feedback) pairs delivered at the end of round t, ordered by row
     and then by source round, with the next round's known context (None
     after the last round).  `lag` is the fixed lag a learner needs (every
-    delay lag + 1, checked by the game loop before round 1) or None for
-    any delays.
+    delay lag + 1, checked by the game loop before round 1), or None for
+    a learner that takes any delays: the sample-mean baseline, and a
+    gradient learner whose schedule has tau = 0.
     """
 
     lag: int | None = None
@@ -253,13 +215,13 @@ class BaseLearner:
 class GradientLearner(BaseLearner):
     """Delayed (mirror) gradient descent with a correlation pull.
 
-    With `any_delays` False the learner needs a fixed lag, the schedule's
-    tau, so each row's delivery set is the one gradient of round t - tau;
-    with `any_delays` True it sums whatever each round delivers, in source
-    order.  Nothing moves through the warm-up rounds t <= tau, before the
-    first delivery of a fixed lag.  `start` tabulates the schedule's
-    eta(t) and beta(t) for every round, and each round reads them there;
-    without an influence the pull is `Influence.constant(0.0, dim)`.
+    The schedule's tau is the lag.  With tau > 0 each row's delivery set
+    is the one gradient of round t - tau, and nothing moves through the
+    warm-up rounds t <= tau; with tau = 0 the learner takes any delays and
+    sums whatever each round delivers, in source order.  The correlation
+    weight is `lam`, or `lam * eta(t)` when `coupled` (the config's `lam =
+    coupled` passes lam = 1 or -1, signed like rho).  `start` tabulates
+    eta(t) and beta(t) for every round, and each round reads them there.
 
     After round 1, a round that delivers nothing to a learner whose pull
     is disabled (lam = 0) leaves the iterate where it is and returns at
@@ -270,20 +232,17 @@ class GradientLearner(BaseLearner):
     total, never -0.0) and every projection gives back a point it
     returned.  Under a map that skips projection the step would only
     renormalize the iterate; the one learner that uses such a map, omd,
-    has a fixed lag, whose rounds past the warm-up all deliver.
+    plays fixed delays, under which every round past the warm-up delivers.
     """
 
-    def __init__(self, body: ConvexBody, schedule: StepSchedule,
-                 influence: Influence | None = None, mirror: MirrorMap = EuclideanMap(),
-                 any_delays: bool = False):
-        if any_delays and schedule.tau:
-            raise ValueError("a learner for any delays takes a schedule with tau = 0")
+    def __init__(self, body: ConvexBody, schedule: StepSchedule, lam: float = 0.0,
+                 coupled: bool = False, mirror: MirrorMap = EuclideanMap()):
         super().__init__(body, mirror.initial_point(body.dim))
         self.schedule = schedule
+        self.lam = float(lam)
+        self.coupled = coupled
         self.mirror = mirror
-        self.lag = None if any_delays else schedule.tau
-        self.influence = influence if influence is not None else Influence.constant(0.0, body.dim)
-        self.pulls = self.influence.lam != 0.0  # a disabled pull is zero every round
+        self.lag = schedule.tau or None
 
     def start(self, trials: int, horizon: int) -> None:
         self.etas, self.betas = self.schedule.table(horizon)
@@ -293,7 +252,7 @@ class GradientLearner(BaseLearner):
 
     def observe(self, rows, feedback, next_known) -> None:
         t = self.t
-        if t <= self.schedule.tau or t > 1 and not len(rows) and not self.pulls:
+        if t <= self.schedule.tau or t > 1 and not len(rows) and not self.lam:
             return
         # A fixed lag delivers one gradient per row; so do as many sorted
         # rows as trials with no repeats.
@@ -304,8 +263,11 @@ class GradientLearner(BaseLearner):
             total = np.zeros(self.estimate.shape)
             np.add.at(total, rows, feedback)  # row by row in source order
         eta = self.etas[t]
-        if self.pulls:
-            move = self.betas[t] * self.influence.pull(next_known, eta) - eta * total
+        if self.lam:
+            w = self.lam * eta if self.coupled else self.lam
+            pull = (np.zeros(self.body.dim) if next_known is None or not np.any(w)
+                    else w * next_known[..., :self.body.dim])
+            move = self.betas[t] * pull - eta * total
         else:
             move = 0.0 - eta * total
         if np.count_nonzero(np.isfinite(move)) < move.size:

@@ -34,7 +34,6 @@ from laglearn.geometry import (
 from laglearn.learners import (
     ConstantStep,
     GradientLearner,
-    Influence,
     InverseSqrtStep,
 )
 from laglearn.losses import ExpLoss, NormLoss, PowerLoss, QuadraticLoss
@@ -171,7 +170,7 @@ def test_criterion_4_omd_ogd_equivalence():
         stream = GaussianStream(rho=0.5, seed=2024)
         body = Ball([0.0], 4.0)
         learner = GradientLearner(body=body, schedule=InverseSqrtStep(sigma=0.5, tau=5),
-                                  influence=Influence.coupled(1), **kw)
+                                  lam=1.0, coupled=True, **kw)
         return run_game(learner, [stream], [FixedDelay(5)], uniform_quadratic(),
                         LinearScoring.default(1, 1), horizon, seeds=[99])
 
@@ -313,7 +312,7 @@ def test_criterion_8_score_error_chain_on_runs():
     for seed in range(5):
         stream = GaussianStream(rho=0.5, seed=seed)
         learner = GradientLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=seed + 1),
-                                  Influence.coupled(1))
+                                  1.0, coupled=True)
         traj = run_game(learner, [stream], [FixedDelay(seed + 1)], uniform_quadratic(),
                         LinearScoring.default(1, 1), horizon=400, seeds=[seed + 10])
         report = regret(traj, Ball([0.0], 4.0))
@@ -341,7 +340,7 @@ def test_criterion_9_exact_hand_oracles():
            f"estimates={traj.estimates.ravel().tolist()}")
 
     stream = ExplicitStream([[1.0], [1.0], [1.0]], [[1.0], [2.0], [3.0]])
-    learner = GradientLearner(Ball([0.0], 10.0), ConstantStep(value=0.1), any_delays=True)
+    learner = GradientLearner(Ball([0.0], 10.0), ConstantStep(value=0.1))
     traj = run_game(learner, [stream], [ExplicitDelay((3, 1, 1))],
                     fixed_loss(QuadraticLoss, a=1.0, b=0.0),
                     LinearScoring.default(1, 1), horizon=3, seeds=[0])

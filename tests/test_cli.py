@@ -291,11 +291,14 @@ def test_cli_run_reports_domain_errors_with_exit_2(tmp_path, capsys, rows, delay
     delay_file.write_text(delays, encoding="utf-8")
     config = _single_ogd_csv_config(tmp_path, rows,
                                     f"[delays]\nkind = file\npath = {delay_file}\n")
-    assert cli.main(["validate", str(config)]) == 0
-    capsys.readouterr()
-    assert cli.main(["run", str(config), "--out-dir", str(tmp_path / "out")]) == 2
+    error = "error: delays.path: delay file has delay 3; a fixed-lag learner needs every delay"
+    assert cli.main(["validate", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(error)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(config), "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith(error) and "Traceback" not in err
+    assert not out.exists()
 
 
 def _scaling_check_config(tmp_path, stream, learner, delays):
@@ -319,6 +322,43 @@ family = norm
 [delays]
 {delays}
 """)
+
+
+def test_cli_scaling_check_with_too_few_positive_regrets_writes_no_fit(tmp_path, capsys):
+    # At seed 0 arm T4 ends with a negative regret: three horizons, two
+    # positive points.  The run keeps its outputs and leaves the fit out.
+    config = write_config(tmp_path, """
+[experiment]
+kind = scaling-check
+trials = 1
+seed = 0
+
+[learner]
+kind = ogd
+schedule = sqrt
+sigma = 0.5
+lam = 0.0
+
+[sweep]
+horizon = 2, 3, 4
+
+[stream]
+kind = gaussian
+
+[loss]
+family = norm
+
+[delays]
+kind = fixed
+""")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(config), "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert sorted(p.name for p in out.iterdir()) == ["T2.csv", "T3.csv", "T4.csv",
+                                                    "manifest.json"]
+    assert sum(arm["final_regret_mean"] > 0.0 for arm in manifest["arms"].values()) == 2
+    assert not any(key.startswith("regret_exponent") for key in manifest["metrics"])
 
 
 @pytest.mark.parametrize("kind, error", [

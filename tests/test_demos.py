@@ -3,9 +3,10 @@ and prints exactly what it printed when these digests were recorded.
 
 A digest is the SHA-256 of a demo's standard output.  Each demo runs in a
 fresh interpreter from an empty working directory (demo 03 writes its
-results under `results/` there).  Like the preset gate, the digests only
-apply under the numpy and scipy versions they were recorded with.  To
-record a new digest after an intended change of what a demo prints, run
+results under `results/` there), with every RuntimeWarning an error.
+Like the preset gate, the digests only apply under the numpy and scipy
+versions they were recorded with.  To record a new digest after an
+intended change of what a demo prints, run
 `python3 demos/<name>.py | sha256sum` (for the quick start, the block
 `_quick_start()` returns) and say why in CHANGES.md.
 """
@@ -46,8 +47,9 @@ def _run(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
-                          capture_output=True, timeout=120)
+    # A numpy RuntimeWarning fails the run, as pytest's filter makes it fail a test.
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *args], cwd=cwd,
+                          env=env, capture_output=True, timeout=120)
 
 
 def _quick_start() -> str:

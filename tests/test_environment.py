@@ -20,7 +20,6 @@ from laglearn.geometry import Ball, regular_polygon
 from laglearn.learners import (
     ConstantStep,
     GradientLearner,
-    Influence,
     InverseSqrtStep,
 )
 from laglearn.losses import QuadraticLoss
@@ -124,7 +123,7 @@ def test_hidden_score_is_one_lipschitz():
 
 def test_scoring_rejects_lipschitz_violation():
     with pytest.raises(ValueError):
-        LinearScoring(w_known=[1.0], w_hidden=[1.0, 1.0], c_hidden=1.0)
+        LinearScoring(w_known=[1.0], w_hidden=[1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +152,7 @@ def test_three_round_game_matches_hand_simulation():
 
 def test_three_round_adversarial_game_multi_delivery():
     # Delays (3, 1, 1) make rounds 1 and 3 land together at round 3.
-    learner = GradientLearner(Ball([0.0], 10.0), ConstantStep(value=0.1), any_delays=True)
+    learner = GradientLearner(Ball([0.0], 10.0), ConstantStep(value=0.1))
     traj = run_game(learner, [_three_round_stream()], [ExplicitDelay((3, 1, 1))],
                     fixed_loss(QuadraticLoss, a=1.0, b=0.0),
                     LinearScoring.default(1, 1), horizon=3, seeds=[0])
@@ -182,7 +181,7 @@ def test_horizon_equal_to_lag_keeps_all_estimates_zero():
     tau = 6
     stream = GaussianStream(rho=0.4, seed=9)
     learner = GradientLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=tau),
-                              Influence.coupled(1))
+                              1.0, coupled=True)
     traj = run_game(learner, [stream], [FixedDelay(tau)], uniform_quadratic(),
                     LinearScoring.default(1, 1), horizon=tau, seeds=[2])
     assert np.array_equal(traj.estimates, np.zeros((1, tau, 1)))
@@ -192,7 +191,7 @@ def test_identical_seeds_reproduce_bit_for_bit():
     def play():
         stream = GaussianStream(rho=0.5, seed=77)
         learner = GradientLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=4),
-                                  Influence.coupled(1))
+                                  1.0, coupled=True)
         return run_game(learner, [stream], [FixedDelay(4)], uniform_quadratic(),
                         LinearScoring.default(1, 1), horizon=200, seeds=[13])
 
@@ -206,7 +205,7 @@ def test_identical_seeds_reproduce_bit_for_bit():
 def test_score_error_chain_holds_every_round():
     stream = GaussianStream(rho=0.5, seed=21)
     learner = GradientLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=5),
-                              Influence.coupled(1))
+                              1.0, coupled=True)
     traj = run_game(learner, [stream], [FixedDelay(5)], uniform_quadratic(),
                     LinearScoring.default(1, 1), horizon=400, seeds=[8])
     assert np.all(traj.score_error_losses <= traj.loss_values + 1e-9)

@@ -22,7 +22,7 @@ from laglearn.evaluation import (
 from laglearn.experiments import _write_trajectory_csv
 from laglearn.feedback import FeedbackBuffer, FixedDelay
 from laglearn.geometry import Ball, Box
-from laglearn.learners import GradientLearner, Influence, InverseSqrtStep, InverseTimeStep
+from laglearn.learners import GradientLearner, InverseSqrtStep, InverseTimeStep
 from laglearn.losses import Loss, NormLoss, QuadraticLoss
 
 
@@ -176,7 +176,7 @@ def test_regret_warmup_rounds_excluded():
 def test_trajectory_replay_consistency():
     stream = GaussianStream(rho=0.5, seed=31)
     learner = GradientLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=3),
-                              Influence.coupled(1))
+                              1.0, coupled=True)
     traj = run_game(learner, [stream], [FixedDelay(3)], uniform_quadratic(),
                     LinearScoring.default(1, 1), horizon=250, seeds=[17])
     assert traj.replay_gap().shape == (1,)
@@ -186,7 +186,7 @@ def test_trajectory_replay_consistency():
 def test_cumulative_score_error_bounded_by_comparator_plus_regret():
     stream = GaussianStream(rho=0.5, seed=37)
     learner = GradientLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=4),
-                              Influence.coupled(1))
+                              1.0, coupled=True)
     traj = run_game(learner, [stream], [FixedDelay(4)], uniform_quadratic(),
                     LinearScoring.default(1, 1), horizon=300, seeds=[5])
     report = regret(traj, Ball([0.0], 4.0))
@@ -330,7 +330,7 @@ def test_strongly_convex_regret_under_harmonic_ceiling():
     body = Ball([0.0], 4.0)
     gamma = 2.0 * a
     stream = GaussianStream(rho=0.5, seed=41)
-    learner = GradientLearner(body, InverseTimeStep(gamma=gamma, tau=tau), Influence.coupled(1))
+    learner = GradientLearner(body, InverseTimeStep(gamma=gamma, tau=tau), 1.0, coupled=True)
     traj = run_game(learner, [stream], [FixedDelay(tau)], fixed_loss(QuadraticLoss, a=a, b=0.0),
                     LinearScoring.default(1, 1), horizon=horizon, seeds=[43])
     report = regret(traj, body)

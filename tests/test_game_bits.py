@@ -19,8 +19,7 @@ from laglearn.environment import (ExplicitStream, GaussianStream, LinearScoring,
                                   run_game, uniform_quadratic)
 from laglearn.feedback import ExplicitDelay, FeedbackBuffer, FixedDelay, RandomDelay
 from laglearn.geometry import Ball, regular_polygon
-from laglearn.learners import (ConstantStep, GradientLearner, Influence, InverseSqrtStep,
-                               InverseTimeStep)
+from laglearn.learners import ConstantStep, GradientLearner, InverseSqrtStep, InverseTimeStep
 from laglearn.losses import ExpLoss, Loss, NormLoss, PowerLoss, QuadraticLoss
 
 HORIZON = 240
@@ -45,13 +44,29 @@ def step_sizes(schedule, t):
     return eta, eta if schedule.beta_override is None else schedule.beta_override
 
 
-def reference_estimates(body, schedule, influence, streams, delays, loss_factory, horizon, seeds):
+def pull(lam, coupled, eta, next_known, dim):
+    """The pull by its formula: weight lam, or lam * eta when coupled, times
+    the next known context cut to `dim`; zeros past the last round or at
+    weight 0."""
+    weight = lam * eta if coupled else lam
+    if next_known is None or not np.any(weight):
+        return np.zeros(dim)
+    return weight * next_known[..., :dim]
+
+
+# (lam, coupled): no pull, a constant pull, and a coupled pull of either sign.
+PULLS = [pytest.param(0.0, False, id="0.0"), pytest.param(0.3, False, id="0.3"),
+         pytest.param(1.0, True, id="coupled"), pytest.param(-1.0, True, id="negative-coupled")]
+
+
+def reference_estimates(body, schedule, lam, coupled, streams, delays, loss_factory, horizon,
+                        seeds):
     """The decisions of the loop as it was: round-major (horizon, trials, dim).
 
     Each round's gradient is taken when the round is played and held until
     its due round; a delivery set is summed into zeros with `np.add.at`;
-    eta(t) and beta(t) come from the schedule's formula, the pull is taken
-    every round, and every round ends in a projection.
+    eta(t), beta(t) and the pull come from their formulas, the pull is
+    taken every round, and every round ends in a projection.
     """
     trials = len(streams)
     delay_values = np.stack([delay.realize(horizon) for delay in delays])
@@ -72,7 +87,7 @@ def reference_estimates(body, schedule, influence, streams, delays, loss_factory
         np.add.at(total, rows, feedback[sources - 1, rows])
         eta, beta = step_sizes(schedule, t)
         next_known = known[i + 1] if t < horizon else None
-        move = beta * influence.pull(next_known, eta) - eta * total
+        move = beta * pull(lam, coupled, eta, next_known, body.dim) - eta * total
         x = body.project(x + move)
     return estimates
 
@@ -96,25 +111,24 @@ BODIES = {
 }
 
 
-@pytest.mark.parametrize("lam", [0.0, 0.3, "coupled"])
+@pytest.mark.parametrize("lam, coupled", PULLS)
 @pytest.mark.parametrize("family", sorted(FACTORIES))
 @pytest.mark.parametrize("body", sorted(BODIES))
 @pytest.mark.parametrize("trials", [1, 3])
 @pytest.mark.parametrize("d_max", [1, 3, 20])
-def test_game_matches_the_play_time_reference_bit_for_bit(d_max, trials, body, family, lam):
+def test_game_matches_the_play_time_reference_bit_for_bit(d_max, trials, body, family, lam,
+                                                          coupled):
     body = BODIES[body]
     dim = body.dim
     schedule = ConstantStep(value=[0.2, 0.35, 0.5][:trials])
-    influence = (Influence.coupled(dim) if lam == "coupled"
-                 else Influence.constant(lam, dim))
     seed = 7 * d_max + 3 * trials + dim
     streams, delays, seeds = _pieces(trials, dim, d_max, seed)
-    learner = GradientLearner(body, schedule, influence, any_delays=True)
+    learner = GradientLearner(body, schedule, lam, coupled)
     played = run_game(learner, streams, delays, FACTORIES[family],
                       LinearScoring.default(dim, dim), HORIZON, seeds).estimates
 
     streams, delays, seeds = _pieces(trials, dim, d_max, seed)
-    expected = reference_estimates(body, schedule, influence, streams, delays,
+    expected = reference_estimates(body, schedule, lam, coupled, streams, delays,
                                    FACTORIES[family], HORIZON, seeds)
     assert np.array_equal(played.view(np.uint64), np.swapaxes(expected, 0, 1).view(np.uint64))
 
@@ -127,14 +141,14 @@ SCHEDULES = {
 }
 
 
-@pytest.mark.parametrize("lam", [0.0, 0.3, "coupled"])
+@pytest.mark.parametrize("lam, coupled", PULLS)
 @pytest.mark.parametrize("family", sorted(FACTORIES))
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("beta", [None, 0.05])
 @pytest.mark.parametrize("tau", [0, 3])
 @pytest.mark.parametrize("kind", sorted(SCHEDULES))
 def test_fixed_lag_game_matches_the_play_time_reference_bit_for_bit(kind, tau, beta, dim, family,
-                                                                    lam):
+                                                                    lam, coupled):
     # Three trials under one fixed lag: the learner delivers one gradient
     # per row without `np.add.at`, reads eta (decaying, or one constant per
     # trial) and beta (eta, or a constant override) from its table, and
@@ -142,17 +156,15 @@ def test_fixed_lag_game_matches_the_play_time_reference_bit_for_bit(kind, tau, b
     trials = 3
     body = Ball(np.zeros(dim), 1.0)
     schedule = SCHEDULES[kind](tau, beta)
-    influence = (Influence.coupled(dim) if lam == "coupled"
-                 else Influence.constant(lam, dim))
     seed = 11 * tau + dim
     streams, _, seeds = _pieces(trials, dim, 1, seed)
-    learner = GradientLearner(body, schedule, influence)
+    learner = GradientLearner(body, schedule, lam, coupled)
     played = run_game(learner, streams, [FixedDelay(tau)] * trials, FACTORIES[family],
                       LinearScoring.default(dim, dim), HORIZON, seeds).estimates
 
     streams, _, seeds = _pieces(trials, dim, 1, seed)
-    expected = reference_estimates(body, schedule, influence, streams, [FixedDelay(tau)] * trials,
-                                   FACTORIES[family], HORIZON, seeds)
+    expected = reference_estimates(body, schedule, lam, coupled, streams,
+                                   [FixedDelay(tau)] * trials, FACTORIES[family], HORIZON, seeds)
     assert np.array_equal(played.view(np.uint64), np.swapaxes(expected, 0, 1).view(np.uint64))
 
 
@@ -169,25 +181,25 @@ def _mixed_schedules(horizon, seed):
             ExplicitDelay(tuple(tail.tolist()))]
 
 
-@pytest.mark.parametrize("lam", [0.0, "coupled"])
+@pytest.mark.parametrize("lam, coupled", [PULLS[0], PULLS[2], PULLS[3]])
 @pytest.mark.parametrize("family", sorted(FACTORIES))
 @pytest.mark.parametrize("dim", [1, 2])
-def test_mixed_delay_schedules_match_the_play_time_reference_bit_for_bit(dim, family, lam):
+def test_mixed_delay_schedules_match_the_play_time_reference_bit_for_bit(dim, family, lam,
+                                                                         coupled):
     # One trial's rounds deliver themselves while another's wait or never
     # arrive: a block then holds gradients that are delivered later, or
     # never, and rounds deliver to some trials and not others.
     trials = 3
     body = Ball(np.zeros(dim), 1.0)
     schedule = ConstantStep(value=[0.2, 0.35, 0.5])
-    influence = Influence.coupled(dim) if lam == "coupled" else Influence.constant(lam, dim)
     seed = 31 + dim
     streams, _, seeds = _pieces(trials, dim, 1, seed)
-    learner = GradientLearner(body, schedule, influence, any_delays=True)
+    learner = GradientLearner(body, schedule, lam, coupled)
     played = run_game(learner, streams, _mixed_schedules(HORIZON, seed), FACTORIES[family],
                       LinearScoring.default(dim, dim), HORIZON, seeds).estimates
 
     streams, _, seeds = _pieces(trials, dim, 1, seed)
-    expected = reference_estimates(body, schedule, influence, streams,
+    expected = reference_estimates(body, schedule, lam, coupled, streams,
                                    _mixed_schedules(HORIZON, seed), FACTORIES[family],
                                    HORIZON, seeds)
     assert np.array_equal(played.view(np.uint64), np.swapaxes(expected, 0, 1).view(np.uint64))
@@ -211,14 +223,13 @@ def test_undelivered_rounds_whose_gradients_overflow_leave_the_game_as_it_was():
     schedules = [RandomDelay(d_max=4, seed=9), ExplicitDelay(tuple(delays.tolist()))]
     factory = fixed_loss(ExpLoss, a=1.0, s=1.0, m=2)
     body, schedule = Ball([0.0], 1.0), ConstantStep(value=0.1)
-    influence = Influence.constant(0.0, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        traj = run_game(GradientLearner(body, schedule, influence, any_delays=True), streams(),
+        traj = run_game(GradientLearner(body, schedule), streams(),
                         schedules, factory, LinearScoring.default(1, 1), horizon, [0, 0])
     with np.errstate(over="ignore", invalid="ignore"):
         assert not np.isfinite(traj.loss[1].grad(traj.estimates[1])[20:30]).any()
-        expected = reference_estimates(body, schedule, influence, streams(), schedules, factory,
+        expected = reference_estimates(body, schedule, 0.0, False, streams(), schedules, factory,
                                        horizon, [0, 0])
     assert np.isfinite(traj.loss_values).all() and traj.flags == ()
     assert np.array_equal(traj.estimates[1], np.zeros((horizon, 1)))

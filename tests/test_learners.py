@@ -12,7 +12,6 @@ from laglearn.geometry import Ball, EuclideanMap, NegativeEntropyMap, Simplex
 from laglearn.learners import (
     ConstantStep,
     GradientLearner,
-    Influence,
     InverseSqrtStep,
     InverseTimeStep,
     NaiveLearner,
@@ -84,7 +83,7 @@ def test_ogd_plain_gradient_step():
 def test_ogd_hand_update_with_influence():
     # x - eta g + beta * lam * x_known = [0,0] - [0.1,0] + 0.1*[1,1] = [0, 0.1]
     body = Ball([0.0, 0.0], 10.0)
-    learner = GradientLearner(body, ConstantStep(value=0.1), Influence.constant(1.0, 2))
+    learner = GradientLearner(body, ConstantStep(value=0.1), lam=1.0)
     out = step_once(learner, [0.0, 0.0], 1, [1.0, 0.0], [1.0, 1.0])
     assert np.allclose(out, [0.0, 0.1])
 
@@ -109,11 +108,10 @@ def test_omd_euclidean_equals_ogd_step():
     # The Euclidean map's step is the projected gradient step, bit for bit.
     body = Ball([0.0, 0.0], 10.0)
     sched = InverseSqrtStep(sigma=0.5, tau=0)
-    infl = Influence.constant(0.7, 2)
     x, g, nk = np.array([0.3, -0.2]), np.array([0.4, -1.1]), np.array([0.2, 0.9])
-    out = step_once(GradientLearner(body, sched, infl, EuclideanMap()), x, 4, g, nk)
+    out = step_once(GradientLearner(body, sched, 0.7, mirror=EuclideanMap()), x, 4, g, nk)
     etas, betas = sched.table(4)
-    by_hand = body.project(x + (betas[4] * infl.pull(nk, etas[4]) - etas[4] * g))
+    by_hand = body.project(x + (betas[4] * (0.7 * nk) - etas[4] * g))
     assert np.array_equal(out, by_hand)
 
 
@@ -133,7 +131,7 @@ def test_omd_zero_move_is_identity():
 
 def test_adversarial_empty_set_no_influence_is_identity():
     body = Ball([0.0, 0.0], 10.0)
-    learner = GradientLearner(body, ConstantStep(value=0.1), any_delays=True)
+    learner = GradientLearner(body, ConstantStep(value=0.1))
     out = step_once(learner, [0.4, -0.1], 2, np.empty((0, 2)), [1.0, 1.0], rows=())
     assert np.array_equal(out, [0.4, -0.1])
 
@@ -141,14 +139,13 @@ def test_adversarial_empty_set_no_influence_is_identity():
 def test_adversarial_summed_update():
     # F = {1, 3}: x - eta (g1 + g3) = [0,0] - 0.1*[1,1] = [-0.1, -0.1]
     body = Ball([0.0, 0.0], 10.0)
-    learner = GradientLearner(body, ConstantStep(value=0.1), any_delays=True)
+    learner = GradientLearner(body, ConstantStep(value=0.1))
     out = step_once(learner, [0.0, 0.0], 3, [[1.0, 0.0], [0.0, 1.0]], rows=(0, 0))
     assert np.allclose(out, [-0.1, -0.1])
 
 
 def test_per_trial_steps_must_match_the_trial_count():
-    learner = GradientLearner(Ball([0.0], 10.0), ConstantStep(value=[0.1, 0.2, 0.3]),
-                              any_delays=True)
+    learner = GradientLearner(Ball([0.0], 10.0), ConstantStep(value=[0.1, 0.2, 0.3]))
     streams = [GaussianStream(seed=seed) for seed in (1, 2)]
     with pytest.raises(ValueError, match="3 step sizes for 2 trials"):
         run_game(learner, streams, [FixedDelay(0)] * 2, fixed_loss(NormLoss),
@@ -156,18 +153,15 @@ def test_per_trial_steps_must_match_the_trial_count():
     assert learner.t == 0
 
 
-def test_a_learner_for_any_delays_has_no_warmup():
-    with pytest.raises(ValueError, match="tau = 0"):
-        GradientLearner(Ball([0.0], 1.0), ConstantStep(value=0.1, tau=2), any_delays=True)
-
-
 def test_influence_linearity_and_reduction():
-    infl = Influence.constant(-0.4, 2)
-    known = np.array([1.0, 2.0, 3.0])
-    assert np.allclose(infl.pull(known, 0.1), -0.4 * known[:2])
-    coupled = Influence.coupled(2, sign=-1.0)
-    assert np.allclose(coupled.pull(known, 0.25), -0.25 * known[:2])
-    assert np.array_equal(coupled.pull(None, 0.25), [0.0, 0.0])
+    # With a zero gradient the step is beta * w * known[:2], where w = lam,
+    # or lam * eta when coupled; past the last round there is no pull.
+    body, zero, known = Ball([0.0, 0.0], 10.0), [0.0, 0.0], [1.0, 2.0, 3.0]
+    constant = GradientLearner(body, ConstantStep(value=0.1), lam=-0.4)
+    assert np.allclose(step_once(constant, zero, 1, zero, known), [-0.04, -0.08])
+    coupled = GradientLearner(body, ConstantStep(value=0.25), lam=-1.0, coupled=True)
+    assert np.allclose(step_once(coupled, zero, 1, zero, known), [-0.0625, -0.125])
+    assert np.array_equal(step_once(coupled, zero, 1, zero), zero)
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +226,10 @@ def _explicit_game(learner, horizon=12, delays=None, d=1):
 
 
 def test_no_delay_reduction_matches_plain_ogd():
-    # Arbitrary-delay learner with d=1 equals the fixed-lag learner with tau=0,
-    # equals undelayed projected gradient descent computed by hand.
-    body = Ball([0.0], 10.0)
+    # The tau = 0 learner, which takes any delays, with d = 1 equals undelayed
+    # projected gradient descent computed by hand.
     eta = 0.2
-    t_adv = _explicit_game(GradientLearner(body, ConstantStep(value=eta), any_delays=True))
     t_ogd = _explicit_game(GradientLearner(Ball([0.0], 10.0), ConstantStep(value=eta)))
-    assert np.array_equal(t_adv.estimates, t_ogd.estimates)
 
     hidden = np.linspace(-1.0, 2.0, 12)
     x = 0.0
@@ -249,10 +240,10 @@ def test_no_delay_reduction_matches_plain_ogd():
 
 def test_zero_influence_never_changes_the_trajectory():
     base = _explicit_game(
-        GradientLearner(Ball([0.0], 10.0), InverseSqrtStep(sigma=0.5, tau=2), None), d=3)
+        GradientLearner(Ball([0.0], 10.0), InverseSqrtStep(sigma=0.5, tau=2)), d=3)
     with_zero = _explicit_game(
-        GradientLearner(Ball([0.0], 10.0), InverseSqrtStep(sigma=0.5, tau=2),
-                        Influence.constant(0.0, 1)), d=3)
+        GradientLearner(Ball([0.0], 10.0), InverseSqrtStep(sigma=0.5, tau=2), 0.0,
+                        coupled=True), d=3)
     assert np.array_equal(base.estimates, with_zero.estimates)
 
 
@@ -269,7 +260,7 @@ def test_omd_euclidean_trajectory_equals_ogd():
 def test_feasibility_every_round():
     body = Ball([0.5], 1.5)
     stream = GaussianStream(rho=0.3, body_hidden=body, seed=42)
-    learner = GradientLearner(body, InverseSqrtStep(sigma=2.0, tau=3), Influence.coupled(1))
+    learner = GradientLearner(body, InverseSqrtStep(sigma=2.0, tau=3), 1.0, coupled=True)
     traj = run_game(learner, [stream], [FixedDelay(3)], fixed_loss(QuadraticLoss, a=1.0),
                     LinearScoring.default(1, 1), 300, seeds=[1])
     for est in traj.estimates[0]:
@@ -282,7 +273,7 @@ def test_gradients_use_the_decision_of_the_source_round():
     tau, horizon = 2, 30
     body = Ball([0.0], 50.0)
     sched = InverseSqrtStep(sigma=0.4, tau=tau)
-    learner = GradientLearner(body, sched, None)
+    learner = GradientLearner(body, sched)
     traj = _explicit_game(learner, horizon=horizon, d=tau + 1)
     est = traj.estimates[0, :, 0]
     etas, _ = sched.table(horizon)

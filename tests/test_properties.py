@@ -33,12 +33,8 @@ SHORT_COMPARATOR = functools.partial(evaluation.offline_optimum, max_iters=1_000
 DATA_ERRORS = [
     # a gradient or step that overflows mid-run (NonFiniteGradient)
     (re.compile(r"error: (gradient|step) has NaN or infinite entries at round \d+"), None),
-    # a single run's delay file that is not all tau + 1 for a fixed-lag learner
-    (re.compile(r"error: fixed-lag learner needs every delay to be tau \+ 1"), "file"),
     # the comparator's gradient bound over csv anchors that lie outside the body
     (re.compile(r"error: \w+ loss with m = \d+ has no finite gradient bound"), "csv"),
-    # a scaling-check arm whose final regret is not positive leaves no fit
-    (re.compile(r"error: need at least 3 positive points, have \d+"), None),
 ]
 
 
