@@ -382,14 +382,46 @@ def regret(trajectory: Trajectory, body: ConvexBody, skip_rounds: int = 0) -> Re
     )
 
 
+# scipy 1.17.1's `stats.t.ppf(0.975, df)` for df = 1..30, printed as these
+# reprs: the two-sided 95% Student t quantiles.
+_T975 = (
+    12.706204736174694, 4.302652729749462, 3.1824463052837078, 2.7764451051977934,
+    2.5705818356363146, 2.4469118511449786, 2.364624251592784, 2.306004135204166,
+    2.262157162798205, 2.228138851986274, 2.200985160091639, 2.1788128296672284,
+    2.1603686564627913, 2.144786687917804, 2.131449545559776, 2.1199052992212546,
+    2.1098155778333156, 2.1009220402410382, 2.0930240544083087, 2.085963447265864,
+    2.0796138447276795, 2.0738730679040254, 2.0686576104190486, 2.0638985616280245,
+    2.0595385527532972, 2.0555294386428735, 2.0518305164802846, 2.0484071417952454,
+    2.045229642132703, 2.0422724563012378,
+)
+
+
+def _t975(df: int) -> float:
+    """Two-sided 95% Student t quantile with `df` degrees of freedom.
+
+    Up to df = 30 it is scipy's value from `_T975`.  Beyond, the 4-term
+    Cornish-Fisher expansion about the normal quantile z (Abramowitz &
+    Stegun 26.7.5), within 1.3e-8 relative of scipy for df = 31..10^6.
+    """
+    if df <= len(_T975):
+        return _T975[df - 1]
+    z = 1.959963984540054
+    terms = ((z**3 + z) / 4,
+             (5 * z**5 + 16 * z**3 + 3 * z) / 96,
+             (3 * z**7 + 19 * z**5 + 17 * z**3 - 15 * z) / 384,
+             (79 * z**9 + 776 * z**7 + 1482 * z**5 - 1920 * z**3 - 945 * z) / 92160)
+    return z + sum(g / df**k for k, g in enumerate(terms, start=1))
+
+
 def fit_scaling(points) -> ScalingFit:
     """Least-squares power-law exponent from (scale, regret) pairs.
 
     Fits log regret against log scale; returns the slope and its 95%
-    confidence half-width.  Nonpositive regrets are dropped; fewer than 3
-    surviving points is an error.
+    confidence half-width, stderr * _t975(n - 2).  The arithmetic is scipy's
+    `stats.linregress`, step for step, so the slope and its stderr keep
+    scipy's bits.  Nonpositive regrets are dropped; fewer than 3 surviving
+    points, or scales that are all equal, is an error.
     """
-    from scipy import stats  # deferred: loading it dominates the time of `import laglearn`
     kept = [(float(v), float(r)) for v, r in points if r > 0.0]
     for v, _ in kept:
         if v <= 0.0:
@@ -398,12 +430,15 @@ def fit_scaling(points) -> ScalingFit:
         raise ValueError(f"need at least 3 positive points, have {len(kept)}")
     log_v = np.log([v for v, _ in kept])
     log_r = np.log([r for _, r in kept])
-    fit = stats.linregress(log_v, log_r)
-    if np.isnan(fit.stderr) or fit.stderr == 0.0:
-        halfwidth = 0.0
-    else:
-        halfwidth = float(fit.stderr * stats.t.ppf(0.975, len(kept) - 2))
-    return ScalingFit(exponent=float(fit.slope), halfwidth=halfwidth, points_used=len(kept))
+    if log_v.max() == log_v.min():
+        raise ValueError("cannot fit an exponent when every scale is equal")
+    ssxm, ssxym, _, ssym = np.cov(log_v, log_r, bias=1).flat
+    halfwidth = 0.0  # every regret equal: linregress gives r = nan and no stderr
+    if ssym != 0.0:
+        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+        df = len(kept) - 2
+        halfwidth = float(np.sqrt((1 - r**2) * ssym / ssxm / df) * _t975(df))
+    return ScalingFit(exponent=float(ssxym / ssxm), halfwidth=halfwidth, points_used=len(kept))
 
 
 def aggregate(report: RegretReport) -> AggregateCurves:

@@ -104,6 +104,21 @@ def thm2(tmp_path_factory):
     return _run_preset("thm2", tmp_path_factory)
 
 
+def _thm2_horizon_scaling(tmp_path_factory, tau):
+    return _run_preset("thm2", tmp_path_factory, kind="scaling-check",
+                       sweep_horizons=(250, 1000, 4000), sweep_taus=None, tau=tau)
+
+
+@pytest.fixture(scope="module")
+def thm2_horizons_tau10(tmp_path_factory):
+    return _thm2_horizon_scaling(tmp_path_factory, 10)
+
+
+@pytest.fixture(scope="module")
+def thm2_horizons_tau40(tmp_path_factory):
+    return _thm2_horizon_scaling(tmp_path_factory, 40)
+
+
 @pytest.fixture(scope="module")
 def thm4(tmp_path_factory):
     return _run_preset("thm4", tmp_path_factory)
@@ -351,3 +366,16 @@ def test_criterion_9_exact_hand_oracles():
                 and traj.loss_values[0, 2] == math.sqrt((x3 - 3.0) ** 2) ** 2)
     _check(9, "multi-delivery trajectory exact (rounds 1 and 3 land together)",
            multi_ok, f"estimates={traj.estimates.ravel().tolist()}")
+
+
+# ---------------------------------------------------------------------------
+# Criterion 10: strongly-convex horizon scaling
+# ---------------------------------------------------------------------------
+
+def test_criterion_10_strongly_convex_horizon_scaling(thm2_horizons_tau10, thm2_horizons_tau40):
+    # O(tau log T) regret: the fitted exponent in T sits near 0, far below sqrt's 0.5.
+    metrics = {10: thm2_horizons_tau10[1]["metrics"], 40: thm2_horizons_tau40[1]["metrics"]}
+    _check(10, "regret-vs-horizon exponent <= 0.25 at tau 10 and 40",
+           all(m["regret_exponent"] <= 0.25 for m in metrics.values()),
+           ", ".join(f"tau={tau}: {m['regret_exponent']:.3f} +/- "
+                     f"{m['regret_exponent_halfwidth']:.3f}" for tau, m in metrics.items()))

@@ -2,6 +2,9 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -857,3 +860,17 @@ def test_cli_unwritable_out_dir_exits_with_io_code(tmp_path, capsys):
     blocker.write_text("file in the way", encoding="utf-8")
     assert cli.main(["run", str(config), "--out-dir", str(blocker)]) == 3
     assert "error" in capsys.readouterr().err
+
+
+def test_a_scaling_check_loads_no_scipy(tmp_path):
+    # The fit is numpy arithmetic: a run that fits an exponent imports no scipy module.
+    code = ("import sys\n"
+            "from laglearn import cli\n"
+            f"status = cli.main(['run', 'thm1', '--trials', '2', '--out-dir', {str(tmp_path)!r}])\n"
+            "print(status, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.stdout.splitlines()[-1] == "0 []", result.stderr

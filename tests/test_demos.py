@@ -4,8 +4,8 @@ and prints exactly what it printed when these digests were recorded.
 A digest is the SHA-256 of a demo's standard output.  Each demo runs in a
 fresh interpreter from an empty working directory (demo 03 writes its
 results under `results/` there), with every RuntimeWarning an error.
-Like the preset gate, the digests only apply under the numpy and scipy
-versions they were recorded with.  To record a new digest after an
+Like the preset gate, the digests only apply under the numpy version they
+were recorded with.  To record a new digest after an
 intended change of what a demo prints, run
 `python3 demos/<name>.py | sha256sum` (for the quick start, the block
 `_quick_start()` returns) and say why in CHANGES.md.
@@ -19,11 +19,10 @@ from pathlib import Path
 
 import numpy
 import pytest
-import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
 
-RECORDED_WITH = {"numpy": "2.4.6", "scipy": "1.17.1"}
+RECORDED_WITH = {"numpy": "2.4.6"}
 
 DIGESTS = {
     "01_projections_and_mirror_maps.py":
@@ -60,7 +59,7 @@ def _quick_start() -> str:
 
 
 def _check_versions():
-    installed = {"numpy": numpy.__version__, "scipy": scipy.__version__}
+    installed = {"numpy": numpy.__version__}
     if installed != RECORDED_WITH:
         pytest.skip(f"digests recorded with {RECORDED_WITH}, running with {installed}")
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,38 @@ def test_fit_scaling_drops_nonpositive_and_errors_when_starved():
         fit_scaling([(10, 1.0), (20, -1.0), (40, 2.0)])
     with pytest.raises(ValueError, match="positive"):
         fit_scaling([(-10, 1.0), (20, 2.0), (40, 3.0)])
+
+
+def _wobbly_sqrt_points(n):
+    """Scales 100, 200, ..., 100 n; regrets 3 sqrt(scale) times 0.75 to 1.25."""
+    return [(100.0 * k, 3.0 * math.sqrt(100.0 * k) * (1.0 + ((7 * k - 7) % 11 - 5) / 20))
+            for k in range(1, n + 1)]
+
+
+# Exponent and 95% half-width of `_wobbly_sqrt_points(n)` as scipy 1.17.1 fit
+# them (`stats.linregress` on the logs, `stats.t.ppf(0.975, n - 2)`).
+SCIPY_FITS = {
+    3: (0.7075844701693168, 3.4986149841545973),
+    4: (0.7941486059856474, 0.700882294199425),
+    5: (0.7246274785826147, 0.3918424561038048),
+    12: (0.5173278221744907, 0.16683337832552317),
+    32: (0.5198750630125389, 0.07189856771219151),
+    33: (0.5175928713969626, 0.06944799759839178),
+    200: (0.502043167897739, 0.023769473281823637),
+}
+
+
+def test_fit_scaling_matches_scipy_linregress():
+    for n, (exponent, halfwidth) in SCIPY_FITS.items():
+        fit = fit_scaling(_wobbly_sqrt_points(n))
+        assert fit.exponent == exponent, n
+        if n <= 32:  # 30 or fewer degrees of freedom: the t quantile is scipy's own
+            assert fit.halfwidth == halfwidth, n
+        else:
+            assert fit.halfwidth == pytest.approx(halfwidth, rel=2e-8, abs=0.0), n
+    with pytest.raises(ValueError):
+        fit_scaling([(100, 1.0), (100, 2.0), (100, 3.0)])
+    assert fit_scaling([(T, 3.0 * math.sqrt(T)) for T in (100, 400, 1600)]).halfwidth == 0.0
 
 
 # ---------------------------------------------------------------------------

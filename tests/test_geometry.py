@@ -1,6 +1,7 @@
+import math
+
 import numpy as np
 import pytest
-from scipy.special import rel_entr
 
 from laglearn.geometry import (
     Ball,
@@ -211,7 +212,7 @@ def test_negentropy_bregman_is_kl():
     nmap = NegativeEntropyMap()
     x = np.array([0.5, 0.5])
     y = np.array([0.9, 0.1])
-    kl = float(np.sum(rel_entr(x, y)))  # independent KL
+    kl = 0.5 * math.log(0.5 / 0.9) + 0.5 * math.log(0.5 / 0.1)  # KL(x || y) by hand
     assert nmap.bregman(x, y) == pytest.approx(kl, abs=1e-12)
     assert kl == pytest.approx(0.5108256238, abs=1e-9)
     assert nmap.bregman(x, x) == 0.0

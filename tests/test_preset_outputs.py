@@ -3,9 +3,8 @@ three-trial single run must write exactly the files they wrote when these
 digests were recorded.
 
 A digest is SHA-256 over each output file's name and bytes, in name order.
-The outputs depend on numpy's random streams and float kernels (and scipy's
-for the scaling fits), so the gate only applies under the versions the
-digests were recorded with.  To record new digests after an intended output
+The outputs depend on numpy's random streams and float kernels, so the gate
+only applies under the numpy version the digests were recorded with.  To record new digests after an intended output
 change, print `_digest(out)` for each preset and say why in CHANGES.md.
 """
 
@@ -13,11 +12,10 @@ import hashlib
 
 import numpy
 import pytest
-import scipy
 
 from laglearn import cli, experiments
 
-RECORDED_WITH = {"numpy": "2.4.6", "scipy": "1.17.1"}
+RECORDED_WITH = {"numpy": "2.4.6"}
 
 DIGESTS = {
     "fig1": "78cc6c7246eb0bee930ccd75a4f6e3259dde28fa35ce4c3eef8dd76ca977dce1",
@@ -43,7 +41,7 @@ def test_digests_cover_every_preset():
 
 
 def _check_versions():
-    installed = {"numpy": numpy.__version__, "scipy": scipy.__version__}
+    installed = {"numpy": numpy.__version__}
     if installed != RECORDED_WITH:
         pytest.skip(f"digests recorded with {RECORDED_WITH}, running with {installed}")
 
