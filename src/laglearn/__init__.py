@@ -19,7 +19,6 @@ from .evaluation import (
     Trajectory,
     aggregate,
     fit_scaling,
-    harmonic,
     offline_optimum,
     regret,
     write_csv,

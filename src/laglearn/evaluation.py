@@ -11,11 +11,10 @@ benchmark the guarantees are stated against.
 One `Trajectory` records all the trials of one game and one
 `RegretReport` their regret; row k of every array is trial k.  `regret`
 measures the trials at once: a single `offline_optimum` call solves every
-trial's comparator as one batch, whose rows are the trials for the closed
-forms and trials x restarts for projected gradient descent.  Each row
-rounds exactly as solving its trial alone does, so a trial's comparator
-does not depend on the batch it is in.  `aggregate` reduces a report's
-rows to their mean and standard error.
+trial's comparator as one batch, one row per trial, and certifies each
+row by its Frank-Wolfe gap.  Each row rounds exactly as solving its trial
+alone does, so a trial's comparator does not depend on the batch it is
+in.  `aggregate` reduces a report's rows to their mean and standard error.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import numpy as np
 
 from .feedback import FeedbackBuffer
 from .geometry import Array, ConvexBody, norms
-from .losses import ExpLoss, Loss, NormLoss, PowerLoss, QuadraticLoss
+from .losses import Loss, NormLoss, QuadraticLoss
 
 
 # CSV rows are formatted from `tolist()` chunks of this many rounds, never
@@ -67,11 +66,27 @@ class Trajectory:
         return np.max(gaps, axis=1, initial=0.0, where=~np.isnan(gaps))
 
 
+# A comparator is certified once its Frank-Wolfe gap, a bound on its total
+# minus the least total, is at most this share of its total (or of 1, if
+# larger).  Criterion 8's 1e-6 match of the quadratic points needs <= 1e-6.
+GAP_TOLERANCE = 1e-7
+MAX_STEPS = 3_000  # trial steps, accepted or not, before giving up uncertified
+
+
+def _certified(gap, total):
+    return gap <= GAP_TOLERANCE * np.maximum(total, 1.0)
+
+
 @dataclass
 class OfflineSolution:
     point: Array
     total: float
-    converged: bool = True
+    gap: float                       # Frank-Wolfe gap: total - least total <= gap
+
+    @property
+    def converged(self) -> bool:
+        """Whether the gap certifies the total to `GAP_TOLERANCE`."""
+        return bool(_certified(self.gap, self.total))
 
 
 class OfflineSolutions(tuple):
@@ -79,7 +94,7 @@ class OfflineSolutions(tuple):
 
     @property
     def converged(self) -> bool:
-        """Whether every trial's search converged."""
+        """Whether every trial's comparator is certified."""
         return all(solution.converged for solution in self)
 
 
@@ -111,37 +126,29 @@ class ScalingFit:
     points_used: int
 
 
-def harmonic(n: int) -> float:
-    """n-th harmonic number (sum of 1/k, k = 1..n)."""
-    if n < 1:
-        return 0.0
-    return float(np.sum(1.0 / np.arange(1, n + 1)))
-
-
 # ---------------------------------------------------------------------------
 # Offline comparator
 # ---------------------------------------------------------------------------
 
 def offline_optimum(losses: Loss | list[Loss], body: ConvexBody,
-                    max_iters: int = 100_000, restarts: int = 5,
-                    seed: int = 0, method: str = "auto") -> OfflineSolutions:
+                    method: str = "auto") -> OfflineSolutions:
     """Best fixed decision of each trial: argmin over the body of its summed losses.
 
     `losses` is one loss whose anchors have shape (trials, T, d), one
     problem per trial.  Anchors of shape (T, d), or a list of single losses
-    of one family, are a batch of one.  Returns one solution per trial.
+    of one family, are a batch of one.  Returns one solution per trial,
+    with the Frank-Wolfe gap that certifies it.
 
-    Quadratic families admit a closed form (the summed quadratic is a
-    single isotropic quadratic, so projecting its weighted-mean center is
-    exact); one-dimensional norm losses reduce to the median.  Everything
-    else runs projected gradient descent on trials x restarts rows at once:
-    every trial starts from the same `restarts` random points, each row
-    steps by its trial's 1/(L n) and freezes once its displacement drops
-    below 1e-8, and each trial keeps its restart of lowest objective (the
-    first, on ties).  A row's arithmetic is that of solving its trial
-    alone, so batching does not change a bit.  `method="iterative"` forces
-    the gradient path even where a closed form exists (used to cross-check
-    the two).
+    Projected gradient descent starts from the closed form where there is
+    one, which certifies at once: the projected weighted-mean center of a
+    quadratic sum, the projected median of 1-d norm losses.  Otherwise it
+    starts from the projected anchor mean.  Each trial's step 1/L follows
+    Armijo's rule (Beck & Teboulle 2009): L doubles on a rejected step and
+    halves after an accepted one.  A trial stops once its gap is within
+    `GAP_TOLERANCE`; one still uncertified after `MAX_STEPS` steps is
+    returned with a `RuntimeWarning`.  Every step is row-wise, so a trial's
+    answer does not depend on its batch.  `method="iterative"` skips the
+    closed forms (to cross-check them).
     """
     if method not in ("auto", "iterative"):
         raise ValueError("method must be 'auto' or 'iterative'")
@@ -151,201 +158,74 @@ def offline_optimum(losses: Loss | list[Loss], body: ConvexBody,
         losses = losses[None]
     if losses.anchor.ndim != 3 or 0 in losses.anchor.shape:
         raise ValueError("need a nonempty list of losses")
-    trials, horizon, dim = losses.anchor.shape
+    dim = losses.anchor.shape[-1]
     if body.dim != dim:
         raise ValueError("body dimension does not match the losses")
 
-    objective, gradient = _sum_oracles(losses)
-    solved = np.ones((trials, 1), dtype=bool)
-
     if method == "auto" and isinstance(losses, QuadraticLoss):
         weights = losses.a
-        center = (weights[..., None] * losses.anchor).sum(axis=1) / weights.sum(axis=1)[:, None]
-        return _best_restarts(body.project(center)[:, None], objective, solved)
-
-    if method == "auto" and isinstance(losses, NormLoss) and dim == 1:
-        median = np.median(losses.anchor[..., 0], axis=1)
-        return _best_restarts(body.project(median[:, None])[:, None], objective, solved)
-
-    radius = body.radius_bound + np.max(norms(losses.anchor), axis=1)
-    lipschitz = np.array([losses[k].lipschitz_bound(r) for k, r in enumerate(radius.tolist())])
-    step = (1.0 / (lipschitz * horizon))[:, None, None]
-    rng = np.random.default_rng(seed)
-    starts = np.stack([body.sample(rng) for _ in range(restarts)])
-    x = np.broadcast_to(starts, (trials, restarts, dim)).copy()
-    frozen = np.zeros((trials, restarts), dtype=bool)
-    for _ in range(max_iters):
-        x_next = body.project(x - step * gradient(x))
-        settled = norms(x_next - x) <= 1e-8
-        x = np.where(frozen[..., None], x, x_next)
-        frozen |= settled
-        if frozen.all():
-            break
-    return _best_restarts(x, objective, frozen)
-
-
-def _best_restarts(x: Array, objective, converged: Array) -> OfflineSolutions:
-    """Each trial's restart row of lowest objective, the first on ties.
-
-    `x` holds the final points (trials, restarts, d) and `converged` which
-    rows converged; a trial converged if any of its restarts did.
-    """
-    values = objective(x)
-    values = np.where(np.isnan(values), np.inf, values)
-    best = np.argmin(values, axis=1)
-    rows = np.arange(len(x))
-    converged = converged.any(axis=1)
-    if not converged.all():
-        warnings.warn("offline comparator search hit the iteration budget", RuntimeWarning)
-    return OfflineSolutions(
-        OfflineSolution(point=point, total=total, converged=ok)
-        for point, total, ok in zip(x[rows, best], values[rows, best].tolist(),
-                                    converged.tolist()))
-
-
-# np.linalg.norm sums a row of fewer than this many squares in order, and
-# a longer one pairwise.
-_PAIRWISE_FROM = 8
-
-
-def _squared_norms(diff: Array, out: Array | None = None, spare: Array | None = None) -> Array:
-    """Sum of squares over the leading coordinate axis of `diff`.
-
-    Rounded as `np.linalg.norm(axis=-1)` rounds the same numbers laid out
-    coordinate-last: in order below `_PAIRWISE_FROM` coordinates, by numpy's
-    own pairwise sum from there up.  `out` and `spare`, when given, are
-    arrays of the result's shape to work in.
-    """
-    if len(diff) >= _PAIRWISE_FROM:
-        return np.add.reduce(np.moveaxis(diff * diff, 0, -1).copy(), axis=-1, out=out)
-    total = np.multiply(diff[0], diff[0], out=out)
-    for coordinate in diff[1:]:
-        total += np.multiply(coordinate, coordinate, out=spare)
-    return total
-
-
-def _sum_rounds(terms: Array, kinks: Array | None = None) -> Array:
-    """Sum over the trailing rounds axis of `terms` (d, trials, rows, T),
-    returned coordinate-last as (trials, rows, d).
-
-    Rounded as `np.sum(axis=0)` rounds one row's (T, d) array: numpy adds
-    the rounds pairwise when d == 1, where they are contiguous, and in
-    order when d >= 2.  Overwrites `terms`.  A row with rounds in `kinks`
-    (trials, rows, T) is summed again on its own, over its other rounds
-    only, as the single solve leaves a kink's zero subgradient out.
-    """
-    if len(terms) == 1:
-        total = np.add.reduce(terms, axis=-1)
+        start = (weights[..., None] * losses.anchor).sum(axis=1) / weights.sum(axis=1)[:, None]
+    elif method == "auto" and isinstance(losses, NormLoss) and dim == 1:
+        start = np.median(losses.anchor[..., 0], axis=1)[:, None]
     else:
-        sums = np.add.accumulate(terms, axis=-1, out=terms if kinks is None else None)
-        total = sums[..., -1].copy()
-    if kinks is not None:
-        for k, row in zip(*np.nonzero(kinks.any(axis=-1))):
-            total[:, k, row] = np.sum(terms[:, k, row].T[~kinks[k, row]], axis=0)
-    return np.moveaxis(total, 0, -1)
+        start = losses.anchor.mean(axis=1)
+    x, total, gap = _descend(losses, body, body.project(start))
+    solutions = OfflineSolutions(OfflineSolution(point=point, total=value, gap=width)
+                                 for point, value, width in zip(x, total.tolist(), gap.tolist()))
+    if not solutions.converged:
+        warnings.warn("offline comparator is not certified: its Frank-Wolfe gap is above "
+                      "the tolerance", RuntimeWarning)
+    return solutions
 
 
-def _sum_directions(numerator: Array, r: Array) -> Array:
-    """Sum over the rounds of numerator / r, skipping the kinks where r == 0."""
-    kinks = r == 0
-    terms = np.divide(numerator, r, out=numerator, where=~kinks)
-    return _sum_rounds(terms, kinks if kinks.any() else None)
+def _oracles(losses: Loss, body: ConvexBody, x: Array):
+    """Each trial's total at x, its Frank-Wolfe gap max_y <g, x - y>, and g.
 
-
-def _sum_oracles(losses: Loss):
-    """Value and gradient of each trial's summed objective, per family.
-
-    `losses` holds anchors (trials, T, d).  The oracles take points
-    (trials, rows, d) and return values (trials, rows) and gradients
-    (trials, rows, d).  Offsets from the anchors are laid out
-    coordinate-major, (d, trials, rows, T), so that every step runs along
-    contiguous rounds, in arrays the gradient reuses from one call to the
-    next.  Each family keeps the formula of a single solve term by term
-    (sums of squares as `np.linalg.norm` takes them, not `sqrt(vecdot)`),
-    and `_squared_norms` and `_sum_rounds` add in the order numpy adds one
-    trial's (T, d) arrays.
+    g is the summed gradient, but at kinks the kinked terms add a ball of
+    radius sum radial'(0+), which cancels the rest as far as it reaches:
+    g is the subgradient of least norm, and a minimum on anchors has gap 0.
     """
-    anchors = np.ascontiguousarray(losses.anchor.transpose(2, 0, 1))[:, :, None]
-    arrays: dict[str, Array] = {}
+    total = np.add.reduce(losses.value(x[:, None]), axis=-1)
+    g = losses.grad(x[:, None]).sum(axis=1)
+    slopes = losses.kink_slope()
+    if slopes.any():
+        ball = np.add.reduce(np.where(losses.distance(x[:, None]) == 0.0, slopes, 0.0), -1)
+        length = norms(g)
+        cancelled = np.divide(ball, length, out=np.ones_like(ball), where=length > 0)
+        g *= 1.0 - np.minimum(cancelled, 1.0)[:, None]
+    return total, np.vecdot(g, x - body.linear_minimizer(g)), g
 
-    def reused(name, shape):
-        if name not in arrays or arrays[name].shape != shape:
-            arrays[name] = np.empty(shape)
-        return arrays[name]
 
-    def offsets(x):
-        """Offsets (d, trials, rows, T) from the anchors and their squared norms."""
-        shape = (len(anchors), len(x), x.shape[1], anchors.shape[-1])
-        diff = np.subtract(x.transpose(2, 0, 1)[..., None], anchors, out=reused("diff", shape))
-        return diff, _squared_norms(diff, reused("squares", shape[1:]), reused("spare", shape[1:]))
-
-    def distances(x):
-        diff, squares = offsets(x)
-        return diff, np.sqrt(squares, out=squares)
-
-    if isinstance(losses, QuadraticLoss):
-        a = losses.a[:, None, :]
-        b_total = np.array([float(sum(row)) for row in losses.b.tolist()])[:, None]
-
-        def value(x):
-            return np.vecdot(a, offsets(x)[1]) + b_total
-
-        def grad(x):
-            diff = offsets(x)[0]
-            return 2.0 * _sum_rounds(np.multiply(a, diff, out=diff))
-
-        return value, grad
-
-    if isinstance(losses, NormLoss):
-        def value(x):
-            return np.add.reduce(distances(x)[1], axis=-1)
-
-        def grad(x):
-            return _sum_directions(*distances(x))
-
-        return value, grad
-
-    if isinstance(losses, PowerLoss) and np.all(losses.m == losses.m.flat[0]):
-        m = int(losses.m.flat[0])
-
-        def value(x):
-            return np.add.reduce(distances(x)[1] ** m, axis=-1)
-
-        def grad(x):
-            diff, r = distances(x)
-            if m == 1:
-                return _sum_directions(diff, r)
-            return m * _sum_rounds(np.multiply(r ** (m - 2), diff, out=diff))
-
-        return value, grad
-
-    coefficients = (losses.a, losses.s, losses.m) if isinstance(losses, ExpLoss) else ()
-    if coefficients and all(np.all(c == c.flat[0]) for c in coefficients):
-        a, s, m = float(losses.a.flat[0]), float(losses.s.flat[0]), int(losses.m.flat[0])
-
-        def value(x):
-            return a * np.add.reduce(np.exp(distances(x)[1] ** m / s**2), axis=-1)
-
-        def grad(x):
-            diff, r = distances(x)
-            if m == 1:
-                w = a / s**2 * np.exp(r / s**2)
-                return _sum_directions(np.multiply(w, diff, out=diff), r)
-            w = a * m / s**2 * r ** (m - 2) * np.exp(r**m / s**2)
-            return _sum_rounds(np.multiply(w, diff, out=diff))
-
-        return value, grad
-
-    # Mixed coefficients: the family's own row-wise oracles, coordinate-last.
-    rows = losses[:, None]
-
-    def value(x):
-        return np.add.reduce(rows.value(x[:, :, None]), axis=-1)
-
-    def grad(x):
-        return np.sum(rows.grad(x[:, :, None]), axis=2)
-
-    return value, grad
+def _descend(losses: Loss, body: ConvexBody, x: Array):
+    """Projected gradient descent from x with backtracking, until every trial
+    is certified.  A step that overflows has no finite total, and is rejected."""
+    kinks = losses.kink_slope() > 0
+    with np.errstate(all="ignore"):
+        total, gap, g = _oracles(losses, body, x)
+        curvature = np.ones(len(x))
+        for _ in range(MAX_STEPS):
+            open_ = ~_certified(gap, total)
+            if not open_.any():
+                break
+            step = body.project(x - g / curvature[:, None])
+            moved = step - x
+            tried = np.add.reduce(losses.value(step[:, None]), axis=-1)
+            bound = total + np.vecdot(g, moved) + curvature / 2 * np.vecdot(moved, moved)
+            accepted = open_ & np.isfinite(tried) & (tried <= bound)
+            if kinks.any() and not accepted[open_].all():
+                # No gradient step lands on a kink: a trial whose step was rejected
+                # moves to its nearest kinked anchor if that lowers its total.
+                r = np.where(kinks, losses.distance(x[:, None]), np.inf)
+                snap = body.project(losses.anchor[np.arange(len(x)), np.argmin(r, axis=1)])
+                tried = np.add.reduce(losses.value(snap[:, None]), axis=-1)
+                snapped = open_ & ~accepted & (tried < total)
+                step, accepted = np.where(snapped[:, None], snap, step), accepted | snapped
+            curvature *= np.where(accepted, 0.5, np.where(open_, 2.0, 1.0))
+            if accepted.any():
+                x[accepted] = step[accepted]
+                total[accepted], gap[accepted], g[accepted] = _oracles(losses[accepted], body,
+                                                                       x[accepted])
+    return x, total, gap
 
 
 # ---------------------------------------------------------------------------

@@ -461,7 +461,7 @@ def _build_arm(cfg: ExperimentConfig, seeds: list[int]):
         if wrong:
             raise ConfigFileError([f"delays.path: delay file has delay {wrong[0]}; a fixed-lag "
                                    f"learner needs every delay to be tau + 1 = {cfg.tau + 1}"])
-    _auto_lipschitz(cfg, body)  # the comparator needs it for every family without a closed form
+    _auto_lipschitz(cfg, body)  # rejects a loss with no finite gradient bound on the body
     learner = _build_learner(cfg, body, delays, cfg.horizon)
     return body, streams, delays, learner
 

@@ -77,10 +77,10 @@ def _unscale_overflow(offset: Array, dist: Array) -> None:
 class ConvexBody:
     """A closed convex set with a Euclidean nearest-point (projection) oracle.
 
-    Subclasses provide row-wise `project` and `contains`, and
-    `sample_many`, plus a `radius_bound` R with ||x|| <= R for every
-    member x.  Projecting a point that `project` returned gives it back
-    bit for bit, on every body but the simplex.
+    Subclasses provide row-wise `project`, `contains` and
+    `linear_minimizer`, and `sample_many`, plus a `radius_bound` R with
+    ||x|| <= R for every member x.  Projecting a point that `project`
+    returned gives it back bit for bit, on every body but the simplex.
     """
 
     dim: int
@@ -92,8 +92,9 @@ class ConvexBody:
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator) -> Array:
-        return self.sample_many(1, rng)[0]
+    def linear_minimizer(self, g) -> Array:
+        """A member y minimizing <g, y>, row by row (the Frank-Wolfe oracle)."""
+        raise NotImplementedError
 
     def sample_many(self, n: int, rng: np.random.Generator) -> Array:
         raise NotImplementedError
@@ -141,6 +142,13 @@ class Ball(ConvexBody):
     def contains(self, x, tol: float = MEMBERSHIP_TOL):
         return norms(as_points(x, self.dim) - self.center) <= self.radius + tol
 
+    def linear_minimizer(self, g) -> Array:
+        # c - r g / ||g||, the center where g = 0.  Each row is first scaled to
+        # a largest |coordinate| of 1, so its norm is 0 or at least 1 and finite.
+        top = np.max(np.abs(as_points(g, self.dim)), axis=-1, keepdims=True)
+        g = np.divide(g, top, out=np.zeros(top.shape[:-1] + (self.dim,)), where=top > 0)
+        return self.center - self.radius * g / np.maximum(norms(g), 1.0)[..., None]
+
     def sample_many(self, n: int, rng: np.random.Generator) -> Array:
         # Uniform in the ball: random direction times radius * U^(1/d).
         raw = rng.standard_normal((n, self.dim))
@@ -182,6 +190,9 @@ class Box(ConvexBody):
     def contains(self, x, tol: float = MEMBERSHIP_TOL):
         v = as_points(x, self.dim)
         return np.all((v >= self.lo - tol) & (v <= self.hi + tol), axis=-1)
+
+    def linear_minimizer(self, g) -> Array:
+        return np.where(as_points(g, self.dim) > 0, self.lo, self.hi)
 
     def sample_many(self, n: int, rng: np.random.Generator) -> Array:
         return rng.uniform(self.lo, self.hi, size=(n, self.dim))
@@ -237,6 +248,10 @@ class Polygon(ConvexBody):
         nearest = np.take_along_axis(candidates, best[..., None, None], axis=-2)[..., 0, :]
         return np.where(inside[..., None], v, nearest)
 
+    def linear_minimizer(self, g) -> Array:
+        scores = np.vecdot(as_points(g, 2)[..., None, :], self.vertices)
+        return self.vertices[np.argmin(scores, axis=-1)]
+
     def sample_many(self, n: int, rng: np.random.Generator) -> Array:
         # Fan triangulation from vertex 0, area-weighted triangle choice,
         # then uniform barycentric sampling inside the chosen triangle.
@@ -278,6 +293,9 @@ class Simplex(ConvexBody):
     def contains(self, x, tol: float = MEMBERSHIP_TOL):
         v = as_points(x, self.dim)
         return np.all(v >= -tol, axis=-1) & (np.abs(v.sum(axis=-1) - 1.0) <= tol)
+
+    def linear_minimizer(self, g) -> Array:
+        return np.eye(self.dim)[np.argmin(as_points(g, self.dim), axis=-1)]
 
     def sample_many(self, n: int, rng: np.random.Generator) -> Array:
         return rng.dirichlet(np.ones(self.dim), size=n)

@@ -18,7 +18,8 @@ one round of every trial without building an object per round.
 `grad` returns the gradient radial'(r) * (x - u) / r.  Profiles with a
 kink at the anchor (norm, and power/exp with m = 1) return the zero
 vector there, which is a valid subgradient; `kinks` says where that
-happens.
+happens.  The whole subdifferential there is the ball of radius
+radial'(0+), which `kink_slope` gives per row.
 """
 
 from __future__ import annotations
@@ -109,7 +110,11 @@ class Loss:
 
     def kinks(self, x, at=...) -> Array:
         """Rows where `grad` returns the zero subgradient at a kink."""
-        return self._kinked(self.distance(x, at), at)
+        return (self.distance(x, at) == 0.0) & (self.kink_slope(at) > 0.0)
+
+    def kink_slope(self, at=...) -> Array:
+        """radial'(0+) of the rows `at`: 0 where the profile is smooth at the anchor."""
+        return np.zeros(self.anchor[at].shape[:-1])
 
     def lipschitz_bound(self, radius: float) -> float:
         """Bound on ||grad|| over ||x - anchor|| <= radius, for every row.
@@ -132,9 +137,6 @@ class Loss:
 
     def _grad(self, d: Array, r: Array, at) -> Array:
         raise NotImplementedError
-
-    def _kinked(self, r: Array, at) -> Array:
-        return np.zeros(np.shape(r), dtype=bool)
 
     def _offset(self, x, at) -> Array:
         v = np.asarray(x, dtype=float)
@@ -162,8 +164,8 @@ class NormLoss(Loss):
         r = r[..., None]
         return np.divide(d, r, out=np.zeros(d.shape), where=r != 0.0)
 
-    def _kinked(self, r, at) -> Array:
-        return r == 0.0
+    def kink_slope(self, at=...) -> Array:
+        return np.ones(self.anchor[at].shape[:-1])
 
     def _lipschitz(self, radius: float) -> float:
         return 1.0
@@ -216,8 +218,8 @@ class PowerLoss(Loss):
         zero = r == 0.0
         return _radial_direction(d, m * np.float_power(np.where(zero, 1.0, r), m - 2), zero)
 
-    def _kinked(self, r, at) -> Array:
-        return (r == 0.0) & (self.m[at] == 1)
+    def kink_slope(self, at=...) -> Array:
+        return np.where(self.m[at] == 1, 1.0, 0.0)
 
     def _lipschitz(self, radius: float) -> float:
         return max(m * float(radius) ** (m - 1) for m in set(self.m.ravel().tolist()))
@@ -248,8 +250,8 @@ class ExpLoss(Loss):
         slope = a * m * np.float_power(safe, m - 2) * np.exp(np.float_power(safe, m) / s2) / s2
         return _radial_direction(d, slope, zero)
 
-    def _kinked(self, r, at) -> Array:
-        return (r == 0.0) & (self.m[at] == 1)
+    def kink_slope(self, at=...) -> Array:
+        return np.where(self.m[at] == 1, self.a[at] / np.float_power(self.s[at], 2), 0.0)
 
     def _lipschitz(self, radius: float) -> float:
         # One numeric path for every m: maximize the radial slope on a grid.

@@ -1,8 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
+from laglearn import evaluation
 from laglearn.environment import (
     GaussianStream,
     LinearScoring,
@@ -12,20 +14,20 @@ from laglearn.environment import (
 )
 from laglearn.evaluation import (
     CSV_CHUNK,
+    GAP_TOLERANCE,
     AggregateCurves,
     Trajectory,
     aggregate,
     fit_scaling,
-    harmonic,
     offline_optimum,
     regret,
     write_csv,
 )
 from laglearn.experiments import _write_trajectory_csv
 from laglearn.feedback import FeedbackBuffer, FixedDelay
-from laglearn.geometry import Ball, Box
+from laglearn.geometry import Ball, Box, regular_polygon
 from laglearn.learners import GradientLearner, InverseSqrtStep, InverseTimeStep
-from laglearn.losses import Loss, NormLoss, QuadraticLoss
+from laglearn.losses import ExpLoss, Loss, NormLoss, QuadraticLoss
 
 
 def interval(lo, hi):
@@ -94,8 +96,7 @@ def test_offline_comparator_beats_random_candidates():
     losses = [NormLoss(rng.normal(size=2)) for _ in range(25)]
     body = Ball([0.0, 0.0], 4.0)
     (sol,) = offline_optimum(losses, body)
-    for _ in range(100):
-        y = body.sample(rng)
+    for y in body.sample_many(100, rng):
         assert sol.total <= sum(l.value(y) for l in losses) + 1e-6
 
 
@@ -108,13 +109,60 @@ def test_offline_optimum_input_validation():
         offline_optimum([NormLoss([0.0])], Ball([0.0], 1.0), method="nope")
 
 
-def test_offline_optimum_warns_when_budget_exhausted():
-    losses = [QuadraticLoss([3.0], a=1.0)]
-    with pytest.warns(RuntimeWarning, match="iteration budget"):
-        (sol,) = offline_optimum(losses, Ball([0.0], 4.0), method="iterative",
-                              max_iters=2, restarts=1)
+def frank_wolfe_gap(losses, body, x):
+    """max over the body of <g, x - y>, g the summed gradient at x."""
+    g = losses.grad(x).sum(axis=0)
+    return float(g @ (x - body.linear_minimizer(g)))
+
+
+def test_offline_optimum_solves_a_steep_exp_sum_and_certifies_it():
+    # Steep: the gradient bound over the ball is about exp(178), so only a
+    # step that adapts to the local curvature gets anywhere.
+    anchors = 1 + 0.05 * np.random.default_rng(0).standard_normal((20, 1))
+    losses = ExpLoss(anchors, a=1.0, s=0.3, m=2)
+    body = Ball([0.0], 4.0)
+    (sol,) = offline_optimum(losses, body)
+    assert sol.point[0] == pytest.approx(0.990, abs=5e-4)
+    assert sol.total == pytest.approx(20.415, abs=5e-4)
+    assert sol.converged and sol.gap <= GAP_TOLERANCE * sol.total
+    # 1.079, with total 22.36, is far from certified: its gap is 233.
+    stuck = np.array([1.079])
+    assert frank_wolfe_gap(losses, body, stuck) > 200.0 > GAP_TOLERANCE * losses.value(stuck).sum()
+
+
+def test_offline_optimum_certifies_a_minimum_on_a_repeated_anchor():
+    # Half the norm losses sit on one anchor, the least total's point: no
+    # gradient step lands there, and only the kinked terms' subdifferential
+    # ball certifies it.
+    body = regular_polygon(5, (1.0, 1.0), 1.0)
+    anchors = np.concatenate([np.tile([1.2, 1.1], (30, 1)),
+                              body.sample_many(30, np.random.default_rng(1))])
+    start = time.perf_counter()
+    (sol,) = offline_optimum(NormLoss(anchors), body)
+    assert time.perf_counter() - start < 2.0
+    assert sol.total <= 18.3449
+    assert sol.converged and sol.gap == 0.0
+    assert np.array_equal(sol.point, [1.2, 1.1])
+
+
+def test_median_on_anchors_certifies_with_the_kinked_subgradient_ball():
+    losses = NormLoss([[0.0], [0.0], [1.0]])
+    body = interval(-20.0, 20.0)
+    (sol,) = offline_optimum(losses, body)
+    assert sol.point[0] == 0.0
+    assert sol.gap == 0.0 and sol.converged
+    # The zero subgradient at the kinks leaves g = -1 and a false gap of 20.
+    assert frank_wolfe_gap(losses, body, sol.point) == 20.0
+
+
+def test_offline_optimum_warns_when_it_stops_uncertified(monkeypatch):
+    monkeypatch.setattr(evaluation, "MAX_STEPS", 2)
+    losses = ExpLoss(1 + 0.05 * np.random.default_rng(0).standard_normal((20, 1)),
+                     a=1.0, s=0.3, m=2)
+    with pytest.warns(RuntimeWarning, match="not certified"):
+        (sol,) = offline_optimum(losses, Ball([0.0], 4.0))
     assert not sol.converged
-    assert sol.point is not None
+    assert sol.gap > GAP_TOLERANCE * sol.total
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +399,6 @@ def test_chunked_writers_match_the_row_by_row_formatter(tmp_path):
 # Theoretical ceiling (loose upper bound, strongly convex case)
 # ---------------------------------------------------------------------------
 
-def test_harmonic_numbers():
-    assert harmonic(1) == 1.0
-    assert harmonic(4) == pytest.approx(1.0 + 0.5 + 1.0 / 3.0 + 0.25)
-    assert harmonic(0) == 0.0
-
-
 def test_strongly_convex_regret_under_harmonic_ceiling():
     # Fixed curvature instance: regret must sit far below the explicit
     # 2 g tau R^2 + (2R^2/g) H(T) + (1/2 + tau) L'^2 H(T - tau) / g ceiling.
@@ -368,6 +410,9 @@ def test_strongly_convex_regret_under_harmonic_ceiling():
     traj = run_game(learner, [stream], [FixedDelay(tau)], fixed_loss(QuadraticLoss, a=a, b=0.0),
                     LinearScoring.default(1, 1), horizon=horizon, seeds=[43])
     report = regret(traj, body)
+
+    def harmonic(n):
+        return float(np.sum(1.0 / np.arange(1, n + 1)))
 
     R = body.radius_bound
     L = 2.0 * a * (2.0 * R)

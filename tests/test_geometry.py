@@ -189,6 +189,18 @@ def test_radius_bound_covers_samples(body):
         assert body.contains(row, tol=1e-9)
 
 
+@pytest.mark.parametrize("body", bodies(), ids=lambda b: b.describe()[:20])
+def test_linear_minimizer_is_a_member_below_every_sample(body):
+    rng = np.random.default_rng(5)
+    g = rng.normal(size=(50, body.dim))
+    g[0] = 0.0
+    y = body.linear_minimizer(g)
+    assert y.shape == g.shape
+    assert body.contains(y, tol=1e-9).all()
+    samples = body.sample_many(500, rng)
+    assert np.all(np.vecdot(g, y) <= np.min(g @ samples.T, axis=1) + 1e-9)
+
+
 def test_project_many_matches_project():
     rng = np.random.default_rng(11)
     for body in bodies():

@@ -95,6 +95,15 @@ def test_zero_subgradient_at_kinked_anchor():
     assert not loss.kinks([0.5])
 
 
+def test_kink_slope_is_the_radial_slope_at_the_anchor():
+    anchors = np.zeros((2, 1))
+    assert np.array_equal(NormLoss(anchors).kink_slope(), [1.0, 1.0])
+    assert np.array_equal(PowerLoss(anchors, m=[1, 3]).kink_slope(), [1.0, 0.0])
+    assert np.array_equal(ExpLoss(anchors, a=0.5, s=2.0, m=[1, 2]).kink_slope(), [0.125, 0.0])
+    assert np.array_equal(QuadraticLoss(anchors, a=1.0).kink_slope(), [0.0, 0.0])
+    assert np.array_equal(ExpLoss(anchors, a=0.5, s=2.0, m=1).kink_slope(at=1), 0.125)
+
+
 def test_gradients_match_central_differences():
     # 200 random smooth points per family, relative error <= 1e-5.
     rng = np.random.default_rng(23)

@@ -8,33 +8,22 @@ rejects must make `run` exit 2 and write nothing.  An exception escaping
 """
 
 import contextlib
-import functools
 import io
 import re
 import tempfile
 import warnings
 from pathlib import Path
-from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from laglearn import cli, evaluation, experiments
-
-# Losses without a closed-form comparator send it into projected gradient
-# descent, which on a kinked or steep sum can take its whole budget of
-# 100 000 steps: seconds an arm.  The contract does not depend on the
-# budget, so the test cuts it; `regret` reaches the solver through the
-# module attribute, and every run that completes must have called it.
-SHORT_COMPARATOR = functools.partial(evaluation.offline_optimum, max_iters=1_000)
+from laglearn import cli, experiments
 
 # The errors an accepted config may still end in, each with the streams or
 # delays whose data can cause it.
 DATA_ERRORS = [
     # a gradient or step that overflows mid-run (NonFiniteGradient)
     (re.compile(r"error: (gradient|step) has NaN or infinite entries at round \d+"), None),
-    # the comparator's gradient bound over csv anchors that lie outside the body
-    (re.compile(r"error: \w+ loss with m = \d+ has no finite gradient bound"), "csv"),
 ]
 
 
@@ -191,16 +180,12 @@ def test_validate_and_run_agree(drawn):
         out = root / "out"
         stderr = io.StringIO()
         with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()), \
-                warnings.catch_warnings(), \
-                mock.patch.object(evaluation, "offline_optimum",
-                                  side_effect=SHORT_COMPARATOR) as solver:
+                warnings.catch_warnings():
             warnings.simplefilter("ignore")
             accepted = cli.main(["validate", str(config)]) == 0
             code = cli.main(["run", str(config), "--out-dir", str(out)])
         if accepted:
             assert code in (0, 2), stderr.getvalue()
-            if code == 0:
-                assert solver.called
             if code == 2:
                 last = stderr.getvalue().splitlines()[-1]
                 sources = (None, sections["stream"]["kind"], sections["delays"].get("kind"))
