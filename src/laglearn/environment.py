@@ -16,9 +16,9 @@ in lockstep, as one game on (trials, dim) arrays; the game's one copy of
 its state is trial-major, (trials, horizon, ...), and is returned as one
 `Trajectory` whose row k is trial k.
 
-Scores are separable, score(known, hidden) = known_part + hidden_part,
-with the hidden component 1-Lipschitz, so the per-round score error is
-bounded by the loss the game already measures:
+Scores are separable, score(known, hidden) = <w_known, known> +
+<w_hidden, hidden>, with the hidden component 1-Lipschitz, so the
+per-round score error is bounded by the loss the game already measures:
 
     radial(|score(k, est) - score(k, hidden)|) <= radial(||est - hidden||)
 """
@@ -83,6 +83,8 @@ class GaussianStream(ContextStream):
         self.rho = float(rho)
         self.body_known = Ball(np.zeros(self.d1), DEFAULT_RADIUS)
         self.body_hidden = body_hidden or Ball(np.zeros(self.d2), DEFAULT_RADIUS)
+        if self.body_hidden.dim != self.d2:
+            raise ValueError(f"hidden body has dimension {self.body_hidden.dim}, d2 is {self.d2}")
         self.seed = int(seed)
         self._rng = np.random.default_rng(seed)
 
@@ -188,14 +190,8 @@ class LinearScoring:
             w_hidden=np.full(d2, 1.0 / np.sqrt(d2)),
         )
 
-    def known_part(self, known) -> Array:
-        return np.vecdot(self.w_known, known)
-
-    def hidden_part(self, hidden) -> Array:
-        return np.vecdot(self.w_hidden, hidden)
-
     def score(self, known, hidden) -> Array:
-        return self.known_part(known) + self.hidden_part(hidden)
+        return np.vecdot(self.w_known, known) + np.vecdot(self.w_hidden, hidden)
 
 
 # ---------------------------------------------------------------------------
@@ -238,17 +234,19 @@ def run_game(learner: BaseLearner, streams: list[ContextStream],
     `BaseLearner`) is handed to the learner together with the next round's
     known context (the update at the horizon boundary sees no known context
     and uses a zero pull).  Gradients are taken in blocks: when a round
-    delivers a source round whose gradient is not taken yet, one
-    `loss.grad` call takes the gradients of every round played since the
-    last block, at their recorded decisions, so under a fixed lag tau there
-    is one call per tau + 1 rounds.  Losses are row-wise, so a block gives
-    each row the bits of taking it alone; a gradient that is never
-    delivered in time is taken or not, and never read.  A round that
-    delivers nothing hands the learner empty feedback.  Loss values, score
-    errors and flags are computed from the recorded arrays after the last
-    round.  Every array is trial-major, (trials, horizon, ...), so round i
-    is column `[:, i]`; the loop's arrays and its one `Loss` are the
-    returned `Trajectory`, whose row k (and the flags tagged k) is trial k.
+    delivers a source round whose gradient is not taken yet (the buffer's
+    `newest`), one `loss.grad` call takes the gradients of every round
+    played since the last block, at their recorded decisions, so under a
+    fixed lag tau there is one call per tau + 1 rounds.  Losses are
+    row-wise, so a block gives each row the bits of taking it alone; a
+    gradient that is never delivered in time is taken or not, and never
+    read.  A round that delivers nothing hands the learner empty feedback.
+    Loss values, score errors and flags are computed from the recorded
+    arrays after the last round; zero-subgradient flags count only the
+    pairs the buffer marks `in_time`.  Every array is trial-major,
+    (trials, horizon, ...), so round i is column `[:, i]`; the loop's
+    arrays and its one `Loss` are the returned `Trajectory`, whose row k
+    (and the flags tagged k) is trial k.
     """
     trials = len(streams)
     if trials < 1 or len(delays) != trials or len(seeds) != trials:
@@ -278,11 +276,6 @@ def run_game(learner: BaseLearner, streams: list[ContextStream],
     loss = Loss.stack(trial_losses)
     del drawn, trial_losses  # the stacks hold all that the loop and the record read
     buffer = FeedbackBuffer(delay_values)
-    due = np.arange(horizon) + delay_values  # source round s = i + 1 is due at s + d - 1
-    # newest[t]: the latest source round that round t delivers to any trial (0 for none).
-    newest = np.zeros(horizon + 1, dtype=np.int64)
-    in_time = due <= horizon
-    np.maximum.at(newest, due[in_time], np.nonzero(in_time)[1] + 1)
 
     estimates = np.empty((trials, horizon, dim))
     # Column s of `taken` holds the feedback of source round s of every trial,
@@ -306,7 +299,7 @@ def run_game(learner: BaseLearner, streams: list[ContextStream],
             estimates[:, i] = learner.play(t)
             rows, sources = buffer.ready_at(t)
             if len(rows):
-                if newest[t] > ready:
+                if buffer.newest[t] > ready:
                     block = (slice(None), slice(ready, t))
                     taken[:, ready + 1:t + 1] = loss.grad(estimates[block], at=block)
                     ready = t
@@ -320,7 +313,7 @@ def run_game(learner: BaseLearner, streams: list[ContextStream],
     score_error_losses = loss.radial(score_errors)
     violated = score_error_losses > loss_values + 1e-9 * np.maximum(1.0, np.abs(loss_values))
     # Only a gradient learner meets zero subgradients, and only those delivered in time.
-    kinked = loss.kinks(estimates) & in_time & learner.uses_gradients
+    kinked = loss.kinks(estimates) & buffer.in_time & learner.uses_gradients
     kink_counts = kinked.sum(axis=1).tolist()
     flags = []
     for k in range(trials):

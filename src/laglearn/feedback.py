@@ -90,15 +90,19 @@ class FeedbackBuffer:
     s + delays[k, s - 1] - 1.  `ready_at(t)` returns the (rows, sources)
     pairs delivered at round t as two int arrays, ordered by row and then
     by source: possibly empty, possibly several per row under arbitrary
-    delays.  Querying rounds past the horizon is allowed: late feedback
-    lands in post-horizon delivery sets that only evaluation ever looks at.
+    delays.  Rounds past the horizon may be queried too: late feedback
+    lands in delivery sets that the game never reads, and that checks of
+    exactly-once delivery do.
 
-    The pairs of every round are kept in delivery order as `rows` and
-    `sources`, with the round each is due at in `due`.  `starts[t]` is the
-    first pair due at round t or later, for t = 0..horizon + 1, so round t
-    of the game delivers the pairs starts[t]:starts[t + 1]; a round past
-    the horizon is found in `due` by bisection.  Neither grows with the
-    largest delay, so a huge delay costs no memory.
+    `in_time` is the (rows, T) mask of the pairs due within the horizon,
+    and `newest[t]` is the latest source round that round t delivers in
+    any row (0 for none), for t = 0..horizon.  The pairs of every round
+    are kept in delivery order as `rows` and `sources`, with the round
+    each is due at in `due`.  `starts[t]` is the first pair due at round t
+    or later, for t = 0..horizon + 1, so round t of the game delivers the
+    pairs starts[t]:starts[t + 1]; a round past the horizon is found in
+    `due` by bisection.  None of these grows with the largest delay, so a
+    huge delay costs no memory.
     """
 
     def __init__(self, delays):
@@ -106,12 +110,15 @@ class FeedbackBuffer:
         if np.any(delays < 1):
             raise ValueError("delay must be >= 1")
         self.horizon = delays.shape[1]
-        due = (np.arange(self.horizon) + delays).ravel()  # s = i + 1 is due at s + d - 1
+        due = np.arange(self.horizon) + delays  # s = i + 1 is due at s + d - 1
+        self.in_time = due <= self.horizon
+        self.newest = np.zeros(self.horizon + 1, dtype=np.int64)
+        np.maximum.at(self.newest, due[self.in_time], np.nonzero(self.in_time)[1] + 1)
         # Stable, so pairs due together keep their row-major order: by row, then by source.
-        order = np.argsort(due, kind="stable")
+        order = np.argsort(due, axis=None, kind="stable")
         self.rows, self.sources = np.divmod(order, self.horizon)
         self.sources += 1
-        self.due = due[order]
+        self.due = due.ravel()[order]
         self.starts = np.searchsorted(self.due, np.arange(self.horizon + 2))
 
     def ready_at(self, t: int) -> tuple[np.ndarray, np.ndarray]:

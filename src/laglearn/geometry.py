@@ -78,9 +78,10 @@ class ConvexBody:
     """A closed convex set with a Euclidean nearest-point (projection) oracle.
 
     Subclasses provide row-wise `project`, `contains` and
-    `linear_minimizer`, and `sample_many`, plus a `radius_bound` R with
-    ||x|| <= R for every member x.  Projecting a point that `project`
-    returned gives it back bit for bit, on every body but the simplex.
+    `linear_minimizer`, plus a `radius_bound` R with ||x|| <= R for every
+    member x; a polygon also draws uniform members (`sample_many`).
+    Projecting a point that `project` returned gives it back bit for bit,
+    on every body but the simplex.
     """
 
     dim: int
@@ -94,9 +95,6 @@ class ConvexBody:
 
     def linear_minimizer(self, g) -> Array:
         """A member y minimizing <g, y>, row by row (the Frank-Wolfe oracle)."""
-        raise NotImplementedError
-
-    def sample_many(self, n: int, rng: np.random.Generator) -> Array:
         raise NotImplementedError
 
     def project_many(self, points: Array) -> Array:
@@ -149,14 +147,6 @@ class Ball(ConvexBody):
         g = np.divide(g, top, out=np.zeros(top.shape[:-1] + (self.dim,)), where=top > 0)
         return self.center - self.radius * g / np.maximum(norms(g), 1.0)[..., None]
 
-    def sample_many(self, n: int, rng: np.random.Generator) -> Array:
-        # Uniform in the ball: random direction times radius * U^(1/d).
-        raw = rng.standard_normal((n, self.dim))
-        norms = np.linalg.norm(raw, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        radii = self.radius * rng.uniform(size=(n, 1)) ** (1.0 / self.dim)
-        return self.center + raw / norms * radii
-
     def project_many(self, points: Array) -> Array:
         # Norms by `np.linalg.norm(axis=1)`, which rounds differently from
         # `project` in 2-d and up: the streams' draws are fixed by this form.
@@ -193,9 +183,6 @@ class Box(ConvexBody):
 
     def linear_minimizer(self, g) -> Array:
         return np.where(as_points(g, self.dim) > 0, self.lo, self.hi)
-
-    def sample_many(self, n: int, rng: np.random.Generator) -> Array:
-        return rng.uniform(self.lo, self.hi, size=(n, self.dim))
 
     def describe(self) -> str:
         return f"box(lo={self.lo.tolist()}, hi={self.hi.tolist()})"
@@ -244,7 +231,15 @@ class Polygon(ConvexBody):
         # Nearest point of each edge segment, then the first nearest edge.
         t = np.vecdot(rel, self._edges) / np.vecdot(self._edges, self._edges)
         candidates = self.vertices + np.minimum(np.maximum(t, 0.0), 1.0)[..., None] * self._edges
-        best = np.argmin(norms(v[..., None, :] - candidates), axis=-1)
+        with np.errstate(over="ignore"):
+            dist = norms(v[..., None, :] - candidates)
+            # Far away every distance rounds to one value, or overflows to inf;
+            # there |c|^2 - 2<v, c>, the squared distance less |v|^2, ranks them.
+            tied = ~(dist.min(axis=-1) < dist.max(axis=-1))
+            if tied.any():
+                c = candidates[tied]
+                dist[tied] = np.vecdot(c, c) - 2.0 * np.vecdot(v[tied][..., None, :], c)
+        best = np.argmin(dist, axis=-1)
         nearest = np.take_along_axis(candidates, best[..., None, None], axis=-2)[..., 0, :]
         return np.where(inside[..., None], v, nearest)
 
@@ -296,9 +291,6 @@ class Simplex(ConvexBody):
 
     def linear_minimizer(self, g) -> Array:
         return np.eye(self.dim)[np.argmin(as_points(g, self.dim), axis=-1)]
-
-    def sample_many(self, n: int, rng: np.random.Generator) -> Array:
-        return rng.dirichlet(np.ones(self.dim), size=n)
 
     def describe(self) -> str:
         return f"simplex(dim={self.dim})"

@@ -52,16 +52,6 @@ class Loss:
     def dim(self) -> int:
         return self.anchor.shape[-1]
 
-    @property
-    def gamma(self):
-        """Strong-convexity modulus per row; positive only for quadratic."""
-        return np.zeros(self.anchor.shape[:-1])
-
-    @property
-    def offset(self):
-        """Additive constant radial(0); the profile minus it vanishes at 0."""
-        return self.radial(np.zeros(self.anchor.shape[:-1]))
-
     @classmethod
     def stack(cls, losses, axis: int = 0) -> "Loss":
         """One loss holding the rows of several losses of one family, stacked along `axis`."""
@@ -185,10 +175,6 @@ class QuadraticLoss(Loss):
             raise ValueError("quadratic coefficient a must be positive")
         if np.any(self.b < 0):
             raise ValueError("offset b must be nonnegative")
-
-    @property
-    def gamma(self):
-        return 2.0 * self.a
 
     def radial(self, r, at=...) -> Array:
         return self.a[at] * np.float_power(r, 2) + self.b[at]

@@ -82,6 +82,11 @@ def test_streams_reject_a_nonpositive_variance(variance):
         PolygonStream(regular_polygon(5), variance=variance)
 
 
+def test_gaussian_stream_rejects_a_hidden_body_of_another_dimension():
+    with pytest.raises(ValueError, match="hidden body has dimension 1, d2 is 2"):
+        GaussianStream(d1=2, d2=2, body_hidden=Ball([0.0], 0.5))
+
+
 def test_explicit_stream_exhaustion_and_csv(tmp_path):
     path = tmp_path / "contexts.csv"
     path.write_text("1.0,0.5,2.0\n1.5,0.25,2.5\n", encoding="utf-8")
@@ -105,19 +110,22 @@ def test_explicit_stream_exhaustion_and_csv(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_scoring_is_separable():
+    # score(k, u) - score(k, u') does not depend on k.
     scoring = LinearScoring.default(3, 2)
     rng = np.random.default_rng(5)
     for _ in range(50):
-        xk, xu = rng.normal(size=3), rng.normal(size=2)
-        assert scoring.score(xk, xu) == scoring.known_part(xk) + scoring.hidden_part(xu)
+        known = rng.normal(size=(10, 3))
+        u, u2 = rng.normal(size=(2, 2))
+        gaps = scoring.score(known, u) - scoring.score(known, u2)
+        assert np.allclose(gaps, gaps[0], rtol=0.0, atol=1e-12)
 
 
 def test_hidden_score_is_one_lipschitz():
     scoring = LinearScoring.default(2, 2)
     rng = np.random.default_rng(6)
     for _ in range(300):
-        a, b = rng.normal(size=2), rng.normal(size=2)
-        gap = abs(scoring.hidden_part(a) - scoring.hidden_part(b))
+        known, a, b = rng.normal(size=(3, 2))
+        gap = abs(scoring.score(known, a) - scoring.score(known, b))
         assert gap <= np.linalg.norm(a - b) + 1e-12
 
 

@@ -96,7 +96,7 @@ def test_offline_comparator_beats_random_candidates():
     losses = [NormLoss(rng.normal(size=2)) for _ in range(25)]
     body = Ball([0.0, 0.0], 4.0)
     (sol,) = offline_optimum(losses, body)
-    for y in body.sample_many(100, rng):
+    for y in body.project(rng.normal(scale=2 * body.radius_bound, size=(100, 2))):
         assert sol.total <= sum(l.value(y) for l in losses) + 1e-6
 
 

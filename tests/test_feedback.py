@@ -48,6 +48,9 @@ def test_two_rows_are_split_exactly_once_in_row_then_source_order():
     for row in (0, 1):
         sources = [s for ready in pairs.values() for r, s in ready if r == row]
         assert sorted(sources) == [1, 2, 3, 4]
+    # Due within the horizon of 4; the latest source due at each round 0..4.
+    assert buf.in_time.tolist() == [[True, True, True, True], [True, False, True, False]]
+    assert buf.newest.tolist() == [0, 1, 2, 3, 4]
 
 
 def test_fixed_delay_sum_is_horizon_times_lag_plus_one():

@@ -34,6 +34,11 @@ def random_point(rng, dim, scale=5.0):
     return rng.normal(scale=scale, size=dim)
 
 
+def members(body, n, rng):
+    """Projected normal draws: members of the body, most on its boundary."""
+    return body.project(rng.normal(scale=2 * body.radius_bound, size=(n, body.dim)))
+
+
 # ---------------------------------------------------------------------------
 # as_vector
 # ---------------------------------------------------------------------------
@@ -99,6 +104,19 @@ def test_pentagon_projection_matches_boundary_grid():
     oracle = boundary[np.argmin(np.linalg.norm(boundary - x, axis=1))]
 
     assert np.linalg.norm(pentagon.project(x) - oracle) <= 1e-4
+
+
+def test_pentagon_projects_far_points_to_the_nearest_vertex():
+    # Far away the edge candidates' distances tie or overflow; the nearest
+    # point is then the vertex furthest along the point's direction.
+    pentagon = regular_polygon(5, center=(1.0, 1.0), circumradius=1.0)
+    far = np.array([[1e10, 1e10], [1e20, 1e20], [1e160, 1e160], [-1e200, -3e200]])
+    direction = far / np.max(np.abs(far), axis=1, keepdims=True)
+    nearest = pentagon.vertices[np.argmax(direction @ pentagon.vertices.T, axis=1)]
+    assert np.allclose(nearest[[0, 3]], [[1.951057, 1.309017], [0.412215, 0.190983]], atol=1e-6)
+    for point, vertex in zip(far, nearest):
+        assert np.allclose(pentagon.project(point), vertex, rtol=0.0, atol=1e-12)
+    assert np.allclose(pentagon.project(far), nearest, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("shape", [(2,), (40, 2), (3, 7, 2)])
@@ -182,7 +200,7 @@ def assert_fixed_point(body, px):
 @pytest.mark.parametrize("body", bodies(), ids=lambda b: b.describe()[:20])
 def test_radius_bound_covers_samples(body):
     rng = np.random.default_rng(3)
-    pts = body.sample_many(2000, rng)
+    pts = members(body, 2000, rng)
     norms = np.linalg.norm(pts, axis=1)
     assert np.all(norms <= body.radius_bound + 1e-9)
     for row in pts[:200]:
@@ -197,7 +215,7 @@ def test_linear_minimizer_is_a_member_below_every_sample(body):
     y = body.linear_minimizer(g)
     assert y.shape == g.shape
     assert body.contains(y, tol=1e-9).all()
-    samples = body.sample_many(500, rng)
+    samples = members(body, 500, rng)
     assert np.all(np.vecdot(g, y) <= np.min(g @ samples.T, axis=1) + 1e-9)
 
 

@@ -38,11 +38,6 @@ def test_exp_value_hand_check():
     assert loss.value([1.0]) == pytest.approx(np.e, rel=1e-12)
 
 
-def test_offset_makes_profile_vanish_at_anchor():
-    for loss in sample_losses(np.array([0.4, -0.2])):
-        assert loss.value(loss.anchor) - loss.offset == pytest.approx(0.0, abs=1e-15)
-
-
 def test_value_dimension_mismatch():
     with pytest.raises(ValueError):
         QuadraticLoss([0.0, 0.0], a=1.0).value([1.0])
@@ -142,22 +137,15 @@ def test_convexity_on_sampled_triples():
 
 def test_quadratic_strong_convexity():
     rng = np.random.default_rng(37)
-    loss = QuadraticLoss(np.array([1.0, -1.0]), a=0.8, b=0.2)
-    gamma = loss.gamma
-    assert gamma == pytest.approx(1.6)
+    a = 0.8
+    loss = QuadraticLoss(np.array([1.0, -1.0]), a=a, b=0.2)
+    gamma = 2.0 * a
     for _ in range(300):
         x = rng.normal(size=2, scale=2.0)
         y = rng.normal(size=2, scale=2.0)
         lhs = loss.value(x)
         rhs = loss.value(y) + loss.grad(y) @ (x - y) + 0.5 * gamma * np.sum((x - y) ** 2)
         assert lhs >= rhs - 1e-9
-
-
-def test_gamma_zero_outside_quadratic():
-    anchor = [0.0]
-    assert NormLoss(anchor).gamma == 0.0
-    assert PowerLoss(anchor, m=2).gamma == 0.0
-    assert ExpLoss(anchor, a=1.0, s=1.0, m=2).gamma == 0.0
 
 
 def test_radial_monotone_along_rays():
