@@ -26,6 +26,7 @@ per-round score error is bounded by the loss the game already measures:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -278,35 +279,37 @@ def run_game(learner: BaseLearner, streams: list[ContextStream],
     buffer = FeedbackBuffer(delay_values)
 
     estimates = np.empty((trials, horizon, dim))
-    # Column s of `taken` holds the feedback of source round s of every trial,
-    # for s <= ready; column 0 is never read.  The anchors are known up front;
-    # gradients are taken in blocks of the rounds played since the last one.
-    taken = np.empty((trials, horizon + 1, dim))
+    # Row p of `fed` holds the feedback of pair p of the buffer's delivery
+    # order, so each round's feedback is the next rows after the last
+    # round's.  The anchors are known up front; gradients are taken in
+    # blocks of the rounds played since the last one and put in their pairs'
+    # rows.
+    fed = np.empty((trials * horizon, dim))
     if learner.uses_gradients:
         ready = 0
     else:
-        taken[:, 1:] = loss.anchor
+        fed[buffer.position] = loss.anchor
         ready = horizon
-    nothing = np.empty((0, dim))
     learner.start(trials, horizon)
+    first = 0
+    # The known context of the round after each round, and None after the last.
+    upcoming = chain(known.swapaxes(0, 1)[1:], [None])
     # Every non-finite step raises NonFiniteGradient, and a projection
     # rescales a row whose squared norm overflows: numpy need not warn.
     # A gradient of a round that is never delivered in time may overflow
     # unread.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(horizon):
+        for i, next_known in enumerate(upcoming):
             t = i + 1
             estimates[:, i] = learner.play(t)
             rows, sources = buffer.ready_at(t)
-            if len(rows):
-                if buffer.newest[t] > ready:
-                    block = (slice(None), slice(ready, t))
-                    taken[:, ready + 1:t + 1] = loss.grad(estimates[block], at=block)
-                    ready = t
-                feedback = taken[rows, sources]
-            else:
-                feedback = nothing
-            learner.observe(rows, feedback, known[:, i + 1] if t < horizon else None)
+            last = first + len(rows)
+            if last > first and buffer.newest[t] > ready:
+                block = (slice(None), slice(ready, t))
+                fed[buffer.position[block]] = loss.grad(estimates[block], at=block)
+                ready = t
+            learner.observe(rows, fed[first:last], next_known)
+            first = last
 
     loss_values = loss.value(estimates)
     score_errors = np.abs(scoring.score(known, estimates) - scoring.score(known, hidden))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 
 import numpy as np
 
@@ -344,12 +344,23 @@ def aggregate(report: RegretReport) -> AggregateCurves:
 
 
 def write_csv(curves: AggregateCurves, path) -> None:
-    """Serialize aggregated curves: t, cum_loss_mean/stderr, regret_mean/stderr."""
+    """Serialize aggregated curves: t, cum_loss_mean/stderr, regret_mean/stderr.
+
+    Each float is written as its `repr`, CSV_CHUNK rounds at a time.
+    """
     columns = (curves.cum_loss_mean, curves.cum_loss_stderr, curves.regret_mean,
                curves.regret_stderr)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("t,cum_loss_mean,cum_loss_stderr,regret_mean,regret_stderr\n")
         for lo in range(0, curves.horizon, CSV_CHUNK):
-            rows = zip(*(column[lo:lo + CSV_CHUNK].tolist() for column in columns))
-            fh.write("".join(f"{t},{a!r},{b!r},{c!r},{d!r}\n"
-                             for t, (a, b, c, d) in enumerate(rows, start=lo + 1)))
+            write_rows(fh, lo + 1,
+                       [map(repr, column[lo:lo + CSV_CHUNK].tolist()) for column in columns])
+
+
+def write_rows(fh, first: int, columns) -> None:
+    """Write CSV rows numbered from round `first`: the round, then one field
+    from each column.  A column is an iterable of strings, and the rows end
+    with the shortest one.  The rows are built a column at a time, not a
+    row at a time."""
+    fh.write("\n".join(map(",".join, zip(map(str, count(first)), *columns))))
+    fh.write("\n")

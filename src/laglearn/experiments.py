@@ -596,20 +596,27 @@ def _write_experiment(cfg: ExperimentConfig, out: Path, written: list[Path]) -> 
 
 
 def _write_trajectory_csv(traj: Trajectory, path) -> None:
-    """The first trial's rounds: loss, score error, delivered sources and estimate."""
+    """The first trial's rounds: loss, score error, delivered sources and estimate.
+
+    CSV_CHUNK rounds at a time, each column formatted on its own: a float
+    as its `repr`, and the sources a round delivers joined by ";", cut
+    from the first trial's delivery buffer at its `starts`.
+    """
     estimates, loss_values, errors = traj.estimates[0], traj.loss_values[0], traj.score_errors[0]
-    delivered = traj.delivered(0)
+    buffer = feedback.FeedbackBuffer(traj.delays[0])
     coord_cols = ",".join(f"estimate_{j}" for j in range(estimates.shape[1]))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"t,loss,score_error,delivered,{coord_cols}\n")
         for lo in range(0, traj.horizon, evaluation.CSV_CHUNK):
             hi = lo + evaluation.CSV_CHUNK
-            rows = zip(loss_values[lo:hi].tolist(), errors[lo:hi].tolist(), delivered[lo:hi],
-                       estimates[lo:hi].tolist())
-            fh.write("".join(
-                f"{t},{loss!r},{error!r},{';'.join(map(str, sources))},"
-                f"{','.join(map(repr, coords))}\n"
-                for t, (loss, error, sources, coords) in enumerate(rows, start=lo + 1)))
+            # Rounds lo + 1..hi deliver the pairs starts[lo + 1]:starts[hi + 1].
+            starts = buffer.starts[lo + 1:hi + 2]
+            first = starts[0]
+            sources = list(map(str, buffer.sources[first:starts[-1]].tolist()))
+            delivered = [";".join(sources[a - first:b - first]) for a, b in zip(starts, starts[1:])]
+            evaluation.write_rows(fh, lo + 1, [
+                map(repr, loss_values[lo:hi].tolist()), map(repr, errors[lo:hi].tolist()),
+                delivered, *(map(repr, column.tolist()) for column in estimates[lo:hi].T)])
 
 
 # ---------------------------------------------------------------------------

@@ -97,12 +97,16 @@ class FeedbackBuffer:
     `in_time` is the (rows, T) mask of the pairs due within the horizon,
     and `newest[t]` is the latest source round that round t delivers in
     any row (0 for none), for t = 0..horizon.  The pairs of every round
-    are kept in delivery order as `rows` and `sources`, with the round
-    each is due at in `due`.  `starts[t]` is the first pair due at round t
-    or later, for t = 0..horizon + 1, so round t of the game delivers the
-    pairs starts[t]:starts[t + 1]; a round past the horizon is found in
-    `due` by bisection.  None of these grows with the largest delay, so a
-    huge delay costs no memory.
+    are kept in delivery order as `rows` and `sources`, and
+    `position[k, s - 1]` is the place of pair (k, s) in that order.
+    `starts[t]` is the first pair due at round t or later, for
+    t = 0..horizon + 1, so round t of the game delivers the pairs
+    starts[t]:starts[t + 1], the next ones after those of round t - 1.
+    `starts` is a list of Python ints, which `ready_at` reads with no
+    numpy call.  The pairs due past the horizon, from starts[horizon + 1]
+    on, keep the rounds they are due at in `late_due`, where a round past
+    the horizon is found by bisection.  None of these grows with the
+    largest delay, so a huge delay costs no memory.
     """
 
     def __init__(self, delays):
@@ -118,14 +122,20 @@ class FeedbackBuffer:
         order = np.argsort(due, axis=None, kind="stable")
         self.rows, self.sources = np.divmod(order, self.horizon)
         self.sources += 1
-        self.due = due.ravel()[order]
-        self.starts = np.searchsorted(self.due, np.arange(self.horizon + 2))
+        due = due.ravel()[order]
+        self.position = np.empty(delays.shape, dtype=np.int64)
+        self.position.flat[order] = np.arange(order.size)
+        self.starts = np.searchsorted(due, np.arange(self.horizon + 2)).tolist()
+        self.late_due = due[self.starts[-1]:].copy()  # not a view that keeps all of `due`
 
     def ready_at(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (rows, sources) pairs delivered at round t, as views of `rows`
+        and `sources`: bounded by `starts` up to the horizon, by bisection
+        of `late_due` past it."""
         if t < 1:
             raise ValueError("rounds are numbered from 1")
         if t <= self.horizon:
             lo, hi = self.starts[t], self.starts[t + 1]
         else:
-            lo, hi = np.searchsorted(self.due, (t, t + 1)).tolist()
+            lo, hi = (self.starts[-1] + np.searchsorted(self.late_due, (t, t + 1))).tolist()
         return self.rows[lo:hi], self.sources[lo:hi]

@@ -23,11 +23,17 @@ is checked where data enters the program (constructors, streams).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 Array = np.ndarray
 
 MEMBERSHIP_TOL = 1e-9
+
+# `Polygon.project` scales a point with a coordinate beyond 2^FAR_EXPONENT
+# down to within it, so that its squares and products stay finite.
+FAR_EXPONENT = 500
 
 # Coordinates below this are lifted before taking logs in the entropic map.
 ENTROPY_FLOOR = 1e-12
@@ -106,7 +112,16 @@ class ConvexBody:
 
 
 class Ball(ConvexBody):
-    """Euclidean ball {x : ||x - center|| <= radius}."""
+    """Euclidean ball {x : ||x - center|| <= radius}.
+
+    `project` tests a row's squared offset norm s against `square_bound`,
+    the largest double whose rounded square root is at most the radius.  A
+    rounded square root is monotone, so sqrt(s) <= radius exactly when
+    s <= square_bound: the test takes no square root and gives the bits of
+    the norm test.  When no row is outside, `project` returns a copy of the
+    input at once.  A NaN row counts as inside, as it does under the norm
+    test, and a row whose square overflowed (s = inf) is outside.
+    """
 
     def __init__(self, center, radius: float):
         self.center = as_vector(center)
@@ -115,26 +130,33 @@ class Ball(ConvexBody):
             raise ValueError("radius must be positive")
         self.dim = self.center.size
         self.radius_bound = float(np.linalg.norm(self.center)) + self.radius
+        bound = min(self.radius * self.radius, np.finfo(float).max)
+        while math.sqrt(bound) > self.radius:
+            bound = math.nextafter(bound, 0.0)
+        while math.sqrt(above := math.nextafter(bound, math.inf)) <= self.radius:
+            bound = above
+        self.square_bound = bound
 
     def project(self, x) -> Array:
         v = as_points(x, self.dim)
         offset = v - self.center
-        dist = norms(offset)
+        squared = np.vecdot(offset, offset)
         out = v.copy()
-        outside = dist > self.radius
-        if np.count_nonzero(outside):
-            far, dist = offset[outside], dist[outside]
-            _unscale_overflow(far, dist)
-            scale = self.radius / dist
-            ulp = scale - np.nextafter(scale, 0.0)
+        outside = squared > self.square_bound
+        if not np.count_nonzero(outside):
+            return out
+        far, dist = offset[outside], np.sqrt(squared[outside])  # `norms` of those rows
+        _unscale_overflow(far, dist)
+        scale = self.radius / dist
+        ulp = scale - np.nextafter(scale, 0.0)
+        landed = self.center + far * scale[..., None]
+        # A row that rounds to just outside steps its scale down (one ulp,
+        # then twice as far each time) until it lands inside: a fixed point.
+        while np.count_nonzero(over := norms(landed - self.center) > self.radius):
+            scale[over] = np.maximum(scale[over] - ulp[over], 0.0)
+            ulp[over] *= 2.0
             landed = self.center + far * scale[..., None]
-            # A row that rounds to just outside steps its scale down (one ulp,
-            # then twice as far each time) until it lands inside: a fixed point.
-            while np.count_nonzero(over := norms(landed - self.center) > self.radius):
-                scale[over] = np.maximum(scale[over] - ulp[over], 0.0)
-                ulp[over] *= 2.0
-                landed = self.center + far * scale[..., None]
-            out[outside] = landed
+        out[outside] = landed
         return out
 
     def contains(self, x, tol: float = MEMBERSHIP_TOL):
@@ -218,9 +240,11 @@ class Polygon(ConvexBody):
 
     def _inside(self, rel: Array, tol: float) -> Array:
         # rel[..., i, :] is the point relative to vertex i; cross / |edge|
-        # is the signed distance to each edge line.
-        cross = self._edges[:, 0] * rel[..., 1] - self._edges[:, 1] * rel[..., 0]
-        return np.all(cross >= -tol * self._lengths, axis=-1)
+        # is the signed distance to each edge line.  A cross product that
+        # overflows belongs to a point far outside.
+        with np.errstate(over="ignore", invalid="ignore"):
+            cross = self._edges[:, 0] * rel[..., 1] - self._edges[:, 1] * rel[..., 0]
+        return np.all(np.isfinite(cross) & (cross >= -tol * self._lengths), axis=-1)
 
     def project(self, x) -> Array:
         v = as_points(x, 2)
@@ -228,17 +252,27 @@ class Polygon(ConvexBody):
         inside = self._inside(rel, MEMBERSHIP_TOL)
         if inside.all():
             return v.copy()  # what np.where below picks for inside rows
+        # A row with a coordinate beyond 2^FAR_EXPONENT is scaled by a power of
+        # two to within it: its direction keeps every bit, and its products
+        # below stay finite.  The nearest point of a point that far depends on
+        # its direction alone.
+        w = v
+        top = np.max(np.abs(v), axis=-1, keepdims=True)
+        far = top > 2.0 ** FAR_EXPONENT
+        if far.any():
+            w = np.where(far, np.ldexp(v, FAR_EXPONENT - np.frexp(top)[1]), v)
+            rel = w[..., None, :] - self.vertices
         # Nearest point of each edge segment, then the first nearest edge.
         t = np.vecdot(rel, self._edges) / np.vecdot(self._edges, self._edges)
         candidates = self.vertices + np.minimum(np.maximum(t, 0.0), 1.0)[..., None] * self._edges
         with np.errstate(over="ignore"):
-            dist = norms(v[..., None, :] - candidates)
+            dist = norms(w[..., None, :] - candidates)
             # Far away every distance rounds to one value, or overflows to inf;
-            # there |c|^2 - 2<v, c>, the squared distance less |v|^2, ranks them.
+            # there |c|^2 - 2<w, c>, the squared distance less |w|^2, ranks them.
             tied = ~(dist.min(axis=-1) < dist.max(axis=-1))
             if tied.any():
                 c = candidates[tied]
-                dist[tied] = np.vecdot(c, c) - 2.0 * np.vecdot(v[tied][..., None, :], c)
+                dist[tied] = np.vecdot(c, c) - 2.0 * np.vecdot(w[tied][..., None, :], c)
         best = np.argmin(dist, axis=-1)
         nearest = np.take_along_axis(candidates, best[..., None, None], axis=-2)[..., 0, :]
         return np.where(inside[..., None], v, nearest)

@@ -179,8 +179,9 @@ class BaseLearner:
     A learner holds its iterate `estimate` in its feasible `body` and the
     last round `t` it played; nothing else of the game's history.
     `start(trials, horizon)` gives the iterate one row per trial, and
-    `play(t)` returns the round-t decisions, one row per trial.  The game
-    records every decision, and a round's feedback is taken at the recorded
+    `play(t)` returns the round-t decisions, one row per trial: the iterate
+    itself, which `observe` may change in place.  The game copies every
+    decision into its record, and a round's feedback is taken at the recorded
     decision: the gradient of the source round's loss there (or, when
     `uses_gradients` is False, the loss's anchor).  `observe` gets the
     (rows, feedback) pairs delivered at the end of round t, ordered by row
@@ -206,7 +207,7 @@ class BaseLearner:
         if t != self.t + 1:
             raise RuntimeError(f"rounds must be played in order; expected {self.t + 1}")
         self.t = t
-        return self.estimate.copy()
+        return self.estimate
 
     def observe(self, rows: Array, feedback: Array, next_known) -> None:
         raise NotImplementedError
@@ -245,9 +246,13 @@ class GradientLearner(BaseLearner):
         self.lag = schedule.tau or None
 
     def start(self, trials: int, horizon: int) -> None:
-        self.etas, self.betas = self.schedule.table(horizon)
-        if self.etas.ndim > 1 and self.etas.shape[1] != trials:
-            raise ValueError(f"{self.etas.shape[1]} step sizes for {trials} trials")
+        etas, betas = self.schedule.table(horizon)
+        if etas.ndim > 1 and etas.shape[1] != trials:
+            raise ValueError(f"{etas.shape[1]} step sizes for {trials} trials")
+        # Round t reads a scalar schedule's eta(t) and beta(t) as Python
+        # floats, and a per-trial one's as (trials, 1) columns.
+        self.eta_at, self.beta_at = ((etas.item, betas.item) if etas.ndim == 1
+                                     else (etas.__getitem__, betas.__getitem__))
         super().start(trials, horizon)
 
     def observe(self, rows, feedback, next_known) -> None:
@@ -262,12 +267,12 @@ class GradientLearner(BaseLearner):
         else:
             total = np.zeros(self.estimate.shape)
             np.add.at(total, rows, feedback)  # row by row in source order
-        eta = self.etas[t]
+        eta = self.eta_at(t)
         if self.lam:
             w = self.lam * eta if self.coupled else self.lam
             pull = (np.zeros(self.body.dim) if next_known is None or not np.any(w)
                     else w * next_known[..., :self.body.dim])
-            move = self.betas[t] * pull - eta * total
+            move = self.beta_at(t) * pull - eta * total
         else:
             move = 0.0 - eta * total
         if np.count_nonzero(np.isfinite(move)) < move.size:

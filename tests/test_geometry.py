@@ -11,6 +11,7 @@ from laglearn.geometry import (
     Polygon,
     Simplex,
     as_vector,
+    norms,
     regular_polygon,
 )
 
@@ -77,6 +78,76 @@ def test_ball_projection_of_a_point_whose_squared_norm_overflows(method):
                                                                               [0.5, 0.5]]))
 
 
+def norm_test_projection(ball, x):
+    """`Ball.project` as it was before its squared-norm test: the offset's
+    norm against the radius, then the scaling and its fixed-point steps."""
+    v = np.asarray(x, dtype=float)
+    offset = v - ball.center
+    dist = norms(offset)
+    out = v.copy()
+    outside = dist > ball.radius
+    if np.count_nonzero(outside):
+        far, dist = offset[outside], dist[outside]
+        huge = np.isinf(dist)
+        if huge.any():
+            rows = far[huge]
+            rows /= np.max(np.abs(rows), axis=-1, keepdims=True)
+            far[huge] = rows
+            dist[huge] = norms(rows)
+        scale = ball.radius / dist
+        ulp = scale - np.nextafter(scale, 0.0)
+        landed = ball.center + far * scale[..., None]
+        while np.count_nonzero(over := norms(landed - ball.center) > ball.radius):
+            scale[over] = np.maximum(scale[over] - ulp[over], 0.0)
+            ulp[over] *= 2.0
+            landed = ball.center + far * scale[..., None]
+        out[outside] = landed
+    return out
+
+
+THRESHOLD_RADII = [4.0, 0.1, 1e-300, 1e300, math.sqrt(2.0), 3.0000000000000004]
+
+
+def ulp_steps(x, k):
+    """x moved k ulps away from zero (toward it for negative k)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, x) if k > 0 else 0.0)
+    return x
+
+
+@pytest.mark.parametrize("centered", [True, False], ids=["zero-center", "center"])
+@pytest.mark.parametrize("radius", THRESHOLD_RADII)
+def test_ball_square_bound_test_keeps_the_bits_of_the_norm_test(radius, centered):
+    bound = Ball([0.0], radius).square_bound
+    assert math.sqrt(bound) <= radius < math.sqrt(math.nextafter(bound, math.inf))
+    rng = np.random.default_rng(17)
+    for dim in (1, 2):
+        center = np.zeros(dim) if centered else min(radius, 1.0) * np.array([0.75, -1.25])[:dim]
+        ball = Ball(center, radius)
+        assert ball.square_bound == bound
+        # Offsets at the square roots of s* and of its neighbours and within
+        # four ulps of the radius, so that their squared norms land at and
+        # around s*; then offsets a few ulps inside and outside the sphere
+        # along random directions; then a batch with one row of ten outside.
+        squares = (bound, math.nextafter(bound, 0.0), math.nextafter(bound, math.inf))
+        near = [math.sqrt(s) for s in squares if s < math.inf]
+        near += [ulp_steps(radius, k) for k in range(-4, 5)]
+        offsets = [np.full(dim, x) / math.sqrt(dim) if dim > 1 else np.array([x])
+                   for x in near]
+        directions = rng.normal(size=(60, dim))
+        directions /= norms(directions)[:, None]
+        offsets += list(directions * radius * (1.0 + rng.integers(-4, 5, size=(60, 1)) * 2e-16))
+        points = center + np.array(offsets)
+        batch = center + rng.uniform(-0.5, 0.5, size=(10, dim)) * radius / math.sqrt(dim)
+        batch[6] = center + 2.0 * radius / math.sqrt(dim)
+        for x in (*points, points, points[:, None], batch):
+            with np.errstate(over="ignore"):
+                projected = ball.project(x)
+                expected = norm_test_projection(ball, x)
+            assert np.array_equal(projected.view(np.uint64), expected.view(np.uint64))
+            assert not np.shares_memory(projected, x)
+
+
 def test_box_interior_point_is_fixed():
     box = Box([-1.0, -1.0], [1.0, 1.0])
     assert np.array_equal(box.project([0.5, -0.3]), [0.5, -0.3])
@@ -117,6 +188,28 @@ def test_pentagon_projects_far_points_to_the_nearest_vertex():
     for point, vertex in zip(far, nearest):
         assert np.allclose(pentagon.project(point), vertex, rtol=0.0, atol=1e-12)
     assert np.allclose(pentagon.project(far), nearest, rtol=0.0, atol=1e-12)
+
+
+def test_pentagon_projects_points_near_the_float_maximum_like_far_points():
+    # Near the float maximum the membership cross products and the edge
+    # parameters overflow; such a point is scaled down by a power of two
+    # first, and projects where a point far along its direction does.
+    pentagon = regular_polygon(5, center=(1.0, 1.0), circumradius=1.0)
+    huge = np.array([[1.7e308, 1.7e308], [-1.7e308, 1.7e308]])
+    expected = pentagon.project(np.array([[1e300, 1e300], [-1e300, 1e300]]))
+    assert np.allclose(expected, [[1.951057, 1.309017], [0.048943, 1.309017]], atol=1e-6)
+    assert not pentagon.contains(huge).any()
+    assert np.array_equal(pentagon.project(huge), expected)
+    for point, vertex in zip(huge, expected):
+        assert np.array_equal(pentagon.project(point), vertex)
+    # A point beyond 2^500 projects as its direction scaled to 2^499 does, bit
+    # for bit: scaling by a power of two moves no bit of the direction.
+    rng = np.random.default_rng(3)
+    directions = rng.normal(size=(50, 2))
+    directions /= np.max(np.abs(directions), axis=1, keepdims=True)
+    for exponent in (501, 700, 1023):
+        assert np.array_equal(pentagon.project(np.ldexp(directions, exponent)),
+                              pentagon.project(np.ldexp(directions, 499)))
 
 
 @pytest.mark.parametrize("shape", [(2,), (40, 2), (3, 7, 2)])
