@@ -6,15 +6,16 @@ The learner posts an estimate of the hidden part, the adversary anchors a
 loss at the true hidden part, and the game records both.  The round's
 feedback is the loss's gradient at the recorded estimate, or its anchor
 for the sample-mean baseline.  A decision is final once it is played, so
-the game takes the gradients of the rounds played since its last block in
-one call, once a round delivers one of them, and hands each over when it
-is delivered, after its delay; after round 1, a round that delivers
-nothing to a learner with no pull leaves its decisions where they are.
-The learner sees hidden information only through delivered feedback,
-never directly.  The independent trials of one configuration are played
-in lockstep, as one game on (trials, dim) arrays; the game's one copy of
-its state is trial-major, (trials, horizon, ...), and is returned as one
-`Trajectory` whose row k is trial k.
+the game takes the gradients of the rounds played since its last take in
+one call, once a round delivers one of them (a take round), and hands
+each over when it is delivered, after its delay.  Between two take rounds
+every delivered feedback is already known, so the game plays the rounds
+from one take round to the next as one block, in one call to the
+learner.  The learner sees hidden information only through delivered
+feedback, never directly.  The independent trials of one configuration
+are played in lockstep, as one game on (trials, dim) arrays; the game's
+one copy of its state is trial-major, (trials, horizon, ...), and is
+returned as one `Trajectory` whose row k is trial k.
 
 Scores are separable, score(known, hidden) = <w_known, known> +
 <w_hidden, hidden>, with the hidden component 1-Lipschitz, so the
@@ -229,25 +230,25 @@ def run_game(learner: BaseLearner, streams: list[ContextStream],
 
     Trial k reads `streams[k]`, realizes `delays[k]` and draws its loss
     coefficients from `seeds[k]`; the learner holds one iterate row per
-    trial.  Per round: every trial's learner row posts its estimate, which
-    the game records; the buffer names the (row, source round) pairs
-    delivered at the end of the round, and their feedback (see
-    `BaseLearner`) is handed to the learner together with the next round's
-    known context (the update at the horizon boundary sees no known context
-    and uses a zero pull).  Gradients are taken in blocks: when a round
-    delivers a source round whose gradient is not taken yet (the buffer's
-    `newest`), one `loss.grad` call takes the gradients of every round
-    played since the last block, at their recorded decisions, so under a
-    fixed lag tau there is one call per tau + 1 rounds.  Losses are
-    row-wise, so a block gives each row the bits of taking it alone; a
-    gradient that is never delivered in time is taken or not, and never
-    read.  A round that delivers nothing hands the learner empty feedback.
-    Loss values, score errors and flags are computed from the recorded
-    arrays after the last round; zero-subgradient flags count only the
-    pairs the buffer marks `in_time`.  Every array is trial-major,
-    (trials, horizon, ...), so round i is column `[:, i]`; the loop's
-    arrays and its one `Loss` are the returned `Trajectory`, whose row k
-    (and the flags tagged k) is trial k.
+    trial.  The game is played in blocks that run from one take round of
+    the buffer to the next (see `FeedbackBuffer.takes`): at a take round
+    one `loss.grad` call takes the gradients of every round played since
+    the last one, at their recorded decisions, so under a fixed lag tau
+    there is one call per tau + 1 rounds.  The learner then plays the
+    rounds up to the next take round in one `play` call (see
+    `BaseLearner`): their feedback is all taken, and it writes its
+    decisions into the record.  A learner that reads anchors, not
+    gradients, has its feedback before round 1 and plays the whole horizon
+    as one block.  The update at the horizon boundary sees no known context
+    and uses a zero pull.  Losses are row-wise, so a block gives each row
+    the bits of taking it alone; a gradient that is never delivered in
+    time is taken or not, and never read.  Loss values, score errors and
+    flags are computed from the recorded arrays after the last round;
+    zero-subgradient flags count only the pairs the buffer marks
+    `in_time`.  Every array is trial-major, (trials, horizon, ...), so
+    round i is column `[:, i]`; the loop's arrays and its one `Loss` are
+    the returned `Trajectory`, whose row k (and the flags tagged k) is
+    trial k.
     """
     trials = len(streams)
     if trials < 1 or len(delays) != trials or len(seeds) != trials:
@@ -280,36 +281,31 @@ def run_game(learner: BaseLearner, streams: list[ContextStream],
 
     estimates = np.empty((trials, horizon, dim))
     # Row p of `fed` holds the feedback of pair p of the buffer's delivery
-    # order, so each round's feedback is the next rows after the last
-    # round's.  The anchors are known up front; gradients are taken in
-    # blocks of the rounds played since the last one and put in their pairs'
-    # rows.
+    # order, so a block's feedback is the rows after the last block's.  The
+    # anchors are known up front; gradients are taken at each take round
+    # for the rounds played since the last one and put in their pairs' rows.
     fed = np.empty((trials * horizon, dim))
     if learner.uses_gradients:
-        ready = 0
+        takes = buffer.takes
     else:
         fed[buffer.position] = loss.anchor
-        ready = horizon
+        takes = []
     learner.start(trials, horizon)
-    first = 0
-    # The known context of the round after each round, and None after the last.
-    upcoming = chain(known.swapaxes(0, 1)[1:], [None])
+    estimates[:, 0] = learner.estimate
+    first, ready = 1, 0
     # Every non-finite step raises NonFiniteGradient, and a projection
     # rescales a row whose squared norm overflows: numpy need not warn.
     # A gradient of a round that is never delivered in time may overflow
     # unread.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, next_known in enumerate(upcoming):
-            t = i + 1
-            estimates[:, i] = learner.play(t)
-            rows, sources = buffer.ready_at(t)
-            last = first + len(rows)
-            if last > first and buffer.newest[t] > ready:
-                block = (slice(None), slice(ready, t))
+        for take in chain(takes, [horizon + 1]):
+            if take > first:
+                learner.play(first, take, buffer.rows, fed, buffer.starts, known, estimates)
+                first = take
+            if take <= horizon:
+                block = (slice(None), slice(ready, take))
                 fed[buffer.position[block]] = loss.grad(estimates[block], at=block)
-                ready = t
-            learner.observe(rows, fed[first:last], next_known)
-            first = last
+                ready = take
 
     loss_values = loss.value(estimates)
     score_errors = np.abs(scoring.score(known, estimates) - scoring.score(known, hidden))

@@ -4,7 +4,11 @@ Feedback generated at round s with delay d becomes available at the end
 of round s + d - 1 and can drive the update made at that round; d = 1 is
 the no-delay case, and a fixed lag of tau rounds corresponds to d = tau + 1.
 The buffer splits the source rounds into delivery sets once, from the
-realized delays, so each round's feedback is handed out exactly once.
+realized delays, so each round's feedback is handed out exactly once.  It
+also names the take rounds, the rounds that deliver a source round whose
+feedback the game has not taken yet: between two of them every delivered
+feedback is already known, so the game plays the rounds between them as
+one block.
 """
 
 from __future__ import annotations
@@ -94,10 +98,13 @@ class FeedbackBuffer:
     lands in delivery sets that the game never reads, and that checks of
     exactly-once delivery do.
 
-    `in_time` is the (rows, T) mask of the pairs due within the horizon,
-    and `newest[t]` is the latest source round that round t delivers in
-    any row (0 for none), for t = 0..horizon.  The pairs of every round
-    are kept in delivery order as `rows` and `sources`, and
+    `in_time` is the (rows, T) mask of the pairs due within the horizon.
+    `takes` lists the take rounds in order: the rounds that deliver, in
+    some row, a source round later than the take round before them (0
+    before the first).  The take round after round r is the earliest round
+    at which a source round later than r is due in time, read from a
+    suffix minimum, so the list costs one step per take round.  The pairs
+    of every round are kept in delivery order as `rows` and `sources`, and
     `position[k, s - 1]` is the place of pair (k, s) in that order.
     `starts[t]` is the first pair due at round t or later, for
     t = 0..horizon + 1, so round t of the game delivers the pairs
@@ -116,8 +123,13 @@ class FeedbackBuffer:
         self.horizon = delays.shape[1]
         due = np.arange(self.horizon) + delays  # s = i + 1 is due at s + d - 1
         self.in_time = due <= self.horizon
-        self.newest = np.zeros(self.horizon + 1, dtype=np.int64)
-        np.maximum.at(self.newest, due[self.in_time], np.nonzero(self.in_time)[1] + 1)
+        # soonest[r] is the earliest round at which a source round > r is due in time.
+        soonest = np.where(self.in_time, due, self.horizon + 1).min(axis=0)
+        soonest = np.minimum.accumulate(soonest[::-1])[::-1]
+        self.takes = []
+        t = 0
+        while t < self.horizon and (t := int(soonest[t])) <= self.horizon:
+            self.takes.append(t)
         # Stable, so pairs due together keep their row-major order: by row, then by source.
         order = np.argsort(due, axis=None, kind="stable")
         self.rows, self.sources = np.divmod(order, self.horizon)

@@ -23,7 +23,13 @@ The sample-mean baseline ignores gradients entirely and plays the average
 of all hidden contexts revealed so far.
 
 A learner plays a batch of independent trials in lockstep: its iterate
-holds one row per trial, and every step acts on all rows at once.
+holds one row per trial, and every step acts on all rows at once.  It
+plays a block of rounds per call: the game calls it once per run of
+rounds whose delivered feedback is all known when the run starts, so
+every move of the block is known up front.  The gradient learner forms
+them as one array and, under the Euclidean map, walks them as one running
+sum that it projects once, summing again only from where the projection
+moved a point.
 """
 
 from __future__ import annotations
@@ -170,26 +176,31 @@ def eta_for_arbitrary_delay(L: float, R: float, lam: float, horizon: int,
 
 
 # ---------------------------------------------------------------------------
-# Round-by-round learner drivers
+# Block-by-block learner drivers
 # ---------------------------------------------------------------------------
 
 class BaseLearner:
-    """Shared play/observe protocol used by the game loop.
+    """Shared block protocol used by the game loop.
 
     A learner holds its iterate `estimate` in its feasible `body` and the
-    last round `t` it played; nothing else of the game's history.
-    `start(trials, horizon)` gives the iterate one row per trial, and
-    `play(t)` returns the round-t decisions, one row per trial: the iterate
-    itself, which `observe` may change in place.  The game copies every
-    decision into its record, and a round's feedback is taken at the recorded
-    decision: the gradient of the source round's loss there (or, when
-    `uses_gradients` is False, the loss's anchor).  `observe` gets the
-    (rows, feedback) pairs delivered at the end of round t, ordered by row
-    and then by source round, with the next round's known context (None
-    after the last round).  `lag` is the fixed lag a learner needs (every
-    delay lag + 1, checked by the game loop before round 1), or None for
-    a learner that takes any delays: the sample-mean baseline, and a
-    gradient learner whose schedule has tau = 0.
+    last round `t` whose feedback it observed; nothing else of the game's
+    history.  `start(trials, horizon)` gives the iterate one row per trial:
+    the decisions of round 1.  `play(lo, hi, rows, feedback, starts, known,
+    estimates)` observes the feedback delivered at the end of rounds
+    lo..hi-1 and writes the decisions of rounds lo+1..hi that lie within
+    the horizon into the trial-major record `estimates`, at columns
+    lo..hi-1; the iterate after round hi - 1 stays in `estimate`.  Round t
+    delivers the pairs starts[t]:starts[t + 1] of `rows` (the trial of
+    each) and `feedback` (one row each), ordered by trial and then by
+    source round, and `known[:, t]` is the known context of round t + 1.
+    The game calls `play` once per block of rounds whose feedback is all
+    known when the block starts; a round's feedback is taken at its
+    recorded decision: the gradient of the source round's loss there (or,
+    when `uses_gradients` is False, the loss's anchor).  `lag` is the fixed
+    lag a learner needs (every delay lag + 1, checked by the game loop
+    before round 1), or None for a learner that takes any delays: the
+    sample-mean baseline, and a gradient learner whose schedule has tau =
+    0.
     """
 
     lag: int | None = None
@@ -203,14 +214,15 @@ class BaseLearner:
     def start(self, trials: int, horizon: int) -> None:
         self.estimate = np.broadcast_to(self.estimate, (trials, self.body.dim)).copy()
 
-    def play(self, t: int) -> Array:
-        if t != self.t + 1:
-            raise RuntimeError(f"rounds must be played in order; expected {self.t + 1}")
-        self.t = t
-        return self.estimate
-
-    def observe(self, rows: Array, feedback: Array, next_known) -> None:
+    def play(self, lo: int, hi: int, rows: Array, feedback: Array, starts: list[int],
+             known: Array, estimates: Array) -> None:
         raise NotImplementedError
+
+    def _advance(self, lo: int, hi: int) -> None:
+        if lo != self.t + 1 or hi <= lo:
+            raise RuntimeError(f"rounds must be played in order; expected a block from "
+                               f"{self.t + 1}")
+        self.t = hi - 1
 
 
 class GradientLearner(BaseLearner):
@@ -222,18 +234,24 @@ class GradientLearner(BaseLearner):
     sums whatever each round delivers, in source order.  The correlation
     weight is `lam`, or `lam * eta(t)` when `coupled` (the config's `lam =
     coupled` passes lam = 1 or -1, signed like rho).  `start` tabulates
-    eta(t) and beta(t) for every round, and each round reads them there.
+    eta(t) and beta(t) for every round, and a block reads its columns there.
 
-    After round 1, a round that delivers nothing to a learner whose pull
-    is disabled (lam = 0) leaves the iterate where it is and returns at
-    once.  Round 1 is never skipped for being idle, so a start point
-    outside the body (the origin, for the pentagon) is projected into it
-    once the warm-up ends.  Under a projecting map the skip changes no
-    bit: the step would be x + 0.0 (the move is formed as 0.0 - eta *
-    total, never -0.0) and every projection gives back a point it
-    returned.  Under a map that skips projection the step would only
-    renormalize the iterate; the one learner that uses such a map, omd,
-    plays fixed delays, under which every round past the warm-up delivers.
+    A block's moves are all known when it starts, so `play` forms them at
+    once, on (rounds, trials, dim) arrays: the move of round t is 0.0 - eta
+    * total, or beta * pull - eta * total with a pull, the same elementwise
+    operations as one round's step.  Under the Euclidean map the path is
+    then a running sum from the iterate, which `np.cumsum` adds in
+    sequence, as x + move does, broken only where the projection moves a
+    point: the whole block is projected once, and from the first round
+    where a row moved, the projected point replaces the sum and the sum is
+    taken again.  The warm-up rounds are never projected, so a start point
+    outside the body (the origin, for the pentagon) stays until the first
+    step.  A round that delivers nothing to a learner with no pull steps
+    by 0.0 (the iterate is never -0.0), and the ball and the polygon, the
+    bodies a Euclidean learner is built with, give back a point their
+    projection returned bit for bit, so such a round changes no bit.  The
+    entropic map neither adds nor projects, so it takes its moves one
+    round after another.
     """
 
     def __init__(self, body: ConvexBody, schedule: StepSchedule, lam: float = 0.0,
@@ -249,37 +267,66 @@ class GradientLearner(BaseLearner):
         etas, betas = self.schedule.table(horizon)
         if etas.ndim > 1 and etas.shape[1] != trials:
             raise ValueError(f"{etas.shape[1]} step sizes for {trials} trials")
-        # Round t reads a scalar schedule's eta(t) and beta(t) as Python
-        # floats, and a per-trial one's as (trials, 1) columns.
-        self.eta_at, self.beta_at = ((etas.item, betas.item) if etas.ndim == 1
-                                     else (etas.__getitem__, betas.__getitem__))
+        # Round t's eta and beta as (1 or trials, 1) columns of a (rounds, trials, dim) block.
+        self.etas = etas.reshape(horizon + 1, -1, 1)
+        self.betas = betas.reshape(horizon + 1, -1, 1)
         super().start(trials, horizon)
 
-    def observe(self, rows, feedback, next_known) -> None:
-        t = self.t
-        if t <= self.schedule.tau or t > 1 and not len(rows) and not self.lam:
+    def play(self, lo, hi, rows, feedback, starts, known, estimates) -> None:
+        self._advance(lo, hi)
+        horizon = estimates.shape[1]
+        x = self.estimate
+        # The warm-up rounds keep the start point.
+        first = min(max(self.schedule.tau + 1, lo), hi)
+        estimates[:, lo:min(first, horizon)] = x[:, None]
+        if first == hi:
             return
-        # A fixed lag delivers one gradient per row; so do as many sorted
-        # rows as trials with no repeats.
-        trials = len(self.estimate)
-        if self.lag is not None or len(rows) == trials and (trials == 1 or np.all(np.diff(rows))):
-            total = feedback  # one gradient per row, in row order
-        else:
-            total = np.zeros(self.estimate.shape)
-            np.add.at(total, rows, feedback)  # row by row in source order
-        eta = self.eta_at(t)
+        n, (trials, dim) = hi - first, x.shape
+        a, b = starts[first], starts[hi]
+        if self.lag is not None:  # one gradient per row and round, in row order
+            total = feedback[a:b].reshape(n, trials, dim)
+        else:  # row by row in source order
+            total = np.zeros((n, trials, dim))
+            counts = [q - p for p, q in zip(starts[first:hi], starts[first + 1:hi + 1])]
+            rounds = np.array([j for j, count in enumerate(counts) for _ in range(count)],
+                              dtype=np.intp)
+            np.add.at(total, (rounds, rows[a:b]), feedback[a:b])
+        eta = self.etas[first:hi]
+        # steps[0] is the iterate and steps[j] the move of round first + j - 1.
+        steps = np.empty((n + 1, trials, dim))
+        steps[0] = x
         if self.lam:
             w = self.lam * eta if self.coupled else self.lam
-            pull = (np.zeros(self.body.dim) if next_known is None or not np.any(w)
-                    else w * next_known[..., :self.body.dim])
-            move = self.beta_at(t) * pull - eta * total
+            ahead = known[:, first:hi, :dim].swapaxes(0, 1)  # the contexts of the next rounds
+            if len(ahead) < n:  # no pull after the last round
+                ahead = np.concatenate([ahead, np.zeros((1, trials, dim))])
+            np.subtract(self.betas[first:hi] * (w * ahead), eta * total, out=steps[1:])
         else:
-            move = 0.0 - eta * total
-        if np.count_nonzero(np.isfinite(move)) < move.size:
-            what = "gradient" if not np.isfinite(total).all() else "step"
-            raise NonFiniteGradient(f"{what} has NaN or infinite entries at round {t}")
-        out = self.mirror.update(self.estimate, move)
-        self.estimate = self.body.project(out) if self.mirror.needs_projection else out
+            np.subtract(0.0, eta * total, out=steps[1:])
+        finite = np.isfinite(steps[1:])
+        if np.count_nonzero(finite) < finite.size:
+            j = int(np.argmin(finite.reshape(n, -1).all(axis=1)))
+            what = "gradient" if not np.isfinite(total[j]).all() else "step"
+            raise NonFiniteGradient(f"{what} has NaN or infinite entries at round {first + j}")
+        if self.mirror.needs_projection:  # the Euclidean map, whose update is x + move
+            path = np.add.accumulate(steps, axis=0)  # np.cumsum, with less overhead
+            done = 1
+            while done <= n:
+                projected = self.body.project(path[done:])
+                moved = projected != path[done:]
+                j = moved.argmax()  # the first moved coordinate, if any
+                if not moved.flat[j]:
+                    break
+                c = done + j // (trials * dim)
+                path[c] = steps[c] = projected[c - done]
+                np.add.accumulate(steps[c:], axis=0, out=path[c:])
+                done = c + 1
+        else:
+            path = steps  # each move gives way to the point it leads to
+            for j in range(1, n + 1):
+                path[j] = self.mirror.update(path[j - 1], steps[j])
+        estimates[:, first:min(hi, horizon)] = path[1:horizon - first + 1].swapaxes(0, 1)
+        self.estimate = path[n]
 
 
 class NaiveLearner(BaseLearner):
@@ -290,7 +337,9 @@ class NaiveLearner(BaseLearner):
     two or more dimensions numpy sums them one after another, starting
     from 0.0, so a running sum per row gives the same bits; in one
     dimension it sums pairwise, so there the revealed anchors of each trial
-    are kept in delivery order as a prefix of one (horizon, 1) block.
+    are kept in delivery order as a prefix of one (horizon, 1) block.  The
+    anchors are known before round 1, so the game plays the whole horizon
+    as one block, which `play` takes a round at a time.
     """
 
     uses_gradients = False
@@ -306,9 +355,17 @@ class NaiveLearner(BaseLearner):
         else:
             self.sums = np.zeros((trials, self.body.dim))
 
-    def observe(self, rows, feedback, next_known) -> None:
-        if not len(rows):
-            return
+    def play(self, lo, hi, rows, feedback, starts, known, estimates) -> None:
+        self._advance(lo, hi)
+        horizon = estimates.shape[1]
+        for t in range(lo, hi):
+            a, b = starts[t], starts[t + 1]
+            if b > a:
+                self._reveal(rows[a:b], feedback[a:b])
+            if t < horizon:
+                estimates[:, t] = self.estimate
+
+    def _reveal(self, rows, feedback) -> None:
         # Mean of points of a convex set stays inside it; no projection.
         updated, arrived = np.unique(rows, return_counts=True)
         if self.body.dim > 1:

@@ -382,6 +382,57 @@ def test_criterion_10_strongly_convex_horizon_scaling(thm2_horizons_tau10, thm2_
 
 
 # ---------------------------------------------------------------------------
+# Criterion 12: the sqrt((tau + 1) T) rate under a fixed lag, two-sided
+# ---------------------------------------------------------------------------
+
+def _lag_sign_regret(tmp_path, signs, tau):
+    """Regret / sqrt((tau + 1) T) of ogd (sqrt schedule, sigma auto, lam 0,
+    norm loss, radius 2) on hidden contexts `signs` under a fixed lag tau."""
+    horizon = len(signs)
+    contexts = tmp_path / "contexts.csv"
+    np.savetxt(contexts, np.column_stack([np.zeros(horizon), signs]), delimiter=",")
+    cfg = experiments.ExperimentConfig(
+        kind="single-run", horizon=horizon, learner="ogd", schedule="sqrt", sigma="auto",
+        tau=tau, lam=0.0, stream="csv", context_path=str(contexts), d1=1, d2=1, radius=2.0,
+        family="norm", delay_kind="fixed")
+    _, report = experiments.run_single(cfg, [experiments.trial_seed(0, 0)])
+    return report.regret[0, -1] / math.sqrt((tau + 1) * horizon)
+
+
+def test_criterion_12_sqrt_lag_rate_against_an_adversary(tmp_path):
+    # Random signs held for tau + 1 rounds are the lower-bound construction
+    # for a fixed lag (Weinberger & Ordentlich 2002; Langford, Smola &
+    # Zinkevich 2009): no learner keeps regret below order sqrt((tau + 1) T),
+    # and a tuned one stays within a constant of it.  A run's regret is
+    # about the comparator's |sum of signs|, so the ratio is taken as the
+    # mean over seeds; each seed is its own run and csv.  Under a fixed lag
+    # each block of tau + 1 rounds is one block of the game loop.
+    rows = []
+    for tau in (0, 4, 16):
+        for horizon in (1000, 4000):
+            rounds = np.arange(1, horizon + 1)
+            blocks = rounds // (tau + 1)
+            ratios = [_lag_sign_regret(tmp_path, np.random.default_rng(seed).choice(
+                [-1.0, 1.0], blocks[-1] + 1)[blocks], tau) for seed in range(6)]
+            rows.append((f"random tau={tau} T={horizon}", float(np.mean(ratios))))
+    # Random signs cost a learner inside [-1, 1] one a round whatever its
+    # step, so they cannot tell a mis-tuned step.  Signs that flip every
+    # 2 (tau + 1) rounds can: for tau rounds after each flip the learner
+    # still moves toward the old sign, and a step tuned as if tau were 0
+    # carries it further the wrong way (regret / sqrt((tau + 1) T) 2.7-3.0
+    # at tau = 16, against 1.3 tuned to tau).
+    for tau in (0, 4, 16):
+        for horizon in (1000, 4000):
+            rounds = np.arange(1, horizon + 1)
+            signs = np.where(rounds // (2 * (tau + 1)) % 2 == 0, 1.0, -1.0)
+            rows.append((f"alternating tau={tau} T={horizon}",
+                         _lag_sign_regret(tmp_path, signs, tau)))
+    _check(12, "regret / sqrt((tau + 1) T) in [0.4, 2.5]",
+           all(0.4 <= ratio <= 2.5 for _, ratio in rows),
+           ", ".join(f"{name}: {ratio:.3f}" for name, ratio in rows))
+
+
+# ---------------------------------------------------------------------------
 # Criterion 13: the sqrt(D) rate against an adversary, two-sided
 # ---------------------------------------------------------------------------
 

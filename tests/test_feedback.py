@@ -48,9 +48,9 @@ def test_two_rows_are_split_exactly_once_in_row_then_source_order():
     for row in (0, 1):
         sources = [s for ready in pairs.values() for r, s in ready if r == row]
         assert sorted(sources) == [1, 2, 3, 4]
-    # Due within the horizon of 4; the latest source due at each round 0..4.
+    # Due within the horizon of 4; each round delivers a source later than the last.
     assert buf.in_time.tolist() == [[True, True, True, True], [True, False, True, False]]
-    assert buf.newest.tolist() == [0, 1, 2, 3, 4]
+    assert buf.takes == [1, 2, 3, 4]
 
 
 def test_fixed_delay_sum_is_horizon_times_lag_plus_one():
@@ -82,6 +82,27 @@ def test_exactly_once_over_random_schedules():
             assert len(set(ready)) == len(ready)
             seen.extend(ready)
         assert sorted(seen) == list(range(1, horizon + 1))
+
+
+def test_take_rounds_are_where_a_round_delivers_a_source_past_the_last_take():
+    # The scan the game loop once ran round by round: round t is a take
+    # round when the latest source round it delivers, in any row, is later
+    # than the last take round.  Rows of random delays, some past the
+    # horizon, some of them all in time.
+    rng = np.random.default_rng(19)
+    for _ in range(200):
+        horizon = int(rng.integers(1, 40))
+        rows = int(rng.integers(1, 4))
+        delays = rng.integers(1, int(rng.integers(1, 12)) + 1, size=(rows, horizon))
+        delays[rng.random(delays.shape) < 0.1] = horizon + 3
+        buf = FeedbackBuffer(delays)
+        takes, ready = [], 0
+        for t in range(1, horizon + 1):
+            newest = max(buf.ready_at(t)[1].tolist(), default=0)
+            if newest > ready:
+                takes.append(t)
+                ready = t
+        assert buf.takes == takes
 
 
 def test_schedules_realize():

@@ -1,12 +1,14 @@
 """The game loop against a reference loop that takes each gradient when its round is played.
 
 `run_game` takes gradients in blocks of the rounds played since its last
-block, at the decisions the game recorded, hands each over when it is
-delivered, sums a row's one gradient without `np.add.at`, reads eta and beta
-from a table, skips a disabled pull, skips the warm-up rounds of a fixed
-lag and returns at once from a round that delivers nothing.  None of that
-may change a bit: every estimate must equal the reference's as a uint64
-pattern, so even a flipped sign of zero fails.
+take round, at the decisions the game recorded, and plays the rounds up to
+the next take round as one block: it forms the block's moves at once from
+eta and beta tables, reshapes a fixed lag's gradients in place of summing
+them, skips a disabled pull, walks the Euclidean map as one running sum
+that it projects once and sums again only from a round where the
+projection moved a point, and keeps the warm-up rounds of a fixed lag
+unprojected.  None of that may change a bit: every estimate must equal the
+reference's as a uint64 pattern, so even a flipped sign of zero fails.
 """
 
 import math
@@ -18,8 +20,9 @@ import pytest
 from laglearn.environment import (ExplicitStream, GaussianStream, LinearScoring, fixed_loss,
                                   run_game, uniform_quadratic)
 from laglearn.feedback import ExplicitDelay, FeedbackBuffer, FixedDelay, RandomDelay
-from laglearn.geometry import Ball, regular_polygon
-from laglearn.learners import ConstantStep, GradientLearner, InverseSqrtStep, InverseTimeStep
+from laglearn.geometry import Ball, NegativeEntropyMap, Simplex, regular_polygon
+from laglearn.learners import (ConstantStep, GradientLearner, InverseSqrtStep, InverseTimeStep,
+                               NonFiniteGradient)
 from laglearn.losses import ExpLoss, Loss, NormLoss, PowerLoss, QuadraticLoss
 
 HORIZON = 240
@@ -60,13 +63,18 @@ PULLS = [pytest.param(0.0, False, id="0.0"), pytest.param(0.3, False, id="0.3"),
 
 
 def reference_estimates(body, schedule, lam, coupled, streams, delays, loss_factory, horizon,
-                        seeds):
+                        seeds, mirror=None):
     """The decisions of the loop as it was: round-major (horizon, trials, dim).
 
     Each round's gradient is taken when the round is played and held until
     its due round; a delivery set is summed into zeros with `np.add.at`;
     eta(t), beta(t) and the pull come from their formulas, the pull is
-    taken every round, and every round ends in a projection.
+    taken every round, and every round ends in a projection.  With a
+    `mirror`, the loop starts at the map's initial point, leaves the
+    warm-up rounds t <= tau alone and ends every other round in
+    `mirror.update`, with no projection.  A move with a NaN or infinite
+    entry raises NonFiniteGradient, naming its round and whether the
+    gradients were already bad.
     """
     trials = len(streams)
     delay_values = np.stack([delay.realize(horizon) for delay in delays])
@@ -76,6 +84,8 @@ def reference_estimates(body, schedule, lam, coupled, streams, delays, loss_fact
     known = np.stack([k for k, _ in drawn], axis=1)
     buffer = FeedbackBuffer(delay_values)
     x = np.zeros((trials, body.dim))
+    if mirror is not None:
+        x += mirror.initial_point(body.dim)
     estimates = np.empty((horizon, trials, body.dim))
     feedback = np.empty((horizon, trials, body.dim))
     for i in range(horizon):
@@ -88,7 +98,13 @@ def reference_estimates(body, schedule, lam, coupled, streams, delays, loss_fact
         eta, beta = step_sizes(schedule, t)
         next_known = known[i + 1] if t < horizon else None
         move = beta * pull(lam, coupled, eta, next_known, body.dim) - eta * total
-        x = body.project(x + move)
+        if not np.isfinite(move).all():
+            what = "gradient" if not np.isfinite(total).all() else "step"
+            raise NonFiniteGradient(f"{what} has NaN or infinite entries at round {t}")
+        if mirror is None:
+            x = body.project(x + move)
+        elif t > schedule.tau:
+            x = mirror.update(x, move)
     return estimates
 
 
@@ -203,6 +219,70 @@ def test_mixed_delay_schedules_match_the_play_time_reference_bit_for_bit(dim, fa
                                    _mixed_schedules(HORIZON, seed), FACTORIES[family],
                                    HORIZON, seeds)
     assert np.array_equal(played.view(np.uint64), np.swapaxes(expected, 0, 1).view(np.uint64))
+
+
+def _simplex_streams(trials, horizon, seed):
+    """One stream per trial: Gaussian known parts, Dirichlet hidden points on the 3-simplex."""
+    rng = np.random.default_rng(seed)
+    return [ExplicitStream(rng.standard_normal((horizon, 4)),
+                           rng.dirichlet([2.0, 1.0, 0.5], horizon)) for _ in range(trials)]
+
+
+@pytest.mark.parametrize("lam, coupled", [PULLS[0], PULLS[1], PULLS[2]])
+@pytest.mark.parametrize("family", sorted(FACTORIES))
+@pytest.mark.parametrize("tau", [0, 3])
+@pytest.mark.parametrize("kind", sorted(SCHEDULES))
+def test_entropic_fixed_lag_game_matches_the_update_reference_bit_for_bit(kind, tau, family,
+                                                                          lam, coupled):
+    # omd with the negative-entropy map on the simplex: no projection and no
+    # running sum, so each block takes its moves one round after another.
+    trials, body = 3, Simplex(3)
+    schedule = SCHEDULES[kind](tau, None)
+    seed = 41 + tau
+    learner = GradientLearner(body, schedule, lam, coupled, NegativeEntropyMap())
+    played = run_game(learner, _simplex_streams(trials, HORIZON, seed), [FixedDelay(tau)] * trials,
+                      FACTORIES[family], LinearScoring.default(4, 3), HORIZON,
+                      [seed + k for k in range(trials)]).estimates
+    expected = reference_estimates(body, schedule, lam, coupled,
+                                   _simplex_streams(trials, HORIZON, seed),
+                                   [FixedDelay(tau)] * trials, FACTORIES[family], HORIZON,
+                                   [seed + k for k in range(trials)], NegativeEntropyMap())
+    assert np.isclose(played.sum(axis=-1), 1.0).all()
+    assert np.array_equal(played.view(np.uint64), np.swapaxes(expected, 0, 1).view(np.uint64))
+
+
+@pytest.mark.parametrize("what", ["gradient", "step"])
+@pytest.mark.parametrize("delays", ["fixed", "random"])
+def test_a_move_that_overflows_in_a_block_names_the_reference_round_and_kind(delays, what):
+    # Trial 1's anchor of round 37 sits far away.  At 1e308 its quadratic
+    # gradient overflows; at 1e10 the gradient is finite, but a step of
+    # 1e300 times it is not.  Under a fixed lag of 4 it is delivered at
+    # round 41, inside the block of rounds 40..44; under these random
+    # delays, at round 40, inside the block of rounds 39 and 40.
+    trials, horizon, tau = 2, 80, (4 if delays == "fixed" else 0)
+
+    def streams():
+        rng = np.random.default_rng(5)
+        hidden = rng.uniform(-0.5, 0.5, (trials, horizon, 1))
+        hidden[1, 36] = 1e308 if what == "gradient" else 1e10
+        return [ExplicitStream(np.zeros((horizon, 1)), h) for h in hidden]
+
+    schedule = ConstantStep(value=0.1 if what == "gradient" else 1e300, tau=tau)
+    schedules = ([FixedDelay(tau)] * trials if delays == "fixed"
+                 else [RandomDelay(d_max=6, seed=s) for s in (3, 4)])
+    factory, body = fixed_loss(QuadraticLoss, a=1.0), Ball([0.0], 1.0)
+    with pytest.raises(NonFiniteGradient) as played:
+        run_game(GradientLearner(body, schedule), streams(), schedules, factory,
+                 LinearScoring.default(1, 1), horizon, [0, 0])
+    with (np.errstate(over="ignore", invalid="ignore"),
+          pytest.raises(NonFiniteGradient) as expected):
+        reference_estimates(body, schedule, 0.0, False, streams(), schedules, factory, horizon,
+                            [0, 0])
+    bad_round = 41 if delays == "fixed" else 40
+    assert str(played.value) == str(expected.value)
+    assert str(played.value) == f"{what} has NaN or infinite entries at round {bad_round}"
+    buffer = FeedbackBuffer(np.stack([schedule.realize(horizon) for schedule in schedules]))
+    assert bad_round not in buffer.takes  # not the first round of its block
 
 
 def test_undelivered_rounds_whose_gradients_overflow_leave_the_game_as_it_was():

@@ -22,17 +22,23 @@ from laglearn.losses import NormLoss, QuadraticLoss
 
 
 def step_once(learner, estimate, t, grads, next_known=None, rows=(0,)):
-    """One trial's observe at the end of round t, from `estimate`.
+    """One trial's one-round block: the feedback delivered at the end of round t, from `estimate`.
 
-    `grads` are the delivered gradients, one per entry of `rows`; the
-    learner's new iterate is returned.
+    `grads` are the delivered gradients, one per entry of `rows`; round t
+    is the last one when there is no `next_known`.  The learner's new
+    iterate is returned.
     """
-    learner.start(1, t)
+    horizon = t if next_known is None else t + 1
+    learner.start(1, horizon)
     learner.estimate = np.asarray([estimate], dtype=float)
-    learner.t = t
+    learner.t = t - 1
     feedback = np.asarray(grads, dtype=float).reshape(len(rows), len(estimate))
-    known = None if next_known is None else np.asarray([next_known], dtype=float)
-    learner.observe(np.asarray(rows, dtype=np.int64), feedback, known)
+    known = np.zeros((1, horizon, len(estimate) if next_known is None else len(next_known)))
+    if next_known is not None:
+        known[0, t] = next_known
+    starts = [0] * (t + 1) + [len(rows)]  # round t delivers every pair
+    learner.play(t, t + 1, np.asarray(rows, dtype=np.int64), feedback, starts, known,
+                 np.empty((1, horizon, len(estimate))))
     return learner.estimate[0]
 
 
@@ -97,7 +103,7 @@ def test_ogd_projects_back_into_body():
 
 
 def test_no_update_through_the_warmup():
-    # Rounds t <= tau deliver nothing under a fixed lag; observe leaves the iterate alone.
+    # Rounds t <= tau deliver nothing under a fixed lag; the learner leaves the iterate alone.
     body = Ball([0.0], 1.0)
     learner = GradientLearner(body, ConstantStep(value=0.5, tau=5))
     assert np.array_equal(step_once(learner, [0.3], 5, [1.0]), [0.3])
