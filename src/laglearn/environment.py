@@ -7,15 +7,17 @@ loss at the true hidden part, and the game records both.  The round's
 feedback is the loss's gradient at the recorded estimate, or its anchor
 for the sample-mean baseline.  A decision is final once it is played, so
 the game takes the gradients of the rounds played since its last take in
-one call, once a round delivers one of them (a take round), and hands
-each over when it is delivered, after its delay.  Between two take rounds
-every delivered feedback is already known, so the game plays the rounds
-from one take round to the next as one block, in one call to the
-learner.  The learner sees hidden information only through delivered
-feedback, never directly.  The independent trials of one configuration
-are played in lockstep, as one game on (trials, dim) arrays; the game's
-one copy of its state is trial-major, (trials, horizon, ...), and is
-returned as one `Trajectory` whose row k is trial k.
+one call, once a round delivers one of them (a take round), and adds each
+into the total of the round it is delivered at, after its delay.  Between
+two take rounds every delivered feedback is already known, so the game
+plays the rounds from one take round to the next as one block, in one
+call to the learner, which reads those rounds' totals as one slice.  The
+learner sees hidden information only through delivered feedback, never
+directly.  The independent trials of one configuration are played in
+lockstep, as one game on (trials, dim) arrays; the game's record is
+trial-major, (trials, horizon, ...), and is returned as one `Trajectory`
+whose row k is trial k, while the totals it hands the learner are
+round-major, (rounds, trials, dim), so a block is one slice of them.
 
 Scores are separable, score(known, hidden) = <w_known, known> +
 <w_hidden, hidden>, with the hidden component 1-Lipschitz, so the
@@ -234,11 +236,17 @@ def run_game(learner: BaseLearner, streams: list[ContextStream],
     the buffer to the next (see `FeedbackBuffer.takes`): at a take round
     one `loss.grad` call takes the gradients of every round played since
     the last one, at their recorded decisions, so under a fixed lag tau
-    there is one call per tau + 1 rounds.  The learner then plays the
-    rounds up to the next take round in one `play` call (see
-    `BaseLearner`): their feedback is all taken, and it writes its
-    decisions into the record.  A learner that reads anchors, not
-    gradients, has its feedback before round 1 and plays the whole horizon
+    there is one call per tau + 1 rounds.  It puts them at once into the
+    round-major totals, whose row t holds per trial the sum of the
+    gradients due at round t (see `FeedbackBuffer.due`), and row
+    horizon + 1 the unread rest.  Under a fixed lag each row gets one gradient, which is copied
+    in, so a -0.0 stays -0.0; under other delays each row's gradients are
+    added to +0.0 one at a time in source order, as the takes come in
+    rising source ranges.  The learner then plays the rounds up to the
+    next take round in one `play` call (see `BaseLearner`): their totals
+    are all summed, and it writes its decisions into the record.  A
+    learner that reads anchors, not gradients, has its feedback before
+    round 1, in the buffer's delivery order, and plays the whole horizon
     as one block.  The update at the horizon boundary sees no known context
     and uses a zero pull.  Losses are row-wise, so a block gives each row
     the bits of taking it alone; a gradient that is never delivered in
@@ -280,19 +288,16 @@ def run_game(learner: BaseLearner, streams: list[ContextStream],
     buffer = FeedbackBuffer(delay_values)
 
     estimates = np.empty((trials, horizon, dim))
-    # Row p of `fed` holds the feedback of pair p of the buffer's delivery
-    # order, so a block's feedback is the rows after the last block's.  The
-    # anchors are known up front; gradients are taken at each take round
-    # for the rounds played since the last one and put in their pairs' rows.
-    fed = np.empty((trials * horizon, dim))
-    if learner.uses_gradients:
+    if learner.uses_gradients:  # the totals, one row per round, filled as gradients are taken
+        feedback = np.zeros((horizon + 2, trials, dim))
         takes = buffer.takes
     else:
-        fed[buffer.position] = loss.anchor
+        feedback = loss.anchor[buffer.rows, buffer.sources - 1]
         takes = []
-    learner.start(trials, horizon)
+    learner.start(trials, horizon, buffer)
     estimates[:, 0] = learner.estimate
     first, ready = 1, 0
+    trial_rows = np.arange(trials)[:, None]
     # Every non-finite step raises NonFiniteGradient, and a projection
     # rescales a row whose squared norm overflows: numpy need not warn.
     # A gradient of a round that is never delivered in time may overflow
@@ -300,11 +305,16 @@ def run_game(learner: BaseLearner, streams: list[ContextStream],
     with np.errstate(over="ignore", invalid="ignore"):
         for take in chain(takes, [horizon + 1]):
             if take > first:
-                learner.play(first, take, buffer.rows, fed, buffer.starts, known, estimates)
+                learner.play(first, take, feedback, known, estimates)
                 first = take
             if take <= horizon:
                 block = (slice(None), slice(ready, take))
-                fed[buffer.position[block]] = loss.grad(estimates[block], at=block)
+                grads = loss.grad(estimates[block], at=block)
+                if learner.lag is None:
+                    np.add.at(feedback, (buffer.due[block], trial_rows), grads)
+                else:  # due lag + 1 rounds after their source rounds
+                    due = feedback[ready + learner.lag + 1:take + learner.lag + 1]
+                    due[...] = grads[:, :len(due)].swapaxes(0, 1)
                 ready = take
 
     loss_values = loss.value(estimates)

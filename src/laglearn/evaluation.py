@@ -166,7 +166,7 @@ def offline_optimum(losses: Loss | list[Loss], body: ConvexBody,
         weights = losses.a
         start = (weights[..., None] * losses.anchor).sum(axis=1) / weights.sum(axis=1)[:, None]
     elif method == "auto" and isinstance(losses, NormLoss) and dim == 1:
-        start = np.median(losses.anchor[..., 0], axis=1)[:, None]
+        start = _median(losses.anchor[..., 0])[:, None]
     else:
         start = losses.anchor.mean(axis=1)
     x, total, gap = _descend(losses, body, body.project(start))
@@ -176,6 +176,20 @@ def offline_optimum(losses: Loss | list[Loss], body: ConvexBody,
         warnings.warn("offline comparator is not certified: its Frank-Wolfe gap is above "
                       "the tolerance", RuntimeWarning)
     return solutions
+
+
+def _median(rows: Array) -> Array:
+    """`np.median(rows, axis=-1)` by numpy's own steps, bit for bit: partition
+    at the middle (and at the last place, where a NaN sorts to), take the
+    mean of the middle one or two, and give a row whose last entry is NaN a
+    NaN.  `np.median`'s NaN check imports `numpy.ma`, about 20 ms."""
+    n = rows.shape[-1]
+    middle = [n // 2 - 1, n // 2] if n % 2 == 0 else [n // 2]
+    part = np.partition(rows, middle + [-1], axis=-1)
+    median = part[..., middle[0]:n // 2 + 1].mean(axis=-1)
+    last = part[..., -1]
+    np.copyto(median, last, where=np.isnan(last))
+    return median
 
 
 def _oracles(losses: Loss, body: ConvexBody, x: Array):

@@ -610,7 +610,7 @@ def _write_trajectory_csv(traj: Trajectory, path) -> None:
         for lo in range(0, traj.horizon, evaluation.CSV_CHUNK):
             hi = lo + evaluation.CSV_CHUNK
             # Rounds lo + 1..hi deliver the pairs starts[lo + 1]:starts[hi + 1].
-            starts = buffer.starts[lo + 1:hi + 2]
+            starts = buffer.starts[lo + 1:hi + 2].tolist()
             first = starts[0]
             sources = list(map(str, buffer.sources[first:starts[-1]].tolist()))
             delivered = [";".join(sources[a - first:b - first]) for a, b in zip(starts, starts[1:])]

@@ -5,10 +5,11 @@ of round s + d - 1 and can drive the update made at that round; d = 1 is
 the no-delay case, and a fixed lag of tau rounds corresponds to d = tau + 1.
 The buffer splits the source rounds into delivery sets once, from the
 realized delays, so each round's feedback is handed out exactly once.  It
-also names the take rounds, the rounds that deliver a source round whose
-feedback the game has not taken yet: between two of them every delivered
-feedback is already known, so the game plays the rounds between them as
-one block.
+keeps the round each source round is due at, so the game can put a
+gradient into that round's total the moment it takes it, and it names the
+take rounds, the rounds that deliver a source round whose feedback the
+game has not taken yet: between two of them every delivered feedback is
+already known, so the game plays the rounds between them as one block.
 """
 
 from __future__ import annotations
@@ -98,22 +99,22 @@ class FeedbackBuffer:
     lands in delivery sets that the game never reads, and that checks of
     exactly-once delivery do.
 
-    `in_time` is the (rows, T) mask of the pairs due within the horizon.
-    `takes` lists the take rounds in order: the rounds that deliver, in
-    some row, a source round later than the take round before them (0
-    before the first).  The take round after round r is the earliest round
-    at which a source round later than r is due in time, read from a
-    suffix minimum, so the list costs one step per take round.  The pairs
-    of every round are kept in delivery order as `rows` and `sources`, and
-    `position[k, s - 1]` is the place of pair (k, s) in that order.
-    `starts[t]` is the first pair due at round t or later, for
-    t = 0..horizon + 1, so round t of the game delivers the pairs
-    starts[t]:starts[t + 1], the next ones after those of round t - 1.
-    `starts` is a list of Python ints, which `ready_at` reads with no
-    numpy call.  The pairs due past the horizon, from starts[horizon + 1]
-    on, keep the rounds they are due at in `late_due`, where a round past
-    the horizon is found by bisection.  None of these grows with the
-    largest delay, so a huge delay costs no memory.
+    `in_time` is the (rows, T) mask of the pairs due within the horizon,
+    and `due[k, s - 1]` the round pair (k, s) is due at, cut at T + 1, the
+    one round past the horizon that stands for all of them.  `takes` lists
+    the take rounds in order: the rounds that deliver, in some row, a
+    source round later than the take round before them (0 before the
+    first).  The take round after round r is the earliest round at which a
+    source round later than r is due in time, read from a suffix minimum,
+    so the list costs one step per take round.  The pairs of every round
+    are kept in delivery order as `rows` and `sources`.  `starts[t]` is
+    the first pair due at round t or later, for t = 0..horizon + 1, as an
+    int array, so round t delivers the pairs starts[t]:starts[t + 1], the
+    next ones after those of round t - 1.  The pairs due past the horizon,
+    from starts[horizon + 1] on, keep the rounds they are due at in
+    `late_due`, where a round past the horizon is found by bisection.  None
+    of these grows with the largest delay, so a huge delay costs no
+    memory.
     """
 
     def __init__(self, delays):
@@ -123,8 +124,9 @@ class FeedbackBuffer:
         self.horizon = delays.shape[1]
         due = np.arange(self.horizon) + delays  # s = i + 1 is due at s + d - 1
         self.in_time = due <= self.horizon
+        self.due = np.minimum(due, self.horizon + 1)
         # soonest[r] is the earliest round at which a source round > r is due in time.
-        soonest = np.where(self.in_time, due, self.horizon + 1).min(axis=0)
+        soonest = self.due.min(axis=0)
         soonest = np.minimum.accumulate(soonest[::-1])[::-1]
         self.takes = []
         t = 0
@@ -135,9 +137,7 @@ class FeedbackBuffer:
         self.rows, self.sources = np.divmod(order, self.horizon)
         self.sources += 1
         due = due.ravel()[order]
-        self.position = np.empty(delays.shape, dtype=np.int64)
-        self.position.flat[order] = np.arange(order.size)
-        self.starts = np.searchsorted(due, np.arange(self.horizon + 2)).tolist()
+        self.starts = np.searchsorted(due, np.arange(self.horizon + 2))
         self.late_due = due[self.starts[-1]:].copy()  # not a view that keeps all of `due`
 
     def ready_at(self, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -147,7 +147,7 @@ class FeedbackBuffer:
         if t < 1:
             raise ValueError("rounds are numbered from 1")
         if t <= self.horizon:
-            lo, hi = self.starts[t], self.starts[t + 1]
+            lo, hi = self.starts[t:t + 2].tolist()
         else:
             lo, hi = (self.starts[-1] + np.searchsorted(self.late_due, (t, t + 1))).tolist()
         return self.rows[lo:hi], self.sources[lo:hi]

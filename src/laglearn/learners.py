@@ -26,10 +26,13 @@ A learner plays a batch of independent trials in lockstep: its iterate
 holds one row per trial, and every step acts on all rows at once.  It
 plays a block of rounds per call: the game calls it once per run of
 rounds whose delivered feedback is all known when the run starts, so
-every move of the block is known up front.  The gradient learner forms
-them as one array and, under the Euclidean map, walks them as one running
-sum that it projects once, summing again only from where the projection
-moved a point.
+every move of the block is known up front.  The game hands a gradient
+learner its feedback already summed per round: row t of one round-major
+array of totals holds, per trial, the sum of the gradients delivered at
+the end of round t, so a block reads one slice of it.  The gradient
+learner forms the block's moves as one array and, under the Euclidean map,
+walks them as one running sum that it projects once, summing again only
+from where the projection moved a point.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .feedback import FeedbackBuffer
 from .geometry import Array, ConvexBody, EuclideanMap, MirrorMap
 
 
@@ -184,19 +188,22 @@ class BaseLearner:
 
     A learner holds its iterate `estimate` in its feasible `body` and the
     last round `t` whose feedback it observed; nothing else of the game's
-    history.  `start(trials, horizon)` gives the iterate one row per trial:
-    the decisions of round 1.  `play(lo, hi, rows, feedback, starts, known,
-    estimates)` observes the feedback delivered at the end of rounds
-    lo..hi-1 and writes the decisions of rounds lo+1..hi that lie within
-    the horizon into the trial-major record `estimates`, at columns
-    lo..hi-1; the iterate after round hi - 1 stays in `estimate`.  Round t
-    delivers the pairs starts[t]:starts[t + 1] of `rows` (the trial of
-    each) and `feedback` (one row each), ordered by trial and then by
-    source round, and `known[:, t]` is the known context of round t + 1.
-    The game calls `play` once per block of rounds whose feedback is all
-    known when the block starts; a round's feedback is taken at its
-    recorded decision: the gradient of the source round's loss there (or,
-    when `uses_gradients` is False, the loss's anchor).  `lag` is the fixed
+    history.  `start(trials, horizon, buffer)` gives the iterate one row
+    per trial: the decisions of round 1; `buffer` is the game's
+    `FeedbackBuffer`, for a learner that reads its delivery order (a
+    gradient learner reads none of it, and may be started with None).
+    `play(lo, hi, feedback, known, estimates)` observes the feedback
+    delivered at the end of rounds lo..hi-1 and writes the decisions of
+    rounds lo+1..hi that lie within the horizon into the trial-major record
+    `estimates`, at columns lo..hi-1; the iterate after round hi - 1 stays
+    in `estimate`.  `known[:, t]` is the known context of round t + 1.  The
+    game calls `play` once per block of rounds whose feedback is all known
+    when the block starts.  When `uses_gradients` is True, `feedback` is
+    the round-major array of totals: row t holds, per trial, the sum of the
+    gradients delivered at the end of round t, each taken at the recorded
+    decision of its source round, and `play` reads rows lo..hi-1 only.
+    Otherwise it is the losses' anchors in the buffer's delivery order, one
+    row per pair of `buffer.rows` and `buffer.sources`.  `lag` is the fixed
     lag a learner needs (every delay lag + 1, checked by the game loop
     before round 1), or None for a learner that takes any delays: the
     sample-mean baseline, and a gradient learner whose schedule has tau =
@@ -211,11 +218,10 @@ class BaseLearner:
         self.estimate = estimate
         self.t = 0
 
-    def start(self, trials: int, horizon: int) -> None:
+    def start(self, trials: int, horizon: int, buffer: FeedbackBuffer | None) -> None:
         self.estimate = np.broadcast_to(self.estimate, (trials, self.body.dim)).copy()
 
-    def play(self, lo: int, hi: int, rows: Array, feedback: Array, starts: list[int],
-             known: Array, estimates: Array) -> None:
+    def play(self, lo: int, hi: int, feedback: Array, known: Array, estimates: Array) -> None:
         raise NotImplementedError
 
     def _advance(self, lo: int, hi: int) -> None:
@@ -231,7 +237,7 @@ class GradientLearner(BaseLearner):
     The schedule's tau is the lag.  With tau > 0 each row's delivery set
     is the one gradient of round t - tau, and nothing moves through the
     warm-up rounds t <= tau; with tau = 0 the learner takes any delays and
-    sums whatever each round delivers, in source order.  The correlation
+    moves against the sum of whatever each round delivers.  The correlation
     weight is `lam`, or `lam * eta(t)` when `coupled` (the config's `lam =
     coupled` passes lam = 1 or -1, signed like rho).  `start` tabulates
     eta(t) and beta(t) for every round, and a block reads its columns there.
@@ -263,34 +269,27 @@ class GradientLearner(BaseLearner):
         self.mirror = mirror
         self.lag = schedule.tau or None
 
-    def start(self, trials: int, horizon: int) -> None:
+    def start(self, trials: int, horizon: int, buffer: FeedbackBuffer | None) -> None:
         etas, betas = self.schedule.table(horizon)
         if etas.ndim > 1 and etas.shape[1] != trials:
             raise ValueError(f"{etas.shape[1]} step sizes for {trials} trials")
         # Round t's eta and beta as (1 or trials, 1) columns of a (rounds, trials, dim) block.
         self.etas = etas.reshape(horizon + 1, -1, 1)
         self.betas = betas.reshape(horizon + 1, -1, 1)
-        super().start(trials, horizon)
+        super().start(trials, horizon, buffer)
 
-    def play(self, lo, hi, rows, feedback, starts, known, estimates) -> None:
+    def play(self, lo, hi, totals, known, estimates) -> None:
         self._advance(lo, hi)
         horizon = estimates.shape[1]
         x = self.estimate
         # The warm-up rounds keep the start point.
         first = min(max(self.schedule.tau + 1, lo), hi)
-        estimates[:, lo:min(first, horizon)] = x[:, None]
-        if first == hi:
-            return
+        if first > lo:
+            estimates[:, lo:min(first, horizon)] = x[:, None]
+            if first == hi:
+                return
         n, (trials, dim) = hi - first, x.shape
-        a, b = starts[first], starts[hi]
-        if self.lag is not None:  # one gradient per row and round, in row order
-            total = feedback[a:b].reshape(n, trials, dim)
-        else:  # row by row in source order
-            total = np.zeros((n, trials, dim))
-            counts = [q - p for p, q in zip(starts[first:hi], starts[first + 1:hi + 1])]
-            rounds = np.array([j for j, count in enumerate(counts) for _ in range(count)],
-                              dtype=np.intp)
-            np.add.at(total, (rounds, rows[a:b]), feedback[a:b])
+        total = totals[first:hi]
         eta = self.etas[first:hi]
         # steps[0] is the iterate and steps[j] the move of round first + j - 1.
         steps = np.empty((n + 1, trials, dim))
@@ -338,8 +337,9 @@ class NaiveLearner(BaseLearner):
     from 0.0, so a running sum per row gives the same bits; in one
     dimension it sums pairwise, so there the revealed anchors of each trial
     are kept in delivery order as a prefix of one (horizon, 1) block.  The
-    anchors are known before round 1, so the game plays the whole horizon
-    as one block, which `play` takes a round at a time.
+    anchors are known before round 1, so the game hands them over in the
+    delivery order of the buffer the learner is started with, and plays the
+    whole horizon as one block, which `play` takes a round at a time.
     """
 
     uses_gradients = False
@@ -347,21 +347,22 @@ class NaiveLearner(BaseLearner):
     def __init__(self, body: ConvexBody):
         super().__init__(body, np.zeros(body.dim))
 
-    def start(self, trials: int, horizon: int) -> None:
-        super().start(trials, horizon)
+    def start(self, trials: int, horizon: int, buffer: FeedbackBuffer | None) -> None:
+        super().start(trials, horizon, buffer)
+        self.rows, self.starts = buffer.rows, buffer.starts
         self.count = np.zeros(trials, dtype=np.int64)
         if self.body.dim == 1:
             self.revealed = np.empty((trials, horizon, 1))
         else:
             self.sums = np.zeros((trials, self.body.dim))
 
-    def play(self, lo, hi, rows, feedback, starts, known, estimates) -> None:
+    def play(self, lo, hi, anchors, known, estimates) -> None:
         self._advance(lo, hi)
         horizon = estimates.shape[1]
-        for t in range(lo, hi):
-            a, b = starts[t], starts[t + 1]
+        starts = self.starts[lo:hi + 1].tolist()
+        for t, a, b in zip(range(lo, hi), starts, starts[1:]):
             if b > a:
-                self._reveal(rows[a:b], feedback[a:b])
+                self._reveal(self.rows[a:b], anchors[a:b])
             if t < horizon:
                 estimates[:, t] = self.estimate
 

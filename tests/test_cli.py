@@ -862,15 +862,55 @@ def test_cli_unwritable_out_dir_exits_with_io_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_a_scaling_check_loads_no_scipy(tmp_path):
-    # The fit is numpy arithmetic: a run that fits an exponent imports no scipy module.
+def _run_in_a_fresh_process(args, package):
+    """`cli.main(args)` in a new interpreter: its exit status and the modules
+    of `package` (a dotted name) loaded by the end, as one printed line."""
     code = ("import sys\n"
             "from laglearn import cli\n"
-            f"status = cli.main(['run', 'thm1', '--trials', '2', '--out-dir', {str(tmp_path)!r}])\n"
-            "print(status, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+            f"status = cli.main({args!r})\n"
+            f"print(status, sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r})))\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=120)
-    assert result.stdout.splitlines()[-1] == "0 []", result.stderr
+    return result.stdout.splitlines()[-1], result.stderr
+
+
+def test_a_one_dimensional_norm_run_loads_no_numpy_ma(tmp_path):
+    # The comparator's start for 1-d norm losses is their median, taken
+    # without np.median, whose NaN check imports numpy.ma.
+    config = write_config(tmp_path, """\
+[experiment]
+kind = single-run
+horizon = 500
+trials = 1
+seed = 3
+
+[learner]
+kind = adversarial
+eta = auto
+lam = 0.0
+
+[stream]
+kind = gaussian
+d1 = 1
+d2 = 1
+
+[loss]
+family = norm
+
+[delays]
+kind = adversarial
+d_max = 20
+""")
+    line, err = _run_in_a_fresh_process(
+        ["run", str(config), "--out-dir", str(tmp_path / "out")], "numpy.ma")
+    assert line == "0 []", err
+
+
+def test_a_scaling_check_loads_no_scipy(tmp_path):
+    # The fit is numpy arithmetic: a run that fits an exponent imports no scipy module.
+    line, err = _run_in_a_fresh_process(
+        ["run", "thm1", "--trials", "2", "--out-dir", str(tmp_path)], "scipy")
+    assert line == "0 []", err

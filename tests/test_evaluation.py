@@ -91,6 +91,20 @@ def test_offline_iterative_agrees_with_closed_form():
     assert abs(closed.total - iterative.total) <= 1e-6
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 15, 16, 101, 1000])
+def test_the_comparator_median_is_np_median_bit_for_bit(n):
+    # Random rows of odd and even length, with ties, signed zeros, and a
+    # NaN in some rows; one row of all -0.0.
+    rng = np.random.default_rng(n)
+    rows = rng.choice([-2.5, -1.0, -0.0, 0.0, 0.0, 1.0, 3.0], size=(6, n))
+    rows[1] = rng.standard_normal(n)
+    rows[2] = -0.0
+    rows[3, rng.integers(n)] = np.nan
+    rows[4] = rng.integers(-3, 4, size=n) * 0.5
+    assert np.array_equal(evaluation._median(rows).view(np.uint64),
+                          np.median(rows, axis=1).view(np.uint64))
+
+
 def test_offline_comparator_beats_random_candidates():
     rng = np.random.default_rng(23)
     losses = [NormLoss(rng.normal(size=2)) for _ in range(25)]

@@ -1,12 +1,14 @@
 """The game loop against a reference loop that takes each gradient when its round is played.
 
 `run_game` takes gradients in blocks of the rounds played since its last
-take round, at the decisions the game recorded, and plays the rounds up to
-the next take round as one block: it forms the block's moves at once from
-eta and beta tables, reshapes a fixed lag's gradients in place of summing
-them, skips a disabled pull, walks the Euclidean map as one running sum
-that it projects once and sums again only from a round where the
-projection moved a point, and keeps the warm-up rounds of a fixed lag
+take round, at the decisions the game recorded, and puts each at once into
+the total of the round it is due at: a fixed lag's one gradient per round
+is copied in, and other delays add theirs to +0.0 as the takes come, in
+source order.  It plays the rounds up to the next take round as one block:
+it forms the block's moves at once from eta and beta tables and a slice
+of those totals, skips a disabled pull, walks the Euclidean map as one
+running sum that it projects once and sums again only from a round where
+the projection moved a point, and keeps the warm-up rounds of a fixed lag
 unprojected.  None of that may change a bit: every estimate must equal the
 reference's as a uint64 pattern, so even a flipped sign of zero fails.
 """
@@ -219,6 +221,51 @@ def test_mixed_delay_schedules_match_the_play_time_reference_bit_for_bit(dim, fa
                                    _mixed_schedules(HORIZON, seed), FACTORIES[family],
                                    HORIZON, seeds)
     assert np.array_equal(played.view(np.uint64), np.swapaxes(expected, 0, 1).view(np.uint64))
+
+
+def test_a_round_sums_gradients_of_several_takes_in_source_order():
+    # Round 6 delivers sources 1, 3, 4 and 6, taken at rounds 2, 5, 5 and 6.
+    # Trial 0's gradients of sources 1 and 3 are 1e16 and -1e16, and that of
+    # source 4 is 0.2: added in source order onto +0.0 they leave 0.2, but a
+    # sum per take added to the round's total loses it.  Trial 1 has the
+    # same delays and small anchors.
+    horizon = 12
+    delays = (6, 1, 4, 3, 1, 1, 1, 1, 1, 1, 1, 1)
+    hidden = [np.zeros((horizon, 1)), np.random.default_rng(2).uniform(-1, 1, (horizon, 1))]
+    hidden[0][:5, 0] = (-5e15, 0.5, 5e15, 0.0, 0.5)
+    buffer = FeedbackBuffer(delays)
+    assert buffer.takes[:3] == [2, 5, 6] and buffer.ready_at(6)[1].tolist() == [1, 3, 4, 6]
+
+    def streams():
+        return [ExplicitStream(np.zeros((horizon, 1)), h) for h in hidden]
+
+    body, schedule = Ball([0.0], 1.0), ConstantStep(value=[0.1, 0.2])
+    schedules, factory = [ExplicitDelay(delays)] * 2, fixed_loss(QuadraticLoss, a=1.0)
+    played = run_game(GradientLearner(body, schedule), streams(), schedules, factory,
+                      LinearScoring.default(1, 1), horizon, [0, 0]).estimates
+    expected = reference_estimates(body, schedule, 0.0, False, streams(), schedules, factory,
+                                   horizon, [0, 0])
+    assert played[0, 3, 0] == 0.1  # the decision of round 4, whose gradient is 0.2
+    assert np.array_equal(played.view(np.uint64), np.swapaxes(expected, 0, 1).view(np.uint64))
+
+
+def test_a_fixed_lag_keeps_a_negative_zero_gradient_as_it_is():
+    # The learner starts at -0.0 on anchors +0.0, so its first gradients are
+    # -0.0, and a negative weight on known contexts +0.0 pulls by -0.0.  A
+    # fixed lag's one gradient per round is its total as it is: the move
+    # -0.0 - eta * -0.0 is +0.0, which takes the iterate to +0.0 after the
+    # warm-up.  Added to a total of +0.0 it would keep the iterate at -0.0.
+    # A start at -0.0 is out of the reference's reach: the iterate of a
+    # game that starts at +0.0 is never -0.0, and then the sign of a zero
+    # total changes no bit.
+    horizon, tau = 30, 2
+    learner = GradientLearner(Ball([0.0], 1.0), ConstantStep(value=0.5, tau=tau), lam=-0.3)
+    learner.estimate = np.array([-0.0])
+    played = run_game(learner, [ExplicitStream(np.zeros((horizon, 1)), np.zeros((horizon, 1)))],
+                      [FixedDelay(tau)], fixed_loss(QuadraticLoss, a=1.0),
+                      LinearScoring.default(1, 1), horizon, [0]).estimates[0, :, 0]
+    assert not played.any()
+    assert np.signbit(played).tolist() == [True] * (tau + 1) + [False] * (horizon - tau - 1)
 
 
 def _simplex_streams(trials, horizon, seed):

@@ -24,21 +24,22 @@ from laglearn.losses import NormLoss, QuadraticLoss
 def step_once(learner, estimate, t, grads, next_known=None, rows=(0,)):
     """One trial's one-round block: the feedback delivered at the end of round t, from `estimate`.
 
-    `grads` are the delivered gradients, one per entry of `rows`; round t
-    is the last one when there is no `next_known`.  The learner's new
-    iterate is returned.
+    `grads` are the delivered gradients, one per entry of `rows`, summed
+    into row t of the round-major totals the learner reads; round t is the
+    last one when there is no `next_known`.  The learner's new iterate is
+    returned.
     """
     horizon = t if next_known is None else t + 1
-    learner.start(1, horizon)
+    learner.start(1, horizon, None)
     learner.estimate = np.asarray([estimate], dtype=float)
     learner.t = t - 1
-    feedback = np.asarray(grads, dtype=float).reshape(len(rows), len(estimate))
+    totals = np.zeros((horizon + 2, 1, len(estimate)))
+    np.add.at(totals[t], np.asarray(rows, dtype=np.intp),
+              np.asarray(grads, dtype=float).reshape(len(rows), len(estimate)))
     known = np.zeros((1, horizon, len(estimate) if next_known is None else len(next_known)))
     if next_known is not None:
         known[0, t] = next_known
-    starts = [0] * (t + 1) + [len(rows)]  # round t delivers every pair
-    learner.play(t, t + 1, np.asarray(rows, dtype=np.int64), feedback, starts, known,
-                 np.empty((1, horizon, len(estimate))))
+    learner.play(t, t + 1, totals, known, np.empty((1, horizon, len(estimate))))
     return learner.estimate[0]
 
 
@@ -168,6 +169,30 @@ def test_influence_linearity_and_reduction():
     coupled = GradientLearner(body, ConstantStep(value=0.25), lam=-1.0, coupled=True)
     assert np.allclose(step_once(coupled, zero, 1, zero, known), [-0.0625, -0.125])
     assert np.array_equal(step_once(coupled, zero, 1, zero), zero)
+
+
+@pytest.mark.parametrize("tau", [0, 3])
+def test_a_block_reads_only_its_own_rows_of_the_totals(tau):
+    # Two learners play the same blocks from the same totals, except that
+    # for the second every row outside the block being played is NaN.
+    trials, dim, horizon = 2, 2, 20
+    rng = np.random.default_rng(tau)
+    totals = rng.standard_normal((horizon + 2, trials, dim))
+    known = rng.standard_normal((trials, horizon, dim))
+    played = []
+    for blind in (False, True):
+        learner = GradientLearner(Ball(np.zeros(dim), 1.5), ConstantStep(value=0.3, tau=tau), 0.4)
+        learner.start(trials, horizon, None)
+        estimates = np.zeros((trials, horizon, dim))
+        for lo, hi in ((1, 2), (2, 7), (7, 8), (8, horizon + 1)):
+            seen = totals.copy()
+            if blind:
+                seen[:lo] = seen[hi:] = np.nan
+            learner.play(lo, hi, seen, known, estimates)
+        played.append((estimates, learner.estimate))
+    assert np.isfinite(played[1][0]).all()
+    assert np.array_equal(played[0][0], played[1][0])
+    assert np.array_equal(played[0][1], played[1][1])
 
 
 # ---------------------------------------------------------------------------
