@@ -192,14 +192,18 @@ def _median(rows: Array) -> Array:
     return median
 
 
+def _totals(losses: Loss, x: Array) -> Array:
+    """Each trial's summed losses at its row of x."""
+    return np.add.reduce(losses.value(x[:, None]), axis=-1)
+
+
 def _oracles(losses: Loss, body: ConvexBody, x: Array):
-    """Each trial's total at x, its Frank-Wolfe gap max_y <g, x - y>, and g.
+    """Each trial's Frank-Wolfe gap max_y <g, x - y> at x, and g.
 
     g is the summed gradient, but at kinks the kinked terms add a ball of
     radius sum radial'(0+), which cancels the rest as far as it reaches:
     g is the subgradient of least norm, and a minimum on anchors has gap 0.
     """
-    total = np.add.reduce(losses.value(x[:, None]), axis=-1)
     g = losses.grad(x[:, None]).sum(axis=1)
     slopes = losses.kink_slope()
     if slopes.any():
@@ -207,15 +211,20 @@ def _oracles(losses: Loss, body: ConvexBody, x: Array):
         length = norms(g)
         cancelled = np.divide(ball, length, out=np.ones_like(ball), where=length > 0)
         g *= 1.0 - np.minimum(cancelled, 1.0)[:, None]
-    return total, np.vecdot(g, x - body.linear_minimizer(g)), g
+    return np.vecdot(g, x - body.linear_minimizer(g)), g
 
 
 def _descend(losses: Loss, body: ConvexBody, x: Array):
     """Projected gradient descent from x with backtracking, until every trial
-    is certified.  A step that overflows has no finite total, and is rejected."""
+    is certified.  A step that overflows has no finite total, and is rejected.
+
+    Each point is evaluated once: an accepted trial keeps the total its
+    step (or its snap to a kink) was tried at, which is the total at the
+    point it moves to, since every evaluation is row-wise."""
     kinks = losses.kink_slope() > 0
     with np.errstate(all="ignore"):
-        total, gap, g = _oracles(losses, body, x)
+        total = _totals(losses, x)
+        gap, g = _oracles(losses, body, x)
         curvature = np.ones(len(x))
         for _ in range(MAX_STEPS):
             open_ = ~_certified(gap, total)
@@ -223,7 +232,7 @@ def _descend(losses: Loss, body: ConvexBody, x: Array):
                 break
             step = body.project(x - g / curvature[:, None])
             moved = step - x
-            tried = np.add.reduce(losses.value(step[:, None]), axis=-1)
+            tried = _totals(losses, step)
             bound = total + np.vecdot(g, moved) + curvature / 2 * np.vecdot(moved, moved)
             accepted = open_ & np.isfinite(tried) & (tried <= bound)
             if kinks.any() and not accepted[open_].all():
@@ -231,14 +240,14 @@ def _descend(losses: Loss, body: ConvexBody, x: Array):
                 # moves to its nearest kinked anchor if that lowers its total.
                 r = np.where(kinks, losses.distance(x[:, None]), np.inf)
                 snap = body.project(losses.anchor[np.arange(len(x)), np.argmin(r, axis=1)])
-                tried = np.add.reduce(losses.value(snap[:, None]), axis=-1)
-                snapped = open_ & ~accepted & (tried < total)
+                snap_total = _totals(losses, snap)
+                snapped = open_ & ~accepted & (snap_total < total)
                 step, accepted = np.where(snapped[:, None], snap, step), accepted | snapped
+                tried = np.where(snapped, snap_total, tried)
             curvature *= np.where(accepted, 0.5, np.where(open_, 2.0, 1.0))
             if accepted.any():
-                x[accepted] = step[accepted]
-                total[accepted], gap[accepted], g[accepted] = _oracles(losses[accepted], body,
-                                                                       x[accepted])
+                x[accepted], total[accepted] = step[accepted], tried[accepted]
+                gap[accepted], g[accepted] = _oracles(losses[accepted], body, x[accepted])
     return x, total, gap
 
 
@@ -246,7 +255,8 @@ def _descend(losses: Loss, body: ConvexBody, x: Array):
 # Regret
 # ---------------------------------------------------------------------------
 
-def regret(trajectory: Trajectory, body: ConvexBody, skip_rounds: int = 0) -> RegretReport:
+def regret(trajectory: Trajectory, body: ConvexBody, skip_rounds: int = 0,
+           solved: list | None = None) -> RegretReport:
     """Regret curves of an arm's finished trials.
 
     Each trial is measured against its own hindsight optimum; one
@@ -254,6 +264,15 @@ def regret(trajectory: Trajectory, body: ConvexBody, skip_rounds: int = 0) -> Re
     `skip_rounds` drops that many initial rounds from the reported regret
     (and from the comparator's objective): the dummy-candidate warm-up.
     The cumulative-loss curve always covers every round.
+
+    `solved` lets the arms of one experiment share a solve.  It holds the
+    problem of the last arm measured through it, as [losses, skip_rounds,
+    body description, comparators], or nothing yet.  An arm whose losses
+    equal those bit for bit (`Loss.same_bits`), and that skips as many
+    rounds on a body of the same description, scores the same problem and
+    reuses those comparators; any other arm is solved.  Either way the
+    arm's own problem then takes their place, so `solved` keeps no losses
+    alive but the last arm's.
     """
     horizon = trajectory.horizon
     if trajectory.loss.anchor.shape[1] != horizon:
@@ -261,7 +280,13 @@ def regret(trajectory: Trajectory, body: ConvexBody, skip_rounds: int = 0) -> Re
     if not 0 <= skip_rounds < horizon:
         raise ValueError("skip_rounds must lie in [0, horizon)")
     scored = trajectory.loss[:, skip_rounds:]
-    solutions = offline_optimum(scored, body)
+    problem = [trajectory.loss, skip_rounds, body.describe()]
+    if solved and solved[1:3] == problem[1:] and problem[0].same_bits(solved[0]):
+        solutions = solved[3]
+    else:
+        solutions = offline_optimum(scored, body)
+    if solved is not None:
+        solved[:] = problem + [solutions]
     comparator = np.stack([solution.point for solution in solutions])
     comparator_values = np.zeros((len(comparator), horizon))
     comparator_values[:, skip_rounds:] = scored.value(comparator[:, None])

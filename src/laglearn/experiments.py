@@ -466,17 +466,22 @@ def _build_arm(cfg: ExperimentConfig, seeds: list[int]):
     return body, streams, delays, learner
 
 
-def run_single(cfg: ExperimentConfig, seeds: list[int]) -> tuple[Trajectory, RegretReport]:
+def run_single(cfg: ExperimentConfig, seeds: list[int],
+               solved: list | None = None) -> tuple[Trajectory, RegretReport]:
     """One arm's seeded trials: build the pieces, play them in lockstep, measure regret.
 
     Row k of the trajectory and of the report is the trial of `seeds[k]`.
+    `solved` is handed to `evaluation.regret`: the previous arm's
+    comparator problem, whose solve this arm reuses if it scores the same
+    losses.
     """
     body, streams, delays, learner = _build_arm(cfg, seeds)
     scoring = environment.LinearScoring.default(cfg.d1, cfg.d2)
     trajectory = environment.run_game(
         learner, streams, delays, _loss_factory(cfg), scoring, cfg.horizon,
         seeds=[trial_seed(seed, 1) for seed in seeds])
-    return trajectory, evaluation.regret(trajectory, body, skip_rounds=cfg.warmup * cfg.tau)
+    return trajectory, evaluation.regret(trajectory, body, skip_rounds=cfg.warmup * cfg.tau,
+                                         solved=solved)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +505,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
 
     Returns the manifest dictionary (also written to manifest.json).  Each
     arm plays all its trials as one lockstep batch; `threads` accepts only
-    1 and stays for the benchmark harness, which passes it.  When an arm
+    1 and stays for the benchmark harness, which passes it.  An arm that
+    scores the previous arm's losses, bit for bit, on the same body reuses
+    its comparator solve (see `evaluation.regret`); what is shared lives
+    only as long as this call.  When an arm
     fails, the files and directories this call wrote are removed before
     the error propagates, so a failed run leaves no partial outputs.
     """
@@ -541,10 +549,11 @@ def _write_experiment(cfg: ExperimentConfig, out: Path, written: list[Path]) -> 
     }
 
     scaling_points = []
+    solved: list = []  # the previous arm's comparator problem, for the next to reuse
 
     for label, arm in expand_arms(cfg):
         manifest["resolved"][label] = resolve_arm(arm)
-        traj, report = run_single(arm, seeds)
+        traj, report = run_single(arm, seeds, solved)
 
         if cfg.kind == "single-run":  # the single-run outputs describe the first trial
             traj_file = out / "trajectory.csv"

@@ -332,14 +332,21 @@ class NaiveLearner(BaseLearner):
     """Sample-mean baseline: plays the average of the revealed hidden contexts.
 
     Its feedback is each round's anchor, the hidden context itself, and
-    each row plays `np.mean` of its revealed anchors in delivery order.  In
-    two or more dimensions numpy sums them one after another, starting
-    from 0.0, so a running sum per row gives the same bits; in one
-    dimension it sums pairwise, so there the revealed anchors of each trial
-    are kept in delivery order as a prefix of one (horizon, 1) block.  The
+    each row plays `np.mean` of its revealed anchors in delivery order.  The
     anchors are known before round 1, so the game hands them over in the
     delivery order of the buffer the learner is started with, and plays the
-    whole horizon as one block, which `play` takes a round at a time.
+    whole horizon as one block.
+
+    In two or more dimensions numpy sums the anchors one after another,
+    starting from +0.0, so `play` takes a block as one running sum per row:
+    it groups the block's anchors by row, keeping their delivery order,
+    puts each row's carried sum in front, and adds them up with one
+    `np.add.accumulate`.  Each round's estimate is the sum at the row's
+    revealed count divided by that count; a row that has revealed nothing
+    keeps its start point.  The sums and counts carry over to the next
+    block.  In one dimension numpy sums pairwise, so there the revealed
+    anchors of each trial are kept in delivery order as a prefix of one
+    (horizon, 1) block, and `play` takes a round at a time.
     """
 
     uses_gradients = False
@@ -357,8 +364,14 @@ class NaiveLearner(BaseLearner):
             self.sums = np.zeros((trials, self.body.dim))
 
     def play(self, lo, hi, anchors, known, estimates) -> None:
+        # Mean of points of a convex set stays inside it; no projection.
         self._advance(lo, hi)
         horizon = estimates.shape[1]
+        if self.body.dim > 1:
+            means = self._running_means(lo, hi, anchors)
+            estimates[:, lo:min(hi, horizon)] = means[:, :horizon - lo]
+            self.estimate = means[:, -1].copy()
+            return
         starts = self.starts[lo:hi + 1].tolist()
         for t, a, b in zip(range(lo, hi), starts, starts[1:]):
             if b > a:
@@ -366,15 +379,35 @@ class NaiveLearner(BaseLearner):
             if t < horizon:
                 estimates[:, t] = self.estimate
 
+    def _running_means(self, lo, hi, anchors) -> Array:
+        """(trials, hi - lo, dim): each row's estimate after each of rounds lo..hi-1."""
+        trials, n = len(self.estimate), hi - lo
+        first, last = self.starts[lo], self.starts[hi]
+        rows = self.rows[first:last]
+        # seen[k, j]: the anchors row k revealed from round lo through round lo + j.
+        rounds = np.repeat(np.arange(n), np.diff(self.starts[lo:hi + 1]))
+        seen = np.bincount(rows * n + rounds, minlength=trials * n).reshape(trials, n).cumsum(1)
+        # Each row's carried sum, then its anchors in delivery order, which a stable sort keeps.
+        order = np.argsort(rows, kind="stable")
+        grouped = rows[order]
+        slots = np.arange(1, len(grouped) + 1) - np.searchsorted(grouped, grouped)
+        sums = np.zeros((trials, int(seen[:, -1].max()) + 1, self.body.dim))
+        sums[:, 0] = self.sums
+        sums[grouped, slots] = anchors[first:last][order]
+        np.add.accumulate(sums, axis=1, out=sums)
+        at = np.arange(trials)[:, None]
+        self.sums = sums[at[:, 0], seen[:, -1]]
+        # Slot j of row k holds the mean of its first count[k] + j anchors, and
+        # slot 0 the estimate it plays until then: the start point, if nothing yet.
+        counts = self.count[:, None, None] + np.arange(sums.shape[1])[:, None]
+        np.divide(sums, counts, out=sums, where=counts > 0)
+        sums[:, 0] = self.estimate
+        self.count = self.count + seen[:, -1]
+        return sums[at, seen]
+
     def _reveal(self, rows, feedback) -> None:
-        # Mean of points of a convex set stays inside it; no projection.
+        # One dimension: rows is sorted, so each row's deliveries are one run in source order.
         updated, arrived = np.unique(rows, return_counts=True)
-        if self.body.dim > 1:
-            np.add.at(self.sums, rows, feedback)  # one anchor at a time, in delivery order
-            self.count[updated] += arrived
-            self.estimate[updated] = self.sums[updated] / self.count[updated][:, None]
-            return
-        # rows is sorted, so each row's deliveries are one run in source order.
         slots = self.count[rows] + np.arange(len(rows)) - np.searchsorted(rows, rows)
         self.revealed[rows, slots] = feedback
         self.count[updated] += arrived

@@ -65,6 +65,16 @@ class Loss:
                    for name in kind.coefficients}
         return kind(np.stack([loss.anchor for loss in losses], axis=axis), **columns)
 
+    def same_bits(self, other: "Loss") -> bool:
+        """Whether `other` holds the same losses: the same family, and its
+        anchors and every coefficient column equal to these bit for bit."""
+        def bits(loss, name):
+            column = getattr(loss, name)
+            return column.dtype, column.shape, column.tobytes()
+
+        return type(other) is type(self) and all(
+            bits(self, name) == bits(other, name) for name in ("anchor", *self.coefficients))
+
     def __getitem__(self, index) -> "Loss":
         """The losses at `index` of the rows, as a loss of the same family."""
         columns = {name: getattr(self, name)[index] for name in self.coefficients}

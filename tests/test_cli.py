@@ -414,11 +414,11 @@ def test_cli_run_removes_its_outputs_when_a_later_arm_fails(tmp_path, capsys, mo
     # Arm T3 runs and writes T3.csv; arm T50 then fails.
     run_single, horizons = experiments.run_single, []
 
-    def fail_at_t50(cfg, seeds):
+    def fail_at_t50(cfg, seeds, *solved):
         horizons.append(cfg.horizon)
         if cfg.horizon == 50:
             raise ValueError("arm T50 failed")
-        return run_single(cfg, seeds)
+        return run_single(cfg, seeds, *solved)
 
     monkeypatch.setattr(experiments, "run_single", fail_at_t50)
     config = _scaling_check_config(

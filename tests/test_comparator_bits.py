@@ -2,10 +2,11 @@
 
 The problems span every loss family, the kinks of norm-like losses, the
 closed forms, and d = 1, 2, 3 and 8.  Every answer must be certified by
-its Frank-Wolfe gap, and no total may be above the one the earlier
-solver found (`OLD_TOTALS`: a fixed step from five random starts, whose
-budget some of these problems cut short).  Solving the trials together
-must give each trial's answer alone, bit for bit.
+its Frank-Wolfe gap and carry its own point's total, and no total may be
+above the one the earlier solver found (`OLD_TOTALS`: a fixed step from
+five random starts, whose budget some of these problems cut short).
+Solving the trials together must give each trial's answer alone, bit for
+bit.
 """
 
 import hashlib
@@ -117,6 +118,9 @@ def test_every_pinned_problem_is_certified(case, dim):
     (solution,) = offline_optimum(losses, body, **options)
     assert solution.converged
     assert solution.gap <= GAP_TOLERANCE * max(solution.total, 1.0)
+    # The total is the one of the returned point, bit for bit, although the
+    # descent evaluates each point it accepts only once.
+    assert repr(solution.total) == repr(float(np.add.reduce(losses.value(solution.point))))
 
 
 @pytest.mark.parametrize("case, dim", list(OLD_TOTALS))

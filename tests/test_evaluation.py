@@ -1,10 +1,11 @@
+import dataclasses
 import math
 import time
 
 import numpy as np
 import pytest
 
-from laglearn import evaluation
+from laglearn import evaluation, experiments
 from laglearn.environment import (
     GaussianStream,
     LinearScoring,
@@ -235,6 +236,75 @@ def test_regret_warmup_rounds_excluded():
     assert np.allclose(report.cum_loss, [[0.0, 4.0]])  # full-horizon curve
     with pytest.raises(ValueError):
         regret(traj, interval(-10.0, 10.0), skip_rounds=2)
+
+
+def test_regret_shares_a_solve_only_for_the_same_losses_on_the_same_body(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    losses = [QuadraticLoss([0.0], a=1.0), QuadraticLoss([2.0], a=1.0)]
+    traj = _toy_trajectory([[[0.0], [0.0]]], losses)
+    solved = []
+    first = regret(traj, interval(-10.0, 10.0), solved=solved)
+    again = regret(traj, interval(-10.0, 10.0), solved=solved)
+    assert len(calls) == 1 and np.array_equal(again.comparator, first.comparator)
+    regret(traj, interval(-10.0, 0.5), solved=solved)  # another body
+    regret(traj, interval(-10.0, 0.5), skip_rounds=1, solved=solved)  # other scored rounds
+    regret(traj, interval(-10.0, 0.5), skip_rounds=1)  # nothing to share with
+    assert len(calls) == 4
+
+
+def test_losses_are_the_same_only_bit_for_bit():
+    anchors = np.array([[1.0, 0.0], [2.0, 3.0]])
+    loss = QuadraticLoss(anchors, a=[0.5, 1.0])
+    assert loss.same_bits(QuadraticLoss(anchors.copy(), a=[0.5, 1.0]))
+    assert loss.same_bits(loss[:, ...])
+    assert not loss.same_bits(QuadraticLoss(anchors, a=[0.5, 1.0], b=[0.0, 1e-300]))
+    assert not loss.same_bits(QuadraticLoss(anchors, a=[1.0, 0.5]))
+    assert not loss.same_bits(QuadraticLoss(anchors * [1.0, -1.0], a=[0.5, 1.0]))  # -0.0
+    assert not loss.same_bits(QuadraticLoss(anchors[:1], a=[0.5]))
+    assert not NormLoss(anchors).same_bits(ExpLoss(anchors, a=1.0, s=1.0, m=1))
+    assert not NormLoss(anchors).same_bits(QuadraticLoss(anchors, a=1.0))
+
+
+def _count_solves(monkeypatch) -> list:
+    """Patch `offline_optimum` to record each call's trial count; return the record."""
+    calls, solve = [], evaluation.offline_optimum
+
+    def counted(losses, body, *args, **kwargs):
+        calls.append(len(losses.anchor))
+        return solve(losses, body, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "offline_optimum", counted)
+    return calls
+
+
+SHARED = experiments.ExperimentConfig(
+    kind="baseline-compare", horizon=120, trials=3, seed=7, learner="ogd", sigma="auto",
+    tau=4, stream="pentagon", d1=2, d2=2, family="power", m=3)
+
+
+@pytest.mark.parametrize("cfg, solves", [
+    (SHARED, 1),
+    (dataclasses.replace(SHARED, kind="delay-sweep", sweep_taus=(2, 5, 9), stream="gaussian",
+                         d1=1, d2=1, family="quadratic", coefficients="uniform"), 1),
+    (dataclasses.replace(SHARED, kind="delay-sweep", sweep_taus=(2, 5, 9), warmup=1), 3),
+    (dataclasses.replace(SHARED, kind="correlation-sweep", sweep_rhos=(0.0, 0.5),
+                         stream="gaussian", d1=2, d2=2), 2),
+    (dataclasses.replace(SHARED, kind="scaling-check", sweep_horizons=(40, 80, 120)), 3),
+], ids=["baseline-compare", "delay-sweep", "delay-sweep-warmup", "correlation-sweep",
+        "scaling-check"])
+def test_arms_that_score_the_same_losses_share_one_solve(cfg, solves, tmp_path, monkeypatch):
+    # Each arm's csv must hold the bytes of that arm measured on its own,
+    # with its own solve.
+    seeds = [experiments.trial_seed(cfg.seed, i) for i in range(cfg.trials)]
+    alone = {}
+    for label, arm in experiments.expand_arms(cfg):
+        _, report = experiments.run_single(arm, seeds)
+        write_csv(aggregate(report), tmp_path / f"{label}.csv")
+        alone[label] = (tmp_path / f"{label}.csv").read_bytes()
+    calls = _count_solves(monkeypatch)
+    experiments.run_experiment(cfg, tmp_path / "out")
+    assert calls == [cfg.trials] * solves
+    assert {label: (tmp_path / "out" / f"{label}.csv").read_bytes() for label in alone} == alone
 
 
 def test_trajectory_replay_consistency():

@@ -7,7 +7,7 @@ import pytest
 from laglearn import experiments
 from laglearn.environment import (ZERO_SUBGRADIENT_FLAG, ExplicitStream, GaussianStream,
                                   LinearScoring, run_game, fixed_loss)
-from laglearn.feedback import ExplicitDelay, FixedDelay, RandomDelay
+from laglearn.feedback import ExplicitDelay, FeedbackBuffer, FixedDelay, RandomDelay
 from laglearn.geometry import Ball, EuclideanMap, NegativeEntropyMap, Simplex
 from laglearn.learners import (
     ConstantStep,
@@ -397,6 +397,41 @@ def test_naive_estimate_is_np_mean_of_the_delivered_anchors_in_any_dimension(dim
             expected = np.mean(anchors, axis=0) if revealed else np.zeros(dim)
             assert np.array_equal(traj.estimates[k, t].view(np.uint64),
                                   expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_naive_blocks_split_anywhere_give_the_one_blocks_estimates_bit_for_bit(dim):
+    # The game plays the baseline's horizon as one block; played as several,
+    # the sums and counts carried from block to block must give the same bits.
+    # Four trials with their own random delays, some due past the horizon;
+    # anchors of mixed magnitude with signed zeros, and one trial all -0.0.
+    horizon, trials = 70, 4
+    rng = np.random.default_rng(dim)
+    anchors = _mixed_points(rng, (trials, horizon, dim))
+    anchors[3] = -0.0
+    buffer = FeedbackBuffer(rng.integers(1, 13, size=(trials, horizon)))
+    assert not buffer.in_time.all()
+    feedback = anchors[buffer.rows, buffer.sources - 1]
+
+    def play(cuts):
+        learner = NaiveLearner(Ball(np.zeros(dim), 1e9))
+        learner.start(trials, horizon, buffer)
+        estimates = np.full((trials, horizon, dim), np.nan)
+        estimates[:, 0] = learner.estimate
+        for lo, hi in zip(cuts, cuts[1:]):
+            learner.play(lo, hi, feedback, None, estimates)
+        return np.concatenate([estimates, learner.estimate[:, None]], axis=1).view(np.uint64)
+
+    whole = play([1, horizon + 1])
+    splits = ([1, 2, 3, 4, horizon + 1], [1, 9, 10, 31, 32, 69, horizon + 1],
+              list(range(1, horizon + 2)))
+    for cuts in splits:
+        assert np.array_equal(play(cuts), whole)
+    # Some block of each split delivers nothing to some trial.
+    for cuts in splits:
+        starts = buffer.starts[cuts]
+        got = [np.bincount(buffer.rows[a:b], minlength=trials) for a, b in zip(starts, starts[1:])]
+        assert any(0 in counts for counts in got)
 
 
 def test_zero_subgradient_flags_only_for_deliveries_within_the_horizon():

@@ -1,6 +1,6 @@
-"""Byte-identity gate: every shipped preset, run at two trials, and one
-three-trial single run must write exactly the files they wrote when these
-digests were recorded.
+"""Byte-identity gate: every shipped preset, run at two trials, the two
+baseline-compare presets at their full size, and one three-trial single run
+must write exactly the files they wrote when these digests were recorded.
 
 A digest is SHA-256 over each output file's name and bytes, in name order.
 The outputs depend on numpy's random streams and float kernels, so the gate
@@ -52,6 +52,23 @@ def test_preset_outputs_match_recorded_digest(name, tmp_path):
     out = tmp_path / name
     assert cli.main(["run", name, "--trials", "2", "--out-dir", str(out)]) == 0
     assert _digest(out) == DIGESTS[name]
+
+
+# fig3 and fig4, the two baseline-compare presets, at their full 100 trials:
+# every trial of the sample-mean baseline (1-d in fig3, 2-d in fig4) and one
+# comparator solve shared by both arms.
+FULL_SIZE_DIGESTS = {
+    "fig3": "1d7f42dc300e8171f9de85c07d569944e7de9f4f24194a09c8b58c1d85d55d2a",
+    "fig4": "07de1e429e8477df384e0f95897860ba5d6ba619c5f1845b8ac86f648ceaba96",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FULL_SIZE_DIGESTS))
+def test_full_size_preset_outputs_match_recorded_digest(name, tmp_path):
+    _check_versions()
+    out = tmp_path / name
+    assert cli.main(["run", name, "--out-dir", str(out)]) == 0
+    assert _digest(out) == FULL_SIZE_DIGESTS[name]
 
 
 # A single run of three trials with random delays, on a csv stream whose
