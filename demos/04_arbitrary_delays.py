@@ -13,6 +13,7 @@ import numpy as np
 from laglearn import (
     Ball,
     ConstantStep,
+    FeedbackBuffer,
     GaussianStream,
     GradientLearner,
     LinearScoring,
@@ -44,6 +45,7 @@ stream = GaussianStream(mean=0.25, body_hidden=body, seed=5)
 learner = GradientLearner(body, ConstantStep(value=0.01))
 traj = run_game(learner, [stream], [delays], fixed_loss(NormLoss),
                 LinearScoring.default(1, 1), 60, seeds=[8])
-delivered = traj.delivered(0)
+buffer = FeedbackBuffer(traj.delays[0])
 for t in range(20, 31):
-    print(f"  round {t}: delivered {list(delivered[t - 1]) or 'nothing'}")
+    delivered = buffer.sources[buffer.starts[t]:buffer.starts[t + 1]].tolist()
+    print(f"  round {t}: delivered {delivered or 'nothing'}")

@@ -252,11 +252,11 @@ def run_game(learner: BaseLearner, streams: list[ContextStream],
     the bits of taking it alone; a gradient that is never delivered in
     time is taken or not, and never read.  Loss values, score errors and
     flags are computed from the recorded arrays after the last round;
-    zero-subgradient flags count only the pairs the buffer marks
-    `in_time`.  Every array is trial-major, (trials, horizon, ...), so
-    round i is column `[:, i]`; the loop's arrays and its one `Loss` are
-    the returned `Trajectory`, whose row k (and the flags tagged k) is
-    trial k.
+    zero-subgradient flags count only the pairs due within the horizon
+    (`buffer.due <= horizon`).  Every array is trial-major, (trials,
+    horizon, ...), so round i is column `[:, i]`; the loop's arrays and its
+    one `Loss` are the returned `Trajectory`, whose row k (and the flags
+    tagged k) is trial k.
     """
     trials = len(streams)
     if trials < 1 or len(delays) != trials or len(seeds) != trials:
@@ -322,7 +322,7 @@ def run_game(learner: BaseLearner, streams: list[ContextStream],
     score_error_losses = loss.radial(score_errors)
     violated = score_error_losses > loss_values + 1e-9 * np.maximum(1.0, np.abs(loss_values))
     # Only a gradient learner meets zero subgradients, and only those delivered in time.
-    kinked = loss.kinks(estimates) & buffer.in_time & learner.uses_gradients
+    kinked = loss.kinks(estimates) & (buffer.due <= horizon) & learner.uses_gradients
     kink_counts = kinked.sum(axis=1).tolist()
     flags = []
     for k in range(trials):

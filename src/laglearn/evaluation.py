@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import count
 
 import numpy as np
 
-from .feedback import FeedbackBuffer
 from .geometry import Array, ConvexBody, norms
 from .losses import Loss, NormLoss, QuadraticLoss
 
@@ -53,12 +52,6 @@ class Trajectory:
     @property
     def horizon(self) -> int:
         return self.delays.shape[1]
-
-    def delivered(self, trial: int) -> tuple[tuple[int, ...], ...]:
-        """The source rounds delivered at each round of `trial`, from its delays."""
-        buffer = FeedbackBuffer(self.delays[trial])
-        sources = iter(buffer.sources.tolist())
-        return tuple(tuple(islice(sources, n)) for n in np.diff(buffer.starts[1:]).tolist())
 
     def replay_gap(self) -> Array:
         """Per trial, max |stored loss value - loss re-evaluated at the stored estimate|."""

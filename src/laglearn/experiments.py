@@ -456,6 +456,17 @@ def _build_arm(cfg: ExperimentConfig, seeds: list[int]):
     if cfg.delay_kind == "file" and len(delays[0].delays) < cfg.horizon:
         raise ConfigFileError([f"delays.path: delay file has {len(delays[0].delays)} delays, "
                                f"fewer than the horizon {cfg.horizon}"])
+    # A delay sum that fits in int64 keeps every due round, s + d - 1 <= sum, in it too.
+    if cfg.delay_kind == "file":
+        option, most = "delays.path", sum(delays[0].delays[:cfg.horizon])
+    elif cfg.delay_kind == "adversarial":
+        option, most = "delays.d_max", cfg.horizon * cfg.d_max
+    else:
+        option = "sweep.tau" if cfg.kind == "delay-sweep" else "learner.tau"
+        most = cfg.horizon * (cfg.tau + 1)
+    if most > feedback.INT64_MAX:
+        raise ConfigFileError([f"{option}: a trial's delays may sum to {most}, more than int64 "
+                               f"holds ({feedback.INT64_MAX})"])
     if cfg.delay_kind == "file" and cfg.learner in ("ogd", "omd"):
         wrong = [d for d in delays[0].delays[:cfg.horizon] if d != cfg.tau + 1]
         if wrong:

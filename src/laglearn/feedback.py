@@ -3,8 +3,8 @@
 Feedback generated at round s with delay d becomes available at the end
 of round s + d - 1 and can drive the update made at that round; d = 1 is
 the no-delay case, and a fixed lag of tau rounds corresponds to d = tau + 1.
-The buffer splits the source rounds into delivery sets once, from the
-realized delays, so each round's feedback is handed out exactly once.  It
+The buffer lays the source rounds out once, in delivery order, from the
+realized delays, so each round's feedback is read exactly once.  It
 keeps the round each source round is due at, so the game can put a
 gradient into that round's total the moment it takes it, and it names the
 take rounds, the rounds that deliver a source round whose feedback the
@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+INT64_MAX = int(np.iinfo(np.int64).max)  # the largest delay, and delay sum, that numpy holds
 
 
 class DelaySchedule:
@@ -63,8 +65,8 @@ class ExplicitDelay(DelaySchedule):
     delays: tuple[int, ...]
 
     def __post_init__(self):
-        if any(int(d) != d or d < 1 for d in self.delays):
-            raise ValueError("delays must be integers >= 1")
+        if any(int(d) != d or not 1 <= d <= INT64_MAX for d in self.delays):
+            raise ValueError(f"delays must be integers from 1 to {INT64_MAX}")
 
     def realize(self, horizon: int) -> np.ndarray:
         if len(self.delays) < horizon:
@@ -92,29 +94,17 @@ class FeedbackBuffer:
 
     `delays` is the realized (rows, T) delay matrix, or one row of T
     delays: source round s of row k is delivered at round
-    s + delays[k, s - 1] - 1.  `ready_at(t)` returns the (rows, sources)
-    pairs delivered at round t as two int arrays, ordered by row and then
-    by source: possibly empty, possibly several per row under arbitrary
-    delays.  Rounds past the horizon may be queried too: late feedback
-    lands in delivery sets that the game never reads, and that checks of
-    exactly-once delivery do.
-
-    `in_time` is the (rows, T) mask of the pairs due within the horizon,
-    and `due[k, s - 1]` the round pair (k, s) is due at, cut at T + 1, the
-    one round past the horizon that stands for all of them.  `takes` lists
-    the take rounds in order: the rounds that deliver, in some row, a
-    source round later than the take round before them (0 before the
-    first).  The take round after round r is the earliest round at which a
-    source round later than r is due in time, read from a suffix minimum,
-    so the list costs one step per take round.  The pairs of every round
-    are kept in delivery order as `rows` and `sources`.  `starts[t]` is
-    the first pair due at round t or later, for t = 0..horizon + 1, as an
-    int array, so round t delivers the pairs starts[t]:starts[t + 1], the
-    next ones after those of round t - 1.  The pairs due past the horizon,
-    from starts[horizon + 1] on, keep the rounds they are due at in
-    `late_due`, where a round past the horizon is found by bisection.  None
-    of these grows with the largest delay, so a huge delay costs no
-    memory.
+    s + delays[k, s - 1] - 1.  The int arrays `rows` and `sources` hold the
+    (row, source) pairs in delivery order: by round, then row, then
+    source.  `starts[t]` is the first pair due at round t or later, for
+    t = 0..T + 1, so round t delivers the pairs starts[t]:starts[t + 1],
+    possibly none, possibly several per row; the pairs due past the
+    horizon come last.  `due[k, s - 1]` is the round pair (k, s) is due at,
+    cut at T + 1, so `due <= T` marks the pairs delivered in time.
+    `takes` lists the take rounds in order: the rounds that deliver, in
+    some row, a source round later than the take round before them (0
+    before the first), each read from a suffix minimum of `due`.  None of
+    these grows with the largest delay, so a huge delay costs no memory.
     """
 
     def __init__(self, delays):
@@ -123,7 +113,6 @@ class FeedbackBuffer:
             raise ValueError("delay must be >= 1")
         self.horizon = delays.shape[1]
         due = np.arange(self.horizon) + delays  # s = i + 1 is due at s + d - 1
-        self.in_time = due <= self.horizon
         self.due = np.minimum(due, self.horizon + 1)
         # soonest[r] is the earliest round at which a source round > r is due in time.
         soonest = self.due.min(axis=0)
@@ -138,16 +127,3 @@ class FeedbackBuffer:
         self.sources += 1
         due = due.ravel()[order]
         self.starts = np.searchsorted(due, np.arange(self.horizon + 2))
-        self.late_due = due[self.starts[-1]:].copy()  # not a view that keeps all of `due`
-
-    def ready_at(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """The (rows, sources) pairs delivered at round t, as views of `rows`
-        and `sources`: bounded by `starts` up to the horizon, by bisection
-        of `late_due` past it."""
-        if t < 1:
-            raise ValueError("rounds are numbered from 1")
-        if t <= self.horizon:
-            lo, hi = self.starts[t:t + 2].tolist()
-        else:
-            lo, hi = (self.starts[-1] + np.searchsorted(self.late_due, (t, t + 1))).tolist()
-        return self.rows[lo:hi], self.sources[lo:hi]

@@ -20,7 +20,9 @@ routes the same move through its dual space (the Euclidean map is the
 plain step above), and maps with a built-in domain skip the projection.
 
 The sample-mean baseline ignores gradients entirely and plays the average
-of all hidden contexts revealed so far.
+of all hidden contexts revealed so far.  Those are known before round 1,
+so it plays the whole horizon in one call, in one pass over the buffer's
+delivery order.
 
 A learner plays a batch of independent trials in lockstep: its iterate
 holds one row per trial, and every step acts on all rows at once.  It
@@ -198,16 +200,17 @@ class BaseLearner:
     `estimates`, at columns lo..hi-1; the iterate after round hi - 1 stays
     in `estimate`.  `known[:, t]` is the known context of round t + 1.  The
     game calls `play` once per block of rounds whose feedback is all known
-    when the block starts.  When `uses_gradients` is True, `feedback` is
-    the round-major array of totals: row t holds, per trial, the sum of the
-    gradients delivered at the end of round t, each taken at the recorded
-    decision of its source round, and `play` reads rows lo..hi-1 only.
-    Otherwise it is the losses' anchors in the buffer's delivery order, one
-    row per pair of `buffer.rows` and `buffer.sources`.  `lag` is the fixed
-    lag a learner needs (every delay lag + 1, checked by the game loop
-    before round 1), or None for a learner that takes any delays: the
-    sample-mean baseline, and a gradient learner whose schedule has tau =
-    0.
+    when the block starts, so a learner that reads anchors gets the whole
+    horizon, lo..hi = 1..T+1, as one block.  When `uses_gradients` is True,
+    `feedback` is the round-major array of totals: row t holds, per trial,
+    the sum of the gradients delivered at the end of round t, each taken at
+    the recorded decision of its source round, and `play` reads rows
+    lo..hi-1 only.  Otherwise it is the losses' anchors in the buffer's
+    delivery order, one row per pair of `buffer.rows` and `buffer.sources`.
+    `lag` is the fixed lag a learner needs (every delay lag + 1, checked by
+    the game loop before round 1), or None for a learner that takes any
+    delays: the sample-mean baseline, and a gradient learner whose schedule
+    has tau = 0.
     """
 
     lag: int | None = None
@@ -334,19 +337,15 @@ class NaiveLearner(BaseLearner):
     Its feedback is each round's anchor, the hidden context itself, and
     each row plays `np.mean` of its revealed anchors in delivery order.  The
     anchors are known before round 1, so the game hands them over in the
-    delivery order of the buffer the learner is started with, and plays the
-    whole horizon as one block.
-
-    In two or more dimensions numpy sums the anchors one after another,
-    starting from +0.0, so `play` takes a block as one running sum per row:
-    it groups the block's anchors by row, keeping their delivery order,
-    puts each row's carried sum in front, and adds them up with one
-    `np.add.accumulate`.  Each round's estimate is the sum at the row's
-    revealed count divided by that count; a row that has revealed nothing
-    keeps its start point.  The sums and counts carry over to the next
-    block.  In one dimension numpy sums pairwise, so there the revealed
-    anchors of each trial are kept in delivery order as a prefix of one
-    (horizon, 1) block, and `play` takes a round at a time.
+    delivery order of the buffer the learner is started with, and `play`
+    takes the whole horizon as one block; it refuses any other.  It lays
+    each row's anchors out once, after a slot 0 for the start point, and
+    counts once how many each row has revealed by each round.  Slot n then
+    becomes the mean of the first n anchors, which the row plays while it
+    has revealed n.  In two or more dimensions numpy's mean adds the anchors
+    one after another from +0.0, so one `np.add.accumulate` divided by n
+    gives its bits; in one dimension it sums pairwise, so there `np.mean`
+    runs once per distinct count, over the rows that reach it.
     """
 
     uses_gradients = False
@@ -357,62 +356,39 @@ class NaiveLearner(BaseLearner):
     def start(self, trials: int, horizon: int, buffer: FeedbackBuffer | None) -> None:
         super().start(trials, horizon, buffer)
         self.rows, self.starts = buffer.rows, buffer.starts
-        self.count = np.zeros(trials, dtype=np.int64)
-        if self.body.dim == 1:
-            self.revealed = np.empty((trials, horizon, 1))
-        else:
-            self.sums = np.zeros((trials, self.body.dim))
 
     def play(self, lo, hi, anchors, known, estimates) -> None:
         # Mean of points of a convex set stays inside it; no projection.
+        trials, horizon, dim = estimates.shape
+        if (lo, hi) != (1, horizon + 1):
+            raise RuntimeError(f"the sample-mean baseline plays rounds 1..{horizon} as one "
+                               f"block, not {lo}..{hi - 1}")
         self._advance(lo, hi)
-        horizon = estimates.shape[1]
-        if self.body.dim > 1:
-            means = self._running_means(lo, hi, anchors)
-            estimates[:, lo:min(hi, horizon)] = means[:, :horizon - lo]
-            self.estimate = means[:, -1].copy()
-            return
-        starts = self.starts[lo:hi + 1].tolist()
-        for t, a, b in zip(range(lo, hi), starts, starts[1:]):
-            if b > a:
-                self._reveal(self.rows[a:b], anchors[a:b])
-            if t < horizon:
-                estimates[:, t] = self.estimate
-
-    def _running_means(self, lo, hi, anchors) -> Array:
-        """(trials, hi - lo, dim): each row's estimate after each of rounds lo..hi-1."""
-        trials, n = len(self.estimate), hi - lo
-        first, last = self.starts[lo], self.starts[hi]
-        rows = self.rows[first:last]
-        # seen[k, j]: the anchors row k revealed from round lo through round lo + j.
-        rounds = np.repeat(np.arange(n), np.diff(self.starts[lo:hi + 1]))
-        seen = np.bincount(rows * n + rounds, minlength=trials * n).reshape(trials, n).cumsum(1)
-        # Each row's carried sum, then its anchors in delivery order, which a stable sort keeps.
+        rows = self.rows[:self.starts[-1]]  # the pairs due within the horizon
+        # seen[k, i]: the anchors row k has revealed by the end of round i + 1.
+        rounds = np.repeat(np.arange(horizon), np.diff(self.starts[1:]))
+        seen = np.bincount(rows * horizon + rounds, minlength=trials * horizon)
+        seen = seen.reshape(trials, horizon).cumsum(1)
+        # Slot j of row k is its j-th anchor in delivery order, which a stable sort keeps.
         order = np.argsort(rows, kind="stable")
         grouped = rows[order]
         slots = np.arange(1, len(grouped) + 1) - np.searchsorted(grouped, grouped)
-        sums = np.zeros((trials, int(seen[:, -1].max()) + 1, self.body.dim))
-        sums[:, 0] = self.sums
-        sums[grouped, slots] = anchors[first:last][order]
-        np.add.accumulate(sums, axis=1, out=sums)
+        means = np.zeros((trials, int(seen[:, -1].max()) + 1, dim))
+        means[grouped, slots] = anchors[:len(rows)][order]
         at = np.arange(trials)[:, None]
-        self.sums = sums[at[:, 0], seen[:, -1]]
-        # Slot j of row k holds the mean of its first count[k] + j anchors, and
-        # slot 0 the estimate it plays until then: the start point, if nothing yet.
-        counts = self.count[:, None, None] + np.arange(sums.shape[1])[:, None]
-        np.divide(sums, counts, out=sums, where=counts > 0)
-        sums[:, 0] = self.estimate
-        self.count = self.count + seen[:, -1]
-        return sums[at, seen]
-
-    def _reveal(self, rows, feedback) -> None:
-        # One dimension: rows is sorted, so each row's deliveries are one run in source order.
-        updated, arrived = np.unique(rows, return_counts=True)
-        slots = self.count[rows] + np.arange(len(rows)) - np.searchsorted(rows, rows)
-        self.revealed[rows, slots] = feedback
-        self.count[updated] += arrived
-        # One mean per group of rows that have revealed the same count.
-        counts = self.count[updated]
-        for n in np.unique(counts).tolist():
-            group = updated[counts == n]
-            self.estimate[group] = np.mean(self.revealed[group, :n], axis=1)
+        if dim > 1:
+            np.add.accumulate(means, axis=1, out=means)
+            counts = np.arange(means.shape[1])[:, None]
+            np.divide(means, counts, out=means, where=counts > 0)
+        else:
+            # Longest prefix first: a mean overwrites only a slot that no shorter prefix reads.
+            reached = np.zeros(means.shape[:2], dtype=bool)
+            reached[at, seen] = True
+            reached[:, 0] = False  # slot 0 is the start point
+            for n in np.flatnonzero(reached.any(axis=0))[::-1].tolist():
+                group = np.flatnonzero(reached[:, n])
+                means[group, n] = np.mean(means[group, 1:n + 1], axis=1)
+        means[:, 0] = self.estimate  # played until a row's first anchor arrives
+        path = means[at, seen]
+        estimates[:, 1:] = path[:, :-1]
+        self.estimate = path[:, -1].copy()

@@ -53,17 +53,17 @@ class Loss:
         return self.anchor.shape[-1]
 
     @classmethod
-    def stack(cls, losses, axis: int = 0) -> "Loss":
-        """One loss holding the rows of several losses of one family, stacked along `axis`."""
+    def stack(cls, losses) -> "Loss":
+        """One loss holding the rows of several losses of one family, on a new first axis."""
         losses = list(losses)
         if not losses:
             raise ValueError("need at least one loss")
         kind = type(losses[0])
         if any(type(loss) is not kind for loss in losses):
             raise ValueError("can only stack losses of one family")
-        columns = {name: np.stack([getattr(loss, name) for loss in losses], axis=axis)
+        columns = {name: np.stack([getattr(loss, name) for loss in losses])
                    for name in kind.coefficients}
-        return kind(np.stack([loss.anchor for loss in losses], axis=axis), **columns)
+        return kind(np.stack([loss.anchor for loss in losses]), **columns)
 
     def same_bits(self, other: "Loss") -> bool:
         """Whether `other` holds the same losses: the same family, and its

@@ -410,6 +410,64 @@ def test_cli_validate_and_run_reject_a_delay_file_shorter_than_the_horizon(tmp_p
     assert not out.exists()
 
 
+@pytest.mark.parametrize("delays, eta, error", [
+    ([2**63] + [1] * 9, "0.1", "error: delays: delays must be integers from 1 to"),
+    ([1, 2**63 - 1] + [1] * 8, "0.1", "error: delays.path: a trial's delays may sum to"),
+    (2**62, "0.1", "error: delays.d_max: a trial's delays may sum to"),
+    (2**62, "auto", "error: delays.d_max: a trial's delays may sum to"),
+], ids=["delay-past-int64", "sum-past-int64", "d_max", "d_max-eta-auto"])
+def test_cli_rejects_delays_that_overflow_int64_with_exit_2(tmp_path, capsys, delays, eta,
+                                                            error):
+    # Ten rounds whose delay file or d_max lets a delay, or a trial's delay
+    # sum, pass int64: numpy would fail to convert the delay, or wrap a due
+    # round or the delay sum negative.
+    if isinstance(delays, list):
+        delay_file = tmp_path / "delays.txt"
+        delay_file.write_text("".join(f"{d}\n" for d in delays), encoding="utf-8")
+        section = f"kind = file\npath = {delay_file}"
+    else:
+        section = f"kind = adversarial\nd_max = {delays}"
+    config = write_config(tmp_path, f"""
+[experiment]
+kind = single-run
+horizon = 10
+trials = 1
+
+[learner]
+kind = adversarial
+eta = {eta}
+lam = 0.0
+
+[stream]
+kind = gaussian
+
+[loss]
+family = norm
+coefficients = fixed
+
+[delays]
+{section}
+""")
+    for command in (["validate", str(config)],
+                    ["run", str(config), "--out-dir", str(tmp_path / "out")]):
+        assert cli.main(command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(error) and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind, option", [("single-run", "learner.tau"),
+                                          ("delay-sweep", "sweep.tau")])
+def test_validate_rejects_a_fixed_lag_whose_delay_sum_overflows_int64(tmp_path, kind, option):
+    tau = 2**63 - 1  # tau + 1 itself does not fit
+    text = (f"[experiment]\nkind = {kind}\nhorizon = 10\n\n"
+            f"[learner]\nkind = ogd\nschedule = constant\neta = 0.1\ntau = {tau}\nwarmup = 0\n\n"
+            f"[sweep]\ntau = {tau}\n\n[loss]\nfamily = norm\n\n[delays]\nkind = fixed\n")
+    errors = validate_config(parse_config(write_config(tmp_path, text)))
+    assert errors == [f"{option}: a trial's delays may sum to {10 * 2**63}, more than int64 "
+                      f"holds ({2**63 - 1})"]
+
+
 def test_cli_run_removes_its_outputs_when_a_later_arm_fails(tmp_path, capsys, monkeypatch):
     # Arm T3 runs and writes T3.csv; arm T50 then fails.
     run_single, horizons = experiments.run_single, []

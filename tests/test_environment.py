@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from delivery_oracle import deliveries
 from laglearn import experiments
 from laglearn.environment import (
     ConfigError,
@@ -153,7 +154,7 @@ def test_three_round_game_matches_hand_simulation():
     assert np.array_equal(traj.estimates, [[[0.0], [1.0], [2.0]]])
     assert np.array_equal(traj.loss_values, [[1.0, 1.0, 1.0]])
     assert np.array_equal(traj.score_errors, [[1.0, 1.0, 1.0]])
-    assert traj.delivered(0) == ((1,), (2,), (3,))
+    assert deliveries(traj.delays) == {1: [(0, 1)], 2: [(0, 2)], 3: [(0, 3)]}
     assert traj.delays.sum() == 3
     assert traj.flags == ()
 
@@ -172,7 +173,7 @@ def test_three_round_adversarial_game_multi_delivery():
     x3 = x2 - 0.1 * g2
     f3 = math.sqrt((x3 - 3.0) ** 2) ** 2      # distance then radial profile
 
-    assert traj.delivered(0) == ((), (2,), (1, 3))
+    assert deliveries(traj.delays) == {2: [(0, 2)], 3: [(0, 1), (0, 3)]}
     assert np.array_equal(traj.estimates, [[[x1], [x2], [x3]]])
     assert traj.loss_values[0, 0] == 1.0
     assert traj.loss_values[0, 1] == 4.0
@@ -207,7 +208,7 @@ def test_identical_seeds_reproduce_bit_for_bit():
     assert np.array_equal(a.estimates, b.estimates)
     assert np.array_equal(a.loss_values, b.loss_values)
     assert np.array_equal(a.score_errors, b.score_errors)
-    assert a.delivered(0) == b.delivered(0)
+    assert deliveries(a.delays) == deliveries(b.delays)
 
 
 def test_score_error_chain_holds_every_round():

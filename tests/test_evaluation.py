@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from delivery_oracle import deliveries
 from laglearn import evaluation, experiments
 from laglearn.environment import (
     GaussianStream,
@@ -25,7 +26,7 @@ from laglearn.evaluation import (
     write_csv,
 )
 from laglearn.experiments import _write_trajectory_csv
-from laglearn.feedback import FeedbackBuffer, FixedDelay
+from laglearn.feedback import FixedDelay
 from laglearn.geometry import Ball, Box, regular_polygon
 from laglearn.learners import GradientLearner, InverseSqrtStep, InverseTimeStep
 from laglearn.losses import ExpLoss, Loss, NormLoss, QuadraticLoss
@@ -454,16 +455,16 @@ def test_chunked_writers_match_the_row_by_row_formatter(tmp_path):
         loss=NormLoss(np.zeros((1, horizon, 2))),
         delays=delays,
     )
-    assert traj.delivered(0)[0] == ()
+    pairs = deliveries(traj.delays)
+    assert 1 not in pairs
     curves = AggregateCurves(horizon=horizon, trials=2, cum_loss_mean=values,
                              cum_loss_stderr=np.roll(values, 2), regret_mean=np.roll(values, 3),
                              regret_stderr=np.roll(values, 4))
 
     # The formatters as they were, one row at a time.
-    buffer = FeedbackBuffer(traj.delays[0])
     lines = ["t,loss,score_error,delivered,estimate_0,estimate_1\n"]
     for i in range(horizon):
-        delivered = ";".join(str(s) for s in buffer.ready_at(i + 1)[1].tolist())
+        delivered = ";".join(str(s) for _, s in pairs.get(i + 1, []))
         coords = ",".join(repr(float(v)) for v in traj.estimates[0, i])
         lines.append(f"{i + 1},{float(traj.loss_values[0, i])!r},"
                      f"{float(traj.score_errors[0, i])!r},{delivered},{coords}\n")

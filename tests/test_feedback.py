@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from delivery_oracle import buffer_layout, deliveries
 from laglearn.feedback import (
     ExplicitDelay,
     FeedbackBuffer,
@@ -10,46 +11,58 @@ from laglearn.feedback import (
 )
 
 
+def buffer_of(delays) -> FeedbackBuffer:
+    """The buffer of `delays`, once its arrays are checked against the delivery oracle."""
+    buf = FeedbackBuffer(delays)
+    rows, sources, starts, due = buffer_layout(delays)
+    assert buf.rows.tolist() == rows
+    assert buf.sources.tolist() == sources
+    assert buf.starts.tolist() == starts
+    assert buf.due.tolist() == due
+    return buf
+
+
 def test_push_delivery_round():
-    buf = FeedbackBuffer([1, 1, 1, 1, 3])
-    assert tuple(buf.ready_at(7)[1]) == (5,)  # 5 + 3 - 1 = 7
-    assert tuple(buf.ready_at(6)[1]) == ()
+    buffer_of([1, 1, 1, 1, 3])
+    assert deliveries([1, 1, 1, 1, 3]) == {1: [(0, 1)], 2: [(0, 2)], 3: [(0, 3)], 4: [(0, 4)],
+                                           7: [(0, 5)]}  # 5 + 3 - 1 = 7
 
 
 def test_no_delay_delivers_same_round():
-    buf = FeedbackBuffer([1])
-    assert tuple(buf.ready_at(1)[1]) == (1,)
+    buf = buffer_of([1])
+    assert deliveries([1]) == {1: [(0, 1)]}
+    assert buf.starts.tolist() == [0, 0, 1]
 
 
 def test_fixed_lag_pattern():
     # tau = 2 over rounds 1..10: nothing before round 3, then {t-2}.
-    buf = FeedbackBuffer(FixedDelay(2).realize(10))
-    assert tuple(buf.ready_at(1)[1]) == ()
-    assert tuple(buf.ready_at(2)[1]) == ()
-    for t in range(3, 11):
-        assert tuple(buf.ready_at(t)[1]) == (t - 2,)
+    delays = FixedDelay(2).realize(10)
+    buf = buffer_of(delays)
+    assert deliveries(delays) == {t: [(0, t - 2)] for t in range(3, 13)}
+    assert buf.starts.tolist() == [0, 0, 0, 0] + list(range(1, 9))
 
 
 def test_multiple_deliveries_one_round():
     # delays (3, 1, 1): rounds 1 and 3 both deliver at t = 3.
-    buf = FeedbackBuffer([3, 1, 1])
-    assert tuple(buf.ready_at(1)[1]) == ()
-    assert tuple(buf.ready_at(2)[1]) == (2,)
-    assert tuple(buf.ready_at(3)[1]) == (1, 3)
+    buf = buffer_of([3, 1, 1])
+    assert deliveries([3, 1, 1]) == {2: [(0, 2)], 3: [(0, 1), (0, 3)]}
+    assert buf.sources[buf.starts[3]:buf.starts[4]].tolist() == [1, 3]
 
 
 def test_two_rows_are_split_exactly_once_in_row_then_source_order():
     # Row 0 delays (3, 1, 2, 1), row 1 delays (1, 4, 1, 2): due rounds
     # (3, 2, 4, 4) and (1, 5, 3, 5).
-    buf = FeedbackBuffer([[3, 1, 2, 1], [1, 4, 1, 2]])
-    pairs = {t: list(zip(*(a.tolist() for a in buf.ready_at(t)))) for t in range(1, 7)}
+    delays = [[3, 1, 2, 1], [1, 4, 1, 2]]
+    buf = buffer_of(delays)
+    pairs = deliveries(delays)
     assert pairs == {1: [(1, 1)], 2: [(0, 2)], 3: [(0, 1), (1, 3)], 4: [(0, 3), (0, 4)],
-                     5: [(1, 2), (1, 4)], 6: []}
+                     5: [(1, 2), (1, 4)]}
     for row in (0, 1):
         sources = [s for ready in pairs.values() for r, s in ready if r == row]
         assert sorted(sources) == [1, 2, 3, 4]
-    # Due within the horizon of 4; each round delivers a source later than the last.
-    assert buf.in_time.tolist() == [[True, True, True, True], [True, False, True, False]]
+    # Due within the horizon of 4, or at 5 for past it; each round delivers
+    # a source later than the last.
+    assert buf.due.tolist() == [[3, 2, 4, 4], [1, 5, 3, 5]]
     assert buf.takes == [1, 2, 3, 4]
 
 
@@ -68,20 +81,23 @@ def test_delay_below_one_rejected():
         RandomDelay(d_max=0, seed=1)
 
 
+def test_an_explicit_delay_must_fit_in_int64():
+    assert ExplicitDelay((1, 2**63 - 1)).realize(2).tolist() == [1, 2**63 - 1]
+    for delays in ((1, 2**63), (2**64, 1), (1.5,)):
+        with pytest.raises(ValueError, match="delays must be integers from 1 to"):
+            ExplicitDelay(delays)
+
+
 def test_exactly_once_over_random_schedules():
-    # Over an extended horizon the delivery sets partition {1..T}.
+    # The buffer lays the pairs out as the oracle does, the ones due past
+    # the horizon included, and holds each source round once.
     rng = np.random.default_rng(2024)
     horizon = 60
     for _ in range(100):
         d_max = int(rng.integers(1, 15))
         delays = rng.integers(1, d_max + 1, size=horizon)
-        buf = FeedbackBuffer(delays)
-        seen = []
-        for t in range(1, horizon + d_max + 1):
-            ready = buf.ready_at(t)[1].tolist()
-            assert len(set(ready)) == len(ready)
-            seen.extend(ready)
-        assert sorted(seen) == list(range(1, horizon + 1))
+        buf = buffer_of(delays)
+        assert sorted(buf.sources.tolist()) == list(range(1, horizon + 1))
 
 
 def test_take_rounds_are_where_a_round_delivers_a_source_past_the_last_take():
@@ -96,9 +112,10 @@ def test_take_rounds_are_where_a_round_delivers_a_source_past_the_last_take():
         delays = rng.integers(1, int(rng.integers(1, 12)) + 1, size=(rows, horizon))
         delays[rng.random(delays.shape) < 0.1] = horizon + 3
         buf = FeedbackBuffer(delays)
+        pairs = deliveries(delays)
         takes, ready = [], 0
         for t in range(1, horizon + 1):
-            newest = max(buf.ready_at(t)[1].tolist(), default=0)
+            newest = max((s for _, s in pairs.get(t, [])), default=0)
             if newest > ready:
                 takes.append(t)
                 ready = t
@@ -129,7 +146,7 @@ def test_delays_from_file(tmp_path):
 
 
 def test_a_huge_delay_is_delivered_once_without_a_table_up_to_it():
-    buf = FeedbackBuffer([10**12, 1])
-    assert tuple(buf.ready_at(2)[1]) == (2,)
-    assert tuple(buf.ready_at(10**12)[1]) == (1,)
-    assert tuple(buf.ready_at(3)[1]) == ()
+    buf = buffer_of([10**12, 1])
+    assert deliveries([10**12, 1]) == {2: [(0, 2)], 10**12: [(0, 1)]}
+    assert buf.starts.tolist() == [0, 0, 0, 1]  # the late pair comes last
+    assert buf.due.tolist() == [[3, 2]]

@@ -19,6 +19,7 @@ import warnings
 import numpy as np
 import pytest
 
+from delivery_oracle import deliveries
 from laglearn.environment import (ExplicitStream, GaussianStream, LinearScoring, fixed_loss,
                                   run_game, uniform_quadratic)
 from laglearn.feedback import ExplicitDelay, FeedbackBuffer, FixedDelay, RandomDelay
@@ -69,7 +70,8 @@ def reference_estimates(body, schedule, lam, coupled, streams, delays, loss_fact
     """The decisions of the loop as it was: round-major (horizon, trials, dim).
 
     Each round's gradient is taken when the round is played and held until
-    its due round; a delivery set is summed into zeros with `np.add.at`;
+    its due round, s + d - 1, which the delivery oracle gives; a delivery
+    set is summed into zeros with `np.add.at`;
     eta(t), beta(t) and the pull come from their formulas, the pull is
     taken every round, and every round ends in a projection.  With a
     `mirror`, the loop starts at the map's initial point, leaves the
@@ -79,12 +81,11 @@ def reference_estimates(body, schedule, lam, coupled, streams, delays, loss_fact
     gradients were already bad.
     """
     trials = len(streams)
-    delay_values = np.stack([delay.realize(horizon) for delay in delays])
+    pairs = deliveries([delay.realize(horizon) for delay in delays])
     drawn = [stream.take(horizon) for stream in streams]
     loss = Loss.stack([loss_factory(hidden, np.random.default_rng(seed))
-                       for (_, hidden), seed in zip(drawn, seeds)], axis=1)
+                       for (_, hidden), seed in zip(drawn, seeds)])
     known = np.stack([k for k, _ in drawn], axis=1)
-    buffer = FeedbackBuffer(delay_values)
     x = np.zeros((trials, body.dim))
     if mirror is not None:
         x += mirror.initial_point(body.dim)
@@ -93,8 +94,8 @@ def reference_estimates(body, schedule, lam, coupled, streams, delays, loss_fact
     for i in range(horizon):
         t = i + 1
         estimates[i] = x
-        feedback[i] = loss.grad(x, at=i)
-        rows, sources = buffer.ready_at(t)
+        feedback[i] = loss.grad(x, at=(slice(None), i))
+        rows, sources = np.array(pairs.get(t, []), dtype=np.intp).reshape(-1, 2).T
         total = np.zeros(x.shape)
         np.add.at(total, rows, feedback[sources - 1, rows])
         eta, beta = step_sizes(schedule, t)
@@ -233,8 +234,8 @@ def test_a_round_sums_gradients_of_several_takes_in_source_order():
     delays = (6, 1, 4, 3, 1, 1, 1, 1, 1, 1, 1, 1)
     hidden = [np.zeros((horizon, 1)), np.random.default_rng(2).uniform(-1, 1, (horizon, 1))]
     hidden[0][:5, 0] = (-5e15, 0.5, 5e15, 0.0, 0.5)
-    buffer = FeedbackBuffer(delays)
-    assert buffer.takes[:3] == [2, 5, 6] and buffer.ready_at(6)[1].tolist() == [1, 3, 4, 6]
+    assert FeedbackBuffer(delays).takes[:3] == [2, 5, 6]
+    assert deliveries(delays)[6] == [(0, 1), (0, 3), (0, 4), (0, 6)]
 
     def streams():
         return [ExplicitStream(np.zeros((horizon, 1)), h) for h in hidden]

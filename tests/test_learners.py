@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from delivery_oracle import deliveries
 from laglearn import experiments
 from laglearn.environment import (ZERO_SUBGRADIENT_FLAG, ExplicitStream, GaussianStream,
                                   LinearScoring, run_game, fixed_loss)
@@ -314,7 +315,7 @@ def test_gradients_use_the_decision_of_the_source_round():
         assert est[t] == pytest.approx(predicted, abs=1e-12)
 
 
-def test_naive_learner_plays_running_mean_of_revealed():
+def test_naive_learner_plays_running_mean_of_the_delivered_contexts():
     tau, horizon = 3, 15
     body = Ball([0.0], 10.0)
     learner = NaiveLearner(body)
@@ -335,7 +336,9 @@ def test_naive_estimate_is_the_mean_of_the_delivered_anchors_bit_for_bit():
     traj = run_game(learner, streams, [RandomDelay(d_max=7, seed=s) for s in (4, 5, 6)],
                     fixed_loss(NormLoss), LinearScoring.default(3, 2), horizon,
                     seeds=[0, 0, 0])
-    delivered = [traj.delivered(k) for k in range(3)]
+    pairs = deliveries(traj.delays)
+    delivered = [[[s for r, s in pairs.get(t, []) if r == k] for t in range(1, horizon + 1)]
+                 for k in range(3)]
     for k in range(3):
         revealed = []
         for t in range(1, horizon):
@@ -389,49 +392,33 @@ def test_naive_estimate_is_np_mean_of_the_delivered_anchors_in_any_dimension(dim
     traj = run_game(learner, streams, [RandomDelay(d_max=6, seed=s) for s in (4, 5, 6)],
                     fixed_loss(NormLoss), LinearScoring.default(dim, dim), horizon,
                     seeds=[0, 0, 0])
+    pairs = deliveries(traj.delays)
     for k in range(3):
         revealed = []
         for t in range(1, horizon):
-            revealed.extend(traj.delivered(k)[t - 1])
+            revealed.extend(s for r, s in pairs.get(t, []) if r == k)
             anchors = hidden[k][np.array(revealed, dtype=int) - 1]
             expected = np.mean(anchors, axis=0) if revealed else np.zeros(dim)
             assert np.array_equal(traj.estimates[k, t].view(np.uint64),
                                   expected.view(np.uint64))
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_naive_blocks_split_anywhere_give_the_one_blocks_estimates_bit_for_bit(dim):
-    # The game plays the baseline's horizon as one block; played as several,
-    # the sums and counts carried from block to block must give the same bits.
-    # Four trials with their own random delays, some due past the horizon;
-    # anchors of mixed magnitude with signed zeros, and one trial all -0.0.
-    horizon, trials = 70, 4
-    rng = np.random.default_rng(dim)
-    anchors = _mixed_points(rng, (trials, horizon, dim))
-    anchors[3] = -0.0
-    buffer = FeedbackBuffer(rng.integers(1, 13, size=(trials, horizon)))
-    assert not buffer.in_time.all()
-    feedback = anchors[buffer.rows, buffer.sources - 1]
-
-    def play(cuts):
-        learner = NaiveLearner(Ball(np.zeros(dim), 1e9))
+def test_naive_play_takes_only_the_whole_horizon_once():
+    # The game hands the baseline its horizon as one block; a shorter
+    # block, one that starts late, or a second call is refused.
+    horizon, trials = 10, 2
+    buffer = FeedbackBuffer(np.full((trials, horizon), 2))
+    anchors = np.ones((len(buffer.rows), 1))
+    learner = NaiveLearner(Ball([0.0], 2.0))
+    for lo, hi in ((1, 5), (1, horizon), (2, horizon + 1), (1, horizon + 2)):
         learner.start(trials, horizon, buffer)
-        estimates = np.full((trials, horizon, dim), np.nan)
-        estimates[:, 0] = learner.estimate
-        for lo, hi in zip(cuts, cuts[1:]):
-            learner.play(lo, hi, feedback, None, estimates)
-        return np.concatenate([estimates, learner.estimate[:, None]], axis=1).view(np.uint64)
-
-    whole = play([1, horizon + 1])
-    splits = ([1, 2, 3, 4, horizon + 1], [1, 9, 10, 31, 32, 69, horizon + 1],
-              list(range(1, horizon + 2)))
-    for cuts in splits:
-        assert np.array_equal(play(cuts), whole)
-    # Some block of each split delivers nothing to some trial.
-    for cuts in splits:
-        starts = buffer.starts[cuts]
-        got = [np.bincount(buffer.rows[a:b], minlength=trials) for a, b in zip(starts, starts[1:])]
-        assert any(0 in counts for counts in got)
+        with pytest.raises(RuntimeError, match="as one block"):
+            learner.play(lo, hi, anchors, None, np.empty((trials, horizon, 1)))
+    learner.start(trials, horizon, buffer)
+    learner.play(1, horizon + 1, anchors, None, np.empty((trials, horizon, 1)))
+    assert learner.t == horizon and np.array_equal(learner.estimate, np.ones((trials, 1)))
+    with pytest.raises(RuntimeError, match="in order"):
+        learner.play(1, horizon + 1, anchors, None, np.empty((trials, horizon, 1)))
 
 
 def test_zero_subgradient_flags_only_for_deliveries_within_the_horizon():
