@@ -28,7 +28,7 @@ import numpy as np
 
 from . import environment, evaluation, feedback, geometry, learners, losses
 from .evaluation import RegretReport, Trajectory
-from .geometry import Ball, ConvexBody, EuclideanMap, MirrorMap, NegativeEntropyMap, Simplex
+from .geometry import Array, Ball, ConvexBody, EuclideanMap, MirrorMap, NegativeEntropyMap, Simplex
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -419,12 +419,16 @@ def _build_learner(cfg: ExperimentConfig, body: ConvexBody, delays: list, horizo
 
 
 @_section("delays")
-def _build_delays(cfg: ExperimentConfig, seed: int):
-    if cfg.delay_kind == "fixed":
-        return feedback.FixedDelay(cfg.tau)
+def _build_delays(cfg: ExperimentConfig, seeds: list[int]) -> list:
+    """One delay schedule per trial seed; a delay file is parsed once, and its
+    frozen schedule shared by every trial."""
     if cfg.delay_kind == "adversarial":
-        return feedback.RandomDelay(d_max=cfg.d_max, seed=seed)
-    return feedback.delays_from_file(cfg.delay_path)
+        return [feedback.RandomDelay(d_max=cfg.d_max, seed=trial_seed(seed, 2)) for seed in seeds]
+    if cfg.delay_kind == "fixed":
+        shared = feedback.FixedDelay(cfg.tau)
+    else:
+        shared = feedback.delays_from_file(cfg.delay_path)
+    return [shared] * len(seeds)
 
 
 def resolve_arm(cfg: ExperimentConfig) -> dict:
@@ -452,7 +456,7 @@ def _build_arm(cfg: ExperimentConfig, seeds: list[int]):
     if cfg.stream == "csv" and streams[0].remaining < cfg.horizon:
         raise ConfigFileError([f"stream.path: csv stream has {streams[0].remaining} rows, "
                                f"fewer than the horizon {cfg.horizon}"])
-    delays = [_build_delays(cfg, trial_seed(seed, 2)) for seed in seeds]
+    delays = _build_delays(cfg, seeds)
     if cfg.delay_kind == "file" and len(delays[0].delays) < cfg.horizon:
         raise ConfigFileError([f"delays.path: delay file has {len(delays[0].delays)} delays, "
                                f"fewer than the horizon {cfg.horizon}"])
@@ -618,25 +622,41 @@ def _write_experiment(cfg: ExperimentConfig, out: Path, written: list[Path]) -> 
 def _write_trajectory_csv(traj: Trajectory, path) -> None:
     """The first trial's rounds: loss, score error, delivered sources and estimate.
 
-    CSV_CHUNK rounds at a time, each column formatted on its own: a float
-    as its `repr`, and the sources a round delivers joined by ";", cut
-    from the first trial's delivery buffer at its `starts`.
+    CSV_CHUNK rounds at a time.  A float is written as its `repr`, and each
+    distinct float of a chunk is formatted once: the loss, score-error and
+    estimate columns are laid out as one array, `np.unique` over its int64
+    view finds the distinct bit patterns (so -0.0 and +0.0 stay apart), and
+    every field is looked up among their reprs.  The sources a round
+    delivers are joined by ";", cut from the first trial's delivery buffer
+    at its `starts`.
     """
     estimates, loss_values, errors = traj.estimates[0], traj.loss_values[0], traj.score_errors[0]
+    # Only the delivery order is read: the buffer's other arrays and its take
+    # rounds are freed before the rows are formatted, which lowers peak memory.
     buffer = feedback.FeedbackBuffer(traj.delays[0])
+    pair_starts, pair_sources = buffer.starts, buffer.sources
+    del buffer
     coord_cols = ",".join(f"estimate_{j}" for j in range(estimates.shape[1]))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"t,loss,score_error,delivered,{coord_cols}\n")
         for lo in range(0, traj.horizon, evaluation.CSV_CHUNK):
             hi = lo + evaluation.CSV_CHUNK
-            # Rounds lo + 1..hi deliver the pairs starts[lo + 1]:starts[hi + 1].
-            starts = buffer.starts[lo + 1:hi + 2].tolist()
+            # Rounds lo + 1..hi deliver the pairs pair_starts[lo + 1]:pair_starts[hi + 1].
+            starts = pair_starts[lo + 1:hi + 2].tolist()
             first = starts[0]
-            sources = list(map(str, buffer.sources[first:starts[-1]].tolist()))
+            sources = list(map(str, pair_sources[first:starts[-1]].tolist()))
             delivered = [";".join(sources[a - first:b - first]) for a, b in zip(starts, starts[1:])]
-            evaluation.write_rows(fh, lo + 1, [
-                map(repr, loss_values[lo:hi].tolist()), map(repr, errors[lo:hi].tolist()),
-                delivered, *(map(repr, column.tolist()) for column in estimates[lo:hi].T)])
+            loss_text, error_text, *coords = _reprs(
+                np.vstack([loss_values[lo:hi], errors[lo:hi], estimates[lo:hi].T]))
+            evaluation.write_rows(fh, lo + 1, [loss_text, error_text, delivered, *coords])
+
+
+def _reprs(floats: Array) -> list[list[str]]:
+    """The `repr` of each float of a 2-d array, as one list per row, made
+    once per distinct bit pattern (the int64 view keeps -0.0 apart from 0.0)."""
+    distinct, which = np.unique(floats.view(np.int64), return_inverse=True)
+    text = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
+    return text[which.reshape(floats.shape)].tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,15 @@ class FeedbackBuffer:
         if np.any(delays < 1):
             raise ValueError("delay must be >= 1")
         self.horizon = delays.shape[1]
-        due = np.arange(self.horizon) + delays  # s = i + 1 is due at s + d - 1
+        # s = i + 1 is due at s + d - 1 = i + d, which int64 holds while d <= INT64_MAX - i.
+        if delays.max() > INT64_MAX - (self.horizon - 1):
+            wrapped = delays > INT64_MAX - np.arange(self.horizon)
+            if np.count_nonzero(wrapped):
+                k, i = divmod(int(wrapped.argmax()), self.horizon)
+                d = int(delays[k, i])
+                raise ValueError(f"source round {i + 1} of row {k} has delay {d}: it is due "
+                                 f"at round {i + d}, past the int64 maximum {INT64_MAX}")
+        due = np.arange(self.horizon) + delays
         self.due = np.minimum(due, self.horizon + 1)
         # soonest[r] is the earliest round at which a source round > r is due in time.
         soonest = self.due.min(axis=0)

@@ -87,7 +87,8 @@ class ConvexBody:
     `linear_minimizer`, plus a `radius_bound` R with ||x|| <= R for every
     member x; a polygon also draws uniform members (`sample_many`).
     Projecting a point that `project` returned gives it back bit for bit,
-    on every body but the simplex.
+    on every body but the simplex.  `first_moved` answers, for a block of
+    points, where `project` first moves one, in a single pass.
     """
 
     dim: int
@@ -102,6 +103,18 @@ class ConvexBody:
     def linear_minimizer(self, g) -> Array:
         """A member y minimizing <g, y>, row by row (the Frank-Wolfe oracle)."""
         raise NotImplementedError
+
+    def first_moved(self, points) -> tuple[int, Array] | None:
+        """The first index i of the first axis of a nonempty block `points` at
+        which `project` moves a point, with `project(points)[i]`; None when
+        it moves none."""
+        projected = self.project(points)
+        moved = projected != points
+        j = moved.argmax()  # the first moved coordinate, if any
+        if not moved.flat[j]:
+            return None
+        i = int(j) // (moved.size // len(moved))
+        return i, projected[i]
 
     def project_many(self, points: Array) -> Array:
         """Project each row of `points` (the streams' projection of their draws)."""
@@ -120,7 +133,11 @@ class Ball(ConvexBody):
     s <= square_bound: the test takes no square root and gives the bits of
     the norm test.  When no row is outside, `project` returns a copy of the
     input at once.  A NaN row counts as inside, as it does under the norm
-    test, and a row whose square overflowed (s = inf) is outside.
+    test, and a row whose square overflowed (s = inf) is outside.  A row
+    outside lands at a norm within the radius, so `project` moves exactly
+    the rows outside, and `first_moved` makes the same test alone: a block
+    with no row outside costs one test and no copy, and otherwise only the
+    first such index is projected.
     """
 
     def __init__(self, center, radius: float):
@@ -158,6 +175,15 @@ class Ball(ConvexBody):
             landed = self.center + far * scale[..., None]
         out[outside] = landed
         return out
+
+    def first_moved(self, points) -> tuple[int, Array] | None:
+        v = as_points(points, self.dim)
+        offset = v - self.center
+        outside = np.vecdot(offset, offset) > self.square_bound
+        if not np.count_nonzero(outside):
+            return None
+        i = int(outside.argmax()) // (outside.size // len(outside))
+        return i, self.project(v[i])  # row-wise: the bits of project(v)[i]
 
     def contains(self, x, tol: float = MEMBERSHIP_TOL):
         return norms(as_points(x, self.dim) - self.center) <= self.radius + tol

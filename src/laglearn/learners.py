@@ -33,8 +33,8 @@ learner its feedback already summed per round: row t of one round-major
 array of totals holds, per trial, the sum of the gradients delivered at
 the end of round t, so a block reads one slice of it.  The gradient
 learner forms the block's moves as one array and, under the Euclidean map,
-walks them as one running sum that it projects once, summing again only
-from where the projection moved a point.
+walks them as one running sum, summing again only from the first round
+whose projection moves a point, which the body finds in one pass.
 """
 
 from __future__ import annotations
@@ -251,16 +251,18 @@ class GradientLearner(BaseLearner):
     operations as one round's step.  Under the Euclidean map the path is
     then a running sum from the iterate, which `np.cumsum` adds in
     sequence, as x + move does, broken only where the projection moves a
-    point: the whole block is projected once, and from the first round
-    where a row moved, the projected point replaces the sum and the sum is
-    taken again.  The warm-up rounds are never projected, so a start point
-    outside the body (the origin, for the pentagon) stays until the first
-    step.  A round that delivers nothing to a learner with no pull steps
-    by 0.0 (the iterate is never -0.0), and the ball and the polygon, the
-    bodies a Euclidean learner is built with, give back a point their
-    projection returned bit for bit, so such a round changes no bit.  The
-    entropic map neither adds nor projects, so it takes its moves one
-    round after another.
+    point: the body's `first_moved` names the first round of the path
+    whose projection moves a point, in one pass over the block (a ball
+    tests squared norms and projects only that round), and from there the
+    projected point replaces the sum and the sum is taken again, up to the
+    next such round or the block's end.  The warm-up rounds are never
+    projected, so a start point outside the body (the origin, for the
+    pentagon) stays until the first step.  A round that delivers nothing
+    to a learner with no pull steps by 0.0 (the iterate is never -0.0),
+    and the ball and the polygon, the bodies a Euclidean learner is built
+    with, give back a point their projection returned bit for bit, so
+    such a round changes no bit.  The entropic map neither adds nor
+    projects, so it takes its moves one round after another.
     """
 
     def __init__(self, body: ConvexBody, schedule: StepSchedule, lam: float = 0.0,
@@ -313,14 +315,10 @@ class GradientLearner(BaseLearner):
         if self.mirror.needs_projection:  # the Euclidean map, whose update is x + move
             path = np.add.accumulate(steps, axis=0)  # np.cumsum, with less overhead
             done = 1
-            while done <= n:
-                projected = self.body.project(path[done:])
-                moved = projected != path[done:]
-                j = moved.argmax()  # the first moved coordinate, if any
-                if not moved.flat[j]:
-                    break
-                c = done + j // (trials * dim)
-                path[c] = steps[c] = projected[c - done]
+            while done <= n and (moved := self.body.first_moved(path[done:])) is not None:
+                j, point = moved
+                c = done + j
+                path[c] = steps[c] = point
                 np.add.accumulate(steps[c:], axis=0, out=path[c:])
                 done = c + 1
         else:

@@ -254,6 +254,40 @@ path = {delay_file}
     assert float(rows[2]["loss"]) == math.sqrt((x3 - 3.0) ** 2) ** 2
 
 
+@pytest.mark.parametrize("trials", [1, 5])
+def test_a_delay_file_is_parsed_once_to_validate_and_once_to_run(tmp_path, monkeypatch, trials):
+    delay_file = tmp_path / "delays.txt"
+    delay_file.write_text("".join(f"{1 + i % 3}\n" for i in range(10)), encoding="utf-8")
+    config = write_config(tmp_path, f"""
+[experiment]
+kind = single-run
+horizon = 10
+trials = {trials}
+
+[learner]
+kind = adversarial
+eta = 0.1
+lam = 0.0
+
+[stream]
+kind = gaussian
+
+[loss]
+family = norm
+
+[delays]
+kind = file
+path = {delay_file}
+""")
+    parses = []
+    parse = experiments.feedback.delays_from_file
+    monkeypatch.setattr(experiments.feedback, "delays_from_file",
+                        lambda path: parses.append(path) or parse(path))
+    manifest = experiments.run_experiment(parse_config(config), tmp_path / "out")
+    assert len(parses) == 2
+    assert manifest["arms"]["run"]["delay_sum_mean"] == 19.0
+
+
 def _single_ogd_csv_config(tmp_path, rows, delays):
     contexts = tmp_path / "contexts.csv"
     contexts.write_text("".join(f"1.0,{i}.0\n" for i in range(rows)), encoding="utf-8")

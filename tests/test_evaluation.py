@@ -435,9 +435,22 @@ def test_write_csv_round_trips(tmp_path):
 
 
 def _special_values(n):
-    """n values cycling through -0.0, the smallest subnormal, 1e308, 0.1 + 0.2 and a few others."""
-    specials = np.array([-0.0, 5e-324, 1e308, 0.1 + 0.2, 1.0, -2.5e-7, 123456.789])
+    """n values cycling through both zeros, the smallest subnormal, 1e308, 0.1 + 0.2 and others."""
+    specials = np.array([-0.0, 5e-324, 1e308, 0.0, 0.1 + 0.2, 1.0, -2.5e-7, 123456.789])
     return specials[np.arange(n) % len(specials)]
+
+
+def _trajectory_rows(traj):
+    """`trajectory.csv` of the first trial as the writer formatted it, one row at a time."""
+    pairs = deliveries(traj.delays[:1])
+    dim = traj.estimates.shape[-1]
+    lines = [f"t,loss,score_error,delivered,{','.join(f'estimate_{j}' for j in range(dim))}\n"]
+    for i in range(traj.horizon):
+        delivered = ";".join(str(s) for _, s in pairs.get(i + 1, []))
+        coords = ",".join(repr(float(v)) for v in traj.estimates[0, i])
+        lines.append(f"{i + 1},{float(traj.loss_values[0, i])!r},"
+                     f"{float(traj.score_errors[0, i])!r},{delivered},{coords}\n")
+    return "".join(lines).encode()
 
 
 def test_chunked_writers_match_the_row_by_row_formatter(tmp_path):
@@ -455,19 +468,12 @@ def test_chunked_writers_match_the_row_by_row_formatter(tmp_path):
         loss=NormLoss(np.zeros((1, horizon, 2))),
         delays=delays,
     )
-    pairs = deliveries(traj.delays)
-    assert 1 not in pairs
+    assert 1 not in deliveries(traj.delays)
     curves = AggregateCurves(horizon=horizon, trials=2, cum_loss_mean=values,
                              cum_loss_stderr=np.roll(values, 2), regret_mean=np.roll(values, 3),
                              regret_stderr=np.roll(values, 4))
 
-    # The formatters as they were, one row at a time.
-    lines = ["t,loss,score_error,delivered,estimate_0,estimate_1\n"]
-    for i in range(horizon):
-        delivered = ";".join(str(s) for _, s in pairs.get(i + 1, []))
-        coords = ",".join(repr(float(v)) for v in traj.estimates[0, i])
-        lines.append(f"{i + 1},{float(traj.loss_values[0, i])!r},"
-                     f"{float(traj.score_errors[0, i])!r},{delivered},{coords}\n")
+    # The curve formatter as it was, one row at a time.
     curve_lines = ["t,cum_loss_mean,cum_loss_stderr,regret_mean,regret_stderr\n"]
     for i in range(horizon):
         curve_lines.append(
@@ -476,8 +482,31 @@ def test_chunked_writers_match_the_row_by_row_formatter(tmp_path):
 
     _write_trajectory_csv(traj, tmp_path / "trajectory.csv")
     write_csv(curves, tmp_path / "curves.csv")
-    assert (tmp_path / "trajectory.csv").read_bytes() == "".join(lines).encode()
+    assert (tmp_path / "trajectory.csv").read_bytes() == _trajectory_rows(traj)
     assert (tmp_path / "curves.csv").read_bytes() == "".join(curve_lines).encode()
+
+
+def test_the_trajectory_writer_keeps_signed_zeros_and_repeats_apart(tmp_path):
+    # Each distinct float is formatted once: +0.0 and -0.0 share one column
+    # and one chunk, each repeated on both sides of a chunk boundary, next to
+    # NaNs of two payloads, infinities and a value that every column repeats.
+    horizon = 2 * CSV_CHUNK + 5
+    rng = np.random.default_rng(7)
+    pool = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 0.1 + 0.2, 5e-324, -5e-324])
+    loss = pool[rng.integers(0, len(pool), horizon)]
+    loss[CSV_CHUNK - 3:CSV_CHUNK + 3] = [0.0, -0.0, 0.0, -0.0, 0.0, -0.0]
+    errors = np.where(rng.random(horizon) < 0.6, loss, -loss)  # mostly the loss, bit for bit
+    estimates = np.stack([pool[rng.integers(0, 2, horizon)], rng.standard_normal(horizon).round(1),
+                          loss[::-1]], axis=-1)
+    traj = Trajectory(estimates=estimates[None], loss_values=loss[None],
+                      score_errors=errors[None], score_error_losses=errors[None],
+                      loss=NormLoss(np.zeros((1, horizon, 3))),
+                      delays=rng.integers(1, 6, (1, horizon)))
+    _write_trajectory_csv(traj, tmp_path / "trajectory.csv")
+    written = (tmp_path / "trajectory.csv").read_bytes()
+    assert written == _trajectory_rows(traj)
+    rows = written.decode().splitlines()  # rows[t] is round t
+    assert [row.split(",")[1] for row in rows[CSV_CHUNK - 2:CSV_CHUNK + 4]] == ["0.0", "-0.0"] * 3
 
 
 # ---------------------------------------------------------------------------

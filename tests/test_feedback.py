@@ -88,6 +88,17 @@ def test_an_explicit_delay_must_fit_in_int64():
             ExplicitDelay(delays)
 
 
+def test_a_buffer_rejects_a_due_round_past_int64():
+    # Source round 2 with delay 2**63 - 2 is due at round 2**63 - 1, the int64 maximum.
+    buf = buffer_of([1, 2**63 - 2, 1])
+    assert buf.takes == [1, 3]
+    assert deliveries([1, 2**63 - 2, 1])[2**63 - 1] == [(0, 2)]
+    with pytest.raises(ValueError, match=f"source round 2 of row 0 .* due at round {2**63},"):
+        FeedbackBuffer([1, 2**63 - 1, 1])
+    with pytest.raises(ValueError, match=f"source round 3 of row 1 .* due at round {2**63},"):
+        FeedbackBuffer([[1, 1, 1], [1, 1, 2**63 - 2]])
+
+
 def test_exactly_once_over_random_schedules():
     # The buffer lays the pairs out as the oracle does, the ones due past
     # the horizon included, and holds each source round once.

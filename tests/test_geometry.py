@@ -312,6 +312,56 @@ def test_linear_minimizer_is_a_member_below_every_sample(body):
     assert np.all(np.vecdot(g, y) <= np.min(g @ samples.T, axis=1) + 1e-9)
 
 
+def first_moved_by_comparing(body, block):
+    """The first index of the block's first axis that `project` moves, and its
+    projected points, found by projecting the whole block and comparing."""
+    with np.errstate(over="ignore"):  # squares of the far points overflow
+        projected = body.project(block)
+    moved = (projected != block).reshape(len(block), -1).any(axis=1)
+    return (int(np.argmax(moved)), projected) if moved.any() else (None, projected)
+
+
+def assert_first_moved(body, block):
+    expected, projected = first_moved_by_comparing(body, block)
+    with np.errstate(over="ignore"):
+        answer = body.first_moved(block)
+    if expected is None:
+        assert answer is None
+        return
+    index, point = answer
+    assert index == expected
+    assert point.shape == block.shape[1:]
+    assert np.array_equal(point.view(np.uint64), projected[index].view(np.uint64))
+
+
+@pytest.mark.parametrize("body", bodies(), ids=lambda b: b.describe()[:20])
+@pytest.mark.parametrize("trials", [None, 1, 3])
+def test_first_moved_finds_the_first_index_project_moves_with_its_bits(body, trials):
+    rng = np.random.default_rng(19)
+    shape = (12,) if trials is None else (12, trials)
+    # Members, most on the boundary, that project to themselves bit for bit
+    # (the simplex moves some of its own projections again, by an ulp).
+    pool = members(body, 400, rng)
+    pool = pool[(body.project(pool) == pool).all(axis=1)]
+    inside = pool[rng.integers(0, len(pool), shape)]
+    assert_first_moved(body, inside)
+    center = np.mean(pool, axis=0)
+    for scale in (10.0, 1e200):  # a point this far outside moves on every body
+        for _ in range(20):
+            block = inside.copy()
+            at = tuple(rng.integers(0, n) for n in shape)
+            direction = rng.normal(size=body.dim)
+            block[at] = center + scale * body.radius_bound * direction / np.linalg.norm(direction)
+            assert first_moved_by_comparing(body, block)[0] == at[0]
+            assert_first_moved(body, block)
+    # Boundary members nudged outward by an ulp: the balls move some and keep
+    # others, and every start of the block is tried.
+    nudged = np.nextafter(inside, inside + (inside - center))
+    assert_first_moved(body, nudged)
+    for start in range(len(nudged)):
+        assert_first_moved(body, nudged[start:])
+
+
 def test_project_many_matches_project():
     rng = np.random.default_rng(11)
     for body in bodies():
