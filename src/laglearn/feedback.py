@@ -113,7 +113,7 @@ class FeedbackBuffer:
             raise ValueError("delay must be >= 1")
         self.horizon = delays.shape[1]
         # s = i + 1 is due at s + d - 1 = i + d, which int64 holds while d <= INT64_MAX - i.
-        if delays.max() > INT64_MAX - (self.horizon - 1):
+        if delays.size and delays.max() > INT64_MAX - (self.horizon - 1):
             wrapped = delays > INT64_MAX - np.arange(self.horizon)
             if np.count_nonzero(wrapped):
                 k, i = divmod(int(wrapped.argmax()), self.horizon)

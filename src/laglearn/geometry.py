@@ -135,9 +135,9 @@ class Ball(ConvexBody):
     input at once.  A NaN row counts as inside, as it does under the norm
     test, and a row whose square overflowed (s = inf) is outside.  A row
     outside lands at a norm within the radius, so `project` moves exactly
-    the rows outside, and `first_moved` makes the same test alone: a block
-    with no row outside costs one test and no copy, and otherwise only the
-    first such index is projected.
+    the rows outside, and `first_moved` makes the same test (`_outside`)
+    alone: a block with no row outside costs one test and no copy, and
+    otherwise only the first such index is projected.
     """
 
     def __init__(self, center, radius: float):
@@ -154,12 +154,18 @@ class Ball(ConvexBody):
             bound = above
         self.square_bound = bound
 
-    def project(self, x) -> Array:
+    def _outside(self, x) -> tuple[Array, Array, Array, Array]:
+        """The points, their offsets from the center, the squared offset
+        norms, and the mask of the rows outside: the test `project` and
+        `first_moved` share."""
         v = as_points(x, self.dim)
         offset = v - self.center
         squared = np.vecdot(offset, offset)
+        return v, offset, squared, squared > self.square_bound
+
+    def project(self, x) -> Array:
+        v, offset, squared, outside = self._outside(x)
         out = v.copy()
-        outside = squared > self.square_bound
         if not np.count_nonzero(outside):
             return out
         far, dist = offset[outside], np.sqrt(squared[outside])  # `norms` of those rows
@@ -177,9 +183,7 @@ class Ball(ConvexBody):
         return out
 
     def first_moved(self, points) -> tuple[int, Array] | None:
-        v = as_points(points, self.dim)
-        offset = v - self.center
-        outside = np.vecdot(offset, offset) > self.square_bound
+        v, _, _, outside = self._outside(points)
         if not np.count_nonzero(outside):
             return None
         i = int(outside.argmax()) // (outside.size // len(outside))

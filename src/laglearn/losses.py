@@ -104,15 +104,8 @@ class Loss:
         raise NotImplementedError
 
     def grad(self, x, at=...) -> Array:
-        """Gradient at x of the rows `at`.
-
-        A float array whose last axis is the dimension, as the game passes,
-        is used as it is; anything else is coerced and checked first.
-        """
-        if type(x) is np.ndarray and x.dtype == float and x.shape[-1:] == self.anchor.shape[-1:]:
-            d = x - self.anchor[at]
-        else:
-            d = self._offset(x, at)
+        """Gradient at x of the rows `at`."""
+        d = self._offset(x, at)
         return self._grad(d, np.sqrt(np.vecdot(d, d)), at)
 
     def kinks(self, x, at=...) -> Array:

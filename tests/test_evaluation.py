@@ -509,6 +509,28 @@ def test_the_trajectory_writer_keeps_signed_zeros_and_repeats_apart(tmp_path):
     assert [row.split(",")[1] for row in rows[CSV_CHUNK - 2:CSV_CHUNK + 4]] == ["0.0", "-0.0"] * 3
 
 
+def test_the_trajectory_writer_formats_a_chunk_of_distinct_floats_field_by_field(
+        tmp_path, monkeypatch):
+    # The first chunk holds distinct floats only (both zeros among them), so
+    # every field is formatted; the second repeats its floats, so each
+    # distinct one is formatted once.  Both write the row-by-row bytes.
+    horizon = 2 * CSV_CHUNK
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((horizon, 3))
+    values[:2, 0] = [0.0, -0.0]
+    values[CSV_CHUNK:] = values[CSV_CHUNK:CSV_CHUNK + 8][np.arange(CSV_CHUNK) % 8]
+    traj = Trajectory(estimates=values[None, :, 2:], loss_values=values[None, :, 0],
+                      score_errors=values[None, :, 1], score_error_losses=values[None, :, 1],
+                      loss=NormLoss(np.zeros((1, horizon, 1))),
+                      delays=rng.integers(1, 6, (1, horizon)))
+    uniques = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda a, **kw: uniques.append(a.size) or unique(a, **kw))
+    _write_trajectory_csv(traj, tmp_path / "trajectory.csv")
+    assert uniques == [3 * CSV_CHUNK]
+    assert (tmp_path / "trajectory.csv").read_bytes() == _trajectory_rows(traj)
+
+
 # ---------------------------------------------------------------------------
 # Theoretical ceiling (loose upper bound, strongly convex case)
 # ---------------------------------------------------------------------------

@@ -97,6 +97,8 @@ def test_a_buffer_rejects_a_due_round_past_int64():
         FeedbackBuffer([1, 2**63 - 1, 1])
     with pytest.raises(ValueError, match=f"source round 3 of row 1 .* due at round {2**63},"):
         FeedbackBuffer([[1, 1, 1], [1, 1, 2**63 - 2]])
+    empty = FeedbackBuffer([])  # no delay to check, and no pair
+    assert empty.starts.tolist() == [0, 0] and empty.takes == []
 
 
 def test_exactly_once_over_random_schedules():
