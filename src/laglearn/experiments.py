@@ -626,14 +626,12 @@ def _write_trajectory_csv(traj: Trajectory, path) -> None:
     score-error and estimate columns of a chunk are laid out as one array,
     and when it repeats floats (`_reprs`), each distinct one is formatted
     once.  The sources a round delivers are joined by ";", cut from the
-    first trial's delivery buffer at its `starts`.
+    first trial's delivery order at its `starts`.
     """
     estimates, loss_values, errors = traj.estimates[0], traj.loss_values[0], traj.score_errors[0]
-    # Only the delivery order is read: the buffer's other arrays and its take
-    # rounds are freed before the rows are formatted, which lowers peak memory.
-    buffer = feedback.FeedbackBuffer(traj.delays[0])
-    pair_starts, pair_sources = buffer.starts, buffer.sources
-    del buffer
+    # Only the sources and starts are kept while the rows are formatted,
+    # which lowers peak memory.
+    pair_sources, pair_starts = feedback.delivery_order(traj.delays[:1])[1:]
     coord_cols = ",".join(f"estimate_{j}" for j in range(estimates.shape[1]))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"t,loss,score_error,delivered,{coord_cols}\n")

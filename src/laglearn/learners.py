@@ -34,7 +34,12 @@ array of totals holds, per trial, the sum of the gradients delivered at
 the end of round t, so a block reads one slice of it.  The gradient
 learner forms the block's moves as one array and, under the Euclidean map,
 walks them as one running sum, summing again only from the first round
-whose projection moves a point, which the body finds in one pass.
+whose projection moves a point, which the body finds in one pass.  A game
+of one trial on a ball in one dimension, such as a single run under
+arbitrary delays, walks each block in Python floats instead: its blocks
+are a few rounds long, and the fixed cost of a numpy call would be most
+of their time.  Each round takes the same float operations in the same
+order as the array walk, so no bit changes.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .feedback import FeedbackBuffer
-from .geometry import Array, ConvexBody, EuclideanMap, MirrorMap
+from .geometry import Array, Ball, ConvexBody, EuclideanMap, MirrorMap
 
 
 class NonFiniteGradient(ValueError):
@@ -263,6 +268,18 @@ class GradientLearner(BaseLearner):
     with, give back a point their projection returned bit for bit, so
     such a round changes no bit.  The entropic map neither adds nor
     projects, so it takes its moves one round after another.
+
+    `start` chooses the walk once per game, from what it is handed: one
+    trial, a 1-d `Ball` and the Euclidean map take the float walk, and
+    every other game the array walk above.  The float walk reads the
+    block's totals, etas (and, with a pull, betas and next contexts) as
+    short lists and steps round by round: the move 0.0 - eta * total, or
+    beta * (w * k) - eta * total with k = 0.0 after the last round, a
+    NonFiniteGradient for a move that is not finite, x + move, and the
+    ball's own test (x - c) * (x - c) > square_bound, with `body.project`
+    for a point outside.  Those are the array walk's float operations in
+    its order, so both walks give the same bits; the float walk writes the
+    block into the record with one slice assignment.
     """
 
     def __init__(self, body: ConvexBody, schedule: StepSchedule, lam: float = 0.0,
@@ -281,18 +298,27 @@ class GradientLearner(BaseLearner):
         # Round t's eta and beta as (1 or trials, 1) columns of a (rounds, trials, dim) block.
         self.etas = etas.reshape(horizon + 1, -1, 1)
         self.betas = betas.reshape(horizon + 1, -1, 1)
+        # One trial on a 1-d ball: walk each block in Python floats.
+        self._walk = self._walk_arrays
+        if (trials == 1 and self.body.dim == 1 and self.mirror.needs_projection
+                and isinstance(self.body, Ball)):
+            self._walk = self._walk_floats
         super().start(trials, horizon, buffer)
 
     def play(self, lo, hi, totals, known, estimates) -> None:
         self._advance(lo, hi)
-        horizon = estimates.shape[1]
-        x = self.estimate
         # The warm-up rounds keep the start point.
         first = min(max(self.schedule.tau + 1, lo), hi)
         if first > lo:
-            estimates[:, lo:min(first, horizon)] = x[:, None]
+            estimates[:, lo:min(first, estimates.shape[1])] = self.estimate[:, None]
             if first == hi:
                 return
+        self._walk(first, hi, totals, known, estimates)
+
+    def _walk_arrays(self, first, hi, totals, known, estimates) -> None:
+        """Rounds first..hi-1 past the warm-up, as (rounds, trials, dim) arrays."""
+        horizon = estimates.shape[1]
+        x = self.estimate
         n, (trials, dim) = hi - first, x.shape
         total = totals[first:hi]
         eta = self.etas[first:hi]
@@ -327,6 +353,35 @@ class GradientLearner(BaseLearner):
                 path[j] = self.mirror.update(path[j - 1], steps[j])
         estimates[:, first:min(hi, horizon)] = path[1:horizon - first + 1].swapaxes(0, 1)
         self.estimate = path[n]
+
+    def _walk_floats(self, first, hi, totals, known, estimates) -> None:
+        """Rounds first..hi-1 past the warm-up of one trial on a 1-d ball, in Python floats."""
+        n, horizon = hi - first, estimates.shape[1]
+        total = totals[first:hi, 0, 0].tolist()
+        eta = self.etas[first:hi, 0, 0].tolist()
+        if self.lam:
+            lam, coupled = self.lam, self.coupled
+            ahead = known[0, first:hi, 0].tolist()  # the contexts of the next rounds
+            ahead += [0.0] * (n - len(ahead))  # no pull after the last round
+            moves = [b * ((lam * e if coupled else lam) * k) - e * g for e, b, k, g
+                     in zip(eta, self.betas[first:hi, 0, 0].tolist(), ahead, total)]
+        else:
+            moves = [0.0 - e * g for e, g in zip(eta, total)]
+        body = self.body
+        center, bound = body.center.item(), body.square_bound
+        x = self.estimate.item()
+        path = []
+        for move in moves:
+            if not math.isfinite(move):
+                j = len(path)
+                what = "gradient" if not math.isfinite(total[j]) else "step"
+                raise NonFiniteGradient(f"{what} has NaN or infinite entries at round {first + j}")
+            x += move
+            if (x - center) * (x - center) > bound:
+                x = body.project([[x]]).item()
+            path.append(x)
+        estimates[0, first:min(hi, horizon), 0] = path[:horizon - first]
+        self.estimate = np.array([[x]])
 
 
 class NaiveLearner(BaseLearner):

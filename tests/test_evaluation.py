@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from delivery_oracle import deliveries
-from laglearn import evaluation, experiments
+from laglearn import evaluation, experiments, feedback
 from laglearn.environment import (
     GaussianStream,
     LinearScoring,
@@ -528,6 +528,27 @@ def test_the_trajectory_writer_formats_a_chunk_of_distinct_floats_field_by_field
     monkeypatch.setattr(np, "unique", lambda a, **kw: uniques.append(a.size) or unique(a, **kw))
     _write_trajectory_csv(traj, tmp_path / "trajectory.csv")
     assert uniques == [3 * CSV_CHUNK]
+    assert (tmp_path / "trajectory.csv").read_bytes() == _trajectory_rows(traj)
+
+
+def test_the_trajectory_writer_reads_the_delivery_order_without_a_buffer(tmp_path, monkeypatch):
+    # The writer needs the first trial's sources and starts only, not a
+    # buffer's take rounds.  Two trials' delays differ, and some of the
+    # first trial's sources are due past the horizon.
+    horizon = CSV_CHUNK + 40
+    rng = np.random.default_rng(13)
+    values = rng.standard_normal((2, horizon))
+    delays = rng.integers(1, 30, (2, horizon))
+    delays[0, -10:] = 50
+    traj = Trajectory(estimates=values[..., None], loss_values=values, score_errors=values[::-1],
+                      score_error_losses=values[::-1], loss=NormLoss(np.zeros((2, horizon, 1))),
+                      delays=delays)
+
+    def refuse(delays):
+        raise AssertionError("the writer built a FeedbackBuffer")
+
+    monkeypatch.setattr(feedback, "FeedbackBuffer", refuse)
+    _write_trajectory_csv(traj, tmp_path / "trajectory.csv")
     assert (tmp_path / "trajectory.csv").read_bytes() == _trajectory_rows(traj)
 
 

@@ -9,8 +9,11 @@ it forms the block's moves at once from eta and beta tables and a slice
 of those totals, skips a disabled pull, walks the Euclidean map as one
 running sum that it projects once and sums again only from a round where
 the projection moved a point, and keeps the warm-up rounds of a fixed lag
-unprojected.  None of that may change a bit: every estimate must equal the
-reference's as a uint64 pattern, so even a flipped sign of zero fails.
+unprojected.  A game of one trial on a 1-d ball walks each block in
+Python floats instead, round by round, with the same float operations in
+the same order, so the one-trial cases here test that walk.  None of that
+may change a bit: every estimate must equal the reference's as a uint64
+pattern, so even a flipped sign of zero fails.
 """
 
 import math
@@ -153,10 +156,11 @@ def test_game_matches_the_play_time_reference_bit_for_bit(d_max, trials, body, f
 
 
 SCHEDULES = {
-    "sqrt": lambda tau, beta: InverseSqrtStep(sigma=0.6, tau=tau, beta_override=beta),
-    "inverse-time": lambda tau, beta: InverseTimeStep(gamma=1.5, tau=tau, beta_override=beta),
-    "per-trial": lambda tau, beta: ConstantStep(value=[0.2, 0.35, 0.5], tau=tau,
-                                                beta_override=beta),
+    "sqrt": lambda tau, beta, trials=3: InverseSqrtStep(sigma=0.6, tau=tau, beta_override=beta),
+    "inverse-time": lambda tau, beta, trials=3: InverseTimeStep(gamma=1.5, tau=tau,
+                                                                beta_override=beta),
+    "per-trial": lambda tau, beta, trials=3: ConstantStep(value=[0.2, 0.35, 0.5][:trials],
+                                                          tau=tau, beta_override=beta),
 }
 
 
@@ -166,15 +170,17 @@ SCHEDULES = {
 @pytest.mark.parametrize("beta", [None, 0.05])
 @pytest.mark.parametrize("tau", [0, 3])
 @pytest.mark.parametrize("kind", sorted(SCHEDULES))
-def test_fixed_lag_game_matches_the_play_time_reference_bit_for_bit(kind, tau, beta, dim, family,
-                                                                    lam, coupled):
-    # Three trials under one fixed lag: the learner delivers one gradient
-    # per row without `np.add.at`, reads eta (decaying, or one constant per
-    # trial) and beta (eta, or a constant override) from its table, and
-    # skips the warm-up rounds t <= tau.
-    trials = 3
+@pytest.mark.parametrize("trials", [1, 3])
+def test_fixed_lag_game_matches_the_play_time_reference_bit_for_bit(trials, kind, tau, beta, dim,
+                                                                    family, lam, coupled):
+    # One or three trials under one fixed lag: the learner delivers one
+    # gradient per row without `np.add.at`, reads eta (decaying, or one
+    # constant per trial) and beta (eta, or a constant override) from its
+    # table, and skips the warm-up rounds t <= tau.  One trial in 1-d takes
+    # the float walk, which must keep the warm-up and copy its gradients in
+    # as the array walk does.
     body = Ball(np.zeros(dim), 1.0)
-    schedule = SCHEDULES[kind](tau, beta)
+    schedule = SCHEDULES[kind](tau, beta, trials)
     seed = 11 * tau + dim
     streams, _, seeds = _pieces(trials, dim, 1, seed)
     learner = GradientLearner(body, schedule, lam, coupled)
@@ -301,31 +307,35 @@ def test_entropic_fixed_lag_game_matches_the_update_reference_bit_for_bit(kind, 
 
 @pytest.mark.parametrize("what", ["gradient", "step"])
 @pytest.mark.parametrize("delays", ["fixed", "random"])
-def test_a_move_that_overflows_in_a_block_names_the_reference_round_and_kind(delays, what):
-    # Trial 1's anchor of round 37 sits far away.  At 1e308 its quadratic
-    # gradient overflows; at 1e10 the gradient is finite, but a step of
-    # 1e300 times it is not.  Under a fixed lag of 4 it is delivered at
-    # round 41, inside the block of rounds 40..44; under these random
-    # delays, at round 40, inside the block of rounds 39 and 40.
-    trials, horizon, tau = 2, 80, (4 if delays == "fixed" else 0)
+@pytest.mark.parametrize("trials", [1, 2])
+def test_a_move_that_overflows_in_a_block_names_the_reference_round_and_kind(trials, delays,
+                                                                              what):
+    # The far trial's anchor of round 37 sits far away.  At 1e308 its
+    # quadratic gradient overflows; at 1e10 the gradient is finite, but a
+    # step of 1e300 times it is not.  Under a fixed lag of 4 it is delivered
+    # at round 41, inside the block of rounds 40..44; under its random
+    # delays, at round 40, inside the block of rounds 39 and 40 next to a
+    # near trial, or of rounds 39..41 alone.  Alone, the far trial takes the
+    # float walk.
+    horizon, tau = 80, (4 if delays == "fixed" else 0)
 
     def streams():
         rng = np.random.default_rng(5)
-        hidden = rng.uniform(-0.5, 0.5, (trials, horizon, 1))
+        hidden = rng.uniform(-0.5, 0.5, (2, horizon, 1))
         hidden[1, 36] = 1e308 if what == "gradient" else 1e10
-        return [ExplicitStream(np.zeros((horizon, 1)), h) for h in hidden]
+        return [ExplicitStream(np.zeros((horizon, 1)), h) for h in hidden[2 - trials:]]
 
     schedule = ConstantStep(value=0.1 if what == "gradient" else 1e300, tau=tau)
     schedules = ([FixedDelay(tau)] * trials if delays == "fixed"
-                 else [RandomDelay(d_max=6, seed=s) for s in (3, 4)])
+                 else [RandomDelay(d_max=6, seed=s) for s in (3, 4)[2 - trials:]])
     factory, body = fixed_loss(QuadraticLoss, a=1.0), Ball([0.0], 1.0)
     with pytest.raises(NonFiniteGradient) as played:
         run_game(GradientLearner(body, schedule), streams(), schedules, factory,
-                 LinearScoring.default(1, 1), horizon, [0, 0])
+                 LinearScoring.default(1, 1), horizon, [0] * trials)
     with (np.errstate(over="ignore", invalid="ignore"),
           pytest.raises(NonFiniteGradient) as expected):
         reference_estimates(body, schedule, 0.0, False, streams(), schedules, factory, horizon,
-                            [0, 0])
+                            [0] * trials)
     bad_round = 41 if delays == "fixed" else 40
     assert str(played.value) == str(expected.value)
     assert str(played.value) == f"{what} has NaN or infinite entries at round {bad_round}"

@@ -1,10 +1,14 @@
-"""Property test of the contract between `validate` and `run`.
+"""Property tests of the contract between `validate` and `run`, and of the float walk.
 
 Configs are drawn from the options of the INI schema at small sizes.  A
 config that `validate` accepts must run to exit 0, or end in exit 2 with
 one of the errors that only its data can cause (`DATA_ERRORS`); one that it
 rejects must make `run` exit 2 and write nothing.  An exception escaping
 `cli.main` fails the test, as a traceback would.
+
+A gradient learner plays one trial on a 1-d ball in Python floats and a
+batch of trials on arrays.  Losses, delays and steps act row by row, so a
+trial played alone must give the bytes of its row in a batch.
 """
 
 import contextlib
@@ -14,10 +18,17 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from laglearn import cli, experiments
+from laglearn.environment import GaussianStream, LinearScoring, fixed_loss, run_game
+from laglearn.environment import uniform_quadratic
+from laglearn.feedback import FixedDelay, RandomDelay
+from laglearn.geometry import Ball
+from laglearn.learners import ConstantStep, GradientLearner, InverseSqrtStep
+from laglearn.losses import ExpLoss, NormLoss, PowerLoss
 
 # The errors an accepted config may still end in, each with the streams or
 # delays whose data can cause it.
@@ -194,3 +205,66 @@ def test_validate_and_run_agree(drawn):
         else:
             assert code == 2
             assert not out.exists() or not any(out.iterdir())
+
+
+FAMILIES = {
+    "norm": fixed_loss(NormLoss),
+    "power": fixed_loss(PowerLoss, m=3),
+    "quadratic": uniform_quadratic(),
+    "exp": fixed_loss(ExpLoss, a=1.0, s=1.5, m=2),
+}
+
+
+@st.composite
+def batches(draw):
+    """One game of a 2- or 3-trial batch in 1-d, and which of its trials to play alone."""
+    trials = draw(st.integers(2, 3))
+    tau = draw(st.integers(0, 4))
+    return {
+        "trials": trials,
+        "alone": draw(st.integers(0, trials - 1)),
+        "horizon": draw(st.integers(1, 80)),
+        "seed": draw(st.integers(0, 2**32)),
+        # A random delay needs tau = 0; a fixed lag is delivered tau rounds late.
+        "tau": tau,
+        "d_max": None if draw(st.booleans()) else draw(st.integers(1, 8)),
+        "family": draw(st.sampled_from(sorted(FAMILIES))),
+        # Anchors are drawn around 1.0, so a small ball far from it binds.
+        "center": draw(rounded(-1.0, 1.0)),
+        "radius": draw(rounded(0.01, 0.6)),
+        "rho": draw(rounded(-1.0, 1.0)),
+        "pull": draw(st.sampled_from([(0.0, False), (0.4, False), (-0.7, False), (1.0, True),
+                                      (-1.0, True)])),
+        "step": draw(st.one_of(rounded(0.05, 1.5), st.lists(rounded(0.05, 1.5), min_size=trials,
+                                                            max_size=trials))),
+        "beta": draw(st.one_of(st.none(), rounded(0.01, 0.5))),
+    }
+
+
+def _play(game, rows):
+    """The estimates of the trials `rows` of `game`, played as one batch."""
+    tau = 0 if game["d_max"] else game["tau"]
+    step, beta = game["step"], game["beta"]
+    if isinstance(step, list):
+        schedule = ConstantStep(value=[step[k] for k in rows], tau=tau, beta_override=beta)
+    else:
+        schedule = InverseSqrtStep(sigma=step, tau=tau, beta_override=beta)
+    body = Ball([game["center"]], game["radius"])
+    learner = GradientLearner(body, schedule, *game["pull"])
+    seed = game["seed"]
+    streams = [GaussianStream(rho=game["rho"], body_hidden=Ball([0.0], 2.0), seed=seed + k)
+               for k in rows]
+    delays = [RandomDelay(game["d_max"], seed + 10 + k) if game["d_max"] else FixedDelay(tau)
+              for k in rows]
+    played = run_game(learner, streams, delays, FAMILIES[game["family"]],
+                      LinearScoring.default(1, 1), game["horizon"], [seed + 20 + k for k in rows])
+    return learner, played.estimates
+
+
+@settings(max_examples=200, deadline=None)
+@given(batches())
+def test_a_trial_played_alone_gives_the_bytes_of_its_row_in_a_batch(game):
+    batch, together = _play(game, list(range(game["trials"])))
+    alone, by_itself = _play(game, [game["alone"]])
+    assert batch._walk == batch._walk_arrays and alone._walk == alone._walk_floats
+    assert np.array_equal(by_itself[0].view(np.uint64), together[game["alone"]].view(np.uint64))
