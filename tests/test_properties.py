@@ -23,8 +23,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from laglearn import cli, experiments
-from laglearn.environment import GaussianStream, LinearScoring, fixed_loss, run_game
-from laglearn.environment import uniform_quadratic
+from laglearn.environment import (GaussianStream, LinearScoring, fixed_loss, run_game,
+                                  uniform_quadratic)
 from laglearn.feedback import FixedDelay, RandomDelay
 from laglearn.geometry import Ball
 from laglearn.learners import ConstantStep, GradientLearner, InverseSqrtStep
