@@ -330,5 +330,4 @@ def run_game(learner: BaseLearner, streams: list[ContextStream],
         flags += [(k, f"score_chain_violated_at_{i + 1}") for i in np.flatnonzero(violated[k])]
 
     return Trajectory(estimates=estimates, loss_values=loss_values, score_errors=score_errors,
-                      score_error_losses=score_error_losses, loss=loss, delays=delay_values,
-                      flags=tuple(flags))
+                      loss=loss, delays=delay_values, flags=tuple(flags))

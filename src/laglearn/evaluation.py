@@ -1,4 +1,4 @@
-"""Regret measurement: offline comparator, regret curves, scaling fits.
+"""Regret measurement: offline comparator, regret curves, scaling fits, CSV files.
 
 Regret over a horizon T compares the learner's accumulated loss against
 the single best fixed decision in hindsight:
@@ -8,13 +8,14 @@ the single best fixed decision in hindsight:
 The prefix series regret(t) reuses the horizon-T comparator, the fixed
 benchmark the guarantees are stated against.
 
-One `Trajectory` records all the trials of one game and one
-`RegretReport` their regret; row k of every array is trial k.  `regret`
-measures the trials at once: a single `offline_optimum` call solves every
-trial's comparator as one batch, one row per trial, and certifies each
-row by its Frank-Wolfe gap.  Each row rounds exactly as solving its trial
-alone does, so a trial's comparator does not depend on the batch it is
-in.  `aggregate` reduces a report's rows to their mean and standard error.
+One `Trajectory` records all the trials of one game, one `OfflineSolution`
+their comparators and one `RegretReport` their regret; row k of every
+array is trial k.  `regret` measures the trials at once: a single
+`offline_optimum` call solves every trial's comparator as one batch, one
+row per trial, and certifies each row by its Frank-Wolfe gap.  Each row
+rounds exactly as solving its trial alone does, so a trial's comparator
+does not depend on the batch it is in.  `aggregate` reduces a report's
+rows to their mean and standard error.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from itertools import count
 
 import numpy as np
 
+from .feedback import delivery_order
 from .geometry import Array, ConvexBody, norms
 from .losses import Loss, NormLoss, QuadraticLoss
 
@@ -44,7 +46,6 @@ class Trajectory:
     estimates: Array                 # (trials, T, dim) estimates actually played
     loss_values: Array               # (trials, T) f_t evaluated at the decision
     score_errors: Array              # (trials, T) |score with estimate - true score|
-    score_error_losses: Array        # (trials, T) radial profile applied to the score error
     loss: Loss                       # anchors (trials, T, dim): each trial's T losses
     delays: Array                    # (trials, T) per-round delays d_t
     flags: tuple[tuple[int, str], ...] = ()  # (trial, flag) pairs, in trial order
@@ -72,23 +73,16 @@ def _certified(gap, total):
 
 @dataclass
 class OfflineSolution:
-    point: Array
-    total: float
-    gap: float                       # Frank-Wolfe gap: total - least total <= gap
+    """The comparators of one batched solve: row k of every array is trial k."""
+
+    point: Array                     # (trials, dim)
+    total: Array                     # (trials,)
+    gap: Array                       # (trials,) Frank-Wolfe gap: total - least total <= gap
 
     @property
     def converged(self) -> bool:
-        """Whether the gap certifies the total to `GAP_TOLERANCE`."""
-        return bool(_certified(self.gap, self.total))
-
-
-class OfflineSolutions(tuple):
-    """The comparators of one batched solve, one `OfflineSolution` per trial."""
-
-    @property
-    def converged(self) -> bool:
-        """Whether every trial's comparator is certified."""
-        return all(solution.converged for solution in self)
+        """Whether the gap certifies every trial's total to `GAP_TOLERANCE`."""
+        return bool(_certified(self.gap, self.total).all())
 
 
 @dataclass
@@ -99,7 +93,7 @@ class RegretReport:
     cum_loss: Array                  # (trials, T)
     comparator: Array                # (trials, dim)
     comparator_loss: Array           # (trials,)
-    converged: Array                 # (trials,) whether each comparator search converged
+    converged: Array                 # (trials,) whether each comparator's gap certifies it
 
 
 @dataclass
@@ -124,13 +118,14 @@ class ScalingFit:
 # ---------------------------------------------------------------------------
 
 def offline_optimum(losses: Loss | list[Loss], body: ConvexBody,
-                    method: str = "auto") -> OfflineSolutions:
+                    method: str = "auto") -> OfflineSolution:
     """Best fixed decision of each trial: argmin over the body of its summed losses.
 
     `losses` is one loss whose anchors have shape (trials, T, d), one
     problem per trial.  Anchors of shape (T, d), or a list of single losses
-    of one family, are a batch of one.  Returns one solution per trial,
-    with the Frank-Wolfe gap that certifies it.
+    of one family, are a batch of one.  Returns one `OfflineSolution` whose
+    row k is trial k's point and total, with the Frank-Wolfe gap that
+    certifies it.
 
     Projected gradient descent starts from the closed form where there is
     one, which certifies at once: the projected weighted-mean center of a
@@ -162,13 +157,11 @@ def offline_optimum(losses: Loss | list[Loss], body: ConvexBody,
         start = _median(losses.anchor[..., 0])[:, None]
     else:
         start = losses.anchor.mean(axis=1)
-    x, total, gap = _descend(losses, body, body.project(start))
-    solutions = OfflineSolutions(OfflineSolution(point=point, total=value, gap=width)
-                                 for point, value, width in zip(x, total.tolist(), gap.tolist()))
-    if not solutions.converged:
+    solution = OfflineSolution(*_descend(losses, body, body.project(start)))
+    if not solution.converged:
         warnings.warn("offline comparator is not certified: its Frank-Wolfe gap is above "
                       "the tolerance", RuntimeWarning)
-    return solutions
+    return solution
 
 
 def _median(rows: Array) -> Array:
@@ -253,14 +246,15 @@ def regret(trajectory: Trajectory, body: ConvexBody, skip_rounds: int = 0,
     """Regret curves of an arm's finished trials.
 
     Each trial is measured against its own hindsight optimum; one
-    `offline_optimum` call solves the comparators of every trial.
+    `offline_optimum` call solves the comparators of every trial, and the
+    report's `converged` says which of them their gaps certify.
     `skip_rounds` drops that many initial rounds from the reported regret
     (and from the comparator's objective): the dummy-candidate warm-up.
     The cumulative-loss curve always covers every round.
 
     `solved` lets the arms of one experiment share a solve.  It holds the
     problem of the last arm measured through it, as [losses, skip_rounds,
-    body description, comparators], or nothing yet.  An arm whose losses
+    body description, solution], or nothing yet.  An arm whose losses
     equal those bit for bit (`Loss.same_bits`), and that skips as many
     rounds on a body of the same description, scores the same problem and
     reuses those comparators; any other arm is solved.  Either way the
@@ -275,22 +269,21 @@ def regret(trajectory: Trajectory, body: ConvexBody, skip_rounds: int = 0,
     scored = trajectory.loss[:, skip_rounds:]
     problem = [trajectory.loss, skip_rounds, body.describe()]
     if solved and solved[1:3] == problem[1:] and problem[0].same_bits(solved[0]):
-        solutions = solved[3]
+        solution = solved[3]
     else:
-        solutions = offline_optimum(scored, body)
+        solution = offline_optimum(scored, body)
     if solved is not None:
-        solved[:] = problem + [solutions]
-    comparator = np.stack([solution.point for solution in solutions])
-    comparator_values = np.zeros((len(comparator), horizon))
-    comparator_values[:, skip_rounds:] = scored.value(comparator[:, None])
+        solved[:] = problem + [solution]
+    comparator_values = np.zeros((len(solution.point), horizon))
+    comparator_values[:, skip_rounds:] = scored.value(solution.point[:, None])
     scored_loss = trajectory.loss_values.copy()
     scored_loss[:, :skip_rounds] = 0.0
     return RegretReport(
         regret=np.cumsum(scored_loss, axis=1) - np.cumsum(comparator_values, axis=1),
         cum_loss=np.cumsum(trajectory.loss_values, axis=1),
-        comparator=comparator,
-        comparator_loss=np.array([solution.total for solution in solutions]),
-        converged=np.array([solution.converged for solution in solutions]),
+        comparator=solution.point,
+        comparator_loss=solution.total,
+        converged=_certified(solution.gap, solution.total),
     )
 
 
@@ -385,11 +378,61 @@ def write_csv(curves: AggregateCurves, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("t,cum_loss_mean,cum_loss_stderr,regret_mean,regret_stderr\n")
         for lo in range(0, curves.horizon, CSV_CHUNK):
-            write_rows(fh, lo + 1,
-                       [map(repr, column[lo:lo + CSV_CHUNK].tolist()) for column in columns])
+            _write_rows(fh, lo + 1,
+                        [map(repr, column[lo:lo + CSV_CHUNK].tolist()) for column in columns])
 
 
-def write_rows(fh, first: int, columns) -> None:
+def write_trajectory_csv(traj: Trajectory, path) -> None:
+    """The first trial's rounds: loss, score error, delivered sources and estimate.
+
+    CSV_CHUNK rounds at a time.  A float is written as its `repr`; the loss,
+    score-error and estimate columns of a chunk are laid out as one array,
+    and when it repeats floats (`_reprs`), each distinct one is formatted
+    once.  The sources a round delivers are joined by ";", cut from the
+    first trial's delivery order at its `starts`.
+    """
+    estimates, loss_values, errors = traj.estimates[0], traj.loss_values[0], traj.score_errors[0]
+    # Only the sources and starts are kept while the rows are formatted,
+    # which lowers peak memory.
+    pair_sources, pair_starts = delivery_order(traj.delays[:1])[1:]
+    coord_cols = ",".join(f"estimate_{j}" for j in range(estimates.shape[1]))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"t,loss,score_error,delivered,{coord_cols}\n")
+        for lo in range(0, traj.horizon, CSV_CHUNK):
+            hi = lo + CSV_CHUNK
+            # Rounds lo + 1..hi deliver the pairs pair_starts[lo + 1]:pair_starts[hi + 1].
+            starts = pair_starts[lo + 1:hi + 2].tolist()
+            first = starts[0]
+            sources = list(map(str, pair_sources[first:starts[-1]].tolist()))
+            delivered = [";".join(sources[a - first:b - first]) for a, b in zip(starts, starts[1:])]
+            loss_text, error_text, *coords = _reprs(
+                np.vstack([loss_values[lo:hi], errors[lo:hi], estimates[lo:hi].T]))
+            _write_rows(fh, lo + 1, [loss_text, error_text, delivered, *coords])
+
+
+def _reprs(floats: Array) -> list:
+    """The `repr` of each float of a 2-d array, as one iterable per row.
+
+    The distinct bit patterns are counted first, over the int64 view, which
+    keeps -0.0 apart from 0.0.  When fewer than 3/4 of the fields are
+    distinct, each distinct float is formatted once (`np.unique`) and every
+    field looked up among their reprs; otherwise every field is formatted,
+    since the lookup would cost more than it saves.  On a 2-core x86 VM a
+    chunk of 16,384 fields breaks even near 85% distinct, and the count
+    costs about 1% of formatting it.
+    """
+    bits = floats.view(np.int64)
+    ordered = np.sort(bits, axis=None)
+    count = 1 + np.count_nonzero(ordered[1:] != ordered[:-1])
+    del ordered  # freed before np.unique allocates, which keeps the peak RSS down
+    if 4 * count >= 3 * floats.size:
+        return [map(repr, row) for row in floats.tolist()]
+    distinct, which = np.unique(bits, return_inverse=True)
+    text = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
+    return text[which.reshape(floats.shape)].tolist()
+
+
+def _write_rows(fh, first: int, columns) -> None:
     """Write CSV rows numbered from round `first`: the round, then one field
     from each column.  A column is an iterable of strings, and the rows end
     with the shortest one.  The rows are built a column at a time, not a

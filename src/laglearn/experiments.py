@@ -28,7 +28,7 @@ import numpy as np
 
 from . import environment, evaluation, feedback, geometry, learners, losses
 from .evaluation import RegretReport, Trajectory
-from .geometry import Array, Ball, ConvexBody, EuclideanMap, MirrorMap, NegativeEntropyMap, Simplex
+from .geometry import Ball, ConvexBody, EuclideanMap, MirrorMap, NegativeEntropyMap, Simplex
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -573,7 +573,7 @@ def _write_experiment(cfg: ExperimentConfig, out: Path, written: list[Path]) -> 
         if cfg.kind == "single-run":  # the single-run outputs describe the first trial
             traj_file = out / "trajectory.csv"
             written.append(traj_file)
-            _write_trajectory_csv(traj, traj_file)
+            evaluation.write_trajectory_csv(traj, traj_file)
             manifest["outputs"].append(traj_file.name)
             manifest["metrics"]["replay_gap"] = float(traj.replay_gap()[0])
             manifest["metrics"]["flags"] = [flag for trial, flag in traj.flags if trial == 0]
@@ -617,56 +617,6 @@ def _write_experiment(cfg: ExperimentConfig, out: Path, written: list[Path]) -> 
         json.dump(manifest, fh, indent=2, sort_keys=True)
     manifest["outputs"].append(manifest_path.name)
     return manifest
-
-
-def _write_trajectory_csv(traj: Trajectory, path) -> None:
-    """The first trial's rounds: loss, score error, delivered sources and estimate.
-
-    CSV_CHUNK rounds at a time.  A float is written as its `repr`; the loss,
-    score-error and estimate columns of a chunk are laid out as one array,
-    and when it repeats floats (`_reprs`), each distinct one is formatted
-    once.  The sources a round delivers are joined by ";", cut from the
-    first trial's delivery order at its `starts`.
-    """
-    estimates, loss_values, errors = traj.estimates[0], traj.loss_values[0], traj.score_errors[0]
-    # Only the sources and starts are kept while the rows are formatted,
-    # which lowers peak memory.
-    pair_sources, pair_starts = feedback.delivery_order(traj.delays[:1])[1:]
-    coord_cols = ",".join(f"estimate_{j}" for j in range(estimates.shape[1]))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"t,loss,score_error,delivered,{coord_cols}\n")
-        for lo in range(0, traj.horizon, evaluation.CSV_CHUNK):
-            hi = lo + evaluation.CSV_CHUNK
-            # Rounds lo + 1..hi deliver the pairs pair_starts[lo + 1]:pair_starts[hi + 1].
-            starts = pair_starts[lo + 1:hi + 2].tolist()
-            first = starts[0]
-            sources = list(map(str, pair_sources[first:starts[-1]].tolist()))
-            delivered = [";".join(sources[a - first:b - first]) for a, b in zip(starts, starts[1:])]
-            loss_text, error_text, *coords = _reprs(
-                np.vstack([loss_values[lo:hi], errors[lo:hi], estimates[lo:hi].T]))
-            evaluation.write_rows(fh, lo + 1, [loss_text, error_text, delivered, *coords])
-
-
-def _reprs(floats: Array) -> list:
-    """The `repr` of each float of a 2-d array, as one iterable per row.
-
-    The distinct bit patterns are counted first, over the int64 view, which
-    keeps -0.0 apart from 0.0.  When fewer than 3/4 of the fields are
-    distinct, each distinct float is formatted once (`np.unique`) and every
-    field looked up among their reprs; otherwise every field is formatted,
-    since the lookup would cost more than it saves.  On a 2-core x86 VM a
-    chunk of 16,384 fields breaks even near 85% distinct, and the count
-    costs about 1% of formatting it.
-    """
-    bits = floats.view(np.int64)
-    ordered = np.sort(bits, axis=None)
-    count = 1 + np.count_nonzero(ordered[1:] != ordered[:-1])
-    del ordered  # freed before np.unique allocates, which keeps the peak RSS down
-    if 4 * count >= 3 * floats.size:
-        return [map(repr, row) for row in floats.tolist()]
-    distinct, which = np.unique(bits, return_inverse=True)
-    text = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
-    return text[which.reshape(floats.shape)].tolist()
 
 
 # ---------------------------------------------------------------------------

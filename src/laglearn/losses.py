@@ -12,8 +12,9 @@ and convex.  Shipped profiles:
 One loss object holds many losses of one family: `anchor` has shape
 (..., d), one row per loss, and each coefficient is a column of shape
 (...).  `value`, `grad` and `radial` broadcast their argument over the
-rows; `at` indexes the rows, so the game loop can evaluate the losses of
-one round of every trial without building an object per round.
+rows.  Only `grad` takes `at`, which indexes the rows: the game loop takes
+the gradients of one block of rounds of every trial without building an
+object for the block.
 
 `grad` returns the gradient radial'(r) * (x - u) / r.  Profiles with a
 kink at the anchor (norm, and power/exp with m = 1) return the zero
@@ -92,15 +93,15 @@ class Loss:
             raise ValueError("exponent m must be an integer >= 1")
         return self._column(m, dtype=np.int64)
 
-    def distance(self, x, at=...) -> Array:
-        """||x - anchor|| for the rows `at`."""
-        d = self._offset(x, at)
+    def distance(self, x) -> Array:
+        """||x - anchor||."""
+        d = self._offset(x, ...)
         return np.sqrt(np.vecdot(d, d))
 
-    def value(self, x, at=...) -> Array:
-        return self.radial(self.distance(x, at), at)
+    def value(self, x) -> Array:
+        return self.radial(self.distance(x))
 
-    def radial(self, r, at=...) -> Array:
+    def radial(self, r) -> Array:
         raise NotImplementedError
 
     def grad(self, x, at=...) -> Array:
@@ -108,13 +109,13 @@ class Loss:
         d = self._offset(x, at)
         return self._grad(d, np.sqrt(np.vecdot(d, d)), at)
 
-    def kinks(self, x, at=...) -> Array:
+    def kinks(self, x) -> Array:
         """Rows where `grad` returns the zero subgradient at a kink."""
-        return (self.distance(x, at) == 0.0) & (self.kink_slope(at) > 0.0)
+        return (self.distance(x) == 0.0) & (self.kink_slope() > 0.0)
 
-    def kink_slope(self, at=...) -> Array:
-        """radial'(0+) of the rows `at`: 0 where the profile is smooth at the anchor."""
-        return np.zeros(self.anchor[at].shape[:-1])
+    def kink_slope(self) -> Array:
+        """radial'(0+) of each row: 0 where the profile is smooth at the anchor."""
+        return np.zeros(self.anchor.shape[:-1])
 
     def lipschitz_bound(self, radius: float) -> float:
         """Bound on ||grad|| over ||x - anchor|| <= radius, for every row.
@@ -157,15 +158,15 @@ class NormLoss(Loss):
 
     family = "norm"
 
-    def radial(self, r, at=...) -> Array:
+    def radial(self, r) -> Array:
         return np.asarray(r, dtype=float)
 
     def _grad(self, d, r, at) -> Array:
         r = r[..., None]
         return np.divide(d, r, out=np.zeros(d.shape), where=r != 0.0)
 
-    def kink_slope(self, at=...) -> Array:
-        return np.ones(self.anchor[at].shape[:-1])
+    def kink_slope(self) -> Array:
+        return np.ones(self.anchor.shape[:-1])
 
     def _lipschitz(self, radius: float) -> float:
         return 1.0
@@ -186,8 +187,8 @@ class QuadraticLoss(Loss):
         if np.any(self.b < 0):
             raise ValueError("offset b must be nonnegative")
 
-    def radial(self, r, at=...) -> Array:
-        return self.a[at] * np.float_power(r, 2) + self.b[at]
+    def radial(self, r) -> Array:
+        return self.a * np.float_power(r, 2) + self.b
 
     def _grad(self, d, r, at) -> Array:
         return (2.0 * self.a[at])[..., None] * d
@@ -206,16 +207,16 @@ class PowerLoss(Loss):
         super().__init__(anchor)
         self.m = self._exponent(m)
 
-    def radial(self, r, at=...) -> Array:
-        return np.float_power(r, self.m[at])
+    def radial(self, r) -> Array:
+        return np.float_power(r, self.m)
 
     def _grad(self, d, r, at) -> Array:
         m = self.m[at]
         zero = r == 0.0
         return _radial_direction(d, m * np.float_power(np.where(zero, 1.0, r), m - 2), zero)
 
-    def kink_slope(self, at=...) -> Array:
-        return np.where(self.m[at] == 1, 1.0, 0.0)
+    def kink_slope(self) -> Array:
+        return np.where(self.m == 1, 1.0, 0.0)
 
     def _lipschitz(self, radius: float) -> float:
         return max(m * float(radius) ** (m - 1) for m in set(self.m.ravel().tolist()))
@@ -235,9 +236,8 @@ class ExpLoss(Loss):
             raise ValueError("coefficients a and s must be positive")
         self.m = self._exponent(m)
 
-    def radial(self, r, at=...) -> Array:
-        m, s2 = self.m[at], np.float_power(self.s[at], 2)
-        return self.a[at] * np.exp(np.float_power(r, m) / s2)
+    def radial(self, r) -> Array:
+        return self.a * np.exp(np.float_power(r, self.m) / np.float_power(self.s, 2))
 
     def _grad(self, d, r, at) -> Array:
         a, m, s2 = self.a[at], self.m[at], np.float_power(self.s[at], 2)
@@ -246,8 +246,8 @@ class ExpLoss(Loss):
         slope = a * m * np.float_power(safe, m - 2) * np.exp(np.float_power(safe, m) / s2) / s2
         return _radial_direction(d, slope, zero)
 
-    def kink_slope(self, at=...) -> Array:
-        return np.where(self.m[at] == 1, self.a[at] / np.float_power(self.s[at], 2), 0.0)
+    def kink_slope(self) -> Array:
+        return np.where(self.m == 1, self.a / np.float_power(self.s, 2), 0.0)
 
     def _lipschitz(self, radius: float) -> float:
         # One numeric path for every m: maximize the radial slope on a grid.

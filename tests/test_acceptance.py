@@ -316,9 +316,9 @@ def test_criterion_8_offline_solver_agreement():
     losses = [QuadraticLoss(rng.normal(size=2), a=float(rng.uniform(0.2, 1.0)))
               for _ in range(30)]
     body = Ball([0.0, 0.0], 3.0)
-    (closed,) = offline_optimum(losses, body)
-    (iterative,) = offline_optimum(losses, body, method="iterative")
-    gap = float(np.linalg.norm(closed.point - iterative.point))
+    closed = offline_optimum(losses, body)
+    iterative = offline_optimum(losses, body, method="iterative")
+    gap = float(np.linalg.norm(closed.point[0] - iterative.point[0]))
     _check(8, "closed-form vs iterative comparator", gap <= 1e-6, f"gap={gap:g}")
 
 
@@ -331,7 +331,7 @@ def test_criterion_8_score_error_chain_on_runs():
         traj = run_game(learner, [stream], [FixedDelay(seed + 1)], uniform_quadratic(),
                         LinearScoring.default(1, 1), horizon=400, seeds=[seed + 10])
         report = regret(traj, Ball([0.0], 4.0))
-        margin = float(traj.score_error_losses[0].sum()
+        margin = float(traj.loss.radial(traj.score_errors)[0].sum()
                        - report.comparator_loss[0] - report.regret[0, -1])
         worst = max(worst, margin)
         ok &= margin <= 1e-6

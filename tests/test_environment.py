@@ -217,7 +217,7 @@ def test_score_error_chain_holds_every_round():
                               1.0, coupled=True)
     traj = run_game(learner, [stream], [FixedDelay(5)], uniform_quadratic(),
                     LinearScoring.default(1, 1), horizon=400, seeds=[8])
-    assert np.all(traj.score_error_losses <= traj.loss_values + 1e-9)
+    assert np.all(traj.loss.radial(traj.score_errors) <= traj.loss_values + 1e-9)
     assert not any(flag.startswith("score_chain") for _, flag in traj.flags)
 
 

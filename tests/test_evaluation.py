@@ -24,8 +24,8 @@ from laglearn.evaluation import (
     offline_optimum,
     regret,
     write_csv,
+    write_trajectory_csv,
 )
-from laglearn.experiments import _write_trajectory_csv
 from laglearn.feedback import FixedDelay
 from laglearn.geometry import Ball, Box, regular_polygon
 from laglearn.learners import GradientLearner, InverseSqrtStep, InverseTimeStep
@@ -42,23 +42,23 @@ def interval(lo, hi):
 
 def test_offline_quadratic_equal_weights_mean():
     losses = [QuadraticLoss([0.0], a=1.0), QuadraticLoss([2.0], a=1.0)]
-    (sol,) = offline_optimum(losses, interval(-10.0, 10.0))
-    assert sol.point[0] == pytest.approx(1.0)
-    assert sol.total == pytest.approx(2.0)
+    sol = offline_optimum(losses, interval(-10.0, 10.0))
+    assert sol.point[0, 0] == pytest.approx(1.0)
+    assert sol.total[0] == pytest.approx(2.0)
     assert sol.converged
 
 
 def test_offline_quadratic_clamped_by_the_body():
     losses = [QuadraticLoss([0.0], a=1.0), QuadraticLoss([2.0], a=1.0)]
-    (sol,) = offline_optimum(losses, interval(-1.0, 0.5))
-    assert sol.point[0] == pytest.approx(0.5)
+    sol = offline_optimum(losses, interval(-1.0, 0.5))
+    assert sol.point[0, 0] == pytest.approx(0.5)
 
 
 def test_offline_norm_median_one_dimensional():
     losses = [NormLoss([v]) for v in (0.0, 1.0, 10.0)]
-    (sol,) = offline_optimum(losses, interval(-20.0, 20.0))
-    assert sol.point[0] == pytest.approx(1.0)
-    assert sol.total == pytest.approx(10.0)
+    sol = offline_optimum(losses, interval(-20.0, 20.0))
+    assert sol.point[0, 0] == pytest.approx(1.0)
+    assert sol.total[0] == pytest.approx(10.0)
 
 
 def test_offline_geometric_median_matches_grid_search():
@@ -66,7 +66,7 @@ def test_offline_geometric_median_matches_grid_search():
     anchors = [np.array([0.1, 0.2]), np.array([0.8, 0.3]), np.array([0.4, 0.9])]
     losses = [NormLoss(a) for a in anchors]
     body = Box([0.0, 0.0], [1.0, 1.0])
-    (sol,) = offline_optimum(losses, body)
+    sol = offline_optimum(losses, body)
 
     xs = np.linspace(0.0, 1.0, 1000)
     ys = np.linspace(0.0, 1.0, 1000)
@@ -77,8 +77,8 @@ def test_offline_geometric_median_matches_grid_search():
     best = np.unravel_index(np.argmin(total), total.shape)
     grid_point = np.array([gx[best], gy[best]])
 
-    assert np.linalg.norm(sol.point - grid_point) <= 1e-3
-    assert sol.total <= total[best] + 1e-6
+    assert np.linalg.norm(sol.point[0] - grid_point) <= 1e-3
+    assert sol.total[0] <= total[best] + 1e-6
 
 
 def test_offline_iterative_agrees_with_closed_form():
@@ -87,10 +87,10 @@ def test_offline_iterative_agrees_with_closed_form():
                             b=float(rng.uniform()))
               for _ in range(40)]
     body = Ball([0.0, 0.0], 3.0)
-    (closed,) = offline_optimum(losses, body)
-    (iterative,) = offline_optimum(losses, body, method="iterative")
-    assert np.linalg.norm(closed.point - iterative.point) <= 1e-6
-    assert abs(closed.total - iterative.total) <= 1e-6
+    closed = offline_optimum(losses, body)
+    iterative = offline_optimum(losses, body, method="iterative")
+    assert np.linalg.norm(closed.point[0] - iterative.point[0]) <= 1e-6
+    assert abs(closed.total[0] - iterative.total[0]) <= 1e-6
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 15, 16, 101, 1000])
@@ -111,9 +111,9 @@ def test_offline_comparator_beats_random_candidates():
     rng = np.random.default_rng(23)
     losses = [NormLoss(rng.normal(size=2)) for _ in range(25)]
     body = Ball([0.0, 0.0], 4.0)
-    (sol,) = offline_optimum(losses, body)
+    sol = offline_optimum(losses, body)
     for y in body.project(rng.normal(scale=2 * body.radius_bound, size=(100, 2))):
-        assert sol.total <= sum(l.value(y) for l in losses) + 1e-6
+        assert sol.total[0] <= sum(l.value(y) for l in losses) + 1e-6
 
 
 def test_offline_optimum_input_validation():
@@ -137,10 +137,10 @@ def test_offline_optimum_solves_a_steep_exp_sum_and_certifies_it():
     anchors = 1 + 0.05 * np.random.default_rng(0).standard_normal((20, 1))
     losses = ExpLoss(anchors, a=1.0, s=0.3, m=2)
     body = Ball([0.0], 4.0)
-    (sol,) = offline_optimum(losses, body)
-    assert sol.point[0] == pytest.approx(0.990, abs=5e-4)
-    assert sol.total == pytest.approx(20.415, abs=5e-4)
-    assert sol.converged and sol.gap <= GAP_TOLERANCE * sol.total
+    sol = offline_optimum(losses, body)
+    assert sol.point[0, 0] == pytest.approx(0.990, abs=5e-4)
+    assert sol.total[0] == pytest.approx(20.415, abs=5e-4)
+    assert sol.converged and sol.gap[0] <= GAP_TOLERANCE * sol.total[0]
     # 1.079, with total 22.36, is far from certified: its gap is 233.
     stuck = np.array([1.079])
     assert frank_wolfe_gap(losses, body, stuck) > 200.0 > GAP_TOLERANCE * losses.value(stuck).sum()
@@ -154,21 +154,21 @@ def test_offline_optimum_certifies_a_minimum_on_a_repeated_anchor():
     anchors = np.concatenate([np.tile([1.2, 1.1], (30, 1)),
                               body.sample_many(30, np.random.default_rng(1))])
     start = time.perf_counter()
-    (sol,) = offline_optimum(NormLoss(anchors), body)
+    sol = offline_optimum(NormLoss(anchors), body)
     assert time.perf_counter() - start < 2.0
-    assert sol.total <= 18.3449
-    assert sol.converged and sol.gap == 0.0
-    assert np.array_equal(sol.point, [1.2, 1.1])
+    assert sol.total[0] <= 18.3449
+    assert sol.converged and sol.gap[0] == 0.0
+    assert np.array_equal(sol.point[0], [1.2, 1.1])
 
 
 def test_median_on_anchors_certifies_with_the_kinked_subgradient_ball():
     losses = NormLoss([[0.0], [0.0], [1.0]])
     body = interval(-20.0, 20.0)
-    (sol,) = offline_optimum(losses, body)
-    assert sol.point[0] == 0.0
-    assert sol.gap == 0.0 and sol.converged
+    sol = offline_optimum(losses, body)
+    assert sol.point[0, 0] == 0.0
+    assert sol.gap[0] == 0.0 and sol.converged
     # The zero subgradient at the kinks leaves g = -1 and a false gap of 20.
-    assert frank_wolfe_gap(losses, body, sol.point) == 20.0
+    assert frank_wolfe_gap(losses, body, sol.point[0]) == 20.0
 
 
 def test_offline_optimum_warns_when_it_stops_uncertified(monkeypatch):
@@ -176,9 +176,28 @@ def test_offline_optimum_warns_when_it_stops_uncertified(monkeypatch):
     losses = ExpLoss(1 + 0.05 * np.random.default_rng(0).standard_normal((20, 1)),
                      a=1.0, s=0.3, m=2)
     with pytest.warns(RuntimeWarning, match="not certified"):
-        (sol,) = offline_optimum(losses, Ball([0.0], 4.0))
+        sol = offline_optimum(losses, Ball([0.0], 4.0))
     assert not sol.converged
-    assert sol.gap > GAP_TOLERANCE * sol.total
+    assert sol.gap[0] > GAP_TOLERANCE * sol.total[0]
+
+
+def test_a_batch_certified_in_part_is_reported_row_by_row(monkeypatch):
+    # Trial 0's anchors all sit on its start, where its gap is 0; trial 1 is
+    # the steep exp sum, which two steps leave uncertified.
+    monkeypatch.setattr(evaluation, "MAX_STEPS", 2)
+    steep = 1 + 0.05 * np.random.default_rng(0).standard_normal((20, 1))
+    losses = ExpLoss(np.stack([np.ones((20, 1)), steep]), a=1.0, s=0.3, m=2)
+    body = Ball([0.0], 4.0)
+    with pytest.warns(RuntimeWarning, match="not certified"):
+        sol = offline_optimum(losses, body)
+    assert sol.converged is False
+    assert sol.gap[0] == 0.0 and sol.gap[1] > GAP_TOLERANCE * sol.total[1]
+    est = np.zeros((2, 20, 1))
+    traj = Trajectory(estimates=est, loss_values=losses.value(est), score_errors=np.zeros((2, 20)),
+                      loss=losses, delays=np.ones((2, 20), dtype=np.int64))
+    with pytest.warns(RuntimeWarning, match="not certified"):
+        report = regret(traj, body)
+    assert report.converged.tolist() == [True, False]
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +209,7 @@ def _toy_trajectory(plays, losses):
     est = np.asarray(plays, dtype=float)
     loss = Loss.stack([Loss.stack(losses)] * len(est))
     rounds = np.zeros(est.shape[:2])
-    return Trajectory(estimates=est, loss_values=loss.value(est), score_errors=rounds,
-                      score_error_losses=rounds, loss=loss,
+    return Trajectory(estimates=est, loss_values=loss.value(est), score_errors=rounds, loss=loss,
                       delays=np.ones(est.shape[:2], dtype=np.int64))
 
 
@@ -325,7 +343,7 @@ def test_cumulative_score_error_bounded_by_comparator_plus_regret():
     traj = run_game(learner, [stream], [FixedDelay(4)], uniform_quadratic(),
                     LinearScoring.default(1, 1), horizon=300, seeds=[5])
     report = regret(traj, Ball([0.0], 4.0))
-    chain_total = float(traj.score_error_losses[0].sum())
+    chain_total = float(traj.loss.radial(traj.score_errors)[0].sum())
     assert chain_total <= report.comparator_loss[0] + report.regret[0, -1] + 1e-6
 
 
@@ -464,7 +482,6 @@ def test_chunked_writers_match_the_row_by_row_formatter(tmp_path):
         estimates=np.stack([values, values[::-1]], axis=-1)[None],
         loss_values=values[None],
         score_errors=np.roll(values, 1)[None],
-        score_error_losses=values[None],
         loss=NormLoss(np.zeros((1, horizon, 2))),
         delays=delays,
     )
@@ -480,7 +497,7 @@ def test_chunked_writers_match_the_row_by_row_formatter(tmp_path):
             f"{i + 1},{float(curves.cum_loss_mean[i])!r},{float(curves.cum_loss_stderr[i])!r},"
             f"{float(curves.regret_mean[i])!r},{float(curves.regret_stderr[i])!r}\n")
 
-    _write_trajectory_csv(traj, tmp_path / "trajectory.csv")
+    write_trajectory_csv(traj, tmp_path / "trajectory.csv")
     write_csv(curves, tmp_path / "curves.csv")
     assert (tmp_path / "trajectory.csv").read_bytes() == _trajectory_rows(traj)
     assert (tmp_path / "curves.csv").read_bytes() == "".join(curve_lines).encode()
@@ -499,10 +516,10 @@ def test_the_trajectory_writer_keeps_signed_zeros_and_repeats_apart(tmp_path):
     estimates = np.stack([pool[rng.integers(0, 2, horizon)], rng.standard_normal(horizon).round(1),
                           loss[::-1]], axis=-1)
     traj = Trajectory(estimates=estimates[None], loss_values=loss[None],
-                      score_errors=errors[None], score_error_losses=errors[None],
+                      score_errors=errors[None],
                       loss=NormLoss(np.zeros((1, horizon, 3))),
                       delays=rng.integers(1, 6, (1, horizon)))
-    _write_trajectory_csv(traj, tmp_path / "trajectory.csv")
+    write_trajectory_csv(traj, tmp_path / "trajectory.csv")
     written = (tmp_path / "trajectory.csv").read_bytes()
     assert written == _trajectory_rows(traj)
     rows = written.decode().splitlines()  # rows[t] is round t
@@ -520,13 +537,13 @@ def test_the_trajectory_writer_formats_a_chunk_of_distinct_floats_field_by_field
     values[:2, 0] = [0.0, -0.0]
     values[CSV_CHUNK:] = values[CSV_CHUNK:CSV_CHUNK + 8][np.arange(CSV_CHUNK) % 8]
     traj = Trajectory(estimates=values[None, :, 2:], loss_values=values[None, :, 0],
-                      score_errors=values[None, :, 1], score_error_losses=values[None, :, 1],
+                      score_errors=values[None, :, 1],
                       loss=NormLoss(np.zeros((1, horizon, 1))),
                       delays=rng.integers(1, 6, (1, horizon)))
     uniques = []
     unique = np.unique
     monkeypatch.setattr(np, "unique", lambda a, **kw: uniques.append(a.size) or unique(a, **kw))
-    _write_trajectory_csv(traj, tmp_path / "trajectory.csv")
+    write_trajectory_csv(traj, tmp_path / "trajectory.csv")
     assert uniques == [3 * CSV_CHUNK]
     assert (tmp_path / "trajectory.csv").read_bytes() == _trajectory_rows(traj)
 
@@ -541,14 +558,13 @@ def test_the_trajectory_writer_reads_the_delivery_order_without_a_buffer(tmp_pat
     delays = rng.integers(1, 30, (2, horizon))
     delays[0, -10:] = 50
     traj = Trajectory(estimates=values[..., None], loss_values=values, score_errors=values[::-1],
-                      score_error_losses=values[::-1], loss=NormLoss(np.zeros((2, horizon, 1))),
-                      delays=delays)
+                      loss=NormLoss(np.zeros((2, horizon, 1))), delays=delays)
 
     def refuse(delays):
         raise AssertionError("the writer built a FeedbackBuffer")
 
     monkeypatch.setattr(feedback, "FeedbackBuffer", refuse)
-    _write_trajectory_csv(traj, tmp_path / "trajectory.csv")
+    write_trajectory_csv(traj, tmp_path / "trajectory.csv")
     assert (tmp_path / "trajectory.csv").read_bytes() == _trajectory_rows(traj)
 
 

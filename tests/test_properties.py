@@ -1,4 +1,5 @@
-"""Property tests of the contract between `validate` and `run`, and of the float walk.
+"""Property tests of the contract between `validate` and `run`, of the float
+walk, and of the loss rows that `grad` selects.
 
 Configs are drawn from the options of the INI schema at small sizes.  A
 config that `validate` accepts must run to exit 0, or end in exit 2 with
@@ -9,6 +10,9 @@ rejects must make `run` exit 2 and write nothing.  An exception escaping
 A gradient learner plays one trial on a 1-d ball in Python floats and a
 batch of trials on arrays.  Losses, delays and steps act row by row, so a
 trial played alone must give the bytes of its row in a batch.
+
+`Loss.grad` alone takes `at`, the rows of one block that the game loop
+reads; those rows must give the bits of the loss cut to them.
 """
 
 import contextlib
@@ -28,7 +32,7 @@ from laglearn.environment import (GaussianStream, LinearScoring, fixed_loss, run
 from laglearn.feedback import FixedDelay, RandomDelay
 from laglearn.geometry import Ball
 from laglearn.learners import ConstantStep, GradientLearner, InverseSqrtStep
-from laglearn.losses import ExpLoss, NormLoss, PowerLoss
+from laglearn.losses import ExpLoss, NormLoss, PowerLoss, QuadraticLoss
 
 # The errors an accepted config may still end in, each with the streams or
 # delays whose data can cause it.
@@ -268,3 +272,43 @@ def test_a_trial_played_alone_gives_the_bytes_of_its_row_in_a_batch(game):
     alone, by_itself = _play(game, [game["alone"]])
     assert batch._walk == batch._walk_arrays and alone._walk == alone._walk_floats
     assert np.array_equal(by_itself[0].view(np.uint64), together[game["alone"]].view(np.uint64))
+
+
+@st.composite
+def row_selections(draw):
+    """A loss of one of the four families with per-row coefficient columns,
+    the rows `at` of one block or one round of every trial, and points
+    there, some on their anchors."""
+    trials, horizon = draw(st.integers(1, 3)), draw(st.integers(1, 12))
+    dim = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = (trials, horizon)
+    anchors = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.5], size=(*rows, dim))
+    family = draw(st.sampled_from(["norm", "quadratic", "power", "exp"]))
+    if family == "norm":
+        loss = NormLoss(anchors)
+    elif family == "quadratic":
+        loss = QuadraticLoss(anchors, a=rng.uniform(0.1, 2.0, rows), b=rng.uniform(0.0, 1.0, rows))
+    elif family == "power":
+        loss = PowerLoss(anchors, m=rng.integers(1, 4, rows))
+    else:
+        loss = ExpLoss(anchors, a=rng.uniform(0.1, 2.0, rows), s=rng.uniform(0.5, 2.0, rows),
+                       m=rng.integers(1, 3, rows))
+    lo = draw(st.integers(0, horizon - 1))
+    if draw(st.booleans()):
+        at = (slice(None), slice(lo, draw(st.integers(lo + 1, horizon))))
+    else:
+        at = (slice(None), lo)
+    # A point on its anchor is at the kink of norm, power m = 1 and exp m = 1.
+    x = np.where(rng.random(anchors[at].shape[:-1] + (1,)) < 0.5, anchors[at],
+                 rng.uniform(-2.0, 2.0, anchors[at].shape))
+    return loss, at, x
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_selections())
+def test_grad_of_the_rows_at_gives_the_bits_of_the_loss_cut_to_them(drawn):
+    loss, at, x = drawn
+    selected, cut = loss.grad(x, at=at), loss[at].grad(x)
+    assert selected.shape == cut.shape == x.shape
+    assert np.array_equal(selected.view(np.uint64), cut.view(np.uint64))
