@@ -11,13 +11,17 @@ one call, once a round delivers one of them (a take round), and adds each
 into the total of the round it is delivered at, after its delay.  Between
 two take rounds every delivered feedback is already known, so the game
 plays the rounds from one take round to the next as one block, in one
-call to the learner, which reads those rounds' totals as one slice.  The
-learner sees hidden information only through delivered feedback, never
-directly.  The independent trials of one configuration are played in
-lockstep, as one game on (trials, dim) arrays; the game's record is
-trial-major, (trials, horizon, ...), and is returned as one `Trajectory`
-whose row k is trial k, while the totals it hands the learner are
-round-major, (rounds, trials, dim), so a block is one slice of them.
+call to the learner, which reads those rounds' totals as one slice.  A
+learner that plays the whole horizon as one block gets the game's losses
+instead: the sample-mean baseline reads their anchors, and a gradient
+learner of one trial on a 1-d ball takes each gradient itself, in Python
+floats, when its round is played.  The learner sees hidden information
+only through delivered feedback, never directly.  The independent trials
+of one configuration are played in lockstep, as one game on (trials,
+dim) arrays; the game's record is trial-major, (trials, horizon, ...),
+and is returned as one `Trajectory` whose row k is trial k, while the
+totals it hands the learner are round-major, (rounds, trials, dim), so a
+block is one slice of them.
 
 Scores are separable, score(known, hidden) = <w_known, known> +
 <w_hidden, hidden>, with the hidden component 1-Lipschitz, so the
@@ -245,10 +249,13 @@ def run_game(learner: BaseLearner, streams: list[ContextStream],
     rising source ranges.  The learner then plays the rounds up to the
     next take round in one `play` call (see `BaseLearner`): their totals
     are all summed, and it writes its decisions into the record.  A
-    learner that reads anchors, not gradients, has its feedback before
-    round 1, in the buffer's delivery order, and plays the whole horizon
-    as one block.  The update at the horizon boundary sees no known context
-    and uses a zero pull.  Losses are row-wise, so a block gives each row
+    learner that plays the whole horizon as one block (`plays_horizon`)
+    gets the one `Loss` as its feedback, and the game takes no gradient:
+    the sample-mean baseline reads the anchors in the buffer's delivery
+    order, and a gradient learner of one trial on a 1-d ball takes each
+    round's gradient when it plays the round, with the same bits.  The
+    update at the horizon boundary sees no known context and uses a zero
+    pull.  Losses are row-wise, so a block gives each row
     the bits of taking it alone; a gradient that is never delivered in
     time is taken or not, and never read.  Loss values, score errors and
     flags are computed from the recorded arrays after the last round;
@@ -288,14 +295,12 @@ def run_game(learner: BaseLearner, streams: list[ContextStream],
     buffer = FeedbackBuffer(delay_values)
 
     estimates = np.empty((trials, horizon, dim))
-    if learner.uses_gradients:  # the totals, one row per round, filled as gradients are taken
-        feedback = np.zeros((horizon + 2, trials, dim))
-        takes = buffer.takes
-    else:
-        feedback = loss.anchor[buffer.rows, buffer.sources - 1]
-        takes = []
     learner.start(trials, horizon, buffer)
     estimates[:, 0] = learner.estimate
+    if learner.plays_horizon:  # one block, whose feedback the learner reads from the losses
+        feedback, takes = loss, []
+    else:  # the totals, one row per round, filled as gradients are taken
+        feedback, takes = np.zeros((horizon + 2, trials, dim)), buffer.takes
     first, ready = 1, 0
     trial_rows = np.arange(trials)[:, None]
     # Every non-finite step raises NonFiniteGradient, and a projection

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, repeat
 
 import numpy as np
 
@@ -371,15 +371,17 @@ def aggregate(report: RegretReport) -> AggregateCurves:
 def write_csv(curves: AggregateCurves, path) -> None:
     """Serialize aggregated curves: t, cum_loss_mean/stderr, regret_mean/stderr.
 
-    Each float is written as its `repr`, CSV_CHUNK rounds at a time.
+    Each float is written as its `repr`, CSV_CHUNK rounds at a time.  A
+    column's chunk whose floats all have one bit pattern, such as the
+    standard errors of a single trial, is formatted once.
     """
     columns = (curves.cum_loss_mean, curves.cum_loss_stderr, curves.regret_mean,
                curves.regret_stderr)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("t,cum_loss_mean,cum_loss_stderr,regret_mean,regret_stderr\n")
         for lo in range(0, curves.horizon, CSV_CHUNK):
-            _write_rows(fh, lo + 1,
-                        [map(repr, column[lo:lo + CSV_CHUNK].tolist()) for column in columns])
+            _write_rows(fh, lo + 1, [_column_reprs(column[lo:lo + CSV_CHUNK])
+                                     for column in columns])
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
@@ -408,6 +410,16 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
             loss_text, error_text, *coords = _reprs(
                 np.vstack([loss_values[lo:hi], errors[lo:hi], estimates[lo:hi].T]))
             _write_rows(fh, lo + 1, [loss_text, error_text, delivered, *coords])
+
+
+def _column_reprs(floats: Array):
+    """The `repr` of each float of a 1-d array.  When every float has the
+    bit pattern of the first (the int64 view keeps -0.0 apart from 0.0),
+    that one is formatted once."""
+    bits = floats.view(np.int64)
+    if np.all(bits == bits[0]):
+        return repeat(repr(floats.item(0)), len(floats))
+    return map(repr, floats.tolist())
 
 
 def _reprs(floats: Array) -> list:

@@ -15,6 +15,7 @@ already known, so the game plays the rounds between them as one block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -105,7 +106,10 @@ class FeedbackBuffer:
     some row, a source round later than the take round before them (0
     before the first), each read from a suffix minimum of `due`.  None of
     these grows with the largest delay, so a huge delay costs no memory.
-    `delivery_order` gives `rows`, `sources` and `starts` alone.
+    `due` is made with the buffer; `takes`, and `rows`, `sources` and
+    `starts`, when they are first read, so a game that reads only `due`
+    pays for no sort.  `delivery_order` gives `rows`, `sources` and
+    `starts` alone.
     """
 
     def __init__(self, delays):
@@ -121,15 +125,35 @@ class FeedbackBuffer:
                 d = int(delays[k, i])
                 raise ValueError(f"source round {i + 1} of row {k} has delay {d}: it is due "
                                  f"at round {i + d}, past the int64 maximum {INT64_MAX}")
+        self._delays = delays
         self.due = np.minimum(np.arange(self.horizon) + delays, self.horizon + 1)
+
+    @cached_property
+    def takes(self) -> list[int]:
         # soonest[r] is the earliest round at which a source round > r is due in time.
         soonest = self.due.min(axis=0)
         soonest = np.minimum.accumulate(soonest[::-1])[::-1]
-        self.takes = []
+        takes = []
         t = 0
         while t < self.horizon and (t := int(soonest[t])) <= self.horizon:
-            self.takes.append(t)
-        self.rows, self.sources, self.starts = delivery_order(delays)
+            takes.append(t)
+        return takes
+
+    @cached_property
+    def _order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return delivery_order(self._delays)
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._order[0]
+
+    @property
+    def sources(self) -> np.ndarray:
+        return self._order[1]
+
+    @property
+    def starts(self) -> np.ndarray:
+        return self._order[2]
 
 
 def delivery_order(delays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

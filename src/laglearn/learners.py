@@ -36,10 +36,11 @@ learner forms the block's moves as one array and, under the Euclidean map,
 walks them as one running sum, summing again only from the first round
 whose projection moves a point, which the body finds in one pass.  A game
 of one trial on a ball in one dimension, such as a single run under
-arbitrary delays, walks each block in Python floats instead: its blocks
-are a few rounds long, and the fixed cost of a numpy call would be most
-of their time.  Each round takes the same float operations in the same
-order as the array walk, so no bit changes.
+arbitrary delays, is played round by round in Python floats instead, and
+the learner takes each gradient itself when its round is played: its
+blocks would be a few rounds long, and the fixed cost of a numpy call
+would be most of their time.  Each round takes the same float operations
+in the same order as the array game, so no bit changes.
 """
 
 from __future__ import annotations
@@ -51,6 +52,11 @@ import numpy as np
 
 from .feedback import FeedbackBuffer
 from .geometry import Array, Ball, ConvexBody, EuclideanMap, MirrorMap
+from .losses import Loss
+
+# A game played in Python floats reads its rounds' inputs as lists of this
+# many rounds at a time, never as a list of the whole horizon.
+ROUND_CHUNK = 4096
 
 
 class NonFiniteGradient(ValueError):
@@ -197,21 +203,24 @@ class BaseLearner:
     last round `t` whose feedback it observed; nothing else of the game's
     history.  `start(trials, horizon, buffer)` gives the iterate one row
     per trial: the decisions of round 1; `buffer` is the game's
-    `FeedbackBuffer`, for a learner that reads its delivery order (a
-    gradient learner reads none of it, and may be started with None).
-    `play(lo, hi, feedback, known, estimates)` observes the feedback
-    delivered at the end of rounds lo..hi-1 and writes the decisions of
-    rounds lo+1..hi that lie within the horizon into the trial-major record
-    `estimates`, at columns lo..hi-1; the iterate after round hi - 1 stays
-    in `estimate`.  `known[:, t]` is the known context of round t + 1.  The
-    game calls `play` once per block of rounds whose feedback is all known
-    when the block starts, so a learner that reads anchors gets the whole
-    horizon, lo..hi = 1..T+1, as one block.  When `uses_gradients` is True,
-    `feedback` is the round-major array of totals: row t holds, per trial,
-    the sum of the gradients delivered at the end of round t, each taken at
-    the recorded decision of its source round, and `play` reads rows
-    lo..hi-1 only.  Otherwise it is the losses' anchors in the buffer's
-    delivery order, one row per pair of `buffer.rows` and `buffer.sources`.
+    `FeedbackBuffer`, for a learner that reads its delivery schedule (a
+    gradient learner of a batch reads none of it, and may be started with
+    None).  `play(lo, hi, feedback, known, estimates)` observes the
+    feedback delivered at the end of rounds lo..hi-1 and writes the
+    decisions of rounds lo+1..hi that lie within the horizon into the
+    trial-major record `estimates`, at columns lo..hi-1; the iterate after
+    round hi - 1 stays in `estimate`.  `known[:, t]` is the known context
+    of round t + 1.
+
+    A learner whose `plays_horizon` is True once it is started plays rounds
+    1..T as one block, lo..hi = 1..T+1, and refuses any other; its
+    `feedback` is the game's one `Loss`, whose anchors or gradients it reads
+    itself.  Otherwise the game calls `play` once per block of rounds whose
+    feedback is all known when the block starts, and `feedback` is the
+    round-major array of totals: row t holds, per trial, the sum of the
+    gradients delivered at the end of round t, each taken at the recorded
+    decision of its source round, and `play` reads rows lo..hi-1 only.
+    `uses_gradients` says whether the learner moves against gradients.
     `lag` is the fixed lag a learner needs (every delay lag + 1, checked by
     the game loop before round 1), or None for a learner that takes any
     delays: the sample-mean baseline, and a gradient learner whose schedule
@@ -220,6 +229,7 @@ class BaseLearner:
 
     lag: int | None = None
     uses_gradients = True
+    plays_horizon = False
 
     def __init__(self, body: ConvexBody, estimate: Array):
         self.body = body
@@ -229,10 +239,13 @@ class BaseLearner:
     def start(self, trials: int, horizon: int, buffer: FeedbackBuffer | None) -> None:
         self.estimate = np.broadcast_to(self.estimate, (trials, self.body.dim)).copy()
 
-    def play(self, lo: int, hi: int, feedback: Array, known: Array, estimates: Array) -> None:
+    def play(self, lo: int, hi: int, feedback, known: Array, estimates: Array) -> None:
         raise NotImplementedError
 
-    def _advance(self, lo: int, hi: int) -> None:
+    def _advance(self, lo: int, hi: int, horizon: int) -> None:
+        if self.plays_horizon and (lo, hi) != (1, horizon + 1):
+            raise RuntimeError(f"{type(self).__name__} plays rounds 1..{horizon} as one "
+                               f"block, not {lo}..{hi - 1}")
         if lo != self.t + 1 or hi <= lo:
             raise RuntimeError(f"rounds must be played in order; expected a block from "
                                f"{self.t + 1}")
@@ -269,17 +282,22 @@ class GradientLearner(BaseLearner):
     such a round changes no bit.  The entropic map neither adds nor
     projects, so it takes its moves one round after another.
 
-    `start` chooses the walk once per game, from what it is handed: one
-    trial, a 1-d `Ball` and the Euclidean map take the float walk, and
-    every other game the array walk above.  The float walk reads the
-    block's totals, etas (and, with a pull, betas and next contexts) as
-    short lists and steps round by round: the move 0.0 - eta * total, or
-    beta * (w * k) - eta * total with k = 0.0 after the last round, a
-    NonFiniteGradient for a move that is not finite, x + move, and the
-    ball's own test (x - c) * (x - c) > square_bound, with `body.project`
-    for a point outside.  Those are the array walk's float operations in
-    its order, so both walks give the same bits; the float walk writes the
-    block into the record with one slice assignment.
+    `start` chooses the game once, from what it is handed: one trial, a
+    1-d `Ball` and the Euclidean map play in Python floats, and every other
+    game takes the array walk above.  The float game plays rounds 1..T as
+    one block (`plays_horizon`) from the game's `Loss` and its buffer's
+    `due`, reading its inputs as lists of ROUND_CHUNK rounds.  Each round s
+    it records x_s, takes the gradient there at once (`Loss.float_grad`;
+    one due past the horizon is never read, and not taken) and puts it into
+    the total of its due round: under a fixed lag it is copied in, so a
+    -0.0 stays -0.0, and otherwise added to +0.0 in source order.  Only the
+    totals of rounds not reached yet are kept.  It then reads round s's
+    total and steps: the move 0.0 - eta * total, or beta * (w * k) - eta *
+    total with k = 0.0 after the last round, a NonFiniteGradient for a move
+    that is not finite, x + move, and the ball's own test (x - c) * (x - c)
+    > square_bound, with `body.project` for a point outside; the warm-up
+    rounds keep the start point.  Those are the array game's float
+    operations in its order, so both give the same bits.
     """
 
     def __init__(self, body: ConvexBody, schedule: StepSchedule, lam: float = 0.0,
@@ -298,24 +316,27 @@ class GradientLearner(BaseLearner):
         # Round t's eta and beta as (1 or trials, 1) columns of a (rounds, trials, dim) block.
         self.etas = etas.reshape(horizon + 1, -1, 1)
         self.betas = betas.reshape(horizon + 1, -1, 1)
-        # One trial on a 1-d ball: walk each block in Python floats.
-        self._walk = self._walk_arrays
-        if (trials == 1 and self.body.dim == 1 and self.mirror.needs_projection
-                and isinstance(self.body, Ball)):
-            self._walk = self._walk_floats
+        # One trial on a 1-d ball plays its rounds in Python floats.
+        self.plays_horizon = (trials == 1 and self.body.dim == 1
+                              and self.mirror.needs_projection and isinstance(self.body, Ball))
+        if self.plays_horizon:
+            self.due = buffer.due[0]
         super().start(trials, horizon, buffer)
 
-    def play(self, lo, hi, totals, known, estimates) -> None:
-        self._advance(lo, hi)
+    def play(self, lo, hi, feedback, known, estimates) -> None:
+        self._advance(lo, hi, estimates.shape[1])
+        if self.plays_horizon:
+            self._play_floats(feedback, known, estimates)
+            return
         # The warm-up rounds keep the start point.
         first = min(max(self.schedule.tau + 1, lo), hi)
         if first > lo:
             estimates[:, lo:min(first, estimates.shape[1])] = self.estimate[:, None]
             if first == hi:
                 return
-        self._walk(first, hi, totals, known, estimates)
+        self._walk(first, hi, feedback, known, estimates)
 
-    def _walk_arrays(self, first, hi, totals, known, estimates) -> None:
+    def _walk(self, first, hi, totals, known, estimates) -> None:
         """Rounds first..hi-1 past the warm-up, as (rounds, trials, dim) arrays."""
         horizon = estimates.shape[1]
         x = self.estimate
@@ -354,33 +375,42 @@ class GradientLearner(BaseLearner):
         estimates[:, first:min(hi, horizon)] = path[1:horizon - first + 1].swapaxes(0, 1)
         self.estimate = path[n]
 
-    def _walk_floats(self, first, hi, totals, known, estimates) -> None:
-        """Rounds first..hi-1 past the warm-up of one trial on a 1-d ball, in Python floats."""
-        n, horizon = hi - first, estimates.shape[1]
-        total = totals[first:hi, 0, 0].tolist()
-        eta = self.etas[first:hi, 0, 0].tolist()
-        if self.lam:
-            lam, coupled = self.lam, self.coupled
-            ahead = known[0, first:hi, 0].tolist()  # the contexts of the next rounds
-            ahead += [0.0] * (n - len(ahead))  # no pull after the last round
-            moves = [b * ((lam * e if coupled else lam) * k) - e * g for e, b, k, g
-                     in zip(eta, self.betas[first:hi, 0, 0].tolist(), ahead, total)]
-        else:
-            moves = [0.0 - e * g for e, g in zip(eta, total)]
-        body = self.body
+    def _play_floats(self, loss: Loss, known, estimates) -> None:
+        """Rounds 1..T of one trial on a 1-d ball, each in Python floats as it is played."""
+        horizon = estimates.shape[1]
+        body, tau, lag = self.body, self.schedule.tau, self.lag
         center, bound = body.center.item(), body.square_bound
+        isfinite = math.isfinite
+        totals = {}  # by due round, the totals of the rounds not reached yet
         x = self.estimate.item()
-        path = []
-        for move in moves:
-            if not math.isfinite(move):
-                j = len(path)
-                what = "gradient" if not math.isfinite(total[j]) else "step"
-                raise NonFiniteGradient(f"{what} has NaN or infinite entries at round {first + j}")
-            x += move
-            if (x - center) * (x - center) > bound:
-                x = body.project([[x]]).item()
-            path.append(x)
-        estimates[0, first:min(hi, horizon), 0] = path[:horizon - first]
+        for lo in range(1, horizon + 1, ROUND_CHUNK):
+            hi = min(lo + ROUND_CHUNK, horizon + 1)
+            grad = loss.float_grad((0, slice(lo - 1, hi - 1)))
+            eta = self.etas[lo:hi, 0, 0].tolist()
+            if self.lam:
+                lam, coupled = self.lam, self.coupled
+                ahead = known[0, lo:hi, 0].tolist()  # the contexts of the next rounds
+                ahead += [0.0] * (hi - lo - len(ahead))  # no pull after the last round
+                pulls = [b * ((lam * e if coupled else lam) * k)
+                         for e, b, k in zip(eta, self.betas[lo:hi, 0, 0].tolist(), ahead)]
+            else:
+                pulls = [0.0] * (hi - lo)
+            dues, path = self.due[lo - 1:hi - 1].tolist(), []
+            for t, due, e, pull in zip(range(lo, hi), dues, eta, pulls):
+                path.append(x)
+                if due <= horizon:
+                    g = grad(t - lo, x)
+                    totals[due] = g if lag else totals.get(due, 0.0) + g
+                total = totals.pop(t, 0.0)
+                if t > tau:
+                    move = pull - e * total
+                    if not isfinite(move):
+                        what = "gradient" if not isfinite(total) else "step"
+                        raise NonFiniteGradient(f"{what} has NaN or infinite entries at round {t}")
+                    x += move
+                    if (x - center) * (x - center) > bound:
+                        x = body.project([[x]]).item()
+            estimates[0, lo - 1:hi - 1, 0] = path
         self.estimate = np.array([[x]])
 
 
@@ -389,10 +419,10 @@ class NaiveLearner(BaseLearner):
 
     Its feedback is each round's anchor, the hidden context itself, and
     each row plays `np.mean` of its revealed anchors in delivery order.  The
-    anchors are known before round 1, so the game hands them over in the
-    delivery order of the buffer the learner is started with, and `play`
-    takes the whole horizon as one block; it refuses any other.  It lays
-    each row's anchors out once, after a slot 0 for the start point, and
+    anchors are known before round 1, so the game hands over its `Loss`,
+    and `play` takes the whole horizon as one block; it refuses any other.
+    It reads each row's anchors in the delivery order of the buffer the
+    learner is started with, lays them out once, after a slot 0 for the start point, and
     counts once how many each row has revealed by each round.  Slot n then
     becomes the mean of the first n anchors, which the row plays while it
     has revealed n.  In two or more dimensions numpy's mean adds the anchors
@@ -402,22 +432,21 @@ class NaiveLearner(BaseLearner):
     """
 
     uses_gradients = False
+    plays_horizon = True
 
     def __init__(self, body: ConvexBody):
         super().__init__(body, np.zeros(body.dim))
 
     def start(self, trials: int, horizon: int, buffer: FeedbackBuffer | None) -> None:
         super().start(trials, horizon, buffer)
-        self.rows, self.starts = buffer.rows, buffer.starts
+        self.rows, self.sources, self.starts = buffer.rows, buffer.sources, buffer.starts
 
-    def play(self, lo, hi, anchors, known, estimates) -> None:
+    def play(self, lo, hi, loss, known, estimates) -> None:
         # Mean of points of a convex set stays inside it; no projection.
         trials, horizon, dim = estimates.shape
-        if (lo, hi) != (1, horizon + 1):
-            raise RuntimeError(f"the sample-mean baseline plays rounds 1..{horizon} as one "
-                               f"block, not {lo}..{hi - 1}")
-        self._advance(lo, hi)
-        rows = self.rows[:self.starts[-1]]  # the pairs due within the horizon
+        self._advance(lo, hi, horizon)
+        in_time = self.starts[-1]  # the pairs due within the horizon
+        rows = self.rows[:in_time]
         # seen[k, i]: the anchors row k has revealed by the end of round i + 1.
         rounds = np.repeat(np.arange(horizon), np.diff(self.starts[1:]))
         seen = np.bincount(rows * horizon + rounds, minlength=trials * horizon)
@@ -427,7 +456,7 @@ class NaiveLearner(BaseLearner):
         grouped = rows[order]
         slots = np.arange(1, len(grouped) + 1) - np.searchsorted(grouped, grouped)
         means = np.zeros((trials, int(seen[:, -1].max()) + 1, dim))
-        means[grouped, slots] = anchors[:len(rows)][order]
+        means[grouped, slots] = loss.anchor[grouped, self.sources[:in_time][order] - 1]
         at = np.arange(trials)[:, None]
         if dim > 1:
             np.add.accumulate(means, axis=1, out=means)

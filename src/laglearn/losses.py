@@ -21,9 +21,16 @@ kink at the anchor (norm, and power/exp with m = 1) return the zero
 vector there, which is a valid subgradient; `kinks` says where that
 happens.  The whole subdifferential there is the ball of radius
 radial'(0+), which `kink_slope` gives per row.
+
+`float_grad` gives the gradient of 1-d rows one point at a time, in
+Python floats, for a game that takes each gradient when its round is
+played: it takes the float operations of `grad` in their order, so each
+gradient has the bits of `grad`'s.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -76,6 +83,10 @@ class Loss:
         return type(other) is type(self) and all(
             bits(self, name) == bits(other, name) for name in ("anchor", *self.coefficients))
 
+    def __repr__(self) -> str:
+        columns = "".join(f", {name}={getattr(self, name)!r}" for name in self.coefficients)
+        return f"{type(self).__name__}(anchor shape {self.anchor.shape}{columns})"
+
     def __getitem__(self, index) -> "Loss":
         """The losses at `index` of the rows, as a loss of the same family."""
         columns = {name: getattr(self, name)[index] for name in self.coefficients}
@@ -108,6 +119,12 @@ class Loss:
         """Gradient at x of the rows `at`."""
         d = self._offset(x, at)
         return self._grad(d, np.sqrt(np.vecdot(d, d)), at)
+
+    def float_grad(self, at):
+        """The gradient of the 1-d rows `at`, one axis of them, as a function of
+        (j, x): row j's gradient at the Python float x, as a Python float with
+        the bits of `grad(x, at)[j]`."""
+        raise NotImplementedError
 
     def kinks(self, x) -> Array:
         """Rows where `grad` returns the zero subgradient at a kink."""
@@ -146,6 +163,14 @@ class Loss:
         return v - self.anchor[at]
 
 
+def _power(r: float, k: int) -> float:
+    """np.float_power(r, k) of a Python float r > 0: inf where `**` overflows."""
+    try:
+        return r ** k
+    except OverflowError:
+        return math.inf
+
+
 def _radial_direction(d: Array, slope: Array, zero: Array) -> Array:
     """slope * d, with the rows where `zero` holds set to the zero vector."""
     g = slope[..., None] * d
@@ -164,6 +189,15 @@ class NormLoss(Loss):
     def _grad(self, d, r, at) -> Array:
         r = r[..., None]
         return np.divide(d, r, out=np.zeros(d.shape), where=r != 0.0)
+
+    def float_grad(self, at):
+        anchors = self.anchor[at][..., 0].tolist()
+
+        def grad(j, x):
+            d = x - anchors[j]
+            r = math.sqrt(d * d)
+            return d / r if r != 0.0 else 0.0
+        return grad
 
     def kink_slope(self) -> Array:
         return np.ones(self.anchor.shape[:-1])
@@ -193,6 +227,13 @@ class QuadraticLoss(Loss):
     def _grad(self, d, r, at) -> Array:
         return (2.0 * self.a[at])[..., None] * d
 
+    def float_grad(self, at):
+        anchors, a = self.anchor[at][..., 0].tolist(), self.a[at].tolist()
+
+        def grad(j, x):
+            return 2.0 * a[j] * (x - anchors[j])
+        return grad
+
     def _lipschitz(self, radius: float) -> float:
         return 2.0 * float(np.max(self.a)) * float(radius)
 
@@ -214,6 +255,15 @@ class PowerLoss(Loss):
         m = self.m[at]
         zero = r == 0.0
         return _radial_direction(d, m * np.float_power(np.where(zero, 1.0, r), m - 2), zero)
+
+    def float_grad(self, at):
+        anchors, m = self.anchor[at][..., 0].tolist(), self.m[at].tolist()
+
+        def grad(j, x):
+            d = x - anchors[j]
+            r = math.sqrt(d * d)
+            return m[j] * _power(r, m[j] - 2) * d if r != 0.0 else 0.0
+        return grad
 
     def kink_slope(self) -> Array:
         return np.where(self.m == 1, 1.0, 0.0)
@@ -245,6 +295,20 @@ class ExpLoss(Loss):
         safe = np.where(zero, 1.0, r)
         slope = a * m * np.float_power(safe, m - 2) * np.exp(np.float_power(safe, m) / s2) / s2
         return _radial_direction(d, slope, zero)
+
+    def float_grad(self, at):
+        anchors, a, m = (column[at].tolist() for column in (self.anchor[..., 0], self.a, self.m))
+        s2 = np.float_power(self.s[at], 2)  # numpy scalars: their division by 0.0 does not raise
+
+        def grad(j, x):
+            d = x - anchors[j]
+            r = math.sqrt(d * d)
+            if r == 0.0:
+                return 0.0
+            # numpy's exp: its bits differ from math.exp's on some machines.
+            e = np.exp(_power(r, m[j]) / s2[j])
+            return float(a[j] * m[j] * _power(r, m[j] - 2) * e / s2[j] * d)
+        return grad
 
     def kink_slope(self) -> Array:
         return np.where(self.m == 1, self.a / np.float_power(self.s, 2), 0.0)

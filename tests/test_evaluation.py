@@ -471,6 +471,16 @@ def _trajectory_rows(traj):
     return "".join(lines).encode()
 
 
+def _curve_rows(curves):
+    """`curves.csv` as the curve formatter wrote it, one row at a time."""
+    lines = ["t,cum_loss_mean,cum_loss_stderr,regret_mean,regret_stderr\n"]
+    for i in range(curves.horizon):
+        lines.append(
+            f"{i + 1},{float(curves.cum_loss_mean[i])!r},{float(curves.cum_loss_stderr[i])!r},"
+            f"{float(curves.regret_mean[i])!r},{float(curves.regret_stderr[i])!r}\n")
+    return "".join(lines).encode()
+
+
 def test_chunked_writers_match_the_row_by_row_formatter(tmp_path):
     # One round past a chunk, so the last chunk holds one row; round 1
     # delivers nothing (its source waits two rounds), and later rounds
@@ -490,17 +500,29 @@ def test_chunked_writers_match_the_row_by_row_formatter(tmp_path):
                              cum_loss_stderr=np.roll(values, 2), regret_mean=np.roll(values, 3),
                              regret_stderr=np.roll(values, 4))
 
-    # The curve formatter as it was, one row at a time.
-    curve_lines = ["t,cum_loss_mean,cum_loss_stderr,regret_mean,regret_stderr\n"]
-    for i in range(horizon):
-        curve_lines.append(
-            f"{i + 1},{float(curves.cum_loss_mean[i])!r},{float(curves.cum_loss_stderr[i])!r},"
-            f"{float(curves.regret_mean[i])!r},{float(curves.regret_stderr[i])!r}\n")
-
     write_trajectory_csv(traj, tmp_path / "trajectory.csv")
     write_csv(curves, tmp_path / "curves.csv")
     assert (tmp_path / "trajectory.csv").read_bytes() == _trajectory_rows(traj)
-    assert (tmp_path / "curves.csv").read_bytes() == "".join(curve_lines).encode()
+    assert (tmp_path / "curves.csv").read_bytes() == _curve_rows(curves)
+
+
+def test_the_curve_writer_keeps_signed_zeros_of_constant_chunks_apart(tmp_path):
+    # One trial's standard errors are 0.0 throughout.  A chunk of one bit
+    # pattern is formatted once: -0.0 fills the second chunk of one column,
+    # and a single -0.0 sits in a chunk of 0.0 in another.
+    horizon = 2 * CSV_CHUNK + 3
+    zeros = np.zeros(horizon)
+    negative, mixed = zeros.copy(), zeros.copy()
+    negative[CSV_CHUNK:2 * CSV_CHUNK] = -0.0
+    mixed[5] = -0.0
+    curves = AggregateCurves(horizon=horizon, trials=1, cum_loss_mean=_special_values(horizon),
+                             cum_loss_stderr=zeros, regret_mean=mixed, regret_stderr=negative)
+    write_csv(curves, tmp_path / "curves.csv")
+    written = (tmp_path / "curves.csv").read_bytes()
+    assert written == _curve_rows(curves)
+    rows = written.decode().splitlines()  # rows[t] is round t
+    assert [row.split(",")[3] for row in rows[5:8]] == ["0.0", "-0.0", "0.0"]
+    assert {row.split(",")[4] for row in rows[CSV_CHUNK + 1:2 * CSV_CHUNK + 1]} == {"-0.0"}
 
 
 def test_the_trajectory_writer_keeps_signed_zeros_and_repeats_apart(tmp_path):

@@ -9,11 +9,13 @@ it forms the block's moves at once from eta and beta tables and a slice
 of those totals, skips a disabled pull, walks the Euclidean map as one
 running sum that it projects once and sums again only from a round where
 the projection moved a point, and keeps the warm-up rounds of a fixed lag
-unprojected.  A game of one trial on a 1-d ball walks each block in
-Python floats instead, round by round, with the same float operations in
-the same order, so the one-trial cases here test that walk.  None of that
-may change a bit: every estimate must equal the reference's as a uint64
-pattern, so even a flipped sign of zero fails.
+unprojected.  A game of one trial on a 1-d ball is played round by round
+in Python floats instead, as the reference plays it: it takes each
+gradient when its round is played and adds it into the total of its due
+round, with the same float operations in the same order, so the one-trial
+cases here test that game.  None of that may change a bit: every
+estimate must equal the reference's as a uint64 pattern, so even a
+flipped sign of zero fails.
 """
 
 import math
@@ -23,12 +25,13 @@ import numpy as np
 import pytest
 
 from delivery_oracle import deliveries
+from laglearn import feedback
 from laglearn.environment import (ExplicitStream, GaussianStream, LinearScoring, fixed_loss,
                                   run_game, uniform_quadratic)
 from laglearn.feedback import ExplicitDelay, FeedbackBuffer, FixedDelay, RandomDelay
 from laglearn.geometry import Ball, NegativeEntropyMap, Simplex, regular_polygon
-from laglearn.learners import (ConstantStep, GradientLearner, InverseSqrtStep, InverseTimeStep,
-                               NonFiniteGradient)
+from laglearn.learners import (ROUND_CHUNK, ConstantStep, GradientLearner, InverseSqrtStep,
+                               InverseTimeStep, NonFiniteGradient)
 from laglearn.losses import ExpLoss, Loss, NormLoss, PowerLoss, QuadraticLoss
 
 HORIZON = 240
@@ -176,9 +179,9 @@ def test_fixed_lag_game_matches_the_play_time_reference_bit_for_bit(trials, kind
     # One or three trials under one fixed lag: the learner delivers one
     # gradient per row without `np.add.at`, reads eta (decaying, or one
     # constant per trial) and beta (eta, or a constant override) from its
-    # table, and skips the warm-up rounds t <= tau.  One trial in 1-d takes
-    # the float walk, which must keep the warm-up and copy its gradients in
-    # as the array walk does.
+    # table, and skips the warm-up rounds t <= tau.  One trial in 1-d is
+    # played in floats, which must keep the warm-up and copy its gradients
+    # in as the array game does.
     body = Ball(np.zeros(dim), 1.0)
     schedule = SCHEDULES[kind](tau, beta, trials)
     seed = 11 * tau + dim
@@ -230,12 +233,13 @@ def test_mixed_delay_schedules_match_the_play_time_reference_bit_for_bit(dim, fa
     assert np.array_equal(played.view(np.uint64), np.swapaxes(expected, 0, 1).view(np.uint64))
 
 
-def test_a_round_sums_gradients_of_several_takes_in_source_order():
+@pytest.mark.parametrize("trials", [1, 2])
+def test_a_round_sums_gradients_of_several_takes_in_source_order(trials):
     # Round 6 delivers sources 1, 3, 4 and 6, taken at rounds 2, 5, 5 and 6.
     # Trial 0's gradients of sources 1 and 3 are 1e16 and -1e16, and that of
     # source 4 is 0.2: added in source order onto +0.0 they leave 0.2, but a
     # sum per take added to the round's total loses it.  Trial 1 has the
-    # same delays and small anchors.
+    # same delays and small anchors.  Alone, trial 0 is played in floats.
     horizon = 12
     delays = (6, 1, 4, 3, 1, 1, 1, 1, 1, 1, 1, 1)
     hidden = [np.zeros((horizon, 1)), np.random.default_rng(2).uniform(-1, 1, (horizon, 1))]
@@ -244,14 +248,16 @@ def test_a_round_sums_gradients_of_several_takes_in_source_order():
     assert deliveries(delays)[6] == [(0, 1), (0, 3), (0, 4), (0, 6)]
 
     def streams():
-        return [ExplicitStream(np.zeros((horizon, 1)), h) for h in hidden]
+        return [ExplicitStream(np.zeros((horizon, 1)), h) for h in hidden[:trials]]
 
-    body, schedule = Ball([0.0], 1.0), ConstantStep(value=[0.1, 0.2])
-    schedules, factory = [ExplicitDelay(delays)] * 2, fixed_loss(QuadraticLoss, a=1.0)
-    played = run_game(GradientLearner(body, schedule), streams(), schedules, factory,
-                      LinearScoring.default(1, 1), horizon, [0, 0]).estimates
+    body, schedule = Ball([0.0], 1.0), ConstantStep(value=[0.1, 0.2][:trials])
+    schedules, factory = [ExplicitDelay(delays)] * trials, fixed_loss(QuadraticLoss, a=1.0)
+    learner = GradientLearner(body, schedule)
+    played = run_game(learner, streams(), schedules, factory, LinearScoring.default(1, 1),
+                      horizon, [0] * trials).estimates
     expected = reference_estimates(body, schedule, 0.0, False, streams(), schedules, factory,
-                                   horizon, [0, 0])
+                                   horizon, [0] * trials)
+    assert learner.plays_horizon == (trials == 1)
     assert played[0, 3, 0] == 0.1  # the decision of round 4, whose gradient is 0.2
     assert np.array_equal(played.view(np.uint64), np.swapaxes(expected, 0, 1).view(np.uint64))
 
@@ -315,8 +321,8 @@ def test_a_move_that_overflows_in_a_block_names_the_reference_round_and_kind(tri
     # step of 1e300 times it is not.  Under a fixed lag of 4 it is delivered
     # at round 41, inside the block of rounds 40..44; under its random
     # delays, at round 40, inside the block of rounds 39 and 40 next to a
-    # near trial, or of rounds 39..41 alone.  Alone, the far trial takes the
-    # float walk.
+    # near trial, or of rounds 39..41 alone.  Alone, the far trial is played
+    # in floats.
     horizon, tau = 80, (4 if delays == "fixed" else 0)
 
     def streams():
@@ -343,12 +349,14 @@ def test_a_move_that_overflows_in_a_block_names_the_reference_round_and_kind(tri
     assert bad_round not in buffer.takes  # not the first round of its block
 
 
-def test_undelivered_rounds_whose_gradients_overflow_leave_the_game_as_it_was():
-    # Trial 1 plays 0.0 throughout: its delivered anchors are 0.0, where the
+@pytest.mark.parametrize("trials", [1, 2])
+def test_undelivered_rounds_whose_gradients_overflow_leave_the_game_as_it_was(trials):
+    # The last trial plays 0.0 throughout: its delivered anchors are 0.0, where the
     # exp loss has gradient 0.  Its anchors at 26.6 come in rounds whose
     # delays run past the horizon: there exp(26.6^2) is finite, so every loss
     # value is, but the gradient 2 * 26.6 * exp(26.6^2) overflows.  A block
-    # that covers those rounds takes that gradient and never reads it.
+    # that covers those rounds takes that gradient and never reads it; alone,
+    # the trial is played in floats.
     horizon, far = 40, 26.6
     hidden = [np.random.default_rng(3).uniform(-0.5, 0.5, (horizon, 1)), np.zeros((horizon, 1))]
     hidden[1][20:30] = far
@@ -356,21 +364,22 @@ def test_undelivered_rounds_whose_gradients_overflow_leave_the_game_as_it_was():
     delays[20:30] = horizon
 
     def streams():
-        return [ExplicitStream(np.zeros((horizon, 1)), h) for h in hidden]
+        return [ExplicitStream(np.zeros((horizon, 1)), h) for h in hidden[2 - trials:]]
 
-    schedules = [RandomDelay(d_max=4, seed=9), ExplicitDelay(tuple(delays.tolist()))]
+    schedules = [RandomDelay(d_max=4, seed=9),
+                 ExplicitDelay(tuple(delays.tolist()))][2 - trials:]
     factory = fixed_loss(ExpLoss, a=1.0, s=1.0, m=2)
     body, schedule = Ball([0.0], 1.0), ConstantStep(value=0.1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         traj = run_game(GradientLearner(body, schedule), streams(),
-                        schedules, factory, LinearScoring.default(1, 1), horizon, [0, 0])
+                        schedules, factory, LinearScoring.default(1, 1), horizon, [0] * trials)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert not np.isfinite(traj.loss[1].grad(traj.estimates[1])[20:30]).any()
+        assert not np.isfinite(traj.loss[-1].grad(traj.estimates[-1])[20:30]).any()
         expected = reference_estimates(body, schedule, 0.0, False, streams(), schedules, factory,
-                                       horizon, [0, 0])
+                                       horizon, [0] * trials)
     assert np.isfinite(traj.loss_values).all() and traj.flags == ()
-    assert np.array_equal(traj.estimates[1], np.zeros((horizon, 1)))
+    assert np.array_equal(traj.estimates[-1], np.zeros((horizon, 1)))
     assert np.array_equal(traj.estimates.view(np.uint64),
                           np.swapaxes(expected, 0, 1).view(np.uint64))
 
@@ -395,3 +404,41 @@ def test_a_fixed_lag_takes_one_gradient_call_per_tau_plus_one_rounds(monkeypatch
     assert len(calls) == horizon // (tau + 1)
     assert calls == [(slice(None), slice(k, k + tau + 1))
                      for k in range(0, horizon - tau, tau + 1)]
+
+
+@pytest.mark.parametrize("tau", [0, 3])
+def test_one_trial_past_a_chunk_takes_its_own_gradients_in_one_play_call(monkeypatch, tau):
+    # Past ROUND_CHUNK rounds the float game reads its inputs in a second
+    # chunk, and gradients taken in the first are due in the second.  Alone,
+    # trial 0 must give the bytes of its row in a batch of two, which the
+    # array game plays, in one `play` call, with no `Loss.grad` call, and
+    # without building take rounds or a delivery order.
+    horizon = ROUND_CHUNK + 7
+
+    def game(trials):
+        streams, delays, seeds = _pieces(2, 1, 20, 3)
+        if tau:
+            delays = [FixedDelay(tau)] * 2
+        learner = GradientLearner(Ball([0.3], 0.7), InverseSqrtStep(sigma=0.6, tau=tau), 1.0, True)
+        return run_game(learner, streams[:trials], delays[:trials], uniform_quadratic(),
+                        LinearScoring.default(1, 1), horizon, seeds[:trials]).estimates
+
+    together = game(2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the one-trial game took a gradient block or a delivery schedule")
+
+    blocks = []
+    play = GradientLearner.play
+
+    def counted(self, lo, hi, *args):
+        blocks.append((lo, hi))
+        return play(self, lo, hi, *args)
+
+    monkeypatch.setattr(Loss, "grad", refuse)
+    monkeypatch.setattr(FeedbackBuffer, "takes", property(refuse))
+    monkeypatch.setattr(feedback, "delivery_order", refuse)
+    monkeypatch.setattr(GradientLearner, "play", counted)
+    alone = game(1)
+    assert blocks == [(1, horizon + 1)]
+    assert np.array_equal(alone[0].view(np.uint64), together[0].view(np.uint64))

@@ -27,20 +27,24 @@ def step_once(learner, estimate, t, grads, next_known=None, rows=(0,)):
 
     `grads` are the delivered gradients, one per entry of `rows`, summed
     into row t of the round-major totals the learner reads; round t is the
-    last one when there is no `next_known`.  The learner's new iterate is
-    returned.
+    last one when there is no `next_known`.  The trial is played as both
+    rows of a batch of two, so that every body takes the block walk: one
+    trial alone on a 1-d ball plays its whole horizon from the losses.  The
+    learner's new iterate is returned.
     """
     horizon = t if next_known is None else t + 1
-    learner.start(1, horizon, None)
-    learner.estimate = np.asarray([estimate], dtype=float)
+    learner.start(2, horizon, None)
+    learner.estimate = np.asarray([estimate] * 2, dtype=float)
     learner.t = t - 1
-    totals = np.zeros((horizon + 2, 1, len(estimate)))
+    totals = np.zeros((horizon + 2, 2, len(estimate)))
     np.add.at(totals[t], np.asarray(rows, dtype=np.intp),
               np.asarray(grads, dtype=float).reshape(len(rows), len(estimate)))
-    known = np.zeros((1, horizon, len(estimate) if next_known is None else len(next_known)))
+    totals[t, 1] = totals[t, 0]
+    known = np.zeros((2, horizon, len(estimate) if next_known is None else len(next_known)))
     if next_known is not None:
-        known[0, t] = next_known
-    learner.play(t, t + 1, totals, known, np.empty((1, horizon, len(estimate))))
+        known[:, t] = next_known
+    learner.play(t, t + 1, totals, known, np.empty((2, horizon, len(estimate))))
+    assert np.array_equal(learner.estimate[0], learner.estimate[1])
     return learner.estimate[0]
 
 
@@ -101,7 +105,7 @@ def test_ogd_projects_back_into_body():
     learner = GradientLearner(body, ConstantStep(value=5.0))
     out = step_once(learner, [0.0], 1, [1.0])
     assert np.allclose(out, [-1.0])
-    assert body.contains(learner.estimate)
+    assert body.contains(out)
 
 
 def test_no_update_through_the_warmup():
@@ -404,21 +408,21 @@ def test_naive_estimate_is_np_mean_of_the_delivered_anchors_in_any_dimension(dim
 
 
 def test_naive_play_takes_only_the_whole_horizon_once():
-    # The game hands the baseline its horizon as one block; a shorter
-    # block, one that starts late, or a second call is refused.
+    # The game hands the baseline its losses and its horizon as one block;
+    # a shorter block, one that starts late, or a second call is refused.
     horizon, trials = 10, 2
     buffer = FeedbackBuffer(np.full((trials, horizon), 2))
-    anchors = np.ones((len(buffer.rows), 1))
+    losses = NormLoss(np.ones((trials, horizon, 1)))
     learner = NaiveLearner(Ball([0.0], 2.0))
     for lo, hi in ((1, 5), (1, horizon), (2, horizon + 1), (1, horizon + 2)):
         learner.start(trials, horizon, buffer)
         with pytest.raises(RuntimeError, match="as one block"):
-            learner.play(lo, hi, anchors, None, np.empty((trials, horizon, 1)))
+            learner.play(lo, hi, losses, None, np.empty((trials, horizon, 1)))
     learner.start(trials, horizon, buffer)
-    learner.play(1, horizon + 1, anchors, None, np.empty((trials, horizon, 1)))
+    learner.play(1, horizon + 1, losses, None, np.empty((trials, horizon, 1)))
     assert learner.t == horizon and np.array_equal(learner.estimate, np.ones((trials, 1)))
     with pytest.raises(RuntimeError, match="in order"):
-        learner.play(1, horizon + 1, anchors, None, np.empty((trials, horizon, 1)))
+        learner.play(1, horizon + 1, losses, None, np.empty((trials, horizon, 1)))
 
 
 def test_zero_subgradient_flags_only_for_deliveries_within_the_horizon():

@@ -7,9 +7,11 @@ one of the errors that only its data can cause (`DATA_ERRORS`); one that it
 rejects must make `run` exit 2 and write nothing.  An exception escaping
 `cli.main` fails the test, as a traceback would.
 
-A gradient learner plays one trial on a 1-d ball in Python floats and a
-batch of trials on arrays.  Losses, delays and steps act row by row, so a
-trial played alone must give the bytes of its row in a batch.
+A gradient learner plays one trial on a 1-d ball in Python floats, taking
+each gradient with `Loss.float_grad` as its round is played, and a batch
+of trials on arrays.  Losses, delays and steps act row by row, so a trial
+played alone must give the bytes of its row in a batch, and the float
+gradient of a row must give the bits of `Loss.grad`'s.
 
 `Loss.grad` alone takes `at`, the rows of one block that the game loop
 reads; those rows must give the bits of the loss cut to them.
@@ -270,7 +272,7 @@ def _play(game, rows):
 def test_a_trial_played_alone_gives_the_bytes_of_its_row_in_a_batch(game):
     batch, together = _play(game, list(range(game["trials"])))
     alone, by_itself = _play(game, [game["alone"]])
-    assert batch._walk == batch._walk_arrays and alone._walk == alone._walk_floats
+    assert not batch.plays_horizon and alone.plays_horizon
     assert np.array_equal(by_itself[0].view(np.uint64), together[game["alone"]].view(np.uint64))
 
 
@@ -312,3 +314,47 @@ def test_grad_of_the_rows_at_gives_the_bits_of_the_loss_cut_to_them(drawn):
     selected, cut = loss.grad(x, at=at), loss[at].grad(x)
     assert selected.shape == cut.shape == x.shape
     assert np.array_equal(selected.view(np.uint64), cut.view(np.uint64))
+
+
+@st.composite
+def float_rows(draw):
+    """A 1-d loss of one of the four families with per-row coefficients, a
+    run of its rows, and one point per row: on the row's anchor (the kink
+    of norm, power m = 1 and exp m = 1), at an offset whose square
+    underflows (below 1e-162) or overflows (above 1e154), or near it."""
+    horizon = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = (1, horizon)
+    anchors = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.5, -3e200, 1e300], size=(*rows, 1))
+    family = draw(st.sampled_from(["norm", "quadratic", "power", "exp"]))
+    if family == "norm":
+        loss = NormLoss(anchors)
+    elif family == "quadratic":
+        loss = QuadraticLoss(anchors, a=10.0 ** rng.uniform(-3, 3, rows),
+                             b=rng.uniform(0.0, 1.0, rows))
+    elif family == "power":
+        loss = PowerLoss(anchors, m=rng.integers(1, 401, rows))
+    else:
+        # r^m / s^2 passes 709 from r = 27 at m = 2: exp overflows.
+        loss = ExpLoss(anchors, a=rng.uniform(0.1, 2.0, rows), s=rng.uniform(0.5, 2.0, rows),
+                       m=rng.integers(1, 5, rows))
+    lo = draw(st.integers(0, horizon - 1))
+    hi = draw(st.integers(lo + 1, horizon))
+    size = (hi - lo, 1)
+    scale = rng.choice([0.0, 1e-170, 1e-162, 1.0, 30.0, 1e154, 1e200], size=size)
+    x = anchors[0, lo:hi] + scale * rng.uniform(-1.0, 1.0, size)
+    return loss, lo, hi, np.where(np.isfinite(x), x, anchors[0, lo:hi])
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_rows())
+def test_the_float_gradient_of_a_row_gives_the_bits_of_grad(drawn):
+    loss, lo, hi, x = drawn
+    at = (0, slice(lo, hi))
+    # As in the game loop: a gradient that overflows is inf, or NaN, unwarned.
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = loss.grad(x, at=at)[:, 0]
+        grad = loss.float_grad(at)
+        floats = [grad(j, v) for j, v in enumerate(x[:, 0].tolist())]
+    assert all(type(g) is float for g in floats)
+    assert np.array_equal(np.array(floats).view(np.uint64), expected.view(np.uint64))
