@@ -334,9 +334,9 @@ class GradientLearner(BaseLearner):
             estimates[:, lo:min(first, estimates.shape[1])] = self.estimate[:, None]
             if first == hi:
                 return
-        self._walk(first, hi, feedback, known, estimates)
+        self._walk_arrays(first, hi, feedback, known, estimates)
 
-    def _walk(self, first, hi, totals, known, estimates) -> None:
+    def _walk_arrays(self, first, hi, totals, known, estimates) -> None:
         """Rounds first..hi-1 past the warm-up, as (rounds, trials, dim) arrays."""
         horizon = estimates.shape[1]
         x = self.estimate

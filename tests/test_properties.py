@@ -1,5 +1,5 @@
 """Property tests of the contract between `validate` and `run`, of the float
-walk, and of the loss rows that `grad` selects.
+game and its gradients, and of the loss rows that `grad` selects.
 
 Configs are drawn from the options of the INI schema at small sizes.  A
 config that `validate` accepts must run to exit 0, or end in exit 2 with
