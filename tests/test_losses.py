@@ -18,6 +18,16 @@ def sample_losses(anchor):
     ]
 
 
+def test_a_loss_names_its_family_shape_and_columns():
+    # A failing example over losses must be reproducible from its printout.
+    anchors = np.zeros((2, 3, 1))
+    assert repr(NormLoss(anchors)) == "NormLoss(anchor shape (2, 3, 1))"
+    loss = QuadraticLoss(anchors, a=[[0.5, 1.0, 2.0], [1.0, 1.0, 1.0]], b=0.25)
+    assert repr(loss) == ("QuadraticLoss(anchor shape (2, 3, 1), "
+                          f"a={loss.a!r}, b={loss.b!r})")
+    assert "m=array([[3, 3, 3]" in repr(PowerLoss(anchors[:1], m=3))
+
+
 # ---------------------------------------------------------------------------
 # Values
 # ---------------------------------------------------------------------------
