@@ -13,7 +13,6 @@ import numpy as np
 from laglearn import (
     Ball,
     ConstantStep,
-    FeedbackBuffer,
     GaussianStream,
     GradientLearner,
     LinearScoring,
@@ -24,6 +23,7 @@ from laglearn import (
     regret,
     run_game,
 )
+from laglearn.feedback import delivery_order
 
 body = Ball([0.0], 4.0)
 print("horizon   delay sum D   eta        regret   regret/sqrt(D)")
@@ -45,7 +45,7 @@ stream = GaussianStream(mean=0.25, body_hidden=body, seed=5)
 learner = GradientLearner(body, ConstantStep(value=0.01))
 traj = run_game(learner, [stream], [delays], fixed_loss(NormLoss),
                 LinearScoring.default(1, 1), 60, seeds=[8])
-buffer = FeedbackBuffer(traj.delays[0])
+_, sources, starts = delivery_order(traj.delays)
 for t in range(20, 31):
-    delivered = buffer.sources[buffer.starts[t]:buffer.starts[t + 1]].tolist()
+    delivered = sources[starts[t]:starts[t + 1]].tolist()
     print(f"  round {t}: delivered {delivered or 'nothing'}")

@@ -5,23 +5,14 @@ Each round an agent arrives with a context split into a known part
 The learner posts an estimate of the hidden part, the adversary anchors a
 loss at the true hidden part, and the game records both.  The round's
 feedback is the loss's gradient at the recorded estimate, or its anchor
-for the sample-mean baseline.  A decision is final once it is played, so
-the game takes the gradients of the rounds played since its last take in
-one call, once a round delivers one of them (a take round), and adds each
-into the total of the round it is delivered at, after its delay.  Between
-two take rounds every delivered feedback is already known, so the game
-plays the rounds from one take round to the next as one block, in one
-call to the learner, which reads those rounds' totals as one slice.  A
-learner that plays the whole horizon as one block gets the game's losses
-instead: the sample-mean baseline reads their anchors, and a gradient
-learner of one trial on a 1-d ball takes each gradient itself, in Python
-floats, when its round is played.  The learner sees hidden information
-only through delivered feedback, never directly.  The independent trials
-of one configuration are played in lockstep, as one game on (trials,
-dim) arrays; the game's record is trial-major, (trials, horizon, ...),
-and is returned as one `Trajectory` whose row k is trial k, while the
-totals it hands the learner are round-major, (rounds, trials, dim), so a
-block is one slice of them.
+for the sample-mean baseline, delivered after the round's delay.  The
+game draws every context, loss and delay before round 1 and hands them
+to the learner, which plays the whole horizon in one call and sees
+hidden information only through the feedback its buffer delivers, never
+directly.  The independent trials of one configuration are played in
+lockstep, as one game on (trials, dim) arrays; the game's record is
+trial-major, (trials, horizon, ...), and is returned as one `Trajectory`
+whose row k is trial k.
 
 Scores are separable, score(known, hidden) = <w_known, known> +
 <w_hidden, hidden>, with the hidden component 1-Lipschitz, so the
@@ -33,7 +24,6 @@ per-round score error is bounded by the loss the game already measures:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -102,7 +92,7 @@ class GaussianStream(ContextStream):
         known = self.mean + self.sd * z1
         mix = self.rho * z1[:, : self.d2] + np.sqrt(1.0 - self.rho**2) * z2
         hidden = self.mean + self.sd * mix
-        return self.body_known.project_many(known), self.body_hidden.project_many(hidden)
+        return self.body_known.project(known), self.body_hidden.project(hidden)
 
 
 class PolygonStream(ContextStream):
@@ -125,7 +115,7 @@ class PolygonStream(ContextStream):
     def take(self, n: int) -> tuple[Array, Array]:
         known = self.mean + self.sd * self._rng.standard_normal((n, self.d1))
         hidden = self.polygon.sample_many(n, self._rng)
-        return self.body_known.project_many(known), hidden
+        return self.body_known.project(known), hidden
 
 
 class ExplicitStream(ContextStream):
@@ -236,34 +226,18 @@ def run_game(learner: BaseLearner, streams: list[ContextStream],
 
     Trial k reads `streams[k]`, realizes `delays[k]` and draws its loss
     coefficients from `seeds[k]`; the learner holds one iterate row per
-    trial.  The game is played in blocks that run from one take round of
-    the buffer to the next (see `FeedbackBuffer.takes`): at a take round
-    one `loss.grad` call takes the gradients of every round played since
-    the last one, at their recorded decisions, so under a fixed lag tau
-    there is one call per tau + 1 rounds.  It puts them at once into the
-    round-major totals, whose row t holds per trial the sum of the
-    gradients due at round t (see `FeedbackBuffer.due`), and row
-    horizon + 1 the unread rest.  Under a fixed lag each row gets one gradient, which is copied
-    in, so a -0.0 stays -0.0; under other delays each row's gradients are
-    added to +0.0 one at a time in source order, as the takes come in
-    rising source ranges.  The learner then plays the rounds up to the
-    next take round in one `play` call (see `BaseLearner`): their totals
-    are all summed, and it writes its decisions into the record.  A
-    learner that plays the whole horizon as one block (`plays_horizon`)
-    gets the one `Loss` as its feedback, and the game takes no gradient:
-    the sample-mean baseline reads the anchors in the buffer's delivery
-    order, and a gradient learner of one trial on a 1-d ball takes each
-    round's gradient when it plays the round, with the same bits.  The
-    update at the horizon boundary sees no known context and uses a zero
-    pull.  Losses are row-wise, so a block gives each row
-    the bits of taking it alone; a gradient that is never delivered in
-    time is taken or not, and never read.  Loss values, score errors and
-    flags are computed from the recorded arrays after the last round;
-    zero-subgradient flags count only the pairs due within the horizon
-    (`buffer.due <= horizon`).  Every array is trial-major, (trials,
-    horizon, ...), so round i is column `[:, i]`; the loop's arrays and its
-    one `Loss` are the returned `Trajectory`, whose row k (and the flags
-    tagged k) is trial k.
+    trial.  After the checks the game builds one `Loss` of every round's
+    loss and a `FeedbackBuffer` of the delays, and the learner plays the
+    whole horizon in one `play` call (see `BaseLearner`), writing its
+    decisions into the record.  The update at the horizon boundary sees no
+    known context and uses a zero pull.  Losses are row-wise, so a batch
+    gives each row the bits of playing it alone.  Loss values, score
+    errors and flags are computed from the recorded arrays after the last
+    round; zero-subgradient flags count only the pairs due within the
+    horizon (`buffer.due <= horizon`).  Every array is trial-major,
+    (trials, horizon, ...), so round i is column `[:, i]`; the game's
+    arrays and its one `Loss` are the returned `Trajectory`, whose row k
+    (and the flags tagged k) is trial k.
     """
     trials = len(streams)
     if trials < 1 or len(delays) != trials or len(seeds) != trials:
@@ -291,36 +265,16 @@ def run_game(learner: BaseLearner, streams: list[ContextStream],
     known = np.stack([k for k, _ in drawn])
     hidden = np.stack([h for _, h in drawn])
     loss = Loss.stack(trial_losses)
-    del drawn, trial_losses  # the stacks hold all that the loop and the record read
+    del drawn, trial_losses  # the stacks hold all that the game and the record read
     buffer = FeedbackBuffer(delay_values)
 
     estimates = np.empty((trials, horizon, dim))
-    learner.start(trials, horizon, buffer)
-    estimates[:, 0] = learner.estimate
-    if learner.plays_horizon:  # one block, whose feedback the learner reads from the losses
-        feedback, takes = loss, []
-    else:  # the totals, one row per round, filled as gradients are taken
-        feedback, takes = np.zeros((horizon + 2, trials, dim)), buffer.takes
-    first, ready = 1, 0
-    trial_rows = np.arange(trials)[:, None]
     # Every non-finite step raises NonFiniteGradient, and a projection
     # rescales a row whose squared norm overflows: numpy need not warn.
     # A gradient of a round that is never delivered in time may overflow
     # unread.
     with np.errstate(over="ignore", invalid="ignore"):
-        for take in chain(takes, [horizon + 1]):
-            if take > first:
-                learner.play(first, take, feedback, known, estimates)
-                first = take
-            if take <= horizon:
-                block = (slice(None), slice(ready, take))
-                grads = loss.grad(estimates[block], at=block)
-                if learner.lag is None:
-                    np.add.at(feedback, (buffer.due[block], trial_rows), grads)
-                else:  # due lag + 1 rounds after their source rounds
-                    due = feedback[ready + learner.lag + 1:take + learner.lag + 1]
-                    due[...] = grads[:, :len(due)].swapaxes(0, 1)
-                ready = take
+        learner.play(loss, buffer, known, estimates)
 
     loss_values = loss.value(estimates)
     score_errors = np.abs(scoring.score(known, estimates) - scoring.score(known, hidden))

@@ -3,13 +3,13 @@
 Feedback generated at round s with delay d becomes available at the end
 of round s + d - 1 and can drive the update made at that round; d = 1 is
 the no-delay case, and a fixed lag of tau rounds corresponds to d = tau + 1.
-The buffer lays the source rounds out once, in delivery order, from the
-realized delays, so each round's feedback is read exactly once.  It
-keeps the round each source round is due at, so the game can put a
-gradient into that round's total the moment it takes it, and it names the
-take rounds, the rounds that deliver a source round whose feedback the
-game has not taken yet: between two of them every delivered feedback is
-already known, so the game plays the rounds between them as one block.
+The buffer keeps the round each source round is due at, so a learner can
+put a gradient into that round's total the moment it takes it, and it
+names the take rounds, the rounds that deliver a source round whose
+feedback has not been taken yet: between two of them every delivered
+feedback is already known, so a learner can play the rounds between them
+as one block.  `delivery_order` lays the source rounds out once, in
+delivery order, so each round's feedback is read exactly once.
 """
 
 from __future__ import annotations
@@ -95,21 +95,14 @@ class FeedbackBuffer:
 
     `delays` is the realized (rows, T) delay matrix, or one row of T
     delays: source round s of row k is delivered at round
-    s + delays[k, s - 1] - 1.  The int arrays `rows` and `sources` hold the
-    (row, source) pairs in delivery order: by round, then row, then
-    source.  `starts[t]` is the first pair due at round t or later, for
-    t = 0..T + 1, so round t delivers the pairs starts[t]:starts[t + 1],
-    possibly none, possibly several per row; the pairs due past the
-    horizon come last.  `due[k, s - 1]` is the round pair (k, s) is due at,
-    cut at T + 1, so `due <= T` marks the pairs delivered in time.
+    s + delays[k, s - 1] - 1.  `due[k, s - 1]` is the round pair (k, s) is
+    due at, cut at T + 1, so `due <= T` marks the pairs delivered in time.
     `takes` lists the take rounds in order: the rounds that deliver, in
     some row, a source round later than the take round before them (0
-    before the first), each read from a suffix minimum of `due`.  None of
-    these grows with the largest delay, so a huge delay costs no memory.
-    `due` is made with the buffer; `takes`, and `rows`, `sources` and
-    `starts`, when they are first read, so a game that reads only `due`
-    pays for no sort.  `delivery_order` gives `rows`, `sources` and
-    `starts` alone.
+    before the first), each read from a suffix minimum of `due`.  Neither
+    grows with the largest delay, so a huge delay costs no memory.  `due`
+    is made with the buffer and `takes` when it is first read, so a game
+    that reads only `due` pays for no take rounds.
     """
 
     def __init__(self, delays):
@@ -125,7 +118,6 @@ class FeedbackBuffer:
                 d = int(delays[k, i])
                 raise ValueError(f"source round {i + 1} of row {k} has delay {d}: it is due "
                                  f"at round {i + d}, past the int64 maximum {INT64_MAX}")
-        self._delays = delays
         self.due = np.minimum(np.arange(self.horizon) + delays, self.horizon + 1)
 
     @cached_property
@@ -139,31 +131,19 @@ class FeedbackBuffer:
             takes.append(t)
         return takes
 
-    @cached_property
-    def _order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return delivery_order(self._delays)
-
-    @property
-    def rows(self) -> np.ndarray:
-        return self._order[0]
-
-    @property
-    def sources(self) -> np.ndarray:
-        return self._order[1]
-
-    @property
-    def starts(self) -> np.ndarray:
-        return self._order[2]
-
 
 def delivery_order(delays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The `rows`, `sources` and `starts` of a `FeedbackBuffer` of `delays`.
+    """The (row, source) pairs of `delays` in delivery order: by round, then row, then source.
 
-    `delays` is a (rows, T) int64 matrix that a buffer accepts: every delay
-    is at least 1 and every due round s + d - 1 fits in int64.  Reading the
-    delivery order alone costs one sort and one search, and none of the
-    buffer's take rounds.
+    `delays` is what a `FeedbackBuffer` accepts, a (rows, T) matrix or one
+    row: every delay is at least 1 and every due round s + d - 1 fits in
+    int64.  The int arrays `rows` and `sources` hold the pairs in that
+    order, and `starts[t]` is the first pair due at round t or later, for
+    t = 0..T + 1, so round t delivers the pairs starts[t]:starts[t + 1],
+    possibly none, possibly several per row; the pairs due past the
+    horizon come last.  It costs one sort and one search.
     """
+    delays = np.atleast_2d(delays)
     horizon = delays.shape[1]
     due = np.arange(horizon) + delays
     # Stable, so pairs due together keep their row-major order: by row, then by source.

@@ -116,10 +116,6 @@ class ConvexBody:
         i = int(j) // (moved.size // len(moved))
         return i, projected[i]
 
-    def project_many(self, points: Array) -> Array:
-        """Project each row of `points` (the streams' projection of their draws)."""
-        return self.project(points)
-
     def describe(self) -> str:
         raise NotImplementedError
 
@@ -198,18 +194,6 @@ class Ball(ConvexBody):
         top = np.max(np.abs(as_points(g, self.dim)), axis=-1, keepdims=True)
         g = np.divide(g, top, out=np.zeros(top.shape[:-1] + (self.dim,)), where=top > 0)
         return self.center - self.radius * g / np.maximum(norms(g), 1.0)[..., None]
-
-    def project_many(self, points: Array) -> Array:
-        # Norms by `np.linalg.norm(axis=1)`, which rounds differently from
-        # `project` in 2-d and up: the streams' draws are fixed by this form.
-        pts = np.asarray(points, dtype=float)
-        offset = pts - self.center
-        dist = np.linalg.norm(offset, axis=1)
-        scale = np.ones_like(dist)
-        outside = dist > self.radius
-        _unscale_overflow(offset, dist)
-        scale[outside] = self.radius / dist[outside]
-        return self.center + offset * scale[:, None]
 
     def describe(self) -> str:
         return f"ball(center={self.center.tolist()}, radius={self.radius})"

@@ -2,13 +2,12 @@
 
 All learners play an estimate each round and, once the loss of an earlier
 round is finally delivered, move against its gradient evaluated at the
-decision that was actually played back then: the game records every
-decision and takes the gradients there, in blocks of played rounds, before
-they are delivered.  A correlation pull nudges the next estimate toward
-(or away from) the freshly observed part of the next context.  One
-gradient learner covers every delay setting: at the end of round t it
-moves against the sum of the gradients delivered then, the delivery set
-F_t,
+decision that was actually played back then: a decision is final once it
+is played, so the learner takes the gradient there before it is
+delivered.  A correlation pull nudges the next estimate toward (or away
+from) the freshly observed part of the next context.  One gradient
+learner covers every delay setting: at the end of round t it moves
+against the sum of the gradients delivered then, the delivery set F_t,
 
     x_{t+1} = proj( x_t - eta_t sum_{s in F_t} g_s + beta_t * w_t * k_{t+1} )
 
@@ -20,27 +19,24 @@ routes the same move through its dual space (the Euclidean map is the
 plain step above), and maps with a built-in domain skip the projection.
 
 The sample-mean baseline ignores gradients entirely and plays the average
-of all hidden contexts revealed so far.  Those are known before round 1,
-so it plays the whole horizon in one call, in one pass over the buffer's
-delivery order.
+of all hidden contexts revealed so far, in the order they are delivered.
 
-A learner plays a batch of independent trials in lockstep: its iterate
-holds one row per trial, and every step acts on all rows at once.  It
-plays a block of rounds per call: the game calls it once per run of
-rounds whose delivered feedback is all known when the run starts, so
-every move of the block is known up front.  The game hands a gradient
-learner its feedback already summed per round: row t of one round-major
-array of totals holds, per trial, the sum of the gradients delivered at
-the end of round t, so a block reads one slice of it.  The gradient
-learner forms the block's moves as one array and, under the Euclidean map,
-walks them as one running sum, summing again only from the first round
-whose projection moves a point, which the body finds in one pass.  A game
-of one trial on a ball in one dimension, such as a single run under
-arbitrary delays, is played round by round in Python floats instead, and
-the learner takes each gradient itself when its round is played: its
-blocks would be a few rounds long, and the fixed cost of a numpy call
-would be most of their time.  Each round takes the same float operations
-in the same order as the array game, so no bit changes.
+Every learner plays a whole game in one `play` call, from the game's
+losses and its feedback buffer, so only the learner knows how feedback
+reaches its due round.  It plays a batch of independent trials in
+lockstep: its iterate holds one row per trial, and every step acts on all
+rows at once.  A gradient learner plays the rounds from one take round,
+a round that delivers feedback it has not taken yet, to the next as one
+block: every total the block reads is summed when it starts, so it forms
+the block's moves as one array and, under the Euclidean map, walks them
+as one running sum, summing again only from the first round whose
+projection moves a point, which the body finds in one pass.  A game of
+one trial on a ball in one dimension, such as a single run under
+arbitrary delays, is played round by round in Python floats instead,
+each gradient taken when its round is played: its blocks would be a few
+rounds long, and the fixed cost of a numpy call would be most of their
+time.  Each round takes the same float operations in the same order in
+both games, so no bit changes.
 """
 
 from __future__ import annotations
@@ -193,63 +189,39 @@ def eta_for_arbitrary_delay(L: float, R: float, lam: float, horizon: int,
 
 
 # ---------------------------------------------------------------------------
-# Block-by-block learner drivers
+# Learners
 # ---------------------------------------------------------------------------
 
 class BaseLearner:
-    """Shared block protocol used by the game loop.
+    """The protocol the game plays a learner by: one `play` call per game.
 
-    A learner holds its iterate `estimate` in its feasible `body` and the
-    last round `t` whose feedback it observed; nothing else of the game's
-    history.  `start(trials, horizon, buffer)` gives the iterate one row
-    per trial: the decisions of round 1; `buffer` is the game's
-    `FeedbackBuffer`, for a learner that reads its delivery schedule (a
-    gradient learner of a batch reads none of it, and may be started with
-    None).  `play(lo, hi, feedback, known, estimates)` observes the
-    feedback delivered at the end of rounds lo..hi-1 and writes the
-    decisions of rounds lo+1..hi that lie within the horizon into the
-    trial-major record `estimates`, at columns lo..hi-1; the iterate after
-    round hi - 1 stays in `estimate`.  `known[:, t]` is the known context
-    of round t + 1.
-
-    A learner whose `plays_horizon` is True once it is started plays rounds
-    1..T as one block, lo..hi = 1..T+1, and refuses any other; its
-    `feedback` is the game's one `Loss`, whose anchors or gradients it reads
-    itself.  Otherwise the game calls `play` once per block of rounds whose
-    feedback is all known when the block starts, and `feedback` is the
-    round-major array of totals: row t holds, per trial, the sum of the
-    gradients delivered at the end of round t, each taken at the recorded
-    decision of its source round, and `play` reads rows lo..hi-1 only.
-    `uses_gradients` says whether the learner moves against gradients.
+    A learner holds its iterate `estimate` in its feasible `body`, and
+    nothing else of the game's history.  `play(loss, buffer, known,
+    estimates)` plays rounds 1..T of a batch of trials: `loss` is the
+    game's one `Loss`, whose row (k, s - 1) is the loss of round s of trial
+    k; `buffer` is the game's `FeedbackBuffer`, whose `due` says at the end
+    of which round each round's feedback is delivered; and `known[:, t]` is
+    the known context of round t + 1.  It writes the decisions of rounds
+    1..T into the trial-major record `estimates`, (trials, T, dim), round 1
+    included, and leaves the iterate after round T in `estimate`, one row
+    per trial.  A round's feedback is the gradient of its loss at the
+    decision of that round, or its anchor for a learner that does not
+    `uses_gradients`, and no decision reads feedback before it is due.
     `lag` is the fixed lag a learner needs (every delay lag + 1, checked by
-    the game loop before round 1), or None for a learner that takes any
-    delays: the sample-mean baseline, and a gradient learner whose schedule
-    has tau = 0.
+    the game before round 1), or None for a learner that takes any delays:
+    the sample-mean baseline, and a gradient learner whose schedule has
+    tau = 0.
     """
 
     lag: int | None = None
     uses_gradients = True
-    plays_horizon = False
 
     def __init__(self, body: ConvexBody, estimate: Array):
         self.body = body
         self.estimate = estimate
-        self.t = 0
 
-    def start(self, trials: int, horizon: int, buffer: FeedbackBuffer | None) -> None:
-        self.estimate = np.broadcast_to(self.estimate, (trials, self.body.dim)).copy()
-
-    def play(self, lo: int, hi: int, feedback, known: Array, estimates: Array) -> None:
+    def play(self, loss: Loss, buffer: FeedbackBuffer, known: Array, estimates: Array) -> None:
         raise NotImplementedError
-
-    def _advance(self, lo: int, hi: int, horizon: int) -> None:
-        if self.plays_horizon and (lo, hi) != (1, horizon + 1):
-            raise RuntimeError(f"{type(self).__name__} plays rounds 1..{horizon} as one "
-                               f"block, not {lo}..{hi - 1}")
-        if lo != self.t + 1 or hi <= lo:
-            raise RuntimeError(f"rounds must be played in order; expected a block from "
-                               f"{self.t + 1}")
-        self.t = hi - 1
 
 
 class GradientLearner(BaseLearner):
@@ -260,44 +232,55 @@ class GradientLearner(BaseLearner):
     warm-up rounds t <= tau; with tau = 0 the learner takes any delays and
     moves against the sum of whatever each round delivers.  The correlation
     weight is `lam`, or `lam * eta(t)` when `coupled` (the config's `lam =
-    coupled` passes lam = 1 or -1, signed like rho).  `start` tabulates
-    eta(t) and beta(t) for every round, and a block reads its columns there.
+    coupled` passes lam = 1 or -1, signed like rho).  `play` first
+    tabulates eta(t) and beta(t) for every round, and each round reads its
+    own entries there.
 
-    A block's moves are all known when it starts, so `play` forms them at
-    once, on (rounds, trials, dim) arrays: the move of round t is 0.0 - eta
-    * total, or beta * pull - eta * total with a pull, the same elementwise
-    operations as one round's step.  Under the Euclidean map the path is
-    then a running sum from the iterate, which `np.cumsum` adds in
-    sequence, as x + move does, broken only where the projection moves a
-    point: the body's `first_moved` names the first round of the path
-    whose projection moves a point, in one pass over the block (a ball
-    tests squared norms and projects only that round), and from there the
-    projected point replaces the sum and the sum is taken again, up to the
-    next such round or the block's end.  The warm-up rounds are never
-    projected, so a start point outside the body (the origin, for the
-    pentagon) stays until the first step.  A round that delivers nothing
-    to a learner with no pull steps by 0.0 (the iterate is never -0.0),
-    and the ball and the polygon, the bodies a Euclidean learner is built
-    with, give back a point their projection returned bit for bit, so
-    such a round changes no bit.  The entropic map neither adds nor
-    projects, so it takes its moves one round after another.
+    Each gradient is taken at the recorded decision of its source round
+    and goes into the total of its due round: under a fixed lag it is
+    copied in, so a -0.0 stays -0.0, and under other delays it is added to
+    +0.0 in source order.  `play` chooses the game once, from what it is
+    handed: one trial, a 1-d `Ball` and the Euclidean map play in Python
+    floats, and every other game plays in blocks of arrays.
 
-    `start` chooses the game once, from what it is handed: one trial, a
-    1-d `Ball` and the Euclidean map play in Python floats, and every other
-    game takes the array walk above.  The float game plays rounds 1..T as
-    one block (`plays_horizon`) from the game's `Loss` and its buffer's
-    `due`, reading its inputs as lists of ROUND_CHUNK rounds.  Each round s
-    it records x_s, takes the gradient there at once (`Loss.float_grad`;
-    one due past the horizon is never read, and not taken) and puts it into
-    the total of its due round: under a fixed lag it is copied in, so a
-    -0.0 stays -0.0, and otherwise added to +0.0 in source order.  Only the
-    totals of rounds not reached yet are kept.  It then reads round s's
-    total and steps: the move 0.0 - eta * total, or beta * (w * k) - eta *
-    total with k = 0.0 after the last round, a NonFiniteGradient for a move
-    that is not finite, x + move, and the ball's own test (x - c) * (x - c)
-    > square_bound, with `body.project` for a point outside; the warm-up
-    rounds keep the start point.  Those are the array game's float
-    operations in its order, so both give the same bits.
+    The blocks run from one take round of the buffer to the next (see
+    `FeedbackBuffer.takes`).  At a take round one `loss.grad` call takes
+    the gradients of every round played since the last one, and puts them
+    at once into the round-major totals, whose row t holds per trial the
+    total of round t, and row T + 1 the unread rest; under a fixed lag tau
+    that is one call per tau + 1 rounds.  Every total the rounds up to the
+    next take round read is then summed, so their moves are all known, and
+    `_play_block` forms them at once, on (rounds, trials, dim) arrays: the
+    move of round t is 0.0 - eta * total, or beta * pull - eta * total with
+    a pull, the same elementwise operations as one round's step.  Under the
+    Euclidean map the path is then a running sum from the iterate, which
+    `np.cumsum` adds in sequence, as x + move does, broken only where the
+    projection moves a point: the body's `first_moved` names the first
+    round of the path whose projection moves a point, in one pass over the
+    block (a ball tests squared norms and projects only that round), and
+    from there the projected point replaces the sum and the sum is taken
+    again, up to the next such round or the block's end.  The warm-up
+    rounds are never projected, so a start point outside the body (the
+    origin, for the pentagon) stays until the first step.  A round that
+    delivers nothing to a learner with no pull steps by 0.0 (the iterate
+    is never -0.0), and the ball and the polygon, the bodies a Euclidean
+    learner is built with, give back a point their projection returned bit
+    for bit, so such a round changes no bit.  The entropic map neither
+    adds nor projects, so it takes its moves one round after another.
+
+    The float game reads its inputs as lists of ROUND_CHUNK rounds.  Each
+    round s it records x_s, takes the gradient there at once
+    (`Loss.float_grad`; one due past the horizon is never read, and not
+    taken) and puts it into the total of its due round, keeping only the
+    totals of rounds not reached yet.  It then reads round s's total and
+    steps: the move 0.0 - eta * total, or beta * (w * k) - eta * total with
+    k = 0.0 after the last round, a NonFiniteGradient for a move that is
+    not finite, x + move, and the ball's own test (x - c) * (x - c) >
+    square_bound, with `body.project` for a point outside; the warm-up
+    rounds keep the start point.  Those are the block game's float
+    operations in its order, so both give the same bits: a block game of
+    one trial on a 1-d ball would be a few rounds per block, and the fixed
+    cost of a numpy call would be most of its time.
     """
 
     def __init__(self, body: ConvexBody, schedule: StepSchedule, lam: float = 0.0,
@@ -309,37 +292,52 @@ class GradientLearner(BaseLearner):
         self.mirror = mirror
         self.lag = schedule.tau or None
 
-    def start(self, trials: int, horizon: int, buffer: FeedbackBuffer | None) -> None:
+    def play(self, loss, buffer, known, estimates) -> None:
+        trials, horizon, dim = estimates.shape
         etas, betas = self.schedule.table(horizon)
         if etas.ndim > 1 and etas.shape[1] != trials:
             raise ValueError(f"{etas.shape[1]} step sizes for {trials} trials")
         # Round t's eta and beta as (1 or trials, 1) columns of a (rounds, trials, dim) block.
         self.etas = etas.reshape(horizon + 1, -1, 1)
         self.betas = betas.reshape(horizon + 1, -1, 1)
-        # One trial on a 1-d ball plays its rounds in Python floats.
-        self.plays_horizon = (trials == 1 and self.body.dim == 1
-                              and self.mirror.needs_projection and isinstance(self.body, Ball))
-        if self.plays_horizon:
-            self.due = buffer.due[0]
-        super().start(trials, horizon, buffer)
-
-    def play(self, lo, hi, feedback, known, estimates) -> None:
-        self._advance(lo, hi, estimates.shape[1])
-        if self.plays_horizon:
-            self._play_floats(feedback, known, estimates)
+        self.estimate = np.broadcast_to(self.estimate, (trials, dim)).copy()
+        estimates[:, 0] = self.estimate
+        if (trials == 1 and dim == 1 and self.mirror.needs_projection
+                and isinstance(self.body, Ball)):
+            self._play_floats(loss, buffer.due[0], known, estimates)
             return
+        totals = np.zeros((horizon + 2, trials, dim))
+        trial_rows = np.arange(trials)[:, None]
+        first, ready = 1, 0
+        for take in buffer.takes + [horizon + 1]:
+            if take > first:
+                self._play_block(first, take, totals, known, estimates)
+                first = take
+            if take <= horizon:
+                block = (slice(None), slice(ready, take))
+                grads = loss.grad(estimates[block], at=block)
+                if self.lag is None:
+                    np.add.at(totals, (buffer.due[block], trial_rows), grads)
+                else:  # due lag + 1 rounds after their source rounds
+                    due = totals[ready + self.lag + 1:take + self.lag + 1]
+                    due[...] = grads[:, :len(due)].swapaxes(0, 1)
+                ready = take
+
+    def _play_block(self, lo, hi, totals, known, estimates) -> None:
+        """Rounds lo..hi-1, whose totals are all summed, as (rounds, trials, dim) arrays.
+
+        Writes the decisions of rounds lo+1..hi within the horizon, at
+        columns lo..hi-1, and leaves the iterate after round hi - 1; it
+        reads rows lo..hi-1 of the totals only.
+        """
+        horizon = estimates.shape[1]
+        x = self.estimate
         # The warm-up rounds keep the start point.
         first = min(max(self.schedule.tau + 1, lo), hi)
         if first > lo:
-            estimates[:, lo:min(first, estimates.shape[1])] = self.estimate[:, None]
+            estimates[:, lo:min(first, horizon)] = x[:, None]
             if first == hi:
                 return
-        self._walk_arrays(first, hi, feedback, known, estimates)
-
-    def _walk_arrays(self, first, hi, totals, known, estimates) -> None:
-        """Rounds first..hi-1 past the warm-up, as (rounds, trials, dim) arrays."""
-        horizon = estimates.shape[1]
-        x = self.estimate
         n, (trials, dim) = hi - first, x.shape
         total = totals[first:hi]
         eta = self.etas[first:hi]
@@ -375,7 +373,7 @@ class GradientLearner(BaseLearner):
         estimates[:, first:min(hi, horizon)] = path[1:horizon - first + 1].swapaxes(0, 1)
         self.estimate = path[n]
 
-    def _play_floats(self, loss: Loss, known, estimates) -> None:
+    def _play_floats(self, loss: Loss, due_rounds, known, estimates) -> None:
         """Rounds 1..T of one trial on a 1-d ball, each in Python floats as it is played."""
         horizon = estimates.shape[1]
         body, tau, lag = self.body, self.schedule.tau, self.lag
@@ -395,7 +393,7 @@ class GradientLearner(BaseLearner):
                          for e, b, k in zip(eta, self.betas[lo:hi, 0, 0].tolist(), ahead)]
             else:
                 pulls = [0.0] * (hi - lo)
-            dues, path = self.due[lo - 1:hi - 1].tolist(), []
+            dues, path = due_rounds[lo - 1:hi - 1].tolist(), []
             for t, due, e, pull in zip(range(lo, hi), dues, eta, pulls):
                 path.append(x)
                 if due <= horizon:
@@ -418,46 +416,37 @@ class NaiveLearner(BaseLearner):
     """Sample-mean baseline: plays the average of the revealed hidden contexts.
 
     Its feedback is each round's anchor, the hidden context itself, and
-    each row plays `np.mean` of its revealed anchors in delivery order.  The
-    anchors are known before round 1, so the game hands over its `Loss`,
-    and `play` takes the whole horizon as one block; it refuses any other.
-    It reads each row's anchors in the delivery order of the buffer the
-    learner is started with, lays them out once, after a slot 0 for the start point, and
-    counts once how many each row has revealed by each round.  Slot n then
-    becomes the mean of the first n anchors, which the row plays while it
-    has revealed n.  In two or more dimensions numpy's mean adds the anchors
-    one after another from +0.0, so one `np.add.accumulate` divided by n
-    gives its bits; in one dimension it sums pairwise, so there `np.mean`
-    runs once per distinct count, over the rows that reach it.
+    each row plays `np.mean` of its revealed anchors in delivery order, by
+    due round and then by source round.  The anchors are known before
+    round 1, and `play` reads only the buffer's `due`: a stable sort of
+    each row's due rounds gives its anchors in delivery order, laid out
+    once after a slot 0 for the start point, and a per-row count of the
+    due rounds, summed over the rounds, gives how many each row has
+    revealed by each round.  Slot n then becomes the mean of the first n
+    anchors, which the row plays while it has revealed n.  In two or more
+    dimensions numpy's mean adds the anchors one after another from +0.0,
+    so one `np.add.accumulate` divided by n gives its bits; in one
+    dimension it sums pairwise, so there `np.mean` runs once per distinct
+    count, over the rows that reach it.
     """
 
     uses_gradients = False
-    plays_horizon = True
 
     def __init__(self, body: ConvexBody):
         super().__init__(body, np.zeros(body.dim))
 
-    def start(self, trials: int, horizon: int, buffer: FeedbackBuffer | None) -> None:
-        super().start(trials, horizon, buffer)
-        self.rows, self.sources, self.starts = buffer.rows, buffer.sources, buffer.starts
-
-    def play(self, lo, hi, loss, known, estimates) -> None:
+    def play(self, loss, buffer, known, estimates) -> None:
         # Mean of points of a convex set stays inside it; no projection.
         trials, horizon, dim = estimates.shape
-        self._advance(lo, hi, horizon)
-        in_time = self.starts[-1]  # the pairs due within the horizon
-        rows = self.rows[:in_time]
-        # seen[k, i]: the anchors row k has revealed by the end of round i + 1.
-        rounds = np.repeat(np.arange(horizon), np.diff(self.starts[1:]))
-        seen = np.bincount(rows * horizon + rounds, minlength=trials * horizon)
-        seen = seen.reshape(trials, horizon).cumsum(1)
-        # Slot j of row k is its j-th anchor in delivery order, which a stable sort keeps.
-        order = np.argsort(rows, kind="stable")
-        grouped = rows[order]
-        slots = np.arange(1, len(grouped) + 1) - np.searchsorted(grouped, grouped)
-        means = np.zeros((trials, int(seen[:, -1].max()) + 1, dim))
-        means[grouped, slots] = loss.anchor[grouped, self.sources[:in_time][order] - 1]
         at = np.arange(trials)[:, None]
+        # seen[k, t]: the anchors row k has revealed by the end of round t, for t = 0..T.
+        seen = np.bincount((at * (horizon + 2) + buffer.due).ravel(),
+                           minlength=trials * (horizon + 2))
+        seen = seen.reshape(trials, horizon + 2).cumsum(1)[:, :horizon + 1]
+        # Slot n of row k is its n-th anchor in delivery order, which a stable sort keeps.
+        order = np.argsort(buffer.due, axis=1, kind="stable")[:, :seen[:, -1].max()]
+        means = np.zeros((trials, order.shape[1] + 1, dim))
+        means[:, 1:] = loss.anchor[at, order]
         if dim > 1:
             np.add.accumulate(means, axis=1, out=means)
             counts = np.arange(means.shape[1])[:, None]
@@ -472,5 +461,5 @@ class NaiveLearner(BaseLearner):
                 means[group, n] = np.mean(means[group, 1:n + 1], axis=1)
         means[:, 0] = self.estimate  # played until a row's first anchor arrives
         path = means[at, seen]
-        estimates[:, 1:] = path[:, :-1]
+        estimates[...] = path[:, :-1]
         self.estimate = path[:, -1].copy()

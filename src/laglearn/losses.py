@@ -12,9 +12,9 @@ and convex.  Shipped profiles:
 One loss object holds many losses of one family: `anchor` has shape
 (..., d), one row per loss, and each coefficient is a column of shape
 (...).  `value`, `grad` and `radial` broadcast their argument over the
-rows.  Only `grad` takes `at`, which indexes the rows: the game loop takes
-the gradients of one block of rounds of every trial without building an
-object for the block.
+rows.  Only `grad` takes `at`, which indexes the rows: the gradient learner
+takes the gradients of one block of rounds of every trial without building
+an object for the block.
 
 `grad` returns the gradient radial'(r) * (x - u) / r.  Profiles with a
 kink at the anchor (norm, and power/exp with m = 1) return the zero

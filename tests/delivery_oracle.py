@@ -22,7 +22,8 @@ def deliveries(delays) -> dict[int, list[tuple[int, int]]]:
 
 
 def buffer_layout(delays) -> tuple[list[int], list[int], list[int], list[list[int]]]:
-    """The `rows`, `sources`, `starts` and `due` a buffer of `delays` holds, as lists.
+    """The `rows`, `sources` and `starts` of `delivery_order(delays)`, and the
+    `due` of a buffer of `delays`, as lists.
 
     The pairs come round by round, in the order of `deliveries`;
     `starts[t]` counts the pairs due before round t, for t = 0..T + 1; and

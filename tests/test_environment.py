@@ -253,7 +253,7 @@ def test_fixed_lag_learner_rejects_mismatched_delays_before_round_1():
     with pytest.raises(ConfigError, match="tau \\+ 1 = 4"):
         run_game(learner, [stream], [ExplicitDelay((4, 4, 1, 4, 4))], uniform_quadratic(),
                  LinearScoring.default(1, 1), horizon=5, seeds=[0])
-    assert learner.t == 0
+    assert np.array_equal(learner.estimate, [0.0])  # the start point, as built
 
 
 def test_run_game_configuration_errors():

@@ -8,18 +8,19 @@ from laglearn.feedback import (
     FixedDelay,
     RandomDelay,
     delays_from_file,
+    delivery_order,
 )
 
 
-def buffer_of(delays) -> FeedbackBuffer:
-    """The buffer of `delays`, once its arrays are checked against the delivery oracle."""
+def buffer_of(delays):
+    """The buffer of `delays` and its `delivery_order`, once both are checked
+    against the delivery oracle."""
     buf = FeedbackBuffer(delays)
+    order = delivery_order(delays)
     rows, sources, starts, due = buffer_layout(delays)
-    assert buf.rows.tolist() == rows
-    assert buf.sources.tolist() == sources
-    assert buf.starts.tolist() == starts
+    assert [a.tolist() for a in order] == [rows, sources, starts]
     assert buf.due.tolist() == due
-    return buf
+    return buf, order
 
 
 def test_push_delivery_round():
@@ -29,31 +30,31 @@ def test_push_delivery_round():
 
 
 def test_no_delay_delivers_same_round():
-    buf = buffer_of([1])
+    _, (_, _, starts) = buffer_of([1])
     assert deliveries([1]) == {1: [(0, 1)]}
-    assert buf.starts.tolist() == [0, 0, 1]
+    assert starts.tolist() == [0, 0, 1]
 
 
 def test_fixed_lag_pattern():
     # tau = 2 over rounds 1..10: nothing before round 3, then {t-2}.
     delays = FixedDelay(2).realize(10)
-    buf = buffer_of(delays)
+    _, (_, _, starts) = buffer_of(delays)
     assert deliveries(delays) == {t: [(0, t - 2)] for t in range(3, 13)}
-    assert buf.starts.tolist() == [0, 0, 0, 0] + list(range(1, 9))
+    assert starts.tolist() == [0, 0, 0, 0] + list(range(1, 9))
 
 
 def test_multiple_deliveries_one_round():
     # delays (3, 1, 1): rounds 1 and 3 both deliver at t = 3.
-    buf = buffer_of([3, 1, 1])
+    _, (_, sources, starts) = buffer_of([3, 1, 1])
     assert deliveries([3, 1, 1]) == {2: [(0, 2)], 3: [(0, 1), (0, 3)]}
-    assert buf.sources[buf.starts[3]:buf.starts[4]].tolist() == [1, 3]
+    assert sources[starts[3]:starts[4]].tolist() == [1, 3]
 
 
 def test_two_rows_are_split_exactly_once_in_row_then_source_order():
     # Row 0 delays (3, 1, 2, 1), row 1 delays (1, 4, 1, 2): due rounds
     # (3, 2, 4, 4) and (1, 5, 3, 5).
     delays = [[3, 1, 2, 1], [1, 4, 1, 2]]
-    buf = buffer_of(delays)
+    buf, _ = buffer_of(delays)
     pairs = deliveries(delays)
     assert pairs == {1: [(1, 1)], 2: [(0, 2)], 3: [(0, 1), (1, 3)], 4: [(0, 3), (0, 4)],
                      5: [(1, 2), (1, 4)]}
@@ -90,7 +91,7 @@ def test_an_explicit_delay_must_fit_in_int64():
 
 def test_a_buffer_rejects_a_due_round_past_int64():
     # Source round 2 with delay 2**63 - 2 is due at round 2**63 - 1, the int64 maximum.
-    buf = buffer_of([1, 2**63 - 2, 1])
+    buf, _ = buffer_of([1, 2**63 - 2, 1])
     assert buf.takes == [1, 3]
     assert deliveries([1, 2**63 - 2, 1])[2**63 - 1] == [(0, 2)]
     with pytest.raises(ValueError, match=f"source round 2 of row 0 .* due at round {2**63},"):
@@ -98,7 +99,7 @@ def test_a_buffer_rejects_a_due_round_past_int64():
     with pytest.raises(ValueError, match=f"source round 3 of row 1 .* due at round {2**63},"):
         FeedbackBuffer([[1, 1, 1], [1, 1, 2**63 - 2]])
     empty = FeedbackBuffer([])  # no delay to check, and no pair
-    assert empty.starts.tolist() == [0, 0] and empty.takes == []
+    assert delivery_order([])[2].tolist() == [0, 0] and empty.takes == []
 
 
 def test_exactly_once_over_random_schedules():
@@ -109,8 +110,8 @@ def test_exactly_once_over_random_schedules():
     for _ in range(100):
         d_max = int(rng.integers(1, 15))
         delays = rng.integers(1, d_max + 1, size=horizon)
-        buf = buffer_of(delays)
-        assert sorted(buf.sources.tolist()) == list(range(1, horizon + 1))
+        _, (_, sources, _) = buffer_of(delays)
+        assert sorted(sources.tolist()) == list(range(1, horizon + 1))
 
 
 def test_take_rounds_are_where_a_round_delivers_a_source_past_the_last_take():
@@ -159,7 +160,7 @@ def test_delays_from_file(tmp_path):
 
 
 def test_a_huge_delay_is_delivered_once_without_a_table_up_to_it():
-    buf = buffer_of([10**12, 1])
+    buf, (_, _, starts) = buffer_of([10**12, 1])
     assert deliveries([10**12, 1]) == {2: [(0, 2)], 10**12: [(0, 1)]}
-    assert buf.starts.tolist() == [0, 0, 0, 1]  # the late pair comes last
+    assert starts.tolist() == [0, 0, 0, 1]  # the late pair comes last
     assert buf.due.tolist() == [[3, 2]]

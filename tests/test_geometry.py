@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -64,18 +65,16 @@ def test_ball_projection_radial_scaling():
     assert np.allclose(ball.project([3.0, 4.0]), [0.6, 0.8])
 
 
-@pytest.mark.parametrize("method", ["project", "project_many"])
-def test_ball_projection_of_a_point_whose_squared_norm_overflows(method):
+def test_ball_projection_of_a_point_whose_squared_norm_overflows():
     # ||x||^2 is inf for these points; they still land on the boundary,
     # and the finite rows next to them keep their bits.
     with np.errstate(over="ignore"):
-        line = getattr(Ball([0.0], 4.0), method)([[1e200], [-1e200], [1e150], [2.0]])
-        plane = getattr(Ball([0.0, 0.0], 4.0), method)([[1e300, 0.0], [3e300, -4e300],
-                                                         [3.0, 4.0], [0.5, 0.5]])
+        line = Ball([0.0], 4.0).project([[1e200], [-1e200], [1e150], [2.0]])
+        plane = Ball([0.0, 0.0], 4.0).project([[1e300, 0.0], [3e300, -4e300],
+                                               [3.0, 4.0], [0.5, 0.5]])
     assert np.array_equal(line, [[4.0], [-4.0], [4.0], [2.0]])
     assert np.allclose(plane[:2], [[4.0, 0.0], [2.4, -3.2]], rtol=1e-15, atol=0)
-    assert np.array_equal(plane[2:], getattr(Ball([0.0, 0.0], 4.0), method)([[3.0, 4.0],
-                                                                              [0.5, 0.5]]))
+    assert np.array_equal(plane[2:], Ball([0.0, 0.0], 4.0).project([[3.0, 4.0], [0.5, 0.5]]))
 
 
 def norm_test_projection(ball, x):
@@ -210,6 +209,39 @@ def test_pentagon_projects_points_near_the_float_maximum_like_far_points():
     for exponent in (501, 700, 1023):
         assert np.array_equal(pentagon.project(np.ldexp(directions, exponent)),
                               pentagon.project(np.ldexp(directions, 499)))
+
+
+def exact_nearest_point(polygon, point) -> list[Fraction]:
+    """The point of `polygon` nearest to `point`, in exact rational arithmetic
+    on the stored vertices: the nearest of the edges' nearest points."""
+    p = [Fraction(c) for c in point]
+    verts = [[Fraction(c) for c in v] for v in polygon.vertices.tolist()]
+    best = None
+    for a, b in zip(verts, verts[1:] + verts[:1]):
+        e = [b[0] - a[0], b[1] - a[1]]
+        t = ((p[0] - a[0]) * e[0] + (p[1] - a[1]) * e[1]) / (e[0] ** 2 + e[1] ** 2)
+        c = [a[i] + min(max(t, Fraction(0)), Fraction(1)) * e[i] for i in (0, 1)]
+        squared = (p[0] - c[0]) ** 2 + (p[1] - c[1]) ** 2
+        if best is None or squared < best[0]:
+            best = (squared, c)
+    return best[1]
+
+
+@pytest.mark.parametrize("point", [(0.0, -1e17), (0.0, -1e100), (1.0, -1e100)])
+def test_pentagon_projects_far_points_below_its_bottom_edge_to_the_exact_nearest_vertex(point):
+    # The stored bottom edge runs from (0.412, 0.191) down to (1.588, 0.191)
+    # by 2.2e-16, so far below it the exact nearest point is its lower end.
+    pentagon = regular_polygon(5, center=(1.0, 1.0), circumradius=1.0)
+    nearest = [float(c) for c in exact_nearest_point(pentagon, point)]
+    assert nearest == [1.587785252292473, 0.19098300562505244]
+    assert pentagon.project(point).tolist() == nearest
+
+
+def test_pentagon_projects_a_point_below_its_bottom_edge_near_the_exact_nearest_point():
+    pentagon = regular_polygon(5, center=(1.0, 1.0), circumradius=1.0)
+    nearest = exact_nearest_point(pentagon, (0.0, -1e10))
+    projected = pentagon.project((0.0, -1e10)).tolist()
+    assert max(abs(Fraction(x) - c) for x, c in zip(projected, nearest)) <= Fraction(1e-15)
 
 
 @pytest.mark.parametrize("shape", [(2,), (40, 2), (3, 7, 2)])
@@ -360,15 +392,6 @@ def test_first_moved_finds_the_first_index_project_moves_with_its_bits(body, tri
     assert_first_moved(body, nudged)
     for start in range(len(nudged)):
         assert_first_moved(body, nudged[start:])
-
-
-def test_project_many_matches_project():
-    rng = np.random.default_rng(11)
-    for body in bodies():
-        pts = rng.normal(scale=4.0, size=(50, body.dim))
-        batch = body.project_many(pts)
-        single = np.stack([body.project(p) for p in pts])
-        assert np.allclose(batch, single, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from delivery_oracle import deliveries
 from laglearn import experiments
 from laglearn.environment import (ZERO_SUBGRADIENT_FLAG, ExplicitStream, GaussianStream,
                                   LinearScoring, run_game, fixed_loss)
-from laglearn.feedback import ExplicitDelay, FeedbackBuffer, FixedDelay, RandomDelay
+from laglearn.feedback import ExplicitDelay, FixedDelay, RandomDelay
 from laglearn.geometry import Ball, EuclideanMap, NegativeEntropyMap, Simplex
 from laglearn.learners import (
     ConstantStep,
@@ -22,20 +22,26 @@ from laglearn.learners import (
 from laglearn.losses import NormLoss, QuadraticLoss
 
 
+def start_blocks(learner, trials, horizon):
+    """Ready `learner` to play blocks of a game of `trials` trials and
+    `horizon` rounds, as its `play` does before round 1."""
+    etas, betas = learner.schedule.table(horizon)
+    learner.etas, learner.betas = (a.reshape(horizon + 1, -1, 1) for a in (etas, betas))
+    learner.estimate = np.broadcast_to(learner.estimate, (trials, learner.body.dim)).copy()
+
+
 def step_once(learner, estimate, t, grads, next_known=None, rows=(0,)):
     """One trial's one-round block: the feedback delivered at the end of round t, from `estimate`.
 
     `grads` are the delivered gradients, one per entry of `rows`, summed
     into row t of the round-major totals the learner reads; round t is the
     last one when there is no `next_known`.  The trial is played as both
-    rows of a batch of two, so that every body takes the block walk: one
-    trial alone on a 1-d ball plays its whole horizon from the losses.  The
+    rows of a batch of two, through the learner's block step.  The
     learner's new iterate is returned.
     """
     horizon = t if next_known is None else t + 1
-    learner.start(2, horizon, None)
+    start_blocks(learner, 2, horizon)
     learner.estimate = np.asarray([estimate] * 2, dtype=float)
-    learner.t = t - 1
     totals = np.zeros((horizon + 2, 2, len(estimate)))
     np.add.at(totals[t], np.asarray(rows, dtype=np.intp),
               np.asarray(grads, dtype=float).reshape(len(rows), len(estimate)))
@@ -43,7 +49,7 @@ def step_once(learner, estimate, t, grads, next_known=None, rows=(0,)):
     known = np.zeros((2, horizon, len(estimate) if next_known is None else len(next_known)))
     if next_known is not None:
         known[:, t] = next_known
-    learner.play(t, t + 1, totals, known, np.empty((2, horizon, len(estimate))))
+    learner._play_block(t, t + 1, totals, known, np.empty((2, horizon, len(estimate))))
     assert np.array_equal(learner.estimate[0], learner.estimate[1])
     return learner.estimate[0]
 
@@ -162,7 +168,7 @@ def test_per_trial_steps_must_match_the_trial_count():
     with pytest.raises(ValueError, match="3 step sizes for 2 trials"):
         run_game(learner, streams, [FixedDelay(0)] * 2, fixed_loss(NormLoss),
                  LinearScoring.default(1, 1), 5, seeds=[0, 0])
-    assert learner.t == 0
+    assert np.array_equal(learner.estimate, [0.0])  # the start point, as built
 
 
 def test_influence_linearity_and_reduction():
@@ -187,13 +193,13 @@ def test_a_block_reads_only_its_own_rows_of_the_totals(tau):
     played = []
     for blind in (False, True):
         learner = GradientLearner(Ball(np.zeros(dim), 1.5), ConstantStep(value=0.3, tau=tau), 0.4)
-        learner.start(trials, horizon, None)
+        start_blocks(learner, trials, horizon)
         estimates = np.zeros((trials, horizon, dim))
         for lo, hi in ((1, 2), (2, 7), (7, 8), (8, horizon + 1)):
             seen = totals.copy()
             if blind:
                 seen[:lo] = seen[hi:] = np.nan
-            learner.play(lo, hi, seen, known, estimates)
+            learner._play_block(lo, hi, seen, known, estimates)
         played.append((estimates, learner.estimate))
     assert np.isfinite(played[1][0]).all()
     assert np.array_equal(played[0][0], played[1][0])
@@ -405,24 +411,6 @@ def test_naive_estimate_is_np_mean_of_the_delivered_anchors_in_any_dimension(dim
             expected = np.mean(anchors, axis=0) if revealed else np.zeros(dim)
             assert np.array_equal(traj.estimates[k, t].view(np.uint64),
                                   expected.view(np.uint64))
-
-
-def test_naive_play_takes_only_the_whole_horizon_once():
-    # The game hands the baseline its losses and its horizon as one block;
-    # a shorter block, one that starts late, or a second call is refused.
-    horizon, trials = 10, 2
-    buffer = FeedbackBuffer(np.full((trials, horizon), 2))
-    losses = NormLoss(np.ones((trials, horizon, 1)))
-    learner = NaiveLearner(Ball([0.0], 2.0))
-    for lo, hi in ((1, 5), (1, horizon), (2, horizon + 1), (1, horizon + 2)):
-        learner.start(trials, horizon, buffer)
-        with pytest.raises(RuntimeError, match="as one block"):
-            learner.play(lo, hi, losses, None, np.empty((trials, horizon, 1)))
-    learner.start(trials, horizon, buffer)
-    learner.play(1, horizon + 1, losses, None, np.empty((trials, horizon, 1)))
-    assert learner.t == horizon and np.array_equal(learner.estimate, np.ones((trials, 1)))
-    with pytest.raises(RuntimeError, match="in order"):
-        learner.play(1, horizon + 1, losses, None, np.empty((trials, horizon, 1)))
 
 
 def test_zero_subgradient_flags_only_for_deliveries_within_the_horizon():

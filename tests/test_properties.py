@@ -13,7 +13,7 @@ of trials on arrays.  Losses, delays and steps act row by row, so a trial
 played alone must give the bytes of its row in a batch, and the float
 gradient of a row must give the bits of `Loss.grad`'s.
 
-`Loss.grad` alone takes `at`, the rows of one block that the game loop
+`Loss.grad` alone takes `at`, the rows of one block that the gradient learner
 reads; those rows must give the bits of the loss cut to them.
 """
 
@@ -23,6 +23,7 @@ import re
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -34,7 +35,7 @@ from laglearn.environment import (GaussianStream, LinearScoring, fixed_loss, run
 from laglearn.feedback import FixedDelay, RandomDelay
 from laglearn.geometry import Ball
 from laglearn.learners import ConstantStep, GradientLearner, InverseSqrtStep
-from laglearn.losses import ExpLoss, NormLoss, PowerLoss, QuadraticLoss
+from laglearn.losses import ExpLoss, Loss, NormLoss, PowerLoss, QuadraticLoss
 
 # The errors an accepted config may still end in, each with the streams or
 # delays whose data can cause it.
@@ -248,7 +249,8 @@ def batches(draw):
 
 
 def _play(game, rows):
-    """The estimates of the trials `rows` of `game`, played as one batch."""
+    """The estimates of the trials `rows` of `game`, played as one batch, and
+    whether the game called `Loss.grad` and any family's `float_grad`."""
     tau = 0 if game["d_max"] else game["tau"]
     step, beta = game["step"], game["beta"]
     if isinstance(step, list):
@@ -262,17 +264,25 @@ def _play(game, rows):
                for k in rows]
     delays = [RandomDelay(game["d_max"], seed + 10 + k) if game["d_max"] else FixedDelay(tau)
               for k in rows]
-    played = run_game(learner, streams, delays, FAMILIES[game["family"]],
-                      LinearScoring.default(1, 1), game["horizon"], [seed + 20 + k for k in rows])
-    return learner, played.estimates
+    spied = [(Loss, "grad")] + [(kind, "float_grad")
+                                for kind in (NormLoss, PowerLoss, QuadraticLoss, ExpLoss)]
+    with contextlib.ExitStack() as stack:
+        grad, *float_grads = [stack.enter_context(mock.patch.object(
+            owner, name, autospec=True, side_effect=getattr(owner, name)))
+            for owner, name in spied]
+        played = run_game(learner, streams, delays, FAMILIES[game["family"]],
+                          LinearScoring.default(1, 1), game["horizon"],
+                          [seed + 20 + k for k in rows])
+    return played.estimates, grad.called, any(spy.called for spy in float_grads)
 
 
 @settings(max_examples=200, deadline=None)
 @given(batches())
 def test_a_trial_played_alone_gives_the_bytes_of_its_row_in_a_batch(game):
-    batch, together = _play(game, list(range(game["trials"])))
-    alone, by_itself = _play(game, [game["alone"]])
-    assert not batch.plays_horizon and alone.plays_horizon
+    together, _, batch_floats = _play(game, list(range(game["trials"])))
+    by_itself, alone_grad, alone_floats = _play(game, [game["alone"]])
+    # The batch plays on arrays, and the trial alone takes its own gradients in floats.
+    assert not batch_floats and alone_floats and not alone_grad
     assert np.array_equal(by_itself[0].view(np.uint64), together[game["alone"]].view(np.uint64))
 
 
