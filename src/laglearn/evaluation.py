@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import count, repeat
+from itertools import count
 
 import numpy as np
 
@@ -32,8 +32,10 @@ from .losses import Loss, NormLoss, QuadraticLoss
 
 
 # CSV rows are formatted from `tolist()` chunks of this many rounds, never
-# from a list of the whole horizon.
-CSV_CHUNK = 4096
+# from a list of the whole horizon: a chunk's strings are all a writer
+# holds beyond the record and its delivery order.  1,024 rounds keep them
+# near 0.4 MB, and the fixed cost of a chunk small beside its formatting.
+CSV_CHUNK = 1024
 
 
 @dataclass
@@ -371,17 +373,18 @@ def aggregate(report: RegretReport) -> AggregateCurves:
 def write_csv(curves: AggregateCurves, path) -> None:
     """Serialize aggregated curves: t, cum_loss_mean/stderr, regret_mean/stderr.
 
-    Each float is written as its `repr`, CSV_CHUNK rounds at a time.  A
-    column's chunk whose floats all have one bit pattern, such as the
-    standard errors of a single trial, is formatted once.
+    CSV_CHUNK rounds at a time.  A float is written as its `repr`; the four
+    columns of a chunk are laid out as one array and formatted by `_reprs`,
+    so when they repeat floats, such as the standard errors of a single
+    trial, each distinct one is formatted once.
     """
     columns = (curves.cum_loss_mean, curves.cum_loss_stderr, curves.regret_mean,
                curves.regret_stderr)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("t,cum_loss_mean,cum_loss_stderr,regret_mean,regret_stderr\n")
         for lo in range(0, curves.horizon, CSV_CHUNK):
-            _write_rows(fh, lo + 1, [_column_reprs(column[lo:lo + CSV_CHUNK])
-                                     for column in columns])
+            _write_rows(fh, lo + 1, _reprs(np.vstack([column[lo:lo + CSV_CHUNK]
+                                                       for column in columns])))
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
@@ -391,11 +394,11 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     score-error and estimate columns of a chunk are laid out as one array,
     and when it repeats floats (`_reprs`), each distinct one is formatted
     once.  The sources a round delivers are joined by ";", cut from the
-    first trial's delivery order at its `starts`.
+    first trial's delivery order at its `starts`.  Beyond the record, the
+    writer holds that order's int32 sources and starts, 8 bytes a round,
+    and one chunk's strings.
     """
     estimates, loss_values, errors = traj.estimates[0], traj.loss_values[0], traj.score_errors[0]
-    # Only the sources and starts are kept while the rows are formatted,
-    # which lowers peak memory.
     pair_sources, pair_starts = delivery_order(traj.delays[:1])[1:]
     coord_cols = ",".join(f"estimate_{j}" for j in range(estimates.shape[1]))
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -412,26 +415,17 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
             _write_rows(fh, lo + 1, [loss_text, error_text, delivered, *coords])
 
 
-def _column_reprs(floats: Array):
-    """The `repr` of each float of a 1-d array.  When every float has the
-    bit pattern of the first (the int64 view keeps -0.0 apart from 0.0),
-    that one is formatted once."""
-    bits = floats.view(np.int64)
-    if np.all(bits == bits[0]):
-        return repeat(repr(floats.item(0)), len(floats))
-    return map(repr, floats.tolist())
-
-
 def _reprs(floats: Array) -> list:
     """The `repr` of each float of a 2-d array, as one iterable per row.
 
-    The distinct bit patterns are counted first, over the int64 view, which
-    keeps -0.0 apart from 0.0.  When fewer than 3/4 of the fields are
-    distinct, each distinct float is formatted once (`np.unique`) and every
-    field looked up among their reprs; otherwise every field is formatted,
-    since the lookup would cost more than it saves.  On a 2-core x86 VM a
-    chunk of 16,384 fields breaks even near 85% distinct, and the count
-    costs about 1% of formatting it.
+    Both CSV writers format their chunks here.  The distinct bit patterns
+    are counted first, over the int64 view, which keeps -0.0 apart from
+    0.0.  When fewer than 3/4 of the fields are distinct, each distinct
+    float is formatted once (`np.unique`) and every field looked up among
+    their reprs; otherwise every field is formatted, since the lookup would
+    cost more than it saves.  On a 2-core x86 VM a chunk of 4,096 fields
+    breaks even near 90% distinct, and the count costs about 1% of
+    formatting it.
     """
     bits = floats.view(np.int64)
     ordered = np.sort(bits, axis=None)

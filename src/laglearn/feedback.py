@@ -137,18 +137,44 @@ def delivery_order(delays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     `delays` is what a `FeedbackBuffer` accepts, a (rows, T) matrix or one
     row: every delay is at least 1 and every due round s + d - 1 fits in
-    int64.  The int arrays `rows` and `sources` hold the pairs in that
-    order, and `starts[t]` is the first pair due at round t or later, for
+    int64.  The arrays `rows` and `sources` hold the pairs in that order,
+    and `starts[t]` is the first pair due at round t or later, for
     t = 0..T + 1, so round t delivers the pairs starts[t]:starts[t + 1],
     possibly none, possibly several per row; the pairs due past the
-    horizon come last.  It costs one sort and one search.
+    horizon come last, by due round too.  All three are int32 below 2^31
+    pairs, int64 above.
+
+    A count of the due rounds, cut at T + 1, gives the starts.  Each pair
+    is then sorted as one int64 key, its cut due round and then its
+    row-major index, so one in-place sort puts the pairs due in time in
+    order; only the pairs due past the horizon are sorted again, by their
+    due rounds.  Besides its results it holds only the keys and, while it
+    counts, one int64 count per round: for one row, about 21 bytes per
+    pair at its peak.  A key is below (T + 2) * pairs, which int64 holds
+    for any batch whose delays fit in memory.
     """
-    delays = np.atleast_2d(delays)
-    horizon = delays.shape[1]
-    due = np.arange(horizon) + delays
-    # Stable, so pairs due together keep their row-major order: by row, then by source.
-    order = np.argsort(due, axis=None, kind="stable")
-    rows, sources = np.divmod(order, horizon)
+    delays = np.atleast_2d(np.asarray(delays, dtype=np.int64))
+    trials, horizon = delays.shape
+    pairs = trials * horizon
+    index = np.int32 if pairs < 2**31 else np.int64
+    key = np.arange(horizon) + delays
+    np.minimum(key, horizon + 1, out=key)
+    # starts[t] counts the pairs due before round t.
+    starts = np.zeros(horizon + 2, index)
+    starts[1:] = np.bincount(key.ravel(), minlength=horizon + 2)[:-1]
+    np.cumsum(starts, dtype=index, out=starts)
+    key *= pairs
+    key += np.arange(horizon)
+    key += np.arange(trials)[:, None] * horizon
+    # Unstable is enough: no two keys are equal.
+    key = key.ravel()
+    key.sort()
+    np.remainder(key, pairs, out=key)
+    if starts[-1] < pairs:
+        # Past the horizon the order is by due round, then row-major.
+        tail = key[starts[-1]:]
+        tail[...] = tail[np.argsort(tail % horizon + delays.ravel()[tail], kind="stable")]
+    rows, sources = np.empty(pairs, index), np.empty(pairs, index)
+    np.divmod(key, horizon, out=(rows, sources))
     sources += 1
-    starts = np.searchsorted(due.ravel()[order], np.arange(horizon + 2))
     return rows, sources, starts

@@ -51,8 +51,10 @@ from .geometry import Array, Ball, ConvexBody, EuclideanMap, MirrorMap
 from .losses import Loss
 
 # A game played in Python floats reads its rounds' inputs as lists of this
-# many rounds at a time, never as a list of the whole horizon.
-ROUND_CHUNK = 4096
+# many rounds at a time, never as a list of the whole horizon: its lists
+# of steps, pulls, due rounds and decisions hold one chunk of Python
+# floats and ints, not the horizon's.
+ROUND_CHUNK = 1024
 
 
 class NonFiniteGradient(ValueError):
@@ -234,7 +236,8 @@ class GradientLearner(BaseLearner):
     weight is `lam`, or `lam * eta(t)` when `coupled` (the config's `lam =
     coupled` passes lam = 1 or -1, signed like rho).  `play` first
     tabulates eta(t) and beta(t) for every round, and each round reads its
-    own entries there.
+    own entries there; the tables are handed down as arguments and freed
+    with the game, so the learner keeps only its iterate.
 
     Each gradient is taken at the recorded decision of its source round
     and goes into the total of its due round: under a fixed lag it is
@@ -298,20 +301,19 @@ class GradientLearner(BaseLearner):
         if etas.ndim > 1 and etas.shape[1] != trials:
             raise ValueError(f"{etas.shape[1]} step sizes for {trials} trials")
         # Round t's eta and beta as (1 or trials, 1) columns of a (rounds, trials, dim) block.
-        self.etas = etas.reshape(horizon + 1, -1, 1)
-        self.betas = betas.reshape(horizon + 1, -1, 1)
+        etas, betas = etas.reshape(horizon + 1, -1, 1), betas.reshape(horizon + 1, -1, 1)
         self.estimate = np.broadcast_to(self.estimate, (trials, dim)).copy()
         estimates[:, 0] = self.estimate
         if (trials == 1 and dim == 1 and self.mirror.needs_projection
                 and isinstance(self.body, Ball)):
-            self._play_floats(loss, buffer.due[0], known, estimates)
+            self._play_floats(loss, buffer.due[0], etas, betas, known, estimates)
             return
         totals = np.zeros((horizon + 2, trials, dim))
         trial_rows = np.arange(trials)[:, None]
         first, ready = 1, 0
         for take in buffer.takes + [horizon + 1]:
             if take > first:
-                self._play_block(first, take, totals, known, estimates)
+                self._play_block(first, take, etas, betas, totals, known, estimates)
                 first = take
             if take <= horizon:
                 block = (slice(None), slice(ready, take))
@@ -323,9 +325,10 @@ class GradientLearner(BaseLearner):
                     due[...] = grads[:, :len(due)].swapaxes(0, 1)
                 ready = take
 
-    def _play_block(self, lo, hi, totals, known, estimates) -> None:
+    def _play_block(self, lo, hi, etas, betas, totals, known, estimates) -> None:
         """Rounds lo..hi-1, whose totals are all summed, as (rounds, trials, dim) arrays.
 
+        `etas` and `betas` are the game's step tables, row t for round t.
         Writes the decisions of rounds lo+1..hi within the horizon, at
         columns lo..hi-1, and leaves the iterate after round hi - 1; it
         reads rows lo..hi-1 of the totals only.
@@ -340,7 +343,7 @@ class GradientLearner(BaseLearner):
                 return
         n, (trials, dim) = hi - first, x.shape
         total = totals[first:hi]
-        eta = self.etas[first:hi]
+        eta = etas[first:hi]
         # steps[0] is the iterate and steps[j] the move of round first + j - 1.
         steps = np.empty((n + 1, trials, dim))
         steps[0] = x
@@ -349,7 +352,7 @@ class GradientLearner(BaseLearner):
             ahead = known[:, first:hi, :dim].swapaxes(0, 1)  # the contexts of the next rounds
             if len(ahead) < n:  # no pull after the last round
                 ahead = np.concatenate([ahead, np.zeros((1, trials, dim))])
-            np.subtract(self.betas[first:hi] * (w * ahead), eta * total, out=steps[1:])
+            np.subtract(betas[first:hi] * (w * ahead), eta * total, out=steps[1:])
         else:
             np.subtract(0.0, eta * total, out=steps[1:])
         finite = np.isfinite(steps[1:])
@@ -373,7 +376,7 @@ class GradientLearner(BaseLearner):
         estimates[:, first:min(hi, horizon)] = path[1:horizon - first + 1].swapaxes(0, 1)
         self.estimate = path[n]
 
-    def _play_floats(self, loss: Loss, due_rounds, known, estimates) -> None:
+    def _play_floats(self, loss: Loss, due_rounds, etas, betas, known, estimates) -> None:
         """Rounds 1..T of one trial on a 1-d ball, each in Python floats as it is played."""
         horizon = estimates.shape[1]
         body, tau, lag = self.body, self.schedule.tau, self.lag
@@ -384,13 +387,13 @@ class GradientLearner(BaseLearner):
         for lo in range(1, horizon + 1, ROUND_CHUNK):
             hi = min(lo + ROUND_CHUNK, horizon + 1)
             grad = loss.float_grad((0, slice(lo - 1, hi - 1)))
-            eta = self.etas[lo:hi, 0, 0].tolist()
+            eta = etas[lo:hi, 0, 0].tolist()
             if self.lam:
                 lam, coupled = self.lam, self.coupled
                 ahead = known[0, lo:hi, 0].tolist()  # the contexts of the next rounds
                 ahead += [0.0] * (hi - lo - len(ahead))  # no pull after the last round
                 pulls = [b * ((lam * e if coupled else lam) * k)
-                         for e, b, k in zip(eta, self.betas[lo:hi, 0, 0].tolist(), ahead)]
+                         for e, b, k in zip(eta, betas[lo:hi, 0, 0].tolist(), ahead)]
             else:
                 pulls = [0.0] * (hi - lo)
             dues, path = due_rounds[lo - 1:hi - 1].tolist(), []

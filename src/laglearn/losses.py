@@ -94,9 +94,13 @@ class Loss:
 
     def _column(self, value, dtype=float) -> Array:
         # C order: a copied broadcast keeps the broadcast axis innermost, and
-        # reductions and dot products round strided rows differently.
-        return np.array(np.broadcast_to(np.asarray(value, dtype=dtype), self.anchor.shape[:-1]),
-                        order="C")
+        # reductions and dot products round strided rows differently.  A
+        # column already laid out so is kept, not copied: `loss[:, 0:]` then
+        # shares its rows' memory.
+        column = np.asarray(value, dtype=dtype)
+        if column.shape == self.anchor.shape[:-1] and column.flags.c_contiguous:
+            return column
+        return np.array(np.broadcast_to(column, self.anchor.shape[:-1]), order="C")
 
     def _exponent(self, m) -> Array:
         m = np.asarray(m)

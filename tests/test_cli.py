@@ -202,7 +202,8 @@ kind = fixed
 """)
     out_dir = tmp_path / "out"
     assert cli.main(["run", str(config), "--out-dir", str(out_dir)]) == 0
-    rows = list(csv.DictReader(open(out_dir / "trajectory.csv")))
+    with open(out_dir / "trajectory.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert [float(r["estimate_0"]) for r in rows] == [0.0, 1.0, 2.0]
     assert [float(r["loss"]) for r in rows] == [1.0, 1.0, 1.0]
     assert [float(r["score_error"]) for r in rows] == [1.0, 1.0, 1.0]
@@ -246,7 +247,8 @@ path = {delay_file}
 """)
     out_dir = tmp_path / "out"
     assert cli.main(["run", str(config), "--out-dir", str(out_dir)]) == 0
-    rows = list(csv.DictReader(open(out_dir / "trajectory.csv")))
+    with open(out_dir / "trajectory.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert [r["delivered"] for r in rows] == ["", "2", "1;3"]
     x2 = 0.0
     x3 = x2 - 0.1 * (2.0 * (x2 - 2.0))

@@ -1,9 +1,14 @@
 import dataclasses
 import math
+import tempfile
 import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delivery_oracle import deliveries
 from laglearn import evaluation, experiments, feedback
@@ -588,6 +593,71 @@ def test_the_trajectory_writer_reads_the_delivery_order_without_a_buffer(tmp_pat
     monkeypatch.setattr(feedback, "FeedbackBuffer", refuse)
     write_trajectory_csv(traj, tmp_path / "trajectory.csv")
     assert (tmp_path / "trajectory.csv").read_bytes() == _trajectory_rows(traj)
+
+
+@st.composite
+def written_records(draw):
+    """A trajectory of one or two trials and curves of its horizon, for the writers.
+
+    A round's delay is short, long enough to be due past the horizon, or
+    runs up to one of a few gathering rounds, so that some rounds deliver
+    many sources and runs of rounds deliver none.  The floats, drawn from a
+    seed, mix normal values with repeats of both zeros, NaN, the
+    infinities, the smallest subnormal and others.
+    """
+    horizon = draw(st.integers(1, 40))
+    trials = draw(st.integers(1, 2))
+    gathering = draw(st.lists(st.integers(1, horizon), min_size=1, max_size=3))
+    delays = [[draw(st.one_of(st.integers(1, 3), st.integers(horizon + 1, horizon + 9),
+                              st.sampled_from(gathering).map(lambda r, i=i: max(r - i, 1))))
+               for i in range(horizon)] for _ in range(trials)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308, 0.1 + 0.2, 1.0])
+    dim = draw(st.integers(1, 2))
+
+    def column(*shape):
+        return np.where(rng.random(shape) < 0.5, specials[rng.integers(0, len(specials), shape)],
+                        rng.standard_normal(shape))
+
+    traj = Trajectory(estimates=column(trials, horizon, dim), loss_values=column(trials, horizon),
+                      score_errors=column(trials, horizon),
+                      loss=NormLoss(np.zeros((trials, horizon, dim))), delays=np.array(delays))
+    curves = AggregateCurves(horizon, trials, *(column(horizon) for _ in range(4)))
+    return traj, curves
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, CSV_CHUNK])
+@settings(max_examples=60, deadline=None)
+@given(record=written_records())
+def test_the_writers_give_the_row_by_row_bytes_at_any_chunk_size(chunk, record):
+    traj, curves = record
+    with mock.patch.object(evaluation, "CSV_CHUNK", chunk), tempfile.TemporaryDirectory() as out:
+        write_trajectory_csv(traj, f"{out}/trajectory.csv")
+        write_csv(curves, f"{out}/curves.csv")
+        with open(f"{out}/trajectory.csv", "rb") as fh:
+            assert fh.read() == _trajectory_rows(traj)
+        with open(f"{out}/curves.csv", "rb") as fh:
+            assert fh.read() == _curve_rows(curves)
+
+
+def test_the_trajectory_writer_holds_a_few_bytes_per_round(tmp_path):
+    # Beyond the record, the writer holds the first trial's delivery order
+    # (int32 sources and starts) and one chunk's strings; its peak is while
+    # it builds that order.  50,000 rounds trace about 23 bytes a round.
+    horizon = 50_000
+    rng = np.random.default_rng(0)
+    values = rng.standard_normal((1, horizon))
+    traj = Trajectory(estimates=values[..., None] * 2, loss_values=np.abs(values),
+                      score_errors=np.abs(values) / 3,
+                      loss=NormLoss(np.zeros((1, horizon, 1))),
+                      delays=rng.integers(1, 21, (1, horizon)))
+    tracemalloc.start()
+    try:
+        write_trajectory_csv(traj, tmp_path / "trajectory.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / horizon < 30
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,12 @@ from laglearn.feedback import (
 
 def buffer_of(delays):
     """The buffer of `delays` and its `delivery_order`, once both are checked
-    against the delivery oracle."""
+    against the delivery oracle.  Below 2^31 pairs the order is int32."""
     buf = FeedbackBuffer(delays)
     order = delivery_order(delays)
     rows, sources, starts, due = buffer_layout(delays)
     assert [a.tolist() for a in order] == [rows, sources, starts]
+    assert [a.dtype for a in order] == [np.int32] * 3
     assert buf.due.tolist() == due
     return buf, order
 

@@ -24,10 +24,10 @@ from laglearn.losses import NormLoss, QuadraticLoss
 
 def start_blocks(learner, trials, horizon):
     """Ready `learner` to play blocks of a game of `trials` trials and
-    `horizon` rounds, as its `play` does before round 1."""
-    etas, betas = learner.schedule.table(horizon)
-    learner.etas, learner.betas = (a.reshape(horizon + 1, -1, 1) for a in (etas, betas))
+    `horizon` rounds, as its `play` does before round 1, and return the
+    eta and beta tables that its blocks are handed."""
     learner.estimate = np.broadcast_to(learner.estimate, (trials, learner.body.dim)).copy()
+    return [a.reshape(horizon + 1, -1, 1) for a in learner.schedule.table(horizon)]
 
 
 def step_once(learner, estimate, t, grads, next_known=None, rows=(0,)):
@@ -40,7 +40,7 @@ def step_once(learner, estimate, t, grads, next_known=None, rows=(0,)):
     learner's new iterate is returned.
     """
     horizon = t if next_known is None else t + 1
-    start_blocks(learner, 2, horizon)
+    etas, betas = start_blocks(learner, 2, horizon)
     learner.estimate = np.asarray([estimate] * 2, dtype=float)
     totals = np.zeros((horizon + 2, 2, len(estimate)))
     np.add.at(totals[t], np.asarray(rows, dtype=np.intp),
@@ -49,7 +49,8 @@ def step_once(learner, estimate, t, grads, next_known=None, rows=(0,)):
     known = np.zeros((2, horizon, len(estimate) if next_known is None else len(next_known)))
     if next_known is not None:
         known[:, t] = next_known
-    learner._play_block(t, t + 1, totals, known, np.empty((2, horizon, len(estimate))))
+    learner._play_block(t, t + 1, etas, betas, totals, known,
+                        np.empty((2, horizon, len(estimate))))
     assert np.array_equal(learner.estimate[0], learner.estimate[1])
     return learner.estimate[0]
 
@@ -193,13 +194,13 @@ def test_a_block_reads_only_its_own_rows_of_the_totals(tau):
     played = []
     for blind in (False, True):
         learner = GradientLearner(Ball(np.zeros(dim), 1.5), ConstantStep(value=0.3, tau=tau), 0.4)
-        start_blocks(learner, trials, horizon)
+        etas, betas = start_blocks(learner, trials, horizon)
         estimates = np.zeros((trials, horizon, dim))
         for lo, hi in ((1, 2), (2, 7), (7, 8), (8, horizon + 1)):
             seen = totals.copy()
             if blind:
                 seen[:lo] = seen[hi:] = np.nan
-            learner._play_block(lo, hi, seen, known, estimates)
+            learner._play_block(lo, hi, etas, betas, seen, known, estimates)
         played.append((estimates, learner.estimate))
     assert np.isfinite(played[1][0]).all()
     assert np.array_equal(played[0][0], played[1][0])

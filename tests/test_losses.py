@@ -28,6 +28,49 @@ def test_a_loss_names_its_family_shape_and_columns():
     assert "m=array([[3, 3, 3]" in repr(PowerLoss(anchors[:1], m=3))
 
 
+def per_row_losses(rng, trials=3, horizon=6, dim=2):
+    """One loss of each family whose every coefficient differs from row to row."""
+    anchor = rng.standard_normal((trials, horizon, dim))
+    column = rng.uniform(0.5, 2.0, (trials, horizon))
+    m = rng.integers(1, 4, (trials, horizon))
+    return [NormLoss(anchor), QuadraticLoss(anchor, a=column, b=column[::-1].copy()),
+            PowerLoss(anchor, m=m), ExpLoss(anchor, a=column, s=column + 1.0, m=m)]
+
+
+def test_a_plain_slice_keeps_its_columns_and_a_strided_one_is_laid_out_in_c_order():
+    for loss in per_row_losses(np.random.default_rng(0)):
+        for index in ((slice(None), slice(0, None)), slice(1, 2), (slice(1, 2), slice(2, None))):
+            part = loss[index]
+            for name in loss.coefficients:
+                assert np.shares_memory(getattr(part, name), getattr(loss, name))
+        part = loss[:, 2:]  # every row cut: strided, so copied
+        for name in loss.coefficients:
+            column = getattr(part, name)
+            assert column.flags.c_contiguous and not np.shares_memory(column, getattr(loss, name))
+    fortran = np.asfortranarray(np.full((3, 2), 0.5))
+    loss = QuadraticLoss(np.zeros((3, 2, 1)), a=fortran)
+    assert loss.a.flags.c_contiguous and not np.shares_memory(loss.a, fortran)
+    assert loss.b.flags.c_contiguous and loss.b.shape == (3, 2)  # a broadcast scalar
+
+
+def test_a_kept_column_gives_the_bits_of_a_copied_one():
+    # `regret` scores `loss[:, skip:]` and the comparator descends on
+    # `losses[accepted]`: each must give the bits of the same losses built
+    # from C-order copies of their columns.
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((3, 1, 2))
+    accepted = np.array([True, False, True])
+    for loss in per_row_losses(rng):
+        for index in ((slice(None), slice(0, None)), (slice(None), slice(2, None)), accepted):
+            part = loss[index]
+            copied = type(loss)(loss.anchor[index].copy(),
+                                **{name: np.array(getattr(loss, name)[index], order="C")
+                                   for name in loss.coefficients})
+            at = x[:len(part.anchor)]
+            for got, want in ((part.value(at), copied.value(at)), (part.grad(at), copied.grad(at))):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 # ---------------------------------------------------------------------------
 # Values
 # ---------------------------------------------------------------------------
