@@ -45,7 +45,7 @@ stream = GaussianStream(mean=0.25, body_hidden=body, seed=5)
 learner = GradientLearner(body, ConstantStep(value=0.01))
 traj = run_game(learner, [stream], [delays], fixed_loss(NormLoss),
                 LinearScoring.default(1, 1), 60, seeds=[8])
-_, sources, starts = delivery_order(traj.delays)
+(sources,), (starts,) = delivery_order(traj.delays)
 for t in range(20, 31):
     delivered = sources[starts[t]:starts[t + 1]].tolist()
     print(f"  round {t}: delivered {delivered or 'nothing'}")

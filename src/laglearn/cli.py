@@ -127,11 +127,19 @@ def main(argv=None) -> int:
         "plot-script": _cmd_plot_script,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
     except (FileNotFoundError, ValueError) as exc:  # a missing input, a bad config or bad data
         for err in exc.errors if isinstance(exc, ConfigFileError) else [exc]:
             print(f"error: {err}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader closed stdout, as `| head` does
+        # Python flushes stdout again at exit: let the rest go to devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 3
 
 
 if __name__ == "__main__":

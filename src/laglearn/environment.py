@@ -23,6 +23,7 @@ per-round score error is bounded by the loss the game already measures:
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,7 +144,10 @@ class ExplicitStream(ContextStream):
     @classmethod
     def from_csv(cls, path, d1: int, d2: int):
         """One row per round: d1 known coordinates followed by d2 hidden ones."""
-        rows = np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():  # a file with no rows is a stream of none
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(path, delimiter=",", ndmin=2)
+        rows = rows if rows.size else rows.reshape(0, d1 + d2)
         if rows.shape[1] != d1 + d2:
             raise ValueError(f"expected {d1 + d2} columns, file has {rows.shape[1]}")
         return cls(rows[:, :d1], rows[:, d1:])

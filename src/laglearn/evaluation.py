@@ -399,7 +399,7 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     and one chunk's strings.
     """
     estimates, loss_values, errors = traj.estimates[0], traj.loss_values[0], traj.score_errors[0]
-    pair_sources, pair_starts = delivery_order(traj.delays[:1])[1:]
+    (pair_sources,), (pair_starts,) = delivery_order(traj.delays[:1])
     coord_cols = ",".join(f"estimate_{j}" for j in range(estimates.shape[1]))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"t,loss,score_error,delivered,{coord_cols}\n")

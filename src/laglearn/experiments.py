@@ -231,10 +231,6 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         elif cfg.schedule == "constant":
             if not isinstance(cfg.eta, float):
                 errors.append("learner.eta: constant schedule needs a numeric eta > 0")
-        # A single run may read a delay file; `_build_arm` checks that it is all tau + 1.
-        if cfg.delay_kind == "adversarial" or (cfg.delay_kind != "fixed"
-                                               and cfg.kind != "single-run"):
-            errors.append("delays.kind: fixed-lag learners need fixed delays")
     if cfg.learner == "omd":
         if cfg.mirror not in ("euclidean", "negentropy"):
             errors.append("learner.mirror: must be euclidean or negentropy")
@@ -471,13 +467,16 @@ def _build_arm(cfg: ExperimentConfig, seeds: list[int]):
     if most > feedback.INT64_MAX:
         raise ConfigFileError([f"{option}: a trial's delays may sum to {most}, more than int64 "
                                f"holds ({feedback.INT64_MAX})"])
-    if cfg.delay_kind == "file" and cfg.learner in ("ogd", "omd"):
-        wrong = [d for d in delays[0].delays[:cfg.horizon] if d != cfg.tau + 1]
-        if wrong:
-            raise ConfigFileError([f"delays.path: delay file has delay {wrong[0]}; a fixed-lag "
-                                   f"learner needs every delay to be tau + 1 = {cfg.tau + 1}"])
     _auto_lipschitz(cfg, body)  # rejects a loss with no finite gradient bound on the body
     learner = _build_learner(cfg, body, delays, cfg.horizon)
+    # A learner with a lag (a gradient learner with tau > 0) needs every delay to be lag + 1.
+    if learner.lag is not None and cfg.delay_kind == "adversarial":
+        raise ConfigFileError(["delays.kind: fixed-lag learners need fixed delays"])
+    if learner.lag is not None and cfg.delay_kind == "file":
+        wrong = [d for d in delays[0].delays[:cfg.horizon] if d != learner.lag + 1]
+        if wrong:
+            raise ConfigFileError([f"delays.path: delay file has delay {wrong[0]}; a fixed-lag "
+                                   f"learner needs every delay to be tau + 1 = {learner.lag + 1}"])
     return body, streams, delays, learner
 
 

@@ -8,8 +8,8 @@ put a gradient into that round's total the moment it takes it, and it
 names the take rounds, the rounds that deliver a source round whose
 feedback has not been taken yet: between two of them every delivered
 feedback is already known, so a learner can play the rounds between them
-as one block.  `delivery_order` lays the source rounds out once, in
-delivery order, so each round's feedback is read exactly once.
+as one block.  `delivery_order` lays each row's source rounds out once,
+in delivery order, so each round's feedback is read exactly once.
 """
 
 from __future__ import annotations
@@ -95,7 +95,8 @@ class FeedbackBuffer:
 
     `delays` is the realized (rows, T) delay matrix, or one row of T
     delays: source round s of row k is delivered at round
-    s + delays[k, s - 1] - 1.  `due[k, s - 1]` is the round pair (k, s) is
+    s + delays[k, s - 1] - 1; the buffer keeps them, uncopied when int64,
+    as (rows, T) `delays`.  `due[k, s - 1]` is the round pair (k, s) is
     due at, cut at T + 1, so `due <= T` marks the pairs delivered in time.
     `takes` lists the take rounds in order: the rounds that deliver, in
     some row, a source round later than the take round before them (0
@@ -118,6 +119,7 @@ class FeedbackBuffer:
                 d = int(delays[k, i])
                 raise ValueError(f"source round {i + 1} of row {k} has delay {d}: it is due "
                                  f"at round {i + d}, past the int64 maximum {INT64_MAX}")
+        self.delays = delays
         self.due = np.minimum(np.arange(self.horizon) + delays, self.horizon + 1)
 
     @cached_property
@@ -132,49 +134,35 @@ class FeedbackBuffer:
         return takes
 
 
-def delivery_order(delays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (row, source) pairs of `delays` in delivery order: by round, then row, then source.
+def delivery_order(delays) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's source rounds in delivery order: by due round, then source round.
 
-    `delays` is what a `FeedbackBuffer` accepts, a (rows, T) matrix or one
-    row: every delay is at least 1 and every due round s + d - 1 fits in
-    int64.  The arrays `rows` and `sources` hold the pairs in that order,
-    and `starts[t]` is the first pair due at round t or later, for
-    t = 0..T + 1, so round t delivers the pairs starts[t]:starts[t + 1],
-    possibly none, possibly several per row; the pairs due past the
-    horizon come last, by due round too.  All three are int32 below 2^31
-    pairs, int64 above.
+    `delays` is what a `FeedbackBuffer` accepts.  `sources`, (rows, T),
+    holds each row's source rounds by due round, cut at T + 1, then by
+    source round, so those due past the horizon come last.  `starts`,
+    (rows, T + 2), counts each row's pairs due before round t, so round t
+    of row k delivers sources[k, starts[k, t]:starts[k, t + 1]], possibly
+    none, possibly several.  Both are int32, for T below 2^31.
 
-    A count of the due rounds, cut at T + 1, gives the starts.  Each pair
-    is then sorted as one int64 key, its cut due round and then its
-    row-major index, so one in-place sort puts the pairs due in time in
-    order; only the pairs due past the horizon are sorted again, by their
-    due rounds.  Besides its results it holds only the keys and, while it
-    counts, one int64 count per round: for one row, about 21 bytes per
-    pair at its peak.  A key is below (T + 2) * pairs, which int64 holds
-    for any batch whose delays fit in memory.
+    One count of the cut due rounds gives the starts, and one in-place
+    sort of each row's int64 keys, cut due round and then source, gives
+    the sources.  Its peak is the keys and one int64 count per round,
+    about 20 bytes per pair; a key is below rows * (T + 2) * T.
     """
     delays = np.atleast_2d(np.asarray(delays, dtype=np.int64))
-    trials, horizon = delays.shape
-    pairs = trials * horizon
-    index = np.int32 if pairs < 2**31 else np.int64
-    key = np.arange(horizon) + delays
-    np.minimum(key, horizon + 1, out=key)
-    # starts[t] counts the pairs due before round t.
-    starts = np.zeros(horizon + 2, index)
-    starts[1:] = np.bincount(key.ravel(), minlength=horizon + 2)[:-1]
-    np.cumsum(starts, dtype=index, out=starts)
-    key *= pairs
+    rows, horizon = delays.shape
+    key = np.minimum(np.arange(horizon) + delays, horizon + 1)
+    # Offset each row's due rounds so that one count splits them by row.
+    key += np.arange(rows)[:, None] * (horizon + 2)
+    starts = np.zeros((rows, horizon + 2), np.int32)
+    starts[:, 1:] = np.bincount(key.ravel(), minlength=rows * (horizon + 2)).reshape(
+        rows, horizon + 2)[:, :-1]
+    np.cumsum(starts, axis=1, dtype=np.int32, out=starts)
+    key *= horizon
     key += np.arange(horizon)
-    key += np.arange(trials)[:, None] * horizon
-    # Unstable is enough: no two keys are equal.
-    key = key.ravel()
-    key.sort()
-    np.remainder(key, pairs, out=key)
-    if starts[-1] < pairs:
-        # Past the horizon the order is by due round, then row-major.
-        tail = key[starts[-1]:]
-        tail[...] = tail[np.argsort(tail % horizon + delays.ravel()[tail], kind="stable")]
-    rows, sources = np.empty(pairs, index), np.empty(pairs, index)
-    np.divmod(key, horizon, out=(rows, sources))
+    # Unstable is enough: no two keys of a row are equal.
+    key.sort(axis=1)
+    sources = np.empty((rows, horizon), np.int32)
+    np.remainder(key, horizon, out=sources)
     sources += 1
-    return rows, sources, starts
+    return sources, starts

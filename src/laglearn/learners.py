@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .feedback import FeedbackBuffer
+from .feedback import FeedbackBuffer, delivery_order
 from .geometry import Array, Ball, ConvexBody, EuclideanMap, MirrorMap
 from .losses import Loss
 
@@ -421,16 +421,15 @@ class NaiveLearner(BaseLearner):
     Its feedback is each round's anchor, the hidden context itself, and
     each row plays `np.mean` of its revealed anchors in delivery order, by
     due round and then by source round.  The anchors are known before
-    round 1, and `play` reads only the buffer's `due`: a stable sort of
-    each row's due rounds gives its anchors in delivery order, laid out
-    once after a slot 0 for the start point, and a per-row count of the
-    due rounds, summed over the rounds, gives how many each row has
-    revealed by each round.  Slot n then becomes the mean of the first n
-    anchors, which the row plays while it has revealed n.  In two or more
-    dimensions numpy's mean adds the anchors one after another from +0.0,
-    so one `np.add.accumulate` divided by n gives its bits; in one
-    dimension it sums pairwise, so there `np.mean` runs once per distinct
-    count, over the rows that reach it.
+    round 1, and `play` reads only the `delivery_order` of the buffer's
+    delays: each row's sources give its anchors in that order, laid out
+    once after a slot 0 for the start point, and its starts give how many
+    the row has revealed by each round.  Slot n then becomes the mean of
+    the first n anchors, which the row plays while it has revealed n.  In
+    two or more dimensions numpy's mean adds the anchors one after another
+    from +0.0, so one `np.add.accumulate` divided by n gives its bits; in
+    one dimension it sums pairwise, so there `np.mean` runs once per
+    distinct count, over the rows that reach it.
     """
 
     uses_gradients = False
@@ -440,16 +439,15 @@ class NaiveLearner(BaseLearner):
 
     def play(self, loss, buffer, known, estimates) -> None:
         # Mean of points of a convex set stays inside it; no projection.
-        trials, horizon, dim = estimates.shape
+        trials, _, dim = estimates.shape
         at = np.arange(trials)[:, None]
+        sources, starts = delivery_order(buffer.delays)
         # seen[k, t]: the anchors row k has revealed by the end of round t, for t = 0..T.
-        seen = np.bincount((at * (horizon + 2) + buffer.due).ravel(),
-                           minlength=trials * (horizon + 2))
-        seen = seen.reshape(trials, horizon + 2).cumsum(1)[:, :horizon + 1]
-        # Slot n of row k is its n-th anchor in delivery order, which a stable sort keeps.
-        order = np.argsort(buffer.due, axis=1, kind="stable")[:, :seen[:, -1].max()]
-        means = np.zeros((trials, order.shape[1] + 1, dim))
-        means[:, 1:] = loss.anchor[at, order]
+        seen = starts[:, 1:]
+        # Slot n of row k is its n-th anchor in delivery order.
+        revealed = sources[:, :seen[:, -1].max()] - 1
+        means = np.zeros((trials, revealed.shape[1] + 1, dim))
+        means[:, 1:] = loss.anchor[at, revealed]
         if dim > 1:
             np.add.accumulate(means, axis=1, out=means)
             counts = np.arange(means.shape[1])[:, None]

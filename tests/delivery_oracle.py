@@ -21,18 +21,24 @@ def deliveries(delays) -> dict[int, list[tuple[int, int]]]:
     return pairs
 
 
-def buffer_layout(delays) -> tuple[list[int], list[int], list[int], list[list[int]]]:
-    """The `rows`, `sources` and `starts` of `delivery_order(delays)`, and the
-    `due` of a buffer of `delays`, as lists.
+def buffer_layout(delays) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """The `sources` and `starts` of `delivery_order(delays)`, and the `due`
+    of a buffer of `delays`, as one list per row.
 
-    The pairs come round by round, in the order of `deliveries`;
-    `starts[t]` counts the pairs due before round t, for t = 0..T + 1; and
-    `due` is each pair's round, cut at T + 1.
+    A row's sources come round by round, in the order of `deliveries`, up
+    to the horizon, and then the ones due past it, by source round;
+    `starts[k][t]` counts row k's pairs due before round t, for
+    t = 0..T + 1; and `due` is each pair's round, cut at T + 1.
     """
     table = np.atleast_2d(delays).tolist()
     horizon = len(table[0])
     pairs = deliveries(table)
-    ordered = [pair for t in sorted(pairs) for pair in pairs[t]]
-    starts = [sum(len(pairs[u]) for u in pairs if u < t) for t in range(horizon + 2)]
+    sources, starts = [], []
+    for k, row in enumerate(table):
+        in_time = [s for t in sorted(pairs) if t <= horizon for r, s in pairs[t] if r == k]
+        late = [s for s, d in enumerate(row, start=1) if s + d - 1 > horizon]
+        sources.append(in_time + late)
+        starts.append([sum(r == k for u in pairs if u < t for r, _ in pairs[u])
+                       for t in range(horizon + 2)])
     due = [[min(s + d - 1, horizon + 1) for s, d in enumerate(row, start=1)] for row in table]
-    return [k for k, _ in ordered], [s for _, s in ordered], starts, due
+    return sources, starts, due

@@ -320,9 +320,9 @@ def test_criterion_8_feedback_exactly_once():
         horizon = int(rng.integers(20, 80))
         d_max = int(rng.integers(1, 12))
         delays = rng.integers(1, d_max + 1, size=horizon)
-        order = [a.tolist() for a in delivery_order(delays)]
-        rows, sources, starts, due = buffer_layout(delays)
-        ok &= order == [rows, sources, starts] and FeedbackBuffer(delays).due.tolist() == due
+        order = [a[0].tolist() for a in delivery_order(delays)]
+        sources, starts, due = buffer_layout(delays)
+        ok &= order == [sources[0], starts[0]] and FeedbackBuffer(delays).due.tolist() == due
     _check(8, "exactly-once delivery over 100 random schedules", ok)
 
 

@@ -340,6 +340,68 @@ def test_cli_run_reports_domain_errors_with_exit_2(tmp_path, capsys, rows, delay
     assert not out.exists()
 
 
+@pytest.mark.parametrize("learner, kind", [
+    ("ogd", "adversarial"), ("omd", "adversarial"), ("ogd", "file"), ("omd", "file"),
+])
+def test_a_gradient_learner_with_tau_0_takes_any_delays(tmp_path, capsys, learner, kind):
+    # Only a lag (tau > 0) asks for every delay to be tau + 1: with tau = 0
+    # a gradient learner sums whatever each round delivers.
+    delay_file = tmp_path / "delays.txt"
+    delay_file.write_text("3\n1\n2\n1\n" * 10, encoding="utf-8")
+    delays = f"path = {delay_file}" if kind == "file" else "d_max = 5"
+    config = write_config(tmp_path, f"""
+[experiment]
+kind = single-run
+horizon = 40
+trials = 1
+
+[learner]
+kind = {learner}
+schedule = strongly-convex
+gamma = 1.0
+tau = 0
+
+[delays]
+kind = {kind}
+{delays}
+""")
+    assert cli.main(["validate", str(config)]) == 0
+    out = tmp_path / "out"
+    assert cli.main(["run", str(config), "--out-dir", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    with open(out / "trajectory.csv", newline="") as fh:
+        delivered = [row["delivered"] for row in csv.DictReader(fh)]
+    assert any(";" in sources for sources in delivered)  # a round delivered several
+
+
+@pytest.mark.parametrize("broken", ["write", "flush"])
+def test_a_closed_stdout_exits_3_without_a_traceback(tmp_path, monkeypatch, capsys, broken):
+    # `laglearn validate fig1 | head -1`: once the reader has gone, a write
+    # or the flush of what was written raises BrokenPipeError.
+    class ClosedPipe:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            if broken == "write":
+                raise BrokenPipeError(32, "Broken pipe")
+            return len(text)
+
+        def flush(self):
+            if broken == "flush":
+                raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return self.fd
+
+    with open(tmp_path / "stdout", "w", encoding="utf-8") as held:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(held.fileno()))
+        assert cli.main(["validate", "fig1"]) == 3
+        # Python flushes stdout again at exit, and that now goes to devnull.
+        assert os.path.samestat(os.fstat(held.fileno()), os.stat(os.devnull))
+    assert capsys.readouterr().err == ""
+
+
 def _scaling_check_config(tmp_path, stream, learner, delays):
     return write_config(tmp_path, f"""
 [experiment]
@@ -402,13 +464,16 @@ kind = fixed
 
 @pytest.mark.parametrize("kind, error", [
     ("single-run", "error: stream.path: csv stream has 3 rows"),
+    ("empty-file", "error: stream.path: csv stream has 0 rows, fewer than the horizon 4"),
     ("scaling-check", "error: stream.path: csv stream has 4 rows"),
     ("missing-file", "error: stream: "),  # the OSError's text is numpy's
-], ids=["single-run", "scaling-check", "missing-file"])
+], ids=["single-run", "empty-file", "scaling-check", "missing-file"])
 def test_cli_validate_and_run_reject_a_csv_stream_shorter_than_the_horizon(tmp_path, capsys,
                                                                          kind, error):
     if kind == "single-run":   # horizon 4, three rows
         config = _single_ogd_csv_config(tmp_path, 3, "[delays]\nkind = fixed\n")
+    elif kind == "empty-file":  # horizon 4, no rows: numpy's loadtxt would warn
+        config = _single_ogd_csv_config(tmp_path, 0, "[delays]\nkind = fixed\n")
     elif kind == "scaling-check":  # arms T3 and T50, four rows
         contexts = tmp_path / "contexts.csv"
         contexts.write_text("1.0,0.5\n" * 4, encoding="utf-8")

@@ -643,7 +643,7 @@ def test_the_writers_give_the_row_by_row_bytes_at_any_chunk_size(chunk, record):
 def test_the_trajectory_writer_holds_a_few_bytes_per_round(tmp_path):
     # Beyond the record, the writer holds the first trial's delivery order
     # (int32 sources and starts) and one chunk's strings; its peak is while
-    # it builds that order.  50,000 rounds trace about 23 bytes a round.
+    # it builds that order.  50,000 rounds trace about 20 bytes a round.
     horizon = 50_000
     rng = np.random.default_rng(0)
     values = rng.standard_normal((1, horizon))

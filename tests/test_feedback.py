@@ -14,12 +14,12 @@ from laglearn.feedback import (
 
 def buffer_of(delays):
     """The buffer of `delays` and its `delivery_order`, once both are checked
-    against the delivery oracle.  Below 2^31 pairs the order is int32."""
+    against the delivery oracle, row by row.  The order is int32."""
     buf = FeedbackBuffer(delays)
     order = delivery_order(delays)
-    rows, sources, starts, due = buffer_layout(delays)
-    assert [a.tolist() for a in order] == [rows, sources, starts]
-    assert [a.dtype for a in order] == [np.int32] * 3
+    sources, starts, due = buffer_layout(delays)
+    assert [a.tolist() for a in order] == [sources, starts]
+    assert [a.dtype for a in order] == [np.int32] * 2
     assert buf.due.tolist() == due
     return buf, order
 
@@ -31,7 +31,7 @@ def test_push_delivery_round():
 
 
 def test_no_delay_delivers_same_round():
-    _, (_, _, starts) = buffer_of([1])
+    _, (_, (starts,)) = buffer_of([1])
     assert deliveries([1]) == {1: [(0, 1)]}
     assert starts.tolist() == [0, 0, 1]
 
@@ -39,14 +39,14 @@ def test_no_delay_delivers_same_round():
 def test_fixed_lag_pattern():
     # tau = 2 over rounds 1..10: nothing before round 3, then {t-2}.
     delays = FixedDelay(2).realize(10)
-    _, (_, _, starts) = buffer_of(delays)
+    _, (_, (starts,)) = buffer_of(delays)
     assert deliveries(delays) == {t: [(0, t - 2)] for t in range(3, 13)}
     assert starts.tolist() == [0, 0, 0, 0] + list(range(1, 9))
 
 
 def test_multiple_deliveries_one_round():
     # delays (3, 1, 1): rounds 1 and 3 both deliver at t = 3.
-    _, (_, sources, starts) = buffer_of([3, 1, 1])
+    _, ((sources,), (starts,)) = buffer_of([3, 1, 1])
     assert deliveries([3, 1, 1]) == {2: [(0, 2)], 3: [(0, 1), (0, 3)]}
     assert sources[starts[3]:starts[4]].tolist() == [1, 3]
 
@@ -55,7 +55,10 @@ def test_two_rows_are_split_exactly_once_in_row_then_source_order():
     # Row 0 delays (3, 1, 2, 1), row 1 delays (1, 4, 1, 2): due rounds
     # (3, 2, 4, 4) and (1, 5, 3, 5).
     delays = [[3, 1, 2, 1], [1, 4, 1, 2]]
-    buf, _ = buffer_of(delays)
+    buf, (sources, starts) = buffer_of(delays)
+    # Each row in its own order; row 1's sources 2 and 4 are due past the horizon.
+    assert sources.tolist() == [[2, 1, 3, 4], [1, 3, 2, 4]]
+    assert starts.tolist() == [[0, 0, 0, 1, 2, 4], [0, 0, 1, 1, 2, 2]]
     pairs = deliveries(delays)
     assert pairs == {1: [(1, 1)], 2: [(0, 2)], 3: [(0, 1), (1, 3)], 4: [(0, 3), (0, 4)],
                      5: [(1, 2), (1, 4)]}
@@ -100,19 +103,20 @@ def test_a_buffer_rejects_a_due_round_past_int64():
     with pytest.raises(ValueError, match=f"source round 3 of row 1 .* due at round {2**63},"):
         FeedbackBuffer([[1, 1, 1], [1, 1, 2**63 - 2]])
     empty = FeedbackBuffer([])  # no delay to check, and no pair
-    assert delivery_order([])[2].tolist() == [0, 0] and empty.takes == []
+    assert delivery_order([])[1].tolist() == [[0, 0]] and empty.takes == []
 
 
 def test_exactly_once_over_random_schedules():
-    # The buffer lays the pairs out as the oracle does, the ones due past
-    # the horizon included, and holds each source round once.
+    # The buffer lays each row's pairs out as the oracle does, the ones due
+    # past the horizon included, and holds each source round of a row once.
     rng = np.random.default_rng(2024)
     horizon = 60
     for _ in range(100):
         d_max = int(rng.integers(1, 15))
-        delays = rng.integers(1, d_max + 1, size=horizon)
-        _, (_, sources, _) = buffer_of(delays)
-        assert sorted(sources.tolist()) == list(range(1, horizon + 1))
+        delays = rng.integers(1, d_max + 1, size=(int(rng.integers(1, 4)), horizon))
+        delays[rng.random(delays.shape) < 0.05] = horizon + 5
+        _, (sources, _) = buffer_of(delays)
+        assert all(sorted(row) == list(range(1, horizon + 1)) for row in sources.tolist())
 
 
 def test_take_rounds_are_where_a_round_delivers_a_source_past_the_last_take():
@@ -161,7 +165,7 @@ def test_delays_from_file(tmp_path):
 
 
 def test_a_huge_delay_is_delivered_once_without_a_table_up_to_it():
-    buf, (_, _, starts) = buffer_of([10**12, 1])
+    buf, (_, (starts,)) = buffer_of([10**12, 1])
     assert deliveries([10**12, 1]) == {2: [(0, 2)], 10**12: [(0, 1)]}
     assert starts.tolist() == [0, 0, 0, 1]  # the late pair comes last
     assert buf.due.tolist() == [[3, 2]]

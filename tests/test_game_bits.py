@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from delivery_oracle import deliveries
-from laglearn import feedback
+from laglearn import learners
 from laglearn.environment import (ExplicitStream, GaussianStream, LinearScoring, fixed_loss,
                                   run_game, uniform_quadratic)
 from laglearn.feedback import ExplicitDelay, FeedbackBuffer, FixedDelay, RandomDelay
@@ -435,6 +435,6 @@ def test_one_trial_past_a_chunk_takes_its_own_gradients_in_one_play_call(monkeyp
 
     monkeypatch.setattr(Loss, "grad", refuse)
     monkeypatch.setattr(FeedbackBuffer, "takes", property(refuse))
-    monkeypatch.setattr(feedback, "delivery_order", refuse)
+    monkeypatch.setattr(learners, "delivery_order", refuse)
     alone = game(1)
     assert np.array_equal(alone[0].view(np.uint64), together[0].view(np.uint64))
