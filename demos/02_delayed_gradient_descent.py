@@ -16,6 +16,7 @@ from laglearn import (
     GradientLearner,
     InverseSqrtStep,
     LinearScoring,
+    draw,
     regret,
     run_game,
     uniform_quadratic,
@@ -29,8 +30,8 @@ stream = GaussianStream(rho=0.5, body_hidden=body, seed=7)
 learner = GradientLearner(body, InverseSqrtStep(sigma=0.5, tau=TAU), lam=1.0, coupled=True)
 
 # One trial: row 0 of every array in the trajectory and the report.
-traj = run_game(learner, [stream], [FixedDelay(TAU)], uniform_quadratic(),
-                LinearScoring.default(1, 1), HORIZON, seeds=[11])
+traj = run_game(learner, draw([stream], uniform_quadratic(), HORIZON, seeds=[11]),
+                [FixedDelay(TAU)], LinearScoring.default(1, 1))
 report = regret(traj, body)
 
 print(f"lag tau={TAU}, horizon T={HORIZON}, quadratic losses with random coefficients")

@@ -17,6 +17,7 @@ from laglearn import (
     GradientLearner,
     LinearScoring,
     RandomDelay,
+    draw,
     eta_for_arbitrary_delay,
     fixed_loss,
     NormLoss,
@@ -34,8 +35,8 @@ for horizon in (500, 1000, 2000):
                                   horizon=horizon, delay_sum=delay_sum)
     stream = GaussianStream(mean=0.25, body_hidden=body, seed=5)
     learner = GradientLearner(body, ConstantStep(value=eta))
-    traj = run_game(learner, [stream], [delays], fixed_loss(NormLoss),
-                    LinearScoring.default(1, 1), horizon, seeds=[8])
+    traj = run_game(learner, draw([stream], fixed_loss(NormLoss), horizon, seeds=[8]),
+                    [delays], LinearScoring.default(1, 1))
     r = regret(traj, body).regret[0, -1]
     print(f"{horizon:7d}   {delay_sum:11d}   {eta:.6f}  {r:7.2f}   {r / np.sqrt(delay_sum):8.4f}")
 
@@ -43,8 +44,8 @@ print("\nbatched deliveries around one mid-game round:")
 delays = RandomDelay(d_max=20, seed=33)
 stream = GaussianStream(mean=0.25, body_hidden=body, seed=5)
 learner = GradientLearner(body, ConstantStep(value=0.01))
-traj = run_game(learner, [stream], [delays], fixed_loss(NormLoss),
-                LinearScoring.default(1, 1), 60, seeds=[8])
+traj = run_game(learner, draw([stream], fixed_loss(NormLoss), 60, seeds=[8]),
+                [delays], LinearScoring.default(1, 1))
 (sources,), (starts,) = delivery_order(traj.delays)
 for t in range(20, 31):
     delivered = sources[starts[t]:starts[t + 1]].tolist()

@@ -15,6 +15,7 @@ from laglearn import (
     LinearScoring,
     NaiveLearner,
     PolygonStream,
+    draw,
     regret,
     regular_polygon,
     run_game,
@@ -28,8 +29,8 @@ pentagon = regular_polygon(5, center=(1.0, 1.0), circumradius=1.0)
 
 def play(learner):
     stream = PolygonStream(pentagon, seed=3)
-    traj = run_game(learner, [stream], [FixedDelay(TAU)], uniform_quadratic(),
-                    LinearScoring.default(2, 2), HORIZON, seeds=[4])
+    traj = run_game(learner, draw([stream], uniform_quadratic(), HORIZON, seeds=[4]),
+                    [FixedDelay(TAU)], LinearScoring.default(2, 2))
     return traj, regret(traj, pentagon)
 
 

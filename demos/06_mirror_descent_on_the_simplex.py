@@ -18,6 +18,7 @@ from laglearn import (
     NegativeEntropyMap,
     QuadraticLoss,
     Simplex,
+    draw,
     fixed_loss,
     run_game,
 )
@@ -33,8 +34,8 @@ known = hidden + 0.05 * rng.standard_normal((HORIZON, 3))
 stream = ExplicitStream(known, hidden)
 learner = GradientLearner(simplex, InverseSqrtStep(sigma=0.3, tau=TAU),
                           mirror=NegativeEntropyMap())
-traj = run_game(learner, [stream], [FixedDelay(TAU)], fixed_loss(QuadraticLoss, a=1.0),
-                LinearScoring.default(3, 3), HORIZON, seeds=[1])
+traj = run_game(learner, draw([stream], fixed_loss(QuadraticLoss, a=1.0), HORIZON, seeds=[1]),
+                [FixedDelay(TAU)], LinearScoring.default(3, 3))
 
 print("entropic mirror descent toward a Dirichlet(6,3,1) mixture:")
 for t in (1, 5, 20, 100, 400):

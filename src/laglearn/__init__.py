@@ -1,12 +1,14 @@
 """Online convex optimization with delayed context and correlation-guided updates."""
 
 from .environment import (
+    Batch,
     ConfigError,
     ExplicitStream,
     GaussianStream,
     LinearScoring,
     PolygonStream,
     StreamExhausted,
+    draw,
     fixed_loss,
     run_game,
     uniform_quadratic,

@@ -5,10 +5,13 @@ Each round an agent arrives with a context split into a known part
 The learner posts an estimate of the hidden part, the adversary anchors a
 loss at the true hidden part, and the game records both.  The round's
 feedback is the loss's gradient at the recorded estimate, or its anchor
-for the sample-mean baseline, delivered after the round's delay.  The
-game draws every context, loss and delay before round 1 and hands them
-to the learner, which plays the whole horizon in one call and sees
-hidden information only through the feedback its buffer delivers, never
+for the sample-mean baseline, delivered after the round's delay.
+Drawing is apart from playing: `draw` takes every trial's contexts and
+builds its losses as one read-only `Batch`, which several games may
+play, and `run_game` plays a drawn batch.  The game realizes every delay
+before round 1 and hands the batch's losses and the delays to the
+learner, which plays the whole horizon in one call and sees hidden
+information only through the feedback its buffer delivers, never
 directly.  The independent trials of one configuration are played in
 lockstep, as one game on (trials, dim) arrays; the game's record is
 trial-major, (trials, horizon, ...), and is returned as one `Trajectory`
@@ -220,56 +223,94 @@ def fixed_loss(prototype: type, **params):
 
 
 # ---------------------------------------------------------------------------
-# Game loop
+# Drawing the trials' inputs
 # ---------------------------------------------------------------------------
 
-def run_game(learner: BaseLearner, streams: list[ContextStream],
-             delays: list[DelaySchedule], loss_factory, scoring: LinearScoring,
-             horizon: int, seeds: list[int]) -> Trajectory:
-    """Play `horizon` rounds of one trial per stream, in lockstep, and record them.
+@dataclass(frozen=True)
+class Batch:
+    """The drawn inputs of a lockstep game: row k of every array is trial k.
 
-    Trial k reads `streams[k]`, realizes `delays[k]` and draws its loss
-    coefficients from `seeds[k]`; the learner holds one iterate row per
-    trial.  After the checks the game builds one `Loss` of every round's
-    loss and a `FeedbackBuffer` of the delays, and the learner plays the
-    whole horizon in one `play` call (see `BaseLearner`), writing its
-    decisions into the record.  The update at the horizon boundary sees no
-    known context and uses a zero pull.  Losses are row-wise, so a batch
-    gives each row the bits of playing it alone.  Loss values, score
-    errors and flags are computed from the recorded arrays after the last
-    round; zero-subgradient flags count only the pairs due within the
-    horizon (`buffer.due <= horizon`).  Every array is trial-major,
-    (trials, horizon, ...), so round i is column `[:, i]`; the game's
-    arrays and its one `Loss` are the returned `Trajectory`, whose row k
-    (and the flags tagged k) is trial k.
+    Each loss is anchored at its round's hidden context, so the anchors
+    are the hidden contexts, kept once.  Every array is read-only, so
+    games that play one batch cannot write into each other's inputs.
+    """
+
+    known: Array                     # (trials, T, d1) known contexts
+    loss: Loss                       # anchors (trials, T, d2): each trial's T losses
+
+    @property
+    def hidden(self) -> Array:
+        """(trials, T, d2) hidden contexts."""
+        return self.loss.anchor
+
+
+def draw(streams: list[ContextStream], loss_factory, horizon: int,
+         seeds: list[int]) -> Batch:
+    """Draw `horizon` rounds of one trial per stream, as one `Batch`.
+
+    Trial k takes its contexts from `streams[k]` and its losses from
+    `loss_factory`, which draws their coefficients from `seeds[k]` and
+    must anchor them at the trial's hidden contexts.
     """
     trials = len(streams)
-    if trials < 1 or len(delays) != trials or len(seeds) != trials:
-        raise ConfigError("need one stream, delay schedule and seed per trial")
+    if trials < 1 or len(seeds) != trials:
+        raise ConfigError("need one stream and seed per trial")
     if horizon < 1:
         raise ConfigError("horizon must be >= 1")
     dim = streams[0].d2
     if any((stream.d1, stream.d2) != (streams[0].d1, dim) for stream in streams):
         raise ConfigError("the trials' streams disagree on their dimensions")
+    drawn = [stream.take(horizon) for stream in streams]
+    trial_losses = [loss_factory(hidden, np.random.default_rng(seed))
+                    for (_, hidden), seed in zip(drawn, seeds)]
+    if any(not np.array_equal(loss.anchor, hidden)
+           for loss, (_, hidden) in zip(trial_losses, drawn)):
+        raise ConfigError("loss factory did not anchor the losses at the hidden contexts")
+    batch = Batch(known=np.stack([k for k, _ in drawn]), loss=Loss.stack(trial_losses))
+    for array in (batch.known, batch.loss.anchor,
+                  *(getattr(batch.loss, name) for name in batch.loss.coefficients)):
+        array.flags.writeable = False
+    return batch
+
+
+# ---------------------------------------------------------------------------
+# Game loop
+# ---------------------------------------------------------------------------
+
+def run_game(learner: BaseLearner, batch: Batch, delays: list[DelaySchedule],
+             scoring: LinearScoring) -> Trajectory:
+    """Play a drawn batch's trials in lockstep, and record them.
+
+    Trial k plays row k of `batch` (see `draw`) and realizes `delays[k]`;
+    the learner holds one iterate row per trial.  After the checks the
+    game builds a `FeedbackBuffer` of the delays, and the learner plays
+    the whole horizon of the batch's one `Loss` in one `play` call (see
+    `BaseLearner`), writing its decisions into the record.  The update at
+    the horizon boundary sees no known context and uses a zero pull.
+    Losses are row-wise, so a batch gives each row the bits of playing it
+    alone.  Loss values, score errors and flags are computed from the
+    recorded arrays after the last round; zero-subgradient flags count
+    only the pairs due within the horizon (`buffer.due <= horizon`).
+    Every array is trial-major, (trials, horizon, ...), so round i is
+    column `[:, i]`; the game's arrays and the batch's `Loss` are the
+    returned `Trajectory`, whose row k (and the flags tagged k) is trial
+    k.  The game writes nothing into the batch, so several games may play
+    one.
+    """
+    trials, horizon, dim = batch.hidden.shape
+    if len(delays) != trials:
+        raise ConfigError("need one delay schedule per trial")
     if learner.body.dim != dim:
         raise ConfigError(
             f"learner body dimension {learner.body.dim} does not match "
             f"the hidden context dimension {dim}")
-    if scoring.w_known.size != streams[0].d1 or scoring.w_hidden.size != dim:
+    if scoring.w_known.size != batch.known.shape[-1] or scoring.w_hidden.size != dim:
         raise ConfigError("scoring weights do not match the stream dimensions")
 
     delay_values = np.stack([schedule.realize(horizon) for schedule in delays])
     if learner.lag is not None and np.any(delay_values != learner.lag + 1):
         raise ConfigError(f"fixed-lag learner needs every delay to be tau + 1 = {learner.lag + 1}")
-    drawn = [stream.take(horizon) for stream in streams]
-    trial_losses = [loss_factory(hidden, np.random.default_rng(seed))
-                    for (_, hidden), seed in zip(drawn, seeds)]
-    if any(loss.anchor.shape != (horizon, dim) for loss in trial_losses):
-        raise ConfigError("loss factory produced the wrong dimension")
-    known = np.stack([k for k, _ in drawn])
-    hidden = np.stack([h for _, h in drawn])
-    loss = Loss.stack(trial_losses)
-    del drawn, trial_losses  # the stacks hold all that the game and the record read
+    known, hidden, loss = batch.known, batch.hidden, batch.loss
     buffer = FeedbackBuffer(delay_values)
 
     estimates = np.empty((trials, horizon, dim))

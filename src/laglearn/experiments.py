@@ -5,9 +5,11 @@ learner, sweep, stream, loss, delays).  One experiment expands into one
 or more arms (a delay sweep, a correlation sweep, a learner-vs-baseline
 pair, a horizon scaling check, or a single run); every arm runs the same
 trials with the same derived per-trial seeds, so arms are compared under
-common random numbers.  Outputs are one CSV of aggregated curves per arm
-plus a manifest recording the fully resolved configuration, the seeds,
-and headline metrics.  An arm's trials are played as one lockstep batch,
+common random numbers.  Consecutive arms that draw the same contexts and
+losses (the same [stream] and [loss] options, horizon and hidden body)
+play one batch, drawn once.  Outputs are one CSV of aggregated curves
+per arm plus a manifest recording the fully resolved configuration, the
+seeds, and headline metrics.  An arm's trials are played as one lockstep batch,
 recorded as one trajectory and one regret report whose row k is trial k,
 and rerunning the manifest's config reproduces every byte.  A single run
 also writes trajectory.csv and its replay gap and flags, all of the first
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import configparser
 import contextlib
+import copy
 import dataclasses
 import json
 from dataclasses import dataclass
@@ -329,15 +332,19 @@ def _hidden_body(cfg: ExperimentConfig) -> ConvexBody:
 
 
 @_section("stream")
-def _build_stream(cfg: ExperimentConfig, seed: int, body: ConvexBody):
+def _build_streams(cfg: ExperimentConfig, seeds: list[int], body: ConvexBody) -> list:
+    """One context stream per trial seed; a csv file is parsed once, and each
+    trial reads its rows through its own cursor (`take` copies what it reads)."""
     if cfg.stream == "gaussian":
-        return environment.GaussianStream(
+        return [environment.GaussianStream(
             d1=cfg.d1, d2=cfg.d2, mean=cfg.mean, variance=cfg.variance, rho=cfg.rho,
-            body_hidden=body, seed=seed)
+            body_hidden=body, seed=trial_seed(seed, 0)) for seed in seeds]
     if cfg.stream == "pentagon":
-        return environment.PolygonStream(
-            body, d1=cfg.d1, mean=cfg.mean, variance=cfg.variance, seed=seed)
-    return environment.ExplicitStream.from_csv(cfg.context_path, cfg.d1, cfg.d2)
+        return [environment.PolygonStream(
+            body, d1=cfg.d1, mean=cfg.mean, variance=cfg.variance, seed=trial_seed(seed, 0))
+            for seed in seeds]
+    rows = environment.ExplicitStream.from_csv(cfg.context_path, cfg.d1, cfg.d2)
+    return [copy.copy(rows) for _ in seeds]
 
 
 def _family(cfg: ExperimentConfig) -> tuple[type[losses.Loss], dict]:
@@ -448,7 +455,7 @@ def _build_arm(cfg: ExperimentConfig, seeds: list[int]):
     A piece that cannot be built raises ConfigFileError under its INI section.
     """
     body = _hidden_body(cfg)
-    streams = [_build_stream(cfg, trial_seed(seed, 0), body) for seed in seeds]
+    streams = _build_streams(cfg, seeds, body)
     if cfg.stream == "csv" and streams[0].remaining < cfg.horizon:
         raise ConfigFileError([f"stream.path: csv stream has {streams[0].remaining} rows, "
                                f"fewer than the horizon {cfg.horizon}"])
@@ -480,20 +487,44 @@ def _build_arm(cfg: ExperimentConfig, seeds: list[int]):
     return body, streams, delays, learner
 
 
-def run_single(cfg: ExperimentConfig, seeds: list[int],
-               solved: list | None = None) -> tuple[Trajectory, RegretReport]:
-    """One arm's seeded trials: build the pieces, play them in lockstep, measure regret.
+# The options an arm's contexts and losses are drawn from.
+_DRAWN_FROM = tuple(attr for (section, _), (attr, _) in _SCHEMA.items()
+                    if section in ("stream", "loss"))
+
+
+def _draw_key(cfg: ExperimentConfig, seeds: list[int]) -> tuple:
+    """Arms with equal keys draw the same batch: the same [stream] and [loss]
+    options, horizon, hidden body and trial seeds."""
+    return (tuple(getattr(cfg, attr) for attr in _DRAWN_FROM), cfg.horizon,
+            _hidden_body(cfg).describe(), tuple(seeds))
+
+
+def run_single(cfg: ExperimentConfig, seeds: list[int], solved: list | None = None,
+               drawn: list | None = None, keep: bool = False) -> tuple[Trajectory, RegretReport]:
+    """One arm's seeded trials: build the pieces, draw, play in lockstep, measure regret.
 
     Row k of the trajectory and of the report is the trial of `seeds[k]`.
     `solved` is handed to `evaluation.regret`: the previous arm's
     comparator problem, whose solve this arm reuses if it scores the same
-    losses.
+    losses.  `drawn` lets consecutive arms play one draw of their
+    contexts and losses.  It holds [key, batch] of the previous arm, or
+    nothing.  An arm whose `_draw_key` equals that key plays that batch;
+    any other arm draws its own.  The arm then leaves its key and batch
+    there if `keep` says the next arm plays them too, and empties it
+    otherwise, so no batch outlives its last game.
     """
     body, streams, delays, learner = _build_arm(cfg, seeds)
+    key = _draw_key(cfg, seeds)
+    if drawn and drawn[0] == key:
+        batch = drawn[1]
+    else:
+        batch = environment.draw(streams, _loss_factory(cfg), cfg.horizon,
+                                 seeds=[trial_seed(seed, 1) for seed in seeds])
+    if drawn is not None:
+        drawn[:] = [key, batch] if keep else []
     scoring = environment.LinearScoring.default(cfg.d1, cfg.d2)
-    trajectory = environment.run_game(
-        learner, streams, delays, _loss_factory(cfg), scoring, cfg.horizon,
-        seeds=[trial_seed(seed, 1) for seed in seeds])
+    trajectory = environment.run_game(learner, batch, delays, scoring)
+    del batch  # the trajectory keeps the losses; the contexts end with the game
     return trajectory, evaluation.regret(trajectory, body, skip_rounds=cfg.warmup * cfg.tau,
                                          solved=solved)
 
@@ -520,9 +551,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     Returns the manifest dictionary (also written to manifest.json).  Each
     arm plays all its trials as one lockstep batch; `threads` accepts only
     1 and stays for the benchmark harness, which passes it.  An arm that
-    scores the previous arm's losses, bit for bit, on the same body reuses
-    its comparator solve (see `evaluation.regret`); what is shared lives
-    only as long as this call.  When an arm
+    draws what the previous arm drew plays that arm's batch, and the batch
+    is kept only while a later arm plays it (see `run_single`).  An arm
+    that scores the previous arm's losses, bit for bit, on the same body
+    reuses its comparator solve (see `evaluation.regret`); what is shared
+    lives only as long as this call.  When an arm
     fails, the files and directories this call wrote are removed before
     the error propagates, so a failed run leaves no partial outputs.
     """
@@ -564,10 +597,14 @@ def _write_experiment(cfg: ExperimentConfig, out: Path, written: list[Path]) -> 
 
     scaling_points = []
     solved: list = []  # the previous arm's comparator problem, for the next to reuse
+    drawn: list = []   # the previous arm's inputs, while the next arm plays them too
+    arms = expand_arms(cfg)
+    keys = [_draw_key(arm, seeds) for _, arm in arms]
 
-    for label, arm in expand_arms(cfg):
+    for i, (label, arm) in enumerate(arms):
         manifest["resolved"][label] = resolve_arm(arm)
-        traj, report = run_single(arm, seeds, solved)
+        keep = i + 1 < len(arms) and keys[i + 1] == keys[i]
+        traj, report = run_single(arm, seeds, solved, drawn, keep)
 
         if cfg.kind == "single-run":  # the single-run outputs describe the first trial
             traj_file = out / "trajectory.csv"

@@ -131,8 +131,16 @@ class Loss:
         raise NotImplementedError
 
     def kinks(self, x) -> Array:
-        """Rows where `grad` returns the zero subgradient at a kink."""
-        return (self.distance(x) == 0.0) & (self.kink_slope() > 0.0)
+        """Rows where `grad` returns the zero subgradient at a kink.
+
+        When every row is smooth at its anchor there are none, whatever x
+        is, so no distance is taken.
+        """
+        slope = self.kink_slope()
+        if not slope.any():
+            shape = np.broadcast_shapes(self._checked(x).shape[:-1], slope.shape)
+            return np.zeros(shape, dtype=bool)
+        return (self.distance(x) == 0.0) & (slope > 0.0)
 
     def kink_slope(self) -> Array:
         """radial'(0+) of each row: 0 where the profile is smooth at the anchor."""
@@ -161,10 +169,13 @@ class Loss:
         raise NotImplementedError
 
     def _offset(self, x, at) -> Array:
+        return self._checked(x) - self.anchor[at]
+
+    def _checked(self, x) -> Array:
         v = np.asarray(x, dtype=float)
         if v.shape[-1:] != (self.dim,):
             raise ValueError(f"dimension mismatch: expected {self.dim}, got shape {v.shape}")
-        return v - self.anchor[at]
+        return v
 
 
 def _power(r: float, k: int) -> float:

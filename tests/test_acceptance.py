@@ -18,6 +18,7 @@ from laglearn.environment import (
     ExplicitStream,
     GaussianStream,
     LinearScoring,
+    draw,
     fixed_loss,
     run_game,
     uniform_quadratic,
@@ -192,8 +193,10 @@ def test_criterion_4_omd_ogd_equivalence(trials, dim):
 
     learner = GradientLearner(Ball(np.zeros(dim), radius), InverseSqrtStep(sigma=sigma, tau=tau),
                               lam=1.0, coupled=True, mirror=EuclideanMap())
-    traj = run_game(learner, streams(), [FixedDelay(tau)] * trials, uniform_quadratic(),
-                    LinearScoring.default(dim, dim), horizon, seeds=[99 + k for k in range(trials)])
+    traj = run_game(learner,
+                    draw(streams(), uniform_quadratic(), horizon,
+                         seeds=[99 + k for k in range(trials)]),
+                    [FixedDelay(tau)] * trials, LinearScoring.default(dim, dim))
     gap, projected = 0.0, 0
     for k, stream in enumerate(streams()):
         known, _ = stream.take(horizon)
@@ -343,8 +346,9 @@ def test_criterion_8_score_error_chain_on_runs():
         stream = GaussianStream(rho=0.5, seed=seed)
         learner = GradientLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=seed + 1),
                                   1.0, coupled=True)
-        traj = run_game(learner, [stream], [FixedDelay(seed + 1)], uniform_quadratic(),
-                        LinearScoring.default(1, 1), horizon=400, seeds=[seed + 10])
+        traj = run_game(learner,
+                        draw([stream], uniform_quadratic(), horizon=400, seeds=[seed + 10]),
+                        [FixedDelay(seed + 1)], LinearScoring.default(1, 1))
         report = regret(traj, Ball([0.0], 4.0))
         margin = float(traj.loss.radial(traj.score_errors)[0].sum()
                        - report.comparator_loss[0] - report.regret[0, -1])
@@ -361,8 +365,9 @@ def test_criterion_8_score_error_chain_on_runs():
 def test_criterion_9_exact_hand_oracles():
     stream = ExplicitStream([[1.0], [1.0], [1.0]], [[1.0], [2.0], [3.0]])
     learner = GradientLearner(Ball([0.0], 10.0), ConstantStep(value=0.5))
-    traj = run_game(learner, [stream], [FixedDelay(0)], fixed_loss(QuadraticLoss, a=1.0, b=0.0),
-                    LinearScoring.default(1, 1), horizon=3, seeds=[0])
+    traj = run_game(learner,
+                    draw([stream], fixed_loss(QuadraticLoss, a=1.0, b=0.0), horizon=3, seeds=[0]),
+                    [FixedDelay(0)], LinearScoring.default(1, 1))
     no_delay_ok = (np.array_equal(traj.estimates, [[[0.0], [1.0], [2.0]]])
                    and np.array_equal(traj.loss_values, [[1.0, 1.0, 1.0]])
                    and deliveries(traj.delays) == {1: [(0, 1)], 2: [(0, 2)], 3: [(0, 3)]})
@@ -371,9 +376,9 @@ def test_criterion_9_exact_hand_oracles():
 
     stream = ExplicitStream([[1.0], [1.0], [1.0]], [[1.0], [2.0], [3.0]])
     learner = GradientLearner(Ball([0.0], 10.0), ConstantStep(value=0.1))
-    traj = run_game(learner, [stream], [ExplicitDelay((3, 1, 1))],
-                    fixed_loss(QuadraticLoss, a=1.0, b=0.0),
-                    LinearScoring.default(1, 1), horizon=3, seeds=[0])
+    traj = run_game(learner,
+                    draw([stream], fixed_loss(QuadraticLoss, a=1.0, b=0.0), horizon=3, seeds=[0]),
+                    [ExplicitDelay((3, 1, 1))], LinearScoring.default(1, 1))
     x2 = 0.0
     x3 = x2 - 0.1 * (2.0 * (x2 - 2.0))
     multi_ok = (deliveries(traj.delays) == {2: [(0, 2)], 3: [(0, 1), (0, 3)]}

@@ -8,6 +8,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from laglearn import cli, experiments
@@ -288,6 +289,47 @@ path = {delay_file}
     manifest = experiments.run_experiment(parse_config(config), tmp_path / "out")
     assert len(parses) == 2
     assert manifest["arms"]["run"]["delay_sum_mean"] == 19.0
+
+
+def test_a_context_file_is_parsed_once_per_arm_build(tmp_path, monkeypatch):
+    # Three trials read the same rows, each from the first, through its own cursor.
+    contexts = tmp_path / "contexts.csv"
+    contexts.write_text("".join(f"1.0,{i}.5\n" for i in range(6)), encoding="utf-8")
+    config = write_config(tmp_path, f"""
+[experiment]
+kind = single-run
+horizon = 6
+trials = 3
+
+[learner]
+kind = ogd
+schedule = constant
+eta = 0.1
+lam = 0.0
+
+[stream]
+kind = csv
+path = {contexts}
+d1 = 1
+d2 = 1
+
+[loss]
+family = norm
+
+[delays]
+kind = fixed
+""")
+    builds, parses = [], []
+    build, parse = experiments._build_arm, np.loadtxt
+    monkeypatch.setattr(experiments, "_build_arm",
+                        lambda cfg, seeds: builds.append(seeds) or build(cfg, seeds))
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: parses.append(args[0])
+                        or parse(*args, **kwargs))
+    manifest = experiments.run_experiment(parse_config(config), tmp_path / "out")
+    assert [len(seeds) for seeds in builds] == [1, 3]  # validate, then the run
+    assert parses == [str(contexts)] * 2
+    assert manifest["arms"]["run"]["final_cum_loss_stderr"] == 0.0
+    assert manifest["arms"]["run"]["final_cum_loss_mean"] > 0.0
 
 
 def _single_ogd_csv_config(tmp_path, rows, delays):

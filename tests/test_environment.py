@@ -12,6 +12,7 @@ from laglearn.environment import (
     LinearScoring,
     PolygonStream,
     StreamExhausted,
+    draw,
     fixed_loss,
     run_game,
     uniform_quadratic,
@@ -148,9 +149,10 @@ def test_three_round_game_matches_hand_simulation():
     # By hand: x1 = 0, g1 = 2(0-1) = -2, x2 = 0 + 1 = 1;
     #          g2 = 2(1-2) = -2, x3 = 2; losses are 1 each round.
     learner = GradientLearner(Ball([0.0], 10.0), ConstantStep(value=0.5))
-    traj = run_game(learner, [_three_round_stream()], [FixedDelay(0)],
-                    fixed_loss(QuadraticLoss, a=1.0, b=0.0),
-                    LinearScoring.default(1, 1), horizon=3, seeds=[0])
+    traj = run_game(learner,
+                    draw([_three_round_stream()], fixed_loss(QuadraticLoss, a=1.0, b=0.0),
+                         horizon=3, seeds=[0]),
+                    [FixedDelay(0)], LinearScoring.default(1, 1))
     assert np.array_equal(traj.estimates, [[[0.0], [1.0], [2.0]]])
     assert np.array_equal(traj.loss_values, [[1.0, 1.0, 1.0]])
     assert np.array_equal(traj.score_errors, [[1.0, 1.0, 1.0]])
@@ -162,9 +164,10 @@ def test_three_round_game_matches_hand_simulation():
 def test_three_round_adversarial_game_multi_delivery():
     # Delays (3, 1, 1) make rounds 1 and 3 land together at round 3.
     learner = GradientLearner(Ball([0.0], 10.0), ConstantStep(value=0.1))
-    traj = run_game(learner, [_three_round_stream()], [ExplicitDelay((3, 1, 1))],
-                    fixed_loss(QuadraticLoss, a=1.0, b=0.0),
-                    LinearScoring.default(1, 1), horizon=3, seeds=[0])
+    traj = run_game(learner,
+                    draw([_three_round_stream()], fixed_loss(QuadraticLoss, a=1.0, b=0.0),
+                         horizon=3, seeds=[0]),
+                    [ExplicitDelay((3, 1, 1))], LinearScoring.default(1, 1))
 
     # Hand simulation with the same float operations:
     x1 = 0.0
@@ -191,8 +194,8 @@ def test_horizon_equal_to_lag_keeps_all_estimates_zero():
     stream = GaussianStream(rho=0.4, seed=9)
     learner = GradientLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=tau),
                               1.0, coupled=True)
-    traj = run_game(learner, [stream], [FixedDelay(tau)], uniform_quadratic(),
-                    LinearScoring.default(1, 1), horizon=tau, seeds=[2])
+    traj = run_game(learner, draw([stream], uniform_quadratic(), horizon=tau, seeds=[2]),
+                    [FixedDelay(tau)], LinearScoring.default(1, 1))
     assert np.array_equal(traj.estimates, np.zeros((1, tau, 1)))
 
 
@@ -201,8 +204,8 @@ def test_identical_seeds_reproduce_bit_for_bit():
         stream = GaussianStream(rho=0.5, seed=77)
         learner = GradientLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=4),
                                   1.0, coupled=True)
-        return run_game(learner, [stream], [FixedDelay(4)], uniform_quadratic(),
-                        LinearScoring.default(1, 1), horizon=200, seeds=[13])
+        return run_game(learner, draw([stream], uniform_quadratic(), horizon=200, seeds=[13]),
+                        [FixedDelay(4)], LinearScoring.default(1, 1))
 
     a, b = play(), play()
     assert np.array_equal(a.estimates, b.estimates)
@@ -215,8 +218,8 @@ def test_score_error_chain_holds_every_round():
     stream = GaussianStream(rho=0.5, seed=21)
     learner = GradientLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=5),
                               1.0, coupled=True)
-    traj = run_game(learner, [stream], [FixedDelay(5)], uniform_quadratic(),
-                    LinearScoring.default(1, 1), horizon=400, seeds=[8])
+    traj = run_game(learner, draw([stream], uniform_quadratic(), horizon=400, seeds=[8]),
+                    [FixedDelay(5)], LinearScoring.default(1, 1))
     assert np.all(traj.loss.radial(traj.score_errors) <= traj.loss_values + 1e-9)
     assert not any(flag.startswith("score_chain") for _, flag in traj.flags)
 
@@ -240,9 +243,10 @@ def test_score_chain_flags_a_hidden_weight_above_one():
             return known[..., 0] + 2.0 * hidden[..., 0]
 
     learner = GradientLearner(Ball([0.0], 10.0), ConstantStep(value=0.5))
-    traj = run_game(learner, [_three_round_stream()], [FixedDelay(0)],
-                    fixed_loss(QuadraticLoss, a=1.0, b=0.0), DoubledScoring(),
-                    horizon=3, seeds=[0])
+    traj = run_game(learner,
+                    draw([_three_round_stream()], fixed_loss(QuadraticLoss, a=1.0, b=0.0),
+                         horizon=3, seeds=[0]),
+                    [FixedDelay(0)], DoubledScoring())
     assert [f for _, f in traj.flags if f.startswith("score_chain")] == [
         "score_chain_violated_at_1", "score_chain_violated_at_2", "score_chain_violated_at_3"]
 
@@ -251,8 +255,8 @@ def test_fixed_lag_learner_rejects_mismatched_delays_before_round_1():
     learner = GradientLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=3))
     stream = ExplicitStream([[1.0]] * 5, [[0.5]] * 5)
     with pytest.raises(ConfigError, match="tau \\+ 1 = 4"):
-        run_game(learner, [stream], [ExplicitDelay((4, 4, 1, 4, 4))], uniform_quadratic(),
-                 LinearScoring.default(1, 1), horizon=5, seeds=[0])
+        run_game(learner, draw([stream], uniform_quadratic(), horizon=5, seeds=[0]),
+                 [ExplicitDelay((4, 4, 1, 4, 4))], LinearScoring.default(1, 1))
     assert np.array_equal(learner.estimate, [0.0])  # the start point, as built
 
 
@@ -260,12 +264,45 @@ def test_run_game_configuration_errors():
     stream = GaussianStream(rho=0.0, seed=1)
     learner = GradientLearner(Ball([0.0, 0.0], 4.0), ConstantStep(value=0.1))  # wrong dim
     with pytest.raises(ConfigError):
-        run_game(learner, [stream], [FixedDelay(0)], uniform_quadratic(),
-                 LinearScoring.default(1, 1), horizon=5, seeds=[0])
+        run_game(learner, draw([stream], uniform_quadratic(), horizon=5, seeds=[0]),
+                 [FixedDelay(0)], LinearScoring.default(1, 1))
     good = GradientLearner(Ball([0.0], 4.0), ConstantStep(value=0.1))
     with pytest.raises(ConfigError):
-        run_game(good, [stream], [FixedDelay(0)], uniform_quadratic(),
-                 LinearScoring.default(1, 1), horizon=0, seeds=[0])
+        run_game(good, draw([stream], uniform_quadratic(), horizon=0, seeds=[0]),
+                 [FixedDelay(0)], LinearScoring.default(1, 1))
+
+
+@pytest.mark.parametrize("factory", [uniform_quadratic(), fixed_loss(QuadraticLoss, a=1.0)],
+                         ids=["uniform", "fixed"])
+def test_a_drawn_batch_is_read_only(factory):
+    # Several games may play one batch, so none may write into its inputs.
+    streams = [GaussianStream(d1=2, d2=2, rho=0.5, seed=seed) for seed in (1, 2)]
+    batch = draw(streams, factory, horizon=6, seeds=[3, 4])
+    assert batch.known.shape == (2, 6, 2) and batch.hidden is batch.loss.anchor
+    for array in (batch.known, batch.hidden, batch.loss.a, batch.loss.b):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            array += 1.0
+    played = run_game(GradientLearner(Ball([0.0, 0.0], 4.0), ConstantStep(value=0.1)), batch,
+                      [FixedDelay(1)] * 2, LinearScoring.default(2, 2))
+    assert played.loss is batch.loss
+
+
+def test_draw_configuration_errors():
+    stream = GaussianStream(rho=0.0, seed=1)
+    with pytest.raises(ConfigError, match="one stream and seed per trial"):
+        draw([stream], uniform_quadratic(), horizon=5, seeds=[0, 1])
+    with pytest.raises(ConfigError, match="disagree on their dimensions"):
+        draw([stream, GaussianStream(d1=2, seed=2)], uniform_quadratic(), horizon=5, seeds=[0, 1])
+    for moved in (lambda hidden: hidden[:-1], lambda hidden: hidden + 1.0):
+        with pytest.raises(ConfigError, match="did not anchor the losses at the hidden contexts"):
+            draw([stream], lambda hidden, rng: QuadraticLoss(moved(hidden), a=1.0), horizon=5,
+                 seeds=[0])
+    batch = draw([stream], uniform_quadratic(), horizon=5, seeds=[0])
+    learner = GradientLearner(Ball([0.0], 4.0), ConstantStep(value=0.1))
+    with pytest.raises(ConfigError, match="one delay schedule per trial"):
+        run_game(learner, batch, [FixedDelay(0)] * 2, LinearScoring.default(1, 1))
 
 
 def test_uniform_quadratic_draws_are_seed_stable():

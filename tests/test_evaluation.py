@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delivery_oracle import deliveries
-from laglearn import evaluation, experiments, feedback
+from laglearn import environment, evaluation, experiments, feedback
 from laglearn.environment import (
     GaussianStream,
     LinearScoring,
+    draw,
     fixed_loss,
     run_game,
     uniform_quadratic,
@@ -301,33 +302,49 @@ def _count_solves(monkeypatch) -> list:
     return calls
 
 
+def _count_takes(monkeypatch) -> list:
+    """Patch every stream's `take` to record each call's stream; return the record."""
+    calls = []
+    for cls in environment.ContextStream.__subclasses__():
+        def counted(self, n, take=cls.take):
+            calls.append(self)
+            return take(self, n)
+
+        monkeypatch.setattr(cls, "take", counted)
+    return calls
+
+
 SHARED = experiments.ExperimentConfig(
     kind="baseline-compare", horizon=120, trials=3, seed=7, learner="ogd", sigma="auto",
     tau=4, stream="pentagon", d1=2, d2=2, family="power", m=3)
 
 
-@pytest.mark.parametrize("cfg, solves", [
-    (SHARED, 1),
+# (config, comparator solves, draws per trial): arms that agree on their
+# [stream] and [loss] options, horizon and hidden body play one draw.
+@pytest.mark.parametrize("cfg, solves, draws", [
+    (SHARED, 1, 1),
     (dataclasses.replace(SHARED, kind="delay-sweep", sweep_taus=(2, 5, 9), stream="gaussian",
-                         d1=1, d2=1, family="quadratic", coefficients="uniform"), 1),
-    (dataclasses.replace(SHARED, kind="delay-sweep", sweep_taus=(2, 5, 9), warmup=1), 3),
+                         d1=1, d2=1, family="quadratic", coefficients="uniform"), 1, 1),
+    (dataclasses.replace(SHARED, kind="delay-sweep", sweep_taus=(2, 5, 9), warmup=1), 3, 1),
     (dataclasses.replace(SHARED, kind="correlation-sweep", sweep_rhos=(0.0, 0.5),
-                         stream="gaussian", d1=2, d2=2), 2),
-    (dataclasses.replace(SHARED, kind="scaling-check", sweep_horizons=(40, 80, 120)), 3),
+                         stream="gaussian", d1=2, d2=2), 2, 2),
+    (dataclasses.replace(SHARED, kind="scaling-check", sweep_horizons=(40, 80, 120)), 3, 3),
 ], ids=["baseline-compare", "delay-sweep", "delay-sweep-warmup", "correlation-sweep",
         "scaling-check"])
-def test_arms_that_score_the_same_losses_share_one_solve(cfg, solves, tmp_path, monkeypatch):
+def test_arms_that_score_the_same_losses_share_one_solve(cfg, solves, draws, tmp_path,
+                                                         monkeypatch):
     # Each arm's csv must hold the bytes of that arm measured on its own,
-    # with its own solve.
+    # with its own draw and its own solve.
     seeds = [experiments.trial_seed(cfg.seed, i) for i in range(cfg.trials)]
     alone = {}
     for label, arm in experiments.expand_arms(cfg):
         _, report = experiments.run_single(arm, seeds)
         write_csv(aggregate(report), tmp_path / f"{label}.csv")
         alone[label] = (tmp_path / f"{label}.csv").read_bytes()
-    calls = _count_solves(monkeypatch)
+    calls, takes = _count_solves(monkeypatch), _count_takes(monkeypatch)
     experiments.run_experiment(cfg, tmp_path / "out")
     assert calls == [cfg.trials] * solves
+    assert len(takes) == cfg.trials * draws
     assert {label: (tmp_path / "out" / f"{label}.csv").read_bytes() for label in alone} == alone
 
 
@@ -335,8 +352,8 @@ def test_trajectory_replay_consistency():
     stream = GaussianStream(rho=0.5, seed=31)
     learner = GradientLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=3),
                               1.0, coupled=True)
-    traj = run_game(learner, [stream], [FixedDelay(3)], uniform_quadratic(),
-                    LinearScoring.default(1, 1), horizon=250, seeds=[17])
+    traj = run_game(learner, draw([stream], uniform_quadratic(), horizon=250, seeds=[17]),
+                    [FixedDelay(3)], LinearScoring.default(1, 1))
     assert traj.replay_gap().shape == (1,)
     assert traj.replay_gap()[0] <= 1e-9
 
@@ -345,8 +362,8 @@ def test_cumulative_score_error_bounded_by_comparator_plus_regret():
     stream = GaussianStream(rho=0.5, seed=37)
     learner = GradientLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=4),
                               1.0, coupled=True)
-    traj = run_game(learner, [stream], [FixedDelay(4)], uniform_quadratic(),
-                    LinearScoring.default(1, 1), horizon=300, seeds=[5])
+    traj = run_game(learner, draw([stream], uniform_quadratic(), horizon=300, seeds=[5]),
+                    [FixedDelay(4)], LinearScoring.default(1, 1))
     report = regret(traj, Ball([0.0], 4.0))
     chain_total = float(traj.loss.radial(traj.score_errors)[0].sum())
     assert chain_total <= report.comparator_loss[0] + report.regret[0, -1] + 1e-6
@@ -672,8 +689,10 @@ def test_strongly_convex_regret_under_harmonic_ceiling():
     gamma = 2.0 * a
     stream = GaussianStream(rho=0.5, seed=41)
     learner = GradientLearner(body, InverseTimeStep(gamma=gamma, tau=tau), 1.0, coupled=True)
-    traj = run_game(learner, [stream], [FixedDelay(tau)], fixed_loss(QuadraticLoss, a=a, b=0.0),
-                    LinearScoring.default(1, 1), horizon=horizon, seeds=[43])
+    traj = run_game(learner,
+                    draw([stream], fixed_loss(QuadraticLoss, a=a, b=0.0), horizon=horizon,
+                         seeds=[43]),
+                    [FixedDelay(tau)], LinearScoring.default(1, 1))
     report = regret(traj, body)
 
     def harmonic(n):

@@ -28,8 +28,8 @@ import pytest
 
 from delivery_oracle import deliveries
 from laglearn import learners
-from laglearn.environment import (ExplicitStream, GaussianStream, LinearScoring, fixed_loss,
-                                  run_game, uniform_quadratic)
+from laglearn.environment import (ExplicitStream, GaussianStream, LinearScoring, draw,
+                                  fixed_loss, run_game, uniform_quadratic)
 from laglearn.feedback import ExplicitDelay, FeedbackBuffer, FixedDelay, RandomDelay
 from laglearn.geometry import Ball, NegativeEntropyMap, Simplex, regular_polygon
 from laglearn.learners import (ROUND_CHUNK, ConstantStep, GradientLearner, InverseSqrtStep,
@@ -151,8 +151,8 @@ def test_game_matches_the_play_time_reference_bit_for_bit(d_max, trials, body, f
     seed = 7 * d_max + 3 * trials + dim
     streams, delays, seeds = _pieces(trials, dim, d_max, seed)
     learner = GradientLearner(body, schedule, lam, coupled)
-    played = run_game(learner, streams, delays, FACTORIES[family],
-                      LinearScoring.default(dim, dim), HORIZON, seeds).estimates
+    played = run_game(learner, draw(streams, FACTORIES[family], HORIZON, seeds),
+                      delays, LinearScoring.default(dim, dim)).estimates
 
     streams, delays, seeds = _pieces(trials, dim, d_max, seed)
     expected = reference_estimates(body, schedule, lam, coupled, streams, delays,
@@ -189,8 +189,8 @@ def test_fixed_lag_game_matches_the_play_time_reference_bit_for_bit(trials, kind
     seed = 11 * tau + dim
     streams, _, seeds = _pieces(trials, dim, 1, seed)
     learner = GradientLearner(body, schedule, lam, coupled)
-    played = run_game(learner, streams, [FixedDelay(tau)] * trials, FACTORIES[family],
-                      LinearScoring.default(dim, dim), HORIZON, seeds).estimates
+    played = run_game(learner, draw(streams, FACTORIES[family], HORIZON, seeds),
+                      [FixedDelay(tau)] * trials, LinearScoring.default(dim, dim)).estimates
 
     streams, _, seeds = _pieces(trials, dim, 1, seed)
     expected = reference_estimates(body, schedule, lam, coupled, streams,
@@ -225,8 +225,8 @@ def test_mixed_delay_schedules_match_the_play_time_reference_bit_for_bit(dim, fa
     seed = 31 + dim
     streams, _, seeds = _pieces(trials, dim, 1, seed)
     learner = GradientLearner(body, schedule, lam, coupled)
-    played = run_game(learner, streams, _mixed_schedules(HORIZON, seed), FACTORIES[family],
-                      LinearScoring.default(dim, dim), HORIZON, seeds).estimates
+    played = run_game(learner, draw(streams, FACTORIES[family], HORIZON, seeds),
+                      _mixed_schedules(HORIZON, seed), LinearScoring.default(dim, dim)).estimates
 
     streams, _, seeds = _pieces(trials, dim, 1, seed)
     expected = reference_estimates(body, schedule, lam, coupled, streams,
@@ -258,8 +258,8 @@ def test_a_round_sums_gradients_of_several_takes_in_source_order(trials):
     with (mock.patch.object(Loss, "grad", autospec=True, side_effect=Loss.grad) as grad,
           mock.patch.object(QuadraticLoss, "float_grad", autospec=True,
                             side_effect=QuadraticLoss.float_grad) as float_grad):
-        played = run_game(learner, streams(), schedules, factory, LinearScoring.default(1, 1),
-                          horizon, [0] * trials).estimates
+        played = run_game(learner, draw(streams(), factory, horizon, [0] * trials),
+                          schedules, LinearScoring.default(1, 1)).estimates
     expected = reference_estimates(body, schedule, 0.0, False, streams(), schedules, factory,
                                    horizon, [0] * trials)
     assert (grad.called, float_grad.called) == (trials > 1, trials == 1)
@@ -279,9 +279,10 @@ def test_a_fixed_lag_keeps_a_negative_zero_gradient_as_it_is():
     horizon, tau = 30, 2
     learner = GradientLearner(Ball([0.0], 1.0), ConstantStep(value=0.5, tau=tau), lam=-0.3)
     learner.estimate = np.array([-0.0])
-    played = run_game(learner, [ExplicitStream(np.zeros((horizon, 1)), np.zeros((horizon, 1)))],
-                      [FixedDelay(tau)], fixed_loss(QuadraticLoss, a=1.0),
-                      LinearScoring.default(1, 1), horizon, [0]).estimates[0, :, 0]
+    played = run_game(learner,
+                      draw([ExplicitStream(np.zeros((horizon, 1)), np.zeros((horizon, 1)))],
+                           fixed_loss(QuadraticLoss, a=1.0), horizon, [0]),
+                      [FixedDelay(tau)], LinearScoring.default(1, 1)).estimates[0, :, 0]
     assert not played.any()
     assert np.signbit(played).tolist() == [True] * (tau + 1) + [False] * (horizon - tau - 1)
 
@@ -305,9 +306,10 @@ def test_entropic_fixed_lag_game_matches_the_update_reference_bit_for_bit(kind, 
     schedule = SCHEDULES[kind](tau, None)
     seed = 41 + tau
     learner = GradientLearner(body, schedule, lam, coupled, NegativeEntropyMap())
-    played = run_game(learner, _simplex_streams(trials, HORIZON, seed), [FixedDelay(tau)] * trials,
-                      FACTORIES[family], LinearScoring.default(4, 3), HORIZON,
-                      [seed + k for k in range(trials)]).estimates
+    played = run_game(learner,
+                      draw(_simplex_streams(trials, HORIZON, seed), FACTORIES[family], HORIZON,
+                           [seed + k for k in range(trials)]),
+                      [FixedDelay(tau)] * trials, LinearScoring.default(4, 3)).estimates
     expected = reference_estimates(body, schedule, lam, coupled,
                                    _simplex_streams(trials, HORIZON, seed),
                                    [FixedDelay(tau)] * trials, FACTORIES[family], HORIZON,
@@ -341,8 +343,8 @@ def test_a_move_that_overflows_in_a_block_names_the_reference_round_and_kind(tri
                  else [RandomDelay(d_max=6, seed=s) for s in (3, 4)[2 - trials:]])
     factory, body = fixed_loss(QuadraticLoss, a=1.0), Ball([0.0], 1.0)
     with pytest.raises(NonFiniteGradient) as played:
-        run_game(GradientLearner(body, schedule), streams(), schedules, factory,
-                 LinearScoring.default(1, 1), horizon, [0] * trials)
+        run_game(GradientLearner(body, schedule), draw(streams(), factory, horizon, [0] * trials),
+                 schedules, LinearScoring.default(1, 1))
     with (np.errstate(over="ignore", invalid="ignore"),
           pytest.raises(NonFiniteGradient) as expected):
         reference_estimates(body, schedule, 0.0, False, streams(), schedules, factory, horizon,
@@ -377,8 +379,9 @@ def test_undelivered_rounds_whose_gradients_overflow_leave_the_game_as_it_was(tr
     body, schedule = Ball([0.0], 1.0), ConstantStep(value=0.1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        traj = run_game(GradientLearner(body, schedule), streams(),
-                        schedules, factory, LinearScoring.default(1, 1), horizon, [0] * trials)
+        traj = run_game(GradientLearner(body, schedule),
+                        draw(streams(), factory, horizon, [0] * trials),
+                        schedules, LinearScoring.default(1, 1))
     with np.errstate(over="ignore", invalid="ignore"):
         assert not np.isfinite(traj.loss[-1].grad(traj.estimates[-1])[20:30]).any()
         expected = reference_estimates(body, schedule, 0.0, False, streams(), schedules, factory,
@@ -404,8 +407,8 @@ def test_a_fixed_lag_takes_one_gradient_call_per_tau_plus_one_rounds(monkeypatch
     monkeypatch.setattr(Loss, "grad", counted)
     streams, _, seeds = _pieces(2, 1, 1, 5)
     learner = GradientLearner(Ball([0.0], 4.0), InverseSqrtStep(sigma=0.5, tau=tau))
-    run_game(learner, streams, [FixedDelay(tau)] * 2, uniform_quadratic(),
-             LinearScoring.default(1, 1), horizon, seeds)
+    run_game(learner, draw(streams, uniform_quadratic(), horizon, seeds),
+             [FixedDelay(tau)] * 2, LinearScoring.default(1, 1))
     assert len(calls) == horizon // (tau + 1)
     assert calls == [(slice(None), slice(k, k + tau + 1))
                      for k in range(0, horizon - tau, tau + 1)]
@@ -425,8 +428,9 @@ def test_one_trial_past_a_chunk_takes_its_own_gradients_in_one_play_call(monkeyp
         if tau:
             delays = [FixedDelay(tau)] * 2
         learner = GradientLearner(Ball([0.3], 0.7), InverseSqrtStep(sigma=0.6, tau=tau), 1.0, True)
-        return run_game(learner, streams[:trials], delays[:trials], uniform_quadratic(),
-                        LinearScoring.default(1, 1), horizon, seeds[:trials]).estimates
+        return run_game(learner,
+                        draw(streams[:trials], uniform_quadratic(), horizon, seeds[:trials]),
+                        delays[:trials], LinearScoring.default(1, 1)).estimates
 
     together = game(2)
 

@@ -7,7 +7,7 @@ import pytest
 from delivery_oracle import deliveries
 from laglearn import experiments
 from laglearn.environment import (ZERO_SUBGRADIENT_FLAG, ExplicitStream, GaussianStream,
-                                  LinearScoring, run_game, fixed_loss)
+                                  LinearScoring, draw, fixed_loss, run_game)
 from laglearn.feedback import ExplicitDelay, FixedDelay, RandomDelay
 from laglearn.geometry import Ball, EuclideanMap, NegativeEntropyMap, Simplex
 from laglearn.learners import (
@@ -167,8 +167,8 @@ def test_per_trial_steps_must_match_the_trial_count():
     learner = GradientLearner(Ball([0.0], 10.0), ConstantStep(value=[0.1, 0.2, 0.3]))
     streams = [GaussianStream(seed=seed) for seed in (1, 2)]
     with pytest.raises(ValueError, match="3 step sizes for 2 trials"):
-        run_game(learner, streams, [FixedDelay(0)] * 2, fixed_loss(NormLoss),
-                 LinearScoring.default(1, 1), 5, seeds=[0, 0])
+        run_game(learner, draw(streams, fixed_loss(NormLoss), 5, seeds=[0, 0]),
+                 [FixedDelay(0)] * 2, LinearScoring.default(1, 1))
     assert np.array_equal(learner.estimate, [0.0])  # the start point, as built
 
 
@@ -264,8 +264,9 @@ def _explicit_game(learner, horizon=12, delays=None, d=1):
     known = np.linspace(0.5, 1.5, horizon)[:, None]
     stream = ExplicitStream(known, hidden)
     schedule = delays if delays is not None else ExplicitDelay(tuple([d] * horizon))
-    return run_game(learner, [stream], [schedule], fixed_loss(QuadraticLoss, a=1.0, b=0.0),
-                    LinearScoring.default(1, 1), horizon, seeds=[5])
+    return run_game(learner,
+                    draw([stream], fixed_loss(QuadraticLoss, a=1.0, b=0.0), horizon, seeds=[5]),
+                    [schedule], LinearScoring.default(1, 1))
 
 
 def test_no_delay_reduction_matches_plain_ogd():
@@ -304,8 +305,8 @@ def test_feasibility_every_round():
     body = Ball([0.5], 1.5)
     stream = GaussianStream(rho=0.3, body_hidden=body, seed=42)
     learner = GradientLearner(body, InverseSqrtStep(sigma=2.0, tau=3), 1.0, coupled=True)
-    traj = run_game(learner, [stream], [FixedDelay(3)], fixed_loss(QuadraticLoss, a=1.0),
-                    LinearScoring.default(1, 1), 300, seeds=[1])
+    traj = run_game(learner, draw([stream], fixed_loss(QuadraticLoss, a=1.0), 300, seeds=[1]),
+                    [FixedDelay(3)], LinearScoring.default(1, 1))
     for est in traj.estimates[0]:
         assert body.contains(est, tol=1e-9)
 
@@ -344,9 +345,8 @@ def test_naive_estimate_is_the_mean_of_the_delivered_anchors_bit_for_bit():
     horizon = 80
     streams = [GaussianStream(d1=3, d2=2, rho=0.4, seed=seed) for seed in (1, 2, 3)]
     learner = NaiveLearner(Ball([0.0, 0.0], 4.0))
-    traj = run_game(learner, streams, [RandomDelay(d_max=7, seed=s) for s in (4, 5, 6)],
-                    fixed_loss(NormLoss), LinearScoring.default(3, 2), horizon,
-                    seeds=[0, 0, 0])
+    traj = run_game(learner, draw(streams, fixed_loss(NormLoss), horizon, seeds=[0, 0, 0]),
+                    [RandomDelay(d_max=7, seed=s) for s in (4, 5, 6)], LinearScoring.default(3, 2))
     pairs = deliveries(traj.delays)
     delivered = [[[s for r, s in pairs.get(t, []) if r == k] for t in range(1, horizon + 1)]
                  for k in range(3)]
@@ -400,9 +400,9 @@ def test_naive_estimate_is_np_mean_of_the_delivered_anchors_in_any_dimension(dim
     streams = [ExplicitStream(np.zeros((horizon, dim)), h) for h in hidden]
     big = float(np.max(np.abs(hidden[:2]))) * 2.0
     learner = NaiveLearner(Ball(np.zeros(dim), big))
-    traj = run_game(learner, streams, [RandomDelay(d_max=6, seed=s) for s in (4, 5, 6)],
-                    fixed_loss(NormLoss), LinearScoring.default(dim, dim), horizon,
-                    seeds=[0, 0, 0])
+    traj = run_game(learner, draw(streams, fixed_loss(NormLoss), horizon, seeds=[0, 0, 0]),
+                    [RandomDelay(d_max=6, seed=s) for s in (4, 5, 6)],
+                    LinearScoring.default(dim, dim))
     pairs = deliveries(traj.delays)
     for k in range(3):
         revealed = []
@@ -421,6 +421,6 @@ def test_zero_subgradient_flags_only_for_deliveries_within_the_horizon():
     streams = [ExplicitStream([[0.0]] * 4, [[0.0]] * 4),
                ExplicitStream([[0.0]] * 4, [[1.0]] * 4)]
     learner = GradientLearner(Ball([0.0], 10.0), ConstantStep(value=0.5, tau=1))
-    traj = run_game(learner, streams, [FixedDelay(1)] * 2, fixed_loss(NormLoss),
-                    LinearScoring.default(1, 1), 4, seeds=[0, 0])
+    traj = run_game(learner, draw(streams, fixed_loss(NormLoss), 4, seeds=[0, 0]),
+                    [FixedDelay(1)] * 2, LinearScoring.default(1, 1))
     assert traj.flags == ((0, ZERO_SUBGRADIENT_FLAG),) * 3

@@ -3,6 +3,7 @@ import pytest
 
 from laglearn.losses import (
     ExpLoss,
+    Loss,
     NormLoss,
     PowerLoss,
     QuadraticLoss,
@@ -141,6 +142,25 @@ def test_zero_subgradient_at_kinked_anchor():
     loss = QuadraticLoss([0.5], a=1.0)
     assert np.array_equal(loss.grad([0.5]), [0.0])
     assert not loss.kinks([0.5])
+
+
+@pytest.mark.parametrize("loss", [
+    QuadraticLoss(np.zeros((2, 3, 2)), a=1.0),
+    PowerLoss(np.zeros((2, 3, 2)), m=2),
+    ExpLoss(np.zeros((2, 3, 2)), a=1.0, s=1.0, m=3),
+], ids=["quadratic", "power", "exp"])
+def test_a_loss_smooth_at_every_anchor_finds_no_kink_without_taking_distances(loss, monkeypatch):
+    def no_distance(self, x):
+        raise AssertionError("distance taken")
+
+    monkeypatch.setattr(Loss, "distance", no_distance)
+    # At the anchors themselves, for every row and broadcast over x's leading axes.
+    for x in (np.zeros((2, 3, 2)), np.zeros(2), np.zeros((4, 1, 1, 2))):
+        kinks = loss.kinks(x)
+        assert kinks.dtype == bool and not kinks.any()
+        assert kinks.shape == np.broadcast_shapes(x.shape[:-1], (2, 3))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        loss.kinks(np.zeros(3))
 
 
 def test_kink_slope_is_the_radial_slope_at_the_anchor():

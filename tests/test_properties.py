@@ -30,8 +30,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from laglearn import cli, experiments
-from laglearn.environment import (GaussianStream, LinearScoring, fixed_loss, run_game,
-                                  uniform_quadratic)
+from laglearn.environment import (GaussianStream, LinearScoring, draw, fixed_loss,
+                                  run_game, uniform_quadratic)
 from laglearn.feedback import FixedDelay, RandomDelay
 from laglearn.geometry import Ball
 from laglearn.learners import ConstantStep, GradientLearner, InverseSqrtStep
@@ -270,9 +270,10 @@ def _play(game, rows):
         grad, *float_grads = [stack.enter_context(mock.patch.object(
             owner, name, autospec=True, side_effect=getattr(owner, name)))
             for owner, name in spied]
-        played = run_game(learner, streams, delays, FAMILIES[game["family"]],
-                          LinearScoring.default(1, 1), game["horizon"],
-                          [seed + 20 + k for k in rows])
+        played = run_game(learner,
+                          draw(streams, FAMILIES[game["family"]], game["horizon"],
+                               [seed + 20 + k for k in rows]),
+                          delays, LinearScoring.default(1, 1))
     return played.estimates, grad.called, any(spy.called for spy in float_grads)
 
 
