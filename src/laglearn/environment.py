@@ -68,6 +68,10 @@ class GaussianStream(ContextStream):
     part as hidden = mean + sd (rho z1 + sqrt(1 - rho^2) z2) with z1 the
     known part's own standard draw, so the pairwise correlation is rho
     exactly; extra known coordinates (when d1 > d2) are independent.
+
+    `take` works in the draws' own arrays, by those formulas' float
+    operations in their order: it holds at most the two parts and a
+    projection's test at once.
     """
 
     def __init__(self, d1: int = 1, d2: int = 1, mean: float = 1.0,
@@ -93,10 +97,17 @@ class GaussianStream(ContextStream):
     def take(self, n: int) -> tuple[Array, Array]:
         z1 = self._rng.standard_normal((n, self.d1))
         z2 = self._rng.standard_normal((n, self.d2))
-        known = self.mean + self.sd * z1
-        mix = self.rho * z1[:, : self.d2] + np.sqrt(1.0 - self.rho**2) * z2
-        hidden = self.mean + self.sd * mix
-        return self.body_known.project(known), self.body_hidden.project(hidden)
+        hidden = self.rho * z1[:, : self.d2]
+        z2 *= np.sqrt(1.0 - self.rho**2)
+        hidden += z2
+        del z2
+        hidden *= self.sd
+        hidden += self.mean
+        z1 *= self.sd  # the known part, mean + sd * z1
+        z1 += self.mean
+        known = self.body_known.project(z1)
+        del z1
+        return known, self.body_hidden.project(hidden)
 
 
 class PolygonStream(ContextStream):
@@ -196,7 +207,11 @@ class LinearScoring:
         )
 
     def score(self, known, hidden) -> Array:
-        return np.vecdot(self.w_known, known) + np.vecdot(self.w_hidden, hidden)
+        score, hidden_score = np.vecdot(self.w_known, known), np.vecdot(self.w_hidden, hidden)
+        if np.shape(score) != np.shape(hidden_score):  # rows that broadcast
+            return score + hidden_score
+        score += hidden_score  # in place; a single row's scalar is rebound
+        return score
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +306,10 @@ def run_game(learner: BaseLearner, batch: Batch, delays: list[DelaySchedule],
     alone.  Loss values, score errors and flags are computed from the
     recorded arrays after the last round; zero-subgradient flags count
     only the pairs due within the horizon (`buffer.due <= horizon`).
+    Beside the batch and the record the game holds a few arrays of the
+    horizon at most: the buffer goes once its due rounds are read, the
+    distances are taken once, and the scores are built in place, by their
+    formulas' float operations in their order.
     Every array is trial-major, (trials, horizon, ...), so round i is
     column `[:, i]`; the game's arrays and the batch's `Loss` are the
     returned `Trajectory`, whose row k (and the flags tagged k) is trial
@@ -307,7 +326,9 @@ def run_game(learner: BaseLearner, batch: Batch, delays: list[DelaySchedule],
     if scoring.w_known.size != batch.known.shape[-1] or scoring.w_hidden.size != dim:
         raise ConfigError("scoring weights do not match the stream dimensions")
 
-    delay_values = np.stack([schedule.realize(horizon) for schedule in delays])
+    delay_values = np.empty((trials, horizon), dtype=np.int64)
+    for row, schedule in zip(delay_values, delays):
+        row[...] = schedule.realize(horizon)
     if learner.lag is not None and np.any(delay_values != learner.lag + 1):
         raise ConfigError(f"fixed-lag learner needs every delay to be tau + 1 = {learner.lag + 1}")
     known, hidden, loss = batch.known, batch.hidden, batch.loss
@@ -320,14 +341,24 @@ def run_game(learner: BaseLearner, batch: Batch, delays: list[DelaySchedule],
     # unread.
     with np.errstate(over="ignore", invalid="ignore"):
         learner.play(loss, buffer, known, estimates)
-
-    loss_values = loss.value(estimates)
-    score_errors = np.abs(scoring.score(known, estimates) - scoring.score(known, hidden))
-    score_error_losses = loss.radial(score_errors)
-    violated = score_error_losses > loss_values + 1e-9 * np.maximum(1.0, np.abs(loss_values))
     # Only a gradient learner meets zero subgradients, and only those delivered in time.
-    kinked = loss.kinks(estimates) & (buffer.due <= horizon) & learner.uses_gradients
-    kink_counts = kinked.sum(axis=1).tolist()
+    in_time = (buffer.due <= horizon) & learner.uses_gradients
+    del buffer  # its due rounds are all the game reads of it
+
+    # |score(k, est) - score(k, hidden)|, the difference and its abs in place.
+    score_errors = scoring.score(known, estimates)
+    score_errors -= scoring.score(known, hidden)
+    np.abs(score_errors, out=score_errors)
+    distances = loss.distance(estimates)  # once, for the loss values and the kinks
+    kink_counts = (loss.kinks_at(distances) & in_time).sum(axis=1).tolist()
+    loss_values = loss.radial(distances)
+    del distances
+    # loss_values + 1e-9 * max(1, |loss_values|), in place.
+    tolerance = np.abs(loss_values)
+    np.maximum(1.0, tolerance, out=tolerance)
+    tolerance *= 1e-9
+    tolerance += loss_values
+    violated = loss.radial(score_errors) > tolerance
     flags = []
     for k in range(trials):
         flags += [(k, ZERO_SUBGRADIENT_FLAG)] * kink_counts[k]

@@ -58,7 +58,9 @@ class Trajectory:
 
     def replay_gap(self) -> Array:
         """Per trial, max |stored loss value - loss re-evaluated at the stored estimate|."""
-        gaps = np.abs(self.loss.value(self.estimates) - self.loss_values)
+        gaps = self.loss.value(self.estimates)
+        gaps -= self.loss_values
+        np.abs(gaps, out=gaps)
         return np.max(gaps, axis=1, initial=0.0, where=~np.isnan(gaps))
 
 
@@ -191,6 +193,8 @@ def _oracles(losses: Loss, body: ConvexBody, x: Array):
     g is the summed gradient, but at kinks the kinked terms add a ball of
     radius sum radial'(0+), which cancels the rest as far as it reaches:
     g is the subgradient of least norm, and a minimum on anchors has gap 0.
+    Beyond the gradients, which `grad` takes in place, and at kinks the
+    distances, it copies no array of the rows.
     """
     g = losses.grad(x[:, None]).sum(axis=1)
     slopes = losses.kink_slope()
@@ -262,6 +266,7 @@ def regret(trajectory: Trajectory, body: ConvexBody, skip_rounds: int = 0,
     reuses those comparators; any other arm is solved.  Either way the
     arm's own problem then takes their place, so `solved` keeps no losses
     alive but the last arm's.
+    The prefix sums and their difference are taken in place.
     """
     horizon = trajectory.horizon
     if trajectory.loss.anchor.shape[1] != horizon:
@@ -276,12 +281,18 @@ def regret(trajectory: Trajectory, body: ConvexBody, skip_rounds: int = 0,
         solution = offline_optimum(scored, body)
     if solved is not None:
         solved[:] = problem + [solution]
-    comparator_values = np.zeros((len(solution.point), horizon))
-    comparator_values[:, skip_rounds:] = scored.value(solution.point[:, None])
-    scored_loss = trajectory.loss_values.copy()
-    scored_loss[:, :skip_rounds] = 0.0
+    comparator = scored.value(solution.point[:, None])  # its loss in each scored round
+    if skip_rounds:  # the skipped rounds add 0.0 to both curves
+        comparator = np.concatenate([np.zeros((len(comparator), skip_rounds)), comparator],
+                                    axis=1)
+    curve = trajectory.loss_values.copy()
+    curve[:, :skip_rounds] = 0.0
+    # The prefix sums, then their difference, in place.
+    np.cumsum(curve, axis=1, out=curve)
+    curve -= np.cumsum(comparator, axis=1, out=comparator)
+    del comparator
     return RegretReport(
-        regret=np.cumsum(scored_loss, axis=1) - np.cumsum(comparator_values, axis=1),
+        regret=curve,
         cum_loss=np.cumsum(trajectory.loss_values, axis=1),
         comparator=solution.point,
         comparator_loss=solution.total,

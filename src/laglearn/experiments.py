@@ -13,7 +13,8 @@ seeds, and headline metrics.  An arm's trials are played as one lockstep batch,
 recorded as one trajectory and one regret report whose row k is trial k,
 and rerunning the manifest's config reproduces every byte.  A single run
 also writes trajectory.csv and its replay gap and flags, all of the first
-trial.
+trial, before its regret is measured; every arm drops its record before
+its report is aggregated.
 """
 
 from __future__ import annotations
@@ -200,8 +201,9 @@ def parse_config(path) -> ExperimentConfig:
 def validate_config(cfg: ExperimentConfig) -> list[str]:
     """Every problem that keeps `cfg` from running, named by INI field or section.
 
-    If the option checks pass, each arm is built as `run_single` builds it,
-    from the first trial's seeds, and reports its first failing piece.
+    If the option checks pass, each arm's streams and other pieces are
+    built as `run_single` builds them when it draws, from the first
+    trial's seeds, and the arm reports its first failing piece.
     """
     errors = []
 
@@ -297,6 +299,8 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
     seeds = [trial_seed(cfg.seed, 0)]
     for _, arm in expand_arms(cfg):
         try:
+            # A run builds the streams only when it draws; their errors come first.
+            _build_streams(arm, seeds, _hidden_body(arm))
             _build_arm(arm, seeds)
         except ConfigFileError as exc:
             errors.extend(exc.errors)
@@ -309,9 +313,12 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
 
 @contextlib.contextmanager
 def _section(name: str):
-    """Re-raise a ValueError or OSError as a ConfigFileError under INI section `name`."""
+    """Re-raise a ValueError or OSError as a ConfigFileError under INI section `name`;
+    a ConfigFileError, which names its own option, passes as it is."""
     try:
         yield
+    except ConfigFileError:
+        raise
     except (ValueError, OSError) as exc:
         raise ConfigFileError([f"{name}: {exc}"]) from exc
 
@@ -334,7 +341,8 @@ def _hidden_body(cfg: ExperimentConfig) -> ConvexBody:
 @_section("stream")
 def _build_streams(cfg: ExperimentConfig, seeds: list[int], body: ConvexBody) -> list:
     """One context stream per trial seed; a csv file is parsed once, and each
-    trial reads its rows through its own cursor (`take` copies what it reads)."""
+    trial reads its rows through its own cursor (`take` copies what it reads).
+    A file with fewer rows than the horizon is an error."""
     if cfg.stream == "gaussian":
         return [environment.GaussianStream(
             d1=cfg.d1, d2=cfg.d2, mean=cfg.mean, variance=cfg.variance, rho=cfg.rho,
@@ -344,6 +352,9 @@ def _build_streams(cfg: ExperimentConfig, seeds: list[int], body: ConvexBody) ->
             body, d1=cfg.d1, mean=cfg.mean, variance=cfg.variance, seed=trial_seed(seed, 0))
             for seed in seeds]
     rows = environment.ExplicitStream.from_csv(cfg.context_path, cfg.d1, cfg.d2)
+    if rows.remaining < cfg.horizon:
+        raise ConfigFileError([f"stream.path: csv stream has {rows.remaining} rows, "
+                               f"fewer than the horizon {cfg.horizon}"])
     return [copy.copy(rows) for _ in seeds]
 
 
@@ -450,15 +461,13 @@ def resolve_arm(cfg: ExperimentConfig) -> dict:
 
 
 def _build_arm(cfg: ExperimentConfig, seeds: list[int]):
-    """The hidden body, streams, delay schedules and learner of the trials of `seeds`.
+    """The hidden body, delay schedules and learner of the trials of `seeds`.
 
-    A piece that cannot be built raises ConfigFileError under its INI section.
+    Their streams are built apart (`_build_streams`), only by an arm that
+    draws.  A piece that cannot be built raises ConfigFileError under its
+    INI section.
     """
     body = _hidden_body(cfg)
-    streams = _build_streams(cfg, seeds, body)
-    if cfg.stream == "csv" and streams[0].remaining < cfg.horizon:
-        raise ConfigFileError([f"stream.path: csv stream has {streams[0].remaining} rows, "
-                               f"fewer than the horizon {cfg.horizon}"])
     delays = _build_delays(cfg, seeds)
     if cfg.delay_kind == "file" and len(delays[0].delays) < cfg.horizon:
         raise ConfigFileError([f"delays.path: delay file has {len(delays[0].delays)} delays, "
@@ -484,7 +493,7 @@ def _build_arm(cfg: ExperimentConfig, seeds: list[int]):
         if wrong:
             raise ConfigFileError([f"delays.path: delay file has delay {wrong[0]}; a fixed-lag "
                                    f"learner needs every delay to be tau + 1 = {learner.lag + 1}"])
-    return body, streams, delays, learner
+    return body, delays, learner
 
 
 # The options an arm's contexts and losses are drawn from.
@@ -500,7 +509,8 @@ def _draw_key(cfg: ExperimentConfig, seeds: list[int]) -> tuple:
 
 
 def run_single(cfg: ExperimentConfig, seeds: list[int], solved: list | None = None,
-               drawn: list | None = None, keep: bool = False) -> tuple[Trajectory, RegretReport]:
+               drawn: list | None = None, keep: bool = False,
+               record=None) -> tuple[Trajectory, RegretReport]:
     """One arm's seeded trials: build the pieces, draw, play in lockstep, measure regret.
 
     Row k of the trajectory and of the report is the trial of `seeds[k]`.
@@ -508,23 +518,27 @@ def run_single(cfg: ExperimentConfig, seeds: list[int], solved: list | None = No
     comparator problem, whose solve this arm reuses if it scores the same
     losses.  `drawn` lets consecutive arms play one draw of their
     contexts and losses.  It holds [key, batch] of the previous arm, or
-    nothing.  An arm whose `_draw_key` equals that key plays that batch;
-    any other arm draws its own.  The arm then leaves its key and batch
-    there if `keep` says the next arm plays them too, and empties it
-    otherwise, so no batch outlives its last game.
+    nothing.  An arm whose `_draw_key` equals that key plays that batch,
+    and builds no streams; any other arm builds them and draws its own.
+    The arm then leaves its key and batch there if `keep` says the next
+    arm plays them too, and empties it otherwise, so no batch outlives its
+    last game.  `record`, if given, is called with the trajectory before
+    regret is measured.
     """
-    body, streams, delays, learner = _build_arm(cfg, seeds)
+    body, delays, learner = _build_arm(cfg, seeds)
     key = _draw_key(cfg, seeds)
     if drawn and drawn[0] == key:
         batch = drawn[1]
     else:
-        batch = environment.draw(streams, _loss_factory(cfg), cfg.horizon,
-                                 seeds=[trial_seed(seed, 1) for seed in seeds])
+        batch = environment.draw(_build_streams(cfg, seeds, body), _loss_factory(cfg),
+                                 cfg.horizon, seeds=[trial_seed(seed, 1) for seed in seeds])
     if drawn is not None:
         drawn[:] = [key, batch] if keep else []
     scoring = environment.LinearScoring.default(cfg.d1, cfg.d2)
     trajectory = environment.run_game(learner, batch, delays, scoring)
     del batch  # the trajectory keeps the losses; the contexts end with the game
+    if record is not None:
+        record(trajectory)
     return trajectory, evaluation.regret(trajectory, body, skip_rounds=cfg.warmup * cfg.tau,
                                          solved=solved)
 
@@ -555,7 +569,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     is kept only while a later arm plays it (see `run_single`).  An arm
     that scores the previous arm's losses, bit for bit, on the same body
     reuses its comparator solve (see `evaluation.regret`); what is shared
-    lives only as long as this call.  When an arm
+    lives only as long as this call.  A single run's trajectory file,
+    replay gap and flags are written before regret is measured, and every
+    record is dropped before its report is aggregated.  When an arm
     fails, the files and directories this call wrote are removed before
     the error propagates, so a failed run leaves no partial outputs.
     """
@@ -601,18 +617,25 @@ def _write_experiment(cfg: ExperimentConfig, out: Path, written: list[Path]) -> 
     arms = expand_arms(cfg)
     keys = [_draw_key(arm, seeds) for _, arm in arms]
 
+    def record(traj: Trajectory) -> None:
+        """The single-run outputs, of the first trial, written before regret is measured."""
+        traj_file = out / "trajectory.csv"
+        written.append(traj_file)
+        evaluation.write_trajectory_csv(traj, traj_file)
+        manifest["outputs"].append(traj_file.name)
+        manifest["metrics"]["replay_gap"] = float(traj.replay_gap()[0])
+        manifest["metrics"]["flags"] = [flag for trial, flag in traj.flags if trial == 0]
+
     for i, (label, arm) in enumerate(arms):
         manifest["resolved"][label] = resolve_arm(arm)
-        keep = i + 1 < len(arms) and keys[i + 1] == keys[i]
-        traj, report = run_single(arm, seeds, solved, drawn, keep)
-
-        if cfg.kind == "single-run":  # the single-run outputs describe the first trial
-            traj_file = out / "trajectory.csv"
-            written.append(traj_file)
-            evaluation.write_trajectory_csv(traj, traj_file)
-            manifest["outputs"].append(traj_file.name)
-            manifest["metrics"]["replay_gap"] = float(traj.replay_gap()[0])
-            manifest["metrics"]["flags"] = [flag for trial, flag in traj.flags if trial == 0]
+        last = i + 1 == len(arms)
+        keep = not last and keys[i + 1] == keys[i]
+        traj, report = run_single(arm, seeds, solved, drawn, keep,
+                                  record if cfg.kind == "single-run" else None)
+        delay_sum_mean = float(np.mean(traj.delays.sum(axis=1)))
+        del traj  # the record is not needed to aggregate the report
+        if last:
+            solved.clear()  # no arm is left to reuse the solve, so its losses go too
 
         curves = evaluation.aggregate(report)
         csv_path = out / f"{label}.csv"
@@ -626,7 +649,7 @@ def _write_experiment(cfg: ExperimentConfig, out: Path, written: list[Path]) -> 
             "final_cum_loss_stderr": float(curves.cum_loss_stderr[-1]),
             "final_regret_mean": float(curves.regret_mean[-1]),
             "final_regret_stderr": float(curves.regret_stderr[-1]),
-            "delay_sum_mean": float(np.mean(traj.delays.sum(axis=1))),
+            "delay_sum_mean": delay_sum_mean,
         }
         manifest["arms"][label] = final
 

@@ -144,22 +144,28 @@ def delivery_order(delays) -> tuple[np.ndarray, np.ndarray]:
     of row k delivers sources[k, starts[k, t]:starts[k, t + 1]], possibly
     none, possibly several.  Both are int32, for T below 2^31.
 
-    One count of the cut due rounds gives the starts, and one in-place
-    sort of each row's int64 keys, cut due round and then source, gives
-    the sources.  Its peak is the keys and one int64 count per round,
-    about 20 bytes per pair; a key is below rows * (T + 2) * T.
+    One count of the cut due rounds, made in the int32 starts, gives the
+    starts, and one in-place sort of each row's int64 keys, cut due round
+    and then source, gives the sources.  Its peak is the keys, the starts
+    and one int32 source index per pair, about 16 bytes per pair; a key is
+    below rows * (T + 3) * T.
     """
     delays = np.atleast_2d(np.asarray(delays, dtype=np.int64))
     rows, horizon = delays.shape
-    key = np.minimum(np.arange(horizon) + delays, horizon + 1)
-    # Offset each row's due rounds so that one count splits them by row.
-    key += np.arange(rows)[:, None] * (horizon + 2)
-    starts = np.zeros((rows, horizon + 2), np.int32)
-    starts[:, 1:] = np.bincount(key.ravel(), minlength=rows * (horizon + 2)).reshape(
-        rows, horizon + 2)[:, :-1]
+    source = np.arange(horizon, dtype=np.int32)
+    key = source + delays
+    np.minimum(key, horizon + 1, out=key)
+    # Offset each row's due rounds so that one count splits them by row.  Row
+    # k counts due round t at column t + 1 of a row of T + 3, and the count
+    # at column T + 2, of the pairs due past the horizon, is cut away.
+    key += np.arange(rows)[:, None] * (horizon + 3)
+    counts = np.zeros(rows * (horizon + 3), np.int32)
+    np.add.at(counts[1:], key.ravel(), 1)
+    starts = counts.reshape(rows, horizon + 3)[:, :-1]
     np.cumsum(starts, axis=1, dtype=np.int32, out=starts)
     key *= horizon
-    key += np.arange(horizon)
+    key += source
+    del source
     # Unstable is enough: no two keys of a row are equal.
     key.sort(axis=1)
     sources = np.empty((rows, horizon), np.int32)

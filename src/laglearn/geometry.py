@@ -60,8 +60,10 @@ def as_points(x, dim: int) -> Array:
 
 
 def norms(v: Array) -> Array:
-    """Euclidean norm of each row; bit for bit `np.linalg.norm` of that row."""
-    return np.sqrt(np.vecdot(v, v))
+    """Euclidean norm of each row; bit for bit `np.linalg.norm` of that row.
+    The square root is taken in place, but for a single row's scalar."""
+    r = np.vecdot(v, v)
+    return np.sqrt(r, out=r) if isinstance(r, np.ndarray) else np.sqrt(r)
 
 
 def _unscale_overflow(offset: Array, dist: Array) -> None:
@@ -133,7 +135,8 @@ class Ball(ConvexBody):
     outside lands at a norm within the radius, so `project` moves exactly
     the rows outside, and `first_moved` makes the same test (`_outside`)
     alone: a block with no row outside costs one test and no copy, and
-    otherwise only the first such index is projected.
+    otherwise only the first such index is projected.  `project` frees
+    the test's arrays before it copies the input.
     """
 
     def __init__(self, center, radius: float):
@@ -161,10 +164,13 @@ class Ball(ConvexBody):
 
     def project(self, x) -> Array:
         v, offset, squared, outside = self._outside(x)
+        moves = np.count_nonzero(outside)
+        if moves:
+            far, dist = offset[outside], np.sqrt(squared[outside])  # `norms` of those rows
+        del offset, squared  # the test's arrays go before the copy is made
         out = v.copy()
-        if not np.count_nonzero(outside):
+        if not moves:
             return out
-        far, dist = offset[outside], np.sqrt(squared[outside])  # `norms` of those rows
         _unscale_overflow(far, dist)
         scale = self.radius / dist
         ulp = scale - np.nextafter(scale, 0.0)

@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .geometry import Array
+from .geometry import Array, norms
 
 
 class Loss:
@@ -42,7 +42,8 @@ class Loss:
 
     Arithmetic follows the scalar formulas term by term (`np.float_power`
     for powers, `sqrt(vecdot)` for norms), so each row gives the same bits
-    as evaluating that one loss on its own.
+    as evaluating that one loss on its own.  Square roots and a gradient's
+    last product or quotient are taken in place, by the same operations.
     """
 
     family = "base"
@@ -110,8 +111,7 @@ class Loss:
 
     def distance(self, x) -> Array:
         """||x - anchor||."""
-        d = self._offset(x, ...)
-        return np.sqrt(np.vecdot(d, d))
+        return norms(self._offset(x, ...))
 
     def value(self, x) -> Array:
         return self.radial(self.distance(x))
@@ -121,8 +121,7 @@ class Loss:
 
     def grad(self, x, at=...) -> Array:
         """Gradient at x of the rows `at`."""
-        d = self._offset(x, at)
-        return self._grad(d, np.sqrt(np.vecdot(d, d)), at)
+        return self._grad(self._offset(x, at), at)
 
     def float_grad(self, at):
         """The gradient of the 1-d rows `at`, one axis of them, as a function of
@@ -140,11 +139,17 @@ class Loss:
         if not slope.any():
             shape = np.broadcast_shapes(self._checked(x).shape[:-1], slope.shape)
             return np.zeros(shape, dtype=bool)
-        return (self.distance(x) == 0.0) & (slope > 0.0)
+        return self.kinks_at(self.distance(x))
+
+    def kinks_at(self, r) -> Array:
+        """`kinks` of points at distances r from the anchors, as `distance` gives
+        them: a caller that has the distances takes them once."""
+        return (r == 0.0) & (self.kink_slope() > 0.0)
 
     def kink_slope(self) -> Array:
-        """radial'(0+) of each row: 0 where the profile is smooth at the anchor."""
-        return np.zeros(self.anchor.shape[:-1])
+        """radial'(0+) of each row: 0 where the profile is smooth at the anchor.
+        Read-only: a broadcast view where every row has one slope."""
+        return np.broadcast_to(0.0, self.anchor.shape[:-1])
 
     def lipschitz_bound(self, radius: float) -> float:
         """Bound on ||grad|| over ||x - anchor|| <= radius, for every row.
@@ -165,7 +170,9 @@ class Loss:
     def _lipschitz(self, radius: float) -> float:
         raise NotImplementedError
 
-    def _grad(self, d: Array, r: Array, at) -> Array:
+    def _grad(self, d: Array, at) -> Array:
+        """The gradient of the rows `at` at offsets d from their anchors,
+        which it may overwrite."""
         raise NotImplementedError
 
     def _offset(self, x, at) -> Array:
@@ -187,10 +194,24 @@ def _power(r: float, k: int) -> float:
 
 
 def _radial_direction(d: Array, slope: Array, zero: Array) -> Array:
-    """slope * d, with the rows where `zero` holds set to the zero vector."""
-    g = slope[..., None] * d
+    """slope * d, with the rows where `zero` holds set to the zero vector,
+    written into d."""
+    g = np.multiply(slope[..., None], d, out=d)
     g[zero] = 0.0
     return g
+
+
+def _slopes(kinked: Array, slope, shape: tuple) -> Array:
+    """np.where(kinked, slope, 0.0) over rows of `shape`, read-only: a
+    broadcast view of 0.0 where no row is kinked, and of `slope` where
+    every row is and `slope` is one number."""
+    if not kinked.any():
+        return np.broadcast_to(0.0, shape)
+    if kinked.all() and np.ndim(slope) == 0:
+        return np.broadcast_to(slope, shape)
+    slopes = np.where(kinked, slope, 0.0)
+    slopes.flags.writeable = False
+    return slopes
 
 
 class NormLoss(Loss):
@@ -201,9 +222,12 @@ class NormLoss(Loss):
     def radial(self, r) -> Array:
         return np.asarray(r, dtype=float)
 
-    def _grad(self, d, r, at) -> Array:
-        r = r[..., None]
-        return np.divide(d, r, out=np.zeros(d.shape), where=r != 0.0)
+    def _grad(self, d, at) -> Array:
+        r = norms(d)[..., None]
+        zero = r == 0.0
+        np.divide(d, r, out=d, where=~zero)
+        np.copyto(d, 0.0, where=zero)
+        return d
 
     def float_grad(self, at):
         anchors = self.anchor[at][..., 0].tolist()
@@ -215,7 +239,7 @@ class NormLoss(Loss):
         return grad
 
     def kink_slope(self) -> Array:
-        return np.ones(self.anchor.shape[:-1])
+        return np.broadcast_to(1.0, self.anchor.shape[:-1])
 
     def _lipschitz(self, radius: float) -> float:
         return 1.0
@@ -239,8 +263,8 @@ class QuadraticLoss(Loss):
     def radial(self, r) -> Array:
         return self.a * np.float_power(r, 2) + self.b
 
-    def _grad(self, d, r, at) -> Array:
-        return (2.0 * self.a[at])[..., None] * d
+    def _grad(self, d, at) -> Array:
+        return np.multiply((2.0 * self.a[at])[..., None], d, out=d)
 
     def float_grad(self, at):
         anchors, a = self.anchor[at][..., 0].tolist(), self.a[at].tolist()
@@ -266,8 +290,8 @@ class PowerLoss(Loss):
     def radial(self, r) -> Array:
         return np.float_power(r, self.m)
 
-    def _grad(self, d, r, at) -> Array:
-        m = self.m[at]
+    def _grad(self, d, at) -> Array:
+        m, r = self.m[at], norms(d)
         zero = r == 0.0
         return _radial_direction(d, m * np.float_power(np.where(zero, 1.0, r), m - 2), zero)
 
@@ -281,7 +305,7 @@ class PowerLoss(Loss):
         return grad
 
     def kink_slope(self) -> Array:
-        return np.where(self.m == 1, 1.0, 0.0)
+        return _slopes(self.m == 1, 1.0, self.anchor.shape[:-1])
 
     def _lipschitz(self, radius: float) -> float:
         return max(m * float(radius) ** (m - 1) for m in set(self.m.ravel().tolist()))
@@ -304,8 +328,9 @@ class ExpLoss(Loss):
     def radial(self, r) -> Array:
         return self.a * np.exp(np.float_power(r, self.m) / np.float_power(self.s, 2))
 
-    def _grad(self, d, r, at) -> Array:
+    def _grad(self, d, at) -> Array:
         a, m, s2 = self.a[at], self.m[at], np.float_power(self.s[at], 2)
+        r = norms(d)
         zero = r == 0.0
         safe = np.where(zero, 1.0, r)
         slope = a * m * np.float_power(safe, m - 2) * np.exp(np.float_power(safe, m) / s2) / s2
@@ -326,7 +351,7 @@ class ExpLoss(Loss):
         return grad
 
     def kink_slope(self) -> Array:
-        return np.where(self.m == 1, self.a / np.float_power(self.s, 2), 0.0)
+        return _slopes(self.m == 1, self.a / np.float_power(self.s, 2), self.anchor.shape[:-1])
 
     def _lipschitz(self, radius: float) -> float:
         # One numeric path for every m: maximize the radial slope on a grid.

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from laglearn import cli, experiments
+from laglearn import cli, environment, experiments
 from laglearn.experiments import ConfigFileError, parse_config, validate_config
 
 
@@ -330,6 +330,42 @@ kind = fixed
     assert parses == [str(contexts)] * 2
     assert manifest["arms"]["run"]["final_cum_loss_stderr"] == 0.0
     assert manifest["arms"]["run"]["final_cum_loss_mean"] > 0.0
+
+
+def test_an_arm_builds_its_streams_only_when_it_draws(tmp_path, monkeypatch):
+    # Validation builds one stream per arm; the three arms of the delay sweep
+    # play one batch, which only the first arm draws, from one stream per trial.
+    config = write_config(tmp_path, """
+[experiment]
+kind = delay-sweep
+horizon = 40
+trials = 10
+
+[learner]
+kind = ogd
+schedule = sqrt
+sigma = 0.5
+
+[sweep]
+tau = 1, 2, 3
+
+[stream]
+kind = gaussian
+rho = 0.5
+
+[delays]
+kind = fixed
+""")
+    built = []
+    init = environment.GaussianStream.__init__
+    monkeypatch.setattr(environment.GaussianStream, "__init__",
+                        lambda self, *args, **kwargs: built.append(self)
+                        or init(self, *args, **kwargs))
+    cfg = parse_config(config)
+    assert validate_config(cfg) == []
+    assert len(built) == 3
+    experiments.run_experiment(cfg, tmp_path / "out")
+    assert len(built) == 3 + 3 + 10  # validated twice: by the call above and by the run
 
 
 def _single_ogd_csv_config(tmp_path, rows, delays):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delivery_oracle import deliveries
 from laglearn import experiments
@@ -57,6 +59,30 @@ def test_gaussian_draws_live_in_their_bodies():
     known, hidden = stream.take(2000)
     assert np.all(np.abs(hidden) <= 1.5 + 1e-9)
     assert np.all(np.linalg.norm(known, axis=1) <= stream.body_known.radius_bound + 1e-9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(mean=st.floats(-6.0, 6.0), variance=st.floats(0.01, 9.0),
+       rho=st.sampled_from([-1.0, 0.0, 0.5, 1.0]), d2=st.integers(1, 3),
+       extra=st.integers(0, 2), sizes=st.lists(st.integers(1, 40), min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+def test_gaussian_take_gives_the_bits_of_the_expression_it_computes_in_place(
+        mean, variance, rho, d2, extra, sizes, seed):
+    # Means and variances that put many draws outside the radius-4 bodies,
+    # so the projections move points too; consecutive takes continue one draw.
+    stream = GaussianStream(d1=d2 + extra, d2=d2, mean=mean, variance=variance, rho=rho,
+                            seed=seed)
+    rng = np.random.default_rng(seed)
+    sd = float(np.sqrt(variance))
+    for n in sizes:
+        known, hidden = stream.take(n)
+        z1 = rng.standard_normal((n, d2 + extra))
+        z2 = rng.standard_normal((n, d2))
+        want_known = stream.body_known.project(mean + sd * z1)
+        mix = rho * z1[:, :d2] + np.sqrt(1.0 - rho**2) * z2
+        want_hidden = stream.body_hidden.project(mean + sd * mix)
+        assert known.view(np.uint64).tolist() == want_known.view(np.uint64).tolist()
+        assert hidden.view(np.uint64).tolist() == want_hidden.view(np.uint64).tolist()
 
 
 def test_pentagon_stream_membership_and_centroid():
@@ -129,6 +155,20 @@ def test_hidden_score_is_one_lipschitz():
         known, a, b = rng.normal(size=(3, 2))
         gap = abs(scoring.score(known, a) - scoring.score(known, b))
         assert gap <= np.linalg.norm(a - b) + 1e-12
+
+
+def test_scores_keep_the_bits_of_their_sum_in_place_and_broadcast():
+    # A score adds the hidden part's products into the known part's, in place
+    # when they have one shape; rows that broadcast, and single rows, add anew.
+    rng = np.random.default_rng(5)
+    scoring = LinearScoring(w_known=[0.6, -0.8, 0.1], w_hidden=[0.3, -0.4])
+    known, hidden = rng.standard_normal((2, 7, 3)), rng.standard_normal((2, 7, 2))
+    for k, h in ((known, hidden), (known[0, 0], hidden[0, 0]), (known[0, 0], hidden),
+                 (known, hidden[1, 2])):
+        want = np.vecdot(scoring.w_known, k) + np.vecdot(scoring.w_hidden, h)
+        got = scoring.score(k, h)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).view(np.uint64).tolist() == np.asarray(want).view(np.uint64).tolist()
 
 
 def test_scoring_rejects_lipschitz_violation():

@@ -263,6 +263,31 @@ def test_regret_warmup_rounds_excluded():
         regret(traj, interval(-10.0, 10.0), skip_rounds=2)
 
 
+@pytest.mark.parametrize("skip_rounds", [0, 1, 7])
+def test_regret_curves_keep_the_bits_of_the_sums_they_take_in_place(skip_rounds):
+    # The expressions the report's curves and the replay gap were built by
+    # before their prefix sums, differences and abs were taken in place.
+    rng = np.random.default_rng(skip_rounds)
+    loss = NormLoss(rng.standard_normal((3, 40, 2)))
+    est = rng.standard_normal((3, 40, 2))
+    traj = Trajectory(estimates=est, loss_values=loss.value(est) * (1 + 1e-12),
+                      score_errors=np.zeros((3, 40)), loss=loss,
+                      delays=np.ones((3, 40), dtype=np.int64))
+    body = Ball([0.0, 0.0], 1.0)
+    report = regret(traj, body, skip_rounds=skip_rounds)
+    comparator_values = np.zeros((3, 40))
+    comparator_values[:, skip_rounds:] = loss[:, skip_rounds:].value(report.comparator[:, None])
+    scored_loss = traj.loss_values.copy()
+    scored_loss[:, :skip_rounds] = 0.0
+    want = np.cumsum(scored_loss, axis=1) - np.cumsum(comparator_values, axis=1)
+    assert report.regret.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    want = np.cumsum(traj.loss_values, axis=1)
+    assert report.cum_loss.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    gaps = np.abs(loss.value(est) - traj.loss_values)
+    want = np.max(gaps, axis=1, initial=0.0, where=~np.isnan(gaps))
+    assert traj.replay_gap().view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
 def test_regret_shares_a_solve_only_for_the_same_losses_on_the_same_body(monkeypatch):
     calls = _count_solves(monkeypatch)
     losses = [QuadraticLoss([0.0], a=1.0), QuadraticLoss([2.0], a=1.0)]
@@ -660,7 +685,7 @@ def test_the_writers_give_the_row_by_row_bytes_at_any_chunk_size(chunk, record):
 def test_the_trajectory_writer_holds_a_few_bytes_per_round(tmp_path):
     # Beyond the record, the writer holds the first trial's delivery order
     # (int32 sources and starts) and one chunk's strings; its peak is while
-    # it builds that order.  50,000 rounds trace about 20 bytes a round.
+    # it builds that order.  50,000 rounds trace about 17 bytes a round.
     horizon = 50_000
     rng = np.random.default_rng(0)
     values = rng.standard_normal((1, horizon))
@@ -675,6 +700,26 @@ def test_the_trajectory_writer_holds_a_few_bytes_per_round(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak / horizon < 30
+
+
+def test_a_single_run_holds_its_record_and_a_few_round_arrays(tmp_path):
+    # The record of a 1-d single run is five arrays of 8 bytes a round, 40
+    # bytes, and its regret report two more.  Each phase adds at most about
+    # two arrays to what it keeps: with validation and the writers' chunks,
+    # 50,000 rounds trace about 75 bytes a round at their peak (about 110
+    # when the draw, the scoring and the comparator held whole-horizon
+    # copies, and the record lived on beside the report's curves).
+    horizon = 50_000
+    cfg = experiments.ExperimentConfig(
+        kind="single-run", horizon=horizon, trials=1, learner="adversarial", eta="auto",
+        lam=0.0, mean=0.25, family="norm", delay_kind="adversarial", d_max=20)
+    tracemalloc.start()
+    try:
+        experiments.run_experiment(cfg, tmp_path / "out")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / horizon < 85
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from laglearn.evaluation import offline_optimum
+from laglearn.geometry import Ball
 from laglearn.losses import (
     ExpLoss,
     Loss,
@@ -170,6 +172,99 @@ def test_kink_slope_is_the_radial_slope_at_the_anchor():
     assert np.array_equal(ExpLoss(anchors, a=0.5, s=2.0, m=[1, 2]).kink_slope(), [0.125, 0.0])
     assert np.array_equal(QuadraticLoss(anchors, a=1.0).kink_slope(), [0.0, 0.0])
     assert np.array_equal(ExpLoss(anchors, a=0.5, s=2.0, m=1).kink_slope()[1], 0.125)
+
+
+# The expressions that distances, gradients and kink slopes were computed by
+# before they took their square roots, quotients and products in place.
+
+def _old_distance(loss, x):
+    d = np.asarray(x, dtype=float) - loss.anchor
+    return np.sqrt(np.vecdot(d, d))
+
+
+def _old_grad(loss, x):
+    d = np.asarray(x, dtype=float) - loss.anchor
+    r = np.sqrt(np.vecdot(d, d))
+    if loss.family == "norm":
+        r = r[..., None]
+        return np.divide(d, r, out=np.zeros(d.shape), where=r != 0.0)
+    if loss.family == "quadratic":
+        return (2.0 * loss.a)[..., None] * d
+    zero = r == 0.0
+    safe = np.where(zero, 1.0, r)
+    if loss.family == "power":
+        slope = loss.m * np.float_power(safe, loss.m - 2)
+    else:
+        s2 = np.float_power(loss.s, 2)
+        slope = (loss.a * loss.m * np.float_power(safe, loss.m - 2)
+                 * np.exp(np.float_power(safe, loss.m) / s2) / s2)
+    g = slope[..., None] * d
+    g[zero] = 0.0
+    return g
+
+
+def _old_kink_slope(loss):
+    shape = loss.anchor.shape[:-1]
+    if loss.family == "norm":
+        return np.ones(shape)
+    if loss.family == "power":
+        return np.where(loss.m == 1, 1.0, 0.0)
+    if loss.family == "exp":
+        return np.where(loss.m == 1, loss.a / np.float_power(loss.s, 2), 0.0)
+    return np.zeros(shape)
+
+
+def _bits(values):
+    values = np.asarray(values, dtype=float)
+    return values.shape, values.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("family", range(4), ids=["norm", "quadratic", "power", "exp"])
+def test_distances_gradients_and_values_keep_the_bits_of_the_expressions_they_replace(family):
+    # One loss of every row's coefficients, on one loss (a 0-d distance), on
+    # rows at one (d,) point, and on rows at a point per row.  The points
+    # include the anchors themselves, offsets whose squares underflow to a
+    # zero distance, and signed zeros.
+    rng = np.random.default_rng(family)
+    loss = per_row_losses(rng)[family]
+    anchor = loss.anchor
+    rows = anchor + rng.standard_normal(anchor.shape)
+    rows[0, :2] = anchor[0, :2]
+    rows[1, :2] = anchor[1, :2] + 1e-200
+    rows[2, 0] = -0.0
+    one = loss[1, 2]
+    cases = [(one, anchor[1, 2]), (one, anchor[1, 2] + 1e-200), (one, rows[2, 3]),
+             (loss, rows[2, 3]), (loss, anchor[0, 0]), (loss, rows)]
+    for case, x in cases:
+        with np.errstate(over="ignore"):
+            assert _bits(case.distance(x)) == _bits(_old_distance(case, x))
+            assert _bits(case.value(x)) == _bits(case.radial(_old_distance(case, x)))
+            assert _bits(case.grad(x)) == _bits(_old_grad(case, x))
+
+
+@pytest.mark.parametrize("loss", [
+    NormLoss(np.zeros((2, 3, 1))),
+    QuadraticLoss(np.zeros((2, 3, 1)), a=1.0),
+    PowerLoss(np.zeros((2, 3, 1)), m=1),
+    PowerLoss(np.zeros((2, 3, 1)), m=3),
+    PowerLoss(np.zeros((2, 3, 1)), m=[[1, 2, 1], [3, 1, 1]]),
+    ExpLoss(np.zeros((2, 3, 1)), a=0.5, s=2.0, m=1),
+    ExpLoss(np.zeros((2, 3, 1)), a=0.5, s=2.0, m=2),
+    ExpLoss(np.zeros((2, 3, 1)), a=0.5, s=2.0, m=[[1, 2, 1], [3, 1, 1]]),
+    NormLoss(np.zeros(1)),
+], ids=["norm", "quadratic", "power-1", "power-3", "power-mixed", "exp-1", "exp-2",
+        "exp-mixed", "norm-one-loss"])
+def test_kink_slope_keeps_its_values_and_nothing_writes_into_it(loss):
+    slope = loss.kink_slope()
+    assert _bits(slope) == _bits(_old_kink_slope(loss))
+    assert not slope.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        slope[...] = 7.0
+    # Its readers, the kink test and the comparator, leave it as it was.
+    loss.kinks(np.zeros(1))
+    if loss.anchor.ndim == 3:
+        offline_optimum(loss, Ball([0.0], 1.0))
+    assert _bits(loss.kink_slope()) == _bits(_old_kink_slope(loss))
 
 
 def test_gradients_match_central_differences():
