@@ -16,13 +16,19 @@ row per trial, and certifies each row by its Frank-Wolfe gap.  Each row
 rounds exactly as solving its trial alone does, so a trial's comparator
 does not depend on the batch it is in.  `aggregate` reduces a report's
 rows to their mean and standard error.
+
+`write_csv` and `write_trajectory_csv` write each float as its `repr`,
+byte for byte.  They build a chunk of rows as one uint8 matrix of
+NUL-padded cells in numpy and write its bytes with the padding dropped:
+no Python string per field.  `_float_text` finds a float's digits with
+Ryu's shortest-digit algorithm in uint64 arithmetic, and calls `repr`
+only for the floats outside the algorithm's common path.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import count
 
 import numpy as np
 
@@ -31,10 +37,11 @@ from .geometry import Array, ConvexBody, norms
 from .losses import Loss, NormLoss, QuadraticLoss
 
 
-# CSV rows are formatted from `tolist()` chunks of this many rounds, never
-# from a list of the whole horizon: a chunk's strings are all a writer
-# holds beyond the record and its delivery order.  1,024 rounds keep them
-# near 0.4 MB, and the fixed cost of a chunk small beside its formatting.
+# CSV rows are built a chunk of this many rounds at a time, never for the
+# whole horizon: a chunk's cells and the formatter's temporaries are all a
+# writer holds beyond the record and its delivery order, 0.5 to 0.7 MiB at
+# 1,024 rounds.  2,048 rounds format faster, but hold about twice that,
+# which lifts a long single run's trajectory writer above the run's peak.
 CSV_CHUNK = 1024
 
 
@@ -360,15 +367,22 @@ def fit_scaling(points) -> ScalingFit:
 
 
 def aggregate(report: RegretReport) -> AggregateCurves:
-    """Pointwise mean and standard error over the trials of one configuration."""
+    """Pointwise mean and standard error over the trials of one configuration.
+
+    One trial's standard error is one read-only broadcast of 0.0, and its
+    mean is its row (`_mean_of_one`): neither copies the horizon.
+    """
     cum, reg = report.cum_loss, report.regret
     trials, horizon = reg.shape
     if trials == 0:
         raise ValueError("nothing to aggregate")
+    if trials == 1:
+        zero = np.broadcast_to(0.0, horizon)
+        return AggregateCurves(horizon=horizon, trials=1, cum_loss_mean=_mean_of_one(cum[0]),
+                               cum_loss_stderr=zero, regret_mean=_mean_of_one(reg[0]),
+                               regret_stderr=zero)
 
     def stderr(stack):
-        if trials < 2:
-            return np.zeros(horizon)
         return np.std(stack, axis=0, ddof=1) / np.sqrt(trials)
 
     return AggregateCurves(
@@ -381,78 +395,333 @@ def aggregate(report: RegretReport) -> AggregateCurves:
     )
 
 
+def _mean_of_one(row: Array) -> Array:
+    """`mean(axis=0)` of one row, bit for bit.  The mean adds the row to
+    0.0, which keeps every float but turns -0.0 into 0.0 (and quiets a
+    signalling NaN, which arithmetic never makes): so the row itself,
+    unless it holds -0.0."""
+    return row + 0.0 if np.signbit(row[row == 0.0]).any() else row
+
+
+# ---------------------------------------------------------------------------
+# CSV files
+# ---------------------------------------------------------------------------
+
 def write_csv(curves: AggregateCurves, path) -> None:
     """Serialize aggregated curves: t, cum_loss_mean/stderr, regret_mean/stderr.
 
-    CSV_CHUNK rounds at a time.  A float is written as its `repr`; the four
-    columns of a chunk are laid out as one array and formatted by `_reprs`,
-    so when they repeat floats, such as the standard errors of a single
-    trial, each distinct one is formatted once.
+    CSV_CHUNK rounds at a time, each float written as its `repr`.  A chunk
+    is one (rows, 5) matrix of cells (`_CELL`): its round numbers are
+    formatted by `_int_text`, and its columns' floats as one array by
+    `_float_text`.  A column broadcast from one float, such as the standard
+    error of one trial (`aggregate`), is formatted once for the file.
     """
     columns = (curves.cum_loss_mean, curves.cum_loss_stderr, curves.regret_mean,
                curves.regret_stderr)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t,cum_loss_mean,cum_loss_stderr,regret_mean,regret_stderr\n")
+    same = [j for j, column in enumerate(columns) if column.strides == (0,)]
+    spread = [j for j in range(4) if j not in same]
+    same_text = _float_text(np.array([columns[j][:1] for j in same]).ravel())
+    with open(path, "wb") as fh:
+        fh.write(b"t,cum_loss_mean,cum_loss_stderr,regret_mean,regret_stderr\n")
         for lo in range(0, curves.horizon, CSV_CHUNK):
-            _write_rows(fh, lo + 1, _reprs(np.vstack([column[lo:lo + CSV_CHUNK]
-                                                       for column in columns])))
+            rows = min(CSV_CHUNK, curves.horizon - lo)
+            cells = np.empty((rows, 5, _CELL), np.uint8)
+            cells[:, 0, :_TEXT] = _int_text(np.arange(lo + 1, lo + rows + 1))
+            cells[:, 1 + np.array(same, int), :_TEXT] = same_text
+            floats = np.empty((rows, len(spread)))
+            for k, j in enumerate(spread):
+                floats[:, k] = columns[j][lo:lo + rows]
+            cells[:, 1 + np.array(spread, int), :_TEXT] = _float_text(floats.ravel()).reshape(
+                rows, len(spread), _TEXT)
+            cells[:, :, _TEXT] = ord(",")
+            cells[:, -1, _TEXT] = ord("\n")
+            fh.write(_unpadded(cells))
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """The first trial's rounds: loss, score error, delivered sources and estimate.
 
-    CSV_CHUNK rounds at a time.  A float is written as its `repr`; the loss,
-    score-error and estimate columns of a chunk are laid out as one array,
-    and when it repeats floats (`_reprs`), each distinct one is formatted
-    once.  The sources a round delivers are joined by ";", cut from the
-    first trial's delivery order at its `starts`.  Beyond the record, the
-    writer holds that order's int32 sources and starts, 8 bytes a round,
-    and one chunk's strings.
+    CSV_CHUNK rounds at a time, each float written as its `repr`.  The
+    sources a round delivers are joined by ";", cut from the first trial's
+    delivery order at its `starts`.  A chunk's cells (`_CELL`) are first
+    each row's round, loss, score error and estimate, its floats formatted
+    as one array, then one cell per delivered source, or an empty cell for
+    a round that delivers none; one gather puts them in row order.  Beyond
+    the record, the writer holds that order's int32 sources and starts, 8
+    bytes a round, and one chunk's cells.
     """
     estimates, loss_values, errors = traj.estimates[0], traj.loss_values[0], traj.score_errors[0]
     (pair_sources,), (pair_starts,) = delivery_order(traj.delays[:1])
-    coord_cols = ",".join(f"estimate_{j}" for j in range(estimates.shape[1]))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"t,loss,score_error,delivered,{coord_cols}\n")
+    dim = estimates.shape[1]
+    fixed = 3 + dim  # a row's cells but its sources: round, loss, score error, estimate
+    coord_cols = ",".join(f"estimate_{j}" for j in range(dim))
+    with open(path, "wb") as fh:
+        fh.write(f"t,loss,score_error,delivered,{coord_cols}\n".encode())
         for lo in range(0, traj.horizon, CSV_CHUNK):
-            hi = lo + CSV_CHUNK
+            hi = min(lo + CSV_CHUNK, traj.horizon)
+            rows = hi - lo
             # Rounds lo + 1..hi deliver the pairs pair_starts[lo + 1]:pair_starts[hi + 1].
-            starts = pair_starts[lo + 1:hi + 2].tolist()
-            first = starts[0]
-            sources = list(map(str, pair_sources[first:starts[-1]].tolist()))
-            delivered = [";".join(sources[a - first:b - first]) for a, b in zip(starts, starts[1:])]
-            loss_text, error_text, *coords = _reprs(
-                np.vstack([loss_values[lo:hi], errors[lo:hi], estimates[lo:hi].T]))
-            _write_rows(fh, lo + 1, [loss_text, error_text, delivered, *coords])
+            starts = pair_starts[lo + 1:hi + 2]
+            counts = np.diff(starts)
+            slots = np.maximum(counts, 1)
+            slot_row = np.repeat(np.arange(rows), slots)
+            cells = np.empty((rows * fixed + len(slot_row), _CELL), np.uint8)
+            row_cells = cells[:rows * fixed].reshape(rows, fixed, _CELL)
+            row_cells[:, 0, :_TEXT] = _int_text(np.arange(lo + 1, hi + 1))
+            floats = np.concatenate([loss_values[lo:hi, None], errors[lo:hi, None],
+                                     estimates[lo:hi]], axis=1)
+            row_cells[:, 1:, :_TEXT] = _float_text(floats.ravel()).reshape(rows, fixed - 1, _TEXT)
+            row_cells[:, :, _TEXT] = ord(",")
+            row_cells[:, -1, _TEXT] = ord("\n")
+            # A round's sources take its first counts[r] slots, ";" after each
+            # but the last; an empty slot is a round that delivers none.
+            slot_cells = cells[rows * fixed:]
+            slot_cells[:] = 0
+            slot_cells[:, _TEXT] = ord(";")
+            slot_end = np.cumsum(slots)
+            slot_cells[slot_end - 1, _TEXT] = ord(",")
+            taken = np.repeat(slot_end - slots - (starts[:-1] - starts[0]), counts)
+            taken += np.arange(len(taken))
+            slot_cells[taken, :_TEXT] = _int_text(pair_sources[starts[0]:starts[-1]])
+            # Row r is its 3 leading cells, its slots, then its estimate.
+            order = np.empty(len(cells), np.intp)
+            row_start = np.arange(rows) * fixed + slot_end - slots
+            place = row_start[:, None] + np.arange(fixed)
+            place[:, 3:] += slots[:, None]
+            order[place.ravel()] = np.arange(rows * fixed)
+            order[slot_row * fixed + np.arange(len(slot_row)) + 3] = np.arange(
+                rows * fixed, len(cells))
+            fh.write(_unpadded(cells.view(f"V{_CELL}")[order]))
 
 
-def _reprs(floats: Array) -> list:
-    """The `repr` of each float of a 2-d array, as one iterable per row.
+# A CSV field is formatted into _TEXT bytes, NUL-padded: 24 holds the
+# longest float repr, '-2.2250738585072014e-308'.  A cell is a field and
+# the separator after it; a writer builds a chunk's cells as one uint8
+# matrix and writes its bytes with the padding dropped.
+_TEXT = 24
+_CELL = _TEXT + 1
 
-    Both CSV writers format their chunks here.  The distinct bit patterns
-    are counted first, over the int64 view, which keeps -0.0 apart from
-    0.0.  When fewer than 3/4 of the fields are distinct, each distinct
-    float is formatted once (`np.unique`) and every field looked up among
-    their reprs; otherwise every field is formatted, since the lookup would
-    cost more than it saves.  On a 2-core x86 VM a chunk of 4,096 fields
-    breaks even near 90% distinct, and the count costs about 1% of
-    formatting it.
+
+def _unpadded(cells) -> bytes:
+    return cells.tobytes().translate(None, b"\0")
+
+
+# `_float_text` formats a float with Ryu's shortest-digit algorithm (Adams,
+# "Ryu: fast float-to-string conversion", PLDI 2018), which gives the digits
+# of `repr`: the fewest that read back as the float, nearest to it.  It
+# takes the algorithm's common path, for 2**-14 <= |x| < 2**50, biased
+# exponents _LOW_EXPONENT.._HIGH_EXPONENT: every float below, under 1e-4, is
+# written with an exponent, and above, Ryu's q is at most 1, its
+# trailing-zero case.  In that range its table of powers of 5 holds 5**i
+# exactly for i <= 22, so its 4*m2*5**i fits 107 bits.
+_LOW_EXPONENT, _HIGH_EXPONENT = 1009, 1072
+_U = np.uint64
+
+
+def _ryu_table():
+    """Per biased exponent: Ryu's q, 5**i with i = -e2 - q, and e10 = e2 + q."""
+    q, pow5, e10 = [], [], []
+    for biased in range(_LOW_EXPONENT, _HIGH_EXPONENT + 1):
+        e2 = biased - 1023 - 52 - 2  # the exponent of the unit of 4 * m2
+        q_ = len(str(5 ** -e2)) - 2  # floor(log10(5**-e2)) - 1
+        q.append(q_)
+        pow5.append(5 ** (-e2 - q_))
+        e10.append(e2 + q_)
+    return np.array(q, _U), np.array(pow5, _U), np.array(e10, np.intp)
+
+
+_Q, _POW5, _E10 = _ryu_table()
+_POW10 = np.array([10 ** k for k in range(20)], _U)
+_HALF = np.array([1] + [5 * 10 ** k for k in range(19)], _U)  # half of 10**k; 1 for k = 0
+# The 4-digit groups 0000..9999 as little-endian words: byte j is digit j.
+_DIGITS4 = sum((np.arange(10000, dtype=_U) // _U(10 ** (3 - j)) % _U(10) + _U(ord("0")))
+               << _U(8 * j) for j in range(4))
+
+
+def _masks(word):
+    """Byte masks of text word `word` (bytes 8 * word .. 8 * word + 7).
+
+    A float's 20 digits, zero-padded, show from digit s on, with "." before
+    digit p: indexed by p * 20 + s, the digits before the point (s <= i < p)
+    and after it (p <= i < 20); indexed by p, the "." at byte p + 1.  An
+    int's 24 digits, zero-padded, show from digit s on: indexed by s.
     """
-    bits = floats.view(np.int64)
-    ordered = np.sort(bits, axis=None)
-    count = 1 + np.count_nonzero(ordered[1:] != ordered[:-1])
-    del ordered  # freed before np.unique allocates, which keeps the peak RSS down
-    if 4 * count >= 3 * floats.size:
-        return [map(repr, row) for row in floats.tolist()]
-    distinct, which = np.unique(bits, return_inverse=True)
-    text = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
-    return text[which.reshape(floats.shape)].tolist()
+    low = [(1 << 8 * min(max(i - 8 * word, 0), 8)) - 1 for i in range(25)]  # bytes below i
+    return (np.array([low[p] & ~low[s] for p in range(21) for s in range(20)], _U),
+            np.array([low[20] & ~low[p] for p in range(21) for _ in range(20)], _U),
+            np.array([low[p + 2] & ~low[p + 1] & 0x2E2E2E2E2E2E2E2E for p in range(21)], _U),
+            np.array([low[24] & ~low[s] for s in range(25)], _U))
 
 
-def _write_rows(fh, first: int, columns) -> None:
-    """Write CSV rows numbered from round `first`: the round, then one field
-    from each column.  A column is an iterable of strings, and the rows end
-    with the shortest one.  The rows are built a column at a time, not a
-    row at a time."""
-    fh.write("\n".join(map(",".join, zip(map(str, count(first)), *columns))))
-    fh.write("\n")
+_BEFORE, _AFTER, _DOT, _FROM = zip(*map(_masks, range(3)))
+
+
+def _digit_words(v, words, count):
+    """Write v's last 4 * count digits into the rows of `words`, a uint64
+    array of one row per 8 digits, most significant first: digit group i of
+    4 is half i % 2 of row i // 2.  v, an int64 array, is overwritten."""
+    for i in range(count - 1, -1, -1):
+        if i:
+            high = v // 10000
+            v -= high * 10000
+        group = _DIGITS4[v]
+        if i % 2:
+            group <<= _U(32)
+        if i % 2 or i == count - 1:
+            words[i // 2] = group
+        else:
+            words[i // 2] |= group
+        if i:
+            v = high
+
+
+def _int_text(values):
+    """(n, _TEXT) uint8: each nonnegative int's decimal digits, NUL-padded."""
+    v = np.array(values, dtype=np.int64)
+    words = np.zeros((3, len(v)), _U)
+    if len(v):
+        count = (len(str(v.max())) + 7) // 8
+        start = 8 * count - np.maximum(np.searchsorted(_POW10, v.view(_U), side="right"), 1)
+        _digit_words(v, words, 2 * count)
+        for j in range(count):
+            words[j] &= _FROM[j][start]
+    return _text(words)
+
+
+def _text(words):
+    """(n, _TEXT) uint8 from a (3, n) uint64 array of little-endian words."""
+    return np.ascontiguousarray(words.T).astype("<u8", copy=False).view(np.uint8)
+
+
+def _float_text(values):
+    """(n, _TEXT) uint8: the `repr` of each float of a 1-d array, NUL-padded.
+
+    Every float is taken through Ryu's common path with its exponent
+    clipped to the path's range, and written from the digits it gives when
+    their layout is "ddd.ddd" or "0.000ddd": its text is the digits from the
+    first significant one, or from the "0" before the point, with the point
+    placed and the sign before them.  Each of the other floats is written
+    as its `repr`, each distinct one formatted once: zeros, non-finite and
+    subnormal floats, those outside the path's range, Ryu's trailing-zero
+    cases, and integer-valued or exponent layouts.
+    """
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(_U)
+    digits, exponent, ok = _shortest(bits & ~_U(1 << 63))
+    n = np.searchsorted(_POW10, digits, side="right")
+    p = exponent
+    p += 20  # the fraction's first digit among the 20
+    ok &= (p - 1).view(_U) < _U(19)  # 0 < -exponent
+    ok &= n + p > 16  # -4 < n + exponent
+    p *= ok
+    key = np.minimum(20 - n, p - 1)  # the text's first digit
+    del n
+    key *= ok
+    key += p * 20
+    words = np.empty((3, len(bits)), _U)
+    _digit_words(digits.view(np.int64), words, 5)  # 20 digits, zero-padded
+    del digits
+    # The sign is byte 0, digit i before the point byte i + 1, the point byte
+    # p + 1 and digit i after it byte i + 2.  Each row is laid out in place.
+    carry = bits >> _U(63)
+    carry *= _U(ord("-"))
+    for w, shown in enumerate(words):
+        before = shown & _BEFORE[w][key]
+        shown &= _AFTER[w][key]  # the digits after the point
+        next_carry = before >> _U(56)
+        next_carry |= shown >> _U(48)
+        before <<= _U(8)
+        shown <<= _U(16)
+        shown |= before
+        shown |= carry
+        shown |= _DOT[w][p]
+        carry = next_carry
+    del before, carry, next_carry, key, p
+    fallback = np.flatnonzero(~ok)
+    if fallback.size:
+        distinct, which = np.unique(bits[fallback], return_inverse=True)
+        text = np.array(list(map(repr, distinct.view(np.float64).tolist())), f"S{_TEXT}")
+        words[:, fallback] = text.view("<u8").reshape(-1, 3)[which].T
+    return _text(words)
+
+
+def _shortest(magnitude):
+    """Ryu's common path on float bits of positive sign: each float's
+    shortest digits, their exponent, and whether the path covers the float:
+    whether it lies in the path's range and is not a case of trailing zeros.
+    The digits of a float it does not cover are of no use.
+
+    vr, vp and vm are floor((4 * m2 + c) * 5**i / 2**q) for c = 0, 2 and
+    -1 - mmShift, taken from one 107-bit product on 32-bit limbs.  Digits
+    are removed while vp // 10 > vm // 10; vr's remaining digits are
+    rounded up when the last one removed is 5 or more, or when they equal
+    vm's, which lies outside the interval.  The arithmetic runs in place
+    where it can, which keeps a chunk's temporaries few.
+    """
+    row = (magnitude >> _U(52)).view(np.int64) - _LOW_EXPONENT
+    covered = row.view(_U) <= _U(_HIGH_EXPONENT - _LOW_EXPONENT)
+    np.clip(row, 0, _HIGH_EXPONENT - _LOW_EXPONENT, out=row)
+    q, pow5 = _Q[row], _POW5[row]
+    mv = magnitude & _U((1 << 52) - 1)
+    mm_shift = (mv != 0).view(np.uint8)
+    mv |= _U(1 << 52)
+    mv <<= _U(2)
+    # The product 4 * m2 * 5**i: high and low words from 32-bit limbs.
+    high, low = mv >> _U(32), mv
+    low &= _U(0xFFFFFFFF)
+    pow5_high, pow5_low = pow5 >> _U(32), pow5 & _U(0xFFFFFFFF)
+    middle = low * pow5_high
+    low *= pow5_low
+    pow5_low *= high
+    middle += pow5_low
+    high *= pow5_high
+    del pow5_high, pow5_low
+    carry = middle << _U(32)
+    middle >>= _U(32)
+    high += middle
+    low += carry
+    high += low < carry
+    del middle, carry
+    # vr = product >> q, and rest = product mod 2**q.
+    high <<= _U(64) - q
+    vr = low >> q
+    vr |= high
+    del high
+    rest = low
+    rest &= (_U(1) << q) - _U(1)
+    vp = pow5 << _U(1)
+    vp += rest
+    vp >>= q
+    vp += vr
+    vm = rest.view(np.int64) - (pow5.view(np.int64) << mm_shift)
+    vm >>= q.view(np.int64)
+    vm = vm.view(_U)
+    vm += vr
+    covered &= rest != 0
+    del pow5, q, rest
+    # The removals that hold are a prefix: count three on every float, then
+    # search the rest, at most 15 as vr has at most 19 digits, by halves on
+    # the covered floats that took three.
+    removed = np.zeros(len(vr), np.uint8)
+    p, m = vp, vm
+    for _ in range(3):
+        p, m = p // _U(10), m // _U(10)
+        removed += (p > m).view(np.uint8)
+    removed = removed.astype(np.intp)
+    more = np.flatnonzero((removed == 3) & covered)
+    p, m = p[more], m[more]
+    for step in (8, 4, 2, 1):
+        scaled_p, scaled_m = p // _U(10**step), m // _U(10**step)
+        held = scaled_p > scaled_m
+        p, m = np.where(held, scaled_p, p), np.where(held, scaled_m, m)
+        removed[more[held]] += step
+    del vp
+    scale = _POW10[removed]
+    digits = vr // scale
+    vm //= scale
+    up = vm == digits
+    scale *= digits
+    vr -= scale  # the removed digits
+    up |= vr >= _HALF[removed]
+    digits += up
+    removed += _E10[row]
+    return digits, removed, covered

@@ -481,6 +481,25 @@ def test_aggregate_identical_trials_have_zero_stderr():
     assert np.allclose(agg.regret_stderr, 0.0)
 
 
+def test_a_single_trial_aggregates_to_its_rows_without_copies():
+    # One trial's mean keeps the bits mean(axis=0) gives: NaN and the
+    # infinities as they are, as a view of the report's row, but -0.0 as
+    # 0.0, which the mean's 0.0 start makes of it.  Its standard error is a
+    # read-only 0.0 that takes no memory of the horizon.
+    report = _report_with_finals(4.0)
+    report.cum_loss[0] = [np.nan, 1.5]
+    report.regret[0] = [-0.0, -np.inf]
+    agg = aggregate(report)
+    for mean, rows in ((agg.cum_loss_mean, report.cum_loss), (agg.regret_mean, report.regret)):
+        assert np.array_equal(mean.view(np.uint64), rows.mean(axis=0).view(np.uint64))
+    assert np.shares_memory(agg.cum_loss_mean, report.cum_loss)
+    assert agg.regret_mean.view(np.uint64)[0] == 0
+    for stderr in (agg.cum_loss_stderr, agg.regret_stderr):
+        assert stderr.shape == (agg.horizon,) and stderr.strides == (0,)
+        assert not stderr.flags.writeable and np.all(stderr == 0.0)
+        assert not np.signbit(stderr).any()
+
+
 def test_aggregate_two_trials_mean_and_stderr():
     agg = aggregate(_report_with_finals(4.0, 6.0))
     assert agg.regret_mean[-1] == pytest.approx(5.0)
@@ -572,6 +591,28 @@ def test_the_curve_writer_keeps_signed_zeros_of_constant_chunks_apart(tmp_path):
     assert {row.split(",")[4] for row in rows[CSV_CHUNK + 1:2 * CSV_CHUNK + 1]} == {"-0.0"}
 
 
+def test_the_curve_writer_formats_a_broadcast_column_once(tmp_path, monkeypatch):
+    # A column broadcast from one float, as one trial's standard error is,
+    # is formatted once for the file, and every other float once per row:
+    # with two columns broadcast (-0.0 among them) and with all four.  Both
+    # write the row-by-row bytes.
+    horizon = 2 * CSV_CHUNK + 3
+    values = _special_values(horizon)
+    formatted = []
+    float_text = evaluation._float_text
+    monkeypatch.setattr(evaluation, "_float_text",
+                        lambda floats: formatted.append(len(floats)) or float_text(floats))
+    for columns, broadcast in (
+            ((values, np.broadcast_to(-0.0, horizon), np.roll(values, 1),
+              np.broadcast_to(0.1 + 0.2, horizon)), 2),
+            (tuple(np.broadcast_to(x, horizon) for x in (1.5, -0.0, 2.0**60, np.nan)), 4)):
+        formatted.clear()
+        curves = AggregateCurves(horizon, 1, *columns)
+        write_csv(curves, tmp_path / "curves.csv")
+        assert (tmp_path / "curves.csv").read_bytes() == _curve_rows(curves)
+        assert formatted[0] == broadcast and sum(formatted[1:]) == (4 - broadcast) * horizon
+
+
 def test_the_trajectory_writer_keeps_signed_zeros_and_repeats_apart(tmp_path):
     # Each distinct float is formatted once: +0.0 and -0.0 share one column
     # and one chunk, each repeated on both sides of a chunk boundary, next to
@@ -595,26 +636,85 @@ def test_the_trajectory_writer_keeps_signed_zeros_and_repeats_apart(tmp_path):
     assert [row.split(",")[1] for row in rows[CSV_CHUNK - 2:CSV_CHUNK + 4]] == ["0.0", "-0.0"] * 3
 
 
-def test_the_trajectory_writer_formats_a_chunk_of_distinct_floats_field_by_field(
-        tmp_path, monkeypatch):
-    # The first chunk holds distinct floats only (both zeros among them), so
-    # every field is formatted; the second repeats its floats, so each
-    # distinct one is formatted once.  Both write the row-by-row bytes.
+def test_the_trajectory_writer_formats_each_fallback_float_of_a_chunk_once(tmp_path, monkeypatch):
+    # Floats of the formatter's common path are formatted without `repr`;
+    # the others (zeros, NaN, infinities, a subnormal, exponent layouts,
+    # integer values, Ryu's trailing-zero case 0.5 and a float beyond 2**50)
+    # are each formatted by `repr` once per chunk, however often the chunk
+    # repeats them.  Both chunks write the row-by-row bytes.
     horizon = 2 * CSV_CHUNK
     rng = np.random.default_rng(5)
-    values = rng.standard_normal((horizon, 3))
-    values[:2, 0] = [0.0, -0.0]
-    values[CSV_CHUNK:] = values[CSV_CHUNK:CSV_CHUNK + 8][np.arange(CSV_CHUNK) % 8]
+    values = rng.uniform(0.5, 100.0, (horizon, 3)) * rng.choice([-1.0, 1.0], (horizon, 3))
+    fallback = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-7, 1.0, 0.5,
+                         2.0**52 + 1.0, 1e22])
+    spots = rng.random((horizon, 3)) < 0.2
+    values[spots] = fallback[rng.integers(0, len(fallback), spots.sum())]
     traj = Trajectory(estimates=values[None, :, 2:], loss_values=values[None, :, 0],
                       score_errors=values[None, :, 1],
                       loss=NormLoss(np.zeros((1, horizon, 1))),
                       delays=rng.integers(1, 6, (1, horizon)))
-    uniques = []
-    unique = np.unique
-    monkeypatch.setattr(np, "unique", lambda a, **kw: uniques.append(a.size) or unique(a, **kw))
+    formatted = []
+    monkeypatch.setattr(evaluation, "repr", lambda x: formatted.append(x) or repr(x),
+                        raising=False)
     write_trajectory_csv(traj, tmp_path / "trajectory.csv")
-    assert uniques == [3 * CSV_CHUNK]
+    bits = values.view(np.uint64)
+    expected = []
+    for lo in (0, CSV_CHUNK):
+        chunk = slice(lo, lo + CSV_CHUNK)
+        expected += sorted(set(bits[chunk][spots[chunk]].tolist()))
+    assert np.array(formatted).view(np.uint64).tolist() == expected
     assert (tmp_path / "trajectory.csv").read_bytes() == _trajectory_rows(traj)
+
+
+def _float_texts(values):
+    """The formatter's text of each float, with its padding dropped."""
+    text = evaluation._float_text(np.asarray(values, dtype=np.float64))
+    lines = np.concatenate([text, np.full((len(text), 1), ord("\n"), np.uint8)], axis=1)
+    return lines.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
+
+
+def _reprs(values):
+    return [repr(x) for x in np.asarray(values, dtype=np.float64).tolist()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                max_size=50))
+def test_the_float_formatter_gives_the_repr_of_any_float(values):
+    assert _float_texts(values) == _reprs(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=50))
+def test_the_float_formatter_gives_the_repr_of_any_bit_pattern(patterns):
+    values = np.array(patterns, dtype=np.uint64).view(np.float64)
+    assert _float_texts(values) == _reprs(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**63 - 1), max_size=50))
+def test_the_int_formatter_gives_the_decimal_digits_of_any_int(values):
+    text = evaluation._int_text(np.array(values, dtype=np.int64))
+    assert [bytes(row).replace(b"\0", b"").decode() for row in text] == list(map(str, values))
+
+
+def test_the_float_formatter_gives_the_repr_of_powers_of_two_and_ten_and_their_neighbours():
+    powers = np.array([2.0**e for e in range(-1074, 1024)]
+                      + [float(f"1e{e}") for e in range(-323, 309)])
+    values = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    values = np.concatenate([values, -values])
+    assert _float_texts(values) == _reprs(values)
+
+
+def test_the_float_formatter_gives_the_repr_of_200000_random_bit_patterns():
+    rng = np.random.default_rng(32)
+    patterns = rng.integers(0, 2**64, 200_000, dtype=np.uint64)
+    # Random bits are mostly of huge or tiny magnitude, so half the draws get
+    # a biased exponent in or next to the range written without `repr`.
+    patterns[::2] &= np.uint64(0x800F_FFFF_FFFF_FFFF)
+    patterns[::2] |= rng.integers(1000, 1080, 100_000).astype(np.uint64) << np.uint64(52)
+    values = patterns.view(np.float64)
+    assert _float_texts(values) == _reprs(values)
 
 
 def test_the_trajectory_writer_reads_the_delivery_order_without_a_buffer(tmp_path, monkeypatch):
