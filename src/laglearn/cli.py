@@ -113,7 +113,11 @@ def _cmd_plot_script(args) -> int:
              for label, arm in sorted(manifest.get("arms", {}).items())]
     lines.append("plot " + ", \\\n     ".join(plots))
     script = results / "plot.gp"
-    script.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        script.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     print(f"wrote {script}")
     return 0
 
@@ -133,6 +137,9 @@ def main(argv=None) -> int:
     except (FileNotFoundError, ValueError) as exc:  # a missing input, a bad config or bad data
         for err in exc.errors if isinstance(exc, ConfigFileError) else [exc]:
             print(f"error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a config that validates, but whose arrays do not fit
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except BrokenPipeError:  # the reader closed stdout, as `| head` does
         # Python flushes stdout again at exit: let the rest go to devnull.

@@ -39,7 +39,7 @@ from .losses import Loss, QuadraticLoss
 
 DEFAULT_RADIUS = 4.0  # wide enough that projecting unit-variance draws barely matters
 
-# One per gradient delivered in time that is the zero subgradient at a kink (`Loss.kinks`).
+# One per gradient delivered in time that is the zero subgradient at a kink (`Loss.kinks_at`).
 ZERO_SUBGRADIENT_FLAG = "zero_subgradient_at_anchor"
 
 

@@ -255,7 +255,7 @@ def _descend(losses: Loss, body: ConvexBody, x: Array):
 # ---------------------------------------------------------------------------
 
 def regret(trajectory: Trajectory, body: ConvexBody, skip_rounds: int = 0,
-           solved: list | None = None) -> RegretReport:
+           solution: OfflineSolution | None = None) -> RegretReport:
     """Regret curves of an arm's finished trials.
 
     Each trial is measured against its own hindsight optimum; one
@@ -264,15 +264,8 @@ def regret(trajectory: Trajectory, body: ConvexBody, skip_rounds: int = 0,
     `skip_rounds` drops that many initial rounds from the reported regret
     (and from the comparator's objective): the dummy-candidate warm-up.
     The cumulative-loss curve always covers every round.
-
-    `solved` lets the arms of one experiment share a solve.  It holds the
-    problem of the last arm measured through it, as [losses, skip_rounds,
-    body description, solution], or nothing yet.  An arm whose losses
-    equal those bit for bit (`Loss.same_bits`), and that skips as many
-    rounds on a body of the same description, scores the same problem and
-    reuses those comparators; any other arm is solved.  Either way the
-    arm's own problem then takes their place, so `solved` keeps no losses
-    alive but the last arm's.
+    `solution`, if given, is the solve of this very problem, the losses
+    after `skip_rounds` on `body`, and no solve is made.
     The prefix sums and their difference are taken in place.
     """
     horizon = trajectory.horizon
@@ -281,13 +274,8 @@ def regret(trajectory: Trajectory, body: ConvexBody, skip_rounds: int = 0,
     if not 0 <= skip_rounds < horizon:
         raise ValueError("skip_rounds must lie in [0, horizon)")
     scored = trajectory.loss[:, skip_rounds:]
-    problem = [trajectory.loss, skip_rounds, body.describe()]
-    if solved and solved[1:3] == problem[1:] and problem[0].same_bits(solved[0]):
-        solution = solved[3]
-    else:
+    if solution is None:
         solution = offline_optimum(scored, body)
-    if solved is not None:
-        solved[:] = problem + [solution]
     comparator = scored.value(solution.point[:, None])  # its loss in each scored round
     if skip_rounds:  # the skipped rounds add 0.0 to both curves
         comparator = np.concatenate([np.zeros((len(comparator), skip_rounds)), comparator],

@@ -7,7 +7,8 @@ pair, a horizon scaling check, or a single run); every arm runs the same
 trials with the same derived per-trial seeds, so arms are compared under
 common random numbers.  Consecutive arms that draw the same contexts and
 losses (the same [stream] and [loss] options, horizon and hidden body)
-play one batch, drawn once.  Outputs are one CSV of aggregated curves
+play one batch, drawn once, and the arms that skip as many warm-up
+rounds score it against one comparator solve.  Outputs are one CSV of aggregated curves
 per arm plus a manifest recording the fully resolved configuration, the
 seeds, and headline metrics.  An arm's trials are played as one lockstep batch,
 recorded as one trajectory and one regret report whose row k is trial k,
@@ -508,39 +509,42 @@ def _draw_key(cfg: ExperimentConfig, seeds: list[int]) -> tuple:
             _hidden_body(cfg).describe(), tuple(seeds))
 
 
-def run_single(cfg: ExperimentConfig, seeds: list[int], solved: list | None = None,
-               drawn: list | None = None, keep: bool = False,
-               record=None) -> tuple[Trajectory, RegretReport]:
+def run_single(cfg: ExperimentConfig, seeds: list[int], drawn: list | None = None,
+               keep: bool = False, record=None) -> tuple[Trajectory, RegretReport]:
     """One arm's seeded trials: build the pieces, draw, play in lockstep, measure regret.
 
     Row k of the trajectory and of the report is the trial of `seeds[k]`.
-    `solved` is handed to `evaluation.regret`: the previous arm's
-    comparator problem, whose solve this arm reuses if it scores the same
-    losses.  `drawn` lets consecutive arms play one draw of their
-    contexts and losses.  It holds [key, batch] of the previous arm, or
-    nothing.  An arm whose `_draw_key` equals that key plays that batch,
-    and builds no streams; any other arm builds them and draws its own.
-    The arm then leaves its key and batch there if `keep` says the next
-    arm plays them too, and empties it otherwise, so no batch outlives its
-    last game.  `record`, if given, is called with the trajectory before
-    regret is measured.
+    `drawn` lets consecutive arms play one draw of their contexts and
+    losses, and score them against one comparator solve.  It holds [key,
+    batch, solves] of the previous arm, or nothing; `solves` maps the
+    rounds an arm skips (`warmup * tau`) to the comparators of the batch's
+    losses after them.  An arm whose `_draw_key` equals that key plays
+    that batch, builds no streams, and reuses the solve for its skipped
+    rounds if there is one; any other arm builds its streams, draws its
+    own batch and solves it.  The arm then leaves its key, batch and
+    solves there if `keep` says the next arm plays them too, and empties
+    it otherwise, so no batch outlives its last game.  `record`, if given,
+    is called with the trajectory before regret is measured.
     """
     body, delays, learner = _build_arm(cfg, seeds)
     key = _draw_key(cfg, seeds)
     if drawn and drawn[0] == key:
-        batch = drawn[1]
+        batch, solves = drawn[1], drawn[2]
     else:
         batch = environment.draw(_build_streams(cfg, seeds, body), _loss_factory(cfg),
                                  cfg.horizon, seeds=[trial_seed(seed, 1) for seed in seeds])
+        solves = {}
     if drawn is not None:
-        drawn[:] = [key, batch] if keep else []
+        drawn[:] = [key, batch, solves] if keep else []
     scoring = environment.LinearScoring.default(cfg.d1, cfg.d2)
     trajectory = environment.run_game(learner, batch, delays, scoring)
     del batch  # the trajectory keeps the losses; the contexts end with the game
     if record is not None:
         record(trajectory)
-    return trajectory, evaluation.regret(trajectory, body, skip_rounds=cfg.warmup * cfg.tau,
-                                         solved=solved)
+    skip = cfg.warmup * cfg.tau
+    if skip not in solves:
+        solves[skip] = evaluation.offline_optimum(trajectory.loss[:, skip:], body)
+    return trajectory, evaluation.regret(trajectory, body, skip, solves[skip])
 
 
 # ---------------------------------------------------------------------------
@@ -565,11 +569,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     Returns the manifest dictionary (also written to manifest.json).  Each
     arm plays all its trials as one lockstep batch; `threads` accepts only
     1 and stays for the benchmark harness, which passes it.  An arm that
-    draws what the previous arm drew plays that arm's batch, and the batch
-    is kept only while a later arm plays it (see `run_single`).  An arm
-    that scores the previous arm's losses, bit for bit, on the same body
-    reuses its comparator solve (see `evaluation.regret`); what is shared
-    lives only as long as this call.  A single run's trajectory file,
+    draws what the previous arm drew plays that arm's batch and reuses its
+    comparator solve; the batch and its solves are kept only while a later
+    arm plays them (see `run_single`).  A single run's trajectory file,
     replay gap and flags are written before regret is measured, and every
     record is dropped before its report is aggregated.  When an arm
     fails, the files and directories this call wrote are removed before
@@ -612,8 +614,7 @@ def _write_experiment(cfg: ExperimentConfig, out: Path, written: list[Path]) -> 
     }
 
     scaling_points = []
-    solved: list = []  # the previous arm's comparator problem, for the next to reuse
-    drawn: list = []   # the previous arm's inputs, while the next arm plays them too
+    drawn: list = []  # the previous arm's inputs and solves, while the next arm plays them too
     arms = expand_arms(cfg)
     keys = [_draw_key(arm, seeds) for _, arm in arms]
 
@@ -630,12 +631,10 @@ def _write_experiment(cfg: ExperimentConfig, out: Path, written: list[Path]) -> 
         manifest["resolved"][label] = resolve_arm(arm)
         last = i + 1 == len(arms)
         keep = not last and keys[i + 1] == keys[i]
-        traj, report = run_single(arm, seeds, solved, drawn, keep,
+        traj, report = run_single(arm, seeds, drawn, keep,
                                   record if cfg.kind == "single-run" else None)
         delay_sum_mean = float(np.mean(traj.delays.sum(axis=1)))
         del traj  # the record is not needed to aggregate the report
-        if last:
-            solved.clear()  # no arm is left to reuse the solve, so its losses go too
 
         curves = evaluation.aggregate(report)
         csv_path = out / f"{label}.csv"

@@ -18,7 +18,7 @@ an object for the block.
 
 `grad` returns the gradient radial'(r) * (x - u) / r.  Profiles with a
 kink at the anchor (norm, and power/exp with m = 1) return the zero
-vector there, which is a valid subgradient; `kinks` says where that
+vector there, which is a valid subgradient; `kinks_at` says where that
 happens.  The whole subdifferential there is the ball of radius
 radial'(0+), which `kink_slope` gives per row.
 
@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .geometry import Array, norms
+from .geometry import Array, as_points, norms
 
 
 class Loss:
@@ -73,16 +73,6 @@ class Loss:
         columns = {name: np.stack([getattr(loss, name) for loss in losses])
                    for name in kind.coefficients}
         return kind(np.stack([loss.anchor for loss in losses]), **columns)
-
-    def same_bits(self, other: "Loss") -> bool:
-        """Whether `other` holds the same losses: the same family, and its
-        anchors and every coefficient column equal to these bit for bit."""
-        def bits(loss, name):
-            column = getattr(loss, name)
-            return column.dtype, column.shape, column.tobytes()
-
-        return type(other) is type(self) and all(
-            bits(self, name) == bits(other, name) for name in ("anchor", *self.coefficients))
 
     def __repr__(self) -> str:
         columns = "".join(f", {name}={getattr(self, name)!r}" for name in self.coefficients)
@@ -129,21 +119,10 @@ class Loss:
         the bits of `grad(x, at)[j]`."""
         raise NotImplementedError
 
-    def kinks(self, x) -> Array:
-        """Rows where `grad` returns the zero subgradient at a kink.
-
-        When every row is smooth at its anchor there are none, whatever x
-        is, so no distance is taken.
-        """
-        slope = self.kink_slope()
-        if not slope.any():
-            shape = np.broadcast_shapes(self._checked(x).shape[:-1], slope.shape)
-            return np.zeros(shape, dtype=bool)
-        return self.kinks_at(self.distance(x))
-
     def kinks_at(self, r) -> Array:
-        """`kinks` of points at distances r from the anchors, as `distance` gives
-        them: a caller that has the distances takes them once."""
+        """Rows where `grad` returns the zero subgradient at a kink, for points at
+        distances r from the anchors, as `distance` gives them: a caller
+        that has the distances takes them once."""
         return (r == 0.0) & (self.kink_slope() > 0.0)
 
     def kink_slope(self) -> Array:
@@ -176,13 +155,7 @@ class Loss:
         raise NotImplementedError
 
     def _offset(self, x, at) -> Array:
-        return self._checked(x) - self.anchor[at]
-
-    def _checked(self, x) -> Array:
-        v = np.asarray(x, dtype=float)
-        if v.shape[-1:] != (self.dim,):
-            raise ValueError(f"dimension mismatch: expected {self.dim}, got shape {v.shape}")
-        return v
+        return as_points(x, self.dim) - self.anchor[at]
 
 
 def _power(r: float, k: int) -> float:

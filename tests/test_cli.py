@@ -651,11 +651,11 @@ def test_cli_run_removes_its_outputs_when_a_later_arm_fails(tmp_path, capsys, mo
     # Arm T3 runs and writes T3.csv; arm T50 then fails.
     run_single, horizons = experiments.run_single, []
 
-    def fail_at_t50(cfg, seeds, *solved):
+    def fail_at_t50(cfg, seeds, *shared):
         horizons.append(cfg.horizon)
         if cfg.horizon == 50:
             raise ValueError("arm T50 failed")
-        return run_single(cfg, seeds, *solved)
+        return run_single(cfg, seeds, *shared)
 
     monkeypatch.setattr(experiments, "run_single", fail_at_t50)
     config = _scaling_check_config(
@@ -1066,6 +1066,34 @@ def test_cli_plot_script(tmp_path):
     script = (out_dir / "plot.gp").read_text()
     assert "tau1.csv" in script and "tau2.csv" in script
     assert cli.main(["plot-script", str(tmp_path / "missing")]) == 2
+
+
+def test_cli_plot_script_that_cannot_write_exits_with_io_code(tmp_path, capsys):
+    config = write_config(tmp_path, TINY_SWEEP)
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", str(config), "--out-dir", str(out_dir)]) == 0
+    (out_dir / "plot.gp").mkdir()
+    capsys.readouterr()
+    assert cli.main(["plot-script", str(out_dir)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "plot.gp" in err
+
+
+def test_cli_run_reports_a_config_too_large_to_hold(tmp_path, capsys, monkeypatch):
+    # The draw of a 10^12-round horizon would ask for terabytes; it is
+    # replaced by one that fails as numpy's allocation does.
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(environment, "draw", out_of_memory)
+    config = write_config(tmp_path, "[experiment]\nkind = single-run\nhorizon = 1000000000000\n\n"
+                          "[learner]\nkind = ogd\nschedule = sqrt\nsigma = 0.5\n\n"
+                          "[loss]\nfamily = quadratic\n\n[delays]\nkind = fixed\n")
+    assert cli.main(["validate", str(config)]) == 0
+    capsys.readouterr()
+    assert cli.main(["run", str(config), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB for an array\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_manifest_records_everything_needed_to_regenerate(tmp_path):

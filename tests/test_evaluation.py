@@ -288,31 +288,23 @@ def test_regret_curves_keep_the_bits_of_the_sums_they_take_in_place(skip_rounds)
     assert traj.replay_gap().view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
-def test_regret_shares_a_solve_only_for_the_same_losses_on_the_same_body(monkeypatch):
+@pytest.mark.parametrize("skip_rounds", [0, 3])
+def test_regret_given_a_solution_makes_no_solve_and_gives_the_bits_of_solving(skip_rounds,
+                                                                             monkeypatch):
+    rng = np.random.default_rng(5)
+    loss = QuadraticLoss(rng.standard_normal((3, 20, 2)), a=rng.uniform(0.5, 2.0, (3, 20)))
+    est = rng.standard_normal((3, 20, 2))
+    traj = Trajectory(estimates=est, loss_values=loss.value(est), score_errors=np.zeros((3, 20)),
+                      loss=loss, delays=np.ones((3, 20), dtype=np.int64))
+    body = Ball([0.0, 0.0], 0.5)
+    solved = regret(traj, body, skip_rounds=skip_rounds)
+    solution = offline_optimum(loss[:, skip_rounds:], body)
     calls = _count_solves(monkeypatch)
-    losses = [QuadraticLoss([0.0], a=1.0), QuadraticLoss([2.0], a=1.0)]
-    traj = _toy_trajectory([[[0.0], [0.0]]], losses)
-    solved = []
-    first = regret(traj, interval(-10.0, 10.0), solved=solved)
-    again = regret(traj, interval(-10.0, 10.0), solved=solved)
-    assert len(calls) == 1 and np.array_equal(again.comparator, first.comparator)
-    regret(traj, interval(-10.0, 0.5), solved=solved)  # another body
-    regret(traj, interval(-10.0, 0.5), skip_rounds=1, solved=solved)  # other scored rounds
-    regret(traj, interval(-10.0, 0.5), skip_rounds=1)  # nothing to share with
-    assert len(calls) == 4
-
-
-def test_losses_are_the_same_only_bit_for_bit():
-    anchors = np.array([[1.0, 0.0], [2.0, 3.0]])
-    loss = QuadraticLoss(anchors, a=[0.5, 1.0])
-    assert loss.same_bits(QuadraticLoss(anchors.copy(), a=[0.5, 1.0]))
-    assert loss.same_bits(loss[:, ...])
-    assert not loss.same_bits(QuadraticLoss(anchors, a=[0.5, 1.0], b=[0.0, 1e-300]))
-    assert not loss.same_bits(QuadraticLoss(anchors, a=[1.0, 0.5]))
-    assert not loss.same_bits(QuadraticLoss(anchors * [1.0, -1.0], a=[0.5, 1.0]))  # -0.0
-    assert not loss.same_bits(QuadraticLoss(anchors[:1], a=[0.5]))
-    assert not NormLoss(anchors).same_bits(ExpLoss(anchors, a=1.0, s=1.0, m=1))
-    assert not NormLoss(anchors).same_bits(QuadraticLoss(anchors, a=1.0))
+    given = regret(traj, body, skip_rounds=skip_rounds, solution=solution)
+    assert calls == []
+    for field in dataclasses.fields(solved):
+        want, got = getattr(solved, field.name), getattr(given, field.name)
+        assert want.dtype == got.dtype and want.tobytes() == got.tobytes(), field.name
 
 
 def _count_solves(monkeypatch) -> list:
@@ -345,7 +337,8 @@ SHARED = experiments.ExperimentConfig(
 
 
 # (config, comparator solves, draws per trial): arms that agree on their
-# [stream] and [loss] options, horizon and hidden body play one draw.
+# [stream] and [loss] options, horizon and hidden body play one draw, and
+# those of them that skip as many warm-up rounds share one solve.
 @pytest.mark.parametrize("cfg, solves, draws", [
     (SHARED, 1, 1),
     (dataclasses.replace(SHARED, kind="delay-sweep", sweep_taus=(2, 5, 9), stream="gaussian",
@@ -354,8 +347,10 @@ SHARED = experiments.ExperimentConfig(
     (dataclasses.replace(SHARED, kind="correlation-sweep", sweep_rhos=(0.0, 0.5),
                          stream="gaussian", d1=2, d2=2), 2, 2),
     (dataclasses.replace(SHARED, kind="scaling-check", sweep_horizons=(40, 80, 120)), 3, 3),
+    # The pentagon stream ignores rho: each arm draws, and solves, the same losses.
+    (dataclasses.replace(SHARED, kind="correlation-sweep", sweep_rhos=(0.0, 0.5)), 2, 2),
 ], ids=["baseline-compare", "delay-sweep", "delay-sweep-warmup", "correlation-sweep",
-        "scaling-check"])
+        "scaling-check", "correlation-sweep-pentagon"])
 def test_arms_that_score_the_same_losses_share_one_solve(cfg, solves, draws, tmp_path,
                                                          monkeypatch):
     # Each arm's csv must hold the bytes of that arm measured on its own,

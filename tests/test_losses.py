@@ -5,7 +5,6 @@ from laglearn.evaluation import offline_optimum
 from laglearn.geometry import Ball
 from laglearn.losses import (
     ExpLoss,
-    Loss,
     NormLoss,
     PowerLoss,
     QuadraticLoss,
@@ -136,33 +135,16 @@ def test_exp_gradient_matches_finite_difference():
 def test_zero_subgradient_at_kinked_anchor():
     loss = NormLoss([1.0, 1.0])
     assert np.array_equal(loss.grad([1.0, 1.0]), [0.0, 0.0])
-    assert loss.kinks([1.0, 1.0])
+    assert loss.kinks_at(loss.distance([1.0, 1.0]))
     loss = ExpLoss([0.5], a=1.0, s=1.0, m=1)
     assert np.array_equal(loss.grad([0.5]), [0.0])
-    assert loss.kinks([0.5])
+    assert loss.kinks_at(loss.distance([0.5]))
     # smooth families give a plain zero gradient without a kink
     loss = QuadraticLoss([0.5], a=1.0)
     assert np.array_equal(loss.grad([0.5]), [0.0])
-    assert not loss.kinks([0.5])
-
-
-@pytest.mark.parametrize("loss", [
-    QuadraticLoss(np.zeros((2, 3, 2)), a=1.0),
-    PowerLoss(np.zeros((2, 3, 2)), m=2),
-    ExpLoss(np.zeros((2, 3, 2)), a=1.0, s=1.0, m=3),
-], ids=["quadratic", "power", "exp"])
-def test_a_loss_smooth_at_every_anchor_finds_no_kink_without_taking_distances(loss, monkeypatch):
-    def no_distance(self, x):
-        raise AssertionError("distance taken")
-
-    monkeypatch.setattr(Loss, "distance", no_distance)
-    # At the anchors themselves, for every row and broadcast over x's leading axes.
-    for x in (np.zeros((2, 3, 2)), np.zeros(2), np.zeros((4, 1, 1, 2))):
-        kinks = loss.kinks(x)
-        assert kinks.dtype == bool and not kinks.any()
-        assert kinks.shape == np.broadcast_shapes(x.shape[:-1], (2, 3))
+    assert not loss.kinks_at(loss.distance([0.5]))
     with pytest.raises(ValueError, match="dimension mismatch"):
-        loss.kinks(np.zeros(3))
+        loss.distance(np.zeros(3))
 
 
 def test_kink_slope_is_the_radial_slope_at_the_anchor():
@@ -261,7 +243,7 @@ def test_kink_slope_keeps_its_values_and_nothing_writes_into_it(loss):
     with pytest.raises(ValueError, match="read-only"):
         slope[...] = 7.0
     # Its readers, the kink test and the comparator, leave it as it was.
-    loss.kinks(np.zeros(1))
+    loss.kinks_at(loss.distance(np.zeros(1)))
     if loss.anchor.ndim == 3:
         offline_optimum(loss, Ball([0.0], 1.0))
     assert _bits(loss.kink_slope()) == _bits(_old_kink_slope(loss))
